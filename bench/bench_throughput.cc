@@ -708,6 +708,43 @@ int Run(const ExperimentConfig& config) {
         << " t/s)";
   }
 
+  // Distinct-key streaming rows: every key is new, so no verdict cache can
+  // help — the evidence for the per-backend cache policy. keyed-hash pays
+  // its full PRF cost per key either way; siphash24 sessions, which never
+  // build a cache, must stay far ahead. A fresh session and base copy per
+  // pass (a warm session would already hold these keys), batch = 1024.
+  std::vector<Row> distinct_rows;
+  distinct_rows.reserve(stream_n);
+  {
+    const Value filler = stream_spec.domain.value(0);
+    for (std::size_t i = 0; i < stream_n; ++i) {
+      distinct_rows.push_back(
+          {Value(static_cast<std::int64_t>(7000000 + i)), filler});
+    }
+  }
+  double stream_prf_distinct_s1_tps[kNumStreamPrfs] = {};
+  for (std::size_t p = 0; p < kNumStreamPrfs; ++p) {
+    SessionSpec prf_spec = stream_spec;
+    prf_spec.params.prf = kStreamPrfSweep[p];
+    for (std::size_t pass = 0; pass < config.passes; ++pass) {
+      Relation rel = stream_marked;
+      std::vector<Row> rows = distinct_rows;
+      Result<StreamSession> session = StreamSession::Create(prf_spec);
+      CATMARK_CHECK(session.ok()) << session.status().ToString();
+      const auto start = Clock::now();
+      for (std::size_t at = 0; at < rows.size();) {
+        const std::size_t len = std::min(rows.size() - at, kStreamPrfBatch);
+        Result<BatchReport> r =
+            session->InsertBatch(rel, std::span<Row>(&rows[at], len));
+        CATMARK_CHECK(r.ok()) << r.status().ToString();
+        at += len;
+      }
+      const double secs = SecondsSince(start);
+      stream_prf_distinct_s1_tps[p] =
+          std::max(stream_prf_distinct_s1_tps[p], stream_n / secs);
+    }
+  }
+
   // On-disk format rows: loading the marked relation and the full
   // load -> detect path, CSV versus .catm binary columnar. Pinned to the
   // siphash24 backend so fitness hashing does not mask the ingest story
@@ -1004,13 +1041,15 @@ int Run(const ExperimentConfig& config) {
   PrintTableRow({"batch gain", FormatDouble(stream_batch_gain, 2) + "x",
                  "(batch=1024 / batch=1, 1 session)", "", ""});
 
-  PrintTableTitle("streaming steady state (warm sessions, batch=1024, "
-                  "inserts/sec per PRF backend)");
-  PrintTableHeader({"backend", "1 session", "8 sessions", "", ""});
+  PrintTableTitle("streaming steady state (batch=1024, inserts/sec per PRF "
+                  "backend; warm sessions, distinct keys on fresh ones)");
+  PrintTableHeader({"backend", "1 session", "8 sessions",
+                    "distinct keys", ""});
   for (std::size_t p = 0; p < kNumStreamPrfs; ++p) {
     PrintTableRow({std::string(PrfKindName(kStreamPrfSweep[p])),
                    FormatDouble(stream_prf_s1_tps[p], 0),
-                   FormatDouble(stream_prf_s8_tps[p], 0), "", ""});
+                   FormatDouble(stream_prf_s8_tps[p], 0),
+                   FormatDouble(stream_prf_distinct_s1_tps[p], 0), ""});
   }
 
   PrintTableTitle("blind multi-key ownership sweep (dict keys, siphash24; "
@@ -1094,6 +1133,8 @@ int Run(const ExperimentConfig& config) {
         "  \"stream_prf_keyed_hash_s8_tps\": %.0f,\n"
         "  \"stream_prf_siphash24_s1_tps\": %.0f,\n"
         "  \"stream_prf_siphash24_s8_tps\": %.0f,\n"
+        "  \"stream_prf_keyed_hash_distinct_s1_tps\": %.0f,\n"
+        "  \"stream_prf_siphash24_distinct_s1_tps\": %.0f,\n"
         "  \"sweep_keys\": %zu,\n"
         "  \"sweep_n\": %zu,\n"
         "  \"sweep_naive_per_key_ms\": %.4f,\n"
@@ -1123,6 +1164,7 @@ int Run(const ExperimentConfig& config) {
         stream_batch_gain,
         stream_prf_s1_tps[0], stream_prf_s8_tps[0],
         stream_prf_s1_tps[1], stream_prf_s8_tps[1],
+        stream_prf_distinct_s1_tps[0], stream_prf_distinct_s1_tps[1],
         kSweepKeys, sweep_n, sweep_naive_per_key_ms,
         sweep_per_key_ms, sweep_plan_ms, sweep_keys_per_sec, sweep_gain);
     out << buf;

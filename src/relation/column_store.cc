@@ -8,6 +8,21 @@
 
 namespace catmark {
 
+namespace {
+
+// Makes room for `n` more elements, geometrically when a batch overflows
+// capacity: reserve(size + n) would set capacity *exactly*, so a steady
+// stream of batch appends would reallocate (and copy) every column on every
+// batch — O(N^2) growth.
+template <typename Vec>
+void GrowFor(Vec& vec, std::size_t n) {
+  if (vec.size() + n > vec.capacity()) {
+    vec.reserve(std::max(vec.size() + n, vec.capacity() * 2));
+  }
+}
+
+}  // namespace
+
 const Value& NullValue() {
   static const Value kNull;
   return kNull;
@@ -35,21 +50,26 @@ void ColumnStore::Reserve(std::size_t n) {
 }
 
 std::int32_t ColumnStore::Intern(DictColumn& c, const Value& v) {
-  return InternSerialized(c, v.SerializeKeyInto(scratch_), v);
-}
-
-std::int32_t ColumnStore::InternSerialized(DictColumn& c,
-                                           std::string_view key,
-                                           const Value& v) {
-  const auto it = c.code_of.find(key);
-  if (it != c.code_of.end()) return it->second;
-  CATMARK_CHECK_LT(c.dict.size(),
-                   static_cast<std::size_t>(
-                       std::numeric_limits<std::int32_t>::max()));
-  const std::int32_t code = static_cast<std::int32_t>(c.dict.size());
-  c.dict.push_back(v);
-  c.live.push_back(0);
-  c.code_of.emplace(std::string(key), code);
+  const std::string_view key = v.SerializeKeyInto(scratch_);
+  // Appended cells tend to come in runs of one value (a streamed feed, a
+  // marked domain), so the last interned key skips the map probe. Comparing
+  // serialized bytes (not Value equality) keeps code assignment exact:
+  // -0.0 == 0.0 as doubles but they serialize differently.
+  if (c.last_code != kNullCode && key == c.last_key) return c.last_code;
+  std::int32_t code;
+  if (const auto it = c.code_of.find(key); it != c.code_of.end()) {
+    code = it->second;
+  } else {
+    CATMARK_CHECK_LT(c.dict.size(),
+                     static_cast<std::size_t>(
+                         std::numeric_limits<std::int32_t>::max()));
+    code = static_cast<std::int32_t>(c.dict.size());
+    c.dict.push_back(v);
+    c.live.push_back(0);
+    c.code_of.emplace(std::string(key), code);
+  }
+  c.last_key.assign(key);
+  c.last_code = code;
   return code;
 }
 
@@ -73,46 +93,21 @@ void ColumnStore::AppendRow(Row row) {
 
 void ColumnStore::AppendRows(std::span<Row> rows) {
   for (const Row& row : rows) CATMARK_CHECK_EQ(row.size(), columns_.size());
-  // Grow geometrically when a batch overflows capacity: reserve(size + n)
-  // would set capacity *exactly*, so a steady stream of batches would
-  // reallocate (and copy) every column on every batch — O(N^2) growth.
-  const auto grow = [n = rows.size()](auto& vec) {
-    if (vec.size() + n > vec.capacity()) {
-      vec.reserve(std::max(vec.size() + n, vec.capacity() * 2));
-    }
-  };
   for (std::size_t c = 0; c < columns_.size(); ++c) {
     if (auto* d = std::get_if<DictColumn>(&columns_[c])) {
-      grow(d->codes);
-      // Streamed batches tend to carry runs of the same value, so memoize
-      // the last interned key's canonical bytes and skip the dictionary
-      // probe while the run lasts. Comparing serialized bytes (not Value
-      // equality) keeps code assignment byte-identical to the row-at-a-time
-      // path: e.g. -0.0 == 0.0 as doubles but they serialize differently.
-      std::vector<std::uint8_t> last_key;
-      std::int32_t last_code = kNullCode;
+      GrowFor(d->codes, rows.size());
       for (Row& row : rows) {
         if (row[c].is_null()) {
           d->codes.push_back(kNullCode);
           continue;
         }
-        const std::string_view key = row[c].SerializeKeyInto(scratch_);
-        const std::string_view last(
-            reinterpret_cast<const char*>(last_key.data()), last_key.size());
-        std::int32_t code;
-        if (!last.empty() && key == last) {
-          code = last_code;
-        } else {
-          code = InternSerialized(*d, key, row[c]);
-          last_key.assign(key.begin(), key.end());
-          last_code = code;
-        }
+        const std::int32_t code = Intern(*d, row[c]);
         d->codes.push_back(code);
         ++d->live[static_cast<std::size_t>(code)];
       }
     } else {
       auto& values = std::get<PlainColumn>(columns_[c]).values;
-      grow(values);
+      GrowFor(values, rows.size());
       for (Row& row : rows) values.push_back(std::move(row[c]));
     }
   }
@@ -120,43 +115,87 @@ void ColumnStore::AppendRows(std::span<Row> rows) {
 }
 
 void ColumnStore::AppendRowsFrom(const ColumnStore& src,
-                                 const std::vector<std::size_t>& indices) {
+                                 const std::vector<std::size_t>& indices,
+                                 const ColumnOverride& override) {
   CATMARK_CHECK(this != &src) << "self-append requires the row path";
   CATMARK_CHECK_EQ(columns_.size(), src.columns_.size());
   // One validation pass; the per-column copy loops below can then index
   // unchecked.
   for (const std::size_t i : indices) CATMARK_CHECK_LT(i, src.num_rows_);
+  if (!override.values.empty()) {
+    CATMARK_CHECK_LT(override.col, columns_.size());
+    CATMARK_CHECK_EQ(override.values.size(), indices.size());
+  }
+  const std::size_t n = indices.size();
   for (std::size_t c = 0; c < columns_.size(); ++c) {
     CATMARK_CHECK_EQ(std::holds_alternative<DictColumn>(columns_[c]),
                      std::holds_alternative<DictColumn>(src.columns_[c]));
+    const Value* const* over =
+        c == override.col && !override.values.empty() ? override.values.data()
+                                                      : nullptr;
     if (auto* d = std::get_if<DictColumn>(&columns_[c])) {
       const DictColumn& s = std::get<DictColumn>(src.columns_[c]);
       // Lazily translate source codes: each referenced dictionary entry is
-      // interned once, however many rows carry it.
-      constexpr std::int32_t kUntranslated = -2;
-      std::vector<std::int32_t> xlate(s.dict.size(), kUntranslated);
-      d->codes.reserve(d->codes.size() + indices.size());
-      for (const std::size_t i : indices) {
-        const std::int32_t code = s.codes[i];
-        if (code < 0) {
-          d->codes.push_back(kNullCode);
-          continue;
+      // interned once, however many rows carry it. Overridden cells intern
+      // in row order between them, exactly where the row path would.
+      // xlate_ reads kUntranslated everywhere between calls — the entries
+      // translated here are reset below — so a small append from a large
+      // dictionary costs O(rows), not O(dictionary).
+      std::vector<std::int32_t>& xlate = xlate_;
+      if (xlate.size() < s.dict.size()) {
+        xlate.resize(s.dict.size(), kUntranslated);
+      }
+      translated_.clear();
+      GrowFor(d->codes, n);
+      for (std::size_t k = 0; k < n; ++k) {
+        std::int32_t code;
+        if (over != nullptr && over[k] != nullptr) {
+          code = over[k]->is_null() ? kNullCode : Intern(*d, *over[k]);
+        } else {
+          code = s.codes[indices[k]];
+          if (code >= 0) {
+            std::int32_t& mapped = xlate[static_cast<std::size_t>(code)];
+            if (mapped == kUntranslated) {
+              mapped = Intern(*d, s.dict[static_cast<std::size_t>(code)]);
+              translated_.push_back(code);
+            }
+            code = mapped;
+          }
         }
-        std::int32_t& mapped = xlate[static_cast<std::size_t>(code)];
-        if (mapped == kUntranslated) {
-          mapped = Intern(*d, s.dict[static_cast<std::size_t>(code)]);
-        }
-        d->codes.push_back(mapped);
-        ++d->live[static_cast<std::size_t>(mapped)];
+        d->codes.push_back(code);
+        if (code >= 0) ++d->live[static_cast<std::size_t>(code)];
+      }
+      for (const std::int32_t code : translated_) {
+        xlate[static_cast<std::size_t>(code)] = kUntranslated;
       }
     } else {
       auto& values = std::get<PlainColumn>(columns_[c]).values;
       const auto& s = std::get<PlainColumn>(src.columns_[c]).values;
-      values.reserve(values.size() + indices.size());
-      for (const std::size_t i : indices) values.push_back(s[i]);
+      GrowFor(values, n);
+      if (over == nullptr) {
+        for (const std::size_t i : indices) values.push_back(s[i]);
+      } else {
+        for (std::size_t k = 0; k < n; ++k) {
+          values.push_back(over[k] != nullptr ? *over[k] : s[indices[k]]);
+        }
+      }
     }
   }
-  num_rows_ += indices.size();
+  num_rows_ += n;
+}
+
+void ColumnStore::ClearRows() {
+  for (auto& col : columns_) {
+    if (auto* d = std::get_if<DictColumn>(&col)) {
+      for (const std::int32_t code : d->codes) {
+        if (code >= 0) --d->live[static_cast<std::size_t>(code)];
+      }
+      d->codes.clear();
+    } else {
+      std::get<PlainColumn>(col).values.clear();
+    }
+  }
+  num_rows_ = 0;
 }
 
 const Value& ColumnStore::Get(std::size_t row, std::size_t col) const {

@@ -27,6 +27,16 @@ struct TransparentStringHash {
 /// The shared NULL value — Get on a NULL cell returns a reference to this.
 const Value& NullValue();
 
+/// A per-row replacement of one column during AppendRowsFrom: appended row k
+/// takes `*values[k]` in column `col` instead of the source cell, unless
+/// values[k] is null. `values` is parallel to the appended indices; an empty
+/// span replaces nothing. The streaming insert path writes its marked
+/// target values through this instead of materializing rows.
+struct ColumnOverride {
+  std::size_t col = 0;
+  std::span<const Value* const> values;
+};
+
 /// Column-major tuple storage behind Relation.
 ///
 /// Each categorical column is dictionary-encoded: cells are int32 codes into
@@ -74,9 +84,17 @@ class ColumnStore {
   /// layout (checked) and not be this store. Dictionary columns intern each
   /// *referenced* source dictionary entry once and translate codes;
   /// fallback columns copy values — no per-cell re-serialization, unlike
-  /// the row-at-a-time path.
+  /// the row-at-a-time path. `override` (size-checked) replaces cells of
+  /// one column; overridden and copied cells intern in row order, so code
+  /// assignment matches appending the resulting rows one at a time.
   void AppendRowsFrom(const ColumnStore& src,
-                      const std::vector<std::size_t>& indices);
+                      const std::vector<std::size_t>& indices,
+                      const ColumnOverride& override = {});
+
+  /// Drops every row, keeping the column layout, the vectors' capacity and
+  /// the dictionaries: their entries go dead (live count 0) and keep their
+  /// codes, so refilling with recurring values interns nothing new.
+  void ClearRows();
 
   /// Cell value; NULL cells return NullValue(). The reference is valid until
   /// the cell (or, for dictionary columns, the dictionary) is next mutated.
@@ -171,6 +189,10 @@ class ColumnStore {
     std::unordered_map<std::string, std::int32_t, TransparentStringHash,
                        std::equal_to<>>
         code_of;
+    // The last interned key and its code (kNullCode: none yet). Entries
+    // are never removed, so the memo stays valid across calls.
+    std::string last_key;
+    std::int32_t last_code = kNullCode;
   };
   struct PlainColumn {
     std::vector<Value> values;  // per-row
@@ -180,17 +202,16 @@ class ColumnStore {
   const DictColumn& dict_column(std::size_t col) const;
 
   std::int32_t Intern(DictColumn& c, const Value& v);
-  /// Intern with the canonical key bytes already serialized (`key` must be
-  /// `v.SerializeKeyInto(...)` output) — the batch append path serializes
-  /// once per row and reuses the bytes for its run-of-equal-values memo.
-  std::int32_t InternSerialized(DictColumn& c, std::string_view key,
-                                const Value& v);
 
   std::vector<std::variant<DictColumn, PlainColumn>> columns_;
   std::size_t num_rows_ = 0;
-  // Reused serialization buffer for intern probes (single-threaded mutation
-  // path; readers never touch it).
+  // Reused buffers of the single-threaded mutation path (readers never
+  // touch them): the intern probe's serialization, and AppendRowsFrom's
+  // source-code translation with the codes it translated.
+  static constexpr std::int32_t kUntranslated = -2;
   std::vector<std::uint8_t> scratch_;
+  std::vector<std::int32_t> xlate_;
+  std::vector<std::int32_t> translated_;
 };
 
 /// Bulk code-write path for sharded writers (the parallel embed apply

@@ -51,19 +51,43 @@ Status Relation::AppendRows(std::span<Row> rows) {
 }
 
 Status Relation::AppendRowsFrom(const Relation& other,
-                                const std::vector<std::size_t>& indices) {
+                                const std::vector<std::size_t>& indices,
+                                const ColumnOverride& override) {
   if (!(schema_ == other.schema_)) {
     return Status::InvalidArgument("schema mismatch in AppendRowsFrom");
   }
   for (const std::size_t i : indices) {
     if (i >= other.NumRows()) return Status::OutOfRange("row index");
   }
+  if (!override.values.empty()) {
+    if (override.values.size() != indices.size()) {
+      return Status::InvalidArgument(
+          "override holds " + std::to_string(override.values.size()) +
+          " values for " + std::to_string(indices.size()) + " rows");
+    }
+    if (override.col >= schema_.num_columns()) {
+      return Status::OutOfRange("override column index");
+    }
+    const Column& column = schema_.column(override.col);
+    for (const Value* v : override.values) {
+      if (v != nullptr && !v->is_null() && !v->MatchesType(column.type)) {
+        return Status::InvalidArgument("override value for column '" +
+                                       column.name + "' has wrong type");
+      }
+    }
+  }
   if (this == &other) {
     // Self-append: the bulk path would read the vectors it is growing.
-    for (const std::size_t i : indices) store_.AppendRow(other.row(i));
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      Row row = other.row(indices[k]);
+      if (!override.values.empty() && override.values[k] != nullptr) {
+        row[override.col] = *override.values[k];
+      }
+      store_.AppendRow(std::move(row));
+    }
     return Status::OK();
   }
-  store_.AppendRowsFrom(other.store_, indices);
+  store_.AppendRowsFrom(other.store_, indices, override);
   return Status::OK();
 }
 

@@ -60,8 +60,16 @@ class Relation {
   /// Bulk-appends rows `indices` of `other` (equal schemas required). The
   /// backbone of sampling/shuffle/sort/append ops: dictionary codes are
   /// translated instead of every cell being re-serialized and re-interned.
+  /// `override` replaces one column's cells per appended row (see
+  /// ColumnOverride); its size, column and value types are validated.
+  /// Atomic: on any error nothing is appended.
   Status AppendRowsFrom(const Relation& other,
-                        const std::vector<std::size_t>& indices);
+                        const std::vector<std::size_t>& indices,
+                        const ColumnOverride& override = {});
+
+  /// Drops every tuple, keeping the schema, the storage's capacity and the
+  /// dictionaries (see ColumnStore::ClearRows).
+  void ClearRows() { store_.ClearRows(); }
 
   /// Materializes tuple `i` as a Row of Value copies (the storage is
   /// columnar, so there is no stored Row to reference).

@@ -1,7 +1,10 @@
 #include "service/session.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <numeric>
+#include <string>
 #include <utility>
 
 #include "common/bits.h"
@@ -82,6 +85,7 @@ StreamSession::StreamSession(SessionSpec spec) : spec_(std::move(spec)) {
                            spec_.params.hash_algo);
   prf_k2_ = CreateKeyedPrf(*spec_.params.prf, spec_.keys.k2,
                            spec_.params.hash_algo);
+  cache_verdicts_ = CachesVerdicts(*spec_.params.prf);
   scratch_.reserve(64);
 }
 
@@ -114,116 +118,186 @@ Status StreamSession::BindColumns(const Relation& rel) {
   return Status::OK();
 }
 
-void StreamSession::FinishChunk(std::vector<Verdict*>& pending) {
-  if (pending.empty()) return;
-  batch_.Hash(*prf_k1_);
-  const std::size_t count = batch_.size();
-
+void StreamSession::CollectFit(const std::uint64_t* h1, std::size_t n,
+                               const std::int64_t* i64,
+                               std::span<const std::string_view> views,
+                               const std::size_t* ids) {
   // Vectorized fitness: pack h1 % e == 0 into a bitset and walk only the
   // set bits — the same DivisibilityMask64 kernel the plan build and the
   // detect engine use, so streaming verdicts are pinned to the same
   // arithmetic.
   const DivisibilityCheck fit_by_e(spec_.params.e);
-  fit_mask_.assign((count + 63) / 64, 0);
-  DivisibilityMask64(fit_by_e, batch_.h1.data(), count, fit_mask_.data());
+  fit_mask_.assign((n + 63) / 64, 0);
+  DivisibilityMask64(fit_by_e, h1, n, fit_mask_.data());
   fit_idx_.clear();
   for (std::size_t w = 0; w < fit_mask_.size(); ++w) {
     std::uint64_t word = fit_mask_[w];
     while (word != 0) {
-      const std::size_t i =
-          (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+      fit_idx_.push_back((w << 6) +
+                         static_cast<std::size_t>(std::countr_zero(word)));
       word &= word - 1;
-      fit_idx_.push_back(i);
     }
   }
+  if (fit_idx_.empty()) return;
 
   // The fitness rate is 1/e, so the k2 position hash runs on a small
-  // minority of keys — one batched call over the fit subset, through the
-  // typed int64 kernel when the whole chunk is int64 keys (the common
-  // streaming shape), else gathered views over the still-live arena bytes.
+  // minority of keys — one batched call over the fit subset.
   h2_.resize(fit_idx_.size());
-  if (!fit_idx_.empty()) {
-    if (batch_.int64_lane()) {
-      fit_i64_.clear();
-      for (const std::size_t i : fit_idx_) fit_i64_.push_back(batch_.i64[i]);
-      prf_k2_->Hash64Int64Keys(fit_i64_.data(), fit_i64_.size(),
-                               std::span<std::uint64_t>(h2_));
-    } else {
-      fit_views_.clear();
-      for (const std::size_t i : fit_idx_) {
-        fit_views_.push_back(batch_.views[i]);
-      }
-      prf_k2_->Hash64Column(fit_views_, std::span<std::uint64_t>(h2_));
-    }
-  }
-
-  for (std::size_t i = 0; i < count; ++i) {
-    Verdict& v = *pending[batch_.ids[i]];
-    v.h1 = batch_.h1[i];
-    v.pending = false;
+  if (i64 != nullptr) {
+    fit_i64_.clear();
+    for (const std::size_t i : fit_idx_) fit_i64_.push_back(i64[i]);
+    prf_k2_->Hash64Int64Keys(fit_i64_.data(), fit_i64_.size(),
+                             std::span<std::uint64_t>(h2_));
+  } else {
+    fit_views_.clear();
+    for (const std::size_t i : fit_idx_) fit_views_.push_back(views[i]);
+    prf_k2_->Hash64Column(fit_views_, std::span<std::uint64_t>(h2_));
   }
   for (std::size_t f = 0; f < fit_idx_.size(); ++f) {
-    Verdict& v = *pending[batch_.ids[fit_idx_[f]]];
-    v.fit = true;
-    v.payload_index = static_cast<std::uint32_t>(PayloadIndexFromHash(
-        h2_[f], spec_.payload_length, spec_.params.bit_index_mode));
+    const std::size_t i = fit_idx_[f];
+    fit_rows_.push_back(FitRow{
+        static_cast<std::uint32_t>(ids == nullptr ? i : ids[i]),
+        static_cast<std::uint32_t>(PayloadIndexFromHash(
+            h2_[f], spec_.payload_length, spec_.params.bit_index_mode)),
+        h1[i]});
   }
-  pending.clear();
-  batch_.Clear();
 }
 
-std::size_t StreamSession::ResolveVerdicts(std::span<const Row> rows) {
-  verdict_of_row_.assign(rows.size(), Verdict{});
-  pending_rows_.clear();
-  overflow_.clear();
-  pending_.clear();
-  batch_.Clear();
-  std::size_t hashed = 0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Value& key_value = rows[i][key_col_];
-    if (key_value.is_null()) continue;  // NULL keys keep the unfit default
-    const std::string_view key = key_value.SerializeKeyInto(scratch_);
-    const Verdict* found = nullptr;
-    if (const auto it = cache_.find(key); it != cache_.end()) {
-      found = &it->second;
-    } else if (const auto it = overflow_.find(key); it != overflow_.end()) {
-      found = &it->second;
+std::size_t StreamSession::ResolveChunk(const ColumnReader& keys,
+                                        std::size_t at, std::size_t len) {
+  fit_rows_.clear();
+  if (!cache_verdicts_ && !keys.is_dict()) {
+    // The dominant streaming shape: a NULL-free int64 key column. Gather
+    // the raw keys straight off the column storage into the typed kernel;
+    // the first NULL or non-int64 key falls back to KeyHashBatch below.
+    const Value* values = keys.values().data() + at;
+    i64_.resize(len);
+    std::size_t j = 0;
+    for (; j < len; ++j) {
+      const std::int64_t* v = values[j].TryInt64();
+      if (v == nullptr) break;
+      i64_[j] = *v;
     }
-    if (found != nullptr) {
-      // Copy the verdict out by value while the map node is hot — the apply
-      // pass then scans a flat array instead of re-chasing a node per row.
-      // A still-pending node (its chunk not hashed yet) is deferred.
-      if (found->pending) {
-        pending_rows_.emplace_back(i, found);
-      } else {
-        verdict_of_row_[i] = *found;
+    if (j == len) {
+      h1_.resize(len);
+      prf_k1_->Hash64Int64Keys(i64_.data(), len,
+                               std::span<std::uint64_t>(h1_));
+      CollectFit(h1_.data(), len, i64_.data(), {}, nullptr);
+      return len;
+    }
+  }
+
+  // General path: serialize the keys to hash into one arena. A caching
+  // session answers keys seen before from its cache and queues only the
+  // misses. Each miss is cached at once as an unresolved placeholder, so a
+  // key repeated inside the chunk is hashed once; its repeats read the
+  // verdict after the hash.
+  batch_.Clear();
+  misses_.clear();
+  repeats_.clear();
+  for (std::size_t j = 0; j < len; ++j) {
+    const Value& key = keys[at + j];
+    if (key.is_null()) continue;  // NULL keys are unfit
+    if (!cache_verdicts_) {
+      batch_.Add(key, j);
+      continue;
+    }
+    const std::string_view bytes = key.SerializeKeyInto(scratch_);
+    if (const auto it = cache_.find(bytes); it != cache_.end()) {
+      const Verdict& v = it->second;
+      if (v.unresolved) {
+        repeats_.emplace_back(static_cast<std::uint32_t>(j), &v);
+      } else if (v.fit) {
+        fit_rows_.push_back(FitRow{static_cast<std::uint32_t>(j),
+                                   v.payload_index, v.h1});
       }
       continue;
     }
-    // A fresh key: queue it once; later rows repeating it share the same
-    // map node via pending_rows_. Node-based maps keep the Verdict
-    // addresses stable while either map grows.
-    VerdictCache& target =
-        cache_.size() < spec_.key_cache_capacity ? cache_ : overflow_;
-    Verdict placeholder;
-    placeholder.pending = true;
-    Verdict& v = target.emplace(std::string(key), placeholder).first->second;
-    pending_rows_.emplace_back(i, &v);
-    batch_.AddSerialized(std::span<const std::uint8_t>(scratch_.data(),
-                                                       scratch_.size()),
-                         pending_.size());
-    pending_.push_back(&v);
-    ++hashed;
-    if (batch_.full()) FinishChunk(pending_);
+    // Past the cap a miss is hashed per occurrence and not memoized.
+    Verdict* placeholder =
+        cache_.size() < kVerdictCacheCapacity
+            ? &cache_.emplace(std::string(bytes), Verdict{0, 0, false, true})
+                   .first->second
+            : nullptr;
+    misses_.push_back(placeholder);
+    batch_.AddSerialized(
+        std::span<const std::uint8_t>(scratch_.data(), scratch_.size()), j);
   }
-  FinishChunk(pending_);
-  for (const auto& [row, v] : pending_rows_) verdict_of_row_[row] = *v;
-  return hashed;
+  const std::size_t n = batch_.size();
+  if (n == 0) return 0;
+  batch_.Hash(*prf_k1_);
+  const std::size_t first_new = fit_rows_.size();
+  CollectFit(batch_.h1.data(), n,
+             batch_.int64_lane() ? batch_.i64.data() : nullptr, batch_.views,
+             batch_.ids.data());
+  if (cache_verdicts_) {
+    // Resolve the placeholders in key order; fit_mask_ says which keys own
+    // the FitRows appended above.
+    std::size_t f = first_new;
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool fit = (fit_mask_[i >> 6] >> (i & 63)) & 1;
+      if (misses_[i] != nullptr) {
+        *misses_[i] = fit ? Verdict{fit_rows_[f].h1,
+                                    fit_rows_[f].payload_index, true, false}
+                          : Verdict{};
+      }
+      f += fit;
+    }
+    for (const auto& [offset, v] : repeats_) {
+      if (v->fit) fit_rows_.push_back(FitRow{offset, v->payload_index, v->h1});
+    }
+  }
+  return n;
+}
+
+Result<BatchReport> StreamSession::InsertRange(Relation& rel,
+                                               const Relation& src,
+                                               std::size_t begin,
+                                               std::size_t count) {
+  CATMARK_RETURN_IF_ERROR(BindColumns(rel));
+  if (!(src.schema() == rel.schema())) {
+    return Status::InvalidArgument(
+        "source schema does not match the relation's");
+  }
+  if (begin > src.NumRows() || count > src.NumRows() - begin) {
+    return Status::OutOfRange("insert range [" + std::to_string(begin) +
+                              ", +" + std::to_string(count) +
+                              ") past the source's " +
+                              std::to_string(src.NumRows()) + " rows");
+  }
+
+  BatchReport report;
+  report.rows = count;
+  const ColumnReader keys(src.store(), key_col_);
+  const ColumnReader targets(src.store(), target_col_);
+  marked_.assign(count, nullptr);
+  for (std::size_t done = 0; done < count; done += kKeyHashBatch) {
+    const std::size_t len = std::min(kKeyHashBatch, count - done);
+    report.hashed_keys += ResolveChunk(keys, begin + done, len);
+    report.fit_rows += fit_rows_.size();
+    for (const FitRow& fit : fit_rows_) {
+      const std::size_t t = SelectValueIndex(
+          fit.h1, spec_.domain.size(), wm_data_.Get(fit.payload_index));
+      const Value& marked = spec_.domain.value(t);
+      // Cells already carrying the marked value keep their source value.
+      if (!(targets[begin + done + fit.offset] == marked)) {
+        marked_[done + fit.offset] = &marked;
+        ++report.altered_rows;
+      }
+    }
+  }
+  range_.resize(count);
+  std::iota(range_.begin(), range_.end(), begin);
+  CATMARK_RETURN_IF_ERROR(rel.AppendRowsFrom(
+      src, range_,
+      ColumnOverride{target_col_, std::span<const Value* const>(marked_)}));
+  total_rows_ += report.rows;
+  total_fit_ += report.fit_rows;
+  return report;
 }
 
 Result<BatchReport> StreamSession::InsertBatch(Relation& rel,
                                                std::span<Row> rows) {
-  CATMARK_RETURN_IF_ERROR(BindColumns(rel));
   // Validate the whole batch before touching anything: batches are atomic,
   // so an arity or type error anywhere leaves the relation unchanged.
   const Schema& schema = rel.schema();
@@ -239,29 +313,13 @@ Result<BatchReport> StreamSession::InsertBatch(Relation& rel,
       }
     }
   }
-
-  BatchReport report;
-  report.rows = rows.size();
-  report.hashed_keys = ResolveVerdicts(rows);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Verdict& v = verdict_of_row_[i];
-    if (!v.fit) continue;
-    ++report.fit_rows;
-    const std::size_t t = SelectValueIndex(
-        v.h1, spec_.domain.size(), wm_data_.Get(v.payload_index));
-    const Value& marked = spec_.domain.value(t);
-    Value& cell = rows[i][target_col_];
-    if (!(cell == marked)) {
-      cell = marked;
-      ++report.altered_rows;
-    }
+  if (staged_.schema() == schema) {
+    staged_.ClearRows();
+  } else {
+    staged_ = Relation(schema);
   }
-  // The batch was validated above and marked values come from the domain,
-  // so the unchecked columnar bulk append is safe.
-  rel.AppendRowsUnchecked(rows);
-  total_rows_ += report.rows;
-  total_fit_ += report.fit_rows;
-  return report;
+  staged_.AppendRowsUnchecked(rows);
+  return InsertRange(rel, staged_, 0, rows.size());
 }
 
 Result<bool> StreamSession::Insert(Relation& rel, Row row) {
@@ -271,11 +329,12 @@ Result<bool> StreamSession::Insert(Relation& rel, Row row) {
   return report.fit_rows > 0;
 }
 
-const StreamSession::Verdict& StreamSession::VerdictFor(
-    const Value& key_value) {
+StreamSession::Verdict StreamSession::VerdictFor(const Value& key_value) {
   const std::string_view key = key_value.SerializeKeyInto(scratch_);
-  if (const auto it = cache_.find(key); it != cache_.end()) {
-    return it->second;
+  if (cache_verdicts_) {
+    if (const auto it = cache_.find(key); it != cache_.end()) {
+      return it->second;
+    }
   }
   Verdict v;
   const std::uint64_t h1 = prf_k1_->Hash64(key);
@@ -286,9 +345,10 @@ const StreamSession::Verdict& StreamSession::VerdictFor(
         PayloadIndexFromHash(prf_k2_->Hash64(key), spec_.payload_length,
                              spec_.params.bit_index_mode));
   }
-  VerdictCache& target =
-      cache_.size() < spec_.key_cache_capacity ? cache_ : overflow_;
-  return target.insert_or_assign(std::string(key), v).first->second;
+  if (cache_verdicts_ && cache_.size() < kVerdictCacheCapacity) {
+    cache_.emplace(std::string(key), v);
+  }
+  return v;
 }
 
 Result<bool> StreamSession::Refresh(Relation& rel, std::size_t row_index) {
@@ -296,7 +356,7 @@ Result<bool> StreamSession::Refresh(Relation& rel, std::size_t row_index) {
   if (row_index >= rel.NumRows()) return Status::OutOfRange("row index");
   const Value& key_value = rel.Get(row_index, key_col_);
   if (key_value.is_null()) return false;
-  const Verdict& v = VerdictFor(key_value);
+  const Verdict v = VerdictFor(key_value);
   if (!v.fit) return false;
   const std::size_t t = SelectValueIndex(v.h1, spec_.domain.size(),
                                          wm_data_.Get(v.payload_index));

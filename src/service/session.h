@@ -46,10 +46,6 @@ struct SessionSpec {
   /// |wm_data| — must match the original embedding (>= wm.size()).
   std::size_t payload_length = 0;
   BitVector wm;
-  /// Ceiling on the session's resident key->verdict cache (distinct keys).
-  /// Keys past the cap still batch-hash correctly; they just are not
-  /// memoized across batches. 0 disables the resident cache entirely.
-  std::size_t key_cache_capacity = std::size_t{1} << 20;
 
   /// Builds a spec from the original embedding run — the streaming successor
   /// of the 5-arg IncrementalWatermarker constructor. An explicit
@@ -78,8 +74,9 @@ struct BatchReport {
   std::size_t rows = 0;          ///< rows appended
   std::size_t fit_rows = 0;      ///< rows satisfying the fitness test
   std::size_t altered_rows = 0;  ///< fit rows whose target cell changed
-  /// Distinct keys that actually went through the keyed PRF this batch —
-  /// cache hits (repeat keys) cost no hashing at all.
+  /// Keys that went through the k1 PRF this batch. A siphash24 session
+  /// hashes every non-NULL key; the slow backends hash each distinct key
+  /// once while their verdict cache has room, and repeats cost no hashing.
   std::size_t hashed_keys = 0;
 };
 
@@ -88,34 +85,47 @@ struct BatchReport {
 /// and watermarked accordingly") — the batched redesign of the seed-era
 /// one-row-at-a-time IncrementalWatermarker.
 ///
-/// InsertBatch runs the same per-tuple rule as the offline embedder and is
-/// bit-compatible with it, but amortizes everything the row-at-a-time path
-/// paid per insert:
+/// InsertRange is the one marking loop. It runs the same per-tuple rule as
+/// the offline embedder and is bit-compatible with it, but works column-wise
+/// off the source relation's store:
 ///
-///   - keys serialize chunk-wise into one arena and hash through a single
-///     batched KeyedPrf call per chunk (kKeyHashBatch rows) — the typed
-///     Hash64Int64Keys SIMD kernel when the whole chunk is int64 keys, the
-///     Hash64Column view path otherwise — the same KeyHashBatch channel the
-///     tuple_plan precompute uses;
-///   - fitness/position verdicts for repeated keys come from a resident
-///     key->verdict cache that survives across batches (a streaming feed
-///     re-inserts the same customers all day);
-///   - rows append through the columnar bulk path (one arity sweep, then
-///     column-major interning) instead of per-row AppendRow.
+///   - keys hash through one batched KeyedPrf call per kKeyHashBatch-row
+///     chunk — the typed Hash64Int64Keys SIMD kernel straight off a
+///     NULL-free int64 key column, the KeyHashBatch channel the tuple_plan
+///     precompute uses for anything else;
+///   - fitness comes from the vectorized DivisibilityMask64 bitset, and one
+///     batched k2 call positions the ~1/e fit keys;
+///   - rows append through Relation::AppendRowsFrom with the marked target
+///     values as a per-row override, so no Row is ever materialized.
 ///
-/// Batches are atomic: the batch is validated against the relation's schema
+/// The backend pinned in params.prf decides whether verdicts are memoized.
+/// keyed-hash and hmac-sha256 cost hundreds of ns per hash, so their
+/// sessions keep a resident key->verdict cache (up to kVerdictCacheCapacity
+/// distinct keys) that survives across batches. siphash24 hashes a key in a
+/// few ns — less than the cache probe — so its sessions never build one.
+///
+/// Inserts are atomic: the input is validated against the relation's schema
 /// up front, and on any error nothing is appended. A session is not
 /// internally synchronized — it is single-writer (the WatermarkService runs
 /// *distinct* sessions in parallel, never one session from two threads).
 ///
-/// The session does not own the relation; Insert/InsertBatch/Refresh take it
+/// The session does not own the relation; every insert and Refresh takes it
 /// explicitly, and a session may serve several relations of the same schema
 /// shape (the column bindings re-resolve when the relation changes, the
 /// key->verdict cache is relation-independent).
 class StreamSession {
  public:
-  /// Validates `spec` and builds the session: PRF key schedules, the
-  /// ECC-expanded payload, the verdict cache.
+  /// Distinct keys a caching session keeps resident; keys past the cap are
+  /// hashed per occurrence instead of memoized.
+  static constexpr std::size_t kVerdictCacheCapacity = std::size_t{1} << 20;
+
+  /// True for the backends whose sessions keep a verdict cache.
+  static bool CachesVerdicts(PrfKind prf) {
+    return prf != PrfKind::kSipHash24;
+  }
+
+  /// Validates `spec` and builds the session: PRF key schedules and the
+  /// ECC-expanded payload.
   static Result<StreamSession> Create(SessionSpec spec);
 
   StreamSession(StreamSession&&) = default;
@@ -123,9 +133,19 @@ class StreamSession {
   StreamSession(const StreamSession&) = delete;
   StreamSession& operator=(const StreamSession&) = delete;
 
-  /// Watermarks every fit row of `rows` in place and appends the whole batch
-  /// to `rel`. On error (arity/type mismatch anywhere in the batch, unknown
-  /// attribute) nothing is appended. `rows` is consumed.
+  /// Watermarks rows [begin, begin + count) of `src` and appends them to
+  /// `rel`; `src` is left untouched. `src` must have `rel`'s schema
+  /// (InvalidArgument otherwise) and hold the whole range (OutOfRange
+  /// otherwise); on either error `rel` is unchanged. Dictionary codes are
+  /// assigned in row order, exactly as appending the marked rows one at a
+  /// time would.
+  Result<BatchReport> InsertRange(Relation& rel, const Relation& src,
+                                  std::size_t begin, std::size_t count);
+
+  /// Row adapter over InsertRange: validates `rows` against `rel`'s schema
+  /// (on an arity/type mismatch anywhere, nothing is appended), stages them
+  /// in a reused per-session relation and marks them from there. `rows` is
+  /// consumed.
   Result<BatchReport> InsertBatch(Relation& rel, std::span<Row> rows);
 
   /// Single-row convenience — a batch of one. Returns true when the tuple
@@ -136,8 +156,8 @@ class StreamSession {
   /// `row_index` is fit, re-applies the embedding rule to the target
   /// attribute (an UPDATE that touched either attribute may have destroyed
   /// the bit). Returns true when the tuple is fit. Reuses the session's
-  /// resident column bindings and verdict cache — a refresh of a key seen
-  /// before performs no keyed hashing.
+  /// resident column bindings and, on the caching backends, its verdict
+  /// cache — a refresh of a key seen before performs no keyed hashing.
   Result<bool> Refresh(Relation& rel, std::size_t row_index);
 
   const SessionSpec& spec() const { return spec_; }
@@ -147,26 +167,32 @@ class StreamSession {
   /// Lifetime totals across every batch.
   std::size_t total_rows() const { return total_rows_; }
   std::size_t total_fit() const { return total_fit_; }
-  /// Distinct keys resident in the verdict cache.
+  /// Distinct keys resident in the verdict cache (always 0 on siphash24).
   std::size_t cached_keys() const { return cache_.size(); }
 
  private:
-  /// The memoized per-key outcome of the Section 3.2.1 hashes: fitness,
-  /// the fitness hash itself (drives value selection) and the k2-derived
-  /// payload position. Everything downstream (bit lookup, SelectValueIndex)
-  /// is cheap integer work recomputed per row.
+  /// The per-key outcome of the Section 3.2.1 hashes: fitness, the fitness
+  /// hash itself (drives value selection) and the k2-derived payload
+  /// position. Everything downstream (bit lookup, SelectValueIndex) is cheap
+  /// integer work recomputed per row.
   struct Verdict {
     std::uint64_t h1 = 0;
     std::uint32_t payload_index = 0;
     bool fit = false;
-    /// True while the key sits in the current chunk awaiting its batched
-    /// hash; rows repeating a pending key defer their copy to after
-    /// FinishChunk instead of reading the unfilled placeholder.
-    bool pending = false;
+    /// A placeholder for a key whose hash is still queued in the chunk
+    /// being resolved; ResolveChunk fills it before it returns.
+    bool unresolved = false;
   };
   using VerdictCache =
       std::unordered_map<std::string, Verdict, TransparentStringHash,
                          std::equal_to<>>;
+
+  /// A fit row of the chunk being marked, at `offset` from the chunk start.
+  struct FitRow {
+    std::uint32_t offset = 0;
+    std::uint32_t payload_index = 0;
+    std::uint64_t h1 = 0;
+  };
 
   explicit StreamSession(SessionSpec spec);
 
@@ -175,22 +201,24 @@ class StreamSession {
   /// the name lookups.
   Status BindColumns(const Relation& rel);
 
-  /// Resolves the per-row verdicts for `rows[i][key_col_]` into
-  /// `verdict_of_row_` (NULL keys keep the default unfit verdict), batching
-  /// every cache miss through one Hash64Column call per chunk. Verdicts are
-  /// copied out of the cache by value so the apply pass scans a flat array
-  /// instead of chasing a map node per row. Returns the number of keys
-  /// hashed.
-  std::size_t ResolveVerdicts(std::span<const Row> rows);
+  /// Resolves the verdicts of `keys` rows [at, at + len) (len <=
+  /// kKeyHashBatch) into fit_rows_ — one FitRow per fit row; NULL keys are
+  /// unfit. Returns the number of keys hashed.
+  std::size_t ResolveChunk(const ColumnReader& keys, std::size_t at,
+                           std::size_t len);
 
-  /// Finishes a chunk of misses: one batched k1 call (typed int64 kernel
-  /// for all-int64 chunks), vectorized DivisibilityMask64 fitness, then one
-  /// batched k2 call over the ~1/e fit entries.
-  void FinishChunk(std::vector<Verdict*>& pending);
+  /// Fitness and position for `n` freshly k1-hashed keys: packs
+  /// h1 % e == 0 into fit_mask_, runs one batched k2 call over the fit
+  /// subset (through `i64` when non-null, else `views`) and appends a
+  /// FitRow per fit key, at offset ids[i] (i itself when `ids` is null).
+  void CollectFit(const std::uint64_t* h1, std::size_t n,
+                  const std::int64_t* i64,
+                  std::span<const std::string_view> views,
+                  const std::size_t* ids);
 
-  /// Cache-or-compute for one key (the Refresh path): serialized key bytes
-  /// in scratch_. Single-shot hashing on a miss.
-  const Verdict& VerdictFor(const Value& key_value);
+  /// Cache-or-compute for one key (the Refresh path). Single-shot hashing
+  /// on a miss.
+  Verdict VerdictFor(const Value& key_value);
 
   SessionSpec spec_;
   BitVector wm_data_;  // ECC-expanded payload
@@ -199,11 +227,9 @@ class StreamSession {
   std::unique_ptr<KeyedPrf> prf_k1_;
   std::unique_ptr<KeyedPrf> prf_k2_;
 
-  // Resident key->verdict cache (bounded by spec_.key_cache_capacity).
-  // overflow_ catches the keys of one batch past the cap so in-batch
-  // duplicates still dedupe; it is cleared per batch.
+  // Resident key->verdict cache; only filled when CachesVerdicts(prf).
+  bool cache_verdicts_ = false;
   VerdictCache cache_;
-  VerdictCache overflow_;
 
   // Column bindings for the relation last served, keyed on its schema's
   // identity.
@@ -211,20 +237,27 @@ class StreamSession {
   std::size_t key_col_ = 0;
   std::size_t target_col_ = 0;
 
-  // Per-batch scratch, reused across batches.
+  // Per-chunk scratch, reused across chunks and batches: the keys to hash
+  // (typed lane or KeyHashBatch), their k1 hashes, the packed fitness mask,
+  // the fit subset's indices, gathered keys and k2 outputs, and the fit rows.
+  std::vector<std::int64_t> i64_;
+  std::vector<std::uint64_t> h1_;
   KeyHashBatch batch_;
-  std::vector<Verdict*> pending_;
-  // Per-chunk scratch of FinishChunk: the packed fitness mask, the fit
-  // subset's indices, its gathered keys (typed or views) and k2 outputs.
   std::vector<std::uint64_t> fit_mask_;
   std::vector<std::size_t> fit_idx_;
   std::vector<std::int64_t> fit_i64_;
   std::vector<std::string_view> fit_views_;
   std::vector<std::uint64_t> h2_;
-  // Rows whose key was still pending when scanned; their verdicts are
-  // copied into verdict_of_row_ once the owning chunk has been hashed.
-  std::vector<std::pair<std::size_t, const Verdict*>> pending_rows_;
-  std::vector<Verdict> verdict_of_row_;
+  std::vector<FitRow> fit_rows_;
+  // Caching sessions: the cache placeholder of each queued miss (null past
+  // the cap), and the rows repeating a queued key.
+  std::vector<Verdict*> misses_;
+  std::vector<std::pair<std::uint32_t, const Verdict*>> repeats_;
+  // Per-insert scratch: the appended source rows and their target override.
+  std::vector<std::size_t> range_;
+  std::vector<const Value*> marked_;
+  // InsertBatch's staging relation, rebuilt when the schema changes.
+  Relation staged_;
   std::vector<std::uint8_t> scratch_;
 
   std::size_t total_rows_ = 0;

@@ -163,6 +163,101 @@ TEST(ColumnStoreTest, AppendRowsFromValidates) {
   EXPECT_EQ(src.store().DictLiveCounts(1)[0], 3);
 }
 
+TEST(ColumnStoreTest, AppendRowsFromGrowsGeometrically) {
+  // A caller appending per batch (the streaming insert path) must not
+  // reallocate every column on every batch.
+  Relation src(TestSchema()), dst(TestSchema());
+  constexpr std::size_t kBatch = 1024;
+  constexpr std::size_t kAppends = 500;
+  std::vector<std::size_t> indices;
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    src.AppendRowUnchecked({Value(static_cast<std::int64_t>(i)),
+                            Value(i % 2 == 0 ? "even" : "odd"),
+                            Value(static_cast<double>(i))});
+    indices.push_back(i);
+  }
+  std::size_t code_growths = 0, value_growths = 0;
+  for (std::size_t a = 0; a < kAppends; ++a) {
+    const std::size_t codes_before = dst.store().Codes(1).capacity();
+    const std::size_t values_before = dst.store().PlainValues(0).capacity();
+    ASSERT_TRUE(dst.AppendRowsFrom(src, indices).ok());
+    code_growths += dst.store().Codes(1).capacity() != codes_before;
+    value_growths += dst.store().PlainValues(0).capacity() != values_before;
+  }
+  EXPECT_EQ(dst.NumRows(), kBatch * kAppends);
+  // log2(500) < 9; the first append allocates, then capacity doubles.
+  EXPECT_LE(code_growths, 10u);
+  EXPECT_LE(value_growths, 10u);
+}
+
+TEST(ColumnStoreTest, AppendRowsFromOverrideInternsInRowOrder) {
+  Relation src(TestSchema());
+  src.AppendRowUnchecked({Value(std::int64_t{1}), Value("red"), Value(1.0)});
+  src.AppendRowUnchecked({Value(std::int64_t{2}), Value("blue"), Value(2.0)});
+  src.AppendRowUnchecked({Value(std::int64_t{3}), Value("red"), Value(3.0)});
+  const Value green("green");
+  const Value null_value;
+  const std::vector<const Value*> over = {nullptr, &green, &null_value};
+
+  Relation bulk(TestSchema());
+  ASSERT_TRUE(
+      bulk.AppendRowsFrom(src, {0, 1, 2}, ColumnOverride{1, over}).ok());
+
+  // The same rows appended one at a time: codes must match exactly (red
+  // before green, and the overridden "blue" never interned).
+  Relation rows(TestSchema());
+  rows.AppendRowUnchecked({Value(std::int64_t{1}), Value("red"), Value(1.0)});
+  rows.AppendRowUnchecked({Value(std::int64_t{2}), Value("green"), Value(2.0)});
+  rows.AppendRowUnchecked({Value(std::int64_t{3}), Value(), Value(3.0)});
+  EXPECT_EQ(bulk.store().Codes(1), rows.store().Codes(1));
+  EXPECT_EQ(bulk.store().Dict(1), rows.store().Dict(1));
+  EXPECT_EQ(bulk.store().DictLiveCounts(1), rows.store().DictLiveCounts(1));
+
+  // A plain column override, through the self-append row path too.
+  const Value big(std::int64_t{99});
+  const std::vector<const Value*> key_over = {nullptr, &big};
+  ASSERT_TRUE(
+      bulk.AppendRowsFrom(bulk, {0, 1}, ColumnOverride{0, key_over}).ok());
+  EXPECT_EQ(bulk.Get(3, 0).AsInt64(), 1);
+  EXPECT_EQ(bulk.Get(4, 0).AsInt64(), 99);
+  EXPECT_EQ(bulk.Get(4, 1).AsString(), "green");
+}
+
+TEST(ColumnStoreTest, AppendRowsFromOverrideValidates) {
+  Relation src(TestSchema()), dst(TestSchema());
+  src.AppendRowUnchecked({Value(std::int64_t{1}), Value("a"), Value(0.0)});
+  const Value wrong_type(std::int64_t{7});
+  const Value ok("b");
+  const std::vector<const Value*> bad = {&wrong_type};
+  const std::vector<const Value*> two = {&ok, &ok};
+  const std::vector<const Value*> one = {&ok};
+  EXPECT_FALSE(dst.AppendRowsFrom(src, {0}, ColumnOverride{1, bad}).ok());
+  EXPECT_FALSE(dst.AppendRowsFrom(src, {0}, ColumnOverride{1, two}).ok());
+  EXPECT_FALSE(dst.AppendRowsFrom(src, {0}, ColumnOverride{3, one}).ok());
+  EXPECT_TRUE(dst.empty());  // atomic: nothing landed
+  ASSERT_TRUE(dst.AppendRowsFrom(src, {0}, ColumnOverride{1, one}).ok());
+  EXPECT_EQ(dst.Get(0, 1).AsString(), "b");
+}
+
+TEST(ColumnStoreTest, ClearRowsKeepsDictionariesWithDeadEntries) {
+  Relation rel(TestSchema());
+  rel.AppendRowUnchecked({Value(std::int64_t{1}), Value("red"), Value(1.0)});
+  rel.AppendRowUnchecked({Value(std::int64_t{2}), Value("blue"), Value(2.0)});
+  rel.AppendRowUnchecked({Value(std::int64_t{3}), Value(), Value(3.0)});
+  rel.ClearRows();
+  EXPECT_TRUE(rel.empty());
+  EXPECT_TRUE(rel.store().Codes(1).empty());
+  EXPECT_TRUE(rel.store().PlainValues(0).empty());
+  EXPECT_EQ(rel.store().Dict(1).size(), 2u);
+  EXPECT_EQ(rel.store().DictLiveCounts(1), (std::vector<std::int64_t>{0, 0}));
+  // A recurring value keeps its code; the recovered domain sees live rows
+  // only.
+  rel.AppendRowUnchecked({Value(std::int64_t{4}), Value("blue"), Value(4.0)});
+  EXPECT_EQ(rel.store().Codes(1)[0], 1);
+  EXPECT_EQ(rel.store().DictLiveCounts(1), (std::vector<std::int64_t>{0, 1}));
+  EXPECT_EQ(CategoricalDomain::FromRelationColumn(rel, 1).value().size(), 1u);
+}
+
 TEST(ColumnStoreTest, PlainColumnsStoreValuesDirectly) {
   Relation rel(TestSchema());
   rel.AppendRowUnchecked({Value(std::int64_t{9}), Value("a"), Value(2.5)});

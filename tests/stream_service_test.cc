@@ -1,12 +1,17 @@
 // Streaming service equivalence suite: the batched StreamSession /
 // WatermarkService path must be byte-identical to the seed-era
 // one-row-at-a-time incremental path — same relation bytes, same dictionary
-// code assignment, same detection outcome — across batch splits, PRF
-// backends, cache configurations and service thread counts.
+// code assignment, same detection outcome — across batch splits, source
+// ranges, key shapes, PRF backends and service thread counts.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/certificate.h"
@@ -17,12 +22,18 @@
 #include "ecc/code.h"
 #include "exp/harness.h"
 #include "gen/sales_gen.h"
+#include "relation/catm_io.h"
 #include "relation/csv.h"
 #include "service/service.h"
 #include "service/session.h"
 
 namespace catmark {
 namespace {
+
+// The key column shapes the marking core branches on: NULL-free int64 keys
+// (the typed kernel straight off the column), int64 keys with NULLs (the
+// KeyHashBatch typed lane) and string keys with NULLs (the view path).
+enum class KeyShape { kInt, kIntWithNulls, kString };
 
 struct Fixture {
   Relation rel;
@@ -31,17 +42,37 @@ struct Fixture {
   BitVector wm;
   EmbedOptions options;
   EmbedReport report;
+  KeyShape shape = KeyShape::kInt;
 };
 
+Value KeyValue(KeyShape shape, std::int64_t key) {
+  if (shape == KeyShape::kString) return Value("C" + std::to_string(key));
+  return Value(key);
+}
+
 Fixture MakeFixture(std::optional<PrfKind> prf = std::nullopt,
-                    std::uint64_t seed = 91) {
+                    std::uint64_t seed = 91,
+                    KeyShape shape = KeyShape::kInt) {
   Fixture f;
   f.keys = WatermarkKeySet::FromSeed(seed);
+  f.shape = shape;
   KeyedCategoricalConfig gen;
   gen.num_tuples = 3000;
   gen.domain_size = 100;
   gen.seed = seed;
   f.rel = GenerateKeyedCategorical(gen);
+  if (shape == KeyShape::kString) {
+    Relation keyed(Schema::Create({{"K", ColumnType::kString, false},
+                                   {"A", ColumnType::kString, true}},
+                                  "K")
+                       .value());
+    for (std::size_t i = 0; i < f.rel.NumRows(); ++i) {
+      Row row = f.rel.row(i);
+      row[0] = KeyValue(shape, *row[0].TryInt64());
+      keyed.AppendRowUnchecked(std::move(row));
+    }
+    f.rel = std::move(keyed);
+  }
   f.params.e = 30;
   f.params.prf = prf;
   f.wm = MakeWatermark(10, seed);
@@ -67,8 +98,12 @@ DetectionResult Detect(const Fixture& f, const Relation& rel) {
 }
 
 // A stream of rows with repeat-heavy keys (like a live feed re-inserting
-// the same customers) plus a unique tail, deterministic in `seed`.
-std::vector<Row> MakeStream(std::size_t n, std::uint64_t seed) {
+// the same customers) plus a unique tail, deterministic in `seed`. Target
+// cells mix in-domain values with values the relation has never seen, so
+// dictionary code assignment order is exercised. Every shape but kInt
+// carries ~3% NULL keys.
+std::vector<Row> MakeStream(std::size_t n, std::uint64_t seed,
+                            KeyShape shape = KeyShape::kInt) {
   std::mt19937_64 rng(seed);
   std::vector<Row> rows;
   rows.reserve(n);
@@ -77,32 +112,34 @@ std::vector<Row> MakeStream(std::size_t n, std::uint64_t seed) {
     const std::int64_t key =
         repeat ? static_cast<std::int64_t>(1000000 + rng() % 200)
                : static_cast<std::int64_t>(2000000 + i);
-    rows.push_back({Value(key), Value("V0001")});
+    const bool null_key = shape != KeyShape::kInt && rng() % 32 == 0;
+    const std::uint64_t pick = rng() % 8;
+    Value target = pick == 0   ? Value("NEW" + std::to_string(rng() % 5))
+                   : pick == 1 ? Value()
+                               : Value("V0001");
+    rows.push_back(
+        {null_key ? Value() : KeyValue(shape, key), std::move(target)});
   }
   return rows;
 }
 
 // True when the relations are byte-identical *including* dictionary code
 // assignment (SameContent deliberately ignores code order; the streaming
-// path promises to preserve it exactly).
+// path promises to preserve it exactly): the .catm image serializes every
+// dictionary in code order.
 void ExpectIdenticalState(const Relation& a, const Relation& b) {
   ASSERT_EQ(a.NumRows(), b.NumRows());
   EXPECT_EQ(WriteCsvString(a), WriteCsvString(b));
-  for (std::size_t c = 0; c < a.schema().num_columns(); ++c) {
-    ASSERT_EQ(a.store().IsDictColumn(c), b.store().IsDictColumn(c));
-    if (!a.store().IsDictColumn(c)) continue;
-    EXPECT_EQ(a.store().Codes(c), b.store().Codes(c)) << "column " << c;
-    EXPECT_EQ(a.store().Dict(c).size(), b.store().Dict(c).size());
-    for (std::size_t k = 0; k < a.store().Dict(c).size(); ++k) {
-      EXPECT_EQ(a.store().Dict(c)[k], b.store().Dict(c)[k]);
-    }
-  }
+  EXPECT_EQ(WriteCatmString(a), WriteCatmString(b));
 }
 
 // Independent single-shot reference built straight from the codec
 // primitives — what Section 4.3 says each insert must do. Pins the batched
-// path to the spec, not just to the legacy implementation.
-Row ReferenceMarkedRow(const Fixture& f, Row row) {
+// path to the spec, not just to the legacy implementation. `fit` reports
+// whether the tuple carries a mark bit.
+Row ReferenceMarkedRow(const Fixture& f, Row row, bool* fit = nullptr) {
+  if (fit != nullptr) *fit = false;
+  if (row[0].is_null()) return row;  // NULL keys are never fit
   const auto prf_k1 =
       CreateKeyedPrf(f.report.prf, f.keys.k1, f.params.hash_algo);
   const auto prf_k2 =
@@ -119,15 +156,36 @@ Row ReferenceMarkedRow(const Fixture& f, Row row) {
     const std::size_t t = SelectValueIndex(h1, f.report.domain.size(),
                                            wm_data.Get(idx));
     row[1] = f.report.domain.value(t);
+    if (fit != nullptr) *fit = true;
   }
   return row;
 }
 
-class StreamEquivalenceTest : public ::testing::TestWithParam<PrfKind> {};
+class StreamEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<PrfKind, KeyShape>> {};
 
-TEST_P(StreamEquivalenceTest, BatchSplitsMatchOneAtATime) {
-  const Fixture f = MakeFixture(GetParam());
-  const std::vector<Row> stream = MakeStream(2000, 7);
+TEST_P(StreamEquivalenceTest, EveryInsertPathMatchesTheRowReference) {
+  const auto [prf, shape] = GetParam();
+  const Fixture f = MakeFixture(prf, 91, shape);
+  const std::vector<Row> stream = MakeStream(3000, 7, shape);
+  std::size_t non_null_keys = 0;
+  std::set<std::string> distinct_keys;
+  for (const Row& row : stream) {
+    if (row[0].is_null()) continue;
+    ++non_null_keys;
+    distinct_keys.insert(row[0].ToString());
+  }
+  const bool caches = StreamSession::CachesVerdicts(prf);
+
+  // Reference: every row marked from first principles, appended one at a
+  // time through the row path.
+  Relation reference = f.rel;
+  std::size_t reference_fit = 0;
+  for (const Row& row : stream) {
+    bool fit = false;
+    ASSERT_TRUE(reference.AppendRow(ReferenceMarkedRow(f, row, &fit)).ok());
+    reference_fit += fit;
+  }
 
   // Path 1: the legacy wrapper, one row at a time.
   Relation one_at_a_time = f.rel;
@@ -137,6 +195,8 @@ TEST_P(StreamEquivalenceTest, BatchSplitsMatchOneAtATime) {
   for (const Row& row : stream) {
     if (inc.Insert(one_at_a_time, row).value()) ++legacy_fit;
   }
+  EXPECT_EQ(legacy_fit, reference_fit);
+  ExpectIdenticalState(reference, one_at_a_time);
 
   // Path 2: one giant batch.
   Relation one_batch = f.rel;
@@ -146,13 +206,21 @@ TEST_P(StreamEquivalenceTest, BatchSplitsMatchOneAtATime) {
       big.InsertBatch(one_batch, std::span<Row>(rows)).value();
   EXPECT_EQ(report.rows, stream.size());
   EXPECT_EQ(report.fit_rows, legacy_fit);
-  // Repeat-heavy keys: far fewer PRF calls than rows.
-  EXPECT_LT(report.hashed_keys, stream.size());
+  // siphash24 hashes every non-NULL key; a caching backend hashes each
+  // distinct key once, however often the stream repeats it.
+  if (caches) {
+    EXPECT_EQ(report.hashed_keys, distinct_keys.size());
+    EXPECT_LT(report.hashed_keys, non_null_keys);
+    EXPECT_EQ(big.cached_keys(), distinct_keys.size());
+  } else {
+    EXPECT_EQ(report.hashed_keys, non_null_keys);
+    EXPECT_EQ(big.cached_keys(), 0u);
+  }
   EXPECT_EQ(big.total_rows(), stream.size());
   EXPECT_EQ(big.total_fit(), legacy_fit);
-  ExpectIdenticalState(one_at_a_time, one_batch);
+  ExpectIdenticalState(reference, one_batch);
 
-  // Path 3: random batch splits, resident cache warm across batches.
+  // Path 3: random batch splits.
   Relation split_rel = f.rel;
   StreamSession split = StreamSession::Create(SpecOf(f)).value();
   std::mt19937_64 rng(13);
@@ -168,48 +236,112 @@ TEST_P(StreamEquivalenceTest, BatchSplitsMatchOneAtATime) {
     at += len;
   }
   EXPECT_EQ(split_fit, legacy_fit);
-  ExpectIdenticalState(one_at_a_time, split_rel);
+  ExpectIdenticalState(reference, split_rel);
 
-  // Path 4: resident cache disabled — every batch re-hashes, same bytes.
-  Relation uncached_rel = f.rel;
-  SessionSpec uncached_spec = SpecOf(f);
-  uncached_spec.key_cache_capacity = 0;
-  StreamSession uncached = StreamSession::Create(std::move(uncached_spec))
-                               .value();
+  // Path 4: a warm session re-inserting the stream — a caching backend now
+  // answers every key from its cache, and the bytes do not move.
+  Relation warm_rel = f.rel;
   rows = stream;
+  std::size_t warm_hashed = 0;
   for (std::size_t at = 0; at < rows.size();) {
     const std::size_t len = std::min(rows.size() - at, std::size_t{257});
-    ASSERT_TRUE(uncached
-                    .InsertBatch(uncached_rel, std::span<Row>(&rows[at], len))
-                    .ok());
+    warm_hashed +=
+        big.InsertBatch(warm_rel, std::span<Row>(&rows[at], len))
+            .value()
+            .hashed_keys;
     at += len;
   }
-  EXPECT_EQ(uncached.cached_keys(), 0u);
-  ExpectIdenticalState(one_at_a_time, uncached_rel);
+  EXPECT_EQ(warm_hashed, caches ? 0u : non_null_keys);
+  ExpectIdenticalState(reference, warm_rel);
 
-  // Every path must still detect the offline-embedded mark.
-  EXPECT_EQ(Detect(f, one_batch).wm, f.wm);
-
-  // And the batched rows match the from-first-principles reference.
-  std::mt19937_64 pick(29);
-  for (int i = 0; i < 20; ++i) {
-    const std::size_t j = pick() % stream.size();
-    const Row expected = ReferenceMarkedRow(f, stream[j]);
-    const std::size_t row_index = f.rel.NumRows() + j;
-    EXPECT_EQ(one_batch.Get(row_index, 0), expected[0]);
-    EXPECT_EQ(one_batch.Get(row_index, 1), expected[1]);
+  // Path 5: the columnar core over a source relation, at begin offsets
+  // with counts 0, 1, 1023 and 1025, then the rest — onto an empty
+  // relation, where marked values intern fresh and their order shows.
+  Relation source(f.rel.schema());
+  rows = stream;
+  ASSERT_TRUE(source.AppendRows(std::span<Row>(rows)).ok());
+  const std::string source_image = WriteCatmString(source);
+  Relation fresh_reference(f.rel.schema());
+  for (const Row& row : stream) {
+    ASSERT_TRUE(fresh_reference.AppendRow(ReferenceMarkedRow(f, row)).ok());
   }
+  Relation ranged(f.rel.schema());
+  StreamSession columnar = StreamSession::Create(SpecOf(f)).value();
+  std::size_t ranged_fit = 0;
+  std::size_t at = 0;
+  for (const std::size_t count :
+       {std::size_t{0}, std::size_t{1}, std::size_t{1023}, std::size_t{1025},
+        stream.size() - 2049}) {
+    const BatchReport r =
+        columnar.InsertRange(ranged, source, at, count).value();
+    EXPECT_EQ(r.rows, count);
+    ranged_fit += r.fit_rows;
+    at += count;
+  }
+  EXPECT_EQ(ranged_fit, legacy_fit);
+  EXPECT_EQ(WriteCatmString(source), source_image);  // source untouched
+  ExpectIdenticalState(fresh_reference, ranged);
+
+  // The grown relation still detects the offline-embedded mark.
+  EXPECT_EQ(Detect(f, one_batch).wm, f.wm);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, StreamEquivalenceTest,
-                         ::testing::Values(PrfKind::kKeyedHash,
-                                           PrfKind::kSipHash24),
-                         [](const auto& info) {
-                           return std::string(
-                               info.param == PrfKind::kKeyedHash
-                                   ? "KeyedHash"
-                                   : "SipHash24");
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Backends, StreamEquivalenceTest,
+    ::testing::Combine(::testing::Values(PrfKind::kKeyedHash,
+                                         PrfKind::kHmacSha256,
+                                         PrfKind::kSipHash24),
+                       ::testing::Values(KeyShape::kInt,
+                                         KeyShape::kIntWithNulls,
+                                         KeyShape::kString)),
+    [](const auto& info) {
+      const PrfKind prf = std::get<0>(info.param);
+      const KeyShape shape = std::get<1>(info.param);
+      return std::string(prf == PrfKind::kKeyedHash    ? "KeyedHash"
+                         : prf == PrfKind::kHmacSha256 ? "HmacSha256"
+                                                       : "SipHash24") +
+             (shape == KeyShape::kInt           ? "IntKeys"
+              : shape == KeyShape::kIntWithNulls ? "IntKeysWithNulls"
+                                                 : "StringKeys");
+    });
+
+TEST(StreamSessionTest, InsertRangeErrorsLeaveTheRelationUnchanged) {
+  const Fixture f = MakeFixture();
+  StreamSession session = StreamSession::Create(SpecOf(f)).value();
+  Relation rel = f.rel;
+  const std::string before = WriteCatmString(rel);
+
+  // Schema mismatch: same column names, but the key column is a string.
+  Relation other_schema(Schema::Create({{"K", ColumnType::kString, false},
+                                        {"A", ColumnType::kString, true}})
+                            .value());
+  ASSERT_TRUE(other_schema.AppendRow({Value("k"), Value("V0001")}).ok());
+  const Result<BatchReport> mismatch =
+      session.InsertRange(rel, other_schema, 0, 1);
+  ASSERT_FALSE(mismatch.ok());
+  EXPECT_EQ(mismatch.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(WriteCatmString(rel), before);
+
+  // Ranges past the end of the source, by count and by begin.
+  Relation source(f.rel.schema());
+  std::vector<Row> rows = MakeStream(10, 3);
+  ASSERT_TRUE(source.AppendRows(std::span<Row>(rows)).ok());
+  const std::pair<std::size_t, std::size_t> kPastTheEnd[] = {
+      {0, 11}, {5, 6}, {11, 0}, {1, SIZE_MAX}};
+  for (const auto& [begin, count] : kPastTheEnd) {
+    const Result<BatchReport> past =
+        session.InsertRange(rel, source, begin, count);
+    ASSERT_FALSE(past.ok()) << begin << "+" << count;
+    EXPECT_EQ(past.status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(WriteCatmString(rel), before);
+  }
+  EXPECT_EQ(session.total_rows(), 0u);
+
+  // The full range and an empty range at the end are fine.
+  EXPECT_EQ(session.InsertRange(rel, source, 10, 0).value().rows, 0u);
+  EXPECT_EQ(session.InsertRange(rel, source, 0, 10).value().rows, 10u);
+  EXPECT_EQ(rel.NumRows(), f.rel.NumRows() + 10);
+}
 
 TEST(StreamSessionTest, ChunkBoundariesDoNotChangeVerdicts) {
   // A batch larger than kKeyHashBatch forces multiple Hash64Column chunks
@@ -271,7 +403,9 @@ TEST(StreamSessionTest, BatchesAreAtomicOnValidationErrors) {
 }
 
 TEST(StreamSessionTest, RefreshReusesResidentStateAndRepairs) {
-  Fixture f = MakeFixture();
+  // Pinned to the keyed hash: FitnessSelector below and the verdict cache
+  // both belong to that backend.
+  Fixture f = MakeFixture(PrfKind::kKeyedHash);
   StreamSession session = StreamSession::Create(SpecOf(f)).value();
   const FitnessSelector fitness(f.keys.k1, f.params.e);
   std::size_t fit_row = f.rel.NumRows();

@@ -44,11 +44,12 @@
 // deterministic (CSV -> .catm is byte-identical at any --threads count).
 //
 // `stream` grows a marked relation with new rows, marking fit inserts on
-// the fly: rows come from --in (CSV, `-` for stdin), are pushed through a
-// StreamSession in --batch-sized InsertBatch calls against --base (or an
-// empty relation), and the grown relation lands in --out. The certificate
-// pins every parameter the session needs — keys are verified against its
-// commitment, so the wrong passphrase fails before any row is inserted.
+// the fly: rows come from --in (CSV, `-` for stdin) and are marked straight
+// off the loaded column store by a StreamSession, in --batch-sized
+// InsertRange calls against --base (or an empty relation); the grown
+// relation lands in --out. The certificate pins every parameter the session
+// needs — keys are verified against its commitment, so the wrong passphrase
+// fails before any row is inserted.
 //
 // <spec> declares the CSV columns: comma-separated `name:type[:flag]`,
 // type in {int,double,str}, flag in {pk,cat}. Example:
@@ -629,16 +630,12 @@ int RunStream(const Flags& flags) {
 
   const std::size_t batch =
       std::max<std::size_t>(1, flags.GetUint("batch", 1024));
-  std::vector<Row> rows;
-  rows.reserve(input.value().NumRows());
-  for (std::size_t i = 0; i < input.value().NumRows(); ++i) {
-    rows.push_back(input.value().row(i));
-  }
+  const std::size_t total = input.value().NumRows();
   std::size_t fit = 0, altered = 0, hashed = 0, batches = 0;
-  for (std::size_t at = 0; at < rows.size(); ++batches) {
-    const std::size_t len = std::min(rows.size() - at, batch);
+  for (std::size_t at = 0; at < total; ++batches) {
+    const std::size_t len = std::min(total - at, batch);
     Result<BatchReport> report =
-        session->InsertBatch(rel, std::span<Row>(&rows[at], len));
+        session->InsertRange(rel, input.value(), at, len);
     if (!report.ok()) return Fail(report.status().ToString());
     fit += report->fit_rows;
     altered += report->altered_rows;
@@ -650,9 +647,8 @@ int RunStream(const Flags& flags) {
   }
   std::printf(
       "streamed %zu rows in %zu batches (<= %zu rows each): %zu fit, "
-      "%zu altered, %zu distinct keys hashed\nrelation now %zu tuples, "
-      "wrote %s\n",
-      rows.size(), batches, batch, fit, altered, hashed, rel.NumRows(),
+      "%zu altered, %zu keys hashed\nrelation now %zu tuples, wrote %s\n",
+      total, batches, batch, fit, altered, hashed, rel.NumRows(),
       flags.Get("out").c_str());
   return 0;
 }
