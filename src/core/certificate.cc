@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstring>
+#include <limits>
 
 #include "common/hex.h"
 #include "common/str_util.h"
@@ -60,6 +61,26 @@ Result<EccKind> EccFromName(std::string_view name) {
     if (EccKindName(kind) == name) return kind;
   }
   return Status::InvalidArgument("unknown ecc '" + std::string(name) + "'");
+}
+
+/// A certificate's unsigned integer field: the whole value must be plain
+/// decimal digits (no sign, no space) and lie in [min, max]. Claimants
+/// write certificates, so a field that fails here is rejected instead of
+/// read as 0 or wrapped.
+Result<std::uint64_t> ParseUintField(std::string_view key,
+                                     std::string_view text, std::uint64_t min,
+                                     std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value < min ||
+      value > max) {
+    return Status::InvalidArgument(
+        "certificate field " + std::string(key) + "='" + std::string(text) +
+        "' is not an integer in [" + std::to_string(min) + ", " +
+        std::to_string(max) + "]");
+  }
+  return value;
 }
 
 Result<HashAlgorithm> HashFromName(std::string_view name) {
@@ -171,7 +192,10 @@ Result<WatermarkCertificate> WatermarkCertificate::Deserialize(
     } else if (key == "target_attr") {
       cert.target_attr = std::string(value);
     } else if (key == "e") {
-      cert.params.e = std::strtoull(std::string(value).c_str(), nullptr, 10);
+      CATMARK_ASSIGN_OR_RETURN(
+          cert.params.e,
+          ParseUintField(key, value, 1,
+                         std::numeric_limits<std::uint64_t>::max()));
     } else if (key == "ecc") {
       CATMARK_ASSIGN_OR_RETURN(cert.params.ecc, EccFromName(value));
     } else if (key == "hash") {
@@ -186,8 +210,12 @@ Result<WatermarkCertificate> WatermarkCertificate::Deserialize(
       cert.params.min_category_keep =
           std::strtol(std::string(value).c_str(), nullptr, 10);
     } else if (key == "payload_length") {
-      cert.payload_length =
-          std::strtoull(std::string(value).c_str(), nullptr, 10);
+      // Detection sizes its vote arrays from this field; the 32-bit bound
+      // is the one TuplePlanOptions already assumes.
+      CATMARK_ASSIGN_OR_RETURN(
+          cert.payload_length,
+          ParseUintField(key, value, 1,
+                         std::numeric_limits<std::uint32_t>::max()));
     } else if (key == "wm") {
       CATMARK_ASSIGN_OR_RETURN(cert.wm, BitVector::FromString(value));
     } else if (key == "domain") {
@@ -217,6 +245,10 @@ Result<WatermarkCertificate> WatermarkCertificate::Deserialize(
   }
   if (cert.wm.empty() || cert.payload_length == 0) {
     return Status::InvalidArgument("certificate missing wm/payload_length");
+  }
+  if (cert.payload_length < cert.wm.size()) {
+    return Status::InvalidArgument(
+        "certificate payload_length is shorter than the watermark");
   }
   return cert;
 }

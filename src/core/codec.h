@@ -48,9 +48,9 @@ std::uint64_t HashValue(const KeyedHasher& hasher, const Value& v,
 
 /// PRF-backend variant: the same canonical Value serialization fed through
 /// a KeyedPrf, so a "keyed-hash" PRF produces bit-identical results to the
-/// KeyedHasher overloads above. The row-at-a-time channels (incremental
-/// inserts, additive-attack injection) use this; the bulk pipelines batch
-/// through KeyedPrf::Hash64Column instead.
+/// KeyedHasher overloads above. The row-at-a-time channels (additive-attack
+/// injection) use this; the bulk pipelines batch through the FitScanner
+/// (core/fit_scan.h) instead.
 std::uint64_t HashValue(const KeyedPrf& prf, const Value& v,
                         HashScratch& scratch);
 

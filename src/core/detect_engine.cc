@@ -1,19 +1,15 @@
 #include "core/detect_engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
-#include <cstring>
 #include <limits>
 
-#include "common/bits.h"
 #include "common/check.h"
 #include "common/parallel.h"
 #include "core/codec.h"
 #include "core/embedder.h"
-#include "core/tuple_plan.h"
+#include "core/fit_scan.h"
 #include "crypto/prf.h"
-#include "crypto/siphash_simd.h"
 #include "relation/column_store.h"
 
 namespace catmark {
@@ -30,23 +26,16 @@ constexpr std::uint32_t kNoMessage = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
-/// Per-worker reusable buffers of the PerKeyPass: one k1 chunk, the fit
-/// subset's k2 probes, and the vote tally. A sweep touches these thousands
-/// of times per worker — none of them may allocate per key.
+/// Per-worker reusable buffers of the PerKeyPass: the fit scanner's chunk
+/// buffers and the vote tally. A sweep touches these thousands of times per
+/// worker — none of them may allocate per key.
 struct DetectEngine::Scratch {
   std::vector<long> votes;
-  std::vector<std::uint64_t> h1;
-  std::vector<std::uint64_t> h2;
-  std::vector<std::uint64_t> fit_mask;
-  std::vector<std::string_view> fit_views;
-  std::vector<std::uint32_t> fit_msg;
+  FitScratch fit;
 };
 
 namespace {
 
-/// Scans a built plan's shard bounds for the equal-length layout: returns
-/// the common message length when every message in every shard serialized
-/// to the same byte count (and there is at least one message), -1 otherwise.
 /// Candidate sanity shared by RunPass and DetectOneShot — one source, so
 /// the fused and planned paths cannot drift on what they reject.
 Status ValidateCandidate(const KeyCandidate& candidate) {
@@ -80,13 +69,9 @@ Result<std::size_t> ResolveDetectPayloadLength(std::size_t override_len,
   return DerivePayloadLength(num_rows, candidate.params.e, candidate.wm_len);
 }
 
-/// Chunk size of the fused one-shot worker. Larger than the sweep's
-/// kKeyHashBatch: the one-shot pass touches each chunk exactly once, so
-/// per-chunk fixed costs (kernel ramp-up, resizes, two virtual calls)
-/// amortize better, and the working set (8-byte vals + 8-byte hashes per
-/// row) stays comfortably L2-resident even at this size.
-constexpr std::size_t kOneShotBatch = 4096;
-
+/// Scans a built plan's shard bounds for the equal-length layout: returns
+/// the common message length when every message in every shard serialized
+/// to the same byte count (and there is at least one message), -1 otherwise.
 std::ptrdiff_t DetectFixedLength(
     const std::vector<std::vector<std::size_t>>& bounds) {
   std::ptrdiff_t len = -1;
@@ -291,91 +276,32 @@ Result<DetectEngine> DetectEngine::Create(const Relation& rel,
   return engine;
 }
 
-void DetectEngine::TallyShard(std::size_t shard, const KeyedPrf& prf_k1,
-                              const KeyedPrf& prf_k2,
+void DetectEngine::TallyShard(std::size_t shard, FitScanner& scan,
                               const WatermarkParams& params,
                               std::size_t payload_len,
                               std::vector<long>& votes,
                               std::size_t& usable_votes,
-                              std::size_t& fit_tuples,
-                              Scratch& scratch) const {
-  const std::vector<std::uint8_t>& arena = arena_[shard];
-  const std::vector<std::size_t>& bounds = bounds_[shard];
-  const std::size_t num_msgs = bounds.size() - 1;
+                              std::size_t& fit_tuples) const {
   const std::size_t base = msg_base_[shard];
-  const DivisibilityCheck fit_by_e(params.e);
-  const std::span<const std::size_t> bounds_span(bounds);
-  const bool fixed = fixed_len_ >= 0;
-  const std::size_t fixed_len = fixed ? static_cast<std::size_t>(fixed_len_)
-                                      : 0;
-
   std::size_t usable = 0;
   std::size_t fit_rows = 0;
-  for (std::size_t k = 0; k < num_msgs; k += kKeyHashBatch) {
-    const std::size_t len = std::min(kKeyHashBatch, num_msgs - k);
-    scratch.h1.resize(len);
-    if (fixed) {
-      // Equal-length layout: message k + i sits at (k + i) * fixed_len, so
-      // the SIMD lanes stream at a constant stride, no bounds reads at all.
-      prf_k1.Hash64Fixed(arena.data() + k * fixed_len, fixed_len, fixed_len,
-                         std::span<std::uint64_t>(scratch.h1));
-    } else {
-      prf_k1.Hash64Arena(arena.data(), bounds_span.subspan(k, len + 1),
-                         std::span<std::uint64_t>(scratch.h1));
-    }
-
-    // Compact the ~1/e fit messages of the chunk via a packed fitness
-    // bitset (the divisibility test runs AVX2-vectorized, 64 verdicts per
-    // word) and set-bit iteration — the selection loop touches only fit
-    // messages plus one word per 64 hashes — then position-hash them in
-    // one batched k2 call over the bytes still resident in the arena.
-    scratch.fit_mask.resize((len + 63) / 64);
-    DivisibilityMask64(fit_by_e, scratch.h1.data(), len,
-                       scratch.fit_mask.data());
-    scratch.fit_msg.clear();
-    for (std::size_t w = 0; w < scratch.fit_mask.size(); ++w) {
-      std::uint64_t word = scratch.fit_mask[w];
-      while (word != 0) {
-        scratch.fit_msg.push_back(static_cast<std::uint32_t>(
-            k + 64 * w + static_cast<std::size_t>(std::countr_zero(word))));
-        word &= word - 1;
-      }
-    }
-    const std::size_t nfit = scratch.fit_msg.size();
-    scratch.fit_views.clear();
-    for (std::size_t f = 0; f < nfit; ++f) {
-      const std::size_t m = scratch.fit_msg[f];
-      const std::size_t at = fixed ? m * fixed_len : bounds[m];
-      const std::size_t msg_len =
-          fixed ? fixed_len : bounds[m + 1] - bounds[m];
-      scratch.fit_views.push_back(std::string_view(
-          reinterpret_cast<const char*>(arena.data()) + at, msg_len));
-    }
-    scratch.h2.resize(nfit);
-    prf_k2.Hash64Column(scratch.fit_views,
-                        std::span<std::uint64_t>(scratch.h2));
-
-    if (dict_keys_) {
-      for (std::size_t f = 0; f < nfit; ++f) {
-        const std::size_t m = base + scratch.fit_msg[f];
-        const std::size_t idx = PayloadIndexFromHash(
-            scratch.h2[f], payload_len, params.bit_index_mode);
-        fit_rows += rows_[m];
-        usable += usable_[m];
-        votes[idx] += vote_[m];
-      }
-    } else {
-      for (std::size_t f = 0; f < nfit; ++f) {
-        const std::size_t m = base + scratch.fit_msg[f];
-        const std::size_t idx = PayloadIndexFromHash(
-            scratch.h2[f], payload_len, params.bit_index_mode);
+  scan.ScanPrepared(
+      arena_[shard].data(), std::span<const std::size_t>(bounds_[shard]),
+      fixed_len_,
+      [&](std::size_t i, std::uint64_t /*h1*/, std::uint64_t h2) {
+        const std::size_t m = base + i;
+        const std::size_t idx =
+            PayloadIndexFromHash(h2, payload_len, params.bit_index_mode);
         const std::int32_t v = vote_[m];
-        ++fit_rows;
-        usable += (v != 0);
+        if (dict_keys_) {
+          fit_rows += rows_[m];
+          usable += usable_[m];
+        } else {
+          ++fit_rows;
+          usable += (v != 0);
+        }
         votes[idx] += v;
-      }
-    }
-  }
+      });
   usable_votes += usable;
   fit_tuples += fit_rows;
 }
@@ -410,9 +336,10 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
   std::size_t fit_tuples = 0;
   if (threads <= 1) {
     scratch.votes.assign(payload_len, 0);
+    FitScanner scan(*prf_k1, prf_k2.get(), candidate.params.e, scratch.fit);
     for (std::size_t s = 0; s < num_shards; ++s) {
-      TallyShard(s, *prf_k1, *prf_k2, candidate.params, payload_len,
-                 scratch.votes, usable_votes, fit_tuples, scratch);
+      TallyShard(s, scan, candidate.params, payload_len, scratch.votes,
+                 usable_votes, fit_tuples);
     }
   } else {
     // Message shards tally into per-worker arrays merged by commutative
@@ -424,12 +351,13 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
     std::vector<std::size_t> worker_fit(threads, 0);
     ParallelFor(num_shards, threads,
                 [&](std::size_t worker, std::size_t begin, std::size_t end) {
-                  Scratch local;
+                  FitScratch local;
+                  FitScanner scan(*prf_k1, prf_k2.get(), candidate.params.e,
+                                  local);
                   for (std::size_t s = begin; s < end; ++s) {
-                    TallyShard(s, *prf_k1, *prf_k2, candidate.params,
-                               payload_len, worker_votes[worker],
-                               worker_usable[worker], worker_fit[worker],
-                               local);
+                    TallyShard(s, scan, candidate.params, payload_len,
+                               worker_votes[worker], worker_usable[worker],
+                               worker_fit[worker]);
                   }
                 });
     scratch.votes.assign(payload_len, 0);
@@ -541,8 +469,9 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
   const std::unique_ptr<KeyedPrf> prf_k2 =
       CreateKeyedPrf(prf_kind, candidate.keys.k2, candidate.params.hash_algo);
 
-  const DivisibilityCheck fit_by_e(candidate.params.e);
-  const ColumnReader key_reader(store, key_col);
+  // The plain key column's row storage, iterated directly: the one-shot
+  // plain path already established there is no dict.
+  const std::vector<Value>& keys = store.PlainValues(key_col);
   std::vector<std::vector<long>> worker_votes(
       threads, std::vector<long>(payload_len, 0));
   std::vector<std::size_t> worker_usable(threads, 0);
@@ -551,146 +480,35 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
   ParallelFor(n, threads, [&](std::size_t shard, std::size_t begin,
                               std::size_t end) {
     std::vector<long>& votes = worker_votes[shard];
-    std::vector<std::uint8_t> arena;
-    std::vector<std::int64_t> vals;      // raw int64 keys, fast path
-    std::vector<std::int64_t> fit_vals;  // fit subset of vals, for k2
-    std::vector<std::size_t> bounds;
-    std::vector<std::uint32_t> rows;
-    std::vector<std::uint64_t> h1;
-    std::vector<std::uint64_t> h2;
-    std::vector<std::uint64_t> fit_mask;
-    std::vector<std::uint32_t> fit_sel;
-    std::vector<std::string_view> fit_views;
-    arena.reserve(kOneShotBatch * 16);
-    vals.resize(kOneShotBatch);
-    fit_vals.resize(kOneShotBatch);
-    bounds.reserve(kOneShotBatch + 1);
-    rows.reserve(kOneShotBatch);
-    // The plain key column's row storage, iterated directly: the reader's
-    // dict branch costs on every row, and the one-shot plain path already
-    // established there is no dict.
-    const Value* key_col_values = key_reader.values().data();
     std::size_t usable = 0;
     std::size_t fit = 0;
-    std::size_t hashed = 0;
-    for (std::size_t chunk = begin; chunk < end; chunk += kOneShotBatch) {
-      const std::size_t chunk_end = std::min(end, chunk + kOneShotBatch);
-      // Int64 fast path — the dominant plain-key shape: gather the raw
-      // int64s (one inline variant probe, one store per row — no per-row
-      // SerializeForHash, no bounds vector, no byte records at all) and
-      // hash them through the typed kernel, which assembles both SipHash
-      // input blocks of each canonical 9-byte record in vector registers.
-      // While no NULL has appeared the chunk is dense — message i is row
-      // chunk + i — so the rows indirection isn't even written. Any
-      // non-int64, non-NULL key falls the whole chunk back to the general
-      // arena path below.
-      bool fast = true;
-      bool dense = true;
-      std::size_t count = 0;
-      {
-        std::int64_t* vp = vals.data();
-        for (std::size_t j = chunk; j < chunk_end; ++j) {
-          const std::int64_t* kv = key_col_values[j].TryInt64();
-          if (kv == nullptr) {
-            if (key_col_values[j].is_null()) {
-              if (dense) {
-                dense = false;
-                rows.clear();
-                for (std::size_t t = 0; t < count; ++t) {
-                  rows.push_back(static_cast<std::uint32_t>(chunk + t));
-                }
-              }
-              continue;
-            }
-            fast = false;
-            break;
+    FitScratch scratch;
+    FitScanner scan(*prf_k1, prf_k2.get(), candidate.params.e, scratch);
+    worker_hashed[shard] = scan.Scan(
+        end - begin, [&](std::size_t i) { return &keys[begin + i]; },
+        [&](std::size_t i, std::uint64_t /*h1*/, std::uint64_t h2) {
+          const std::size_t j = begin + i;
+          ++fit;
+          const std::size_t idx = PayloadIndexFromHash(
+              h2, payload_len, candidate.params.bit_index_mode);
+          std::int32_t t;
+          if (cached_index != nullptr) {
+            t = cached_index->index(j);
+          } else {
+            const Value& attr_value = rel.Get(j, target_col);
+            if (attr_value.is_null()) return;
+            const auto domain_index = domain->IndexOf(attr_value);
+            t = domain_index.has_value()
+                    ? static_cast<std::int32_t>(*domain_index)
+                    : ValueIndexColumn::kNoIndex;
           }
-          vp[count++] = *kv;
-          if (!dense) rows.push_back(static_cast<std::uint32_t>(j));
-        }
-      }
-      if (fast) {
-        h1.resize(count);
-        prf_k1->Hash64Int64Keys(vals.data(), count,
-                                std::span<std::uint64_t>(h1));
-      } else {
-        dense = false;
-        rows.clear();
-        arena.clear();
-        bounds.clear();
-        bounds.push_back(0);
-        for (std::size_t j = chunk; j < chunk_end; ++j) {
-          const Value& key_value = key_col_values[j];
-          if (key_value.is_null()) continue;
-          key_value.SerializeForHash(arena);
-          bounds.push_back(arena.size());
-          rows.push_back(static_cast<std::uint32_t>(j));
-        }
-        count = rows.size();
-        h1.resize(count);
-        prf_k1->Hash64Arena(arena.data(),
-                            std::span<const std::size_t>(bounds),
-                            std::span<std::uint64_t>(h1));
-      }
-      hashed += count;
-      // Fitness as a packed bitset (AVX2-vectorized divisibility test),
-      // then set-bit iteration: the compaction loop touches only the ~1/e
-      // fit rows plus one word per 64 hashes, instead of running the
-      // scalar multiply/compare chain once per row.
-      fit_mask.resize((count + 63) / 64);
-      DivisibilityMask64(fit_by_e, h1.data(), count, fit_mask.data());
-      fit_sel.clear();
-      for (std::size_t w = 0; w < fit_mask.size(); ++w) {
-        std::uint64_t word = fit_mask[w];
-        while (word != 0) {
-          fit_sel.push_back(static_cast<std::uint32_t>(
-              64 * w + static_cast<std::size_t>(std::countr_zero(word))));
-          word &= word - 1;
-        }
-      }
-      const std::size_t nfit = fit_sel.size();
-      fit += nfit;
-      h2.resize(nfit);
-      if (fast) {
-        for (std::size_t f = 0; f < nfit; ++f) {
-          fit_vals[f] = vals[fit_sel[f]];
-        }
-        prf_k2->Hash64Int64Keys(fit_vals.data(), nfit,
-                                std::span<std::uint64_t>(h2));
-      } else {
-        fit_views.clear();
-        for (std::size_t f = 0; f < nfit; ++f) {
-          const std::size_t i = fit_sel[f];
-          fit_views.push_back(std::string_view(
-              reinterpret_cast<const char*>(arena.data()) + bounds[i],
-              bounds[i + 1] - bounds[i]));
-        }
-        prf_k2->Hash64Column(fit_views, std::span<std::uint64_t>(h2));
-      }
-      for (std::size_t f = 0; f < nfit; ++f) {
-        const std::size_t j = dense ? chunk + fit_sel[f] : rows[fit_sel[f]];
-        const std::size_t idx = PayloadIndexFromHash(
-            h2[f], payload_len, candidate.params.bit_index_mode);
-        std::int32_t t;
-        if (cached_index != nullptr) {
-          t = cached_index->index(j);
-        } else {
-          const Value& attr_value = rel.Get(j, target_col);
-          if (attr_value.is_null()) continue;
-          const auto domain_index = domain->IndexOf(attr_value);
-          t = domain_index.has_value()
-                  ? static_cast<std::int32_t>(*domain_index)
-                  : ValueIndexColumn::kNoIndex;
-        }
-        if (t < 0) continue;  // NULL / out-of-domain target
-        ++usable;
-        votes[idx] +=
-            ExtractBitFromValueIndex(static_cast<std::size_t>(t)) ? 1 : -1;
-      }
-    }
+          if (t < 0) return;  // NULL / out-of-domain target
+          ++usable;
+          votes[idx] +=
+              ExtractBitFromValueIndex(static_cast<std::size_t>(t)) ? 1 : -1;
+        });
     worker_usable[shard] = usable;
     worker_fit[shard] = fit;
-    worker_hashed[shard] = hashed;
   });
 
   std::vector<long> votes(payload_len, 0);

@@ -18,6 +18,8 @@
 
 namespace catmark {
 
+class FitScanner;
+
 /// One candidate of a multi-key detection sweep: the keys to test plus the
 /// scheme parameters that candidate claims were used at embed time (e, PRF
 /// backend, ECC, payload length — in a registry dispute each certificate
@@ -75,19 +77,17 @@ struct DetectEngineOptions {
 ///     message *before* knowing which messages are fit is bit-identical to
 ///     the row-at-a-time tally.
 ///
-/// PerKeyPass — the only work repeated per candidate: chunked batched
-/// Hash64Arena over the prepared messages under k1, a divide-free
+/// PerKeyPass — the only work repeated per candidate: FitScanner::
+/// ScanPrepared over the prepared messages (batched k1, the vectorized
 /// H mod e == 0 fitness test, batched k2 position hashes for the ~1/e fit
-/// messages, and a branchless votes[idx] += vote[i] tally. On a
+/// messages) feeding a votes[idx] += vote[i] tally. On a
 /// repeat-heavy key column this is O(distinct keys) per candidate instead
 /// of O(N) — the entire row dimension was folded into the plan.
 ///
 /// Every result is bit-identical to a standalone Detector::Detect with the
 /// same inputs, at every thread count and under every PRF backend
 /// (detect_engine_test pins the parity); Detector::Detect itself runs on
-/// this engine, so the two cannot drift. The multi-lane SIMD PRF planned
-/// next slots into the PerKeyPass via KeyedPrf::Hash64Arena without
-/// touching the plan.
+/// this engine, so the two cannot drift.
 class DetectEngine {
  public:
   /// Builds the RelationPlan. Fails like Detector::Detect's per-relation
@@ -141,11 +141,10 @@ class DetectEngine {
   Result<DetectionResult> RunPass(const KeyCandidate& candidate,
                                   std::size_t num_threads,
                                   Scratch& scratch) const;
-  void TallyShard(std::size_t shard, const KeyedPrf& prf_k1,
-                  const KeyedPrf& prf_k2, const WatermarkParams& params,
-                  std::size_t payload_len, std::vector<long>& votes,
-                  std::size_t& usable_votes, std::size_t& fit_tuples,
-                  Scratch& scratch) const;
+  void TallyShard(std::size_t shard, FitScanner& scan,
+                  const WatermarkParams& params, std::size_t payload_len,
+                  std::vector<long>& votes, std::size_t& usable_votes,
+                  std::size_t& fit_tuples) const;
 
   // Resolved domain: an external view or the engine-owned copy (unique_ptr
   // keeps the address stable across moves).

@@ -8,6 +8,7 @@
 #include "core/codec.h"
 #include "core/detect_engine.h"
 #include "core/embedder.h"
+#include "core/fit_scan.h"
 #include "core/tuple_plan.h"
 #include "ecc/code.h"
 #include "random/stats.h"
@@ -193,7 +194,7 @@ Result<DetectionResult> Detector::Detect(const Relation& rel,
   // front: one reused scratch buffer, heterogeneous string_view probes — no
   // per-tuple key allocation inside the tally loop.
   const std::vector<std::uint64_t> map_index =
-      options.embedding_map->LookupColumn(rel, key_col, &plan.fit);
+      options.embedding_map->LookupColumn(rel, key_col, &plan.fit_words);
 
   // Per-position vote tallies: multiple fit tuples can map to the same
   // wm_data position; they all embedded the same bit, so majority-per-
@@ -208,11 +209,10 @@ Result<DetectionResult> Detector::Detect(const Relation& rel,
                                           std::size_t end) {
     std::vector<long>& votes = shard_votes[shard];
     std::size_t usable = 0;
-    for (std::size_t j = begin; j < end; ++j) {
-      if (!plan.fit[j]) continue;
+    ForEachFitRow(plan.fit_words.data(), begin, end, [&](std::size_t j) {
       const std::uint64_t found = map_index[j];
       if (found == EmbeddingMap::kNotFound) {
-        continue;  // e.g. tuple added by Mallory
+        return;  // e.g. tuple added by Mallory
       }
       const std::size_t idx = static_cast<std::size_t>(found) % payload_len;
       // Determine t such that T_j(A) = a_t, then read the embedded bit
@@ -222,16 +222,16 @@ Result<DetectionResult> Detector::Detect(const Relation& rel,
         t = cached_index->index(j);
       } else {
         const Value& attr_value = rel.Get(j, target_col);
-        if (attr_value.is_null()) continue;
+        if (attr_value.is_null()) return;
         const auto domain_index = domain.IndexOf(attr_value);
         t = domain_index.has_value() ? static_cast<std::int32_t>(*domain_index)
                                      : ValueIndexColumn::kNoIndex;
       }
-      if (t < 0) continue;
+      if (t < 0) return;
       ++usable;
       votes[idx] +=
           ExtractBitFromValueIndex(static_cast<std::size_t>(t)) ? 1 : -1;
-    }
+    });
     shard_usable[shard] = usable;
   });
 

@@ -1,12 +1,12 @@
 #include "core/embedder.h"
 
-#include <bit>
 #include <chrono>
 #include <string>
 #include <utility>
 
 #include "common/parallel.h"
 #include "core/codec.h"
+#include "core/fit_scan.h"
 #include "core/tuple_plan.h"
 #include "ecc/code.h"
 #include "relation/column_store.h"
@@ -58,31 +58,6 @@ enum RowVerdict : std::uint8_t {
   kGuardSkip,  // alteration vetoed by the category-draining guard
 };
 
-// Calls fn(j) for every fit row j in [begin, end), by set-bit scanning the
-// plan's packed fitness bitset: one word test skips 64 unfit rows, and the
-// body runs only for the ~1/e fit tuples — the branchless replacement for
-// the per-row `if (!plan.fit[j]) continue;` scan of every apply flavour.
-template <typename Fn>
-inline void ForEachFitRow(const std::uint64_t* fit_words, std::size_t begin,
-                          std::size_t end, Fn&& fn) {
-  if (begin >= end) return;
-  std::size_t w = begin >> 6;
-  const std::size_t wend = (end + 63) >> 6;
-  std::uint64_t word =
-      fit_words[w] & (~std::uint64_t{0} << (begin & 63));
-  for (;;) {
-    while (word != 0) {
-      const std::size_t j =
-          (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-      if (j >= end) return;
-      fn(j);
-      word &= word - 1;
-    }
-    if (++w >= wend) return;
-    word = fit_words[w];
-  }
-}
-
 // Distinct wm_data positions hit across all shards (the serial pass's
 // position_seen counter, reassembled from per-shard bitmaps by OR — set
 // union commutes, so the count is thread-count independent).
@@ -117,7 +92,7 @@ Status SerialApply(const ApplyInputs& in, EmbedReport& report) {
   std::size_t next_map_index = 0;
 
   for (std::size_t j = 0; j < rel.NumRows(); ++j) {
-    if (!plan.fit[j]) continue;
+    if (!FitBit(plan.fit_words.data(), j)) continue;
 
     if (in.ledger != nullptr && in.ledger->IsMarked(j, in.target_col)) {
       ++report.skipped_by_ledger;

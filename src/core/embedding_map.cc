@@ -4,6 +4,7 @@
 
 #include "common/hex.h"
 #include "common/str_util.h"
+#include "core/fit_scan.h"
 
 namespace catmark {
 
@@ -54,7 +55,7 @@ std::optional<std::size_t> EmbeddingMap::Lookup(
 
 std::vector<std::uint64_t> EmbeddingMap::LookupColumn(
     const Relation& rel, std::size_t col,
-    const std::vector<std::uint8_t>* mask) const {
+    const std::vector<std::uint64_t>* mask) const {
   const std::size_t n = rel.NumRows();
   std::vector<std::uint64_t> out(n, kNotFound);
   std::vector<std::uint8_t> scratch;
@@ -72,7 +73,7 @@ std::vector<std::uint64_t> EmbeddingMap::LookupColumn(
       if (found.has_value()) by_code[code] = *found;
     }
     for (std::size_t j = 0; j < n; ++j) {
-      if (mask != nullptr && !(*mask)[j]) continue;
+      if (mask != nullptr && !FitBit(mask->data(), j)) continue;
       if (codes[j] >= 0) out[j] = by_code[static_cast<std::size_t>(codes[j])];
     }
     return out;
@@ -80,7 +81,7 @@ std::vector<std::uint64_t> EmbeddingMap::LookupColumn(
 
   const std::vector<Value>& values = rel.store().PlainValues(col);
   for (std::size_t j = 0; j < n; ++j) {
-    if (mask != nullptr && !(*mask)[j]) continue;
+    if (mask != nullptr && !FitBit(mask->data(), j)) continue;
     if (values[j].is_null()) continue;
     const auto found = Lookup(SerializeKey(values[j], scratch));
     if (found.has_value()) out[j] = *found;

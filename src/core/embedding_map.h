@@ -65,14 +65,15 @@ class EmbeddingMap {
 
   /// Batch path for the detect loop: resolves every row of `rel`'s column
   /// `col` in one pass, writing the found index (or kNotFound) per row.
-  /// Rows where `mask` (when non-null, sized NumRows) is 0 are skipped and
-  /// reported kNotFound — the detector passes the fitness bitmap so only
-  /// the ~N/e fit tuples are probed. One scratch buffer is reused across
+  /// Rows whose bit in `mask` (when non-null, a packed bitset of
+  /// ceil(NumRows / 64) words) is 0 are skipped and reported kNotFound —
+  /// the detector passes TuplePlan::fit_words so only the ~N/e fit tuples
+  /// are probed. One scratch buffer is reused across
   /// rows; dictionary-encoded key columns are probed once per distinct
   /// dictionary code instead of once per row.
   std::vector<std::uint64_t> LookupColumn(
       const Relation& rel, std::size_t col,
-      const std::vector<std::uint8_t>* mask = nullptr) const;
+      const std::vector<std::uint64_t>* mask = nullptr) const;
 
   std::size_t size() const { return map_.size(); }
   bool empty() const { return map_.empty(); }

@@ -1,84 +1,41 @@
 #include "core/tuple_plan.h"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
-#include <string_view>
 
-#include "common/bits.h"
 #include "common/check.h"
 #include "common/parallel.h"
 #include "core/codec.h"
-#include "crypto/siphash_simd.h"
+#include "core/fit_scan.h"
 #include "relation/column_store.h"
 
 namespace catmark {
 
-void KeyHashBatch::Hash(const KeyedPrf& prf) {
-  h1.resize(ends.size());
-  if (all_int64_) {
-    views.clear();
-    prf.Hash64Int64Keys(i64.data(), i64.size(),
-                        std::span<std::uint64_t>(h1.data(), h1.size()));
-    return;
-  }
-  views.resize(ends.size());
-  std::size_t begin = 0;
-  for (std::size_t i = 0; i < ends.size(); ++i) {
-    views[i] = std::string_view(
-        reinterpret_cast<const char*>(arena.data()) + begin,
-        ends[i] - begin);
-    begin = ends[i];
-  }
-  prf.Hash64Column(views, std::span<std::uint64_t>(h1.data(), h1.size()));
-}
-
 namespace {
 
-/// Chunk size of the fused plain-column plan build — matches the one-shot
-/// detect worker: each chunk is touched exactly once, so per-chunk fixed
-/// costs amortize, and the per-row working set (8-byte vals + 8-byte
-/// hashes) stays L2-resident.
-constexpr std::size_t kPlanChunk = 4096;
-
-/// Extracts the set-bit positions of `mask` (the first `count` bits) into
-/// `out` — the ~1/e fit entries of a hashed chunk, compacted so the
-/// selection work downstream touches only them plus one word per 64 hashes.
-void CollectSetBits(const std::vector<std::uint64_t>& mask, std::size_t count,
-                    std::vector<std::uint32_t>& out) {
-  out.clear();
-  const std::size_t words = (count + 63) / 64;
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t word = mask[w];
-    while (word != 0) {
-      out.push_back(static_cast<std::uint32_t>(
-          64 * w + static_cast<std::size_t>(std::countr_zero(word))));
-      word &= word - 1;
-    }
-  }
+/// Runs fn(shard, begin, end) over [0, n) split on 64-row boundaries, so no
+/// two shards write the same fit_words word.
+template <typename Fn>
+void ParallelForWords(std::size_t n, std::size_t num_threads, Fn&& fn) {
+  const std::size_t words = (n + 63) / 64;
+  ParallelFor(words, EffectiveThreadCount(num_threads, words),
+              [&](std::size_t shard, std::size_t begin, std::size_t end) {
+                fn(shard, begin * 64, std::min(n, end * 64));
+              });
 }
 
-/// Packs plan.fit into plan.fit_words, word-parallel so shards never share
-/// a word. A separate pass (not fused into the sharded builds) because the
-/// row partition of ShardBounds is not 64-aligned at shard boundaries.
-void PackFitWords(TuplePlan& plan, std::size_t num_threads) {
-  const std::size_t n = plan.fit.size();
-  const std::size_t words = (n + 63) / 64;
-  plan.fit_words.assign(words, 0);
-  const std::uint8_t* fit = plan.fit.data();
-  std::uint64_t* out = plan.fit_words.data();
-  ParallelFor(words, EffectiveThreadCount(num_threads, words),
-              [&](std::size_t /*shard*/, std::size_t begin, std::size_t end) {
-                for (std::size_t w = begin; w < end; ++w) {
-                  const std::size_t base = w * 64;
-                  const std::size_t len = std::min<std::size_t>(64, n - base);
-                  std::uint64_t word = 0;
-                  for (std::size_t b = 0; b < len; ++b) {
-                    word |= static_cast<std::uint64_t>(fit[base + b] != 0)
-                            << b;
-                  }
-                  out[w] = word;
-                }
-              });
+/// Popcount of the fit bits of rows [begin, end).
+std::size_t CountFitRows(const std::vector<std::uint64_t>& words,
+                         std::size_t begin, std::size_t end) {
+  std::size_t count = 0;
+  for (std::size_t j = begin; j < end; j = (j | 63) + 1) {
+    const std::size_t bits = std::min<std::size_t>(64 - (j & 63), end - j);
+    std::uint64_t word = words[j >> 6] >> (j & 63);
+    if (bits < 64) word &= (std::uint64_t{1} << bits) - 1;
+    count += static_cast<std::size_t>(std::popcount(word));
+  }
+  return count;
 }
 
 }  // namespace
@@ -89,7 +46,7 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
                          const TuplePlanOptions& options) {
   const std::size_t n = rel.NumRows();
   TuplePlan plan;
-  plan.fit.assign(n, 0);
+  plan.fit_words.assign((n + 63) / 64, 0);
   plan.h1.assign(n, 0);
   if (options.with_payload_index) {
     CATMARK_CHECK_GE(options.payload_len, 1u);
@@ -104,239 +61,93 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
   const std::unique_ptr<KeyedPrf> prf_k1 =
       CreateKeyedPrf(options.prf, keys.k1, params.hash_algo);
   const std::unique_ptr<KeyedPrf> prf_k2 =
-      CreateKeyedPrf(options.prf, keys.k2, params.hash_algo);
+      options.with_payload_index
+          ? CreateKeyedPrf(options.prf, keys.k2, params.hash_algo)
+          : nullptr;
+  const auto position = [&](std::uint64_t h2) {
+    return static_cast<std::uint32_t>(PayloadIndexFromHash(
+        h2, options.payload_len, params.bit_index_mode));
+  };
 
-  const std::size_t threads = EffectiveThreadCount(options.num_threads, n);
   const ColumnStore& store = rel.store();
-  const DivisibilityCheck fit_by_e(params.e);
+  std::uint64_t* fit_words = plan.fit_words.data();
+  std::vector<std::size_t> shard_hashed;
 
-  if (store.IsDictColumn(key_col) && options.use_dict_cache) {
+  if (store.IsDictColumn(key_col)) {
     // Dictionary-encoded key column: every row with the same key value
-    // hashes identically, so hash each live distinct dictionary entry once
-    // into a per-dict-code h1/fit cache and fan the verdicts out through
-    // the code vector — |dict| keyed hashes instead of N.
+    // hashes identically, so scan each live distinct dictionary entry once
+    // and fan the verdicts out through the code vector — |dict| keyed
+    // hashes instead of N. Dead entries (live count 0) have no referencing
+    // row and are not hashed.
     const std::vector<Value>& dict = store.Dict(key_col);
     const std::vector<std::int32_t>& codes = store.Codes(key_col);
     const std::vector<std::int64_t>& live = store.DictLiveCounts(key_col);
-    std::vector<std::uint64_t> h1_of(dict.size(), 0);
     std::vector<std::uint8_t> fit_of(dict.size(), 0);
+    std::vector<std::uint64_t> h1_of(dict.size(), 0);
     std::vector<std::uint32_t> index_of(
         options.with_payload_index ? dict.size() : 0, 0);
-    // The keyed hashing dominates, and a near-unique categorical key means
-    // |dict| ~ N — shard it like the plain path so plan build keeps its
-    // multi-core scaling.
-    ParallelFor(
-        dict.size(), EffectiveThreadCount(options.num_threads, dict.size()),
-        [&](std::size_t /*shard*/, std::size_t begin, std::size_t end) {
-          KeyHashBatch batch;
-          std::vector<std::uint64_t> fit_mask((kKeyHashBatch + 63) / 64);
-          std::vector<std::uint32_t> fit_sel;
-          std::vector<std::int64_t> fit_i64;
-          std::vector<std::string_view> fit_views;
-          std::vector<std::uint64_t> h2;
-          for (std::size_t code = begin; code < end;) {
-            batch.Clear();
-            for (; code < end && batch.size() < kKeyHashBatch; ++code) {
-              // Dead entries (live count 0) have no referencing row.
-              if (live[code] == 0) continue;
-              batch.Add(dict[code], code);
-            }
-            batch.Hash(*prf_k1);
-            // Fitness as a packed bitset (AVX2-vectorized divisibility
-            // test), then set-bit compaction of the ~1/e fit entries.
-            DivisibilityMask64(fit_by_e, batch.h1.data(), batch.size(),
-                               fit_mask.data());
-            CollectSetBits(fit_mask, batch.size(), fit_sel);
-            const std::size_t nfit = fit_sel.size();
-            if (options.with_payload_index && nfit > 0) {
-              // Position-hash the fit subset in one batched k2 call —
-              // through the typed kernel when the dict entries are int64.
-              h2.resize(nfit);
-              if (batch.int64_lane()) {
-                fit_i64.resize(nfit);
-                for (std::size_t f = 0; f < nfit; ++f) {
-                  fit_i64[f] = batch.i64[fit_sel[f]];
-                }
-                prf_k2->Hash64Int64Keys(fit_i64.data(), nfit,
-                                        std::span<std::uint64_t>(h2));
-              } else {
-                fit_views.clear();
-                for (std::size_t f = 0; f < nfit; ++f) {
-                  fit_views.push_back(batch.views[fit_sel[f]]);
-                }
-                prf_k2->Hash64Column(fit_views,
-                                     std::span<std::uint64_t>(h2));
-              }
-            }
-            for (std::size_t f = 0; f < nfit; ++f) {
-              const std::size_t i = fit_sel[f];
-              const std::size_t c = batch.ids[i];
-              fit_of[c] = 1;
-              h1_of[c] = batch.h1[i];
-              if (options.with_payload_index) {
-                index_of[c] = static_cast<std::uint32_t>(PayloadIndexFromHash(
-                    h2[f], options.payload_len, params.bit_index_mode));
-              }
-            }
-          }
-        });
-    // Each live distinct entry went through the PRF exactly once above.
-    for (const std::int64_t l : live) plan.messages_hashed += (l != 0);
-    plan.shard_fit.assign(threads, 0);
-    std::vector<std::size_t>& shard_fit = plan.shard_fit;
-    ParallelFor(n, threads, [&](std::size_t shard, std::size_t begin,
-                                std::size_t end) {
-      std::size_t local_fit = 0;
+    const std::size_t dict_threads =
+        EffectiveThreadCount(options.num_threads, dict.size());
+    shard_hashed.assign(dict_threads, 0);
+    ParallelFor(dict.size(), dict_threads,
+                [&](std::size_t shard, std::size_t begin, std::size_t end) {
+                  FitScratch scratch;
+                  FitScanner scan(*prf_k1, prf_k2.get(), params.e, scratch);
+                  shard_hashed[shard] = scan.Scan(
+                      end - begin,
+                      [&](std::size_t i) -> const Value* {
+                        return live[begin + i] != 0 ? &dict[begin + i]
+                                                    : nullptr;
+                      },
+                      [&](std::size_t i, std::uint64_t h1, std::uint64_t h2) {
+                        const std::size_t code = begin + i;
+                        fit_of[code] = 1;
+                        h1_of[code] = h1;
+                        if (prf_k2 != nullptr) index_of[code] = position(h2);
+                      });
+                });
+    ParallelForWords(n, options.num_threads, [&](std::size_t /*shard*/,
+                                                 std::size_t begin,
+                                                 std::size_t end) {
       for (std::size_t j = begin; j < end; ++j) {
         const std::int32_t code = codes[j];
         if (code < 0 || !fit_of[static_cast<std::size_t>(code)]) continue;
-        plan.fit[j] = 1;
+        fit_words[j >> 6] |= std::uint64_t{1} << (j & 63);
         plan.h1[j] = h1_of[static_cast<std::size_t>(code)];
-        ++local_fit;
-        if (options.with_payload_index) {
+        if (prf_k2 != nullptr) {
           plan.payload_index[j] = index_of[static_cast<std::size_t>(code)];
         }
       }
-      shard_fit[shard] = local_fit;
     });
-    for (const std::size_t f : shard_fit) plan.fit_count += f;
-    PackFitWords(plan, threads);
-    return plan;
+  } else {
+    const std::vector<Value>& values = store.PlainValues(key_col);
+    shard_hashed.assign(
+        EffectiveThreadCount(options.num_threads, (n + 63) / 64), 0);
+    ParallelForWords(n, options.num_threads, [&](std::size_t shard,
+                                                 std::size_t begin,
+                                                 std::size_t end) {
+      FitScratch scratch;
+      FitScanner scan(*prf_k1, prf_k2.get(), params.e, scratch);
+      shard_hashed[shard] = scan.Scan(
+          end - begin, [&](std::size_t i) { return &values[begin + i]; },
+          [&](std::size_t i, std::uint64_t h1, std::uint64_t h2) {
+            const std::size_t j = begin + i;
+            fit_words[j >> 6] |= std::uint64_t{1} << (j & 63);
+            plan.h1[j] = h1;
+            if (prf_k2 != nullptr) plan.payload_index[j] = position(h2);
+          });
+    });
   }
-
-  // Plain key columns (or the dict cache disabled for the parity tests):
-  // the fused chunk pipeline of DetectOneShot, producing plan rows instead
-  // of vote tallies. Int64 chunks gather raw values straight off the column
-  // storage into the typed kernel; anything else serializes chunk-wise into
-  // a per-worker arena.
-  const ColumnReader key_reader(store, key_col);
-  // Raw row storage exists only for plain columns; the dict-with-cache-
-  // disabled parity configuration reads through the (dict-aware) reader.
-  const bool plain = !store.IsDictColumn(key_col);
-  const Value* key_col_values = plain ? key_reader.values().data() : nullptr;
-  plan.shard_fit.assign(threads, 0);
-  std::vector<std::size_t>& shard_fit = plan.shard_fit;
-  std::vector<std::size_t> shard_hashed(threads, 0);
-  ParallelFor(n, threads, [&](std::size_t shard, std::size_t begin,
-                              std::size_t end) {
-    std::vector<std::uint8_t> arena;
-    std::vector<std::int64_t> vals;      // raw int64 keys, fast path
-    std::vector<std::int64_t> fit_vals;  // fit subset of vals, for k2
-    std::vector<std::size_t> bounds;
-    std::vector<std::uint32_t> rows;
-    std::vector<std::uint64_t> h1;
-    std::vector<std::uint64_t> h2;
-    std::vector<std::uint64_t> fit_mask((kPlanChunk + 63) / 64);
-    std::vector<std::uint32_t> fit_sel;
-    std::vector<std::string_view> fit_views;
-    arena.reserve(kPlanChunk * 16);
-    vals.resize(kPlanChunk);
-    fit_vals.resize(kPlanChunk);
-    bounds.reserve(kPlanChunk + 1);
-    rows.reserve(kPlanChunk);
-    std::size_t local_fit = 0;
-    std::size_t local_hashed = 0;
-    const auto key_at = [&](std::size_t j) -> const Value& {
-      return plain ? key_col_values[j] : key_reader[j];
-    };
-    for (std::size_t chunk = begin; chunk < end; chunk += kPlanChunk) {
-      const std::size_t chunk_end = std::min(end, chunk + kPlanChunk);
-      // Int64 fast path — the dominant plain-key shape: gather the raw
-      // int64s (one inline variant probe, one store per row) and hash them
-      // through the typed kernel. While no NULL has appeared the chunk is
-      // dense — entry i is row chunk + i — so the rows indirection isn't
-      // even written. Any non-int64, non-NULL key falls the whole chunk
-      // back to the general arena path below.
-      bool fast = true;
-      bool dense = true;
-      std::size_t count = 0;
-      {
-        std::int64_t* vp = vals.data();
-        for (std::size_t j = chunk; j < chunk_end; ++j) {
-          const std::int64_t* kv = key_at(j).TryInt64();
-          if (kv == nullptr) {
-            if (key_at(j).is_null()) {
-              if (dense) {
-                dense = false;
-                rows.clear();
-                for (std::size_t t = 0; t < count; ++t) {
-                  rows.push_back(static_cast<std::uint32_t>(chunk + t));
-                }
-              }
-              continue;
-            }
-            fast = false;
-            break;
-          }
-          vp[count++] = *kv;
-          if (!dense) rows.push_back(static_cast<std::uint32_t>(j));
-        }
-      }
-      if (fast) {
-        h1.resize(count);
-        prf_k1->Hash64Int64Keys(vals.data(), count,
-                                std::span<std::uint64_t>(h1));
-      } else {
-        dense = false;
-        rows.clear();
-        arena.clear();
-        bounds.clear();
-        bounds.push_back(0);
-        for (std::size_t j = chunk; j < chunk_end; ++j) {
-          const Value& key_value = key_at(j);
-          if (key_value.is_null()) continue;
-          key_value.SerializeForHash(arena);
-          bounds.push_back(arena.size());
-          rows.push_back(static_cast<std::uint32_t>(j));
-        }
-        count = rows.size();
-        h1.resize(count);
-        prf_k1->Hash64Arena(arena.data(),
-                            std::span<const std::size_t>(bounds),
-                            std::span<std::uint64_t>(h1));
-      }
-      local_hashed += count;
-      DivisibilityMask64(fit_by_e, h1.data(), count, fit_mask.data());
-      CollectSetBits(fit_mask, count, fit_sel);
-      const std::size_t nfit = fit_sel.size();
-      local_fit += nfit;
-      if (options.with_payload_index) {
-        h2.resize(nfit);
-        if (fast) {
-          for (std::size_t f = 0; f < nfit; ++f) {
-            fit_vals[f] = vals[fit_sel[f]];
-          }
-          prf_k2->Hash64Int64Keys(fit_vals.data(), nfit,
-                                  std::span<std::uint64_t>(h2));
-        } else {
-          fit_views.clear();
-          for (std::size_t f = 0; f < nfit; ++f) {
-            const std::size_t i = fit_sel[f];
-            fit_views.push_back(std::string_view(
-                reinterpret_cast<const char*>(arena.data()) + bounds[i],
-                bounds[i + 1] - bounds[i]));
-          }
-          prf_k2->Hash64Column(fit_views, std::span<std::uint64_t>(h2));
-        }
-      }
-      for (std::size_t f = 0; f < nfit; ++f) {
-        const std::size_t i = fit_sel[f];
-        const std::size_t row = dense ? chunk + i : rows[i];
-        plan.fit[row] = 1;
-        plan.h1[row] = h1[i];
-        if (options.with_payload_index) {
-          plan.payload_index[row] =
-              static_cast<std::uint32_t>(PayloadIndexFromHash(
-                  h2[f], options.payload_len, params.bit_index_mode));
-        }
-      }
-    }
-    shard_fit[shard] = local_fit;
-    shard_hashed[shard] = local_hashed;
-  });
-  for (const std::size_t f : shard_fit) plan.fit_count += f;
   for (const std::size_t h : shard_hashed) plan.messages_hashed += h;
-  PackFitWords(plan, threads);
+
+  // Fit counts over the embedder's ShardBounds(n, threads) row partition.
+  const std::size_t threads = EffectiveThreadCount(options.num_threads, n);
+  const std::vector<std::size_t> bounds = ShardBounds(n, threads);
+  plan.shard_fit.assign(threads, 0);
+  for (std::size_t s = 0; s < threads; ++s) {
+    plan.shard_fit[s] = CountFitRows(plan.fit_words, bounds[s], bounds[s + 1]);
+    plan.fit_count += plan.shard_fit[s];
+  }
   return plan;
 }
 

@@ -33,16 +33,6 @@ class KeyedHashPrf final : public KeyedPrf {
     return hasher_.Hash64(data, len);
   }
 
-  void Hash64Column(std::span<const std::string_view> inputs,
-                    std::span<std::uint64_t> out) const override {
-    CATMARK_CHECK_EQ(inputs.size(), out.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      out[i] = hasher_.Hash64(
-          reinterpret_cast<const std::uint8_t*>(inputs[i].data()),
-          inputs[i].size());
-    }
-  }
-
  private:
   KeyedHasher hasher_;
 };
@@ -60,18 +50,6 @@ class HmacSha256Prf final : public KeyedPrf {
   std::uint64_t Hash64(const std::uint8_t* data,
                        std::size_t len) const override {
     return hmac_.Compute(data, len).ToUint64();
-  }
-
-  void Hash64Column(std::span<const std::string_view> inputs,
-                    std::span<std::uint64_t> out) const override {
-    CATMARK_CHECK_EQ(inputs.size(), out.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      out[i] = hmac_
-                   .Compute(reinterpret_cast<const std::uint8_t*>(
-                                inputs[i].data()),
-                            inputs[i].size())
-                   .ToUint64();
-    }
   }
 
  private:
@@ -110,11 +88,6 @@ class SipHash24Prf final : public KeyedPrf {
   // (crypto/siphash_simd.h): 8 messages per call under AVX2, 4 under SSE2,
   // the scalar reference loop otherwise — bit-identical at every level, so
   // the dispatch decision can never change a detection result.
-  void Hash64Column(std::span<const std::string_view> inputs,
-                    std::span<std::uint64_t> out) const override {
-    SipHash24Views(k0_, k1_, inputs, out);
-  }
-
   void Hash64Arena(const std::uint8_t* arena,
                    std::span<const std::size_t> bounds,
                    std::span<std::uint64_t> out) const override {
@@ -177,14 +150,6 @@ Result<PrfKind> ResolvePrfKindEnv(const char* text, PrfKind fallback) {
 Result<PrfKind> ResolvePrfKind(const std::optional<PrfKind>& choice) {
   if (choice.has_value()) return *choice;
   return ResolvePrfKindEnv(std::getenv("CATMARK_PRF"), PrfKind::kKeyedHash);
-}
-
-void KeyedPrf::Hash64Column(std::span<const std::string_view> inputs,
-                            std::span<std::uint64_t> out) const {
-  CATMARK_CHECK_EQ(inputs.size(), out.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    out[i] = Hash64(inputs[i]);
-  }
 }
 
 void KeyedPrf::Hash64Arena(const std::uint8_t* arena,

@@ -79,22 +79,15 @@ class KeyedPrf {
                   data.size());
   }
 
-  /// Batch form: out[i] = Hash64(inputs[i]) for every i (sizes must match).
-  /// One virtual dispatch per column chunk instead of per row — backends
-  /// override it with a tight monomorphic loop; the base implementation is
-  /// the reference the override must stay bit-identical to.
-  virtual void Hash64Column(std::span<const std::string_view> inputs,
-                            std::span<std::uint64_t> out) const;
-
-  /// Arena batch form: message i occupies arena bytes [bounds[i],
-  /// bounds[i + 1]), so `bounds.size()` must be `out.size() + 1`.
-  /// Bit-identical to Hash64Column over the equivalent views, but takes the
-  /// (arena, offsets) layout batch producers already hold — any subrange of
-  /// a prepared message block hashes via a bounds subspan with no per-chunk
-  /// string_view materialization. This contiguous layout is also where the
-  /// multi-lane SIMD backend slots in: siphash24 routes it through 4/8-lane
-  /// SSE2/AVX2 kernels (see crypto/siphash_simd.h), several messages per
-  /// call with no pointer chasing.
+  /// Arena batch form: out[i] = Hash64 of arena bytes [bounds[i],
+  /// bounds[i + 1]), so `bounds.size()` must be `out.size() + 1`. One
+  /// virtual dispatch per batch instead of per message, over the (arena,
+  /// offsets) layout batch producers already hold — any subrange of a
+  /// prepared message block hashes via a bounds subspan. The base
+  /// implementation is the reference every override must stay bit-identical
+  /// to; siphash24 routes it through 4/8-lane SSE2/AVX2 kernels (see
+  /// crypto/siphash_simd.h), several messages per call with no pointer
+  /// chasing.
   virtual void Hash64Arena(const std::uint8_t* arena,
                            std::span<const std::size_t> bounds,
                            std::span<std::uint64_t> out) const;

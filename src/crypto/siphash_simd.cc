@@ -282,28 +282,6 @@ void DivisibilityMask64(const DivisibilityCheck& check, const std::uint64_t* h,
   if (bit != 0) *w = word;
 }
 
-void SipHash24Views(std::uint64_t k0, std::uint64_t k1,
-                    std::span<const std::string_view> inputs,
-                    std::span<std::uint64_t> out) {
-  CATMARK_CHECK_EQ(inputs.size(), out.size());
-  const std::size_t count = out.size();
-  const Dispatch d = CurrentDispatch();
-  if (d.kernel == nullptr || count < d.lanes) {
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = SipHash24(
-          k0, k1, reinterpret_cast<const std::uint8_t*>(inputs[i].data()),
-          inputs[i].size());
-    }
-    return;
-  }
-  BucketedBatch(
-      d, k0, k1, count, out.data(),
-      [&](std::size_t i) {
-        return reinterpret_cast<const std::uint8_t*>(inputs[i].data());
-      },
-      [&](std::size_t i) { return inputs[i].size(); });
-}
-
 #if defined(__x86_64__) || defined(_M_X64)
 
 namespace siphash_internal {

@@ -72,12 +72,6 @@ void SipHash24Fixed(std::uint64_t k0, std::uint64_t k1,
                     const std::uint8_t* base, std::size_t len,
                     std::size_t stride, std::span<std::uint64_t> out);
 
-/// Batch over scattered string_view messages (sizes must match): the
-/// Hash64Column shape. Same bucketing and bit-identity as SipHash24Batch.
-void SipHash24Views(std::uint64_t k0, std::uint64_t k1,
-                    std::span<const std::string_view> inputs,
-                    std::span<std::uint64_t> out);
-
 /// Batch over canonical int64-key messages: out[i] = SipHash24 of the
 /// 9-byte serialization tag 0x01 + big-endian vals[i] — without ever
 /// materializing those bytes. A 9-byte message is exactly two SipHash input

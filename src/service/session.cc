@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <numeric>
 #include <string>
 #include <utility>
 
-#include "common/bits.h"
 #include "common/check.h"
 #include "core/codec.h"
-#include "crypto/siphash_simd.h"
 #include "ecc/code.h"
 
 namespace catmark {
@@ -118,138 +115,6 @@ Status StreamSession::BindColumns(const Relation& rel) {
   return Status::OK();
 }
 
-void StreamSession::CollectFit(const std::uint64_t* h1, std::size_t n,
-                               const std::int64_t* i64,
-                               std::span<const std::string_view> views,
-                               const std::size_t* ids) {
-  // Vectorized fitness: pack h1 % e == 0 into a bitset and walk only the
-  // set bits — the same DivisibilityMask64 kernel the plan build and the
-  // detect engine use, so streaming verdicts are pinned to the same
-  // arithmetic.
-  const DivisibilityCheck fit_by_e(spec_.params.e);
-  fit_mask_.assign((n + 63) / 64, 0);
-  DivisibilityMask64(fit_by_e, h1, n, fit_mask_.data());
-  fit_idx_.clear();
-  for (std::size_t w = 0; w < fit_mask_.size(); ++w) {
-    std::uint64_t word = fit_mask_[w];
-    while (word != 0) {
-      fit_idx_.push_back((w << 6) +
-                         static_cast<std::size_t>(std::countr_zero(word)));
-      word &= word - 1;
-    }
-  }
-  if (fit_idx_.empty()) return;
-
-  // The fitness rate is 1/e, so the k2 position hash runs on a small
-  // minority of keys — one batched call over the fit subset.
-  h2_.resize(fit_idx_.size());
-  if (i64 != nullptr) {
-    fit_i64_.clear();
-    for (const std::size_t i : fit_idx_) fit_i64_.push_back(i64[i]);
-    prf_k2_->Hash64Int64Keys(fit_i64_.data(), fit_i64_.size(),
-                             std::span<std::uint64_t>(h2_));
-  } else {
-    fit_views_.clear();
-    for (const std::size_t i : fit_idx_) fit_views_.push_back(views[i]);
-    prf_k2_->Hash64Column(fit_views_, std::span<std::uint64_t>(h2_));
-  }
-  for (std::size_t f = 0; f < fit_idx_.size(); ++f) {
-    const std::size_t i = fit_idx_[f];
-    fit_rows_.push_back(FitRow{
-        static_cast<std::uint32_t>(ids == nullptr ? i : ids[i]),
-        static_cast<std::uint32_t>(PayloadIndexFromHash(
-            h2_[f], spec_.payload_length, spec_.params.bit_index_mode)),
-        h1[i]});
-  }
-}
-
-std::size_t StreamSession::ResolveChunk(const ColumnReader& keys,
-                                        std::size_t at, std::size_t len) {
-  fit_rows_.clear();
-  if (!cache_verdicts_ && !keys.is_dict()) {
-    // The dominant streaming shape: a NULL-free int64 key column. Gather
-    // the raw keys straight off the column storage into the typed kernel;
-    // the first NULL or non-int64 key falls back to KeyHashBatch below.
-    const Value* values = keys.values().data() + at;
-    i64_.resize(len);
-    std::size_t j = 0;
-    for (; j < len; ++j) {
-      const std::int64_t* v = values[j].TryInt64();
-      if (v == nullptr) break;
-      i64_[j] = *v;
-    }
-    if (j == len) {
-      h1_.resize(len);
-      prf_k1_->Hash64Int64Keys(i64_.data(), len,
-                               std::span<std::uint64_t>(h1_));
-      CollectFit(h1_.data(), len, i64_.data(), {}, nullptr);
-      return len;
-    }
-  }
-
-  // General path: serialize the keys to hash into one arena. A caching
-  // session answers keys seen before from its cache and queues only the
-  // misses. Each miss is cached at once as an unresolved placeholder, so a
-  // key repeated inside the chunk is hashed once; its repeats read the
-  // verdict after the hash.
-  batch_.Clear();
-  misses_.clear();
-  repeats_.clear();
-  for (std::size_t j = 0; j < len; ++j) {
-    const Value& key = keys[at + j];
-    if (key.is_null()) continue;  // NULL keys are unfit
-    if (!cache_verdicts_) {
-      batch_.Add(key, j);
-      continue;
-    }
-    const std::string_view bytes = key.SerializeKeyInto(scratch_);
-    if (const auto it = cache_.find(bytes); it != cache_.end()) {
-      const Verdict& v = it->second;
-      if (v.unresolved) {
-        repeats_.emplace_back(static_cast<std::uint32_t>(j), &v);
-      } else if (v.fit) {
-        fit_rows_.push_back(FitRow{static_cast<std::uint32_t>(j),
-                                   v.payload_index, v.h1});
-      }
-      continue;
-    }
-    // Past the cap a miss is hashed per occurrence and not memoized.
-    Verdict* placeholder =
-        cache_.size() < kVerdictCacheCapacity
-            ? &cache_.emplace(std::string(bytes), Verdict{0, 0, false, true})
-                   .first->second
-            : nullptr;
-    misses_.push_back(placeholder);
-    batch_.AddSerialized(
-        std::span<const std::uint8_t>(scratch_.data(), scratch_.size()), j);
-  }
-  const std::size_t n = batch_.size();
-  if (n == 0) return 0;
-  batch_.Hash(*prf_k1_);
-  const std::size_t first_new = fit_rows_.size();
-  CollectFit(batch_.h1.data(), n,
-             batch_.int64_lane() ? batch_.i64.data() : nullptr, batch_.views,
-             batch_.ids.data());
-  if (cache_verdicts_) {
-    // Resolve the placeholders in key order; fit_mask_ says which keys own
-    // the FitRows appended above.
-    std::size_t f = first_new;
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool fit = (fit_mask_[i >> 6] >> (i & 63)) & 1;
-      if (misses_[i] != nullptr) {
-        *misses_[i] = fit ? Verdict{fit_rows_[f].h1,
-                                    fit_rows_[f].payload_index, true, false}
-                          : Verdict{};
-      }
-      f += fit;
-    }
-    for (const auto& [offset, v] : repeats_) {
-      if (v->fit) fit_rows_.push_back(FitRow{offset, v->payload_index, v->h1});
-    }
-  }
-  return n;
-}
-
 Result<BatchReport> StreamSession::InsertRange(Relation& rel,
                                                const Relation& src,
                                                std::size_t begin,
@@ -271,19 +136,62 @@ Result<BatchReport> StreamSession::InsertRange(Relation& rel,
   const ColumnReader keys(src.store(), key_col_);
   const ColumnReader targets(src.store(), target_col_);
   marked_.assign(count, nullptr);
-  for (std::size_t done = 0; done < count; done += kKeyHashBatch) {
-    const std::size_t len = std::min(kKeyHashBatch, count - done);
-    report.hashed_keys += ResolveChunk(keys, begin + done, len);
-    report.fit_rows += fit_rows_.size();
-    for (const FitRow& fit : fit_rows_) {
-      const std::size_t t = SelectValueIndex(
-          fit.h1, spec_.domain.size(), wm_data_.Get(fit.payload_index));
-      const Value& marked = spec_.domain.value(t);
-      // Cells already carrying the marked value keep their source value.
-      if (!(targets[begin + done + fit.offset] == marked)) {
-        marked_[done + fit.offset] = &marked;
-        ++report.altered_rows;
+  const auto mark = [&](std::size_t offset, std::uint64_t h1,
+                        std::uint32_t payload_index) {
+    ++report.fit_rows;
+    const std::size_t t = SelectValueIndex(h1, spec_.domain.size(),
+                                           wm_data_.Get(payload_index));
+    const Value& marked = spec_.domain.value(t);
+    // Cells already carrying the marked value keep their source value.
+    if (!(targets[begin + offset] == marked)) {
+      marked_[offset] = &marked;
+      ++report.altered_rows;
+    }
+  };
+  const auto position = [&](std::uint64_t h2) {
+    return static_cast<std::uint32_t>(PayloadIndexFromHash(
+        h2, spec_.payload_length, spec_.params.bit_index_mode));
+  };
+  FitScanner scan(*prf_k1_, prf_k2_.get(), spec_.params.e, fit_scratch_);
+  if (!cache_verdicts_) {
+    report.hashed_keys = scan.Scan(
+        count, [&](std::size_t i) { return &keys[begin + i]; },
+        [&](std::size_t i, std::uint64_t h1, std::uint64_t h2) {
+          mark(i, h1, position(h2));
+        });
+  } else {
+    // A caching session hashes only the keys its cache cannot answer. Each
+    // miss gets its (unfit) cache slot at once, so a key repeated later in
+    // the range is hashed once; every hit, repeats included, reads its
+    // slot after the scan has filled it. Map nodes never move, and marking
+    // is order-independent (marked_ is indexed by row).
+    misses_.clear();
+    hits_.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+      const Value& key = keys[begin + i];
+      if (key.is_null()) continue;  // NULL keys are unfit
+      const std::string_view bytes = key.SerializeKeyInto(scratch_);
+      if (const auto it = cache_.find(bytes); it != cache_.end()) {
+        hits_.emplace_back(i, &it->second);
+        continue;
       }
+      // Past the cap a miss is hashed per occurrence and not memoized.
+      Verdict* slot =
+          cache_.size() < kVerdictCacheCapacity
+              ? &cache_.emplace(std::string(bytes), Verdict{}).first->second
+              : nullptr;
+      misses_.emplace_back(i, slot);
+    }
+    report.hashed_keys = scan.Scan(
+        misses_.size(),
+        [&](std::size_t m) { return &keys[begin + misses_[m].first]; },
+        [&](std::size_t m, std::uint64_t h1, std::uint64_t h2) {
+          const Verdict v{h1, position(h2), true};
+          if (misses_[m].second != nullptr) *misses_[m].second = v;
+          mark(misses_[m].first, v.h1, v.payload_index);
+        });
+    for (const auto& [row, v] : hits_) {
+      if (v->fit) mark(row, v->h1, v->payload_index);
     }
   }
   range_.resize(count);

@@ -16,7 +16,7 @@
 #include "core/embedder.h"
 #include "core/keys.h"
 #include "core/params.h"
-#include "core/tuple_plan.h"
+#include "core/fit_scan.h"
 #include "crypto/prf.h"
 #include "relation/column_store.h"
 #include "relation/domain.h"
@@ -89,12 +89,10 @@ struct BatchReport {
 /// the offline embedder and is bit-compatible with it, but works column-wise
 /// off the source relation's store:
 ///
-///   - keys hash through one batched KeyedPrf call per kKeyHashBatch-row
-///     chunk — the typed Hash64Int64Keys SIMD kernel straight off a
-///     NULL-free int64 key column, the KeyHashBatch channel the tuple_plan
-///     precompute uses for anything else;
-///   - fitness comes from the vectorized DivisibilityMask64 bitset, and one
-///     batched k2 call positions the ~1/e fit keys;
+///   - keys run through the FitScanner (core/fit_scan.h) that the embed and
+///     detect paths use, straight off the source's key column: batched k1,
+///     the vectorized fitness test, and one batched k2 call over the ~1/e
+///     fit keys;
 ///   - rows append through Relation::AppendRowsFrom with the marked target
 ///     values as a per-row override, so no Row is ever materialized.
 ///
@@ -179,20 +177,10 @@ class StreamSession {
     std::uint64_t h1 = 0;
     std::uint32_t payload_index = 0;
     bool fit = false;
-    /// A placeholder for a key whose hash is still queued in the chunk
-    /// being resolved; ResolveChunk fills it before it returns.
-    bool unresolved = false;
   };
   using VerdictCache =
       std::unordered_map<std::string, Verdict, TransparentStringHash,
                          std::equal_to<>>;
-
-  /// A fit row of the chunk being marked, at `offset` from the chunk start.
-  struct FitRow {
-    std::uint32_t offset = 0;
-    std::uint32_t payload_index = 0;
-    std::uint64_t h1 = 0;
-  };
 
   explicit StreamSession(SessionSpec spec);
 
@@ -200,21 +188,6 @@ class StreamSession {
   /// schema identity so consecutive batches against the same relation skip
   /// the name lookups.
   Status BindColumns(const Relation& rel);
-
-  /// Resolves the verdicts of `keys` rows [at, at + len) (len <=
-  /// kKeyHashBatch) into fit_rows_ — one FitRow per fit row; NULL keys are
-  /// unfit. Returns the number of keys hashed.
-  std::size_t ResolveChunk(const ColumnReader& keys, std::size_t at,
-                           std::size_t len);
-
-  /// Fitness and position for `n` freshly k1-hashed keys: packs
-  /// h1 % e == 0 into fit_mask_, runs one batched k2 call over the fit
-  /// subset (through `i64` when non-null, else `views`) and appends a
-  /// FitRow per fit key, at offset ids[i] (i itself when `ids` is null).
-  void CollectFit(const std::uint64_t* h1, std::size_t n,
-                  const std::int64_t* i64,
-                  std::span<const std::string_view> views,
-                  const std::size_t* ids);
 
   /// Cache-or-compute for one key (the Refresh path). Single-shot hashing
   /// on a miss.
@@ -237,23 +210,13 @@ class StreamSession {
   std::size_t key_col_ = 0;
   std::size_t target_col_ = 0;
 
-  // Per-chunk scratch, reused across chunks and batches: the keys to hash
-  // (typed lane or KeyHashBatch), their k1 hashes, the packed fitness mask,
-  // the fit subset's indices, gathered keys and k2 outputs, and the fit rows.
-  std::vector<std::int64_t> i64_;
-  std::vector<std::uint64_t> h1_;
-  KeyHashBatch batch_;
-  std::vector<std::uint64_t> fit_mask_;
-  std::vector<std::size_t> fit_idx_;
-  std::vector<std::int64_t> fit_i64_;
-  std::vector<std::string_view> fit_views_;
-  std::vector<std::uint64_t> h2_;
-  std::vector<FitRow> fit_rows_;
-  // Caching sessions: the cache placeholder of each queued miss (null past
-  // the cap), and the rows repeating a queued key.
-  std::vector<Verdict*> misses_;
-  std::vector<std::pair<std::uint32_t, const Verdict*>> repeats_;
-  // Per-insert scratch: the appended source rows and their target override.
+  // Per-insert scratch, reused across batches: the fit scanner's buffers;
+  // on caching sessions, the rows whose key missed the cache (with the
+  // cache slot to fill, null past the cap) and the rows whose key hit it;
+  // the appended source rows and their target override.
+  FitScratch fit_scratch_;
+  std::vector<std::pair<std::size_t, Verdict*>> misses_;
+  std::vector<std::pair<std::size_t, const Verdict*>> hits_;
   std::vector<std::size_t> range_;
   std::vector<const Value*> marked_;
   // InsertBatch's staging relation, rebuilt when the schema changes.

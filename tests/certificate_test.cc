@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/certificate.h"
 #include "core/detector.h"
 #include "core/embedder.h"
@@ -190,6 +194,48 @@ TEST(CertificateTest, RejectsGarbage) {
   EXPECT_FALSE(WatermarkCertificate::Deserialize(
                    "catmark-certificate-v1\ndescription=x\n")
                    .ok());  // missing wm/payload
+}
+
+// A claimant writes the certificate, so its integer fields are parsed
+// strictly: the whole field, no sign, in range. A field that fails must be
+// InvalidArgument — never read as 0 (e=0 would abort detection) or as a
+// size detection would allocate vote arrays for.
+TEST(CertificateTest, RejectsHostileIntegerFields) {
+  const CertTestData s = MakeSetup();
+  const std::string text = s.cert.Serialize();
+  const auto with_field = [&](const std::string& key,
+                              const std::string& value) {
+    std::string out = text;
+    const std::size_t begin = out.find("\n" + key + "=") + 1;
+    const std::size_t end = out.find('\n', begin);
+    out.replace(begin, end - begin, key + "=" + value);
+    return out;
+  };
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"e", "banana"},
+           {"e", "0"},
+           {"e", "-3"},
+           {"e", "+40"},
+           {"e", ""},
+           {"payload_length", "400000000000"},
+           {"payload_length", "12abc"},
+           {"payload_length", "0"},
+           {"payload_length", "9"},  // shorter than the 10-bit mark
+       }) {
+    const auto result =
+        WatermarkCertificate::Deserialize(with_field(key, value));
+    ASSERT_FALSE(result.ok()) << key << "=" << value;
+    EXPECT_TRUE(result.status().IsInvalidArgument()) << key << "=" << value;
+  }
+  // The bounds themselves are accepted.
+  EXPECT_TRUE(WatermarkCertificate::Deserialize(with_field("e", "1")).ok());
+  EXPECT_TRUE(
+      WatermarkCertificate::Deserialize(with_field("payload_length", "10"))
+          .ok());
+  EXPECT_TRUE(WatermarkCertificate::Deserialize(
+                  with_field("payload_length", "4294967295"))
+                  .ok());
 }
 
 TEST(CertifiedDetectionTest, OneCallWorkflow) {

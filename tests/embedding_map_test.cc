@@ -161,8 +161,7 @@ TEST(EmbeddingMapTest, LookupColumnResolvesPlainKeyColumn) {
   EXPECT_EQ(found[0], EmbeddingMap::kNotFound);
 
   // Masked rows are skipped even when their key is present.
-  std::vector<std::uint8_t> mask(6, 0);
-  mask[4] = 1;
+  const std::vector<std::uint64_t> mask = {std::uint64_t{1} << 4};
   const std::vector<std::uint64_t> masked = map.LookupColumn(rel, 0, &mask);
   EXPECT_EQ(masked[1], EmbeddingMap::kNotFound);
   EXPECT_EQ(masked[4], 40u);

@@ -113,10 +113,6 @@ TEST(PrfRegistryTest, ExplicitParamsChoiceSkipsTheEnvironment) {
 
 // ----------------------------------------------------------------- backends
 
-std::vector<std::string_view> Views(const std::vector<std::string>& inputs) {
-  return std::vector<std::string_view>(inputs.begin(), inputs.end());
-}
-
 TEST(KeyedPrfTest, KeyedHashBackendIsBitCompatibleWithKeyedHasher) {
   const SecretKey key = SecretKey::FromPassphrase("golden");
   for (const HashAlgorithm algo :
@@ -187,21 +183,27 @@ TEST(KeyedPrfTest, BackendsDisagreeWithEachOther) {
   EXPECT_NE(hmac->Hash64(msg), sip->Hash64(msg));
 }
 
-TEST(KeyedPrfTest, Hash64ColumnMatchesSingleShotForEveryBackend) {
+TEST(KeyedPrfTest, Hash64ArenaMatchesSingleShotForEveryBackend) {
   std::vector<std::string> inputs;
   for (int i = 0; i < 300; ++i) {
     inputs.push_back("key-" + std::to_string(i * 7919));
   }
   inputs.push_back("");  // empty message
   inputs.push_back(std::string(200, 'x'));
-  const std::vector<std::string_view> views = Views(inputs);
+  std::vector<std::uint8_t> arena;
+  std::vector<std::size_t> bounds = {0};
+  for (const std::string& in : inputs) {
+    arena.insert(arena.end(), in.begin(), in.end());
+    bounds.push_back(arena.size());
+  }
   for (const PrfKind kind : {PrfKind::kKeyedHash, PrfKind::kHmacSha256,
                              PrfKind::kSipHash24}) {
     const auto prf = CreateKeyedPrf(kind, SecretKey::FromSeed(42));
-    std::vector<std::uint64_t> batch(views.size(), 0);
-    prf->Hash64Column(views, batch);
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      EXPECT_EQ(batch[i], prf->Hash64(views[i]))
+    std::vector<std::uint64_t> batch(inputs.size(), 0);
+    prf->Hash64Arena(arena.data(), std::span<const std::size_t>(bounds),
+                     batch);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      EXPECT_EQ(batch[i], prf->Hash64(inputs[i]))
           << PrfKindName(kind) << " input " << i;
     }
   }

@@ -39,29 +39,24 @@ class ScopedSimdLevel {
 /// Every level this machine can actually run (always includes kScalar).
 std::vector<SimdLevel> RunnableLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (HardwareSimdLevel() >= SimdLevel::kSse2) levels.push_back(SimdLevel::kSse2);
-  if (HardwareSimdLevel() >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
+  if (HardwareSimdLevel() >= SimdLevel::kSse2) {
+    levels.push_back(SimdLevel::kSse2);
+  }
+  if (HardwareSimdLevel() >= SimdLevel::kAvx2) {
+    levels.push_back(SimdLevel::kAvx2);
+  }
   return levels;
 }
 
 struct ArenaBatch {
   std::vector<std::uint8_t> arena;
   std::vector<std::size_t> bounds{0};
-  std::vector<std::string_view> views;  // valid once the arena stops growing
 
   void Add(const std::vector<std::uint8_t>& msg) {
     arena.insert(arena.end(), msg.begin(), msg.end());
     bounds.push_back(arena.size());
   }
   std::size_t size() const { return bounds.size() - 1; }
-  void BuildViews() {
-    views.clear();
-    for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
-      views.emplace_back(
-          reinterpret_cast<const char*>(arena.data()) + bounds[i],
-          bounds[i + 1] - bounds[i]);
-    }
-  }
 };
 
 // ------------------------------------------------------- reference vectors
@@ -112,7 +107,7 @@ TEST(SimdSipHashTest, ReferenceVectorsLaneByLane) {
 // Random message lengths 0..128 — covering the 4-byte dict-code shape, the
 // 9-byte serialized-int64 shape, and both sides of every 8-byte block
 // boundary — must hash bit-identically to the scalar reference at every
-// dispatch level, through all three batch entry points.
+// dispatch level through the arena entry point.
 TEST(SimdSipHashTest, RandomLengthBatchesMatchScalar) {
   std::mt19937_64 rng(2024);
   ArenaBatch batch;
@@ -130,12 +125,11 @@ TEST(SimdSipHashTest, RandomLengthBatchesMatchScalar) {
     for (auto& b : msg) b = static_cast<std::uint8_t>(rng());
     batch.Add(msg);
   }
-  batch.BuildViews();
 
   std::vector<std::uint64_t> expected(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    expected[i] = SipHash24(kVecK0, kVecK1, batch.arena.data() + batch.bounds[i],
-                            lengths[i]);
+    expected[i] = SipHash24(kVecK0, kVecK1,
+                            batch.arena.data() + batch.bounds[i], lengths[i]);
   }
 
   for (const SimdLevel level : RunnableLevels()) {
@@ -144,13 +138,7 @@ TEST(SimdSipHashTest, RandomLengthBatchesMatchScalar) {
     SipHash24Batch(kVecK0, kVecK1, batch.arena.data(),
                    std::span<const std::size_t>(batch.bounds),
                    std::span<std::uint64_t>(out));
-    EXPECT_EQ(out, expected) << "arena form, level=" << SimdLevelName(level);
-
-    std::fill(out.begin(), out.end(), 0);
-    SipHash24Views(kVecK0, kVecK1,
-                   std::span<const std::string_view>(batch.views),
-                   std::span<std::uint64_t>(out));
-    EXPECT_EQ(out, expected) << "views form, level=" << SimdLevelName(level);
+    EXPECT_EQ(out, expected) << "level=" << SimdLevelName(level);
   }
 }
 
@@ -299,8 +287,6 @@ TEST(SimdSipHashTest, EmptyBatchEveryLevel) {
                    std::span<const std::size_t>(bounds),
                    std::span<std::uint64_t>());
     SipHash24Fixed(kVecK0, kVecK1, nullptr, 0, 0, std::span<std::uint64_t>());
-    SipHash24Views(kVecK0, kVecK1, std::span<const std::string_view>(),
-                   std::span<std::uint64_t>());
   }
 }
 

@@ -30,9 +30,9 @@
 namespace catmark {
 namespace {
 
-// The key column shapes the marking core branches on: NULL-free int64 keys
-// (the typed kernel straight off the column), int64 keys with NULLs (the
-// KeyHashBatch typed lane) and string keys with NULLs (the view path).
+// The key column shapes the fit scanner branches on: NULL-free int64 keys
+// (the dense typed lane), int64 keys with NULLs (the typed lane with row
+// backfill) and string keys with NULLs (the serialized-arena path).
 enum class KeyShape { kInt, kIntWithNulls, kString };
 
 struct Fixture {
@@ -344,11 +344,11 @@ TEST(StreamSessionTest, InsertRangeErrorsLeaveTheRelationUnchanged) {
 }
 
 TEST(StreamSessionTest, ChunkBoundariesDoNotChangeVerdicts) {
-  // A batch larger than kKeyHashBatch forces multiple Hash64Column chunks
+  // A batch larger than the fit scanner's chunk forces several chunks
   // inside one InsertBatch; keys repeating across chunk boundaries must
   // resolve identically.
   const Fixture f = MakeFixture();
-  std::vector<Row> stream = MakeStream(3 * kKeyHashBatch + 37, 17);
+  std::vector<Row> stream = MakeStream(3 * FitScanner::kChunk + 37, 17);
 
   Relation batched = f.rel;
   StreamSession session = StreamSession::Create(SpecOf(f)).value();
@@ -357,7 +357,7 @@ TEST(StreamSessionTest, ChunkBoundariesDoNotChangeVerdicts) {
   Relation serial = f.rel;
   const IncrementalWatermarker inc(f.keys, f.params, f.options, f.report,
                                    f.wm);
-  for (const Row& row : MakeStream(3 * kKeyHashBatch + 37, 17)) {
+  for (const Row& row : MakeStream(3 * FitScanner::kChunk + 37, 17)) {
     ASSERT_TRUE(inc.Insert(serial, row).ok());
   }
   ExpectIdenticalState(serial, batched);
@@ -501,7 +501,8 @@ TEST(SessionSpecTest, FromCertificateVerifiesTheKeyCommitment) {
   EXPECT_EQ(verdict.detection.wm, f.wm);
 }
 
-TEST(WatermarkServiceTest, MultiplexedSessionsMatchSequentialAtEveryThreadCount) {
+TEST(WatermarkServiceTest,
+     MultiplexedSessionsMatchSequentialAtEveryThreadCount) {
   // Three tenants with distinct keys/marks; one mixed batch stream. The
   // parallel executor must produce byte-identical relations at 1, 2 and 8
   // workers, all equal to running each session sequentially.

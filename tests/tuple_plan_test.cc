@@ -1,8 +1,7 @@
-// The batched / per-dict-code-cached plan build: for every PRF backend and
-// thread count, the dict-code cache must be bit-identical to the uncached
-// per-row batch path, the per-row batch path must be bit-identical to a
-// one-value-at-a-time reference loop, and results must not depend on the
-// worker count.
+// The plan build: for every PRF backend and thread count, both key-column
+// paths (plain rows, and live dictionary entries fanned out by code) must
+// be bit-identical to a one-value-at-a-time reference loop, and results
+// must not depend on the worker count.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "core/codec.h"
 #include "core/tuple_plan.h"
 #include "relation/relation.h"
@@ -48,47 +48,25 @@ Relation MixedKeyRelation(std::size_t n) {
   return rel;
 }
 
+bool IsFit(const TuplePlan& plan, std::size_t j) {
+  return (plan.fit_words[j / 64] >> (j % 64)) & 1;
+}
+
 void ExpectPlansEqual(const TuplePlan& a, const TuplePlan& b,
                       const std::string& label) {
-  EXPECT_EQ(a.fit, b.fit) << label;
+  EXPECT_EQ(a.fit_words, b.fit_words) << label;
   EXPECT_EQ(a.h1, b.h1) << label;
   EXPECT_EQ(a.payload_index, b.payload_index) << label;
   EXPECT_EQ(a.fit_count, b.fit_count) << label;
 }
 
-TuplePlanOptions PlanOptions(PrfKind prf, std::size_t threads,
-                             bool use_dict_cache) {
+TuplePlanOptions PlanOptions(PrfKind prf, std::size_t threads) {
   TuplePlanOptions options;
   options.payload_len = 64;
   options.with_payload_index = true;
   options.num_threads = threads;
   options.prf = prf;
-  options.use_dict_cache = use_dict_cache;
   return options;
-}
-
-// The cross-backend property: for a dictionary-encoded key column the
-// per-dict-code cache and the uncached per-row batch path must produce
-// byte-identical plans, for every backend x thread count. e is small so a
-// healthy share of rows is fit.
-TEST(TuplePlanTest, DictCodeCacheIsBitIdenticalToUncachedPerRowPath) {
-  const Relation rel = MixedKeyRelation(3000);
-  const WatermarkKeySet keys = testutil::TestKeys();
-  WatermarkParams params;
-  params.e = 5;
-  for (const PrfKind prf : kBackends) {
-    for (const std::size_t threads : kThreadCounts) {
-      const TuplePlan cached = BuildTuplePlan(
-          rel, 1, keys, params, PlanOptions(prf, threads, true));
-      const TuplePlan uncached = BuildTuplePlan(
-          rel, 1, keys, params, PlanOptions(prf, threads, false));
-      ExpectPlansEqual(cached, uncached,
-                       std::string(PrfKindName(prf)) + " threads=" +
-                           std::to_string(threads));
-      EXPECT_EQ(cached.shard_fit, uncached.shard_fit);
-      EXPECT_GT(cached.fit_count, 0u);
-    }
-  }
 }
 
 // Thread-count invariance of both paths (shard_fit differs by construction;
@@ -101,10 +79,10 @@ TEST(TuplePlanTest, PlanIsThreadCountInvariant) {
   for (const PrfKind prf : kBackends) {
     for (const std::size_t key_col : {std::size_t{0}, std::size_t{1}}) {
       const TuplePlan reference =
-          BuildTuplePlan(rel, key_col, keys, params, PlanOptions(prf, 1, true));
+          BuildTuplePlan(rel, key_col, keys, params, PlanOptions(prf, 1));
       for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
         const TuplePlan plan = BuildTuplePlan(rel, key_col, keys, params,
-                                              PlanOptions(prf, threads, true));
+                                              PlanOptions(prf, threads));
         ExpectPlansEqual(plan, reference,
                          std::string(PrfKindName(prf)) + " col=" +
                              std::to_string(key_col) + " threads=" +
@@ -114,8 +92,9 @@ TEST(TuplePlanTest, PlanIsThreadCountInvariant) {
   }
 }
 
-// The chunked batch path must match a one-value-at-a-time reference loop
-// through the same PRF — the batch arena and view bookkeeping add nothing.
+// Both plan paths must match a one-value-at-a-time reference loop through
+// the same PRF: column 0 is a plain int64 key with NULLs, column 1 a
+// dictionary-encoded string key with NULLs and a dead entry.
 TEST(TuplePlanTest, BatchPathMatchesSingleShotReference) {
   const Relation rel = MixedKeyRelation(1500);
   const WatermarkKeySet keys = testutil::TestKeys();
@@ -126,30 +105,40 @@ TEST(TuplePlanTest, BatchPathMatchesSingleShotReference) {
         CreateKeyedPrf(prf_kind, keys.k1, params.hash_algo);
     const std::unique_ptr<KeyedPrf> prf_k2 =
         CreateKeyedPrf(prf_kind, keys.k2, params.hash_algo);
-    const TuplePlan plan =
-        BuildTuplePlan(rel, 0, keys, params, PlanOptions(prf_kind, 2, true));
-    HashScratch scratch;
-    std::size_t fit_count = 0;
-    for (std::size_t j = 0; j < rel.NumRows(); ++j) {
-      const Value& key = rel.Get(j, 0);
-      if (key.is_null()) {
-        EXPECT_EQ(plan.fit[j], 0) << j;
-        continue;
+    for (const std::size_t key_col : {std::size_t{0}, std::size_t{1}}) {
+      const std::string label = std::string(PrfKindName(prf_kind)) +
+                                " col=" + std::to_string(key_col);
+      const TuplePlan plan = BuildTuplePlan(rel, key_col, keys, params,
+                                            PlanOptions(prf_kind, 2));
+      HashScratch scratch;
+      std::size_t fit_count = 0;
+      std::size_t hashed = 0;
+      for (std::size_t j = 0; j < rel.NumRows(); ++j) {
+        const Value& key = rel.Get(j, key_col);
+        if (key.is_null()) {
+          EXPECT_FALSE(IsFit(plan, j)) << label << " row " << j;
+          continue;
+        }
+        ++hashed;
+        const std::uint64_t h1 = HashValue(*prf_k1, key, scratch);
+        if (h1 % params.e != 0) {
+          EXPECT_FALSE(IsFit(plan, j)) << label << " row " << j;
+          continue;
+        }
+        ++fit_count;
+        ASSERT_TRUE(IsFit(plan, j)) << label << " row " << j;
+        EXPECT_EQ(plan.h1[j], h1) << label << " row " << j;
+        EXPECT_EQ(plan.payload_index[j],
+                  PayloadIndexFromHash(HashValue(*prf_k2, key, scratch), 64,
+                                       params.bit_index_mode))
+            << label << " row " << j;
       }
-      const std::uint64_t h1 = HashValue(*prf_k1, key, scratch);
-      if (h1 % params.e != 0) {
-        EXPECT_EQ(plan.fit[j], 0) << j;
-        continue;
-      }
-      ++fit_count;
-      ASSERT_EQ(plan.fit[j], 1) << j;
-      EXPECT_EQ(plan.h1[j], h1) << j;
-      EXPECT_EQ(plan.payload_index[j],
-                PayloadIndexFromHash(HashValue(*prf_k2, key, scratch), 64,
-                                     params.bit_index_mode))
-          << j;
+      EXPECT_EQ(plan.fit_count, fit_count) << label;
+      EXPECT_GT(fit_count, 0u) << label;
+      // The plain path hashes every non-NULL row; the dict path each live
+      // distinct entry once (47 categories, the dead entry skipped).
+      EXPECT_EQ(plan.messages_hashed, key_col == 0 ? hashed : 47u) << label;
     }
-    EXPECT_EQ(plan.fit_count, fit_count);
   }
 }
 
@@ -160,28 +149,41 @@ TEST(TuplePlanTest, BackendsSelectDifferentTuples) {
   const WatermarkKeySet keys = testutil::TestKeys();
   WatermarkParams params;
   params.e = 5;
-  const TuplePlan kh = BuildTuplePlan(
-      rel, 0, keys, params, PlanOptions(PrfKind::kKeyedHash, 1, true));
-  const TuplePlan sip = BuildTuplePlan(
-      rel, 0, keys, params, PlanOptions(PrfKind::kSipHash24, 1, true));
-  EXPECT_NE(kh.fit, sip.fit);
+  const TuplePlan kh = BuildTuplePlan(rel, 0, keys, params,
+                                     PlanOptions(PrfKind::kKeyedHash, 1));
+  const TuplePlan sip = BuildTuplePlan(rel, 0, keys, params,
+                                      PlanOptions(PrfKind::kSipHash24, 1));
+  EXPECT_NE(kh.fit_words, sip.fit_words);
 }
 
-// shard_fit must tile the fit count exactly over the ShardBounds partition
-// on both paths (the sharded map-mode embed depends on it).
+// shard_fit must count the fit rows of each ShardBounds shard exactly, on
+// both paths (the sharded map-mode embed depends on it), including thread
+// counts whose row shards do not fall on 64-row word boundaries.
 TEST(TuplePlanTest, ShardFitSumsToFitCount) {
   const Relation rel = MixedKeyRelation(2000);
   const WatermarkKeySet keys = testutil::TestKeys();
   WatermarkParams params;
   params.e = 4;
-  for (const bool cached : {true, false}) {
-    const TuplePlan plan =
-        BuildTuplePlan(rel, 1, keys, params,
-                       PlanOptions(PrfKind::kSipHash24, 3, cached));
-    std::size_t sum = 0;
-    for (const std::size_t f : plan.shard_fit) sum += f;
-    EXPECT_EQ(sum, plan.fit_count);
-    EXPECT_EQ(plan.shard_fit.size(), 3u);
+  for (const std::size_t key_col : {std::size_t{0}, std::size_t{1}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      const TuplePlan plan =
+          BuildTuplePlan(rel, key_col, keys, params,
+                         PlanOptions(PrfKind::kSipHash24, threads));
+      ASSERT_EQ(plan.shard_fit.size(), threads);
+      const std::vector<std::size_t> bounds =
+          ShardBounds(rel.NumRows(), threads);
+      std::size_t sum = 0;
+      for (std::size_t s = 0; s < threads; ++s) {
+        std::size_t fit = 0;
+        for (std::size_t j = bounds[s]; j < bounds[s + 1]; ++j) {
+          fit += IsFit(plan, j);
+        }
+        EXPECT_EQ(plan.shard_fit[s], fit)
+            << "col=" << key_col << " shard " << s;
+        sum += fit;
+      }
+      EXPECT_EQ(sum, plan.fit_count);
+    }
   }
 }
 
