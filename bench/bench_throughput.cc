@@ -776,6 +776,21 @@ int Run(const ExperimentConfig& config) {
   const std::size_t catm_bytes =
       FileBytes::Open(catm_path).value().view().size();
 
+  // .catm save: the sized, sharded encoder plus the write(2) loop. The file
+  // must hold exactly the WriteCatmString image, so a fast writer that
+  // writes the wrong bytes fails the bench.
+  double save_catm_tps = 0.0;
+  const std::string catm_image = WriteCatmString(format_marked);
+  for (std::size_t pass = 0; pass < config.passes; ++pass) {
+    const auto start = Clock::now();
+    const Status saved = WriteCatmFile(format_marked, catm_path);
+    const double secs = SecondsSince(start);
+    CATMARK_CHECK(saved.ok()) << saved.ToString();
+    CATMARK_CHECK(FileBytes::Open(catm_path).value().view() == catm_image)
+        << ".catm file bytes differ from WriteCatmString";
+    if (n / secs > save_catm_tps) save_catm_tps = n / secs;
+  }
+
   double load_csv_tps = 0.0;
   double load_csv_parallel_tps = 0.0;
   double load_catm_tps = 0.0;
@@ -1029,6 +1044,7 @@ int Run(const ExperimentConfig& config) {
   PrintTableRow({"load->detect", FormatDouble(e2e_csv_tps, 0),
                  FormatDouble(e2e_catm_tps, 0),
                  FormatDouble(e2e_format_gain, 2), "-"});
+  PrintTableRow({"save", "-", FormatDouble(save_catm_tps, 0), "-", "-"});
 
   PrintTableTitle("streaming service sustained inserts/sec (best of passes; "
                   "batch=1 is the legacy row-at-a-time path)");
@@ -1119,6 +1135,7 @@ int Run(const ExperimentConfig& config) {
         "  \"e2e_csv_tps\": %.0f,\n"
         "  \"e2e_catm_tps\": %.0f,\n"
         "  \"e2e_format_gain\": %.3f,\n"
+        "  \"save_catm_tps\": %.0f,\n"
         "  \"csv_bytes\": %zu,\n"
         "  \"catm_bytes\": %zu,\n"
         "  \"stream_n\": %zu,\n"
@@ -1158,7 +1175,7 @@ int Run(const ExperimentConfig& config) {
         detect_simd_tps, plan_pass_tps, oneshot_vs_plan_gain, index_ms,
         load_csv_tps,
         load_csv_parallel_tps, load_catm_tps, e2e_csv_tps, e2e_catm_tps,
-        e2e_format_gain, csv_bytes, catm_bytes, stream_n,
+        e2e_format_gain, save_catm_tps, csv_bytes, catm_bytes, stream_n,
         stream_s1_tps[0], stream_s1_tps[1], stream_s1_tps[2],
         stream_s8_tps[0], stream_s8_tps[1], stream_s8_tps[2],
         stream_batch_gain,

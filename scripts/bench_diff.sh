@@ -3,8 +3,8 @@
 #   scripts/bench_diff.sh <baseline.json> <current.json> [regression-pct]
 #
 # Compares every numeric key present in either report (the union, in a
-# preferred pipeline order: embed, detect, PRF breakdown, load/e2e format
-# rows, streaming grid — unknown keys trail alphabetically), so newly added
+# preferred pipeline order: embed, detect, PRF breakdown, load/e2e/save
+# format rows, streaming grid — unknown keys trail alphabetically), so newly added
 # rows such as load_catm_tps / e2e_format_gain are picked up without
 # touching this script. Emits a GitHub warning annotation when a key
 # regresses by more than `regression-pct` (default 25%), and another when a
@@ -73,8 +73,8 @@ union = numeric_keys(baseline) | numeric_keys(current)
 # don't cover (future rows) trails alphabetically rather than vanishing.
 PREFIX_ORDER = ["embed_map_", "embed_prf_", "embed_", "detect_prf_",
                 "detect_simd_", "detect_oneshot_", "detect_plan_", "detect_",
-                "index_", "load_", "e2e_", "csv_", "catm_", "stream_prf_",
-                "stream_", "sweep_"]
+                "index_", "load_", "e2e_", "save_", "csv_", "catm_",
+                "stream_prf_", "stream_", "sweep_"]
 
 def sort_key(key):
     for rank, prefix in enumerate(PREFIX_ORDER):

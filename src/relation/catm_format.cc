@@ -86,65 +86,6 @@ std::uint64_t CatmChecksum(std::string_view bytes) {
                       bytes.size());
 }
 
-void AppendLeU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void AppendLeU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void AppendLeU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void AppendLeI32(std::vector<std::uint8_t>& out, std::int32_t v) {
-  AppendLeU32(out, static_cast<std::uint32_t>(v));
-}
-
-void AppendLeI64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  AppendLeU64(out, static_cast<std::uint64_t>(v));
-}
-
-void AppendLeI32Array(std::vector<std::uint8_t>& out,
-                      std::span<const std::int32_t> v) {
-  if constexpr (std::endian::native == std::endian::little) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-    out.insert(out.end(), p, p + v.size() * sizeof(std::int32_t));
-  } else {
-    for (const std::int32_t x : v) AppendLeI32(out, x);
-  }
-}
-
-void AppendLeI64Array(std::vector<std::uint8_t>& out,
-                      std::span<const std::int64_t> v) {
-  if constexpr (std::endian::native == std::endian::little) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-    out.insert(out.end(), p, p + v.size() * sizeof(std::int64_t));
-  } else {
-    for (const std::int64_t x : v) AppendLeI64(out, x);
-  }
-}
-
-void AppendLeU64Array(std::vector<std::uint8_t>& out,
-                      std::span<const std::uint64_t> v) {
-  if constexpr (std::endian::native == std::endian::little) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-    out.insert(out.end(), p, p + v.size() * sizeof(std::uint64_t));
-  } else {
-    for (const std::uint64_t x : v) AppendLeU64(out, x);
-  }
-}
-
-void EncodeValue(const Value& v, std::vector<std::uint8_t>& out) {
-  v.SerializeForHash(out);
-}
-
 bool ByteReader::ReadU8(std::uint8_t& v) {
   if (remaining() < 1) return false;
   v = data_[pos_++];
@@ -224,7 +165,9 @@ bool ByteReader::ReadLeI32Array(std::size_t n,
   if (n > remaining() / sizeof(std::int32_t)) return false;
   out.resize(n);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out.data(), data_ + pos_, n * sizeof(std::int32_t));
+    if (n > 0) {  // an empty vector's data() may be null
+      std::memcpy(out.data(), data_ + pos_, n * sizeof(std::int32_t));
+    }
     pos_ += n * sizeof(std::int32_t);
   } else {
     for (std::size_t i = 0; i < n; ++i) ReadLeI32(out[i]);
@@ -237,7 +180,9 @@ bool ByteReader::ReadLeI64Array(std::size_t n,
   if (n > remaining() / sizeof(std::int64_t)) return false;
   out.resize(n);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out.data(), data_ + pos_, n * sizeof(std::int64_t));
+    if (n > 0) {  // an empty vector's data() may be null
+      std::memcpy(out.data(), data_ + pos_, n * sizeof(std::int64_t));
+    }
     pos_ += n * sizeof(std::int64_t);
   } else {
     for (std::size_t i = 0; i < n; ++i) ReadLeI64(out[i]);
@@ -250,7 +195,9 @@ bool ByteReader::ReadLeU64Array(std::size_t n,
   if (n > remaining() / sizeof(std::uint64_t)) return false;
   out.resize(n);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out.data(), data_ + pos_, n * sizeof(std::uint64_t));
+    if (n > 0) {  // an empty vector's data() may be null
+      std::memcpy(out.data(), data_ + pos_, n * sizeof(std::uint64_t));
+    }
     pos_ += n * sizeof(std::uint64_t);
   } else {
     for (std::size_t i = 0; i < n; ++i) ReadLeU64(out[i]);

@@ -1,8 +1,10 @@
 #ifndef CATMARK_RELATION_CATM_FORMAT_H_
 #define CATMARK_RELATION_CATM_FORMAT_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -85,25 +87,45 @@ inline constexpr std::size_t kCatmMetaPerColumn = 4 + (1 + 8 + 8 + 8);
 std::uint64_t CatmChecksum(const std::uint8_t* data, std::size_t len);
 std::uint64_t CatmChecksum(std::string_view bytes);
 
-// --- Little-endian append helpers -----------------------------------------
+/// Forward writer over a pre-sized byte range: the writer-side mirror of
+/// ByteReader. The .catm encoder sizes every section before it writes, so
+/// the writer does no bounds checks of its own.
+class ByteWriter {
+ public:
+  explicit ByteWriter(std::uint8_t* p) : p_(p) {}
 
-void AppendLeU16(std::vector<std::uint8_t>& out, std::uint16_t v);
-void AppendLeU32(std::vector<std::uint8_t>& out, std::uint32_t v);
-void AppendLeU64(std::vector<std::uint8_t>& out, std::uint64_t v);
-void AppendLeI32(std::vector<std::uint8_t>& out, std::int32_t v);
-void AppendLeI64(std::vector<std::uint8_t>& out, std::int64_t v);
+  std::uint8_t* pos() const { return p_; }
 
-/// Bulk array forms: one memcpy on little-endian hosts, a per-element loop
-/// otherwise.
-void AppendLeI32Array(std::vector<std::uint8_t>& out,
-                      std::span<const std::int32_t> v);
-void AppendLeI64Array(std::vector<std::uint8_t>& out,
-                      std::span<const std::int64_t> v);
-void AppendLeU64Array(std::vector<std::uint8_t>& out,
-                      std::span<const std::uint64_t> v);
+  void PutU8(std::uint8_t v) { *p_++ = v; }
+  void PutLeU16(std::uint16_t v) { PutLe(v, 2); }
+  void PutLeU32(std::uint32_t v) { PutLe(v, 4); }
+  void PutLeU64(std::uint64_t v) { PutLe(v, 8); }
+  void PutBytes(const void* data, std::size_t n) {
+    if (n > 0) std::memcpy(p_, data, n);
+    p_ += n;
+  }
+  /// Fixed-width integer arrays, little-endian: one memcpy on
+  /// little-endian hosts, a per-element loop otherwise.
+  template <typename T>
+  void PutLeArray(std::span<const T> v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      PutBytes(v.data(), v.size_bytes());
+    } else {
+      for (const T x : v) PutLe(static_cast<std::uint64_t>(x), sizeof(T));
+    }
+  }
+  /// The format's value encoding (== Value::SerializeForHash).
+  void PutValue(const Value& v) { p_ = v.SerializeTo(p_); }
 
-/// Appends `v` in the format's value encoding (== Value::SerializeForHash).
-void EncodeValue(const Value& v, std::vector<std::uint8_t>& out);
+ private:
+  void PutLe(std::uint64_t v, std::size_t bytes) {
+    for (std::size_t i = 0; i < bytes; ++i) {
+      *p_++ = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+
+  std::uint8_t* p_;
+};
 
 /// Bounds-checked forward reader over a byte range. Every Read* returns
 /// false instead of reading past the end — the loader turns that into a

@@ -2,31 +2,36 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "relation/catm_format.h"
 #include "relation/csv.h"
 
 #if defined(__unix__) || defined(__APPLE__)
-#define CATMARK_HAVE_MMAP 1
+#define CATMARK_HAVE_POSIX_IO 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 #else
-#define CATMARK_HAVE_MMAP 0
+#define CATMARK_HAVE_POSIX_IO 0
 #endif
 
 namespace catmark {
 
 FileBytes::~FileBytes() {
-#if CATMARK_HAVE_MMAP
+#if CATMARK_HAVE_POSIX_IO
   if (map_ != nullptr) ::munmap(map_, map_len_);
 #endif
 }
@@ -47,7 +52,7 @@ FileBytes::FileBytes(FileBytes&& other) noexcept
 
 FileBytes& FileBytes::operator=(FileBytes&& other) noexcept {
   if (this == &other) return *this;
-#if CATMARK_HAVE_MMAP
+#if CATMARK_HAVE_POSIX_IO
   if (map_ != nullptr) ::munmap(map_, map_len_);
 #endif
   size_ = other.size_;
@@ -64,7 +69,7 @@ FileBytes& FileBytes::operator=(FileBytes&& other) noexcept {
 
 Result<FileBytes> FileBytes::Open(const std::string& path) {
   FileBytes fb;
-#if CATMARK_HAVE_MMAP
+#if CATMARK_HAVE_POSIX_IO
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     return Status::IoError("cannot open '" + path + "' for reading");
@@ -126,101 +131,223 @@ struct SectionEntry {
   std::uint64_t checksum = 0;
 };
 
-}  // namespace
+/// Where every byte of a relation's .catm image goes, fixed before any byte
+/// is written: the section table (checksums aside) and, per column, the
+/// offset inside its section at which each row shard's bytes start.
+struct CatmLayout {
+  std::size_t meta_length = 0;
+  std::size_t size = 0;
+  std::vector<std::size_t> bounds;  // row shards, as ShardBounds
+  std::vector<SectionEntry> table;
+  std::vector<std::vector<std::size_t>> shard_at;  // [column][shard]
+};
 
-std::string WriteCatmString(const Relation& rel) {
+/// Sizes every section. Dict sections are sized from their parts; plain
+/// sections by a parallel per-shard pass whose sizes an exclusive prefix
+/// sum turns into the shards' offsets.
+Result<CatmLayout> PlanCatm(const Relation& rel) {
   const Schema& schema = rel.schema();
   const ColumnStore& store = rel.store();
   const std::size_t num_cols = schema.num_columns();
-  const std::uint64_t num_rows = store.num_rows();
+  const std::size_t num_rows = store.num_rows();
 
-  std::size_t meta_length = 0;
+  CatmLayout layout;
   for (const Column& col : schema.columns()) {
-    CATMARK_CHECK_LE(col.name.size(), std::size_t{0xFFFF})
-        << "column name too long for .catm";
-    meta_length += kCatmMetaPerColumn + col.name.size();
+    // Schema::Create bounds every name to the format's u16 length field.
+    CATMARK_CHECK_LE(col.name.size(), kMaxColumnNameBytes);
+    layout.meta_length += kCatmMetaPerColumn + col.name.size();
   }
-  CATMARK_CHECK_LE(meta_length, std::size_t{0xFFFFFFFF})
-      << "schema too large for .catm";
-  const std::uint64_t sections_start = kCatmHeaderSize + meta_length;
+  if (layout.meta_length > 0xFFFFFFFF) {
+    return Status::InvalidArgument(
+        "schema too large for .catm: " + std::to_string(layout.meta_length) +
+        " meta bytes exceed the u32 length field");
+  }
 
-  // Column sections, contiguous in column order.
-  std::vector<std::uint8_t> body;
-  std::vector<SectionEntry> table(num_cols);
+  // One row shard per kCatmRowsPerShard rows, capped by the default thread
+  // count, so small relations stay on the calling thread.
+  const std::size_t shards = EffectiveThreadCount(
+      0, std::max<std::size_t>(1, num_rows / kCatmRowsPerShard));
+  layout.bounds = ShardBounds(num_rows, shards);
+  layout.shard_at.assign(num_cols, std::vector<std::size_t>(shards, 0));
+  ParallelFor(num_rows, shards,
+              [&](std::size_t s, std::size_t begin, std::size_t end) {
+                for (std::size_t c = 0; c < num_cols; ++c) {
+                  if (store.IsDictColumn(c)) continue;
+                  const std::vector<Value>& values = store.PlainValues(c);
+                  std::size_t bytes = 0;
+                  for (std::size_t r = begin; r < end; ++r) {
+                    bytes += values[r].SerializedSize();
+                  }
+                  layout.shard_at[c][s] = bytes;
+                }
+              });
+
+  layout.table.resize(num_cols);
+  std::size_t offset = kCatmHeaderSize + layout.meta_length;
   for (std::size_t c = 0; c < num_cols; ++c) {
-    const std::size_t begin = body.size();
+    SectionEntry& entry = layout.table[c];
+    std::vector<std::size_t>& at = layout.shard_at[c];
     if (store.IsDictColumn(c)) {
+      // Count, offsets, blob and live counts, then the codes: shard s copies
+      // its rows' codes to row bounds[s] of the code array.
       const std::vector<Value>& dict = store.Dict(c);
-      AppendLeU32(body, static_cast<std::uint32_t>(dict.size()));
-      std::vector<std::uint8_t> blob;
-      std::vector<std::uint64_t> offsets;
-      offsets.reserve(dict.size() + 1);
-      offsets.push_back(0);
-      for (const Value& v : dict) {
-        EncodeValue(v, blob);
-        offsets.push_back(blob.size());
+      std::size_t codes_at = 4 + 8 * (dict.size() + 1) + 8 * dict.size();
+      for (const Value& v : dict) codes_at += v.SerializedSize();
+      for (std::size_t s = 0; s < shards; ++s) {
+        at[s] = codes_at + 4 * layout.bounds[s];
       }
-      AppendLeU64Array(body, offsets);
-      body.insert(body.end(), blob.begin(), blob.end());
-      AppendLeI64Array(body, store.DictLiveCounts(c));
-      AppendLeI32Array(body, store.Codes(c));
-      table[c].kind = kCatmSectionDict;
+      entry.kind = kCatmSectionDict;
+      entry.length = codes_at + 4 * num_rows;
     } else {
-      for (const Value& v : store.PlainValues(c)) EncodeValue(v, body);
-      table[c].kind = kCatmSectionPlain;
+      entry.kind = kCatmSectionPlain;
+      entry.length = ExclusivePrefixSum(at);
     }
-    table[c].offset = sections_start + begin;
-    table[c].length = body.size() - begin;
-    table[c].checksum = CatmChecksum(body.data() + begin, body.size() - begin);
+    entry.offset = offset;
+    offset += entry.length;
+  }
+  layout.size = offset;
+  return layout;
+}
+
+/// Encodes `rel` into `image` (layout.size bytes): dictionary heads
+/// serially, then plain values and code slices one row shard per worker,
+/// then the section checksums one column per worker, then the header and
+/// meta block with their checksum.
+void EncodeCatm(const Relation& rel, CatmLayout& layout, std::uint8_t* image) {
+  const Schema& schema = rel.schema();
+  const ColumnStore& store = rel.store();
+  const std::size_t num_cols = schema.num_columns();
+  const std::size_t num_rows = store.num_rows();
+  const std::size_t shards = layout.bounds.size() - 1;
+
+  for (std::size_t c = 0; c < num_cols; ++c) {
+    if (!store.IsDictColumn(c)) continue;
+    const std::vector<Value>& dict = store.Dict(c);
+    ByteWriter w(image + layout.table[c].offset);
+    w.PutLeU32(static_cast<std::uint32_t>(dict.size()));
+    std::uint64_t blob_at = 0;
+    w.PutLeU64(blob_at);
+    for (const Value& v : dict) {
+      blob_at += v.SerializedSize();
+      w.PutLeU64(blob_at);
+    }
+    for (const Value& v : dict) w.PutValue(v);
+    w.PutLeArray(std::span<const std::int64_t>(store.DictLiveCounts(c)));
+    CATMARK_CHECK(w.pos() ==
+                  image + layout.table[c].offset + layout.shard_at[c][0]);
   }
 
-  // Checksummed region: counts, schema entries, section table.
-  std::vector<std::uint8_t> checked;
-  checked.reserve((kCatmHeaderSize - kCatmChecksumStart) + meta_length);
-  AppendLeU64(checked, num_rows);
-  AppendLeU32(checked, static_cast<std::uint32_t>(num_cols));
-  AppendLeI32(checked, schema.primary_key_index());
+  ParallelFor(
+      num_rows, shards, [&](std::size_t s, std::size_t begin, std::size_t end) {
+        for (std::size_t c = 0; c < num_cols; ++c) {
+          const SectionEntry& entry = layout.table[c];
+          const std::vector<std::size_t>& at = layout.shard_at[c];
+          ByteWriter w(image + entry.offset + at[s]);
+          if (store.IsDictColumn(c)) {
+            w.PutLeArray(std::span<const std::int32_t>(store.Codes(c))
+                             .subspan(begin, end - begin));
+          } else {
+            const std::vector<Value>& values = store.PlainValues(c);
+            for (std::size_t r = begin; r < end; ++r) w.PutValue(values[r]);
+          }
+          const std::size_t shard_end =
+              s + 1 < shards ? at[s + 1] : entry.length;
+          CATMARK_CHECK(w.pos() == image + entry.offset + shard_end);
+        }
+      });
+
+  ParallelFor(num_cols, shards,
+              [&](std::size_t, std::size_t begin, std::size_t end) {
+                for (std::size_t c = begin; c < end; ++c) {
+                  SectionEntry& entry = layout.table[c];
+                  entry.checksum = CatmChecksum(image + entry.offset,
+                                                entry.length);
+                }
+              });
+
+  ByteWriter w(image);
+  w.PutBytes(kCatmMagic, sizeof(kCatmMagic));
+  w.PutLeU32(kCatmVersion);
+  w.PutLeU32(static_cast<std::uint32_t>(layout.meta_length));
+  w.PutLeU64(0);  // meta checksum, sealed below
+  w.PutLeU64(num_rows);
+  w.PutLeU32(static_cast<std::uint32_t>(num_cols));
+  w.PutLeU32(static_cast<std::uint32_t>(schema.primary_key_index()));
   for (const Column& col : schema.columns()) {
-    AppendLeU16(checked, static_cast<std::uint16_t>(col.name.size()));
-    checked.insert(checked.end(), col.name.begin(), col.name.end());
-    checked.push_back(TypeByte(col.type));
-    checked.push_back(col.categorical ? 1 : 0);
+    w.PutLeU16(static_cast<std::uint16_t>(col.name.size()));
+    w.PutBytes(col.name.data(), col.name.size());
+    w.PutU8(TypeByte(col.type));
+    w.PutU8(col.categorical ? 1 : 0);
   }
-  for (const SectionEntry& s : table) {
-    checked.push_back(s.kind);
-    AppendLeU64(checked, s.offset);
-    AppendLeU64(checked, s.length);
-    AppendLeU64(checked, s.checksum);
+  for (const SectionEntry& entry : layout.table) {
+    w.PutU8(entry.kind);
+    w.PutLeU64(entry.offset);
+    w.PutLeU64(entry.length);
+    w.PutLeU64(entry.checksum);
   }
-  CATMARK_CHECK_EQ(checked.size(),
-                   (kCatmHeaderSize - kCatmChecksumStart) + meta_length);
+  const std::size_t sections_start = kCatmHeaderSize + layout.meta_length;
+  CATMARK_CHECK(w.pos() == image + sections_start);
+  ByteWriter(image + 16).PutLeU64(
+      CatmChecksum(image + kCatmChecksumStart,
+                   sections_start - kCatmChecksumStart));
+}
 
-  std::string out;
-  out.reserve(kCatmHeaderSize + meta_length + body.size());
-  out.append(reinterpret_cast<const char*>(kCatmMagic), sizeof(kCatmMagic));
-  std::vector<std::uint8_t> head;
-  head.reserve(16);
-  AppendLeU32(head, kCatmVersion);
-  AppendLeU32(head, static_cast<std::uint32_t>(meta_length));
-  AppendLeU64(head, CatmChecksum(checked.data(), checked.size()));
-  out.append(head.begin(), head.end());
-  out.append(checked.begin(), checked.end());
-  out.append(body.begin(), body.end());
+}  // namespace
+
+std::string WriteCatmString(const Relation& rel) {
+  Result<CatmLayout> layout = PlanCatm(rel);
+  CATMARK_CHECK(layout.ok()) << layout.status().ToString();
+  std::string out(layout->size, '\0');
+  EncodeCatm(rel, *layout, reinterpret_cast<std::uint8_t*>(out.data()));
   return out;
 }
 
 Status WriteCatmFile(const Relation& rel, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
+  CATMARK_ASSIGN_OR_RETURN(CatmLayout layout, PlanCatm(rel));
+#if CATMARK_HAVE_POSIX_IO
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    return Status::IoError("cannot open '" + path +
+                           "' for writing: " + std::strerror(errno));
+  }
+  // Default-initialized rather than zeroed: the encode shards are the first
+  // to touch each page, in parallel.
+  const std::unique_ptr<std::uint8_t[]> image(new std::uint8_t[layout.size]);
+  EncodeCatm(rel, layout, image.get());
+  const std::uint8_t* p = image.get();
+  std::size_t left = layout.size;
+  int error = 0;
+  while (left > 0) {
+    const ::ssize_t n = ::write(fd, p, left);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      error = n < 0 ? errno : EIO;
+      break;
+    }
+    p += n;
+    left -= static_cast<std::size_t>(n);
+  }
+  if (::close(fd) != 0 && error == 0) error = errno;
+  if (error != 0) {
+    return Status::IoError("error while writing '" + path +
+                           "': " + std::strerror(error));
+  }
+  return Status::OK();
+#else
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
     return Status::IoError("cannot open '" + path + "' for writing");
   }
-  const std::string bytes = WriteCatmString(rel);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) {
+  std::string image(layout.size, '\0');
+  EncodeCatm(rel, layout, reinterpret_cast<std::uint8_t*>(image.data()));
+  const bool wrote = std::fwrite(image.data(), 1, image.size(), f) ==
+                     image.size();
+  if (std::fclose(f) != 0 || !wrote) {
     return Status::IoError("error while writing '" + path + "'");
   }
   return Status::OK();
+#endif
 }
 
 namespace {
@@ -289,6 +416,92 @@ Status DecodePlainSection(ByteReader& r, ColumnType type,
     return Status::InvalidArgument(
         ".catm plain section has trailing bytes in column '" + name + "'");
   }
+  return Status::OK();
+}
+
+/// One column's section, verified and decoded: the parts its install takes,
+/// or the Status the column failed with.
+struct DecodedColumn {
+  Status status;
+  std::vector<Value> dict;
+  std::vector<std::int64_t> live;
+  std::vector<std::int32_t> codes;
+  std::vector<Value> values;  // plain sections
+};
+
+/// Checks one section's checksum and decodes it into `out`. Touches only
+/// the image and `out`, so columns decode on separate workers.
+Status DecodeSection(const std::uint8_t* data, const SectionEntry& s,
+                     const Column& col, std::uint64_t num_rows,
+                     DecodedColumn& out) {
+  const std::uint8_t* sp = data + s.offset;
+  const auto slen = static_cast<std::size_t>(s.length);
+  if (CatmChecksum(sp, slen) != s.checksum) {
+    return Status::DataLoss(".catm section checksum mismatch in column '" +
+                            col.name + "'");
+  }
+  ByteReader r(sp, slen);
+  if (s.kind != kCatmSectionDict) {
+    return DecodePlainSection(r, col.type, num_rows, col.name, out.values);
+  }
+  std::uint32_t dict_count = 0;
+  if (!r.ReadLeU32(dict_count)) {
+    return Status::InvalidArgument(".catm dict section for column '" +
+                                   col.name + "' is too short");
+  }
+  std::vector<std::uint64_t> offsets;
+  if (!r.ReadLeU64Array(static_cast<std::size_t>(dict_count) + 1, offsets)) {
+    return Status::InvalidArgument(
+        ".catm dict offsets run past the section end in column '" + col.name +
+        "'");
+  }
+  const std::uint64_t live_bytes = std::uint64_t{dict_count} * 8;
+  const std::uint64_t code_bytes = num_rows * 4;
+  if (live_bytes + code_bytes > r.remaining()) {
+    return Status::InvalidArgument(
+        ".catm dict section too short for live counts and codes in column '" +
+        col.name + "'");
+  }
+  const std::size_t blob_len =
+      r.remaining() - static_cast<std::size_t>(live_bytes + code_bytes);
+  if (offsets.front() != 0 || offsets.back() != blob_len) {
+    return Status::InvalidArgument(
+        ".catm dict blob length disagrees with its offsets in column '" +
+        col.name + "'");
+  }
+  // Full monotonicity must hold before any entry is decoded: together with
+  // front()==0 and back()==blob_len it bounds every offset by blob_len, so
+  // no ByteReader below can reach past the blob.
+  for (std::size_t i = 0; i < dict_count; ++i) {
+    if (offsets[i] > offsets[i + 1]) {
+      return Status::InvalidArgument(
+          ".catm dict offsets are not monotone in column '" + col.name + "'");
+    }
+  }
+  const std::uint8_t* blob = nullptr;
+  r.ReadBytes(blob_len, blob);
+  out.dict.resize(dict_count);
+  for (std::size_t i = 0; i < dict_count; ++i) {
+    ByteReader vr(blob + offsets[i],
+                  static_cast<std::size_t>(offsets[i + 1] - offsets[i]));
+    CATMARK_RETURN_IF_ERROR(DecodeValue(vr, out.dict[i]));
+    if (!vr.AtEnd()) {
+      return Status::InvalidArgument(
+          ".catm dict entry has trailing bytes in column '" + col.name + "'");
+    }
+    if (out.dict[i].is_null()) {
+      return Status::InvalidArgument(
+          ".catm dictionary contains a NULL entry in column '" + col.name +
+          "'");
+    }
+    if (!out.dict[i].MatchesType(col.type)) {
+      return Status::InvalidArgument(
+          ".catm dict entry type disagrees with the schema in column '" +
+          col.name + "'");
+    }
+  }
+  r.ReadLeI64Array(dict_count, out.live);
+  r.ReadLeI32Array(static_cast<std::size_t>(num_rows), out.codes);
   return Status::OK();
 }
 
@@ -431,92 +644,29 @@ Result<Relation> ReadCatmImpl(std::string_view bytes, const Schema* expected) {
         ".catm file has trailing bytes after the last section");
   }
 
+  // Sections verify and decode one column per worker; the columns then
+  // install in column order, and the first failure in that order wins, so a
+  // corrupt image reports the same Status at every worker count.
+  std::vector<DecodedColumn> decoded(num_columns);
+  ParallelFor(num_columns,
+              num_rows >= kCatmRowsPerShard
+                  ? EffectiveThreadCount(0, num_columns)
+                  : 1,
+              [&](std::size_t, std::size_t begin, std::size_t end) {
+                for (std::size_t c = begin; c < end; ++c) {
+                  decoded[c].status = DecodeSection(
+                      data, table[c], schema.column(c), num_rows, decoded[c]);
+                }
+              });
   ColumnStore store(schema);
   for (std::size_t c = 0; c < num_columns; ++c) {
-    const SectionEntry& s = table[c];
-    const std::uint8_t* sp = data + s.offset;
-    const auto slen = static_cast<std::size_t>(s.length);
-    if (CatmChecksum(sp, slen) != s.checksum) {
-      return Status::DataLoss(".catm section checksum mismatch in column '" +
-                              schema.column(c).name + "'");
-    }
-    ByteReader r(sp, slen);
-    const ColumnType type = schema.column(c).type;
-    if (s.kind == kCatmSectionDict) {
-      std::uint32_t dict_count = 0;
-      if (!r.ReadLeU32(dict_count)) {
-        return Status::InvalidArgument(".catm dict section for column '" +
-                                       schema.column(c).name +
-                                       "' is too short");
-      }
-      std::vector<std::uint64_t> offsets;
-      if (!r.ReadLeU64Array(static_cast<std::size_t>(dict_count) + 1,
-                            offsets)) {
-        return Status::InvalidArgument(
-            ".catm dict offsets run past the section end in column '" +
-            schema.column(c).name + "'");
-      }
-      const std::uint64_t live_bytes = std::uint64_t{dict_count} * 8;
-      const std::uint64_t code_bytes = num_rows * 4;
-      if (live_bytes + code_bytes > r.remaining()) {
-        return Status::InvalidArgument(
-            ".catm dict section too short for live counts and codes in "
-            "column '" +
-            schema.column(c).name + "'");
-      }
-      const std::size_t blob_len =
-          r.remaining() - static_cast<std::size_t>(live_bytes + code_bytes);
-      if (offsets.front() != 0 || offsets.back() != blob_len) {
-        return Status::InvalidArgument(
-            ".catm dict blob length disagrees with its offsets in column '" +
-            schema.column(c).name + "'");
-      }
-      // Full monotonicity must hold before any entry is decoded: together
-      // with front()==0 and back()==blob_len it bounds every offset by
-      // blob_len, so no ByteReader below can reach past the blob.
-      for (std::size_t i = 0; i < dict_count; ++i) {
-        if (offsets[i] > offsets[i + 1]) {
-          return Status::InvalidArgument(
-              ".catm dict offsets are not monotone in column '" +
-              schema.column(c).name + "'");
-        }
-      }
-      const std::uint8_t* blob = nullptr;
-      r.ReadBytes(blob_len, blob);
-      std::vector<Value> dict(dict_count);
-      for (std::size_t i = 0; i < dict_count; ++i) {
-        ByteReader vr(blob + offsets[i],
-                      static_cast<std::size_t>(offsets[i + 1] - offsets[i]));
-        CATMARK_RETURN_IF_ERROR(DecodeValue(vr, dict[i]));
-        if (!vr.AtEnd()) {
-          return Status::InvalidArgument(
-              ".catm dict entry has trailing bytes in column '" +
-              schema.column(c).name + "'");
-        }
-        if (dict[i].is_null()) {
-          return Status::InvalidArgument(
-              ".catm dictionary contains a NULL entry in column '" +
-              schema.column(c).name + "'");
-        }
-        if (!dict[i].MatchesType(type)) {
-          return Status::InvalidArgument(
-              ".catm dict entry type disagrees with the schema in column '" +
-              schema.column(c).name + "'");
-        }
-      }
-      std::vector<std::int64_t> live;
-      std::vector<std::int32_t> codes;
-      r.ReadLeI64Array(dict_count, live);
-      r.ReadLeI32Array(static_cast<std::size_t>(num_rows), codes);
-      CATMARK_RETURN_IF_ERROR(
-          store.InstallDictColumn(c, std::move(dict), std::move(live),
-                                  std::move(codes)));
-    } else {
-      std::vector<Value> values;
-      CATMARK_RETURN_IF_ERROR(DecodePlainSection(
-          r, type, num_rows, schema.column(c).name, values));
-      CATMARK_RETURN_IF_ERROR(store.InstallPlainColumn(c, std::move(values)));
-    }
+    DecodedColumn& d = decoded[c];
+    CATMARK_RETURN_IF_ERROR(d.status);
+    CATMARK_RETURN_IF_ERROR(
+        table[c].kind == kCatmSectionDict
+            ? store.InstallDictColumn(c, std::move(d.dict), std::move(d.live),
+                                      std::move(d.codes))
+            : store.InstallPlainColumn(c, std::move(d.values)));
   }
   CATMARK_RETURN_IF_ERROR(
       store.FinalizeInstall(static_cast<std::size_t>(num_rows)));

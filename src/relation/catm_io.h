@@ -42,17 +42,34 @@ class FileBytes {
 /// format-agnostic load path dispatches on.
 bool LooksLikeCatm(std::string_view bytes);
 
+/// Rows per encode/decode shard. The writer splits plain-column encoding
+/// and code copies into row shards of at least this many rows, and the
+/// loader decodes columns on separate workers only for images of at least
+/// this many rows; anything smaller stays on the calling thread, where it
+/// finishes faster than a thread spawns. Shard boundaries never change the
+/// bytes: the image is identical at every worker count.
+inline constexpr std::size_t kCatmRowsPerShard = std::size_t{1} << 14;
+
 /// Serializes `rel` as a .catm v1 image (see catm_format.h for the layout).
-/// Deterministic: equal stores (schema, dictionaries, codes, values)
-/// serialize to byte-identical output.
+/// One encoder serves both forms: it sizes every section first, encodes
+/// plain values and code arrays one row shard per worker straight into a
+/// single pre-sized image, and checksums the sections one column per
+/// worker. Deterministic: equal stores (schema, dictionaries, codes,
+/// values) serialize to byte-identical output at every worker count.
 std::string WriteCatmString(const Relation& rel);
+/// Writes the same bytes as WriteCatmString to `path` with one write(2)
+/// loop and no second copy. IoError when the file cannot be opened or
+/// fully written (missing directory, a directory path, a full disk).
 Status WriteCatmFile(const Relation& rel, const std::string& path);
 
 /// Parses a .catm image back into a Relation. Validation order: magic and
 /// version, then the meta checksum, then the schema and section table, then
 /// each section's checksum and contents — so corruption anywhere yields
 /// DataLoss (truncation / checksum mismatch) or InvalidArgument (structural
-/// inconsistency), never a crash. The two-argument form additionally
+/// inconsistency), never a crash. Sections are verified and decoded one
+/// column per worker and installed in column order; when several columns
+/// are corrupt the lowest-numbered one's Status is returned, exactly as a
+/// serial column-by-column load would. The two-argument form additionally
 /// requires the embedded schema to equal `expected`.
 Result<Relation> ReadCatmString(std::string_view bytes);
 Result<Relation> ReadCatmString(std::string_view bytes,

@@ -16,6 +16,12 @@ Result<Schema> Schema::Create(std::vector<Column> columns,
     if (c.name.empty()) {
       return Status::InvalidArgument("column names must be non-empty");
     }
+    if (c.name.size() > kMaxColumnNameBytes) {
+      return Status::InvalidArgument(
+          "column name of " + std::to_string(c.name.size()) +
+          " bytes exceeds the " + std::to_string(kMaxColumnNameBytes) +
+          "-byte limit");
+    }
     if (!names.insert(c.name).second) {
       return Status::AlreadyExists("duplicate column name '" + c.name + "'");
     }

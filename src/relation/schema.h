@@ -1,6 +1,7 @@
 #ifndef CATMARK_RELATION_SCHEMA_H_
 #define CATMARK_RELATION_SCHEMA_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -9,6 +10,10 @@
 #include "relation/value.h"
 
 namespace catmark {
+
+/// Longest column name Schema::Create accepts, in bytes: the .catm format
+/// stores each name's length in a u16.
+inline constexpr std::size_t kMaxColumnNameBytes = 0xFFFF;
 
 /// One attribute of the relation. `categorical` marks discrete attributes —
 /// the watermark embedding channels of this library. The paper's schema is
@@ -27,7 +32,8 @@ class Schema {
 
   /// Builds a schema. `primary_key` may be empty (no PK — e.g. after a
   /// vertical partitioning attack dropped it); otherwise it must name one of
-  /// the columns. Column names must be unique and non-empty.
+  /// the columns. Column names must be unique, non-empty and at most
+  /// kMaxColumnNameBytes long.
   static Result<Schema> Create(std::vector<Column> columns,
                                std::string_view primary_key = "");
 

@@ -1,6 +1,5 @@
 #include "relation/value.h"
 
-#include <bit>
 #include <charconv>
 #include <cstdio>
 
@@ -89,38 +88,12 @@ Result<Value> Value::Parse(std::string_view text, ColumnType type) {
   return Status::InvalidArgument("unknown column type");
 }
 
-namespace {
-void AppendBigEndian64(std::uint64_t v, std::vector<std::uint8_t>& out) {
-  // One grow + one 8-byte store instead of eight push_backs: this sits on
-  // the per-row serialize path of every embed/detect, where the byte-at-a-
-  // time loop was a measurable fraction of the non-hash time.
-  std::uint8_t buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<std::uint8_t>(v >> (8 * (7 - i)));
-  }
-  out.insert(out.end(), buf, buf + 8);
-}
-}  // namespace
-
 void Value::SerializeForHash(std::vector<std::uint8_t>& out) const {
-  if (is_null()) {
-    out.push_back(0);
-    return;
-  }
-  if (is_int64()) {
-    out.push_back(1);
-    AppendBigEndian64(static_cast<std::uint64_t>(AsInt64()), out);
-    return;
-  }
-  if (is_double()) {
-    out.push_back(2);
-    AppendBigEndian64(std::bit_cast<std::uint64_t>(AsDouble()), out);
-    return;
-  }
-  const std::string& s = AsString();
-  out.push_back(3);
-  AppendBigEndian64(s.size(), out);
-  out.insert(out.end(), s.begin(), s.end());
+  // One grow and one SerializeTo instead of a push_back per byte: this sits
+  // on the per-row serialize path of every embed/detect.
+  const std::size_t at = out.size();
+  out.resize(at + SerializedSize());
+  SerializeTo(out.data() + at);
 }
 
 std::string_view Value::SerializeKeyInto(

@@ -2,20 +2,26 @@
 // part of the deployment surface — marked datasets get archived in this
 // format and must load byte-for-byte forever — so the golden image below is
 // pinned at the hex level, round-trips must be exact (dead dictionary
-// entries included), the parallel converter must be thread-count invariant,
-// and hostile bytes must fail with a clean Status: the corruption sweep
-// flips every single byte and tries every truncation of the golden image.
+// entries included), the parallel converter, the sharded writer and the
+// column-parallel loader must be thread-count invariant, and hostile bytes
+// must fail with a clean, pinned Status: the corruption sweep flips every
+// single byte and tries every truncation of the golden image.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "common/parallel.h"
 #include "core/embedder.h"
 #include "crypto/sha256.h"
 #include "gen/sales_gen.h"
@@ -68,6 +74,110 @@ Relation TinyRelation() {
   rel.AppendRowUnchecked({Value(std::int64_t{2}), Value(std::string("y"))});
   rel.AppendRowUnchecked({Value(std::int64_t{3}), Value(std::string("x"))});
   return rel;
+}
+
+/// Sets CATMARK_THREADS for one scope — the writer and the loader size
+/// their worker pools from it — and restores the previous value.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(const char* threads) {
+    if (const char* old = std::getenv("CATMARK_THREADS")) saved_ = old;
+    ::setenv("CATMARK_THREADS", threads, 1);
+  }
+  ~ScopedThreads() {
+    if (saved_.has_value()) {
+      ::setenv("CATMARK_THREADS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("CATMARK_THREADS");
+    }
+  }
+  ScopedThreads(const ScopedThreads&) = delete;
+  ScopedThreads& operator=(const ScopedThreads&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+/// `n` rows over (K INT64 PK, D DOUBLE, S STRING, C STRING CATEGORICAL,
+/// N INT64). With n >= 8 * kCatmRowsPerShard the writer runs one row shard
+/// per worker, so at 2, 3, 4 and 8 workers its shard boundaries are
+/// ShardBounds(n, workers); the three rows either side of every such
+/// boundary hold a NULL in N, a long string in S and -0.0 in D. Elsewhere
+/// the columns mix NULLs, short strings and ordinary doubles.
+Relation ShardedRelation(std::size_t n) {
+  const Schema schema = Schema::Create({{"K", ColumnType::kInt64, false},
+                                        {"D", ColumnType::kDouble, false},
+                                        {"S", ColumnType::kString, false},
+                                        {"C", ColumnType::kString, true},
+                                        {"N", ColumnType::kInt64, false}},
+                                       "K")
+                            .value();
+  std::vector<bool> near_boundary(n, false);
+  for (const std::size_t workers : {2u, 3u, 4u, 8u}) {
+    const std::vector<std::size_t> bounds = ShardBounds(n, workers);
+    for (std::size_t s = 1; s < workers; ++s) {
+      for (std::size_t r = bounds[s] - 3; r < bounds[s] + 3 && r < n; ++r) {
+        near_boundary[r] = true;
+      }
+    }
+  }
+  Relation rel(schema);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto k = static_cast<std::int64_t>(i);
+    Row row{Value(k), Value(0.25 * static_cast<double>(i)),
+            Value(std::to_string(i)), Value(std::to_string(i % 37)),
+            Value(k * 7)};
+    if (i % 13 == 0) row[2] = Value();
+    if (i % 17 == 0) row[3] = Value();
+    if (i % 11 < 3) row[4] = Value();
+    if (near_boundary[i]) {
+      row[1] = Value(-0.0);
+      row[2] = Value(
+          std::string(700 + i % 300, static_cast<char>('a' + i % 26)));
+      row[4] = Value();
+    }
+    rel.AppendRowUnchecked(std::move(row));
+  }
+  return rel;
+}
+
+/// One section-table entry, as read back from an image.
+struct TableEntry {
+  std::size_t entry_pos = 0;  // where the entry sits in the meta block
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;
+};
+
+std::vector<TableEntry> ReadSectionTable(std::string_view bytes) {
+  std::uint32_t meta_length = 0;
+  std::uint32_t num_columns = 0;
+  ByteReader(bytes.substr(12)).ReadLeU32(meta_length);
+  ByteReader(bytes.substr(32)).ReadLeU32(num_columns);
+  constexpr std::size_t kEntryBytes = 1 + 8 + 8 + 8;
+  const std::size_t table_pos =
+      kCatmHeaderSize + meta_length - num_columns * kEntryBytes;
+  std::vector<TableEntry> table(num_columns);
+  for (std::size_t c = 0; c < num_columns; ++c) {
+    table[c].entry_pos = table_pos + c * kEntryBytes;
+    ByteReader r(bytes.substr(table[c].entry_pos + 1));
+    r.ReadLeU64(table[c].offset);
+    r.ReadLeU64(table[c].length);
+  }
+  return table;
+}
+
+/// Re-computes column `c`'s section checksum and then the meta checksum, so
+/// an edit inside that section is no longer caught by a checksum.
+void Reseal(std::string& bytes, const std::vector<TableEntry>& table,
+            std::size_t c) {
+  const std::string_view view(bytes);
+  std::uint32_t meta_length = 0;
+  ByteReader(view.substr(12)).ReadLeU32(meta_length);
+  PutLeU64(bytes, table[c].entry_pos + 1 + 8 + 8,
+           CatmChecksum(view.substr(static_cast<std::size_t>(table[c].offset),
+                                    static_cast<std::size_t>(table[c].length))));
+  PutLeU64(bytes, 16,
+           CatmChecksum(view.substr(kCatmChecksumStart, 16 + meta_length)));
 }
 
 // --- golden image ---------------------------------------------------------
@@ -278,18 +388,30 @@ TEST(CatmCorruptionTest, UnsupportedVersionIsInvalidArgument) {
   EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
 }
 
+/// One letter per load: '.' for OK, 'D' DataLoss, 'I' InvalidArgument, '?'
+/// anything else — so a sweep's outcome pins as one string.
+char StatusLetter(const Status& s) {
+  if (s.ok()) return '.';
+  if (s.IsDataLoss()) return 'D';
+  if (s.IsInvalidArgument()) return 'I';
+  return '?';
+}
+
 TEST(CatmCorruptionTest, EverySingleByteFlipFailsToParse) {
   // Whole-file integrity: the meta checksum covers the counts, schema and
   // section table (which embeds the per-section checksums); the magic,
   // version and meta_length fields are structurally validated. So there is
-  // no byte whose corruption goes unnoticed.
+  // no byte whose corruption goes unnoticed. The status code of every flip
+  // is pinned: flips in the magic and version fields are InvalidArgument,
+  // every later flip is caught by a checksum or a bound as DataLoss.
   const std::string bytes = WriteCatmString(TinyRelation());
+  std::string codes;
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     std::string mutated = bytes;
     mutated[i] = static_cast<char>(mutated[i] ^ 0xFF);
-    const Result<Relation> r = ReadCatmString(mutated);
-    EXPECT_FALSE(r.ok()) << "flip at byte " << i << " parsed successfully";
+    codes += StatusLetter(ReadCatmString(mutated).status());
   }
+  EXPECT_EQ(codes, std::string(12, 'I') + std::string(bytes.size() - 12, 'D'));
 }
 
 TEST(CatmCorruptionTest, HostileDictOffsetsWithValidChecksumsAreRejected) {
@@ -353,11 +475,134 @@ TEST(CatmCorruptionTest, HostileDictOffsetsWithValidChecksumsAreRejected) {
 }
 
 TEST(CatmCorruptionTest, EveryTruncationFailsToParse) {
+  // Shorter than the magic is "not a .catm file"; anything longer is a
+  // truncated one.
   const std::string bytes = WriteCatmString(TinyRelation());
+  std::string codes;
   for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
-    const Result<Relation> r =
-        ReadCatmString(std::string_view(bytes).substr(0, keep));
-    EXPECT_FALSE(r.ok()) << "truncation to " << keep << " bytes parsed";
+    codes += StatusLetter(
+        ReadCatmString(std::string_view(bytes).substr(0, keep)).status());
+  }
+  EXPECT_EQ(codes, std::string(sizeof(kCatmMagic), 'I') +
+                       std::string(bytes.size() - sizeof(kCatmMagic), 'D'));
+}
+
+TEST(CatmCorruptionTest, LowestCorruptColumnWinsAtEveryWorkerCount) {
+  // Columns verify and decode on separate workers, but install in column
+  // order: with two corrupt sections the lower column's Status is the one
+  // reported, exactly as a serial load reports it.
+  const Relation rel = ShardedRelation(2 * kCatmRowsPerShard + 5);
+  const std::string bytes = WriteCatmString(rel);
+  const std::vector<TableEntry> table = ReadSectionTable(bytes);
+  ASSERT_EQ(table.size(), 5u);
+  const auto flip = [&](std::string& image, std::size_t c) {
+    const auto at = static_cast<std::size_t>(table[c].offset + 3);
+    image[at] = static_cast<char>(image[at] ^ 0x5A);
+  };
+
+  // Columns 1 ("D", plain) and 3 ("C", dict) each fail their checksum.
+  std::string two_flips = bytes;
+  flip(two_flips, 3);
+  flip(two_flips, 1);
+  // Column 2 ("S", plain) decodes to a type error behind valid checksums
+  // (row 1's string "1", after row 0's one-byte NULL, is retagged INT64);
+  // column 3 fails its checksum.
+  std::string decode_error = bytes;
+  const auto s_at = static_cast<std::size_t>(table[2].offset + 1);
+  ASSERT_EQ(decode_error[s_at], 3);
+  decode_error[s_at] = 1;
+  Reseal(decode_error, table, 2);
+  flip(decode_error, 3);
+  // Column 3 ("C", dict) decodes but fails its install (live count 0 is
+  // bumped, behind valid checksums); column 4 ("N") fails its checksum.
+  std::string install_error = bytes;
+  {
+    const auto c_at = static_cast<std::size_t>(table[3].offset);
+    ByteReader r(std::string_view(install_error).substr(c_at));
+    std::uint32_t dict_count = 0;
+    ASSERT_TRUE(r.ReadLeU32(dict_count));
+    ASSERT_TRUE(r.Skip(8 * std::size_t{dict_count}));
+    std::uint64_t blob_len = 0;
+    ASSERT_TRUE(r.ReadLeU64(blob_len));
+    const std::size_t live0 =
+        c_at + 4 + 8 * (std::size_t{dict_count} + 1) + blob_len;
+    install_error[live0] = static_cast<char>(install_error[live0] + 1);
+    Reseal(install_error, table, 3);
+    flip(install_error, 4);
+  }
+
+  for (const char* threads : {"1", "2", "3", "8"}) {
+    const ScopedThreads scoped(threads);
+    const Status flipped = ReadCatmString(two_flips).status();
+    EXPECT_TRUE(flipped.IsDataLoss()) << flipped.ToString();
+    EXPECT_NE(flipped.message().find("column 'D'"), std::string::npos)
+        << threads << " workers: " << flipped.ToString();
+
+    const Status decode = ReadCatmString(decode_error).status();
+    EXPECT_TRUE(decode.IsInvalidArgument()) << decode.ToString();
+    EXPECT_NE(decode.message().find("column 'S'"), std::string::npos)
+        << threads << " workers: " << decode.ToString();
+
+    const Status install = ReadCatmString(install_error).status();
+    EXPECT_TRUE(install.IsInvalidArgument()) << install.ToString();
+    EXPECT_NE(install.message().find("live counts"), std::string::npos)
+        << threads << " workers: " << install.ToString();
+  }
+}
+
+// --- writer determinism and edge shapes ------------------------------------
+
+TEST(CatmWriterTest, ImageIsIdenticalAtEveryWorkerCount) {
+  // Shard boundaries sit inside NULL runs, long strings and -0.0 doubles
+  // (see ShardedRelation); none of them may change a byte.
+  const Relation rel = ShardedRelation(8 * kCatmRowsPerShard + 1234);
+  const std::size_t boundary = ShardBounds(rel.NumRows(), 8)[4];
+  std::string want;
+  {
+    const ScopedThreads one("1");
+    want = WriteCatmString(rel);
+  }
+  for (const char* threads : {"2", "3", "4", "8"}) {
+    const ScopedThreads scoped(threads);
+    EXPECT_TRUE(WriteCatmString(rel) == want)
+        << "image depends on the worker count at " << threads;
+    Result<Relation> back = ReadCatmString(want);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_TRUE(back->SameContent(rel)) << threads << " workers";
+    EXPECT_TRUE(std::signbit(back->Get(boundary, 1).AsDouble()))
+        << "-0.0 lost its sign at a shard boundary";
+  }
+}
+
+TEST(CatmWriterTest, EmptySingleRowAndAllNullColumns) {
+  const Schema schema = Schema::Create({{"K", ColumnType::kInt64, false},
+                                        {"P", ColumnType::kInt64, false},
+                                        {"C", ColumnType::kString, true}},
+                                       "K")
+                            .value();
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              2 * kCatmRowsPerShard + 1}) {
+    Relation rel(schema);
+    for (std::size_t i = 0; i < n; ++i) {
+      rel.AppendRowUnchecked({Value(static_cast<std::int64_t>(i)), Value(),
+                              i % 3 == 0 ? Value("a") : Value()});
+    }
+    std::string want;
+    {
+      const ScopedThreads one("1");
+      want = WriteCatmString(rel);
+    }
+    {
+      const ScopedThreads eight("8");
+      EXPECT_TRUE(WriteCatmString(rel) == want) << n << " rows";
+    }
+    // The all-NULL plain column costs one tag byte per row.
+    EXPECT_EQ(ReadSectionTable(want)[1].length, n);
+    Result<Relation> back = ReadCatmString(want);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back->NumRows(), n);
+    EXPECT_TRUE(back->SameContent(rel)) << n << " rows";
+    EXPECT_TRUE(WriteCatmString(*back) == want) << n << " rows";
   }
 }
 
@@ -436,6 +681,59 @@ TEST(CatmIoTest, SaveRelationPicksFormatByExtension) {
 
   std::remove(catm_path.c_str());
   std::remove(csv_path.c_str());
+}
+
+TEST(CatmIoTest, FileBytesEqualStringBytes) {
+  const std::string path = ::testing::TempDir() + "catm_file_vs_string.catm";
+  for (const Relation& rel :
+       {TinyRelation(), ShardedRelation(2 * kCatmRowsPerShard + 5)}) {
+    ASSERT_TRUE(WriteCatmFile(rel, path).ok());
+    const FileBytes written = FileBytes::Open(path).value();
+    EXPECT_TRUE(written.view() == WriteCatmString(rel))
+        << rel.NumRows() << " rows";
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CatmIoTest, WriteErrorsAreIoError) {
+  const Relation rel = TinyRelation();
+  const auto is_io_error = [](const Status& s) {
+    return s.code() == StatusCode::kIoError;
+  };
+  const Status missing_dir = WriteCatmFile(
+      rel, ::testing::TempDir() + "catm_no_such_dir/out.catm");
+  EXPECT_TRUE(is_io_error(missing_dir)) << missing_dir.ToString();
+  const Status directory = WriteCatmFile(rel, ::testing::TempDir());
+  EXPECT_TRUE(is_io_error(directory)) << directory.ToString();
+#if defined(__linux__)
+  // Every write to /dev/full fails with ENOSPC.
+  if (std::filesystem::exists("/dev/full")) {
+    const Status full = WriteCatmFile(rel, "/dev/full");
+    EXPECT_TRUE(is_io_error(full)) << full.ToString();
+  }
+#endif
+}
+
+TEST(CatmIoTest, ColumnNamesAreBoundedByTheirLengthField) {
+  // The format stores a name's length in a u16: the longest name that fits
+  // round-trips, and one byte more is refused by Schema::Create, so the
+  // writer never meets a name it cannot encode.
+  const std::string longest(kMaxColumnNameBytes, 'n');
+  const Schema schema = Schema::Create({{longest, ColumnType::kInt64, false},
+                                        {"A", ColumnType::kString, true}},
+                                       longest)
+                            .value();
+  Relation rel(schema);
+  rel.AppendRowUnchecked({Value(std::int64_t{1}), Value("x")});
+  Result<Relation> back = ReadCatmString(WriteCatmString(rel));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(back->schema() == schema);
+
+  const Result<Schema> too_long = Schema::Create(
+      {{longest + "n", ColumnType::kInt64, false}}, "");
+  ASSERT_FALSE(too_long.ok());
+  EXPECT_TRUE(too_long.status().IsInvalidArgument())
+      << too_long.status().ToString();
 }
 
 // --- cross-format golden pins ---------------------------------------------

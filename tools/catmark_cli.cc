@@ -51,11 +51,17 @@
 // needs — keys are verified against its commitment, so the wrong passphrase
 // fails before any row is inserted.
 //
+// Each subcommand accepts only the flags listed for it above (`--sales` is
+// the one boolean flag; every other flag takes the next token as its
+// value). An unknown flag, a stray argument or a flag missing its value
+// exits 1 with a message naming it.
+//
 // <spec> declares the CSV columns: comma-separated `name:type[:flag]`,
 // type in {int,double,str}, flag in {pk,cat}. Example:
 //   --schema "Visit_Nbr:int:pk,Item_Nbr:int:cat,Dept_Desc:str:cat"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -64,6 +70,8 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/catmark.h"
@@ -74,17 +82,42 @@ namespace {
 
 // ------------------------------------------------------------------- flags
 
+/// The flags one subcommand accepts: value flags take the next token,
+/// boolean flags stand alone.
+struct FlagSpec {
+  std::vector<std::string_view> values;
+  std::vector<std::string_view> booleans;
+};
+
 class Flags {
  public:
-  Flags(int argc, char** argv, int first) {
+  /// Parses argv[first..] against `spec`. An unknown flag, a stray
+  /// argument or a value flag with nothing after it is an InvalidArgument
+  /// naming the token.
+  static Result<Flags> Parse(int argc, char** argv, int first,
+                             const FlagSpec& spec) {
+    const auto has = [](const std::vector<std::string_view>& names,
+                        std::string_view name) {
+      return std::find(names.begin(), names.end(), name) != names.end();
+    };
+    Flags flags;
     for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0 && i + 1 < argc) {
-        values_[arg.substr(2)] = argv[++i];
-      } else if (arg.rfind("--", 0) == 0) {
-        values_[arg.substr(2)] = "true";
+      const std::string arg = argv[i];
+      if (arg.rfind("--", 0) != 0) {
+        return Status::InvalidArgument("unexpected argument '" + arg + "'");
+      }
+      const std::string name = arg.substr(2);
+      if (has(spec.booleans, name)) {
+        flags.values_[name] = "true";
+      } else if (!has(spec.values, name)) {
+        return Status::InvalidArgument("unknown flag " + arg);
+      } else if (i + 1 == argc) {
+        return Status::InvalidArgument("flag " + arg + " needs a value");
+      } else {
+        flags.values_[name] = argv[++i];
       }
     }
+    return flags;
   }
 
   std::string Get(const std::string& name,
@@ -674,11 +707,10 @@ int RunConvert(const Flags& flags) {
   if (const Status s = SaveRelation(rel.value(), out); !s.ok()) {
     return Fail(s.ToString());
   }
-  std::size_t out_size = 0;
-  if (Result<FileBytes> written = FileBytes::Open(out); written.ok()) {
-    out_size = written->view().size();
-  }
-  std::printf("converted %s (%zu bytes) -> %s (%zu bytes), %zu tuples\n",
+  std::error_code ec;
+  std::uintmax_t out_size = std::filesystem::file_size(out, ec);
+  if (ec) out_size = 0;
+  std::printf("converted %s (%zu bytes) -> %s (%ju bytes), %zu tuples\n",
               in.c_str(), in_size, out.c_str(), out_size,
               rel.value().NumRows());
   return 0;
@@ -694,18 +726,47 @@ int Usage() {
   return 1;
 }
 
+struct Subcommand {
+  std::string_view name;
+  int (*run)(const Flags&);
+  FlagSpec flags;
+};
+
+// Each subcommand's flag whitelist; see the header for what each flag does.
+const Subcommand kSubcommands[] = {
+    {"gen", RunGen, {{"out", "n", "items", "seed"}, {"sales"}}},
+    {"embed",
+     RunEmbed,
+     {{"in", "out", "schema", "key", "wm", "e", "prf", "key-attr",
+       "target-attr", "constraints", "certificate-out"}, {}}},
+    {"detect",
+     RunDetect,
+     {{"in", "schema", "key", "certificate", "wm", "payload-length", "e",
+       "prf", "key-attr", "target-attr", "alpha"}, {}}},
+    {"sweep",
+     RunSweep,
+     {{"in", "schema", "certs", "certificate", "keys", "alpha", "top",
+       "threads"}, {}}},
+    {"attack",
+     RunAttack,
+     {{"in", "out", "schema", "type", "column", "fraction", "seed"}, {}}},
+    {"bandwidth", RunBandwidth, {{"in", "schema", "e", "q"}, {}}},
+    {"stream",
+     RunStream,
+     {{"in", "schema", "key", "certificate", "out", "base", "batch"}, {}}},
+    {"convert", RunConvert, {{"in", "out", "schema", "threads"}, {}}},
+};
+
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  const std::string command = argv[1];
-  const Flags flags(argc, argv, 2);
-  if (command == "gen") return RunGen(flags);
-  if (command == "embed") return RunEmbed(flags);
-  if (command == "detect") return RunDetect(flags);
-  if (command == "sweep") return RunSweep(flags);
-  if (command == "attack") return RunAttack(flags);
-  if (command == "bandwidth") return RunBandwidth(flags);
-  if (command == "stream") return RunStream(flags);
-  if (command == "convert") return RunConvert(flags);
+  for (const Subcommand& sub : kSubcommands) {
+    if (sub.name != argv[1]) continue;
+    const Result<Flags> flags = Flags::Parse(argc, argv, 2, sub.flags);
+    if (!flags.ok()) {
+      return Fail(std::string(sub.name) + ": " + flags.status().ToString());
+    }
+    return sub.run(flags.value());
+  }
   return Usage();
 }
 
