@@ -23,6 +23,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -44,6 +45,30 @@
 
 namespace catmark {
 namespace {
+
+/// The host's CPU model from /proc/cpuinfo, JSON-safe, or "unknown": the
+/// report names its host so reports from different machines are not
+/// compared as if they were one.
+std::string HostCpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model;
+    for (const char c : line.substr(colon + 1)) {
+      if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+        continue;
+      }
+      if (c == ' ' && (model.empty() || model.back() == ' ')) continue;
+      model.push_back(c);
+    }
+    while (!model.empty() && model.back() == ' ') model.pop_back();
+    return model.empty() ? "unknown" : model;
+  }
+  return "unknown";
+}
 
 using Clock = std::chrono::steady_clock;
 
@@ -1099,6 +1124,8 @@ int Run(const ExperimentConfig& config) {
         "  \"domain\": %zu,\n"
         "  \"passes\": %zu,\n"
         "  \"threads\": %zu,\n"
+        "  \"host_cpu_model\": \"%s\",\n"
+        "  \"host_cores\": %u,\n"
         "  \"embed_serial_tps\": %.0f,\n"
         "  \"embed_parallel_tps\": %.0f,\n"
         "  \"embed_speedup\": %.3f,\n"
@@ -1161,7 +1188,9 @@ int Run(const ExperimentConfig& config) {
         "  \"sweep_gain\": %.2f\n"
         "}\n",
         config.num_tuples, config.domain_size, config.passes,
-        parallel_params.num_threads, embed.serial_tps, embed.parallel_tps,
+        parallel_params.num_threads, HostCpuModel().c_str(),
+        std::thread::hardware_concurrency(), embed.serial_tps,
+        embed.parallel_tps,
         embed.speedup, embed_apply_shards, embed_map.serial_tps,
         embed_map.parallel_tps, embed_map.speedup, detect.serial_tps,
         detect.parallel_tps, detect.speedup, prf_detect[0].serial_tps,

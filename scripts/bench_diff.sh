@@ -60,7 +60,17 @@ waived = os.environ.get("BENCH_DIFF_WAIVE", "") != ""
 
 # Configuration fields — identity, not performance; excluded from the diff.
 CONFIG_KEYS = {"bench", "n", "domain", "passes", "threads", "stream_n",
-               "sweep_keys", "sweep_n"}
+               "sweep_keys", "sweep_n", "host_cores"}
+
+# Throughput only compares on one machine: say so when the reports name
+# different hosts (or one names none), then diff anyway.
+HOST_KEYS = ("host_cpu_model", "host_cores")
+hosts = [tuple(report.get(k, "unknown") for k in HOST_KEYS)
+         for report in (baseline, current)]
+if hosts[0] != hosts[1]:
+    print(f"::warning title=different bench hosts::baseline ran on "
+          f"{hosts[0][0]} ({hosts[0][1]} cores), this run on "
+          f"{hosts[1][0]} ({hosts[1][1]} cores) — deltas mix host and code")
 
 def numeric_keys(report):
     return {k for k, v in report.items()

@@ -1,5 +1,7 @@
 #include "common/str_util.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -18,6 +20,30 @@ std::vector<std::string> StrSplit(std::string_view s, char sep) {
     start = pos + 1;
   }
   return out;
+}
+
+std::optional<std::uint64_t> ParseUint(std::string_view text,
+                                       std::uint64_t min, std::uint64_t max) {
+  // from_chars on an unsigned type already rejects a sign.
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value < min ||
+      value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<double> ParseDouble(std::string_view text) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end ||
+      !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::string StrJoin(const std::vector<std::string>& parts,

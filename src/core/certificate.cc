@@ -1,8 +1,9 @@
 #include "core/certificate.h"
 
-#include <charconv>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <set>
 
 #include "common/hex.h"
 #include "common/str_util.h"
@@ -70,17 +71,34 @@ Result<EccKind> EccFromName(std::string_view name) {
 Result<std::uint64_t> ParseUintField(std::string_view key,
                                      std::string_view text, std::uint64_t min,
                                      std::uint64_t max) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end || value < min ||
-      value > max) {
+  const std::optional<std::uint64_t> value = ParseUint(text, min, max);
+  if (!value.has_value()) {
     return Status::InvalidArgument(
         "certificate field " + std::string(key) + "='" + std::string(text) +
         "' is not an integer in [" + std::to_string(min) + ", " +
         std::to_string(max) + "]");
   }
-  return value;
+  return *value;
+}
+
+/// A certificate frequency: a finite number in [0, 1] (the histogram is
+/// normalized to 1).
+Result<double> ParseFrequency(std::string_view text) {
+  const std::optional<double> value = ParseDouble(text);
+  if (!value.has_value() || *value < 0.0 || *value > 1.0) {
+    return Status::InvalidArgument("certificate frequency '" +
+                                   std::string(text) +
+                                   "' is not a number in [0, 1]");
+  }
+  return *value;
+}
+
+Result<BitIndexMode> BitIndexModeFromName(std::string_view name) {
+  if (name == "modulo") return BitIndexMode::kModulo;
+  if (name == "msb") return BitIndexMode::kMsbModL;
+  return Status::InvalidArgument("unknown bit_index_mode '" +
+                                 std::string(name) +
+                                 "' (expected modulo or msb)");
 }
 
 Result<HashAlgorithm> HashFromName(std::string_view name) {
@@ -176,6 +194,7 @@ Result<WatermarkCertificate> WatermarkCertificate::Deserialize(
   // kind here (instead of leaving auto) keeps dispute-time detection
   // independent of whatever CATMARK_PRF says by then.
   cert.params.prf = PrfKind::kKeyedHash;
+  std::set<std::string_view> seen;
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const std::string_view line = StrTrim(lines[i]);
     if (line.empty()) continue;
@@ -185,6 +204,11 @@ Result<WatermarkCertificate> WatermarkCertificate::Deserialize(
     }
     const std::string_view key = line.substr(0, eq);
     const std::string_view value = line.substr(eq + 1);
+    // A repeated field would silently let the last copy win.
+    if (!seen.insert(key).second) {
+      return Status::InvalidArgument("duplicate certificate field '" +
+                                     std::string(key) + "'");
+    }
     if (key == "description") {
       cert.description = std::string(value);
     } else if (key == "key_attr") {
@@ -204,11 +228,13 @@ Result<WatermarkCertificate> WatermarkCertificate::Deserialize(
       CATMARK_ASSIGN_OR_RETURN(const PrfKind prf, PrfKindFromName(value));
       cert.params.prf = prf;
     } else if (key == "bit_index_mode") {
-      cert.params.bit_index_mode = value == "msb" ? BitIndexMode::kMsbModL
-                                                  : BitIndexMode::kModulo;
+      CATMARK_ASSIGN_OR_RETURN(cert.params.bit_index_mode,
+                               BitIndexModeFromName(value));
     } else if (key == "min_category_keep") {
-      cert.params.min_category_keep =
-          std::strtol(std::string(value).c_str(), nullptr, 10);
+      CATMARK_ASSIGN_OR_RETURN(
+          const std::uint64_t keep,
+          ParseUintField(key, value, 0, std::numeric_limits<long>::max()));
+      cert.params.min_category_keep = static_cast<long>(keep);
     } else if (key == "payload_length") {
       // Detection sizes its vote arrays from this field; the 32-bit bound
       // is the one TuplePlanOptions already assumes.
@@ -233,7 +259,8 @@ Result<WatermarkCertificate> WatermarkCertificate::Deserialize(
     } else if (key == "frequencies") {
       if (!value.empty()) {
         for (const std::string& field : StrSplit(value, ',')) {
-          cert.frequencies.push_back(std::strtod(field.c_str(), nullptr));
+          CATMARK_ASSIGN_OR_RETURN(const double f, ParseFrequency(field));
+          cert.frequencies.push_back(f);
         }
       }
     } else if (key == "key_commitment") {

@@ -38,7 +38,9 @@ struct WatermarkCertificate {
   std::size_t payload_length = 0;
   BitVector wm;
   CategoricalDomain domain;
-  std::vector<double> frequencies;   ///< optional (empty = not recorded)
+  /// Normalized target-value frequencies, each in [0, 1] (Deserialize
+  /// rejects others); optional (empty = not recorded).
+  std::vector<double> frequencies;
   std::string key_commitment_hex;    ///< SHA-256(k1 || k2)
 
   /// Assembles a certificate from an embedding run. `frequencies` may be

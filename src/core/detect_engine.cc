@@ -244,9 +244,8 @@ Result<DetectEngine> DetectEngine::Create(const Relation& rel,
                   std::vector<std::size_t>& bounds = engine.bounds_[shard];
                   std::vector<std::int32_t>& vote = shard_vote[shard];
                   for (std::size_t j = begin; j < end; ++j) {
-                    const Value& key_value = key_reader[j];
-                    if (key_value.is_null()) continue;
-                    key_value.SerializeForHash(arena);
+                    if (key_reader.IsNull(j)) continue;
+                    key_reader.SerializeForHash(j, arena);
                     bounds.push_back(arena.size());
                     const std::int32_t t = target_index->index(j);
                     vote.push_back(
@@ -469,9 +468,6 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
   const std::unique_ptr<KeyedPrf> prf_k2 =
       CreateKeyedPrf(prf_kind, candidate.keys.k2, candidate.params.hash_algo);
 
-  // The plain key column's row storage, iterated directly: the one-shot
-  // plain path already established there is no dict.
-  const std::vector<Value>& keys = store.PlainValues(key_col);
   std::vector<std::vector<long>> worker_votes(
       threads, std::vector<long>(payload_len, 0));
   std::vector<std::size_t> worker_usable(threads, 0);
@@ -484,8 +480,8 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
     std::size_t fit = 0;
     FitScratch scratch;
     FitScanner scan(*prf_k1, prf_k2.get(), candidate.params.e, scratch);
-    worker_hashed[shard] = scan.Scan(
-        end - begin, [&](std::size_t i) { return &keys[begin + i]; },
+    worker_hashed[shard] = ScanKeyColumn(
+        scan, store, key_col, begin, end,
         [&](std::size_t i, std::uint64_t /*h1*/, std::uint64_t h2) {
           const std::size_t j = begin + i;
           ++fit;

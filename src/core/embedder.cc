@@ -395,7 +395,7 @@ void ShardedMapApply(const ApplyInputs& in, std::size_t threads,
             t.segment.emplace_back(key_of_code[key_codes[j]], idx);
           } else {
             t.segment.emplace_back(
-                std::string(key_reader[j].SerializeKeyInto(scratch)), idx);
+                std::string(key_reader.SerializeKeyInto(j, scratch)), idx);
           }
           if (in.ledger != nullptr) t.marks.push_back(j);
           ++map_index;

@@ -79,11 +79,12 @@ std::vector<std::uint64_t> EmbeddingMap::LookupColumn(
     return out;
   }
 
-  const std::vector<Value>& values = rel.store().PlainValues(col);
+  // Plain column: each key serializes straight from its lane or value.
+  const ColumnReader keys(rel.store(), col);
   for (std::size_t j = 0; j < n; ++j) {
     if (mask != nullptr && !FitBit(mask->data(), j)) continue;
-    if (values[j].is_null()) continue;
-    const auto found = Lookup(SerializeKey(values[j], scratch));
+    if (keys.IsNull(j)) continue;
+    const auto found = Lookup(keys.SerializeKeyInto(j, scratch));
     if (found.has_value()) out[j] = *found;
   }
   return out;

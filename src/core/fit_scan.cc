@@ -10,12 +10,12 @@ FitScanner::FitScanner(const KeyedPrf& k1, const KeyedPrf* k2,
   scratch_.i64.resize(kChunk);
 }
 
-void FitScanner::HashKeys(bool typed, std::size_t n) {
+void FitScanner::HashKeys(const std::int64_t* typed, std::size_t n) {
   FitScratch& s = scratch_;
   s.h1.resize(n);
-  if (typed) {
-    k1_.Hash64Int64Keys(s.i64.data(), n, std::span<std::uint64_t>(s.h1));
-    SelectFit(n, s.i64.data(), nullptr, nullptr);
+  if (typed != nullptr) {
+    k1_.Hash64Int64Keys(typed, n, std::span<std::uint64_t>(s.h1));
+    SelectFit(n, typed, nullptr, nullptr);
   } else {
     k1_.Hash64Arena(s.arena.data(), std::span<const std::size_t>(s.bounds),
                     std::span<std::uint64_t>(s.h1));

@@ -10,6 +10,7 @@
 
 #include "common/bits.h"
 #include "crypto/prf.h"
+#include "relation/column_store.h"
 #include "relation/value.h"
 
 namespace catmark {
@@ -80,8 +81,9 @@ class FitScanner {
   FitScanner(const KeyedPrf& k1, const KeyedPrf* k2, std::uint64_t e,
              FitScratch& scratch);
 
-  /// Scans keys 0..count-1, where key_at(i) returns a `const Value*`; a
-  /// null pointer or a NULL value is skipped and not hashed. While a chunk
+  /// Scans keys 0..count-1, where key_at(i) returns a `const Value*` that
+  /// need stay valid only until the next key_at call; a null pointer or a
+  /// NULL value is skipped and not hashed. While a chunk
   /// holds only int64 keys they hash through the typed Hash64Int64Keys lane
   /// (dense until the first NULL, then row offsets are backfilled); the
   /// first other value moves the whole chunk to the serialized-arena path.
@@ -130,12 +132,43 @@ class FitScanner {
         n = s.rows.size();
       }
       hashed += n;
-      HashKeys(typed, n);
-      for (std::size_t f = 0; f < s.fit.size(); ++f) {
-        const std::size_t m = s.fit[f];
-        on_fit(base + (dense ? m : s.rows[m]), s.h1[m],
-               k2_ != nullptr ? s.h2[f] : 0);
+      HashKeys(typed ? vals : nullptr, n);
+      Report(base, dense, on_fit);
+    }
+    return hashed;
+  }
+
+  /// The lane entry: scans the int64 keys of rows [begin, end), where
+  /// keys[j] is row j's key and row j is NULL — skipped, not hashed — when
+  /// `null_words` is non-null and has bit j set (bit j % 64 of word j / 64).
+  /// A chunk without a NULL hashes straight from the lane; one with NULLs
+  /// gathers its other keys first. Reports on_fit(j - begin, h1, h2) in
+  /// ascending j, exactly as Scan would over the same keys as Values.
+  template <typename OnFit>
+  std::size_t ScanInt64(const std::int64_t* keys,
+                        const std::uint64_t* null_words, std::size_t begin,
+                        std::size_t end, OnFit&& on_fit) {
+    FitScratch& s = scratch_;
+    std::size_t hashed = 0;
+    for (std::size_t base = begin; base < end; base += kChunk) {
+      const std::size_t len = std::min(kChunk, end - base);
+      const bool dense =
+          null_words == nullptr || !AnyBitIn(null_words, base, base + len);
+      std::size_t n = len;
+      const std::int64_t* typed = keys + base;
+      if (!dense) {
+        s.rows.clear();
+        n = 0;
+        for (std::size_t i = 0; i < len; ++i) {
+          if (FitBit(null_words, base + i)) continue;
+          s.i64[n++] = keys[base + i];
+          s.rows.push_back(static_cast<std::uint32_t>(i));
+        }
+        typed = s.i64.data();
       }
+      hashed += n;
+      HashKeys(typed, n);
+      Report(base - begin, dense, on_fit);
     }
     return hashed;
   }
@@ -148,22 +181,43 @@ class FitScanner {
   std::size_t ScanPrepared(const std::uint8_t* arena,
                            std::span<const std::size_t> bounds,
                            std::ptrdiff_t fixed_len, OnFit&& on_fit) {
-    const FitScratch& s = scratch_;
     const std::size_t count = bounds.size() - 1;
     for (std::size_t base = 0; base < count; base += kChunk) {
       const std::size_t len = std::min(kChunk, count - base);
       HashPrepared(arena, bounds.subspan(base, len + 1), fixed_len);
-      for (std::size_t f = 0; f < s.fit.size(); ++f) {
-        const std::size_t m = s.fit[f];
-        on_fit(base + m, s.h1[m], k2_ != nullptr ? s.h2[f] : 0);
-      }
+      Report(base, /*dense=*/true, on_fit);
     }
     return count;
   }
 
  private:
-  // k1-hashes the n gathered keys of a Scan chunk, then SelectFit.
-  void HashKeys(bool typed, std::size_t n);
+  // True when any bit in [begin, end) of a packed bitset is set.
+  static bool AnyBitIn(const std::uint64_t* words, std::size_t begin,
+                       std::size_t end) {
+    for (std::size_t j = begin; j < end; j = (j | 63) + 1) {
+      std::uint64_t word = words[j >> 6] >> (j & 63);
+      const std::size_t bits = std::min<std::size_t>(64 - (j & 63), end - j);
+      if (bits < 64) word &= (std::uint64_t{1} << bits) - 1;
+      if (word != 0) return true;
+    }
+    return false;
+  }
+
+  // Reports a hashed chunk's fit keys: key m of the chunk is chunk row m
+  // when `dense`, else scratch.rows[m]; chunk rows count from `base`.
+  template <typename OnFit>
+  void Report(std::size_t base, bool dense, OnFit& on_fit) {
+    const FitScratch& s = scratch_;
+    for (std::size_t f = 0; f < s.fit.size(); ++f) {
+      const std::size_t m = s.fit[f];
+      on_fit(base + (dense ? m : s.rows[m]), s.h1[m],
+             k2_ != nullptr ? s.h2[f] : 0);
+    }
+  }
+
+  // k1-hashes the n keys of a chunk, then SelectFit: the int64 keys at
+  // `typed`, or the serialized arena when `typed` is null.
+  void HashKeys(const std::int64_t* typed, std::size_t n);
   // k1-hashes one chunk of prepared messages, then SelectFit.
   void HashPrepared(const std::uint8_t* arena,
                     std::span<const std::size_t> bounds,
@@ -178,6 +232,47 @@ class FitScanner {
   DivisibilityCheck fit_by_e_;
   FitScratch& scratch_;
 };
+
+/// Runs `scan` over the keys of rows [begin, end) of column `col`,
+/// reporting on_fit(row - begin, h1, h2): an INT64 lane through the lane
+/// entry, every other column through Scan — a dictionary column by code, a
+/// STRING column in place, a DOUBLE lane one materialized Value at a time.
+template <typename OnFit>
+std::size_t ScanKeyColumn(FitScanner& scan, const ColumnStore& store,
+                          std::size_t col, std::size_t begin, std::size_t end,
+                          OnFit&& on_fit) {
+  if (store.IsDictColumn(col)) {
+    const std::vector<Value>& dict = store.Dict(col);
+    const std::int32_t* codes = store.Codes(col).data() + begin;
+    return scan.Scan(
+        end - begin,
+        [&](std::size_t i) -> const Value* {
+          return codes[i] < 0 ? nullptr
+                              : &dict[static_cast<std::size_t>(codes[i])];
+        },
+        on_fit);
+  }
+  if (!store.IsLaneColumn(col)) {
+    const Value* values = store.StringValues(col).data() + begin;
+    return scan.Scan(
+        end - begin, [&](std::size_t i) { return &values[i]; }, on_fit);
+  }
+  const NumericLane lane = store.Lane(col);
+  if (lane.type == ColumnType::kInt64) {
+    return scan.ScanInt64(
+        lane.int64s().data(),
+        lane.null_words.empty() ? nullptr : lane.null_words.data(), begin,
+        end, on_fit);
+  }
+  Value key;
+  return scan.Scan(
+      end - begin,
+      [&](std::size_t i) {
+        key = lane.Get(begin + i);
+        return &key;
+      },
+      on_fit);
+}
 
 }  // namespace catmark
 

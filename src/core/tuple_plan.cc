@@ -120,7 +120,6 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
       }
     });
   } else {
-    const std::vector<Value>& values = store.PlainValues(key_col);
     shard_hashed.assign(
         EffectiveThreadCount(options.num_threads, (n + 63) / 64), 0);
     ParallelForWords(n, options.num_threads, [&](std::size_t shard,
@@ -128,8 +127,8 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
                                                  std::size_t end) {
       FitScratch scratch;
       FitScanner scan(*prf_k1, prf_k2.get(), params.e, scratch);
-      shard_hashed[shard] = scan.Scan(
-          end - begin, [&](std::size_t i) { return &values[begin + i]; },
+      shard_hashed[shard] = ScanKeyColumn(
+          scan, store, key_col, begin, end,
           [&](std::size_t i, std::uint64_t h1, std::uint64_t h2) {
             const std::size_t j = begin + i;
             fit_words[j >> 6] |= std::uint64_t{1} << (j & 63);

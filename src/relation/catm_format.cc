@@ -4,6 +4,8 @@
 #include <cstring>
 #include <string>
 
+#include "common/bits.h"
+
 namespace catmark {
 
 namespace {
@@ -139,10 +141,7 @@ bool ByteReader::ReadLeI64(std::int64_t& v) {
 
 bool ByteReader::ReadBeU64(std::uint64_t& v) {
   if (remaining() < 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  }
+  v = LoadBigEndian64(data_ + pos_);
   pos_ += 8;
   return true;
 }

@@ -116,6 +116,10 @@ class ByteWriter {
   }
   /// The format's value encoding (== Value::SerializeForHash).
   void PutValue(const Value& v) { p_ = v.SerializeTo(p_); }
+  /// A non-NULL numeric lane word, in PutValue's encoding.
+  void PutNumber(ColumnType type, std::uint64_t bits) {
+    p_ = Value::SerializeNumberTo(type, bits, p_);
+  }
 
  private:
   void PutLe(std::uint64_t v, std::size_t bytes) {

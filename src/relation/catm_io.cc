@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/check.h"
 #include "common/parallel.h"
 #include "relation/catm_format.h"
@@ -173,10 +174,21 @@ Result<CatmLayout> PlanCatm(const Relation& rel) {
               [&](std::size_t s, std::size_t begin, std::size_t end) {
                 for (std::size_t c = 0; c < num_cols; ++c) {
                   if (store.IsDictColumn(c)) continue;
-                  const std::vector<Value>& values = store.PlainValues(c);
                   std::size_t bytes = 0;
-                  for (std::size_t r = begin; r < end; ++r) {
-                    bytes += values[r].SerializedSize();
+                  if (store.IsLaneColumn(c)) {
+                    // 9 bytes a number, 1 a NULL.
+                    const NumericLane lane = store.Lane(c);
+                    bytes = 9 * (end - begin);
+                    if (!lane.null_words.empty()) {
+                      for (std::size_t r = begin; r < end; ++r) {
+                        if (lane.IsNull(r)) bytes -= 8;
+                      }
+                    }
+                  } else {
+                    const std::vector<Value>& values = store.StringValues(c);
+                    for (std::size_t r = begin; r < end; ++r) {
+                      bytes += values[r].SerializedSize();
+                    }
                   }
                   layout.shard_at[c][s] = bytes;
                 }
@@ -246,8 +258,17 @@ void EncodeCatm(const Relation& rel, CatmLayout& layout, std::uint8_t* image) {
           if (store.IsDictColumn(c)) {
             w.PutLeArray(std::span<const std::int32_t>(store.Codes(c))
                              .subspan(begin, end - begin));
+          } else if (store.IsLaneColumn(c)) {
+            const NumericLane lane = store.Lane(c);
+            for (std::size_t r = begin; r < end; ++r) {
+              if (lane.IsNull(r)) {
+                w.PutU8(0);
+              } else {
+                w.PutNumber(lane.type, lane.bits[r]);
+              }
+            }
           } else {
-            const std::vector<Value>& values = store.PlainValues(c);
+            const std::vector<Value>& values = store.StringValues(c);
             for (std::size_t r = begin; r < end; ++r) w.PutValue(values[r]);
           }
           const std::size_t shard_end =
@@ -352,70 +373,95 @@ Status WriteCatmFile(const Relation& rel, const std::string& path) {
 
 namespace {
 
-/// Big-endian u64 load; the shift-or fold compiles to one byte-swapped load.
-inline std::uint64_t LoadBeU64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
+/// The Status a plain section reports for the value at `at`, which the
+/// fast decoders below could not take: the value is re-decoded through
+/// DecodeValue so a corrupt image surfaces the exact same Status on every
+/// path, and a value that decodes fine but carries the wrong tag is a
+/// schema/type mismatch.
+Status PlainValueError(const std::uint8_t* at, const std::uint8_t* end,
+                       const std::string& name) {
+  ByteReader vr(at, static_cast<std::size_t>(end - at));
+  Value v;
+  CATMARK_RETURN_IF_ERROR(DecodeValue(vr, v));
+  return Status::InvalidArgument(
+      ".catm value type disagrees with the schema in column '" + name + "'");
 }
 
-/// Decodes a plain (non-categorical) section with a tight raw-pointer loop.
-/// DecodeValue produces identical values, but pays an out-of-line call per
-/// value, which made plain columns the dominant cost of a .catm load. On
-/// malformed input the failing value is re-decoded through DecodeValue so a
-/// corrupt image surfaces the exact same Status on either path; a value
-/// that decodes fine but carries the wrong tag is a schema/type mismatch.
-Status DecodePlainSection(ByteReader& r, ColumnType type,
-                          std::uint64_t num_rows, const std::string& name,
-                          std::vector<Value>& values) {
+Status PlainTrailingBytes(const std::string& name) {
+  return Status::InvalidArgument(
+      ".catm plain section has trailing bytes in column '" + name + "'");
+}
+
+/// Decodes an INT64/DOUBLE plain section straight into a lane: per row a
+/// tag check and a byte-swapped load, no Value.
+Status DecodeLaneSection(ByteReader& r, ColumnType type,
+                         std::uint64_t num_rows, const std::string& name,
+                         std::vector<std::uint64_t>& bits,
+                         std::vector<std::uint64_t>& null_words) {
   const std::size_t section_len = r.remaining();
   const std::uint8_t* p = nullptr;
   r.ReadBytes(section_len, p);
   const std::uint8_t* const end = p + section_len;
-  // Every value takes at least one byte, so a row count beyond the section
-  // length can never finish; the cap keeps a corrupt count from
-  // over-reserving.
+  // Every value takes at least one byte, so no more than section_len rows
+  // can decode: row section_len starts at `end` and fails before its
+  // store. The cap keeps a corrupt row count from over-allocating.
+  const auto cap = static_cast<std::size_t>(
+      std::min<std::uint64_t>(num_rows, section_len));
+  bits.resize(cap);
+  std::uint64_t* const out = bits.data();
+  const std::uint8_t want_tag = type == ColumnType::kInt64 ? 1 : 2;
+  for (std::size_t i = 0; i < num_rows; ++i) {
+    const std::uint8_t* const at = p;
+    if (p == end) return PlainValueError(at, end, name);
+    if (*p == want_tag && end - p > 8) {
+      out[i] = LoadBigEndian64(p + 1);
+      p += 9;
+    } else if (*p == 0) {
+      if (null_words.empty()) null_words.assign((cap + 63) / 64, 0);
+      out[i] = 0;
+      null_words[i >> 6] |= std::uint64_t{1} << (i & 63);
+      ++p;
+    } else {
+      return PlainValueError(at, end, name);
+    }
+  }
+  if (p != end) return PlainTrailingBytes(name);
+  return Status::OK();
+}
+
+/// Decodes a STRING plain section with a tight raw-pointer loop.
+/// DecodeValue produces identical values, but pays an out-of-line call per
+/// value.
+Status DecodeStringSection(ByteReader& r, std::uint64_t num_rows,
+                           const std::string& name,
+                           std::vector<Value>& values) {
+  const std::size_t section_len = r.remaining();
+  const std::uint8_t* p = nullptr;
+  r.ReadBytes(section_len, p);
+  const std::uint8_t* const end = p + section_len;
   values.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(num_rows, section_len)));
-  const std::uint8_t want_tag = type == ColumnType::kInt64    ? 1
-                                : type == ColumnType::kDouble ? 2
-                                                              : 3;
-  const auto fail = [&](const std::uint8_t* at) -> Status {
-    ByteReader vr(at, static_cast<std::size_t>(end - at));
-    Value v;
-    CATMARK_RETURN_IF_ERROR(DecodeValue(vr, v));
-    return Status::InvalidArgument(
-        ".catm value type disagrees with the schema in column '" + name +
-        "'");
-  };
   for (std::uint64_t i = 0; i < num_rows; ++i) {
     const std::uint8_t* const at = p;
-    if (p == end) return fail(at);
+    if (p == end) return PlainValueError(at, end, name);
     const std::uint8_t tag = *p++;
-    if (tag == want_tag) {
-      if (end - p < 8) return fail(at);
-      const std::uint64_t u = LoadBeU64(p);
+    if (tag == 3) {
+      if (end - p < 8) return PlainValueError(at, end, name);
+      const std::uint64_t len = LoadBigEndian64(p);
       p += 8;
-      if (tag == 1) {
-        values.emplace_back(static_cast<std::int64_t>(u));
-      } else if (tag == 2) {
-        values.emplace_back(std::bit_cast<double>(u));
-      } else {
-        if (u > static_cast<std::uint64_t>(end - p)) return fail(at);
-        values.emplace_back(std::string(reinterpret_cast<const char*>(p),
-                                        static_cast<std::size_t>(u)));
-        p += u;
+      if (len > static_cast<std::uint64_t>(end - p)) {
+        return PlainValueError(at, end, name);
       }
+      values.emplace_back(std::string(reinterpret_cast<const char*>(p),
+                                      static_cast<std::size_t>(len)));
+      p += len;
     } else if (tag == 0) {
       values.emplace_back();
     } else {
-      return fail(at);
+      return PlainValueError(at, end, name);
     }
   }
-  if (p != end) {
-    return Status::InvalidArgument(
-        ".catm plain section has trailing bytes in column '" + name + "'");
-  }
+  if (p != end) return PlainTrailingBytes(name);
   return Status::OK();
 }
 
@@ -426,7 +472,9 @@ struct DecodedColumn {
   std::vector<Value> dict;
   std::vector<std::int64_t> live;
   std::vector<std::int32_t> codes;
-  std::vector<Value> values;  // plain sections
+  std::vector<std::uint64_t> bits;        // INT64/DOUBLE plain sections
+  std::vector<std::uint64_t> null_words;
+  std::vector<Value> values;              // STRING plain sections
 };
 
 /// Checks one section's checksum and decodes it into `out`. Touches only
@@ -442,7 +490,11 @@ Status DecodeSection(const std::uint8_t* data, const SectionEntry& s,
   }
   ByteReader r(sp, slen);
   if (s.kind != kCatmSectionDict) {
-    return DecodePlainSection(r, col.type, num_rows, col.name, out.values);
+    if (col.type == ColumnType::kString) {
+      return DecodeStringSection(r, num_rows, col.name, out.values);
+    }
+    return DecodeLaneSection(r, col.type, num_rows, col.name, out.bits,
+                             out.null_words);
   }
   std::uint32_t dict_count = 0;
   if (!r.ReadLeU32(dict_count)) {
@@ -666,7 +718,10 @@ Result<Relation> ReadCatmImpl(std::string_view bytes, const Schema* expected) {
         table[c].kind == kCatmSectionDict
             ? store.InstallDictColumn(c, std::move(d.dict), std::move(d.live),
                                       std::move(d.codes))
-            : store.InstallPlainColumn(c, std::move(d.values)));
+        : store.IsLaneColumn(c)
+            ? store.InstallLaneColumn(c, std::move(d.bits),
+                                      std::move(d.null_words))
+            : store.InstallStringColumn(c, std::move(d.values)));
   }
   CATMARK_RETURN_IF_ERROR(
       store.FinalizeInstall(static_cast<std::size_t>(num_rows)));

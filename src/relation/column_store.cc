@@ -1,6 +1,7 @@
 #include "relation/column_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -21,6 +22,17 @@ void GrowFor(Vec& vec, std::size_t n) {
   }
 }
 
+/// A non-NULL cell's lane word; the value must hold the lane's type
+/// (checked by the typed accessor).
+std::uint64_t LaneBits(ColumnType type, const Value& v) {
+  if (type == ColumnType::kInt64) {
+    return static_cast<std::uint64_t>(v.AsInt64());
+  }
+  return std::bit_cast<std::uint64_t>(v.AsDouble());
+}
+
+constexpr std::size_t WordsFor(std::size_t rows) { return (rows + 63) / 64; }
+
 }  // namespace
 
 const Value& NullValue() {
@@ -28,23 +40,61 @@ const Value& NullValue() {
   return kNull;
 }
 
+void ColumnStore::LaneColumn::MarkNull(std::size_t row) {
+  null_words.resize(WordsFor(bits.size()), 0);
+  null_words[row >> 6] |= std::uint64_t{1} << (row & 63);
+}
+
+void ColumnStore::LaneColumn::ClearNull(std::size_t row) {
+  if (!null_words.empty()) {
+    null_words[row >> 6] &= ~(std::uint64_t{1} << (row & 63));
+  }
+}
+
+void ColumnStore::LaneColumn::SyncNullWords() {
+  if (!null_words.empty()) null_words.resize(WordsFor(bits.size()), 0);
+}
+
+void ColumnStore::LaneColumn::Push(const Value& v) {
+  if (v.is_null()) {
+    bits.push_back(0);
+    MarkNull(bits.size() - 1);
+    return;
+  }
+  bits.push_back(LaneBits(type, v));
+  SyncNullWords();
+}
+
 ColumnStore::ColumnStore(const Schema& schema) {
   columns_.reserve(schema.num_columns());
   for (std::size_t c = 0; c < schema.num_columns(); ++c) {
-    if (schema.column(c).categorical) {
+    const Column& column = schema.column(c);
+    if (column.categorical) {
       columns_.emplace_back(DictColumn{});
+    } else if (column.type == ColumnType::kString) {
+      columns_.emplace_back(StringColumn{});
     } else {
-      columns_.emplace_back(PlainColumn{});
+      columns_.emplace_back(LaneColumn{column.type, {}, {}});
     }
   }
+}
+
+std::size_t ColumnStore::ColumnRows(const AnyColumn& column) {
+  if (const auto* d = std::get_if<DictColumn>(&column)) return d->codes.size();
+  if (const auto* p = std::get_if<StringColumn>(&column)) {
+    return p->values.size();
+  }
+  return std::get<LaneColumn>(column).bits.size();
 }
 
 void ColumnStore::Reserve(std::size_t n) {
   for (auto& col : columns_) {
     if (auto* d = std::get_if<DictColumn>(&col)) {
       d->codes.reserve(n);
+    } else if (auto* p = std::get_if<StringColumn>(&col)) {
+      p->values.reserve(n);
     } else {
-      std::get<PlainColumn>(col).values.reserve(n);
+      std::get<LaneColumn>(col).bits.reserve(n);
     }
   }
 }
@@ -84,8 +134,10 @@ void ColumnStore::AppendRow(Row row) {
         d->codes.push_back(code);
         ++d->live[static_cast<std::size_t>(code)];
       }
+    } else if (auto* p = std::get_if<StringColumn>(&columns_[i])) {
+      p->values.push_back(std::move(row[i]));
     } else {
-      std::get<PlainColumn>(columns_[i]).values.push_back(std::move(row[i]));
+      std::get<LaneColumn>(columns_[i]).Push(row[i]);
     }
   }
   ++num_rows_;
@@ -105,10 +157,13 @@ void ColumnStore::AppendRows(std::span<Row> rows) {
         d->codes.push_back(code);
         ++d->live[static_cast<std::size_t>(code)];
       }
+    } else if (auto* p = std::get_if<StringColumn>(&columns_[c])) {
+      GrowFor(p->values, rows.size());
+      for (Row& row : rows) p->values.push_back(std::move(row[c]));
     } else {
-      auto& values = std::get<PlainColumn>(columns_[c]).values;
-      GrowFor(values, rows.size());
-      for (Row& row : rows) values.push_back(std::move(row[c]));
+      LaneColumn& lane = std::get<LaneColumn>(columns_[c]);
+      GrowFor(lane.bits, rows.size());
+      for (const Row& row : rows) lane.Push(row[c]);
     }
   }
   num_rows_ += rows.size();
@@ -128,8 +183,7 @@ void ColumnStore::AppendRowsFrom(const ColumnStore& src,
   }
   const std::size_t n = indices.size();
   for (std::size_t c = 0; c < columns_.size(); ++c) {
-    CATMARK_CHECK_EQ(std::holds_alternative<DictColumn>(columns_[c]),
-                     std::holds_alternative<DictColumn>(src.columns_[c]));
+    CATMARK_CHECK_EQ(columns_[c].index(), src.columns_[c].index());
     const Value* const* over =
         c == override.col && !override.values.empty() ? override.values.data()
                                                       : nullptr;
@@ -168,9 +222,9 @@ void ColumnStore::AppendRowsFrom(const ColumnStore& src,
       for (const std::int32_t code : translated_) {
         xlate[static_cast<std::size_t>(code)] = kUntranslated;
       }
-    } else {
-      auto& values = std::get<PlainColumn>(columns_[c]).values;
-      const auto& s = std::get<PlainColumn>(src.columns_[c]).values;
+    } else if (auto* p = std::get_if<StringColumn>(&columns_[c])) {
+      auto& values = p->values;
+      const auto& s = std::get<StringColumn>(src.columns_[c]).values;
       GrowFor(values, n);
       if (over == nullptr) {
         for (const std::size_t i : indices) values.push_back(s[i]);
@@ -179,6 +233,22 @@ void ColumnStore::AppendRowsFrom(const ColumnStore& src,
           values.push_back(over[k] != nullptr ? *over[k] : s[indices[k]]);
         }
       }
+    } else {
+      LaneColumn& d = std::get<LaneColumn>(columns_[c]);
+      const LaneColumn& s = std::get<LaneColumn>(src.columns_[c]);
+      CATMARK_CHECK(d.type == s.type);
+      GrowFor(d.bits, n);
+      for (std::size_t k = 0; k < n; ++k) {
+        if (over != nullptr && over[k] != nullptr) {
+          d.Push(*over[k]);
+        } else if (s.IsNull(indices[k])) {
+          d.bits.push_back(0);
+          d.MarkNull(d.bits.size() - 1);
+        } else {
+          d.bits.push_back(s.bits[indices[k]]);
+        }
+      }
+      d.SyncNullWords();
     }
   }
   num_rows_ += n;
@@ -191,21 +261,30 @@ void ColumnStore::ClearRows() {
         if (code >= 0) --d->live[static_cast<std::size_t>(code)];
       }
       d->codes.clear();
+    } else if (auto* p = std::get_if<StringColumn>(&col)) {
+      p->values.clear();
     } else {
-      std::get<PlainColumn>(col).values.clear();
+      LaneColumn& lane = std::get<LaneColumn>(col);
+      lane.bits.clear();
+      lane.null_words.clear();
     }
   }
   num_rows_ = 0;
 }
 
-const Value& ColumnStore::Get(std::size_t row, std::size_t col) const {
+Value ColumnStore::Get(std::size_t row, std::size_t col) const {
   CATMARK_CHECK_LT(row, num_rows_);
   CATMARK_CHECK_LT(col, columns_.size());
   if (const auto* d = std::get_if<DictColumn>(&columns_[col])) {
     const std::int32_t c = d->codes[row];
-    return c < 0 ? NullValue() : d->dict[static_cast<std::size_t>(c)];
+    return c < 0 ? Value() : d->dict[static_cast<std::size_t>(c)];
   }
-  return std::get<PlainColumn>(columns_[col]).values[row];
+  if (const auto* p = std::get_if<StringColumn>(&columns_[col])) {
+    return p->values[row];
+  }
+  const LaneColumn& lane = std::get<LaneColumn>(columns_[col]);
+  if (lane.IsNull(row)) return Value();
+  return LaneValue(lane.type, lane.bits[row]);
 }
 
 void ColumnStore::Set(std::size_t row, std::size_t col, Value v) {
@@ -219,7 +298,18 @@ void ColumnStore::Set(std::size_t row, std::size_t col, Value v) {
     d->codes[row] = code;
     return;
   }
-  std::get<PlainColumn>(columns_[col]).values[row] = std::move(v);
+  if (auto* p = std::get_if<StringColumn>(&columns_[col])) {
+    p->values[row] = std::move(v);
+    return;
+  }
+  LaneColumn& lane = std::get<LaneColumn>(columns_[col]);
+  if (v.is_null()) {
+    lane.bits[row] = 0;
+    lane.MarkNull(row);
+  } else {
+    lane.bits[row] = LaneBits(lane.type, v);
+    lane.ClearNull(row);
+  }
 }
 
 void ColumnStore::SwapRemoveRow(std::size_t i) {
@@ -231,10 +321,21 @@ void ColumnStore::SwapRemoveRow(std::size_t i) {
       if (removed >= 0) --d->live[static_cast<std::size_t>(removed)];
       d->codes[i] = d->codes[last];
       d->codes.pop_back();
+    } else if (auto* p = std::get_if<StringColumn>(&col)) {
+      p->values[i] = std::move(p->values[last]);
+      p->values.pop_back();
     } else {
-      auto& values = std::get<PlainColumn>(col).values;
-      values[i] = std::move(values[last]);
-      values.pop_back();
+      LaneColumn& lane = std::get<LaneColumn>(col);
+      const bool last_null = lane.IsNull(last);
+      lane.bits[i] = lane.bits[last];
+      if (last_null) {
+        lane.MarkNull(i);
+      } else {
+        lane.ClearNull(i);
+      }
+      lane.ClearNull(last);
+      lane.bits.pop_back();
+      lane.SyncNullWords();
     }
   }
   --num_rows_;
@@ -281,10 +382,23 @@ const std::vector<std::int64_t>& ColumnStore::DictLiveCounts(
   return dict_column(col).live;
 }
 
-const std::vector<Value>& ColumnStore::PlainValues(std::size_t col) const {
+bool ColumnStore::IsLaneColumn(std::size_t col) const {
   CATMARK_CHECK_LT(col, columns_.size());
-  const auto* p = std::get_if<PlainColumn>(&columns_[col]);
-  CATMARK_CHECK(p != nullptr) << "column " << col << " is dict-encoded";
+  return std::holds_alternative<LaneColumn>(columns_[col]);
+}
+
+NumericLane ColumnStore::Lane(std::size_t col) const {
+  CATMARK_CHECK_LT(col, columns_.size());
+  const auto* lane = std::get_if<LaneColumn>(&columns_[col]);
+  CATMARK_CHECK(lane != nullptr) << "column " << col << " is not a lane";
+  return NumericLane{lane->type, lane->bits, lane->null_words};
+}
+
+const std::vector<Value>& ColumnStore::StringValues(std::size_t col) const {
+  CATMARK_CHECK_LT(col, columns_.size());
+  const auto* p = std::get_if<StringColumn>(&columns_[col]);
+  CATMARK_CHECK(p != nullptr) << "column " << col
+                              << " is not a plain STRING column";
   return p->values;
 }
 
@@ -367,12 +481,32 @@ Status ColumnStore::InstallDictColumn(std::size_t col,
   return Status::OK();
 }
 
-Status ColumnStore::InstallPlainColumn(std::size_t col,
-                                       std::vector<Value> values) {
+Status ColumnStore::InstallLaneColumn(std::size_t col,
+                                      std::vector<std::uint64_t> bits,
+                                      std::vector<std::uint64_t> null_words) {
   CATMARK_CHECK_EQ(num_rows_, 0u) << "install on a non-fresh store";
   CATMARK_CHECK_LT(col, columns_.size());
-  auto* p = std::get_if<PlainColumn>(&columns_[col]);
-  CATMARK_CHECK(p != nullptr) << "column " << col << " is dict-encoded";
+  auto* lane = std::get_if<LaneColumn>(&columns_[col]);
+  CATMARK_CHECK(lane != nullptr) << "column " << col << " is not a lane";
+  CATMARK_CHECK(lane->bits.empty()) << "column " << col << " installed twice";
+  if (!null_words.empty()) {
+    CATMARK_CHECK_EQ(null_words.size(), WordsFor(bits.size()));
+    CATMARK_CHECK(bits.size() % 64 == 0 ||
+                  null_words.back() >> (bits.size() % 64) == 0)
+        << "NULL bit set past the last row";
+  }
+  lane->bits = std::move(bits);
+  lane->null_words = std::move(null_words);
+  return Status::OK();
+}
+
+Status ColumnStore::InstallStringColumn(std::size_t col,
+                                        std::vector<Value> values) {
+  CATMARK_CHECK_EQ(num_rows_, 0u) << "install on a non-fresh store";
+  CATMARK_CHECK_LT(col, columns_.size());
+  auto* p = std::get_if<StringColumn>(&columns_[col]);
+  CATMARK_CHECK(p != nullptr) << "column " << col
+                              << " is not a plain STRING column";
   CATMARK_CHECK(p->values.empty()) << "column " << col << " installed twice";
   p->values = std::move(values);
   return Status::OK();
@@ -381,10 +515,7 @@ Status ColumnStore::InstallPlainColumn(std::size_t col,
 Status ColumnStore::FinalizeInstall(std::size_t num_rows) {
   CATMARK_CHECK_EQ(num_rows_, 0u) << "finalize on a non-fresh store";
   for (std::size_t c = 0; c < columns_.size(); ++c) {
-    const std::size_t rows =
-        std::holds_alternative<DictColumn>(columns_[c])
-            ? std::get<DictColumn>(columns_[c]).codes.size()
-            : std::get<PlainColumn>(columns_[c]).values.size();
+    const std::size_t rows = ColumnRows(columns_[c]);
     if (rows != num_rows) {
       return Status::InvalidArgument(
           "column " + std::to_string(c) + " holds " + std::to_string(rows) +
@@ -395,10 +526,11 @@ Status ColumnStore::FinalizeInstall(std::size_t num_rows) {
   return Status::OK();
 }
 
-std::vector<Value> ColumnStore::TakePlainColumn(std::size_t col) {
+std::vector<Value> ColumnStore::TakeStringColumn(std::size_t col) {
   CATMARK_CHECK_LT(col, columns_.size());
-  auto* p = std::get_if<PlainColumn>(&columns_[col]);
-  CATMARK_CHECK(p != nullptr) << "column " << col << " is dict-encoded";
+  auto* p = std::get_if<StringColumn>(&columns_[col]);
+  CATMARK_CHECK(p != nullptr) << "column " << col
+                              << " is not a plain STRING column";
   return std::move(p->values);
 }
 
@@ -432,8 +564,27 @@ ColumnReader::ColumnReader(const ColumnStore& store, std::size_t col) {
   if (store.IsDictColumn(col)) {
     codes_ = &store.Codes(col);
     dict_ = &store.Dict(col);
+  } else if (store.IsLaneColumn(col)) {
+    lane_ = store.Lane(col);
   } else {
-    values_ = &store.PlainValues(col);
+    values_ = &store.StringValues(col);
+  }
+}
+
+void ColumnReader::SerializeForHash(std::size_t row,
+                                    std::vector<std::uint8_t>& out) const {
+  if (codes_ != nullptr) {
+    const std::int32_t c = (*codes_)[row];
+    (c < 0 ? NullValue() : (*dict_)[static_cast<std::size_t>(c)])
+        .SerializeForHash(out);
+  } else if (values_ != nullptr) {
+    (*values_)[row].SerializeForHash(out);
+  } else if (lane_.IsNull(row)) {
+    NullValue().SerializeForHash(out);
+  } else {
+    const std::size_t at = out.size();
+    out.resize(at + 9);
+    Value::SerializeNumberTo(lane_.type, lane_.bits[row], out.data() + at);
   }
 }
 

@@ -24,8 +24,35 @@ struct TransparentStringHash {
   }
 };
 
-/// The shared NULL value — Get on a NULL cell returns a reference to this.
+/// The shared NULL value.
 const Value& NullValue();
+
+/// Read-only view of a numeric plain column: one raw 8-byte word per row —
+/// the int64's two's complement, or the double's bit pattern, so -0.0 and
+/// NaN payloads survive exactly — plus the NULL bitmap. `null_words` is
+/// empty while the column has never held a NULL; otherwise bit r of it
+/// (bit r % 64 of word r / 64) marks row r NULL, and that row's word is 0.
+/// The spans are valid until the column is next mutated.
+struct NumericLane {
+  ColumnType type = ColumnType::kInt64;
+  std::span<const std::uint64_t> bits;
+  std::span<const std::uint64_t> null_words;
+
+  std::size_t size() const { return bits.size(); }
+  bool IsNull(std::size_t row) const {
+    return !null_words.empty() && ((null_words[row >> 6] >> (row & 63)) & 1);
+  }
+  /// The lane as int64 keys; only meaningful when type == kInt64.
+  std::span<const std::int64_t> int64s() const {
+    // Signed and unsigned variants of one integer type may alias.
+    return {reinterpret_cast<const std::int64_t*>(bits.data()), bits.size()};
+  }
+  /// Row `row` as a Value (NULL, int64 or double).
+  Value Get(std::size_t row) const {
+    if (IsNull(row)) return Value();
+    return LaneValue(type, bits[row]);
+  }
+};
 
 /// A per-row replacement of one column during AppendRowsFrom: appended row k
 /// takes `*values[k]` in column `col` instead of the source cell, unless
@@ -47,9 +74,16 @@ struct ColumnOverride {
 /// recovery, frequency histograms, the embedder's category-draining guard —
 /// costs O(dictionary) instead of a full O(N) column scan.
 ///
-/// Non-categorical columns (keys, measures) fall back to a plain
-/// column-major std::vector<Value>: their values are mostly distinct, so a
-/// dictionary would just add an indirection on every access.
+/// Non-categorical columns (keys, measures) are mostly distinct, so a
+/// dictionary would just add an indirection on every access; they are
+/// stored plain instead. An INT64 or DOUBLE plain column is one raw 8-byte
+/// lane per row plus a NULL bitmap allocated when the first NULL arrives
+/// (see NumericLane): 8 bytes a row where a std::variant Value costs 40,
+/// which is what a 2M-row key column pays in page faults on load and
+/// release. A STRING plain column is a std::vector<Value>.
+///
+/// Cells are read by value (Get, ColumnReader): a lane cell has no Value
+/// object to refer to.
 ///
 /// Sion's channel is per-tuple-per-attribute, which makes the embed/detect
 /// hot loops stream exactly one column at a time; the int32 code arrays keep
@@ -61,7 +95,8 @@ class ColumnStore {
   ColumnStore() = default;
 
   /// Lays out one column per schema attribute: dictionary-encoded when
-  /// `categorical`, plain otherwise.
+  /// `categorical`, else a numeric lane (INT64/DOUBLE) or a Value vector
+  /// (STRING).
   explicit ColumnStore(const Schema& schema);
 
   std::size_t num_rows() const { return num_rows_; }
@@ -69,7 +104,8 @@ class ColumnStore {
 
   void Reserve(std::size_t n);
 
-  /// Appends a tuple; `row.size()` must equal num_columns() (checked).
+  /// Appends a tuple; `row.size()` must equal num_columns() (checked). A
+  /// non-NULL cell of a numeric lane must hold the column's type (checked).
   void AppendRow(Row row);
 
   /// Bulk-appends `rows` (each of arity num_columns(), checked in one
@@ -83,7 +119,8 @@ class ColumnStore {
   /// Bulk-appends rows `indices` of `src`, which must have the same column
   /// layout (checked) and not be this store. Dictionary columns intern each
   /// *referenced* source dictionary entry once and translate codes;
-  /// fallback columns copy values — no per-cell re-serialization, unlike
+  /// plain columns copy lane words or values — no per-cell
+  /// re-serialization, unlike
   /// the row-at-a-time path. `override` (size-checked) replaces cells of
   /// one column; overridden and copied cells intern in row order, so code
   /// assignment matches appending the resulting rows one at a time.
@@ -96,11 +133,11 @@ class ColumnStore {
   /// codes, so refilling with recurring values interns nothing new.
   void ClearRows();
 
-  /// Cell value; NULL cells return NullValue(). The reference is valid until
-  /// the cell (or, for dictionary columns, the dictionary) is next mutated.
-  const Value& Get(std::size_t row, std::size_t col) const;
+  /// Cell value, by value (NULL cells return a NULL Value).
+  Value Get(std::size_t row, std::size_t col) const;
 
-  /// Overwrites one cell (no type validation — Relation layers that on top).
+  /// Overwrites one cell. Only a numeric lane checks the type (it cannot
+  /// hold any other); Relation validates every column on top.
   void Set(std::size_t row, std::size_t col, Value v);
 
   /// Removes row `i` by swapping the last row into its slot: O(columns).
@@ -127,8 +164,14 @@ class ColumnStore {
   /// zero count are "dead": interned but not present in any row.
   const std::vector<std::int64_t>& DictLiveCounts(std::size_t col) const;
 
-  /// Plain (non-dictionary) column values, one per row.
-  const std::vector<Value>& PlainValues(std::size_t col) const;
+  /// True for an INT64/DOUBLE plain column, stored as a NumericLane.
+  bool IsLaneColumn(std::size_t col) const;
+
+  /// The lane of a numeric plain column (checked).
+  NumericLane Lane(std::size_t col) const;
+
+  /// Per-row values of a STRING plain column (checked).
+  const std::vector<Value>& StringValues(std::size_t col) const;
 
   /// Interns `v` into `col`'s dictionary without touching any row; returns
   /// its code. NULL interns as kNullCode.
@@ -167,17 +210,23 @@ class ColumnStore {
                            std::vector<std::int64_t> live,
                            std::vector<std::int32_t> codes);
 
-  /// Installs a plain column's per-row values.
-  Status InstallPlainColumn(std::size_t col, std::vector<Value> values);
+  /// Installs a numeric plain column's lane: `bits` as NumericLane
+  /// describes, and `null_words` empty (no NULL) or exactly one word per 64
+  /// rows with no bit set past the last row (checked).
+  Status InstallLaneColumn(std::size_t col, std::vector<std::uint64_t> bits,
+                           std::vector<std::uint64_t> null_words);
+
+  /// Installs a STRING plain column's per-row values.
+  Status InstallStringColumn(std::size_t col, std::vector<Value> values);
 
   /// Verifies every column holds exactly `num_rows` cells and commits the
   /// row count; InvalidArgument (and the store stays inert) otherwise.
   Status FinalizeInstall(std::size_t num_rows);
 
-  /// Moves a plain column's values out (the column is left empty). The
-  /// parallel-ingest merge concatenates shard columns through this instead
-  /// of copying every string.
-  std::vector<Value> TakePlainColumn(std::size_t col);
+  /// Moves a STRING plain column's values out (the column is left empty).
+  /// The parallel-ingest merge concatenates shard columns through this
+  /// instead of copying every string.
+  std::vector<Value> TakeStringColumn(std::size_t col);
 
  private:
   friend class BulkCodeWriter;
@@ -194,16 +243,39 @@ class ColumnStore {
     std::string last_key;
     std::int32_t last_code = kNullCode;
   };
-  struct PlainColumn {
+  struct StringColumn {
     std::vector<Value> values;  // per-row
   };
+  // Once allocated, null_words holds one word per 64 rows of `bits` and no
+  // set bit past the last row; the members below keep it that way.
+  struct LaneColumn {
+    ColumnType type = ColumnType::kInt64;
+    std::vector<std::uint64_t> bits;        // per-row; 0 in NULL slots
+    std::vector<std::uint64_t> null_words;  // empty until the first NULL
+
+    bool IsNull(std::size_t row) const {
+      return !null_words.empty() &&
+             ((null_words[row >> 6] >> (row & 63)) & 1);
+    }
+    // Row `row` (< bits.size()) becomes NULL / non-NULL in the bitmap; the
+    // first MarkNull allocates it.
+    void MarkNull(std::size_t row);
+    void ClearNull(std::size_t row);
+    // Re-fits an allocated bitmap to bits.size().
+    void SyncNullWords();
+    // Appends one cell (NULL or the lane's type, checked).
+    void Push(const Value& v);
+  };
+  using AnyColumn = std::variant<DictColumn, StringColumn, LaneColumn>;
 
   DictColumn& dict_column(std::size_t col);
   const DictColumn& dict_column(std::size_t col) const;
 
   std::int32_t Intern(DictColumn& c, const Value& v);
 
-  std::vector<std::variant<DictColumn, PlainColumn>> columns_;
+  static std::size_t ColumnRows(const AnyColumn& column);
+
+  std::vector<AnyColumn> columns_;
   std::size_t num_rows_ = 0;
   // Reused buffers of the single-threaded mutation path (readers never
   // touch them): the intern probe's serialization, and AppendRowsFrom's
@@ -265,32 +337,51 @@ class BulkCodeWriter {
 };
 
 /// Cheap positional cursor over one column for hot loops: resolves the
-/// dict-vs-plain branch once at construction, then reads row values with two
-/// indexed loads. `store` must outlive the reader.
+/// column's layout once at construction, then reads a row with one or two
+/// indexed loads. `store` must outlive the reader, and the column must not
+/// be mutated while it is in use.
 class ColumnReader {
  public:
   ColumnReader(const ColumnStore& store, std::size_t col);
 
-  const Value& operator[](std::size_t row) const {
+  /// Row `row`'s value, by value.
+  Value operator[](std::size_t row) const {
     if (codes_ != nullptr) {
       const std::int32_t c = (*codes_)[row];
-      return c < 0 ? NullValue() : (*dict_)[static_cast<std::size_t>(c)];
+      return c < 0 ? Value() : (*dict_)[static_cast<std::size_t>(c)];
     }
-    return (*values_)[row];
+    if (values_ != nullptr) return (*values_)[row];
+    return lane_.Get(row);
+  }
+
+  bool IsNull(std::size_t row) const {
+    if (codes_ != nullptr) return (*codes_)[row] < 0;
+    if (values_ != nullptr) return (*values_)[row].is_null();
+    return lane_.IsNull(row);
+  }
+
+  /// Appends row `row`'s Value::SerializeForHash bytes to `out` without
+  /// materializing a Value.
+  void SerializeForHash(std::size_t row, std::vector<std::uint8_t>& out) const;
+
+  /// Row `row`'s canonical key bytes (Value::SerializeKeyInto), serialized
+  /// into `scratch` (cleared first).
+  std::string_view SerializeKeyInto(std::size_t row,
+                                    std::vector<std::uint8_t>& scratch) const {
+    scratch.clear();
+    SerializeForHash(row, scratch);
+    return {reinterpret_cast<const char*>(scratch.data()), scratch.size()};
   }
 
   bool is_dict() const { return codes_ != nullptr; }
   const std::vector<std::int32_t>& codes() const { return *codes_; }
   const std::vector<Value>& dict() const { return *dict_; }
-  /// Direct row storage of a plain (non-dict) column — per-row hot loops
-  /// iterate this instead of paying the dict branch in operator[] on every
-  /// access. Only valid when !is_dict().
-  const std::vector<Value>& values() const { return *values_; }
 
  private:
   const std::vector<std::int32_t>* codes_ = nullptr;
   const std::vector<Value>* dict_ = nullptr;
-  const std::vector<Value>* values_ = nullptr;
+  const std::vector<Value>* values_ = nullptr;  // STRING plain column
+  NumericLane lane_;                            // numeric plain column
 };
 
 }  // namespace catmark

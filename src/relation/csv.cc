@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -176,12 +177,11 @@ std::string WriteCsvString(const Relation& rel) {
   // once here, not per cell in the row loop.
   std::vector<std::vector<std::string>> rendered(num_cols);
   std::vector<const std::vector<std::int32_t>*> codes(num_cols, nullptr);
-  std::vector<const std::vector<Value>*> plain(num_cols, nullptr);
+  std::vector<ColumnReader> readers;
+  readers.reserve(num_cols);
   for (std::size_t c = 0; c < num_cols; ++c) {
-    if (!rel.store().IsDictColumn(c)) {
-      plain[c] = &rel.store().PlainValues(c);
-      continue;
-    }
+    readers.emplace_back(rel.store(), c);
+    if (!rel.store().IsDictColumn(c)) continue;
     codes[c] = &rel.store().Codes(c);
     const std::vector<Value>& dict = rel.store().Dict(c);
     rendered[c].reserve(dict.size());
@@ -200,7 +200,7 @@ std::string WriteCsvString(const Relation& rel) {
         if (code >= 0) out.append(rendered[c][static_cast<std::size_t>(code)]);
         // NULL renders as the empty field.
       } else {
-        AppendField((*plain[c])[r].ToString(), out);
+        AppendField(readers[c][r].ToString(), out);
       }
     }
     out.push_back('\n');
@@ -360,15 +360,38 @@ Result<Relation> ReadCsvStringParallel(std::string_view text,
       }
       CATMARK_RETURN_IF_ERROR(store.InstallDictColumn(
           c, std::move(dict), std::move(live), std::move(codes)));
+    } else if (store.IsLaneColumn(c)) {
+      // Shard lanes concatenate with one memcpy each; NULL bits (rare)
+      // re-land at their shifted row.
+      std::vector<std::uint64_t> bits(total);
+      std::vector<std::uint64_t> null_words;
+      std::size_t at = 0;
+      for (const Relation& part : parts) {
+        const NumericLane lane = part.store().Lane(c);
+        if (!lane.bits.empty()) {
+          std::memcpy(bits.data() + at, lane.bits.data(),
+                      lane.bits.size_bytes());
+        }
+        if (!lane.null_words.empty()) {
+          null_words.resize((total + 63) / 64, 0);
+          for (std::size_t r = 0; r < lane.size(); ++r) {
+            if (!lane.IsNull(r)) continue;
+            null_words[(at + r) >> 6] |= std::uint64_t{1} << ((at + r) & 63);
+          }
+        }
+        at += lane.size();
+      }
+      CATMARK_RETURN_IF_ERROR(store.InstallLaneColumn(c, std::move(bits),
+                                                      std::move(null_words)));
     } else {
       std::vector<Value> values;
       values.reserve(total);
       for (Relation& part : parts) {
-        std::vector<Value> pv = part.mutable_store().TakePlainColumn(c);
+        std::vector<Value> pv = part.mutable_store().TakeStringColumn(c);
         values.insert(values.end(), std::make_move_iterator(pv.begin()),
                       std::make_move_iterator(pv.end()));
       }
-      CATMARK_RETURN_IF_ERROR(store.InstallPlainColumn(c, std::move(values)));
+      CATMARK_RETURN_IF_ERROR(store.InstallStringColumn(c, std::move(values)));
     }
   }
   CATMARK_RETURN_IF_ERROR(store.FinalizeInstall(total));

@@ -11,7 +11,13 @@ Relation::Relation(Schema schema, ColumnStore store)
     : schema_(std::move(schema)), store_(std::move(store)) {
   CATMARK_CHECK_EQ(store_.num_columns(), schema_.num_columns());
   for (std::size_t c = 0; c < schema_.num_columns(); ++c) {
-    CATMARK_CHECK_EQ(store_.IsDictColumn(c), schema_.column(c).categorical);
+    const Column& column = schema_.column(c);
+    CATMARK_CHECK_EQ(store_.IsDictColumn(c), column.categorical);
+    CATMARK_CHECK_EQ(store_.IsLaneColumn(c),
+                     !column.categorical && column.type != ColumnType::kString);
+    if (store_.IsLaneColumn(c)) {
+      CATMARK_CHECK(store_.Lane(c).type == column.type);
+    }
   }
 }
 
@@ -137,10 +143,10 @@ bool Relation::SameContent(const Relation& other) const {
                          : dict_bytes[static_cast<std::size_t>(codes[r])];
         }
       } else {
-        const std::vector<Value>& values = rel.store().PlainValues(c);
+        const ColumnReader reader(rel.store(), c);
         for (std::size_t r = 0; r < rows; ++r) {
           scratch.clear();
-          values[r].SerializeForHash(scratch);
+          reader.SerializeForHash(r, scratch);
           keys[r].append(scratch.begin(), scratch.end());
         }
       }

@@ -17,9 +17,11 @@ namespace catmark {
 /// watermarks are embedded into and detected from.
 ///
 /// Storage is column-major (ColumnStore): categorical attributes — the
-/// embedding channels — are dictionary-encoded int32 code vectors, other
-/// attributes are plain per-column Value vectors. The tuple-oriented API
-/// below is preserved; hot paths read codes directly via store().
+/// embedding channels — are dictionary-encoded int32 code vectors; other
+/// INT64/DOUBLE attributes are raw 8-byte lanes with a NULL bitmap, and
+/// other STRING attributes are per-column Value vectors. The
+/// tuple-oriented API below reads and writes Values; hot paths read codes
+/// and lanes directly via store().
 class Relation {
  public:
   Relation() = default;
@@ -43,7 +45,8 @@ class Relation {
   Status AppendRow(Row row);
 
   /// Appends without type validation — generator/attack hot path; the caller
-  /// guarantees schema conformance (arity is still checked).
+  /// guarantees schema conformance (arity is still checked, and so is the
+  /// type of a numeric plain cell, which its lane cannot hold otherwise).
   void AppendRowUnchecked(Row row) { store_.AppendRow(std::move(row)); }
 
   /// Bulk-appends `rows` (consumed) after validating the whole batch —
@@ -75,9 +78,9 @@ class Relation {
   /// columnar, so there is no stored Row to reference).
   Row row(std::size_t i) const { return store_.MaterializeRow(i); }
 
-  /// Cell accessors (bounds-checked). Get's reference stays valid until the
-  /// cell (or the column's dictionary) is next mutated.
-  const Value& Get(std::size_t row, std::size_t col) const {
+  /// Cell accessors (bounds-checked). Get returns the cell by value: a
+  /// lane cell has no stored Value to refer to.
+  Value Get(std::size_t row, std::size_t col) const {
     return store_.Get(row, col);
   }
   Status Set(std::size_t row, std::size_t col, Value v);

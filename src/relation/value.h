@@ -10,6 +10,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/result.h"
 
 namespace catmark {
@@ -76,12 +77,12 @@ class Value {
   /// so bulk encoders (the .catm writer) pay no call per value.
   std::uint8_t* SerializeTo(std::uint8_t* out) const {
     if (const auto* i = std::get_if<std::int64_t>(&data_)) {
-      *out = 1;
-      return PutBigEndian64(static_cast<std::uint64_t>(*i), out + 1);
+      return SerializeNumberTo(ColumnType::kInt64,
+                               static_cast<std::uint64_t>(*i), out);
     }
     if (const auto* d = std::get_if<double>(&data_)) {
-      *out = 2;
-      return PutBigEndian64(std::bit_cast<std::uint64_t>(*d), out + 1);
+      return SerializeNumberTo(ColumnType::kDouble,
+                               std::bit_cast<std::uint64_t>(*d), out);
     }
     if (const auto* s = std::get_if<std::string>(&data_)) {
       *out = 3;
@@ -91,6 +92,16 @@ class Value {
     }
     *out = 0;
     return out + 1;
+  }
+
+  /// Writes the 9-byte SerializeForHash form of the non-NULL number whose
+  /// raw 8-byte word is `bits` (an int64's two's complement for kInt64, a
+  /// double's bit pattern for kDouble) without building a Value: the
+  /// numeric-lane encoders serialize straight from the lane through this.
+  static std::uint8_t* SerializeNumberTo(ColumnType type, std::uint64_t bits,
+                                         std::uint8_t* out) {
+    *out = type == ColumnType::kInt64 ? 1 : 2;
+    return PutBigEndian64(bits, out + 1);
   }
 
   /// Serializes into `scratch` (cleared first) and returns a view of the
@@ -114,14 +125,19 @@ class Value {
 
  private:
   static std::uint8_t* PutBigEndian64(std::uint64_t v, std::uint8_t* out) {
-    for (int i = 0; i < 8; ++i) {
-      out[i] = static_cast<std::uint8_t>(v >> (8 * (7 - i)));
-    }
+    StoreBigEndian64(v, out);
     return out + 8;
   }
 
   std::variant<std::monostate, std::int64_t, double, std::string> data_;
 };
+
+/// The non-NULL Value a numeric lane word holds (see SerializeNumberTo):
+/// an int64 for kInt64, else the double with those bits.
+inline Value LaneValue(ColumnType type, std::uint64_t bits) {
+  if (type == ColumnType::kInt64) return Value(static_cast<std::int64_t>(bits));
+  return Value(std::bit_cast<double>(bits));
+}
 
 /// A tuple (row) of the relation.
 using Row = std::vector<Value>;

@@ -154,8 +154,8 @@ Result<BatchReport> StreamSession::InsertRange(Relation& rel,
   };
   FitScanner scan(*prf_k1_, prf_k2_.get(), spec_.params.e, fit_scratch_);
   if (!cache_verdicts_) {
-    report.hashed_keys = scan.Scan(
-        count, [&](std::size_t i) { return &keys[begin + i]; },
+    report.hashed_keys = ScanKeyColumn(
+        scan, src.store(), key_col_, begin, begin + count,
         [&](std::size_t i, std::uint64_t h1, std::uint64_t h2) {
           mark(i, h1, position(h2));
         });
@@ -168,9 +168,9 @@ Result<BatchReport> StreamSession::InsertRange(Relation& rel,
     misses_.clear();
     hits_.clear();
     for (std::size_t i = 0; i < count; ++i) {
-      const Value& key = keys[begin + i];
-      if (key.is_null()) continue;  // NULL keys are unfit
-      const std::string_view bytes = key.SerializeKeyInto(scratch_);
+      if (keys.IsNull(begin + i)) continue;  // NULL keys are unfit
+      const std::string_view bytes =
+          keys.SerializeKeyInto(begin + i, scratch_);
       if (const auto it = cache_.find(bytes); it != cache_.end()) {
         hits_.emplace_back(i, &it->second);
         continue;
@@ -182,9 +182,13 @@ Result<BatchReport> StreamSession::InsertRange(Relation& rel,
               : nullptr;
       misses_.emplace_back(i, slot);
     }
+    Value key;
     report.hashed_keys = scan.Scan(
         misses_.size(),
-        [&](std::size_t m) { return &keys[begin + misses_[m].first]; },
+        [&](std::size_t m) {
+          key = keys[begin + misses_[m].first];
+          return &key;
+        },
         [&](std::size_t m, std::uint64_t h1, std::uint64_t h2) {
           const Verdict v{h1, position(h2), true};
           if (misses_[m].second != nullptr) *misses_[m].second = v;

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -284,7 +286,8 @@ TEST(CatmRoundTripTest, ExactIncludingDeadDictEntries) {
   EXPECT_EQ(back->store().Codes(1), rel.store().Codes(1));
   EXPECT_EQ(back->store().Dict(1), rel.store().Dict(1));
   EXPECT_EQ(back->store().DictLiveCounts(1), rel.store().DictLiveCounts(1));
-  EXPECT_EQ(back->store().PlainValues(0), rel.store().PlainValues(0));
+  EXPECT_TRUE(std::ranges::equal(back->store().Lane(0).bits,
+                                 rel.store().Lane(0).bits));
   EXPECT_TRUE(back->SameContent(rel));
   // write(read(write(x))) == write(x): the image is a fixpoint.
   EXPECT_EQ(WriteCatmString(*back), bytes);
@@ -314,6 +317,51 @@ TEST(CatmRoundTripTest, EveryValueTypeAndNull) {
   // -0.0 keeps its sign bit: the encoding is the exact bit pattern.
   EXPECT_TRUE(back->Get(1, 2).is_null());
   EXPECT_TRUE(std::signbit(back->Get(2, 1).AsDouble()));
+}
+
+// Numeric plain columns load straight into their 8-byte lanes; the bits
+// (and which rows are NULL) must come back exactly, across NULL-bitmap
+// word boundaries.
+TEST(CatmRoundTripTest, LaneValuesRoundTripBitExactly) {
+  const Schema schema =
+      Schema::Create({{"I", ColumnType::kInt64, false},
+                      {"D", ColumnType::kDouble, false},
+                      {"N", ColumnType::kInt64, false}},
+                     "")
+          .value();
+  const std::vector<Value> ints = {
+      Value(std::numeric_limits<std::int64_t>::min()),
+      Value(std::numeric_limits<std::int64_t>::max()), Value(std::int64_t{-1}),
+      Value(std::int64_t{0}), Value()};
+  const std::vector<Value> doubles = {
+      Value(-0.0),
+      Value(std::bit_cast<double>(std::uint64_t{0x7ff8000000000abcULL})),
+      Value(std::bit_cast<double>(std::uint64_t{0xfff0000000000001ULL})),
+      Value(std::numeric_limits<double>::infinity()),
+      Value(std::numeric_limits<double>::denorm_min()), Value(0.0), Value()};
+  Relation rel(schema);
+  for (std::size_t r = 0; r < 150; ++r) {
+    rel.AppendRowUnchecked(
+        {ints[r % ints.size()], doubles[r % doubles.size()], Value()});
+  }
+  const std::string bytes = WriteCatmString(rel);
+  Result<Relation> back = ReadCatmString(bytes);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  for (std::size_t c = 0; c < 3; ++c) {
+    const NumericLane want = rel.store().Lane(c);
+    const NumericLane got = back->store().Lane(c);
+    EXPECT_TRUE(std::ranges::equal(got.bits, want.bits)) << c;
+    EXPECT_TRUE(std::ranges::equal(got.null_words, want.null_words)) << c;
+  }
+  EXPECT_EQ(back->Get(0, 0).AsInt64(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_TRUE(std::signbit(back->Get(0, 1).AsDouble()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(back->Get(1, 1).AsDouble()),
+            0x7ff8000000000abcULL);
+  // The all-NULL column: one tag byte a row, every row NULL.
+  EXPECT_EQ(ReadSectionTable(bytes)[2].length, 150u);
+  for (std::size_t r = 0; r < 150; ++r) EXPECT_TRUE(back->Get(r, 2).is_null());
+  EXPECT_EQ(WriteCatmString(*back), bytes);
 }
 
 TEST(CatmRoundTripTest, ExpectedSchemaMismatchIsInvalidArgument) {
@@ -474,6 +522,32 @@ TEST(CatmCorruptionTest, HostileDictOffsetsWithValidChecksumsAreRejected) {
   EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
 }
 
+// A checksum-valid INT64 plain section whose value carries another tag:
+// a value that decodes is a type mismatch, one that does not reports its
+// own decode error, exactly as DecodeValue words it.
+TEST(CatmCorruptionTest, WrongTagInInt64SectionKeepsItsStatus) {
+  const std::string good = WriteCatmString(TinyRelation());
+  const std::vector<TableEntry> table = ReadSectionTable(good);
+  const auto with_tag = [&](std::size_t row, char tag) {
+    std::string bytes = good;
+    bytes[static_cast<std::size_t>(table[0].offset) + 9 * row] = tag;
+    Reseal(bytes, table, 0);
+    return ReadCatmString(bytes).status();
+  };
+  EXPECT_EQ(with_tag(0, 2).ToString(),
+            "InvalidArgument: .catm value type disagrees with the schema in "
+            "column 'K'");
+  EXPECT_EQ(with_tag(1, 7).ToString(),
+            "InvalidArgument: unknown value tag 7");
+  EXPECT_EQ(with_tag(2, 3).ToString(),
+            "InvalidArgument: string length 3 exceeds the 0 bytes left in its "
+            "section");
+  // A NULL tag on the last row leaves its 8 payload bytes over.
+  EXPECT_EQ(with_tag(2, 0).ToString(),
+            "InvalidArgument: .catm plain section has trailing bytes in "
+            "column 'K'");
+}
+
 TEST(CatmCorruptionTest, EveryTruncationFailsToParse) {
   // Shorter than the magic is "not a .catm file"; anything longer is a
   // truncated one.
@@ -632,7 +706,7 @@ TEST(CatmInstallTest, RejectsLiveCountMismatch) {
 TEST(CatmInstallTest, FinalizeRejectsRowCountMismatch) {
   Relation rel(TinySchema());
   ASSERT_TRUE(rel.mutable_store()
-                  .InstallPlainColumn(0, {Value(std::int64_t{1})})
+                  .InstallLaneColumn(0, {1}, {})
                   .ok());
   ASSERT_TRUE(rel.mutable_store()
                   .InstallDictColumn(1, {Value(std::string("x"))}, {2},

@@ -238,6 +238,70 @@ TEST(CertificateTest, RejectsHostileIntegerFields) {
                   .ok());
 }
 
+// The remaining typed fields are just as strict: min_category_keep and
+// each frequency must consume the whole field and lie in range, an unknown
+// bit_index_mode is an error (not modulo), and a repeated field is an
+// error (not last-one-wins).
+TEST(CertificateTest, RejectsHostileTypedFields) {
+  const CertTestData s = MakeSetup();
+  const std::string text = s.cert.Serialize();
+  ASSERT_NE(text.find("\nfrequencies=0"), std::string::npos);
+  const auto with_field = [&](const std::string& key,
+                              const std::string& value) {
+    std::string out = text;
+    const std::size_t begin = out.find("\n" + key + "=") + 1;
+    const std::size_t end = out.find('\n', begin);
+    out.replace(begin, end - begin, key + "=" + value);
+    return out;
+  };
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"min_category_keep", "banana"},
+           {"min_category_keep", "-1"},
+           {"min_category_keep", "3x"},
+           {"min_category_keep", ""},
+           {"min_category_keep", "99999999999999999999"},
+           {"frequencies", "0.5,banana"},
+           {"frequencies", "0.5,"},
+           {"frequencies", "nan"},
+           {"frequencies", "inf"},
+           {"frequencies", "1.5"},
+           {"frequencies", "-0.25"},
+           {"frequencies", "0.5, 0.25"},
+           {"bit_index_mode", "bogus"},
+           {"bit_index_mode", ""},
+       }) {
+    const auto result =
+        WatermarkCertificate::Deserialize(with_field(key, value));
+    ASSERT_FALSE(result.ok()) << key << "=" << value;
+    EXPECT_TRUE(result.status().IsInvalidArgument()) << key << "=" << value;
+  }
+  // In-range values still parse, including scientific notation.
+  const auto keep0 =
+      WatermarkCertificate::Deserialize(with_field("min_category_keep", "0"));
+  ASSERT_TRUE(keep0.ok()) << keep0.status().ToString();
+  EXPECT_EQ(keep0->params.min_category_keep, 0);
+  const auto freqs =
+      WatermarkCertificate::Deserialize(with_field("frequencies", "0,1,2e-3"));
+  ASSERT_TRUE(freqs.ok()) << freqs.status().ToString();
+  EXPECT_EQ(freqs->frequencies, (std::vector<double>{0.0, 1.0, 2e-3}));
+  const auto msb =
+      WatermarkCertificate::Deserialize(with_field("bit_index_mode", "msb"));
+  ASSERT_TRUE(msb.ok()) << msb.status().ToString();
+  EXPECT_EQ(msb->params.bit_index_mode, BitIndexMode::kMsbModL);
+
+  // A field given twice is rejected, even with the same value.
+  for (const std::string& line :
+       {std::string("e=40"), std::string("wm=1"), std::string("description=x"),
+        std::string("payload_length=4294967295")}) {
+    const auto dup = WatermarkCertificate::Deserialize(text + line + "\n");
+    ASSERT_FALSE(dup.ok()) << line;
+    EXPECT_TRUE(dup.status().IsInvalidArgument()) << line;
+    EXPECT_NE(dup.status().ToString().find("duplicate"), std::string::npos)
+        << line;
+  }
+}
+
 TEST(CertifiedDetectionTest, OneCallWorkflow) {
   const CertTestData s = MakeSetup();
   const CertifiedDetection result =

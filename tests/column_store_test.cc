@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "relation/column_store.h"
 #include "relation/domain.h"
 #include "relation/relation.h"
@@ -179,10 +184,11 @@ TEST(ColumnStoreTest, AppendRowsFromGrowsGeometrically) {
   std::size_t code_growths = 0, value_growths = 0;
   for (std::size_t a = 0; a < kAppends; ++a) {
     const std::size_t codes_before = dst.store().Codes(1).capacity();
-    const std::size_t values_before = dst.store().PlainValues(0).capacity();
+    // A lane reallocation moves its storage.
+    const std::uint64_t* lane_before = dst.store().Lane(0).bits.data();
     ASSERT_TRUE(dst.AppendRowsFrom(src, indices).ok());
     code_growths += dst.store().Codes(1).capacity() != codes_before;
-    value_growths += dst.store().PlainValues(0).capacity() != values_before;
+    value_growths += dst.store().Lane(0).bits.data() != lane_before;
   }
   EXPECT_EQ(dst.NumRows(), kBatch * kAppends);
   // log2(500) < 9; the first append allocates, then capacity doubles.
@@ -247,7 +253,7 @@ TEST(ColumnStoreTest, ClearRowsKeepsDictionariesWithDeadEntries) {
   rel.ClearRows();
   EXPECT_TRUE(rel.empty());
   EXPECT_TRUE(rel.store().Codes(1).empty());
-  EXPECT_TRUE(rel.store().PlainValues(0).empty());
+  EXPECT_EQ(rel.store().Lane(0).size(), 0u);
   EXPECT_EQ(rel.store().Dict(1).size(), 2u);
   EXPECT_EQ(rel.store().DictLiveCounts(1), (std::vector<std::int64_t>{0, 0}));
   // A recurring value keeps its code; the recovered domain sees live rows
@@ -258,11 +264,188 @@ TEST(ColumnStoreTest, ClearRowsKeepsDictionariesWithDeadEntries) {
   EXPECT_EQ(CategoricalDomain::FromRelationColumn(rel, 1).value().size(), 1u);
 }
 
-TEST(ColumnStoreTest, PlainColumnsStoreValuesDirectly) {
+TEST(ColumnStoreTest, NumericPlainColumnsAreLanes) {
   Relation rel(TestSchema());
-  rel.AppendRowUnchecked({Value(std::int64_t{9}), Value("a"), Value(2.5)});
-  EXPECT_EQ(rel.store().PlainValues(0)[0].AsInt64(), 9);
-  EXPECT_DOUBLE_EQ(rel.store().PlainValues(2)[0].AsDouble(), 2.5);
+  rel.AppendRowUnchecked({Value(std::int64_t{-9}), Value("a"), Value(2.5)});
+  const ColumnStore& store = rel.store();
+  EXPECT_TRUE(store.IsLaneColumn(0));
+  EXPECT_FALSE(store.IsLaneColumn(1));
+  EXPECT_TRUE(store.IsLaneColumn(2));
+  EXPECT_EQ(store.Lane(0).type, ColumnType::kInt64);
+  EXPECT_EQ(store.Lane(0).int64s()[0], -9);
+  EXPECT_EQ(store.Lane(2).type, ColumnType::kDouble);
+  EXPECT_EQ(store.Lane(2).bits[0], std::bit_cast<std::uint64_t>(2.5));
+  // No NULL yet: no bitmap.
+  EXPECT_TRUE(store.Lane(0).null_words.empty());
+}
+
+// --- numeric lanes and their NULL bitmap ----------------------------------
+
+// Checks the lane invariants of column `col` and returns its cells: the
+// bitmap is absent or exactly one word per 64 rows with nothing set past
+// the last row, and a NULL slot holds 0.
+std::vector<Value> LaneCells(const Relation& rel, std::size_t col) {
+  const NumericLane lane = rel.store().Lane(col);
+  EXPECT_EQ(lane.size(), rel.NumRows());
+  if (!lane.null_words.empty()) {
+    EXPECT_EQ(lane.null_words.size(), (lane.size() + 63) / 64);
+    if (lane.size() % 64 != 0) {
+      EXPECT_EQ(lane.null_words.back() >> (lane.size() % 64), 0u);
+    }
+  }
+  std::vector<Value> cells;
+  for (std::size_t r = 0; r < lane.size(); ++r) {
+    if (lane.IsNull(r)) {
+      EXPECT_EQ(lane.bits[r], 0u) << r;
+    }
+    EXPECT_EQ(lane.Get(r), rel.Get(r, col)) << r;
+    cells.push_back(lane.Get(r));
+  }
+  return cells;
+}
+
+// Key k and X = k / 2, both NULL when `null_key`.
+Row LaneRow(std::int64_t k, bool null_key) {
+  return {null_key ? Value() : Value(k), Value("c"),
+          null_key ? Value() : Value(static_cast<double>(k) / 2)};
+}
+
+TEST(ColumnStoreLaneTest, BitmapAppearsWithTheFirstNull) {
+  Relation rel(TestSchema());
+  for (std::int64_t k = 0; k < 70; ++k) {
+    rel.AppendRowUnchecked(LaneRow(k, false));
+  }
+  EXPECT_TRUE(rel.store().Lane(0).null_words.empty());
+  rel.AppendRowUnchecked(LaneRow(70, true));
+  ASSERT_EQ(rel.store().Lane(0).null_words.size(), 2u);
+  EXPECT_TRUE(rel.store().Lane(0).IsNull(70));
+  EXPECT_FALSE(rel.store().Lane(0).IsNull(69));
+
+  // The bulk path lands the same cells as the row path, across a word
+  // boundary and with NULLs on both sides of it.
+  std::vector<Row> batch;
+  for (std::int64_t k = 71; k < 200; ++k) {
+    batch.push_back(LaneRow(k, k % 13 == 0));
+  }
+  Relation rows(TestSchema());
+  for (std::int64_t k = 0; k < 71; ++k) {
+    rows.AppendRowUnchecked(LaneRow(k, k == 70));
+  }
+  for (const Row& row : batch) rows.AppendRowUnchecked(row);
+  rel.AppendRowsUnchecked(std::span<Row>(batch));
+  EXPECT_EQ(LaneCells(rel, 0), LaneCells(rows, 0));
+  EXPECT_EQ(LaneCells(rel, 2), LaneCells(rows, 2));
+  EXPECT_TRUE(rel.Get(78, 0).is_null());
+  EXPECT_TRUE(rel.Get(78, 2).is_null());
+  EXPECT_EQ(rel.Get(79, 0).AsInt64(), 79);
+  EXPECT_DOUBLE_EQ(rel.Get(79, 2).AsDouble(), 39.5);
+}
+
+TEST(ColumnStoreLaneTest, AppendRowsFromCarriesNullsAndOverrides) {
+  Relation src(TestSchema());
+  for (std::int64_t k = 0; k < 150; ++k) {
+    src.AppendRowUnchecked(LaneRow(k, k % 7 == 3));
+  }
+  std::vector<std::size_t> indices;
+  for (std::size_t i = 0; i < 150; i += 2) indices.push_back(i);
+  indices.push_back(3);  // a NULL row, repeated
+
+  // Without an override: cell-for-cell the source rows, on top of a
+  // destination whose own rows have no NULL (the bitmap must appear at
+  // the right shifted offsets).
+  Relation dst(TestSchema());
+  for (std::int64_t k = 0; k < 5; ++k) {
+    dst.AppendRowUnchecked(LaneRow(1000 + k, false));
+  }
+  ASSERT_TRUE(dst.AppendRowsFrom(src, indices).ok());
+  const std::vector<Value> cells = LaneCells(dst, 0);
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    EXPECT_EQ(cells[5 + k], src.Get(indices[k], 0)) << k;
+  }
+  EXPECT_TRUE(cells.back().is_null());
+
+  // With an override on the key lane: to NULL, from NULL, and untouched.
+  const Value null_value;
+  const Value big(std::int64_t{-77});
+  std::vector<const Value*> over(indices.size(), nullptr);
+  over[0] = &null_value;  // row 0 (non-NULL) -> NULL
+  over.back() = &big;     // row 3 (NULL) -> -77
+  Relation overridden(TestSchema());
+  ASSERT_TRUE(
+      overridden.AppendRowsFrom(src, indices, ColumnOverride{0, over}).ok());
+  Relation expected(TestSchema());
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    Row row = src.row(indices[k]);
+    if (over[k] != nullptr) row[0] = *over[k];
+    expected.AppendRowUnchecked(std::move(row));
+  }
+  EXPECT_EQ(LaneCells(overridden, 0), LaneCells(expected, 0));
+  EXPECT_EQ(LaneCells(overridden, 2), LaneCells(expected, 2));
+  EXPECT_TRUE(overridden.Get(0, 0).is_null());
+  EXPECT_EQ(overridden.Get(indices.size() - 1, 0).AsInt64(), -77);
+}
+
+TEST(ColumnStoreLaneTest, SetToAndFromNull) {
+  Relation rel(TestSchema());
+  for (std::int64_t k = 0; k < 3; ++k) {
+    rel.AppendRowUnchecked(LaneRow(k, false));
+  }
+  ASSERT_TRUE(rel.Set(1, 0, Value()).ok());
+  EXPECT_TRUE(rel.Get(1, 0).is_null());
+  EXPECT_EQ(rel.store().Lane(0).null_words.size(), 1u);
+  LaneCells(rel, 0);
+  ASSERT_TRUE(rel.Set(1, 0, Value(std::int64_t{-5})).ok());
+  EXPECT_EQ(rel.Get(1, 0).AsInt64(), -5);
+  EXPECT_FALSE(rel.store().Lane(0).IsNull(1));
+  // -0.0 keeps its sign bit through Set.
+  ASSERT_TRUE(rel.Set(2, 2, Value(-0.0)).ok());
+  EXPECT_EQ(rel.store().Lane(2).bits[2], std::bit_cast<std::uint64_t>(-0.0));
+  // A wrong type is still a Status at the Relation layer.
+  EXPECT_FALSE(rel.Set(0, 0, Value(1.5)).ok());
+  EXPECT_EQ(rel.Get(0, 0).AsInt64(), 0);
+}
+
+TEST(ColumnStoreLaneTest, SwapRemoveMovesNullBits) {
+  Relation rel(TestSchema());
+  // Rows 0..129; NULL keys at 5 and 129 (the last row).
+  for (std::int64_t k = 0; k < 130; ++k) {
+    rel.AppendRowUnchecked(LaneRow(k, k == 5 || k == 129));
+  }
+  // Removing non-NULL row 10 pulls the NULL last row into its slot.
+  rel.SwapRemoveRow(10);
+  EXPECT_TRUE(rel.Get(10, 0).is_null());
+  EXPECT_EQ(rel.NumRows(), 129u);
+  LaneCells(rel, 0);
+  // Removing the NULL row 5 pulls the (non-NULL) last row 128 in.
+  rel.SwapRemoveRow(5);
+  EXPECT_EQ(rel.Get(5, 0).AsInt64(), 128);
+  LaneCells(rel, 0);
+  // Removing the last row itself, down across a word boundary.
+  while (rel.NumRows() > 60) {
+    rel.SwapRemoveRow(rel.NumRows() - 1);
+    LaneCells(rel, 0);
+  }
+  EXPECT_TRUE(rel.Get(10, 0).is_null());
+  EXPECT_EQ(rel.store().Lane(0).null_words.size(), 1u);
+}
+
+TEST(ColumnStoreLaneTest, ClearRowsThenRefill) {
+  Relation rel(TestSchema());
+  for (std::int64_t k = 0; k < 100; ++k) {
+    rel.AppendRowUnchecked(LaneRow(k, k % 3 == 0));
+  }
+  rel.ClearRows();
+  EXPECT_EQ(rel.store().Lane(0).size(), 0u);
+  EXPECT_TRUE(rel.store().Lane(0).null_words.empty());
+  // Refilled without a NULL: no stale NULL bit resurfaces.
+  for (std::int64_t k = 0; k < 100; ++k) {
+    rel.AppendRowUnchecked(LaneRow(k, false));
+  }
+  for (const Value& v : LaneCells(rel, 0)) EXPECT_FALSE(v.is_null());
+  EXPECT_TRUE(rel.store().Lane(0).null_words.empty());
+  rel.AppendRowUnchecked(LaneRow(100, true));
+  EXPECT_TRUE(rel.Get(100, 0).is_null());
+  LaneCells(rel, 0);
 }
 
 TEST(ColumnStoreTest, ColumnReaderReadsBothLayouts) {
@@ -276,6 +459,12 @@ TEST(ColumnStoreTest, ColumnReaderReadsBothLayouts) {
   EXPECT_EQ(key[1].AsInt64(), 2);
   EXPECT_EQ(cat[0].AsString(), "red");
   EXPECT_TRUE(cat[1].is_null());
+  // Key bytes serialize straight from the lane, identical to the Value's.
+  std::vector<std::uint8_t> from_lane, from_value;
+  EXPECT_EQ(key.SerializeKeyInto(1, from_lane),
+            Value(std::int64_t{2}).SerializeKeyInto(from_value));
+  EXPECT_EQ(cat.SerializeKeyInto(1, from_lane),
+            Value().SerializeKeyInto(from_value));
 }
 
 TEST(ColumnStoreTest, MaterializedRowCopiesEveryColumn) {

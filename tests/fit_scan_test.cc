@@ -19,6 +19,7 @@
 #include "core/fit_scan.h"
 #include "crypto/prf.h"
 #include "crypto/siphash_simd.h"
+#include "relation/relation.h"
 #include "relation/value.h"
 #include "test_util.h"
 
@@ -294,6 +295,130 @@ TEST(FitScanTest, ScanPreparedMatchesSingleShotReference) {
           }
         }
       }
+    }
+  }
+}
+
+// The lane entry against Scan over the same keys as Values: identical
+// on_fit sequences and hashed counts at NULL densities 0, 1/13 and 1, for
+// row ranges that start off a bitmap word and straddle the chunks.
+TEST(FitScanTest, ScanInt64MatchesScanAtEveryNullDensity) {
+  const WatermarkKeySet keys = testutil::TestKeys();
+  constexpr std::size_t kRows = 3 * kChunk + 70;
+  const std::vector<std::pair<std::size_t, std::size_t>> ranges = {
+      {0, 0},           {0, 1},
+      {0, kChunk},      {0, kChunk + 1},
+      {3, 2 * kChunk + 5}, {kChunk - 1, kChunk + 1},
+      {65, kRows},      {kRows - 1, kRows}};
+  for (const PrfKind prf : kBackends) {
+    const std::unique_ptr<KeyedPrf> k1 = CreateKeyedPrf(prf, keys.k1);
+    const std::unique_ptr<KeyedPrf> k2 = CreateKeyedPrf(prf, keys.k2);
+    for (const std::size_t null_every : {std::size_t{0}, std::size_t{13},
+                                         std::size_t{1}}) {
+      std::vector<std::int64_t> lane(kRows);
+      std::vector<std::uint64_t> null_words((kRows + 63) / 64, 0);
+      std::vector<Value> values;
+      for (std::size_t j = 0; j < kRows; ++j) {
+        const bool null = null_every != 0 && j % null_every == 0;
+        lane[j] =
+            null ? 0 : static_cast<std::int64_t>(j * 0x9E3779B97F4A7C15ULL);
+        if (null) null_words[j / 64] |= std::uint64_t{1} << (j % 64);
+        values.push_back(null ? Value() : Value(lane[j]));
+      }
+      // No NULL: the scanner may also be handed no bitmap at all.
+      const std::uint64_t* words =
+          null_every == 0 ? nullptr : null_words.data();
+      for (const SimdLevel level : RunnableLevels()) {
+        if (prf != PrfKind::kSipHash24 && level != SimdLevel::kScalar) {
+          continue;
+        }
+        ScopedSimdLevel forced(level);
+        FitScratch scratch;
+        for (const std::uint64_t e : {std::uint64_t{1}, std::uint64_t{3}}) {
+          for (const bool with_k2 : {true, false}) {
+            FitScanner scan(*k1, with_k2 ? k2.get() : nullptr, e, scratch);
+            for (const auto& [begin, end] : ranges) {
+              // The SHA-256 backends share every scanner line with
+              // siphash24; the chunk-edge ranges suffice for them.
+              if (prf != PrfKind::kSipHash24 && end - begin > 2) continue;
+              std::vector<Fit> want, got;
+              const auto sink = [](std::vector<Fit>& out) {
+                return [&out](std::size_t i, std::uint64_t h1,
+                              std::uint64_t h2) {
+                  out.push_back(Fit{i, h1, h2, 0});
+                };
+              };
+              const std::size_t want_hashed = scan.Scan(
+                  end - begin,
+                  [&](std::size_t i) { return &values[begin + i]; },
+                  sink(want));
+              const std::size_t hashed =
+                  scan.ScanInt64(lane.data(), words, begin, end, sink(got));
+              const std::string label =
+                  std::string(PrfKindName(prf)) + " " +
+                  std::string(SimdLevelName(level)) +
+                  " null_every=" + std::to_string(null_every) +
+                  " e=" + std::to_string(e) + " [" + std::to_string(begin) +
+                  ", " + std::to_string(end) + ")" + (with_k2 ? "" : " no-k2");
+              EXPECT_EQ(hashed, want_hashed) << label;
+              EXPECT_TRUE(got == want) << label;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// ScanKeyColumn dispatches every key-column layout — INT64 lane, DOUBLE
+// lane, STRING values, dictionary codes — to the same sequence Scan
+// reports over the materialized Values.
+TEST(FitScanTest, ScanKeyColumnMatchesScanOnEveryLayout) {
+  const WatermarkKeySet keys = testutil::TestKeys();
+  const std::unique_ptr<KeyedPrf> k1 =
+      CreateKeyedPrf(PrfKind::kSipHash24, keys.k1);
+  const std::unique_ptr<KeyedPrf> k2 =
+      CreateKeyedPrf(PrfKind::kSipHash24, keys.k2);
+  const Schema schema = Schema::Create({{"I", ColumnType::kInt64, false},
+                                        {"D", ColumnType::kDouble, false},
+                                        {"S", ColumnType::kString, false},
+                                        {"C", ColumnType::kInt64, true}},
+                                       "")
+                            .value();
+  constexpr std::size_t kRows = kChunk + 200;
+  Relation rel(schema);
+  for (std::size_t j = 0; j < kRows; ++j) {
+    const bool null = j % 13 == 0;
+    const auto k = static_cast<std::int64_t>(j * 2654435761ULL);
+    rel.AppendRowUnchecked(
+        {null ? Value() : Value(k),
+         null ? Value() : Value(static_cast<double>(j) * 0.25),
+         null ? Value() : Value("s" + std::to_string(j)),
+         null ? Value() : Value(static_cast<std::int64_t>(j % 50))});
+  }
+  FitScratch scratch;
+  FitScanner scan(*k1, k2.get(), 3, scratch);
+  for (std::size_t col = 0; col < schema.num_columns(); ++col) {
+    for (const auto& [begin, end] :
+         std::vector<std::pair<std::size_t, std::size_t>>{
+             {0, kRows}, {7, kChunk + 9}, {kRows, kRows}}) {
+      std::vector<Fit> want, got;
+      std::vector<Value> cells;
+      for (std::size_t j = begin; j < end; ++j) {
+        cells.push_back(rel.Get(j, col));
+      }
+      const std::size_t want_hashed = scan.Scan(
+          end - begin, [&](std::size_t i) { return &cells[i]; },
+          [&](std::size_t i, std::uint64_t h1, std::uint64_t h2) {
+            want.push_back(Fit{i, h1, h2, 0});
+          });
+      const std::size_t hashed = ScanKeyColumn(
+          scan, rel.store(), col, begin, end,
+          [&](std::size_t i, std::uint64_t h1, std::uint64_t h2) {
+            got.push_back(Fit{i, h1, h2, 0});
+          });
+      EXPECT_EQ(hashed, want_hashed) << col << " [" << begin << ", " << end;
+      EXPECT_TRUE(got == want) << col << " [" << begin << ", " << end;
     }
   }
 }

@@ -66,7 +66,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -126,15 +128,34 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
-  double GetDouble(const std::string& name, double fallback) const {
+  /// --name as a finite number, decimal or scientific ("2.5e-07"), or
+  /// `fallback` when absent. The whole value must parse; callers whose
+  /// flag has a narrower range check it (or the library does, by Status).
+  Result<double> GetDouble(const std::string& name, double fallback) const {
     const auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+    if (it == values_.end()) return fallback;
+    const std::optional<double> value = ParseDouble(it->second);
+    if (!value.has_value()) {
+      return Status::InvalidArgument("--" + name + " '" + it->second +
+                                     "' is not a finite number");
+    }
+    return *value;
   }
-  std::uint64_t GetUint(const std::string& name,
-                        std::uint64_t fallback) const {
+  /// --name as an unsigned decimal integer in [min, max] — digits only, no
+  /// sign — or `fallback` when absent.
+  Result<std::uint64_t> GetUint(
+      const std::string& name, std::uint64_t fallback, std::uint64_t min = 0,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const {
     const auto it = values_.find(name);
-    return it == values_.end() ? fallback
-                               : std::strtoull(it->second.c_str(), nullptr, 10);
+    if (it == values_.end()) return fallback;
+    const std::optional<std::uint64_t> value =
+        ParseUint(it->second, min, max);
+    if (!value.has_value()) {
+      return Status::InvalidArgument(
+          "--" + name + " '" + it->second + "' is not an integer in [" +
+          std::to_string(min) + ", " + std::to_string(max) + "]");
+    }
+    return *value;
   }
 
  private:
@@ -144,6 +165,34 @@ class Flags {
 int Fail(const std::string& message) {
   std::fprintf(stderr, "catmark: %s\n", message.c_str());
   return 1;
+}
+
+/// Binds `lhs` to a Result's value, or fails the subcommand (exit 1) with
+/// the Result's status.
+#define CATMARK_CLI_ASSIGN_OR_FAIL_IMPL_(var, lhs, rexpr) \
+  auto var = (rexpr);                                     \
+  if (!var.ok()) return Fail(var.status().ToString());    \
+  lhs = std::move(var).value()
+#define CATMARK_CLI_ASSIGN_OR_FAIL(lhs, rexpr)                               \
+  CATMARK_CLI_ASSIGN_OR_FAIL_IMPL_(CATMARK_CONCAT_(cli_result_, __LINE__), \
+                                   lhs, rexpr)
+
+/// --alpha: the significance level DecideOwnership needs inside (0, 1).
+Result<double> GetAlpha(const Flags& flags) {
+  CATMARK_ASSIGN_OR_RETURN(const double alpha,
+                           flags.GetDouble("alpha", 1e-3));
+  if (!(alpha > 0.0 && alpha < 1.0)) {
+    return Status::InvalidArgument("--alpha must be in (0, 1)");
+  }
+  return alpha;
+}
+
+/// --threads: a worker count, 0 for auto. Bounded, since worker state is
+/// allocated per thread.
+Result<std::size_t> GetThreads(const Flags& flags) {
+  CATMARK_ASSIGN_OR_RETURN(const std::uint64_t threads,
+                           flags.GetUint("threads", 0, 0, 1024));
+  return static_cast<std::size_t>(threads);
 }
 
 /// Applies --prf to `params`. Absent flag leaves params.prf on auto
@@ -223,18 +272,20 @@ int RunGen(const Flags& flags) {
   Result<std::size_t> written = Status::Internal("unreachable");
   if (flags.Has("sales")) {
     SalesGenConfig config;
-    config.num_tuples = flags.GetUint("n", 10000);
-    config.num_items = flags.GetUint("items", 500);
-    config.seed = flags.GetUint("seed", 42);
+    CATMARK_CLI_ASSIGN_OR_FAIL(config.num_tuples, flags.GetUint("n", 10000));
+    CATMARK_CLI_ASSIGN_OR_FAIL(config.num_items,
+                               flags.GetUint("items", 500, 2));
+    CATMARK_CLI_ASSIGN_OR_FAIL(config.seed, flags.GetUint("seed", 42));
     written = GenerateItemScanFile(config, out);
     std::printf("schema spec: Visit_Nbr:int:pk,Item_Nbr:int:cat,"
                 "Store_Nbr:int:cat,Dept_Desc:str:cat,Unit_Qty:int,"
                 "Sale_Amount:double\n");
   } else {
     KeyedCategoricalConfig config;
-    config.num_tuples = flags.GetUint("n", 10000);
-    config.domain_size = flags.GetUint("items", 500);
-    config.seed = flags.GetUint("seed", 42);
+    CATMARK_CLI_ASSIGN_OR_FAIL(config.num_tuples, flags.GetUint("n", 10000));
+    CATMARK_CLI_ASSIGN_OR_FAIL(config.domain_size,
+                               flags.GetUint("items", 500, 2));
+    CATMARK_CLI_ASSIGN_OR_FAIL(config.seed, flags.GetUint("seed", 42));
     written = GenerateKeyedCategoricalFile(config, out);
     std::printf("schema spec: K:int:pk,A:str:cat\n");
   }
@@ -244,6 +295,8 @@ int RunGen(const Flags& flags) {
 }
 
 int RunEmbed(const Flags& flags) {
+  WatermarkParams params;
+  CATMARK_CLI_ASSIGN_OR_FAIL(params.e, flags.GetUint("e", 60, 1));
   Result<Relation> rel = LoadInput(flags);
   if (!rel.ok()) return Fail(rel.status().ToString());
   const std::string key = flags.Get("key");
@@ -253,8 +306,6 @@ int RunEmbed(const Flags& flags) {
     return Fail("--wm must be a non-empty bit string, e.g. 1011001110");
   }
 
-  WatermarkParams params;
-  params.e = flags.GetUint("e", 60);
   if (const Status s = ApplyPrfFlag(flags, params); !s.ok()) {
     return Fail(s.ToString());
   }
@@ -338,6 +389,7 @@ void PrintDetectionCost(const DetectionResult& detection) {
 }
 
 int RunDetectWithCertificate(const Flags& flags) {
+  CATMARK_CLI_ASSIGN_OR_FAIL(const double alpha, GetAlpha(flags));
   Result<Relation> rel = LoadInput(flags);
   if (!rel.ok()) return Fail(rel.status().ToString());
   std::ifstream f(flags.Get("certificate"));
@@ -350,8 +402,7 @@ int RunDetectWithCertificate(const Flags& flags) {
   const std::string key = flags.Get("key");
   if (key.empty()) return Fail("--key is required");
   Result<CertifiedDetection> result = DetectWithCertificate(
-      rel.value(), cert.value(), WatermarkKeySet::FromPassphrase(key),
-      flags.GetDouble("alpha", 1e-3));
+      rel.value(), cert.value(), WatermarkKeySet::FromPassphrase(key), alpha);
   if (!result.ok()) return Fail(result.status().ToString());
   PrintDetectionCost(result->detection);
   std::printf(
@@ -365,6 +416,12 @@ int RunDetectWithCertificate(const Flags& flags) {
 
 int RunDetect(const Flags& flags) {
   if (flags.Has("certificate")) return RunDetectWithCertificate(flags);
+  WatermarkParams params;
+  CATMARK_CLI_ASSIGN_OR_FAIL(params.e, flags.GetUint("e", 60, 1));
+  DetectOptions options;
+  CATMARK_CLI_ASSIGN_OR_FAIL(options.payload_length,
+                             flags.GetUint("payload-length", 0));
+  CATMARK_CLI_ASSIGN_OR_FAIL(const double alpha, GetAlpha(flags));
   Result<Relation> rel = LoadInput(flags);
   if (!rel.ok()) return Fail(rel.status().ToString());
   const std::string key = flags.Get("key");
@@ -374,24 +431,19 @@ int RunDetect(const Flags& flags) {
     return Fail("--wm must be the owner's mark bits");
   }
 
-  WatermarkParams params;
-  params.e = flags.GetUint("e", 60);
   if (const Status s = ApplyPrfFlag(flags, params); !s.ok()) {
     return Fail(s.ToString());
   }
-  DetectOptions options;
   options.key_attr = flags.Get("key-attr", "K");
   options.target_attr = flags.Get("target-attr", "A");
-  options.payload_length =
-      static_cast<std::size_t>(flags.GetUint("payload-length", 0));
 
   const Detector detector(WatermarkKeySet::FromPassphrase(key), params);
   Result<DetectionResult> detection =
       detector.Detect(rel.value(), options, wm.value().size());
   if (!detection.ok()) return Fail(detection.status().ToString());
 
-  const OwnershipDecision decision = DecideOwnership(
-      wm.value(), detection->wm, flags.GetDouble("alpha", 1e-3));
+  const OwnershipDecision decision =
+      DecideOwnership(wm.value(), detection->wm, alpha);
   if (options.payload_length == 0) {
     std::fprintf(stderr,
                  "catmark: warning: --payload-length not given; derived %zu "
@@ -504,6 +556,11 @@ Result<std::vector<OwnershipCandidate>> CollectKeyfileCandidates(
 }
 
 int RunSweep(const Flags& flags) {
+  ServiceOptions service_options;
+  CATMARK_CLI_ASSIGN_OR_FAIL(service_options.num_threads, GetThreads(flags));
+  CATMARK_CLI_ASSIGN_OR_FAIL(const double alpha, GetAlpha(flags));
+  CATMARK_CLI_ASSIGN_OR_FAIL(const std::uint64_t top_flag,
+                             flags.GetUint("top", 10));
   Result<Relation> rel = LoadInput(flags);
   if (!rel.ok()) return Fail(rel.status().ToString());
   Result<std::vector<OwnershipCandidate>> candidates =
@@ -519,13 +576,10 @@ int RunSweep(const Flags& flags) {
   if (!candidates.ok()) return Fail(candidates.status().ToString());
   if (candidates->empty()) return Fail("no sweep candidates found");
 
-  ServiceOptions service_options;
-  service_options.num_threads =
-      static_cast<std::size_t>(flags.GetUint("threads", 0));
   const WatermarkService service(service_options);
   Result<SweepReport> report = service.SweepOwnership(
       rel.value(), std::span<const OwnershipCandidate>(candidates.value()),
-      flags.GetDouble("alpha", 1e-3));
+      alpha);
   if (!report.ok()) return Fail(report.status().ToString());
 
   for (const auto& [id, status] : report->failed) {
@@ -544,7 +598,7 @@ int RunSweep(const Flags& flags) {
       report->messages_hashed, report->wall_seconds * 1e3, per_key_ms);
 
   const std::size_t top =
-      std::min<std::size_t>(flags.GetUint("top", 10), report->ranked.size());
+      std::min<std::size_t>(top_flag, report->ranked.size());
   std::printf("%-5s %-24s %-14s %9s %11s %10s\n", "rank", "candidate",
               "verdict", "bits", "p-value", "commitment");
   for (std::size_t i = 0; i < top; ++i) {
@@ -566,11 +620,13 @@ int RunSweep(const Flags& flags) {
 }
 
 int RunAttack(const Flags& flags) {
+  CATMARK_CLI_ASSIGN_OR_FAIL(const double fraction,
+                             flags.GetDouble("fraction", 0.3));
+  CATMARK_CLI_ASSIGN_OR_FAIL(const std::uint64_t seed,
+                             flags.GetUint("seed", 1));
   Result<Relation> rel = LoadInput(flags);
   if (!rel.ok()) return Fail(rel.status().ToString());
   const std::string type = flags.Get("type");
-  const double fraction = flags.GetDouble("fraction", 0.3);
-  const std::uint64_t seed = flags.GetUint("seed", 1);
   const std::string column = flags.Get("column", "A");
 
   Result<Relation> out = Status::InvalidArgument(
@@ -600,10 +656,13 @@ int RunAttack(const Flags& flags) {
 }
 
 int RunBandwidth(const Flags& flags) {
+  CATMARK_CLI_ASSIGN_OR_FAIL(const std::uint64_t e,
+                             flags.GetUint("e", 60, 1));
+  CATMARK_CLI_ASSIGN_OR_FAIL(const double q, flags.GetDouble("q", 0.01));
   Result<Relation> rel = LoadInput(flags);
   if (!rel.ok()) return Fail(rel.status().ToString());
-  Result<std::vector<AttributeBandwidth>> all = AnalyzeRelationBandwidth(
-      rel.value(), flags.GetUint("e", 60), flags.GetDouble("q", 0.01));
+  Result<std::vector<AttributeBandwidth>> all =
+      AnalyzeRelationBandwidth(rel.value(), e, q);
   if (!all.ok()) return Fail(all.status().ToString());
   std::printf("%-14s %8s %10s %12s %14s %12s\n", "attribute", "nA",
               "entropy", "direct bits", "assoc bits", "freq bits");
@@ -617,6 +676,8 @@ int RunBandwidth(const Flags& flags) {
 }
 
 int RunStream(const Flags& flags) {
+  CATMARK_CLI_ASSIGN_OR_FAIL(const std::uint64_t batch_flag,
+                             flags.GetUint("batch", 1024));
   if (!flags.Has("certificate")) return Fail("--certificate is required");
   std::ifstream cf(flags.Get("certificate"));
   if (!cf) return Fail("cannot read " + flags.Get("certificate"));
@@ -661,8 +722,7 @@ int RunStream(const Flags& flags) {
       StreamSession::Create(std::move(spec).value());
   if (!session.ok()) return Fail(session.status().ToString());
 
-  const std::size_t batch =
-      std::max<std::size_t>(1, flags.GetUint("batch", 1024));
+  const std::size_t batch = std::max<std::size_t>(1, batch_flag);
   const std::size_t total = input.value().NumRows();
   std::size_t fit = 0, altered = 0, hashed = 0, batches = 0;
   for (std::size_t at = 0; at < total; ++batches) {
@@ -691,6 +751,7 @@ int RunConvert(const Flags& flags) {
   const std::string out = flags.Get("out");
   if (in.empty()) return Fail("--in is required");
   if (out.empty()) return Fail("--out is required");
+  CATMARK_CLI_ASSIGN_OR_FAIL(const std::size_t threads, GetThreads(flags));
   Result<Schema> schema = ParseSchemaSpec(flags.Get("schema"));
   if (!schema.ok()) return Fail(schema.status().ToString());
   Result<FileBytes> bytes = FileBytes::Open(in);
@@ -700,9 +761,7 @@ int RunConvert(const Flags& flags) {
   Result<Relation> rel =
       LooksLikeCatm(bytes->view())
           ? ReadCatmString(bytes->view(), schema.value())
-          : ReadCsvStringParallel(
-                bytes->view(), schema.value(),
-                static_cast<std::size_t>(flags.GetUint("threads", 0)));
+          : ReadCsvStringParallel(bytes->view(), schema.value(), threads);
   if (!rel.ok()) return Fail(rel.status().ToString());
   if (const Status s = SaveRelation(rel.value(), out); !s.ok()) {
     return Fail(s.ToString());
