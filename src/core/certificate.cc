@@ -236,8 +236,9 @@ Result<WatermarkCertificate> WatermarkCertificate::Deserialize(
           ParseUintField(key, value, 0, std::numeric_limits<long>::max()));
       cert.params.min_category_keep = static_cast<long>(keep);
     } else if (key == "payload_length") {
-      // Detection sizes its vote arrays from this field; the 32-bit bound
-      // is the one TuplePlanOptions already assumes.
+      // The 32-bit bound is the one TuplePlanOptions already assumes.
+      // Detection allocates nothing in proportion to this field (its vote
+      // tally is sparse), so any value in range costs an ordinary pass.
       CATMARK_ASSIGN_OR_RETURN(
           cert.payload_length,
           ParseUintField(key, value, 1,

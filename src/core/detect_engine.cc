@@ -26,12 +26,15 @@ constexpr std::uint32_t kNoMessage = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
-/// Per-worker reusable buffers of the PerKeyPass: the fit scanner's chunk
-/// buffers and the vote tally. A sweep touches these thousands of times per
-/// worker — none of them may allocate per key.
+/// Per-candidate-worker reusable buffers of the PerKeyPass: the fit
+/// scanner's chunk buffers and one sparse (slot, vote) hit buffer per pass
+/// worker (hits[0] also receives the merged runs). A sweep touches these
+/// thousands of times per worker; once they have grown to a candidate's
+/// ~fit-message count, no key allocates a tally again, and nothing here is
+/// sized by the payload length.
 struct DetectEngine::Scratch {
-  std::vector<long> votes;
   FitScratch fit;
+  std::vector<std::vector<SlotVote>> hits;
 };
 
 namespace {
@@ -278,7 +281,7 @@ Result<DetectEngine> DetectEngine::Create(const Relation& rel,
 void DetectEngine::TallyShard(std::size_t shard, FitScanner& scan,
                               const WatermarkParams& params,
                               std::size_t payload_len,
-                              std::vector<long>& votes,
+                              std::vector<SlotVote>& hits,
                               std::size_t& usable_votes,
                               std::size_t& fit_tuples) const {
   const std::size_t base = msg_base_[shard];
@@ -299,7 +302,7 @@ void DetectEngine::TallyShard(std::size_t shard, FitScanner& scan,
           ++fit_rows;
           usable += (v != 0);
         }
-        votes[idx] += v;
+        if (v != 0) hits.push_back({idx, v});
       });
   usable_votes += usable;
   fit_tuples += fit_rows;
@@ -331,21 +334,21 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
   const std::size_t num_shards = arena_.size();
   const std::size_t threads =
       std::max<std::size_t>(1, std::min(num_threads, num_shards));
+  if (scratch.hits.size() < threads) scratch.hits.resize(threads);
+  const std::span<std::vector<SlotVote>> hits(scratch.hits.data(), threads);
+  for (std::vector<SlotVote>& worker_hits : hits) worker_hits.clear();
   std::size_t usable_votes = 0;
   std::size_t fit_tuples = 0;
   if (threads <= 1) {
-    scratch.votes.assign(payload_len, 0);
     FitScanner scan(*prf_k1, prf_k2.get(), candidate.params.e, scratch.fit);
     for (std::size_t s = 0; s < num_shards; ++s) {
-      TallyShard(s, scan, candidate.params, payload_len, scratch.votes,
+      TallyShard(s, scan, candidate.params, payload_len, hits[0],
                  usable_votes, fit_tuples);
     }
   } else {
-    // Message shards tally into per-worker arrays merged by commutative
-    // integer sums — bit-identical at every thread count, like the
-    // detector always has been.
-    std::vector<std::vector<long>> worker_votes(
-        threads, std::vector<long>(payload_len, 0));
+    // Message shards append to per-worker hit buffers, merged below by
+    // commutative integer sums — bit-identical at every thread count, like
+    // the detector always has been.
     std::vector<std::size_t> worker_usable(threads, 0);
     std::vector<std::size_t> worker_fit(threads, 0);
     ParallelFor(num_shards, threads,
@@ -355,24 +358,20 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
                                   local);
                   for (std::size_t s = begin; s < end; ++s) {
                     TallyShard(s, scan, candidate.params, payload_len,
-                               worker_votes[worker], worker_usable[worker],
+                               hits[worker], worker_usable[worker],
                                worker_fit[worker]);
                   }
                 });
-    scratch.votes.assign(payload_len, 0);
     for (std::size_t w = 0; w < threads; ++w) {
       usable_votes += worker_usable[w];
       fit_tuples += worker_fit[w];
-      for (std::size_t i = 0; i < payload_len; ++i) {
-        scratch.votes[i] += worker_votes[w][i];
-      }
     }
   }
   result.usable_votes = usable_votes;
   result.fit_tuples = fit_tuples;
 
   const Status finish =
-      FinishVoteTally(std::span<const long>(scratch.votes), candidate.wm_len,
+      FinishVoteTally(MergeSlotRuns(hits), payload_len, candidate.wm_len,
                       candidate.params.ecc, result);
   if (!finish.ok()) return finish;
   result.rows_scanned = num_rows_;
@@ -468,14 +467,13 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
   const std::unique_ptr<KeyedPrf> prf_k2 =
       CreateKeyedPrf(prf_kind, candidate.keys.k2, candidate.params.hash_algo);
 
-  std::vector<std::vector<long>> worker_votes(
-      threads, std::vector<long>(payload_len, 0));
+  std::vector<std::vector<SlotVote>> worker_hits(threads);
   std::vector<std::size_t> worker_usable(threads, 0);
   std::vector<std::size_t> worker_fit(threads, 0);
   std::vector<std::size_t> worker_hashed(threads, 0);
   ParallelFor(n, threads, [&](std::size_t shard, std::size_t begin,
                               std::size_t end) {
-    std::vector<long>& votes = worker_votes[shard];
+    std::vector<SlotVote>& hits = worker_hits[shard];
     std::size_t usable = 0;
     std::size_t fit = 0;
     FitScratch scratch;
@@ -500,26 +498,23 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
           }
           if (t < 0) return;  // NULL / out-of-domain target
           ++usable;
-          votes[idx] +=
-              ExtractBitFromValueIndex(static_cast<std::size_t>(t)) ? 1 : -1;
+          hits.push_back(
+              {idx,
+               ExtractBitFromValueIndex(static_cast<std::size_t>(t)) ? 1 : -1});
         });
     worker_usable[shard] = usable;
     worker_fit[shard] = fit;
   });
 
-  std::vector<long> votes(payload_len, 0);
   for (std::size_t w = 0; w < threads; ++w) {
     result.usable_votes += worker_usable[w];
     result.fit_tuples += worker_fit[w];
     result.messages_hashed += worker_hashed[w];
-    for (std::size_t i = 0; i < payload_len; ++i) {
-      votes[i] += worker_votes[w][i];
-    }
   }
 
   const Status finish =
-      FinishVoteTally(std::span<const long>(votes), candidate.wm_len,
-                      candidate.params.ecc, result);
+      FinishVoteTally(MergeSlotRuns(worker_hits), payload_len,
+                      candidate.wm_len, candidate.params.ecc, result);
   if (!finish.ok()) return finish;
   result.rows_scanned = n;
   result.wall_seconds = SecondsSince(start);

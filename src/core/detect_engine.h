@@ -80,9 +80,12 @@ struct DetectEngineOptions {
 /// PerKeyPass — the only work repeated per candidate: FitScanner::
 /// ScanPrepared over the prepared messages (batched k1, the vectorized
 /// H mod e == 0 fitness test, batched k2 position hashes for the ~1/e fit
-/// messages) feeding a votes[idx] += vote[i] tally. On a
-/// repeat-heavy key column this is O(distinct keys) per candidate instead
-/// of O(N) — the entire row dimension was folded into the plan.
+/// messages) appending one (idx, vote[i]) hit per voting fit message to a
+/// reused per-worker buffer, then the sparse fold and decode of
+/// FinishVoteTally. On a repeat-heavy key column this is O(distinct keys)
+/// per candidate instead of O(N) — the entire row dimension was folded
+/// into the plan — and nothing in it is O(payload length): a candidate
+/// costs its ~fit messages + |wm| whatever payload length it claims.
 ///
 /// Every result is bit-identical to a standalone Detector::Detect with the
 /// same inputs, at every thread count and under every PRF backend
@@ -143,7 +146,7 @@ class DetectEngine {
                                   Scratch& scratch) const;
   void TallyShard(std::size_t shard, FitScanner& scan,
                   const WatermarkParams& params, std::size_t payload_len,
-                  std::vector<long>& votes, std::size_t& usable_votes,
+                  std::vector<SlotVote>& hits, std::size_t& usable_votes,
                   std::size_t& fit_tuples) const;
 
   // Resolved domain: an external view or the engine-owned copy (unique_ptr

@@ -41,24 +41,73 @@ MatchStats MatchWatermark(const BitVector& expected, const BitVector& decoded) {
   return stats;
 }
 
-Status FinishVoteTally(std::span<const long> votes, std::size_t wm_len,
-                       EccKind ecc_kind, DetectionResult& result) {
-  const std::size_t payload_len = votes.size();
-  ExtractedPayload payload(payload_len);
-  result.positions_present = 0;
-  for (std::size_t i = 0; i < payload_len; ++i) {
-    if (votes[i] == 0) continue;  // erased or tied — leave absent
-    payload.present.Set(i, 1);
-    payload.bits.Set(i, votes[i] > 0 ? 1 : 0);
-    ++result.positions_present;
+namespace {
+
+/// Sorts hits by slot: LSD radix over the bytes the largest slot spans (two
+/// passes for a 50,000-slot payload, at most eight), through a per-thread
+/// swap buffer that a sweep worker reuses across candidates.
+void SortBySlot(std::vector<SlotVote>& hits) {
+  const std::size_t n = hits.size();
+  std::size_t max_slot = 0;
+  for (const SlotVote& hit : hits) max_slot = std::max(max_slot, hit.slot);
+  thread_local std::vector<SlotVote> buffer;
+  buffer.resize(n);
+  SlotVote* src = hits.data();
+  SlotVote* dst = buffer.data();
+  for (unsigned shift = 0; shift < 64 && (max_slot >> shift) != 0;
+       shift += 8) {
+    std::size_t start[256] = {};
+    for (std::size_t i = 0; i < n; ++i) ++start[(src[i].slot >> shift) & 0xff];
+    std::size_t offset = 0;
+    for (std::size_t& bucket : start) {
+      const std::size_t count = bucket;
+      bucket = offset;
+      offset += count;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[start[(src[i].slot >> shift) & 0xff]++] = src[i];
+    }
+    std::swap(src, dst);
   }
+  if (src != hits.data()) std::copy(src, src + n, hits.data());
+}
+
+}  // namespace
+
+std::vector<SlotVote>& MergeSlotRuns(
+    std::span<std::vector<SlotVote>> parts) {
+  std::vector<SlotVote>& runs = parts[0];
+  for (std::size_t w = 1; w < parts.size(); ++w) {
+    runs.insert(runs.end(), parts[w].begin(), parts[w].end());
+  }
+  SortBySlot(runs);
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < runs.size();) {
+    SlotVote run = runs[i];
+    for (++i; i < runs.size() && runs[i].slot == run.slot; ++i) {
+      run.vote += runs[i].vote;
+    }
+    if (run.vote != 0) runs[out++] = run;  // a tie is an erasure
+  }
+  runs.resize(out);
+  return runs;
+}
+
+Status FinishVoteTally(std::span<const SlotVote> runs, std::size_t payload_len,
+                       std::size_t wm_len, EccKind ecc_kind,
+                       DetectionResult& result) {
+  result.positions_present = static_cast<std::size_t>(
+      std::count_if(runs.begin(), runs.end(),
+                    [](const SlotVote& run) { return run.vote != 0; }));
   result.payload_fill = payload_len == 0
                             ? 0.0
                             : static_cast<double>(result.positions_present) /
                                   static_cast<double>(payload_len);
   const std::unique_ptr<ErrorCorrectingCode> ecc = CreateEcc(ecc_kind);
-  CATMARK_ASSIGN_OR_RETURN(result.wm, ecc->Decode(payload, wm_len));
-  result.bit_confidence = ecc->DecodeConfidence(payload, wm_len);
+  CATMARK_ASSIGN_OR_RETURN(DecodedMark decoded,
+                           ecc->Decode(runs, payload_len, wm_len));
+  result.wm = std::move(decoded.wm);
+  result.bit_confidence = std::move(decoded.confidence);
   return Status::OK();
 }
 
@@ -199,15 +248,15 @@ Result<DetectionResult> Detector::Detect(const Relation& rel,
   // Per-position vote tallies: multiple fit tuples can map to the same
   // wm_data position; they all embedded the same bit, so majority-per-
   // position cleans up attack damage before the ECC even runs. Each shard
-  // tallies into its own votes[] array; the arrays are summed afterwards —
-  // integer addition commutes, so the merged tally (and with it the whole
-  // DetectionResult) is bit-identical for every thread count.
-  std::vector<std::vector<long>> shard_votes(
-      threads, std::vector<long>(payload_len, 0));
+  // appends (slot, vote) hits; the shard buffers are then concatenated and
+  // folded into per-slot runs — integer addition commutes, so the merged
+  // tally (and with it the whole DetectionResult) is bit-identical for
+  // every thread count.
+  std::vector<std::vector<SlotVote>> shard_hits(threads);
   std::vector<std::size_t> shard_usable(threads, 0);
   ParallelFor(rel.NumRows(), threads, [&](std::size_t shard, std::size_t begin,
                                           std::size_t end) {
-    std::vector<long>& votes = shard_votes[shard];
+    std::vector<SlotVote>& hits = shard_hits[shard];
     std::size_t usable = 0;
     ForEachFitRow(plan.fit_words.data(), begin, end, [&](std::size_t j) {
       const std::uint64_t found = map_index[j];
@@ -229,22 +278,16 @@ Result<DetectionResult> Detector::Detect(const Relation& rel,
       }
       if (t < 0) return;
       ++usable;
-      votes[idx] +=
-          ExtractBitFromValueIndex(static_cast<std::size_t>(t)) ? 1 : -1;
+      hits.push_back(
+          {idx, ExtractBitFromValueIndex(static_cast<std::size_t>(t)) ? 1 : -1});
     });
     shard_usable[shard] = usable;
   });
+  for (const std::size_t usable : shard_usable) result.usable_votes += usable;
 
-  std::vector<long> votes(payload_len, 0);
-  for (std::size_t s = 0; s < threads; ++s) {
-    result.usable_votes += shard_usable[s];
-    for (std::size_t i = 0; i < payload_len; ++i) {
-      votes[i] += shard_votes[s][i];
-    }
-  }
-
-  const Status finish = FinishVoteTally(std::span<const long>(votes), wm_len,
-                                        params_.ecc, result);
+  const Status finish =
+      FinishVoteTally(MergeSlotRuns(shard_hits), payload_len, wm_len,
+                      params_.ecc, result);
   if (!finish.ok()) return finish;
   result.rows_scanned = rel.NumRows();
   result.wall_seconds = elapsed();

@@ -114,13 +114,26 @@ struct MatchStats {
 /// vector instead).
 MatchStats MatchWatermark(const BitVector& expected, const BitVector& decoded);
 
-/// Turns a merged per-position vote tally (votes.size() == payload length)
-/// into the decoded-payload fields of `result`: positions_present,
-/// payload_fill, wm and bit_confidence. Shared by the Detector's
-/// embedding-map path and the DetectEngine per-key pass so the two tally
-/// consumers cannot drift apart.
-Status FinishVoteTally(std::span<const long> votes, std::size_t wm_len,
-                       EccKind ecc, DetectionResult& result);
+/// The sparse vote tally every detect path shares: each worker appends one
+/// (slot, ±1-sum) hit per voting fit message to its own buffer in `parts`
+/// (non-empty). This concatenates the buffers into parts[0], sorts the
+/// hits by slot and folds each slot's hits into one run in place, dropping
+/// runs whose votes cancel (a tie is an erasure), and returns the runs.
+/// Integer sums commute, so the runs do not depend on the order the hits
+/// arrived in — bit-identical at every worker count. A byte-wise radix
+/// sort keeps it O(hits) per pass; nothing is sized by the payload length.
+std::vector<SlotVote>& MergeSlotRuns(std::span<std::vector<SlotVote>> parts);
+
+/// Turns the folded runs of a `payload_len`-position payload into the
+/// decoded-payload fields of `result`: positions_present (the nonzero
+/// runs), payload_fill (positions_present / payload_len), wm and
+/// bit_confidence, via one ErrorCorrectingCode::Decode over the runs.
+/// O(runs + |wm|) whatever payload length a certificate claims. Shared by
+/// the Detector's embedding-map path, the DetectEngine per-key pass and its
+/// one-shot entry point so the tally consumers cannot drift apart.
+Status FinishVoteTally(std::span<const SlotVote> runs, std::size_t payload_len,
+                       std::size_t wm_len, EccKind ecc,
+                       DetectionResult& result);
 
 /// wm_decode (Figure 2): blind watermark detection.
 class Detector {

@@ -7,6 +7,21 @@
 
 namespace catmark {
 
+Result<DecodedMark> ErrorCorrectingCode::Decode(std::span<const SlotVote> runs,
+                                                std::size_t payload_len,
+                                                std::size_t wm_len) const {
+  if (wm_len == 0) return Status::InvalidArgument("wm_len must be > 0");
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (runs[i].slot >= payload_len ||
+        (i > 0 && runs[i].slot <= runs[i - 1].slot)) {
+      return Status::InvalidArgument(
+          "slot runs must be strictly increasing and below the payload "
+          "length");
+    }
+  }
+  return DecodeRuns(runs, payload_len, wm_len);
+}
+
 std::string_view EccKindName(EccKind kind) {
   switch (kind) {
     case EccKind::kMajorityVoting:

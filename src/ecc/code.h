@@ -1,25 +1,36 @@
 #ifndef CATMARK_ECC_CODE_H_
 #define CATMARK_ECC_CODE_H_
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "common/bitvec.h"
 #include "common/result.h"
 
 namespace catmark {
 
-/// Payload recovered by the detector: the raw wm_data bits plus a presence
-/// mask marking which positions at least one surviving fit tuple voted for.
-/// Positions never voted for (data loss, A1) are *erasures*, not zeros; the
-/// decoders below exclude them, which is what makes Figure 7's graceful
-/// degradation under 80% data loss possible.
-struct ExtractedPayload {
-  BitVector bits;
-  BitVector present;
+/// One wm_data position's merged detection tally: the sum of the votes (+1
+/// per surviving fit tuple carrying a one-bit, -1 per zero-bit) landing on
+/// `slot`. Detection hands the decoders a sparse, slot-sorted list of these
+/// runs. A position with no run — no surviving fit tuple voted for it (data
+/// loss, A1) — or with a zero sum (a tie) is an *erasure*, not a zero; the
+/// decoders exclude it, which is what makes Figure 7's graceful degradation
+/// under 80% data loss possible.
+struct SlotVote {
+  std::size_t slot = 0;
+  long vote = 0;
+};
 
-  ExtractedPayload() = default;
-  explicit ExtractedPayload(std::size_t len) : bits(len), present(len) {}
+/// ECC.decode output: the most likely watermark plus a per-bit decode
+/// confidence in [0,1] (majority margin / total votes for that bit; 0 for a
+/// fully erased bit). Codes without a natural confidence notion leave
+/// `confidence` empty.
+struct DecodedMark {
+  BitVector wm;
+  std::vector<double> confidence;
 };
 
 /// Error correcting code interface (Section 3.2.1): Encode expands a
@@ -40,17 +51,22 @@ class ErrorCorrectingCode {
   virtual Result<BitVector> Encode(const BitVector& wm,
                                    std::size_t payload_len) const = 0;
 
-  /// wm = ECC.decode(wm_data, |wm|); `payload.present` marks erasures.
-  virtual Result<BitVector> Decode(const ExtractedPayload& payload,
-                                   std::size_t wm_len) const = 0;
+  /// wm = ECC.decode(wm_data, |wm|) over the sparse tally of a
+  /// `payload_len`-position payload: `runs` must be sorted by strictly
+  /// increasing slot, every slot below `payload_len` (InvalidArgument
+  /// otherwise, as is wm_len == 0). Each code maps a slot to its codeword
+  /// position and majority-votes the nonzero runs there, so the cost is
+  /// O(runs + |wm|) whatever `payload_len` claims — the keyed interleaver
+  /// alone pays O(payload_len) to rebuild its permutation.
+  Result<DecodedMark> Decode(std::span<const SlotVote> runs,
+                             std::size_t payload_len,
+                             std::size_t wm_len) const;
 
-  /// Optional per-bit decode confidence in [0,1] (majority margin /
-  /// total votes for that bit; 0 for fully erased bits). Codes without a
-  /// natural confidence notion return an empty vector.
-  virtual std::vector<double> DecodeConfidence(
-      const ExtractedPayload& /*payload*/, std::size_t /*wm_len*/) const {
-    return {};
-  }
+ private:
+  /// Decode after the shared argument checks passed.
+  virtual Result<DecodedMark> DecodeRuns(std::span<const SlotVote> runs,
+                                         std::size_t payload_len,
+                                         std::size_t wm_len) const = 0;
 };
 
 /// Available code families; kMajorityVoting is the paper's implementation

@@ -68,21 +68,21 @@ Result<BitVector> Hamming74Code::Encode(const BitVector& wm,
   return out;
 }
 
-Result<BitVector> Hamming74Code::Decode(const ExtractedPayload& payload,
-                                        std::size_t wm_len) const {
-  if (wm_len == 0) return Status::InvalidArgument("wm_len must be > 0");
+Result<DecodedMark> Hamming74Code::DecodeRuns(std::span<const SlotVote> runs,
+                                              std::size_t payload_len,
+                                              std::size_t wm_len) const {
   const std::size_t base_len = MinPayloadLength(wm_len);
-  if (payload.bits.size() < base_len) {
+  if (payload_len < base_len) {
     return Status::InvalidArgument("payload below Hamming(7,4) minimum");
   }
   // Stage 1: majority per base codeword position across repetitions.
   std::vector<long> votes(base_len, 0);
-  for (std::size_t i = 0; i < payload.bits.size(); ++i) {
-    if (!payload.present.Get(i)) continue;
-    votes[i % base_len] += payload.bits.Get(i) ? 1 : -1;
+  for (const SlotVote& run : runs) {
+    if (run.vote == 0) continue;
+    votes[run.slot % base_len] += run.vote > 0 ? 1 : -1;
   }
   // Stage 2: Hamming-correct each codeword.
-  BitVector wm(wm_len);
+  DecodedMark out{BitVector(wm_len), {}};
   const std::size_t nibbles = (wm_len + 3) / 4;
   for (std::size_t n = 0; n < nibbles; ++n) {
     int cw[7];
@@ -93,10 +93,10 @@ Result<BitVector> Hamming74Code::Decode(const ExtractedPayload& payload,
     DecodeNibble(cw, d);
     for (std::size_t j = 0; j < 4; ++j) {
       const std::size_t bit = 4 * n + j;
-      if (bit < wm_len) wm.Set(bit, d[j]);
+      if (bit < wm_len) out.wm.Set(bit, d[j]);
     }
   }
-  return wm;
+  return out;
 }
 
 }  // namespace catmark

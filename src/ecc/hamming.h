@@ -10,7 +10,8 @@ namespace catmark {
 /// 4-bit nibbles, each encoded as a 7-bit Hamming codeword (corrects one bit
 /// per codeword); the full codeword sequence is then repeated cyclically to
 /// fill the payload, and decode first majority-votes each codeword position
-/// across repetitions, then Hamming-corrects.
+/// (slot i votes for position i mod 7 * ceil(|wm| / 4)) across repetitions,
+/// then Hamming-corrects.
 class Hamming74Code final : public ErrorCorrectingCode {
  public:
   std::string_view Name() const override { return "hamming74"; }
@@ -19,8 +20,11 @@ class Hamming74Code final : public ErrorCorrectingCode {
   }
   Result<BitVector> Encode(const BitVector& wm,
                            std::size_t payload_len) const override;
-  Result<BitVector> Decode(const ExtractedPayload& payload,
-                           std::size_t wm_len) const override;
+
+ private:
+  Result<DecodedMark> DecodeRuns(std::span<const SlotVote> runs,
+                                 std::size_t payload_len,
+                                 std::size_t wm_len) const override;
 };
 
 }  // namespace catmark

@@ -13,17 +13,20 @@ Result<BitVector> IdentityCode::Encode(const BitVector& wm,
   return out;
 }
 
-Result<BitVector> IdentityCode::Decode(const ExtractedPayload& payload,
-                                       std::size_t wm_len) const {
-  if (wm_len == 0) return Status::InvalidArgument("wm_len must be > 0");
-  if (payload.bits.size() < wm_len) {
+Result<DecodedMark> IdentityCode::DecodeRuns(std::span<const SlotVote> runs,
+                                             std::size_t payload_len,
+                                             std::size_t wm_len) const {
+  if (payload_len < wm_len) {
     return Status::InvalidArgument("payload shorter than watermark");
   }
-  BitVector wm(wm_len);
-  for (std::size_t i = 0; i < wm_len; ++i) {
-    wm.Set(i, payload.present.Get(i) ? payload.bits.Get(i) : 0);
+  // Slot i < |wm| carries bit i; an erased slot decodes to 0, and slots
+  // past the mark carry nothing.
+  DecodedMark out{BitVector(wm_len), {}};
+  for (const SlotVote& run : runs) {
+    if (run.slot >= wm_len) break;  // runs are slot-sorted
+    if (run.vote > 0) out.wm.Set(run.slot, 1);
   }
-  return wm;
+  return out;
 }
 
 }  // namespace catmark

@@ -1,5 +1,6 @@
 #include "ecc/interleaver.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -36,19 +37,22 @@ Result<BitVector> InterleavedCode::Encode(const BitVector& wm,
   return out;
 }
 
-Result<BitVector> InterleavedCode::Decode(const ExtractedPayload& payload,
-                                          std::size_t wm_len) const {
-  const std::size_t n = payload.bits.size();
-  if (payload.present.size() != n) {
-    return Status::InvalidArgument("bits/present size mismatch");
+Result<DecodedMark> InterleavedCode::DecodeRuns(
+    std::span<const SlotVote> runs, std::size_t payload_len,
+    std::size_t wm_len) const {
+  // Inner position i was written to payload slot perm[i], so payload slot
+  // p carries inner position perm^-1(p).
+  const std::vector<std::size_t> perm = Permutation(payload_len);
+  std::vector<std::size_t> inverse(payload_len);
+  for (std::size_t i = 0; i < payload_len; ++i) inverse[perm[i]] = i;
+  std::vector<SlotVote> inner;
+  inner.reserve(runs.size());
+  for (const SlotVote& run : runs) {
+    inner.push_back({inverse[run.slot], run.vote});
   }
-  const std::vector<std::size_t> perm = Permutation(n);
-  ExtractedPayload inner(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    inner.bits.Set(i, payload.bits.Get(perm[i]));
-    inner.present.Set(i, payload.present.Get(perm[i]));
-  }
-  return inner_->Decode(inner, wm_len);
+  std::sort(inner.begin(), inner.end(),
+            [](const SlotVote& a, const SlotVote& b) { return a.slot < b.slot; });
+  return inner_->Decode(inner, payload_len, wm_len);
 }
 
 }  // namespace catmark

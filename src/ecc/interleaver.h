@@ -23,10 +23,14 @@ class InterleavedCode final : public ErrorCorrectingCode {
   }
   Result<BitVector> Encode(const BitVector& wm,
                            std::size_t payload_len) const override;
-  Result<BitVector> Decode(const ExtractedPayload& payload,
-                           std::size_t wm_len) const override;
 
  private:
+  /// Maps every run through the inverse permutation (O(payload_len) to
+  /// rebuild it) and decodes the re-sorted runs with the inner code.
+  Result<DecodedMark> DecodeRuns(std::span<const SlotVote> runs,
+                                 std::size_t payload_len,
+                                 std::size_t wm_len) const override;
+
   /// Deterministic permutation of [0, n) derived from the key.
   std::vector<std::size_t> Permutation(std::size_t n) const;
 

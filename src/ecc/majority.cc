@@ -1,5 +1,6 @@
 #include "ecc/majority.h"
 
+#include <cstdlib>
 #include <vector>
 
 namespace catmark {
@@ -20,44 +21,26 @@ Result<BitVector> MajorityVotingCode::Encode(const BitVector& wm,
   return out;
 }
 
-std::vector<double> MajorityVotingCode::DecodeConfidence(
-    const ExtractedPayload& payload, std::size_t wm_len) const {
-  if (wm_len == 0 || payload.bits.size() != payload.present.size()) {
-    return {};
-  }
-  std::vector<long> margin(wm_len, 0);
+Result<DecodedMark> MajorityVotingCode::DecodeRuns(
+    std::span<const SlotVote> runs, std::size_t /*payload_len*/,
+    std::size_t wm_len) const {
+  std::vector<long> margin(wm_len, 0);  // +1 per one-slot, -1 per zero-slot
   std::vector<long> total(wm_len, 0);
-  for (std::size_t i = 0; i < payload.bits.size(); ++i) {
-    if (!payload.present.Get(i)) continue;
-    margin[i % wm_len] += payload.bits.Get(i) ? 1 : -1;
-    ++total[i % wm_len];
+  for (const SlotVote& run : runs) {
+    if (run.vote == 0) continue;  // tied: an erasure
+    const std::size_t j = run.slot % wm_len;
+    margin[j] += run.vote > 0 ? 1 : -1;
+    ++total[j];
   }
-  std::vector<double> out(wm_len, 0.0);
+  DecodedMark out{BitVector(wm_len), std::vector<double>(wm_len, 0.0)};
   for (std::size_t j = 0; j < wm_len; ++j) {
+    out.wm.Set(j, margin[j] > 0 ? 1 : 0);
     if (total[j] > 0) {
-      out[j] = static_cast<double>(std::abs(margin[j])) /
-               static_cast<double>(total[j]);
+      out.confidence[j] = static_cast<double>(std::labs(margin[j])) /
+                          static_cast<double>(total[j]);
     }
   }
   return out;
-}
-
-Result<BitVector> MajorityVotingCode::Decode(const ExtractedPayload& payload,
-                                             std::size_t wm_len) const {
-  if (wm_len == 0) return Status::InvalidArgument("wm_len must be > 0");
-  if (payload.bits.size() != payload.present.size()) {
-    return Status::InvalidArgument("bits/present size mismatch");
-  }
-  std::vector<long> votes(wm_len, 0);  // +1 per one-bit, -1 per zero-bit
-  for (std::size_t i = 0; i < payload.bits.size(); ++i) {
-    if (!payload.present.Get(i)) continue;
-    votes[i % wm_len] += payload.bits.Get(i) ? 1 : -1;
-  }
-  BitVector wm(wm_len);
-  for (std::size_t j = 0; j < wm_len; ++j) {
-    wm.Set(j, votes[j] > 0 ? 1 : 0);
-  }
-  return wm;
 }
 
 }  // namespace catmark

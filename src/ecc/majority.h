@@ -12,7 +12,10 @@ namespace catmark {
 /// every |wm|-th payload position (positions are themselves scattered over
 /// tuples by H(K, k2), so no attack can target one watermark bit).
 /// Decode: per watermark bit, majority over the *present* positions of its
-/// residue class; ties and fully-erased classes decode to 0.
+/// residue class (slot i votes for bit i mod |wm|); ties and fully-erased
+/// classes decode to 0. Confidence is |#ones - #zeros| / (#ones + #zeros)
+/// per residue class (0 when the class is fully erased): how decisively
+/// each bit was decoded.
 class MajorityVotingCode final : public ErrorCorrectingCode {
  public:
   std::string_view Name() const override { return "majority-voting"; }
@@ -21,13 +24,11 @@ class MajorityVotingCode final : public ErrorCorrectingCode {
   }
   Result<BitVector> Encode(const BitVector& wm,
                            std::size_t payload_len) const override;
-  Result<BitVector> Decode(const ExtractedPayload& payload,
-                           std::size_t wm_len) const override;
 
-  /// |#ones - #zeros| / (#ones + #zeros) per residue class (0 when the
-  /// class is fully erased): how decisively each bit was decoded.
-  std::vector<double> DecodeConfidence(const ExtractedPayload& payload,
-                                       std::size_t wm_len) const override;
+ private:
+  Result<DecodedMark> DecodeRuns(std::span<const SlotVote> runs,
+                                 std::size_t payload_len,
+                                 std::size_t wm_len) const override;
 };
 
 }  // namespace catmark

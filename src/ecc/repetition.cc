@@ -1,12 +1,15 @@
 #include "ecc/repetition.h"
 
+#include <vector>
+
 namespace catmark {
 
-// Block j covers payload positions [j * L / m, (j+1) * L / m).
+// Block j covers payload positions [j * L / m, (j+1) * L / m). The product
+// is taken in 128 bits: a claimed L near 2^32 times a long mark must not
+// wrap.
 static std::size_t BlockOf(std::size_t i, std::size_t len, std::size_t m) {
-  std::size_t j = i * m / len;
-  if (j >= m) j = m - 1;
-  return j;
+  const unsigned __int128 j = static_cast<unsigned __int128>(i) * m / len;
+  return j >= m ? m - 1 : static_cast<std::size_t>(j);
 }
 
 Result<BitVector> BlockRepetitionCode::Encode(const BitVector& wm,
@@ -22,21 +25,20 @@ Result<BitVector> BlockRepetitionCode::Encode(const BitVector& wm,
   return out;
 }
 
-Result<BitVector> BlockRepetitionCode::Decode(const ExtractedPayload& payload,
-                                              std::size_t wm_len) const {
-  if (wm_len == 0) return Status::InvalidArgument("wm_len must be > 0");
-  if (payload.bits.size() < wm_len) {
+Result<DecodedMark> BlockRepetitionCode::DecodeRuns(
+    std::span<const SlotVote> runs, std::size_t payload_len,
+    std::size_t wm_len) const {
+  if (payload_len < wm_len) {
     return Status::InvalidArgument("payload shorter than watermark");
   }
   std::vector<long> votes(wm_len, 0);
-  for (std::size_t i = 0; i < payload.bits.size(); ++i) {
-    if (!payload.present.Get(i)) continue;
-    votes[BlockOf(i, payload.bits.size(), wm_len)] +=
-        payload.bits.Get(i) ? 1 : -1;
+  for (const SlotVote& run : runs) {
+    if (run.vote == 0) continue;
+    votes[BlockOf(run.slot, payload_len, wm_len)] += run.vote > 0 ? 1 : -1;
   }
-  BitVector wm(wm_len);
-  for (std::size_t j = 0; j < wm_len; ++j) wm.Set(j, votes[j] > 0 ? 1 : 0);
-  return wm;
+  DecodedMark out{BitVector(wm_len), {}};
+  for (std::size_t j = 0; j < wm_len; ++j) out.wm.Set(j, votes[j] > 0 ? 1 : 0);
+  return out;
 }
 
 }  // namespace catmark

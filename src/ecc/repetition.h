@@ -18,8 +18,11 @@ class BlockRepetitionCode final : public ErrorCorrectingCode {
   }
   Result<BitVector> Encode(const BitVector& wm,
                            std::size_t payload_len) const override;
-  Result<BitVector> Decode(const ExtractedPayload& payload,
-                           std::size_t wm_len) const override;
+
+ private:
+  Result<DecodedMark> DecodeRuns(std::span<const SlotVote> runs,
+                                 std::size_t payload_len,
+                                 std::size_t wm_len) const override;
 };
 
 }  // namespace catmark

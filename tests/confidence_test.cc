@@ -12,14 +12,24 @@
 namespace catmark {
 namespace {
 
+/// Majority-code confidence over detection's view of a payload: one ±1
+/// run per present position; an erased position has no run.
+std::vector<double> Confidence(const MajorityVotingCode& code,
+                               const BitVector& bits, const BitVector& present,
+                               std::size_t wm_len) {
+  std::vector<SlotVote> runs;
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (present.Get(i)) runs.push_back({i, bits.Get(i) ? 1 : -1});
+  }
+  return code.Decode(runs, bits.size(), wm_len).value().confidence;
+}
+
 TEST(MajorityConfidenceTest, UnanimousVotesGiveFullConfidence) {
   MajorityVotingCode code;
   const BitVector wm = MakeWatermark(5, 1);
   const BitVector payload = code.Encode(wm, 100).value();
-  ExtractedPayload full(payload.size());
-  full.bits = payload;
-  full.present = BitVector(payload.size(), 1);
-  const std::vector<double> conf = code.DecodeConfidence(full, 5);
+  const std::vector<double> conf =
+      Confidence(code, payload, BitVector(payload.size(), 1), 5);
   ASSERT_EQ(conf.size(), 5u);
   for (double c : conf) EXPECT_DOUBLE_EQ(c, 1.0);
 }
@@ -28,14 +38,12 @@ TEST(MajorityConfidenceTest, ErasedBitsGetZero) {
   MajorityVotingCode code;
   const BitVector wm = MakeWatermark(5, 2);
   const BitVector payload = code.Encode(wm, 100).value();
-  ExtractedPayload damaged(payload.size());
-  damaged.bits = payload;
-  damaged.present = BitVector(payload.size(), 1);
+  BitVector present(payload.size(), 1);
   // Erase every position of residue class 0 (0, 5, 10, ...).
   for (std::size_t i = 0; i < payload.size(); i += 5) {
-    damaged.present.Set(i, 0);
+    present.Set(i, 0);
   }
-  const std::vector<double> conf = code.DecodeConfidence(damaged, 5);
+  const std::vector<double> conf = Confidence(code, payload, present, 5);
   EXPECT_DOUBLE_EQ(conf[0], 0.0);
   for (std::size_t j = 1; j < 5; ++j) EXPECT_DOUBLE_EQ(conf[j], 1.0);
 }
@@ -46,10 +54,8 @@ TEST(MajorityConfidenceTest, FlipsReduceConfidenceProportionally) {
   BitVector payload = code.Encode(wm, 100).value();  // 25 votes per bit
   // Flip 5 of bit 0's votes: margin 15/25 = 0.6.
   for (std::size_t k = 0; k < 5; ++k) payload.Flip(k * 4);
-  ExtractedPayload p(payload.size());
-  p.bits = payload;
-  p.present = BitVector(payload.size(), 1);
-  const std::vector<double> conf = code.DecodeConfidence(p, 4);
+  const std::vector<double> conf =
+      Confidence(code, payload, BitVector(payload.size(), 1), 4);
   EXPECT_NEAR(conf[0], 0.6, 1e-12);
   EXPECT_DOUBLE_EQ(conf[1], 1.0);
 }

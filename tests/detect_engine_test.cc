@@ -356,6 +356,80 @@ TEST(DetectEngineTest, SweepOwnershipRanksTrueOwnerFirst) {
             certified.decision.matched_bits);
 }
 
+// A certificate may claim any payload_length up to 2^32 - 1. Detection's
+// tally is sparse, so the largest claim costs what any other does: every
+// entry point returns an ordinary verdict instead of sizing a 32 GB vote
+// array per worker.
+TEST(DetectEngineTest, HostilePayloadLengthCertificateReturnsAVerdict) {
+  constexpr std::size_t kHostileLength = 4294967295u;
+  for (const bool dict : {false, true}) {
+    const Marked m = EmbedOn(
+        dict ? DictKeyRelation() : testutil::SmallKeyedRelation(),
+        PrfKind::kSipHash24);
+    EmbedOptions embed_options;
+    embed_options.key_attr = testutil::kKeyAttr;
+    embed_options.target_attr = testutil::kTargetAttr;
+    WatermarkCertificate honest = WatermarkCertificate::Create(
+        m.keys, m.params, embed_options, m.report, m.wm);
+    honest.payload_length = kHostileLength;
+    // Through the parser: the field is inside its accepted range.
+    const WatermarkCertificate cert =
+        WatermarkCertificate::Deserialize(honest.Serialize()).value();
+    ASSERT_EQ(cert.payload_length, kHostileLength);
+
+    const CertifiedDetection certified =
+        DetectWithCertificate(m.rel, cert, m.keys).value();
+    EXPECT_EQ(certified.detection.payload_length, kHostileLength);
+    EXPECT_GT(certified.detection.positions_present, 0u);
+    EXPECT_LE(certified.detection.positions_present,
+              certified.detection.usable_votes);
+    EXPECT_EQ(certified.detection.wm.size(), m.wm.size());
+
+    for (const EccKind ecc :
+         {EccKind::kMajorityVoting, EccKind::kIdentity,
+          EccKind::kBlockRepetition, EccKind::kHamming74}) {
+      WatermarkParams params = m.params;
+      params.ecc = ecc;
+      DetectOptions options;
+      options.key_attr = testutil::kKeyAttr;
+      options.target_attr = testutil::kTargetAttr;
+      options.domain = m.report.domain;
+      options.payload_length = kHostileLength;
+      const DetectionResult detected =
+          Detector(m.keys, params).Detect(m.rel, options, m.wm.size()).value();
+      EXPECT_EQ(detected.payload_length, kHostileLength);
+      EXPECT_EQ(detected.wm.size(), m.wm.size());
+
+      DetectEngineOptions engine_options;
+      engine_options.key_attr = testutil::kKeyAttr;
+      engine_options.target_attr = testutil::kTargetAttr;
+      engine_options.domain = m.report.domain;
+      const DetectEngine engine =
+          DetectEngine::Create(m.rel, engine_options).value();
+      KeyCandidate candidate{m.keys, params, m.wm.size()};
+      candidate.params.payload_length = kHostileLength;
+      const std::vector<Result<DetectionResult>> many =
+          engine.DetectMany(std::span<const KeyCandidate>(&candidate, 1));
+      ASSERT_TRUE(many[0].ok()) << many[0].status().ToString();
+      ExpectSameDetection(many[0].value(), detected);
+    }
+
+    std::vector<OwnershipCandidate> candidates(2);
+    candidates[0] = {"hostile", cert, m.keys};
+    candidates[1] = {"stranger", cert, WatermarkKeySet::FromSeed(77)};
+    const SweepReport report =
+        WatermarkService()
+            .SweepOwnership(m.rel,
+                            std::span<const OwnershipCandidate>(candidates))
+            .value();
+    ASSERT_EQ(report.ranked.size(), 2u);
+    EXPECT_TRUE(report.failed.empty());
+    for (const SweepMatch& match : report.ranked) {
+      EXPECT_EQ(match.detection.payload_length, kHostileLength);
+    }
+  }
+}
+
 TEST(DetectEngineTest, SweepOwnershipRejectsEmptyCandidateList) {
   const Relation rel = DictKeyRelation(50);
   const WatermarkService service;

@@ -2,6 +2,8 @@
 
 #include <memory>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/bitvec.h"
 #include "ecc/code.h"
@@ -20,11 +22,31 @@ BitVector RandomBits(std::size_t n, std::uint64_t seed) {
   return BitVector::FromGenerator(n, [&] { return rng.Next(); });
 }
 
-ExtractedPayload FullyPresent(const BitVector& bits) {
-  ExtractedPayload p(bits.size());
-  p.bits = bits;
-  p.present = BitVector(bits.size(), 1);
+/// Detection's view of a payload: one ±1 run per present position; an
+/// erased position has no run.
+struct Payload {
+  std::vector<SlotVote> runs;
+  std::size_t length = 0;
+};
+
+Payload WithErasures(const BitVector& bits, const BitVector& present) {
+  Payload p;
+  p.length = bits.size();
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (present.Get(i)) p.runs.push_back({i, bits.Get(i) ? 1 : -1});
+  }
   return p;
+}
+
+Payload FullyPresent(const BitVector& bits) {
+  return WithErasures(bits, BitVector(bits.size(), 1));
+}
+
+Result<BitVector> Decode(const ErrorCorrectingCode& code, const Payload& p,
+                         std::size_t wm_len) {
+  Result<DecodedMark> decoded = code.Decode(p.runs, p.length, wm_len);
+  if (!decoded.ok()) return decoded.status();
+  return std::move(decoded).value().wm;
 }
 
 // --------------------------------------------------------- shared contract
@@ -47,7 +69,7 @@ TEST_P(EccRoundTripTest, CleanRoundTrip) {
       code->Encode(wm, static_cast<std::size_t>(payload_len)).value();
   EXPECT_EQ(payload.size(), static_cast<std::size_t>(payload_len));
   const BitVector decoded =
-      code->Decode(FullyPresent(payload), wm.size()).value();
+      Decode(*code, FullyPresent(payload), wm.size()).value();
   EXPECT_EQ(decoded, wm) << EccKindName(kind) << " wm=" << wm_len
                          << " payload=" << payload_len;
 }
@@ -80,44 +102,51 @@ TEST(MajorityTest, ToleratesMinorityFlips) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
     if (rng.NextBool(0.3)) payload.Flip(i);
   }
-  EXPECT_EQ(code.Decode(FullyPresent(payload), 10).value(), wm);
+  EXPECT_EQ(Decode(code, FullyPresent(payload), 10).value(), wm);
 }
 
 TEST(MajorityTest, ToleratesMassiveErasure) {
   MajorityVotingCode code;
   const BitVector wm = RandomBits(10, 3);
   const BitVector payload = code.Encode(wm, 1000).value();
-  ExtractedPayload damaged(payload.size());
-  damaged.bits = payload;
+  BitVector present(payload.size());
   // Only 5% of positions survive — still >= ~5 clean votes per bit.
   Xoshiro256ss rng(4);
   for (std::size_t i = 0; i < payload.size(); ++i) {
-    damaged.present.Set(i, rng.NextBool(0.05) ? 1 : 0);
+    present.Set(i, rng.NextBool(0.05) ? 1 : 0);
   }
-  EXPECT_EQ(code.Decode(damaged, 10).value(), wm);
+  EXPECT_EQ(Decode(code, WithErasures(payload, present), 10).value(), wm);
 }
 
 TEST(MajorityTest, FullyErasedDecodesToZeros) {
   MajorityVotingCode code;
   const BitVector wm = RandomBits(8, 5);
   const BitVector payload = code.Encode(wm, 100).value();
-  ExtractedPayload erased(payload.size());
-  erased.bits = payload;  // present mask stays all-zero
-  EXPECT_EQ(code.Decode(erased, 8).value(), BitVector(8));
+  // Every position erased: no runs at all.
+  const Payload erased = WithErasures(payload, BitVector(payload.size()));
+  EXPECT_EQ(Decode(code, erased, 8).value(), BitVector(8));
 }
 
 TEST(MajorityTest, RejectsEmptyWatermark) {
   MajorityVotingCode code;
   EXPECT_FALSE(code.Encode(BitVector(), 10).ok());
-  EXPECT_FALSE(code.Decode(FullyPresent(BitVector(10)), 0).ok());
+  EXPECT_FALSE(Decode(code, FullyPresent(BitVector(10)), 0).ok());
 }
 
-TEST(MajorityTest, RejectsMismatchedPresentMask) {
+TEST(MajorityTest, RejectsSlotBeyondPayload) {
+  // The runs analogue of a bits/present length mismatch: a run naming a
+  // position the payload does not have.
   MajorityVotingCode code;
-  ExtractedPayload bad;
-  bad.bits = BitVector(10);
-  bad.present = BitVector(9);
-  EXPECT_FALSE(code.Decode(bad, 5).ok());
+  Payload bad = FullyPresent(BitVector(10));
+  bad.length = 9;
+  EXPECT_FALSE(Decode(code, bad, 5).ok());
+}
+
+TEST(MajorityTest, RejectsUnsortedRuns) {
+  MajorityVotingCode code;
+  Payload bad = FullyPresent(BitVector(10));
+  std::swap(bad.runs[2], bad.runs[3]);
+  EXPECT_FALSE(Decode(code, bad, 5).ok());
 }
 
 TEST(MajorityTest, InsufficientBandwidthFails) {
@@ -139,7 +168,7 @@ TEST(IdentityTest, SingleFlipCorruptsOutput) {
   const BitVector wm = RandomBits(10, 7);
   BitVector payload = code.Encode(wm, 100).value();
   payload.Flip(3);
-  const BitVector decoded = code.Decode(FullyPresent(payload), 10).value();
+  const BitVector decoded = Decode(code, FullyPresent(payload), 10).value();
   EXPECT_EQ(decoded.HammingDistance(wm), 1u);  // no redundancy, no repair
 }
 
@@ -147,11 +176,10 @@ TEST(IdentityTest, ErasedPositionsDecodeToZero) {
   IdentityCode code;
   const BitVector wm = BitVector(4, 1);
   const BitVector payload = code.Encode(wm, 8).value();
-  ExtractedPayload damaged(payload.size());
-  damaged.bits = payload;
-  damaged.present = BitVector(8, 1);
-  damaged.present.Set(2, 0);
-  const BitVector decoded = code.Decode(damaged, 4).value();
+  BitVector present(8, 1);
+  present.Set(2, 0);
+  const BitVector decoded =
+      Decode(code, WithErasures(payload, present), 4).value();
   EXPECT_EQ(decoded.ToString(), "1101");
 }
 
@@ -172,7 +200,7 @@ TEST(RepetitionTest, SurvivesUniformFlips) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
     if (rng.NextBool(0.25)) payload.Flip(i);
   }
-  EXPECT_EQ(code.Decode(FullyPresent(payload), 10).value(), wm);
+  EXPECT_EQ(Decode(code, FullyPresent(payload), 10).value(), wm);
 }
 
 TEST(RepetitionTest, VulnerableToBurstDamage) {
@@ -182,7 +210,7 @@ TEST(RepetitionTest, VulnerableToBurstDamage) {
   const BitVector wm = BitVector(10, 1);
   BitVector payload = code.Encode(wm, 1000).value();
   for (std::size_t i = 0; i < 100; ++i) payload.Set(i, 0);  // kill block 0
-  const BitVector decoded = code.Decode(FullyPresent(payload), 10).value();
+  const BitVector decoded = Decode(code, FullyPresent(payload), 10).value();
   EXPECT_EQ(decoded.Get(0), 0);
   EXPECT_EQ(decoded.Get(1), 1);
 }
@@ -202,7 +230,7 @@ TEST(HammingTest, CorrectsOneFlipPerCodeword) {
   BitVector payload = code.Encode(wm, 14).value();
   payload.Flip(2);   // one error in codeword 0
   payload.Flip(9);   // one error in codeword 1
-  EXPECT_EQ(code.Decode(FullyPresent(payload), 8).value(), wm);
+  EXPECT_EQ(Decode(code, FullyPresent(payload), 8).value(), wm);
 }
 
 TEST(HammingTest, RepetitionPlusCorrectionSurvivesNoise) {
@@ -213,7 +241,7 @@ TEST(HammingTest, RepetitionPlusCorrectionSurvivesNoise) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
     if (rng.NextBool(0.3)) payload.Flip(i);
   }
-  EXPECT_EQ(code.Decode(FullyPresent(payload), 10).value(), wm);
+  EXPECT_EQ(Decode(code, FullyPresent(payload), 10).value(), wm);
 }
 
 TEST(HammingTest, RejectsTooShortPayload) {
@@ -228,7 +256,7 @@ TEST(InterleaverTest, RoundTripsThroughInnerCode) {
       std::make_unique<BlockRepetitionCode>(), SecretKey::FromSeed(42));
   const BitVector wm = RandomBits(10, 14);
   const BitVector payload = code->Encode(wm, 500).value();
-  EXPECT_EQ(code->Decode(FullyPresent(payload), 10).value(), wm);
+  EXPECT_EQ(Decode(*code, FullyPresent(payload), 10).value(), wm);
 }
 
 TEST(InterleaverTest, PermutationIsKeyDependent) {
@@ -246,16 +274,15 @@ TEST(InterleaverTest, RepairsBurstWeaknessOfBlockCode) {
   // The same burst that kills a block of the bare code (see RepetitionTest)
   // now spreads across all blocks.
   for (std::size_t i = 0; i < 100; ++i) payload.Set(i, 0);
-  EXPECT_EQ(interleaved->Decode(FullyPresent(payload), 10).value(), wm);
+  EXPECT_EQ(Decode(*interleaved, FullyPresent(payload), 10).value(), wm);
 }
 
-TEST(InterleaverTest, RejectsMismatchedPresent) {
+TEST(InterleaverTest, RejectsSlotBeyondPayload) {
   InterleavedCode code(std::make_unique<IdentityCode>(),
                        SecretKey::FromSeed(3));
-  ExtractedPayload bad;
-  bad.bits = BitVector(10);
-  bad.present = BitVector(9);
-  EXPECT_FALSE(code.Decode(bad, 5).ok());
+  Payload bad = FullyPresent(BitVector(10));
+  bad.length = 9;
+  EXPECT_FALSE(Decode(code, bad, 5).ok());
 }
 
 // ---------------------------------------------------------------- factory

@@ -93,7 +93,7 @@ Relation RandomRelation(RandomSource& r, KeyKind key_kind,
   std::shuffle(columns.begin(), columns.end(), r.rng);
   Relation rel(Schema::Create(columns).value());
 
-  const std::size_t n = r.Chance(0.1) ? 1 + r.Below(4) : 1 + r.Below(900);
+  const std::size_t n = r.Chance(0.1) ? 1 + r.Below(4) : 1 + r.Below(600);
   // Unique keys, or a repeat-heavy pool (the dict-code gather's shape).
   const std::size_t pool = r.Chance(0.5) ? n : 1 + r.Below(n / 3 + 1);
   const double key_nulls = r.Pick({0.0, 0.0, 0.1, 0.5});

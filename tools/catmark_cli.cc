@@ -419,8 +419,11 @@ int RunDetect(const Flags& flags) {
   WatermarkParams params;
   CATMARK_CLI_ASSIGN_OR_FAIL(params.e, flags.GetUint("e", 60, 1));
   DetectOptions options;
-  CATMARK_CLI_ASSIGN_OR_FAIL(options.payload_length,
-                             flags.GetUint("payload-length", 0));
+  // The same range a certificate's payload_length field accepts.
+  CATMARK_CLI_ASSIGN_OR_FAIL(
+      options.payload_length,
+      flags.GetUint("payload-length", 0, 0,
+                    std::numeric_limits<std::uint32_t>::max()));
   CATMARK_CLI_ASSIGN_OR_FAIL(const double alpha, GetAlpha(flags));
   Result<Relation> rel = LoadInput(flags);
   if (!rel.ok()) return Fail(rel.status().ToString());
