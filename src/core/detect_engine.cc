@@ -27,14 +27,15 @@ constexpr std::uint32_t kNoMessage = std::numeric_limits<std::uint32_t>::max();
 }  // namespace
 
 /// Per-candidate-worker reusable buffers of the PerKeyPass: the fit
-/// scanner's chunk buffers and one sparse (slot, vote) hit buffer per pass
-/// worker (hits[0] also receives the merged runs). A sweep touches these
-/// thousands of times per worker; once they have grown to a candidate's
-/// ~fit-message count, no key allocates a tally again, and nothing here is
-/// sized by the payload length.
+/// scanner's chunk buffers, one sparse (slot, vote) hit buffer per pass
+/// worker (hits[0] also receives the merged runs) and the merge's sort
+/// buffer. A sweep touches these thousands of times per worker; once they
+/// have grown to a candidate's ~fit-message count, no key allocates a
+/// tally again, and nothing here is sized by the payload length.
 struct DetectEngine::Scratch {
   FitScratch fit;
   std::vector<std::vector<SlotVote>> hits;
+  std::vector<SlotVote> sort_buffer;
 };
 
 namespace {
@@ -371,8 +372,8 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
   result.fit_tuples = fit_tuples;
 
   const Status finish =
-      FinishVoteTally(MergeSlotRuns(hits), payload_len, candidate.wm_len,
-                      candidate.params.ecc, result);
+      FinishVoteTally(MergeSlotRuns(hits, scratch.sort_buffer), payload_len,
+                      candidate.wm_len, candidate.params.ecc, result);
   if (!finish.ok()) return finish;
   result.rows_scanned = num_rows_;
   result.messages_hashed = num_messages_;
@@ -512,8 +513,9 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
     result.messages_hashed += worker_hashed[w];
   }
 
+  std::vector<SlotVote> sort_buffer;
   const Status finish =
-      FinishVoteTally(MergeSlotRuns(worker_hits), payload_len,
+      FinishVoteTally(MergeSlotRuns(worker_hits, sort_buffer), payload_len,
                       candidate.wm_len, candidate.params.ecc, result);
   if (!finish.ok()) return finish;
   result.rows_scanned = n;

@@ -44,13 +44,12 @@ MatchStats MatchWatermark(const BitVector& expected, const BitVector& decoded) {
 namespace {
 
 /// Sorts hits by slot: LSD radix over the bytes the largest slot spans (two
-/// passes for a 50,000-slot payload, at most eight), through a per-thread
-/// swap buffer that a sweep worker reuses across candidates.
-void SortBySlot(std::vector<SlotVote>& hits) {
+/// passes for a 50,000-slot payload, at most eight), ping-ponging through
+/// `buffer`.
+void SortBySlot(std::vector<SlotVote>& hits, std::vector<SlotVote>& buffer) {
   const std::size_t n = hits.size();
   std::size_t max_slot = 0;
   for (const SlotVote& hit : hits) max_slot = std::max(max_slot, hit.slot);
-  thread_local std::vector<SlotVote> buffer;
   buffer.resize(n);
   SlotVote* src = hits.data();
   SlotVote* dst = buffer.data();
@@ -74,13 +73,13 @@ void SortBySlot(std::vector<SlotVote>& hits) {
 
 }  // namespace
 
-std::vector<SlotVote>& MergeSlotRuns(
-    std::span<std::vector<SlotVote>> parts) {
+std::vector<SlotVote>& MergeSlotRuns(std::span<std::vector<SlotVote>> parts,
+                                     std::vector<SlotVote>& sort_buffer) {
   std::vector<SlotVote>& runs = parts[0];
   for (std::size_t w = 1; w < parts.size(); ++w) {
     runs.insert(runs.end(), parts[w].begin(), parts[w].end());
   }
-  SortBySlot(runs);
+  SortBySlot(runs, sort_buffer);
   std::size_t out = 0;
   for (std::size_t i = 0; i < runs.size();) {
     SlotVote run = runs[i];
@@ -279,15 +278,17 @@ Result<DetectionResult> Detector::Detect(const Relation& rel,
       if (t < 0) return;
       ++usable;
       hits.push_back(
-          {idx, ExtractBitFromValueIndex(static_cast<std::size_t>(t)) ? 1 : -1});
+          {idx,
+           ExtractBitFromValueIndex(static_cast<std::size_t>(t)) ? 1 : -1});
     });
     shard_usable[shard] = usable;
   });
   for (const std::size_t usable : shard_usable) result.usable_votes += usable;
 
+  std::vector<SlotVote> sort_buffer;
   const Status finish =
-      FinishVoteTally(MergeSlotRuns(shard_hits), payload_len, wm_len,
-                      params_.ecc, result);
+      FinishVoteTally(MergeSlotRuns(shard_hits, sort_buffer), payload_len,
+                      wm_len, params_.ecc, result);
   if (!finish.ok()) return finish;
   result.rows_scanned = rel.NumRows();
   result.wall_seconds = elapsed();

@@ -121,8 +121,11 @@ MatchStats MatchWatermark(const BitVector& expected, const BitVector& decoded);
 /// runs whose votes cancel (a tie is an erasure), and returns the runs.
 /// Integer sums commute, so the runs do not depend on the order the hits
 /// arrived in — bit-identical at every worker count. A byte-wise radix
-/// sort keeps it O(hits) per pass; nothing is sized by the payload length.
-std::vector<SlotVote>& MergeSlotRuns(std::span<std::vector<SlotVote>> parts);
+/// sort through `sort_buffer` (scratch space a caller merging many tallies
+/// reuses) keeps it O(hits) per pass; nothing is sized by the payload
+/// length.
+std::vector<SlotVote>& MergeSlotRuns(std::span<std::vector<SlotVote>> parts,
+                                     std::vector<SlotVote>& sort_buffer);
 
 /// Turns the folded runs of a `payload_len`-position payload into the
 /// decoded-payload fields of `result`: positions_present (the nonzero

@@ -51,7 +51,9 @@ Result<DecodedMark> InterleavedCode::DecodeRuns(
     inner.push_back({inverse[run.slot], run.vote});
   }
   std::sort(inner.begin(), inner.end(),
-            [](const SlotVote& a, const SlotVote& b) { return a.slot < b.slot; });
+            [](const SlotVote& a, const SlotVote& b) {
+              return a.slot < b.slot;
+            });
   return inner_->Decode(inner, payload_len, wm_len);
 }
 
