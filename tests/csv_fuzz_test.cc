@@ -242,6 +242,101 @@ TEST_P(CatmFuzzTest, CorruptedBytesNeverCrash) {
   }
 }
 
+// --- quote-free CSV fuzz ----------------------------------------------------
+
+/// Like kAlphabet, minus every byte that forces quoting: the CSV text of a
+/// relation over it has no '"' at all, so the parallel reader's chunk
+/// boundaries all come from its quote-free newline search.
+constexpr char kPlainAlphabet[] = "abcXYZ019 ';|\\\t=%$\xc3\xa9";
+
+/// A random quote-free CSV and what it holds.
+struct PlainCsv {
+  Schema schema;
+  std::string text;
+  std::size_t rows = 0;
+};
+
+/// Random quote-free CSV: a random schema (every column kind: numeric lanes,
+/// numeric and STRING dictionaries, plain STRING), NULLs in every column,
+/// each record end drawn from \n, \r\n and a lone \r, and sometimes no
+/// terminator after the last record.
+PlainCsv RandomPlainCsv(std::uint64_t seed) {
+  Xoshiro256ss rng(seed);
+  std::vector<Column> cols = {{"K", ColumnType::kInt64, false},
+                              {"A", ColumnType::kString, true},
+                              {"S", ColumnType::kString, false}};
+  for (std::size_t i = rng.NextBounded(4); i > 0; --i) {
+    cols.push_back({"X" + std::to_string(cols.size()),
+                    static_cast<ColumnType>(rng.NextBounded(3)),
+                    rng.NextBool(0.5)});
+  }
+  PlainCsv out;
+  out.schema = Schema::Create(cols, "K").value();
+  Relation rel(out.schema);
+  const std::size_t labels = 1 + rng.NextBounded(12);
+  out.rows = 1 + rng.NextBounded(400);
+  for (std::size_t r = 0; r < out.rows; ++r) {
+    Row row;
+    for (const Column& col : cols) {
+      if (rng.NextBool(0.08)) {
+        row.push_back(Value());
+        continue;
+      }
+      switch (col.type) {
+        case ColumnType::kInt64:
+          row.push_back(Value(static_cast<std::int64_t>(
+              col.categorical ? rng.NextBounded(labels) : rng.Next())));
+          break;
+        case ColumnType::kDouble:
+          row.push_back(Value(
+              static_cast<double>(rng.NextBounded(col.categorical ? labels
+                                                                  : 1u << 20)) /
+              8.0));
+          break;
+        case ColumnType::kString: {
+          std::string text =
+              col.categorical ? "L" + std::to_string(rng.NextBounded(labels))
+                              : "";
+          for (std::size_t n = rng.NextBounded(12); n > 0; --n) {
+            text.push_back(
+                kPlainAlphabet[rng.NextBounded(sizeof(kPlainAlphabet) - 1)]);
+          }
+          row.push_back(Value(std::move(text)));
+          break;
+        }
+      }
+    }
+    rel.AppendRowUnchecked(std::move(row));
+  }
+  const std::string lf = WriteCsvString(rel);
+  EXPECT_EQ(lf.find('"'), std::string::npos);
+  for (std::size_t i = 0; i < lf.size(); ++i) {
+    if (lf[i] != '\n') {
+      out.text.push_back(lf[i]);
+      continue;
+    }
+    if (i + 1 == lf.size() && rng.NextBool(0.3)) break;
+    static constexpr const char* kEnds[] = {"\n", "\r\n", "\r"};
+    out.text += kEnds[rng.NextBounded(3)];
+  }
+  return out;
+}
+
+TEST_P(CatmFuzzTest, QuoteFreeParallelCsvReadMatchesSerialByteIdentically) {
+  const PlainCsv csv = RandomPlainCsv(GetParam() ^ 0x0F4E);
+  Result<Relation> serial = ReadCsvString(csv.text, csv.schema);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_EQ(serial->NumRows(), csv.rows);
+  const std::string want = WriteCatmString(*serial);
+  for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    Result<Relation> got = ReadCsvStringParallel(csv.text, csv.schema, threads);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(WriteCatmString(*got), want)
+        << "quote-free parallel CSV read diverged at " << threads
+        << " threads";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CatmFuzzTest,
                          ::testing::Range<std::uint64_t>(1, 21));
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 
+#include "relation/catm_io.h"
 #include "relation/csv.h"
 #include "relation/relation.h"
 
@@ -175,6 +178,131 @@ TEST(CsvTest, FileRoundTrip) {
 
 TEST(CsvTest, FileReadMissingFails) {
   EXPECT_FALSE(ReadCsvFile("/nonexistent/path.csv", TestSchema()).ok());
+}
+
+// --- the Status contract --------------------------------------------------
+//
+// Every read path reports the same code and message text for the same
+// malformed input: the serial reader, and the chunked reader at any thread
+// count (its shard-local errors are re-reported canonically).
+
+/// Reads `text` serially and in parallel at 1, 2, 4 and 8 threads; every
+/// read must fail with exactly `code` and `message`.
+void ExpectCsvError(const std::string& text, const Schema& schema,
+                    StatusCode code, const std::string& message) {
+  const Result<Relation> serial = ReadCsvString(text, schema);
+  ASSERT_FALSE(serial.ok()) << text;
+  EXPECT_EQ(serial.status().code(), code) << serial.status().ToString();
+  EXPECT_EQ(serial.status().message(), message);
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    const Result<Relation> par = ReadCsvStringParallel(text, schema, threads);
+    ASSERT_FALSE(par.ok()) << threads << " threads";
+    EXPECT_EQ(par.status().code(), code) << threads << " threads";
+    EXPECT_EQ(par.status().message(), message) << threads << " threads";
+  }
+}
+
+TEST(CsvStatusTest, ArityMismatchNamesTheLine) {
+  ExpectCsvError("K,A,X\n1,red,1.5\n2,blue\n3,green,3.5\n", TestSchema(),
+                 StatusCode::kIoError, "CSV line 3: arity mismatch");
+  ExpectCsvError("K,A,X\n1,red,1.5\n2,blue,2.5,extra\n", TestSchema(),
+                 StatusCode::kIoError, "CSV line 3: arity mismatch");
+}
+
+TEST(CsvStatusTest, Int64ParseError) {
+  ExpectCsvError("K,A,X\n1,red,1.5\n2,blue,2.5\nx7,green,3.5\n", TestSchema(),
+                 StatusCode::kIoError,
+                 "CSV line 4: cannot parse INT64 from 'x7'");
+}
+
+TEST(CsvStatusTest, DoubleParseError) {
+  ExpectCsvError("K,A,X\n1,red,1.5\n2,blue,2.5z\n", TestSchema(),
+                 StatusCode::kIoError,
+                 "CSV line 3: cannot parse DOUBLE from '2.5z'");
+}
+
+TEST(CsvStatusTest, ArityIsReportedBeforeACellError) {
+  ExpectCsvError("K,A,X\n1,red,1.5\nbad,blue\n", TestSchema(),
+                 StatusCode::kIoError, "CSV line 3: arity mismatch");
+}
+
+TEST(CsvStatusTest, FirstBadLineWins) {
+  ExpectCsvError("K,A,X\n1,red,1.5\n2,blue,oops\n3,green\n", TestSchema(),
+                 StatusCode::kIoError,
+                 "CSV line 3: cannot parse DOUBLE from 'oops'");
+}
+
+TEST(CsvStatusTest, QuotedNewlineCountsAsOneLine) {
+  // Line numbers count records: the quoted newline in record 2 does not
+  // advance them.
+  ExpectCsvError("K,A,X\n1,\"two\nlines\",1.5\n\"x\"\"3\",blue,2.5\n",
+                 TestSchema(), StatusCode::kIoError,
+                 "CSV line 3: cannot parse INT64 from 'x\"3'");
+}
+
+TEST(CsvStatusTest, UnterminatedQuoteAfterAValidRecord) {
+  ExpectCsvError("K,A,X\n1,red,1.5\n2,\"blue,2.5\n3,green,3.5\n",
+                 TestSchema(), StatusCode::kInvalidArgument,
+                 "CSV: unterminated quoted field");
+}
+
+TEST(CsvStatusTest, HeaderMismatch) {
+  ExpectCsvError("K,B,X\n1,red,1.5\n", TestSchema(), StatusCode::kIoError,
+                 "CSV: header column 'B' != schema column 'A'");
+  ExpectCsvError("K,A\n1,red\n", TestSchema(), StatusCode::kIoError,
+                 "CSV: header arity mismatch");
+  ExpectCsvError("", TestSchema(), StatusCode::kIoError,
+                 "CSV: missing header row");
+}
+
+// --- cell semantics -------------------------------------------------------
+
+TEST(CsvCellTest, Int64IsStrict) {
+  ExpectCsvError("K,A,X\n+5,red,1.5\n", TestSchema(), StatusCode::kIoError,
+                 "CSV line 2: cannot parse INT64 from '+5'");
+  ExpectCsvError("K,A,X\n 5,red,1.5\n", TestSchema(), StatusCode::kIoError,
+                 "CSV line 2: cannot parse INT64 from ' 5'");
+  ExpectCsvError("K,A,X\n9223372036854775808,red,1.5\n", TestSchema(),
+                 StatusCode::kIoError,
+                 "CSV line 2: cannot parse INT64 from '9223372036854775808'");
+  const Relation back =
+      ReadCsvString("K,A,X\n-9223372036854775808,red,1.5\n", TestSchema())
+          .value();
+  EXPECT_EQ(back.Get(0, 0).AsInt64(), std::numeric_limits<std::int64_t>::min());
+}
+
+TEST(CsvCellTest, DoubleFollowsStrtod) {
+  const std::string text =
+      "K,A,X\n1,a, 1.5\n2,b,nan\n3,c,1e400\n4,d,0x1p3\n";
+  const Relation back = ReadCsvString(text, TestSchema()).value();
+  ASSERT_EQ(back.NumRows(), 4u);
+  EXPECT_EQ(back.Get(0, 2).AsDouble(), 1.5);
+  EXPECT_TRUE(std::isnan(back.Get(1, 2).AsDouble()));
+  EXPECT_EQ(back.Get(2, 2).AsDouble(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(back.Get(3, 2).AsDouble(), 8.0);
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    const Relation par =
+        ReadCsvStringParallel(text, TestSchema(), threads).value();
+    EXPECT_EQ(WriteCatmString(par), WriteCatmString(back)) << threads;
+  }
+}
+
+TEST(CsvCellTest, NegativeZeroKeepsItsOwnDictEntry) {
+  const Schema schema = Schema::Create({{"K", ColumnType::kInt64, false},
+                                        {"D", ColumnType::kDouble, true}},
+                                       "K")
+                            .value();
+  const std::string text = "K,D\n1,-0.0\n2,0.0\n3,0\n4,-0\n";
+  const Relation back = ReadCsvString(text, schema).value();
+  const std::vector<Value>& dict = back.store().Dict(1);
+  ASSERT_EQ(dict.size(), 2u);
+  EXPECT_TRUE(std::signbit(dict[0].AsDouble()));
+  EXPECT_FALSE(std::signbit(dict[1].AsDouble()));
+  EXPECT_EQ(back.store().Codes(1), (std::vector<std::int32_t>{0, 1, 1, 0}));
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    const Relation par = ReadCsvStringParallel(text, schema, threads).value();
+    EXPECT_EQ(WriteCatmString(par), WriteCatmString(back)) << threads;
+  }
 }
 
 }  // namespace
