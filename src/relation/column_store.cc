@@ -526,14 +526,6 @@ Status ColumnStore::FinalizeInstall(std::size_t num_rows) {
   return Status::OK();
 }
 
-std::vector<Value> ColumnStore::TakeStringColumn(std::size_t col) {
-  CATMARK_CHECK_LT(col, columns_.size());
-  auto* p = std::get_if<StringColumn>(&columns_[col]);
-  CATMARK_CHECK(p != nullptr) << "column " << col
-                              << " is not a plain STRING column";
-  return std::move(p->values);
-}
-
 BulkCodeWriter::BulkCodeWriter(ColumnStore& store, std::size_t col,
                                std::size_t num_shards)
     : store_(store), col_(col) {

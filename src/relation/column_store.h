@@ -189,8 +189,8 @@ class ColumnStore {
 
   // --- Wholesale column installation (the zero-re-intern load surface) -----
   //
-  // The .catm loader and the parallel-ingest dictionary merge build columns
-  // elsewhere (from disk sections / per-shard stores) and adopt them here
+  // The .catm loader and the CSV reader build columns elsewhere (from disk
+  // sections / the CSV reader's column sinks) and adopt them here
   // without touching the per-row intern path. Contract: the store must be
   // freshly constructed for the right schema (num_rows() == 0, CHECKed),
   // each column installed at most once, and FinalizeInstall called last —
@@ -222,11 +222,6 @@ class ColumnStore {
   /// Verifies every column holds exactly `num_rows` cells and commits the
   /// row count; InvalidArgument (and the store stays inert) otherwise.
   Status FinalizeInstall(std::size_t num_rows);
-
-  /// Moves a STRING plain column's values out (the column is left empty).
-  /// The parallel-ingest merge concatenates shard columns through this
-  /// instead of copying every string.
-  std::vector<Value> TakeStringColumn(std::size_t col);
 
  private:
   friend class BulkCodeWriter;

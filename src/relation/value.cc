@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/check.h"
 
@@ -57,35 +58,62 @@ std::string Value::ToString() const {
   return AsString();
 }
 
+bool ParseNumberBits(std::string_view text, ColumnType type,
+                     std::uint64_t& bits) {
+  if (text.empty()) return false;
+  const char* const end = text.data() + text.size();
+  if (type == ColumnType::kInt64) {
+    // Up to 18 digits cannot overflow: those convert inline, digit by
+    // digit, exactly as std::from_chars would. Any other byte fails
+    // either way.
+    const bool negative = text.front() == '-';
+    const char* p = text.data() + (negative ? 1 : 0);
+    if (p != end && end - p <= 18) {
+      std::uint64_t v = 0;
+      for (; p != end; ++p) {
+        const auto digit = static_cast<unsigned>(*p - '0');
+        if (digit > 9) return false;
+        v = v * 10 + digit;
+      }
+      bits = negative ? 0 - v : v;
+      return true;
+    }
+    std::int64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    bits = static_cast<std::uint64_t>(v);
+    return ec == std::errc() && ptr == end;
+  }
+  // strtod needs a NUL-terminated copy; cells that fit take it on the
+  // stack. An embedded NUL stops strtod early and so fails the
+  // whole-text check.
+  char stack[64];
+  std::string heap;
+  const char* copy = stack;
+  if (text.size() < sizeof(stack)) {
+    std::memcpy(stack, text.data(), text.size());
+    stack[text.size()] = '\0';
+  } else {
+    heap.assign(text);
+    copy = heap.c_str();
+  }
+  char* stop = nullptr;
+  bits = std::bit_cast<std::uint64_t>(std::strtod(copy, &stop));
+  return stop == copy + text.size();
+}
+
+std::string NumberParseError(std::string_view text, ColumnType type) {
+  return "cannot parse " + std::string(ColumnTypeName(type)) + " from '" +
+         std::string(text) + "'";
+}
+
 Result<Value> Value::Parse(std::string_view text, ColumnType type) {
   if (text.empty()) return Value();
-  switch (type) {
-    case ColumnType::kInt64: {
-      std::int64_t v = 0;
-      const auto [ptr, ec] =
-          std::from_chars(text.data(), text.data() + text.size(), v);
-      if (ec != std::errc() || ptr != text.data() + text.size()) {
-        return Status::InvalidArgument("cannot parse INT64 from '" +
-                                       std::string(text) + "'");
-      }
-      return Value(v);
-    }
-    case ColumnType::kDouble: {
-      // std::from_chars for double is not universally available; strtod via
-      // a NUL-terminated copy is fine off the hot path.
-      const std::string copy(text);
-      char* end = nullptr;
-      const double v = std::strtod(copy.c_str(), &end);
-      if (end != copy.c_str() + copy.size()) {
-        return Status::InvalidArgument("cannot parse DOUBLE from '" + copy +
-                                       "'");
-      }
-      return Value(v);
-    }
-    case ColumnType::kString:
-      return Value(std::string(text));
+  if (type == ColumnType::kString) return Value(std::string(text));
+  std::uint64_t bits = 0;
+  if (!ParseNumberBits(text, type, bits)) {
+    return Status::InvalidArgument(NumberParseError(text, type));
   }
-  return Status::InvalidArgument("unknown column type");
+  return LaneValue(type, bits);
 }
 
 void Value::SerializeForHash(std::vector<std::uint8_t>& out) const {

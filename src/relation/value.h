@@ -139,6 +139,20 @@ inline Value LaneValue(ColumnType type, std::uint64_t bits) {
   return Value(std::bit_cast<double>(bits));
 }
 
+/// Converts the non-empty text of an INT64 or DOUBLE cell to its lane word
+/// (see SerializeNumberTo). INT64 goes through std::from_chars: no sign
+/// prefix, no whitespace, no overflow. DOUBLE goes through strtod, so
+/// leading whitespace, nan/inf, hex floats and out-of-range magnitudes
+/// read exactly as strtod reads them. Either must consume the whole text;
+/// false when it does not. Value::Parse and the CSV reader's numeric
+/// columns both convert through this, so a cell reads the same either way.
+bool ParseNumberBits(std::string_view text, ColumnType type,
+                     std::uint64_t& bits);
+
+/// The message of a failed ParseNumberBits: "cannot parse <TYPE> from
+/// '<text>'".
+std::string NumberParseError(std::string_view text, ColumnType type);
+
 /// A tuple (row) of the relation.
 using Row = std::vector<Value>;
 
