@@ -65,7 +65,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <limits>
 #include <map>
 #include <optional>
@@ -703,12 +702,18 @@ int RunStream(const Flags& flags) {
   const std::string in = flags.Get("in");
   if (in.empty()) return Fail("--in is required (path or - for stdin)");
   Result<Relation> input = [&]() -> Result<Relation> {
-    if (in == "-") {
-      std::ostringstream ss;
-      ss << std::cin.rdbuf();
-      return ReadCsvString(ss.str(), schema.value());
-    }
-    return LoadRelation(in, schema.value());
+    if (in != "-") return LoadRelation(in, schema.value());
+    // Read stdin once, straight into one buffer, then parse it in parallel
+    // chunks like a file.
+    std::string text;
+    std::size_t got = 0;
+    do {
+      text.resize(got + (std::size_t{1} << 20));
+      got += std::fread(text.data() + got, 1, text.size() - got, stdin);
+    } while (got == text.size());
+    if (std::ferror(stdin)) return Status::IoError("cannot read stdin");
+    text.resize(got);
+    return ReadCsvStringParallel(text, schema.value());
   }();
   if (!input.ok()) return Fail(input.status().ToString());
 
