@@ -76,6 +76,34 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// `rel` as CSV with every field quoted (NULL as "") and CRLF record ends:
+/// the fixture that times the reader's unescape path and quoted chunk
+/// boundary scan.
+std::string QuotedCrlfCsv(const Relation& rel) {
+  std::string out;
+  const auto field = [&out](std::size_t c, std::string_view text) {
+    if (c > 0) out.push_back(',');
+    out.push_back('"');
+    for (const char ch : text) {
+      if (ch == '"') out.push_back('"');
+      out.push_back(ch);
+    }
+    out.push_back('"');
+  };
+  const Schema& schema = rel.schema();
+  for (std::size_t c = 0; c < schema.num_columns(); ++c) {
+    field(c, schema.column(c).name);
+  }
+  out += "\r\n";
+  for (std::size_t r = 0; r < rel.NumRows(); ++r) {
+    for (std::size_t c = 0; c < schema.num_columns(); ++c) {
+      field(c, rel.Get(r, c).ToString());
+    }
+    out += "\r\n";
+  }
+  return out;
+}
+
 struct Measurement {
   double serial_tps = 0.0;    // tuples/second, best of `passes` runs
   double parallel_tps = 0.0;
@@ -791,9 +819,13 @@ int Run(const ExperimentConfig& config) {
       (tmpdir_env != nullptr && *tmpdir_env != '\0') ? tmpdir_env : "/tmp";
   const std::string csv_path = tmpdir + "/catmark_bench_rel.csv";
   const std::string catm_path = tmpdir + "/catmark_bench_rel.catm";
+  const std::string quoted_csv_path = tmpdir + "/catmark_bench_rel_quoted.csv";
   {
     const Status s_csv = SaveRelation(format_marked, csv_path);
     CATMARK_CHECK(s_csv.ok()) << s_csv.ToString();
+    std::ofstream quoted(quoted_csv_path, std::ios::binary);
+    quoted << QuotedCrlfCsv(format_marked);
+    CATMARK_CHECK(quoted.good()) << "cannot write " << quoted_csv_path;
     const Status s_catm = SaveRelation(format_marked, catm_path);
     CATMARK_CHECK(s_catm.ok()) << s_catm.ToString();
   }
@@ -818,6 +850,7 @@ int Run(const ExperimentConfig& config) {
 
   double load_csv_tps = 0.0;
   double load_csv_parallel_tps = 0.0;
+  double load_csv_quoted_tps = 0.0;
   double load_catm_tps = 0.0;
   double e2e_csv_tps = 0.0;
   double e2e_catm_tps = 0.0;
@@ -841,6 +874,15 @@ int Run(const ExperimentConfig& config) {
       CATMARK_CHECK(r.value().SameContent(format_marked))
           << "parallel CSV round trip lost data";
       if (n / secs > load_csv_parallel_tps) load_csv_parallel_tps = n / secs;
+    }
+    {
+      const auto start = Clock::now();
+      Result<Relation> r = ReadCsvFileParallel(quoted_csv_path, format_schema);
+      const double secs = SecondsSince(start);
+      CATMARK_CHECK(r.ok()) << r.status().ToString();
+      CATMARK_CHECK(r.value().SameContent(format_marked))
+          << "quoted CRLF CSV round trip lost data";
+      if (n / secs > load_csv_quoted_tps) load_csv_quoted_tps = n / secs;
     }
     {
       const auto start = Clock::now();
@@ -882,6 +924,7 @@ int Run(const ExperimentConfig& config) {
   const double e2e_format_gain =
       e2e_csv_tps > 0.0 ? e2e_catm_tps / e2e_csv_tps : 0.0;
   std::remove(csv_path.c_str());
+  std::remove(quoted_csv_path.c_str());
   std::remove(catm_path.c_str());
 
   // Blind multi-key ownership sweep: "whose mark is this data carrying?"
@@ -1130,6 +1173,8 @@ int Run(const ExperimentConfig& config) {
   PrintTableHeader({"stage", "csv", "catm", "gain", "bytes"});
   PrintTableRow({"load(serial csv)", FormatDouble(load_csv_tps, 0), "-", "-",
                  std::to_string(csv_bytes)});
+  PrintTableRow({"load(quoted crlf csv)", FormatDouble(load_csv_quoted_tps, 0),
+                 "-", "-", "-"});
   PrintTableRow({"load", FormatDouble(load_csv_parallel_tps, 0),
                  FormatDouble(load_catm_tps, 0),
                  FormatDouble(load_csv_parallel_tps > 0.0
@@ -1235,6 +1280,7 @@ int Run(const ExperimentConfig& config) {
         "  \"index_build_ms\": %.4f,\n"
         "  \"load_csv_tps\": %.0f,\n"
         "  \"load_csv_parallel_tps\": %.0f,\n"
+        "  \"load_csv_quoted_tps\": %.0f,\n"
         "  \"load_catm_tps\": %.0f,\n"
         "  \"e2e_csv_tps\": %.0f,\n"
         "  \"e2e_catm_tps\": %.0f,\n"
@@ -1282,7 +1328,8 @@ int Run(const ExperimentConfig& config) {
         detect_simd_tps, detect_simd_scalar_tps, detect_simd_gain,
         detect_simd_tps, plan_pass_tps, oneshot_vs_plan_gain, index_ms,
         load_csv_tps,
-        load_csv_parallel_tps, load_catm_tps, e2e_csv_tps, e2e_catm_tps,
+        load_csv_parallel_tps, load_csv_quoted_tps, load_catm_tps,
+        e2e_csv_tps, e2e_catm_tps,
         e2e_format_gain, save_catm_tps, csv_bytes, catm_bytes, stream_n,
         stream_s1_tps[0], stream_s1_tps[1], stream_s1_tps[2],
         stream_s8_tps[0], stream_s8_tps[1], stream_s8_tps[2],
