@@ -60,9 +60,9 @@ Result<Relation> ReadCsvFile(const std::string& path, const Schema& schema);
 /// cell is IoError "CSV line N: cannot parse <TYPE> from '<field>'". N
 /// counts records, the header being line 1, so a quoted newline does not
 /// advance it. Input that ends inside a quoted run is InvalidArgument
-/// "CSV: unterminated quoted field". When any chunk of a parallel read
-/// fails, the input is re-read as one chunk, so the Status is the same at
-/// every thread count.
+/// "CSV: unterminated quoted field". Chunks start on record starts, so a
+/// parallel read numbers a record's line from the records of the chunks
+/// before it, and the Status is the same at every thread count.
 Result<Relation> ReadCsvStringParallel(std::string_view text,
                                        const Schema& schema,
                                        std::size_t num_threads = 0);

@@ -337,6 +337,37 @@ TEST_P(CatmFuzzTest, QuoteFreeParallelCsvReadMatchesSerialByteIdentically) {
   }
 }
 
+TEST_P(CatmFuzzTest, QuotedRecordEndsNeverSplitAChunk) {
+  // One STRING column of long values dense in quoted newlines: chunk
+  // targets land inside quoted runs, and because any record is valid here,
+  // a boundary placed by a wrong quote state would not fail the read (and
+  // so fall back to one chunk) but silently change the rows.
+  Xoshiro256ss rng(GetParam() ^ 0x5EC7);
+  const bool categorical = rng.NextBool(0.5);
+  Relation rel(
+      Schema::Create({{"S", ColumnType::kString, categorical}}, "").value());
+  constexpr char kDense[] = "ab,\"\n\r\n\n ";
+  const std::size_t rows = 20 + rng.NextBounded(200);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::string text = "v";
+    for (std::size_t n = rng.NextBounded(120); n > 0; --n) {
+      text.push_back(kDense[rng.NextBounded(sizeof(kDense) - 1)]);
+    }
+    rel.AppendRowUnchecked({Value(std::move(text))});
+  }
+  const std::string csv = WriteCsvString(rel);
+  Result<Relation> serial = ReadCsvString(csv, rel.schema());
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_TRUE(serial->SameContent(rel));
+  const std::string want = WriteCatmString(*serial);
+  for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
+    Result<Relation> got = ReadCsvStringParallel(csv, rel.schema(), threads);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(WriteCatmString(*got), want)
+        << "quoted newlines split a record at " << threads << " threads";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CatmFuzzTest,
                          ::testing::Range<std::uint64_t>(1, 21));
 
