@@ -63,21 +63,6 @@ bool ParseNumberBits(std::string_view text, ColumnType type,
   if (text.empty()) return false;
   const char* const end = text.data() + text.size();
   if (type == ColumnType::kInt64) {
-    // Up to 18 digits cannot overflow: those convert inline, digit by
-    // digit, exactly as std::from_chars would. Any other byte fails
-    // either way.
-    const bool negative = text.front() == '-';
-    const char* p = text.data() + (negative ? 1 : 0);
-    if (p != end && end - p <= 18) {
-      std::uint64_t v = 0;
-      for (; p != end; ++p) {
-        const auto digit = static_cast<unsigned>(*p - '0');
-        if (digit > 9) return false;
-        v = v * 10 + digit;
-      }
-      bits = negative ? 0 - v : v;
-      return true;
-    }
     std::int64_t v = 0;
     const auto [ptr, ec] = std::from_chars(text.data(), end, v);
     bits = static_cast<std::uint64_t>(v);

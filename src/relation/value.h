@@ -139,13 +139,14 @@ inline Value LaneValue(ColumnType type, std::uint64_t bits) {
   return Value(std::bit_cast<double>(bits));
 }
 
-/// Converts the non-empty text of an INT64 or DOUBLE cell to its lane word
-/// (see SerializeNumberTo). INT64 goes through std::from_chars: no sign
-/// prefix, no whitespace, no overflow. DOUBLE goes through strtod, so
-/// leading whitespace, nan/inf, hex floats and out-of-range magnitudes
-/// read exactly as strtod reads them. Either must consume the whole text;
-/// false when it does not. Value::Parse and the CSV reader's numeric
-/// columns both convert through this, so a cell reads the same either way.
+/// Converts the text of an INT64 or DOUBLE cell to its lane word (see
+/// SerializeNumberTo). INT64 goes through std::from_chars: no '+' prefix,
+/// no whitespace, no overflow. DOUBLE goes through strtod, so leading
+/// whitespace, nan/inf, hex floats and out-of-range magnitudes read
+/// exactly as strtod reads them. Either must consume the whole text; false
+/// when it does not, or when the text is empty. Value::Parse and the CSV
+/// reader's numeric columns both convert through this, so a cell reads the
+/// same either way.
 bool ParseNumberBits(std::string_view text, ColumnType type,
                      std::uint64_t& bits);
 
