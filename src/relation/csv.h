@@ -46,11 +46,11 @@ Result<Relation> ReadCsvFile(const std::string& path, const Schema& schema);
 /// quote-free input — and then searches for the next record end, skipping
 /// quoted runs.
 ///
-/// Determinism: the chunks merge in input order, one column per worker.
-/// Lanes and STRING values concatenate; each chunk dictionary interns into
-/// the global one in its own (first-occurrence) order, which reproduces
-/// global first-occurrence code assignment. The result is therefore
-/// byte-identical (under WriteCatmString) at every thread count.
+/// Determinism: the chunks merge in input order. Lanes and STRING values
+/// concatenate; each chunk dictionary interns into the global one in its
+/// own (first-occurrence) order, which reproduces global first-occurrence
+/// code assignment. The result is therefore byte-identical (under
+/// WriteCatmString) at every thread count.
 ///
 /// Errors: the first bad record wins. A header that does not match is
 /// IoError "CSV: header arity mismatch" / "CSV: header column 'X' !=
