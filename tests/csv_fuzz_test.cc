@@ -340,8 +340,8 @@ TEST_P(CatmFuzzTest, QuoteFreeParallelCsvReadMatchesSerialByteIdentically) {
 TEST_P(CatmFuzzTest, QuotedRecordEndsNeverSplitAChunk) {
   // One STRING column of long values dense in quoted newlines: chunk
   // targets land inside quoted runs, and because any record is valid here,
-  // a boundary placed by a wrong quote state would not fail the read (and
-  // so fall back to one chunk) but silently change the rows.
+  // a boundary placed by a wrong quote state would not fail the read but
+  // silently change the rows.
   Xoshiro256ss rng(GetParam() ^ 0x5EC7);
   const bool categorical = rng.NextBool(0.5);
   Relation rel(

@@ -184,7 +184,8 @@ TEST(CsvTest, FileReadMissingFails) {
 //
 // Every read path reports the same code and message text for the same
 // malformed input: the serial reader, and the chunked reader at any thread
-// count (its shard-local errors are re-reported canonically).
+// count (a chunk numbers its bad line from the records of the chunks before
+// it).
 
 /// Reads `text` serially and in parallel at 1, 2, 4 and 8 threads; every
 /// read must fail with exactly `code` and `message`.
