@@ -43,8 +43,10 @@ Result<Relation> ReadCsvFile(const std::string& path, const Schema& schema);
 /// explicit count is honored exactly) take off a shared counter. Every '"'
 /// toggles quoting, so the boundary scan reads the quote state at a target
 /// offset from the parity of the quotes before it — one memchr on
-/// quote-free input — and then searches for the next record end, skipping
-/// quoted runs.
+/// quote-free input — and then walks to the next record end, skipping
+/// quoted runs. Each boundary starts where the last one ended, so the
+/// whole scan reads each byte a bounded number of times, however long a
+/// record is or however many quotes it holds.
 ///
 /// Determinism: the chunks merge in input order. Lanes and STRING values
 /// concatenate; each chunk dictionary interns into the global one in its

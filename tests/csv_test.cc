@@ -247,6 +247,22 @@ TEST(CsvStatusTest, UnterminatedQuoteAfterAValidRecord) {
                  "CSV: unterminated quoted field");
 }
 
+TEST(CsvStatusTest, LongLineDenseInQuotesFailsFast) {
+  // One 4.5 MB record of empty quoted fields. Finding a chunk boundary
+  // inside it must scan each byte a bounded number of times: a scan that
+  // re-searched the rest of the line after every quote would run for hours.
+  std::string text = "K,A,X\n";
+  for (int i = 0; i < 1'500'000; ++i) text += "\"\",";
+  text += "\n";
+  for (const std::size_t threads : {0u, 1u, 2u}) {
+    const Result<Relation> read =
+        ReadCsvStringParallel(text, TestSchema(), threads);
+    ASSERT_FALSE(read.ok()) << threads << " threads";
+    EXPECT_EQ(read.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(read.status().message(), "CSV line 2: arity mismatch");
+  }
+}
+
 TEST(CsvStatusTest, HeaderMismatch) {
   ExpectCsvError("K,B,X\n1,red,1.5\n", TestSchema(), StatusCode::kIoError,
                  "CSV: header column 'B' != schema column 'A'");
