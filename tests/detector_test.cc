@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "attack/attacks.h"
 #include "core/detector.h"
 #include "core/embedder.h"
+#include "crypto/prf.h"
 #include "exp/harness.h"
 #include "gen/sales_gen.h"
 
@@ -149,6 +155,94 @@ TEST(DetectorTest, EmbeddingMapVariantRoundTrips) {
   const DetectionResult result =
       detector.Detect(rel, detect_options, wm.size()).value();
   EXPECT_EQ(result.wm, wm);
+}
+
+// Figure 2(b) counters, pinned exactly on both key layouts and at several
+// worker counts: fit_tuples counts every fit key row, usable_votes only the
+// fit rows whose key the owner's map holds, and messages_hashed the keys
+// pushed through k1 — the non-NULL rows of a plain column, the live distinct
+// entries of a dict column. The suspect carries fit-keyed rows appended
+// after the embed (absent from the map; twice each on the dict column, so
+// rows and messages differ), a NULL key row and, on the dict column, a
+// removed row whose dictionary entry is left dead.
+TEST(DetectorTest, EmbeddingMapCountersOnPlainAndDictKeys) {
+  for (const bool dict_key : {false, true}) {
+    SCOPED_TRACE(dict_key ? "dict STRING key" : "plain INT64 key");
+    Relation rel(Schema::Create({{"K",
+                                  dict_key ? ColumnType::kString
+                                           : ColumnType::kInt64,
+                                  dict_key},
+                                 {"A", ColumnType::kString, true}})
+                     .value());
+    const auto key_of = [dict_key](std::int64_t i) {
+      return dict_key ? Value("key-" + std::to_string(i)) : Value(i);
+    };
+    for (std::int64_t i = 0; i < 3000; ++i) {
+      rel.AppendRowUnchecked({key_of(i), Value("V" + std::to_string(i % 40))});
+    }
+    const WatermarkKeySet keys = WatermarkKeySet::FromSeed(23);
+    WatermarkParams params;
+    params.e = 10;
+    params.prf = PrfKind::kKeyedHash;
+    const BitVector wm = MakeWatermark(10, 23);
+    EmbedOptions options = KA();
+    options.build_embedding_map = true;
+    const EmbedReport report =
+        Embedder(keys, params).Embed(rel, options, wm).value();
+    ASSERT_GT(report.embedding_map.size(), 0u);
+
+    const std::unique_ptr<KeyedPrf> k1 =
+        CreateKeyedPrf(PrfKind::kKeyedHash, keys.k1, params.hash_algo);
+    std::vector<std::uint8_t> bytes;
+    const auto is_fit = [&](const Value& key) {
+      return k1->Hash64(key.SerializeKeyInto(bytes)) % params.e == 0;
+    };
+    std::size_t appended_rows = 0;
+    for (std::int64_t i = 1000000, keys_added = 0; keys_added < 30; ++i) {
+      if (!is_fit(key_of(i))) continue;
+      ++keys_added;
+      for (int copy = 0; copy < (dict_key ? 2 : 1); ++copy) {
+        rel.AppendRowUnchecked({key_of(i), Value("V1")});
+        ++appended_rows;
+      }
+    }
+    rel.AppendRowUnchecked({Value(), Value("V2")});
+    if (dict_key) rel.SwapRemoveRow(0);
+
+    // The expected counters, row by row.
+    std::size_t fit_rows = 0;
+    std::size_t mapped_rows = 0;
+    std::size_t non_null_rows = 0;
+    std::set<std::string> live_keys;
+    for (std::size_t j = 0; j < rel.NumRows(); ++j) {
+      const Value key = rel.Get(j, 0);
+      if (key.is_null()) continue;
+      ++non_null_rows;
+      live_keys.insert(std::string(key.SerializeKeyInto(bytes)));
+      if (!is_fit(key)) continue;
+      ++fit_rows;
+      if (report.embedding_map.Lookup(key).has_value()) ++mapped_rows;
+    }
+    ASSERT_EQ(fit_rows, mapped_rows + appended_rows);
+
+    DetectOptions detect_options = DetectKA(report);
+    detect_options.embedding_map = &report.embedding_map;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      WatermarkParams detect_params = params;
+      detect_params.num_threads = threads;
+      const DetectionResult result = Detector(keys, detect_params)
+                                         .Detect(rel, detect_options, wm.size())
+                                         .value();
+      EXPECT_EQ(result.wm, wm);
+      EXPECT_EQ(result.fit_tuples, fit_rows);
+      EXPECT_EQ(result.usable_votes, mapped_rows);
+      EXPECT_EQ(result.messages_hashed,
+                dict_key ? live_keys.size() : non_null_rows);
+      EXPECT_EQ(result.num_tuples, rel.NumRows());
+      EXPECT_EQ(result.rows_scanned, rel.NumRows());
+    }
+  }
 }
 
 TEST(DetectorTest, EmbeddingMapSerializationRoundTrips) {
