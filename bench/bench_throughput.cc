@@ -112,10 +112,11 @@ struct Measurement {
 
 // Faithful reconstruction of the seed-era one-row-at-a-time incremental
 // insert path — the batch=1 baseline of the streaming grid. Everything the
-// StreamSession amortizes is deliberately paid per row here, exactly as the
-// pre-service IncrementalWatermarker did: two column-name lookups, a fresh
-// heap-allocated HashScratch, single-shot (unbatched) PRF calls, and a
-// per-row AppendRow through the full variant-dispatch intern path.
+// StreamSession amortizes is deliberately paid per row here, as the seed's
+// per-row inserter did before the streaming service replaced it: two
+// column-name lookups, a fresh heap-allocated HashScratch, single-shot
+// (unbatched) PRF calls, and a per-row AppendRow through the full
+// variant-dispatch intern path.
 struct LegacyRowInserter {
   WatermarkParams params;
   CategoricalDomain domain;

@@ -31,18 +31,22 @@ int main() {
   std::printf("day 0: embedded into %zu tuples (%zu fit)\n", feed.NumRows(),
               report.fit_tuples);
 
-  // Days 1..7: 5000 new transactions arrive each day.
-  const IncrementalWatermarker incremental(keys, params, options, report,
-                                           wm);
+  // Days 1..7: 5000 new transactions arrive each day. The session pins the
+  // embed-time PRF backend from the report.
+  StreamSession session =
+      StreamSession::Create(
+          SessionSpec::FromEmbedReport(keys, params, options, report, wm))
+          .value();
   Xoshiro256ss rng(4444);
-  const CategoricalDomain& domain = incremental.domain();
+  const CategoricalDomain& domain = session.domain();
   std::size_t fit_inserts = 0;
   for (int day = 1; day <= 7; ++day) {
     for (int i = 0; i < 5000; ++i) {
       const std::int64_t key =
           static_cast<std::int64_t>(rng.NextBounded(1ULL << 40)) + (1LL << 41);
-      Row row = {Value(key), Value(domain.value(rng.NextBounded(domain.size())))};
-      if (incremental.Insert(feed, std::move(row)).value()) ++fit_inserts;
+      Row row = {Value(key),
+                 Value(domain.value(rng.NextBounded(domain.size())))};
+      if (session.Insert(feed, std::move(row)).value()) ++fit_inserts;
     }
   }
   std::printf("days 1-7: +35000 tuples, %zu watermarked on the fly\n",

@@ -20,7 +20,6 @@
 #include "core/embedder.h"           // IWYU pragma: export
 #include "core/embedding_map.h"      // IWYU pragma: export
 #include "core/freq_mark.h"          // IWYU pragma: export
-#include "core/incremental.h"        // IWYU pragma: export
 #include "core/injection.h"          // IWYU pragma: export
 #include "core/keys.h"               // IWYU pragma: export
 #include "core/multi_attribute.h"    // IWYU pragma: export

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
+#include <string_view>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -93,39 +95,115 @@ std::ptrdiff_t DetectFixedLength(
   return len;
 }
 
+/// Figure 2's position source: a fit message's slot comes from its k2
+/// hash. `key_bytes` is never called.
+struct K2Slots {
+  std::size_t payload_len;
+  BitIndexMode mode;
+
+  template <typename KeyBytes>
+  std::optional<std::size_t> operator()(std::uint64_t h2,
+                                        const KeyBytes& /*key_bytes*/) const {
+    return PayloadIndexFromHash(h2, payload_len, mode);
+  }
+};
+
+/// Figure 2(b)'s position source: the index the owner's embedding map
+/// recorded for the message's key bytes (Value::SerializeKeyInto form), mod
+/// the payload length. A key the map does not hold, e.g. a tuple Mallory
+/// added, has no slot and casts no vote.
+struct MapSlots {
+  const EmbeddingMap& map;
+  std::size_t payload_len;
+
+  template <typename KeyBytes>
+  std::optional<std::size_t> operator()(std::uint64_t /*h2*/,
+                                        const KeyBytes& key_bytes) const {
+    const std::optional<std::size_t> found = map.Lookup(key_bytes());
+    if (!found.has_value()) return std::nullopt;
+    return *found % payload_len;
+  }
+};
+
+/// Runs `tally` with the candidate's position source, chosen once per pass.
+template <typename Tally>
+void WithSlots(const KeyCandidate& candidate, std::size_t payload_len,
+               Tally&& tally) {
+  if (candidate.embedding_map != nullptr) {
+    tally(MapSlots{*candidate.embedding_map, payload_len});
+  } else {
+    tally(K2Slots{payload_len, candidate.params.bit_index_mode});
+  }
+}
+
 }  // namespace
+
+/// What the per-relation prologue resolved: the attribute columns and the
+/// domain — a caller's view, the caller's optional, or one recovered from
+/// the suspect data and owned here.
+struct DetectEngine::RelationInputs {
+  std::size_t key_col = 0;
+  std::size_t target_col = 0;
+  const CategoricalDomain* domain = nullptr;
+  std::unique_ptr<CategoricalDomain> recovered_domain;
+};
+
+Result<DetectEngine::RelationInputs> DetectEngine::ResolveInputs(
+    const Relation& rel, const DetectEngineOptions& options) {
+  RelationInputs in;
+  CATMARK_ASSIGN_OR_RETURN(in.key_col,
+                           rel.schema().ColumnIndexOrError(options.key_attr));
+  CATMARK_ASSIGN_OR_RETURN(
+      in.target_col, rel.schema().ColumnIndexOrError(options.target_attr));
+  if (rel.empty()) {
+    return Status::FailedPrecondition("cannot detect in an empty relation");
+  }
+  if (options.domain_view != nullptr) {
+    in.domain = options.domain_view;
+  } else if (options.domain.has_value()) {
+    in.domain = &*options.domain;
+  } else {
+    CATMARK_ASSIGN_OR_RETURN(
+        CategoricalDomain recovered,
+        CategoricalDomain::FromRelationColumn(rel, in.target_col));
+    in.recovered_domain =
+        std::make_unique<CategoricalDomain>(std::move(recovered));
+    in.domain = in.recovered_domain.get();
+  }
+  if (in.domain->size() < 2) {
+    return Status::FailedPrecondition("domain has fewer than 2 values");
+  }
+  if (options.target_index != nullptr &&
+      options.target_index->size() != rel.NumRows()) {
+    return Status::InvalidArgument(
+        "target_index has a different row count than the suspect relation");
+  }
+  return in;
+}
 
 Result<DetectEngine> DetectEngine::Create(const Relation& rel,
                                           const DetectEngineOptions& options) {
   const SteadyClock::time_point start = SteadyClock::now();
-  DetectEngine engine;
-  CATMARK_ASSIGN_OR_RETURN(
-      const std::size_t key_col,
-      rel.schema().ColumnIndexOrError(options.key_attr));
-  CATMARK_ASSIGN_OR_RETURN(
-      const std::size_t target_col,
-      rel.schema().ColumnIndexOrError(options.target_attr));
-  if (rel.empty()) {
-    return Status::FailedPrecondition("cannot detect in an empty relation");
-  }
+  CATMARK_ASSIGN_OR_RETURN(RelationInputs inputs, ResolveInputs(rel, options));
+  DetectEngine engine = Build(rel, options, std::move(inputs));
+  engine.plan_build_seconds_ = SecondsSince(start);
+  return engine;
+}
 
-  if (options.domain_view != nullptr) {
-    engine.domain_ = options.domain_view;
-  } else if (options.domain.has_value()) {
-    engine.owned_domain_ =
-        std::make_unique<CategoricalDomain>(*options.domain);
-    engine.domain_ = engine.owned_domain_.get();
-  } else {
-    CATMARK_ASSIGN_OR_RETURN(
-        CategoricalDomain recovered,
-        CategoricalDomain::FromRelationColumn(rel, target_col));
-    engine.owned_domain_ =
-        std::make_unique<CategoricalDomain>(std::move(recovered));
-    engine.domain_ = engine.owned_domain_.get();
+DetectEngine DetectEngine::Build(const Relation& rel,
+                                 const DetectEngineOptions& options,
+                                 RelationInputs&& inputs) {
+  DetectEngine engine;
+  // The engine outlives `options`: keep a view, own a recovered domain, and
+  // copy the caller's optional.
+  engine.owned_domain_ = std::move(inputs.recovered_domain);
+  if (engine.owned_domain_ == nullptr && options.domain_view == nullptr) {
+    engine.owned_domain_ = std::make_unique<CategoricalDomain>(*inputs.domain);
   }
-  if (engine.domain_->size() < 2) {
-    return Status::FailedPrecondition("domain has fewer than 2 values");
-  }
+  engine.domain_ = engine.owned_domain_ != nullptr ? engine.owned_domain_.get()
+                                                   : options.domain_view;
+  const std::size_t key_col = inputs.key_col;
+  const std::size_t target_col = inputs.target_col;
 
   const std::size_t n = rel.NumRows();
   engine.num_rows_ = n;
@@ -134,10 +212,6 @@ Result<DetectEngine> DetectEngine::Create(const Relation& rel,
   const std::size_t threads = EffectiveThreadCount(options.num_threads, n);
 
   const ValueIndexColumn* target_index = options.target_index;
-  if (target_index != nullptr && target_index->size() != n) {
-    return Status::InvalidArgument(
-        "target_index has a different row count than the suspect relation");
-  }
   ValueIndexColumn local_index;
   if (target_index == nullptr) {
     local_index =
@@ -275,35 +349,35 @@ Result<DetectEngine> DetectEngine::Create(const Relation& rel,
   }
 
   engine.fixed_len_ = DetectFixedLength(engine.bounds_);
-  engine.plan_build_seconds_ = SecondsSince(start);
   return engine;
 }
 
+template <typename Slots>
 void DetectEngine::TallyShard(std::size_t shard, FitScanner& scan,
-                              const WatermarkParams& params,
-                              std::size_t payload_len,
+                              const Slots& slots,
                               std::vector<SlotVote>& hits,
                               std::size_t& usable_votes,
                               std::size_t& fit_tuples) const {
   const std::size_t base = msg_base_[shard];
+  const std::uint8_t* arena = arena_[shard].data();
+  const std::vector<std::size_t>& bounds = bounds_[shard];
   std::size_t usable = 0;
   std::size_t fit_rows = 0;
   scan.ScanPrepared(
-      arena_[shard].data(), std::span<const std::size_t>(bounds_[shard]),
-      fixed_len_,
+      arena, std::span<const std::size_t>(bounds), fixed_len_,
       [&](std::size_t i, std::uint64_t /*h1*/, std::uint64_t h2) {
         const std::size_t m = base + i;
-        const std::size_t idx =
-            PayloadIndexFromHash(h2, payload_len, params.bit_index_mode);
+        fit_rows += dict_keys_ ? rows_[m] : 1;
+        // Message i's bytes are its key's SerializeKeyInto form.
+        const std::optional<std::size_t> idx = slots(h2, [&] {
+          return std::string_view(
+              reinterpret_cast<const char*>(arena + bounds[i]),
+              bounds[i + 1] - bounds[i]);
+        });
+        if (!idx.has_value()) return;
         const std::int32_t v = vote_[m];
-        if (dict_keys_) {
-          fit_rows += rows_[m];
-          usable += usable_[m];
-        } else {
-          ++fit_rows;
-          usable += (v != 0);
-        }
-        if (v != 0) hits.push_back({idx, v});
+        usable += dict_keys_ ? usable_[m] : (v != 0);
+        if (v != 0) hits.push_back({*idx, v});
       });
   usable_votes += usable;
   fit_tuples += fit_rows;
@@ -330,7 +404,10 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
   const std::unique_ptr<KeyedPrf> prf_k1 =
       CreateKeyedPrf(prf_kind, candidate.keys.k1, candidate.params.hash_algo);
   const std::unique_ptr<KeyedPrf> prf_k2 =
-      CreateKeyedPrf(prf_kind, candidate.keys.k2, candidate.params.hash_algo);
+      candidate.embedding_map != nullptr
+          ? nullptr
+          : CreateKeyedPrf(prf_kind, candidate.keys.k2,
+                           candidate.params.hash_algo);
 
   const std::size_t num_shards = arena_.size();
   const std::size_t threads =
@@ -340,16 +417,16 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
   for (std::vector<SlotVote>& worker_hits : hits) worker_hits.clear();
   std::size_t usable_votes = 0;
   std::size_t fit_tuples = 0;
-  if (threads <= 1) {
-    FitScanner scan(*prf_k1, prf_k2.get(), candidate.params.e, scratch.fit);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      TallyShard(s, scan, candidate.params, payload_len, hits[0],
-                 usable_votes, fit_tuples);
+  WithSlots(candidate, payload_len, [&](const auto& slots) {
+    if (threads <= 1) {
+      FitScanner scan(*prf_k1, prf_k2.get(), candidate.params.e, scratch.fit);
+      for (std::size_t s = 0; s < num_shards; ++s) {
+        TallyShard(s, scan, slots, hits[0], usable_votes, fit_tuples);
+      }
+      return;
     }
-  } else {
     // Message shards append to per-worker hit buffers, merged below by
-    // commutative integer sums — bit-identical at every thread count, like
-    // the detector always has been.
+    // commutative integer sums — bit-identical at every thread count.
     std::vector<std::size_t> worker_usable(threads, 0);
     std::vector<std::size_t> worker_fit(threads, 0);
     ParallelFor(num_shards, threads,
@@ -358,16 +435,15 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
                   FitScanner scan(*prf_k1, prf_k2.get(), candidate.params.e,
                                   local);
                   for (std::size_t s = begin; s < end; ++s) {
-                    TallyShard(s, scan, candidate.params, payload_len,
-                               hits[worker], worker_usable[worker],
-                               worker_fit[worker]);
+                    TallyShard(s, scan, slots, hits[worker],
+                               worker_usable[worker], worker_fit[worker]);
                   }
                 });
     for (std::size_t w = 0; w < threads; ++w) {
       usable_votes += worker_usable[w];
       fit_tuples += worker_fit[w];
     }
-  }
+  });
   result.usable_votes = usable_votes;
   result.fit_tuples = fit_tuples;
 
@@ -392,21 +468,18 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
     const Relation& rel, const DetectEngineOptions& options,
     const KeyCandidate& candidate) {
   const SteadyClock::time_point start = SteadyClock::now();
-  CATMARK_ASSIGN_OR_RETURN(
-      const std::size_t key_col,
-      rel.schema().ColumnIndexOrError(options.key_attr));
-  CATMARK_ASSIGN_OR_RETURN(
-      const std::size_t target_col,
-      rel.schema().ColumnIndexOrError(options.target_attr));
-  if (rel.empty()) {
-    return Status::FailedPrecondition("cannot detect in an empty relation");
-  }
+  const Status valid = ValidateCandidate(candidate);
+  if (!valid.ok()) return valid;
+  CATMARK_ASSIGN_OR_RETURN(RelationInputs inputs, ResolveInputs(rel, options));
   const ColumnStore& store = rel.store();
+  const std::size_t key_col = inputs.key_col;
+  const std::size_t target_col = inputs.target_col;
+  const CategoricalDomain& domain = *inputs.domain;
 
   if (store.IsDictColumn(key_col)) {
     // Dict-code gather: the plan arena is O(live dict entries) and folding
-    // the rows into it is the whole win — Create IS the fused pass here.
-    CATMARK_ASSIGN_OR_RETURN(DetectEngine engine, Create(rel, options));
+    // the rows into it is the whole win — the plan IS the fused pass here.
+    const DetectEngine engine = Build(rel, options, std::move(inputs));
     CATMARK_ASSIGN_OR_RETURN(DetectionResult result,
                              engine.Detect(candidate));
     result.wall_seconds = SecondsSince(start);
@@ -416,27 +489,8 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
   // Plain key column: one message per non-NULL key row, so the plan would
   // materialize an O(N) arena + bounds + votes only to stream them back
   // exactly once. Fuse instead: serialize a cache-resident chunk, hash it
-  // while hot, fitness-test, and tally — target-domain indices resolved
-  // only for the ~1/e fit rows.
-  const Status valid = ValidateCandidate(candidate);
-  if (!valid.ok()) return valid;
-
-  CategoricalDomain recovered_domain;
-  const CategoricalDomain* domain;
-  if (options.domain_view != nullptr) {
-    domain = options.domain_view;
-  } else if (options.domain.has_value()) {
-    domain = &*options.domain;
-  } else {
-    CATMARK_ASSIGN_OR_RETURN(
-        recovered_domain,
-        CategoricalDomain::FromRelationColumn(rel, target_col));
-    domain = &recovered_domain;
-  }
-  if (domain->size() < 2) {
-    return Status::FailedPrecondition("domain has fewer than 2 values");
-  }
-
+  // while hot, fitness-test, and tally — target-domain indices (and a map
+  // candidate's key bytes) resolved only for the ~1/e fit rows.
   const std::size_t n = rel.NumRows();
   const std::size_t threads = EffectiveThreadCount(options.num_threads, n);
 
@@ -444,13 +498,9 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
   // a dict-encoded target builds its zero-copy O(dict) view; a plain
   // target resolves lazily per fit row below — never an O(N) index build.
   const ValueIndexColumn* cached_index = options.target_index;
-  if (cached_index != nullptr && cached_index->size() != n) {
-    return Status::InvalidArgument(
-        "target_index has a different row count than the suspect relation");
-  }
   ValueIndexColumn local_index;
   if (cached_index == nullptr && store.IsDictColumn(target_col)) {
-    local_index = ValueIndexColumn::Build(rel, target_col, *domain, threads);
+    local_index = ValueIndexColumn::Build(rel, target_col, domain, threads);
     cached_index = &local_index;
   }
 
@@ -466,45 +516,54 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
   const std::unique_ptr<KeyedPrf> prf_k1 =
       CreateKeyedPrf(prf_kind, candidate.keys.k1, candidate.params.hash_algo);
   const std::unique_ptr<KeyedPrf> prf_k2 =
-      CreateKeyedPrf(prf_kind, candidate.keys.k2, candidate.params.hash_algo);
+      candidate.embedding_map != nullptr
+          ? nullptr
+          : CreateKeyedPrf(prf_kind, candidate.keys.k2,
+                           candidate.params.hash_algo);
+  const ColumnReader key_reader(store, key_col);
 
   std::vector<std::vector<SlotVote>> worker_hits(threads);
   std::vector<std::size_t> worker_usable(threads, 0);
   std::vector<std::size_t> worker_fit(threads, 0);
   std::vector<std::size_t> worker_hashed(threads, 0);
-  ParallelFor(n, threads, [&](std::size_t shard, std::size_t begin,
-                              std::size_t end) {
-    std::vector<SlotVote>& hits = worker_hits[shard];
-    std::size_t usable = 0;
-    std::size_t fit = 0;
-    FitScratch scratch;
-    FitScanner scan(*prf_k1, prf_k2.get(), candidate.params.e, scratch);
-    worker_hashed[shard] = ScanKeyColumn(
-        scan, store, key_col, begin, end,
-        [&](std::size_t i, std::uint64_t /*h1*/, std::uint64_t h2) {
-          const std::size_t j = begin + i;
-          ++fit;
-          const std::size_t idx = PayloadIndexFromHash(
-              h2, payload_len, candidate.params.bit_index_mode);
-          std::int32_t t;
-          if (cached_index != nullptr) {
-            t = cached_index->index(j);
-          } else {
-            const Value& attr_value = rel.Get(j, target_col);
-            if (attr_value.is_null()) return;
-            const auto domain_index = domain->IndexOf(attr_value);
-            t = domain_index.has_value()
-                    ? static_cast<std::int32_t>(*domain_index)
-                    : ValueIndexColumn::kNoIndex;
-          }
-          if (t < 0) return;  // NULL / out-of-domain target
-          ++usable;
-          hits.push_back(
-              {idx,
-               ExtractBitFromValueIndex(static_cast<std::size_t>(t)) ? 1 : -1});
-        });
-    worker_usable[shard] = usable;
-    worker_fit[shard] = fit;
+  WithSlots(candidate, payload_len, [&](const auto& slots) {
+    ParallelFor(n, threads, [&](std::size_t shard, std::size_t begin,
+                                std::size_t end) {
+      std::vector<SlotVote>& hits = worker_hits[shard];
+      std::size_t usable = 0;
+      std::size_t fit = 0;
+      FitScratch scratch;
+      std::vector<std::uint8_t> key_bytes;
+      FitScanner scan(*prf_k1, prf_k2.get(), candidate.params.e, scratch);
+      worker_hashed[shard] = ScanKeyColumn(
+          scan, store, key_col, begin, end,
+          [&](std::size_t i, std::uint64_t /*h1*/, std::uint64_t h2) {
+            const std::size_t j = begin + i;
+            ++fit;
+            const std::optional<std::size_t> idx = slots(
+                h2, [&] { return key_reader.SerializeKeyInto(j, key_bytes); });
+            if (!idx.has_value()) return;
+            std::int32_t t;
+            if (cached_index != nullptr) {
+              t = cached_index->index(j);
+            } else {
+              const Value& attr_value = rel.Get(j, target_col);
+              if (attr_value.is_null()) return;
+              const auto domain_index = domain.IndexOf(attr_value);
+              t = domain_index.has_value()
+                      ? static_cast<std::int32_t>(*domain_index)
+                      : ValueIndexColumn::kNoIndex;
+            }
+            if (t < 0) return;  // NULL / out-of-domain target
+            ++usable;
+            hits.push_back(
+                {*idx,
+                 ExtractBitFromValueIndex(static_cast<std::size_t>(t)) ? 1
+                                                                       : -1});
+          });
+      worker_usable[shard] = usable;
+      worker_fit[shard] = fit;
+    });
   });
 
   for (std::size_t w = 0; w < threads; ++w) {

@@ -10,6 +10,7 @@
 
 #include "common/result.h"
 #include "core/detector.h"
+#include "core/embedding_map.h"
 #include "core/keys.h"
 #include "core/params.h"
 #include "relation/domain.h"
@@ -28,11 +29,19 @@ struct KeyCandidate {
   WatermarkKeySet keys;
   WatermarkParams params;
   std::size_t wm_len = 0;
+
+  /// The position source. Null: Figure 2, a fit message's slot is
+  /// H(key, k2) mod the payload length. Set: Figure 2(b), the slot is the
+  /// index the owner's map recorded for the key, mod the payload length;
+  /// no k2 is hashed, and a fit message whose key the map does not hold
+  /// counts in fit_tuples but casts no vote. The pointee must outlive the
+  /// detect call.
+  const EmbeddingMap* embedding_map = nullptr;
 };
 
 /// Inputs of the key-independent half of detection. Mirrors DetectOptions
-/// minus everything per-key; the embedding-map variant stays on Detector
-/// (a map lookup is inherently per-embedding, not per-relation).
+/// minus everything per-key: the embedding map is per-embedding, so it
+/// rides on the KeyCandidate.
 struct DetectEngineOptions {
   std::string key_attr;
   std::string target_attr;
@@ -82,15 +91,18 @@ struct DetectEngineOptions {
 /// H mod e == 0 fitness test, batched k2 position hashes for the ~1/e fit
 /// messages) appending one (idx, vote[i]) hit per voting fit message to a
 /// reused per-worker buffer, then the sparse fold and decode of
-/// FinishVoteTally. On a repeat-heavy key column this is O(distinct keys)
-/// per candidate instead of O(N) — the entire row dimension was folded
-/// into the plan — and nothing in it is O(payload length): a candidate
-/// costs its ~fit messages + |wm| whatever payload length it claims.
+/// FinishVoteTally. A candidate with an embedding map skips the k2 batch
+/// and looks each fit message's bytes up in the map instead; the position
+/// source is chosen once per pass, not per message. On a repeat-heavy key
+/// column this is O(distinct keys) per candidate instead of O(N) — the
+/// entire row dimension was folded into the plan — and nothing in it is
+/// O(payload length): a candidate costs its ~fit messages + |wm| whatever
+/// payload length it claims.
 ///
 /// Every result is bit-identical to a standalone Detector::Detect with the
 /// same inputs, at every thread count and under every PRF backend
 /// (detect_engine_test pins the parity); Detector::Detect itself runs on
-/// this engine, so the two cannot drift.
+/// this engine for both Figure 2 variants, so the two cannot drift.
 class DetectEngine {
  public:
   /// Builds the RelationPlan. Fails like Detector::Detect's per-relation
@@ -104,10 +116,11 @@ class DetectEngine {
   /// candidates, so with exactly one there is nothing to amortize — on a
   /// plain key column this fuses serialize -> hash -> fitness -> tally into
   /// a single chunked streaming pass that never materializes the
-  /// whole-relation arena (and resolves target-domain indices only for the
-  /// ~1/e fit rows). On a dict-encoded key column the plan arena is O(live
-  /// dict) and building it IS the fast path, so this delegates to
-  /// Create + Detect. Bit-identical to that pair on every input.
+  /// whole-relation arena (and resolves target-domain indices, and for a
+  /// map candidate the key bytes, only for the ~1/e fit rows). On a
+  /// dict-encoded key column the plan arena is O(live dict) and building it
+  /// IS the fast path, so this delegates to Create + Detect. Bit-identical
+  /// to that pair on every input.
   static Result<DetectionResult> DetectOneShot(
       const Relation& rel, const DetectEngineOptions& options,
       const KeyCandidate& candidate);
@@ -138,14 +151,24 @@ class DetectEngine {
 
  private:
   struct Scratch;
+  struct RelationInputs;
 
   DetectEngine() = default;
+
+  // The per-relation prologue Create and DetectOneShot share.
+  static Result<RelationInputs> ResolveInputs(
+      const Relation& rel, const DetectEngineOptions& options);
+  // Builds the RelationPlan over resolved inputs; cannot fail.
+  static DetectEngine Build(const Relation& rel,
+                            const DetectEngineOptions& options,
+                            RelationInputs&& inputs);
 
   Result<DetectionResult> RunPass(const KeyCandidate& candidate,
                                   std::size_t num_threads,
                                   Scratch& scratch) const;
-  void TallyShard(std::size_t shard, FitScanner& scan,
-                  const WatermarkParams& params, std::size_t payload_len,
+  // Tallies one plan shard; `slots` is the candidate's position source.
+  template <typename Slots>
+  void TallyShard(std::size_t shard, FitScanner& scan, const Slots& slots,
                   std::vector<SlotVote>& hits, std::size_t& usable_votes,
                   std::size_t& fit_tuples) const;
 

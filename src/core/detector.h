@@ -43,7 +43,9 @@ struct DetectOptions {
   /// when N / e == 0 (the suspect relation is smaller than e).
   std::size_t payload_length = 0;
 
-  /// Detect via the Figure 2(b) embedding-map variant instead of k2.
+  /// Detect via the Figure 2(b) embedding-map variant instead of k2: the
+  /// map becomes the KeyCandidate's position source. The pointee must
+  /// outlive the Detect call.
   const EmbeddingMap* embedding_map = nullptr;
 
   /// Optional reusable domain-index view of the target column, for
@@ -78,7 +80,7 @@ struct DetectionResult {
   double wall_seconds = 0.0;
 
   /// Suspect rows this detection speaks for — always the relation's row
-  /// count, on every path (one-shot, embedding-map, engine per-key pass).
+  /// count, on every path (one-shot or engine per-key pass, k2 or map).
   /// Throughput rates divide by this.
   std::size_t rows_scanned = 0;
 
@@ -132,13 +134,15 @@ std::vector<SlotVote>& MergeSlotRuns(std::span<std::vector<SlotVote>> parts,
 /// runs), payload_fill (positions_present / payload_len), wm and
 /// bit_confidence, via one ErrorCorrectingCode::Decode over the runs.
 /// O(runs + |wm|) whatever payload length a certificate claims. Shared by
-/// the Detector's embedding-map path, the DetectEngine per-key pass and its
-/// one-shot entry point so the tally consumers cannot drift apart.
+/// the DetectEngine per-key pass and its one-shot entry point, under either
+/// position source, so the tally consumers cannot drift apart.
 Status FinishVoteTally(std::span<const SlotVote> runs, std::size_t payload_len,
                        std::size_t wm_len, EccKind ecc,
                        DetectionResult& result);
 
-/// wm_decode (Figure 2): blind watermark detection.
+/// wm_decode (Figure 2): blind watermark detection. A thin front over
+/// DetectEngine::DetectOneShot for both variants; invalid keys (k1 == k2),
+/// e == 0 or a zero mark length come back from Detect as InvalidArgument.
 class Detector {
  public:
   Detector(WatermarkKeySet keys, WatermarkParams params);

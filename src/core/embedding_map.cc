@@ -4,7 +4,6 @@
 
 #include "common/hex.h"
 #include "common/str_util.h"
-#include "core/fit_scan.h"
 
 namespace catmark {
 
@@ -51,43 +50,6 @@ std::optional<std::size_t> EmbeddingMap::Lookup(
   const auto it = map_.find(serialized_pk);
   if (it == map_.end()) return std::nullopt;
   return it->second;
-}
-
-std::vector<std::uint64_t> EmbeddingMap::LookupColumn(
-    const Relation& rel, std::size_t col,
-    const std::vector<std::uint64_t>* mask) const {
-  const std::size_t n = rel.NumRows();
-  std::vector<std::uint64_t> out(n, kNotFound);
-  std::vector<std::uint8_t> scratch;
-  scratch.reserve(64);
-
-  if (rel.store().IsDictColumn(col)) {
-    // Probe each distinct key once, then fan the result out by code.
-    const std::vector<Value>& dict = rel.store().Dict(col);
-    const std::vector<std::int32_t>& codes = rel.store().Codes(col);
-    const std::vector<std::int64_t>& live = rel.store().DictLiveCounts(col);
-    std::vector<std::uint64_t> by_code(dict.size(), kNotFound);
-    for (std::size_t code = 0; code < dict.size(); ++code) {
-      if (live[code] == 0) continue;  // dead entry: no row references it
-      const auto found = Lookup(SerializeKey(dict[code], scratch));
-      if (found.has_value()) by_code[code] = *found;
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      if (mask != nullptr && !FitBit(mask->data(), j)) continue;
-      if (codes[j] >= 0) out[j] = by_code[static_cast<std::size_t>(codes[j])];
-    }
-    return out;
-  }
-
-  // Plain column: each key serializes straight from its lane or value.
-  const ColumnReader keys(rel.store(), col);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (mask != nullptr && !FitBit(mask->data(), j)) continue;
-    if (keys.IsNull(j)) continue;
-    const auto found = Lookup(keys.SerializeKeyInto(j, scratch));
-    if (found.has_value()) out[j] = *found;
-  }
-  return out;
 }
 
 std::string EmbeddingMap::Serialize() const {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -11,7 +10,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "relation/relation.h"
+#include "relation/column_store.h"
 #include "relation/value.h"
 
 namespace catmark {
@@ -23,15 +22,13 @@ namespace catmark {
 /// of keeping owner-side state.
 ///
 /// Keys are the canonical hash serialization of the PK value (so INT64 7 and
-/// STRING "7" stay distinct), held in a transparent-hash map: lookups probe
-/// with a std::string_view over a caller-owned scratch buffer, so the detect
-/// hot loop performs no per-tuple heap allocation.
+/// STRING "7" stay distinct), held in a transparent-hash map probed with a
+/// std::string_view. At detection the map is a KeyCandidate's position
+/// source inside the DetectEngine tally, which probes with key bytes it
+/// already holds: a plan message on a dict key column, a fit row serialized
+/// into a per-worker buffer on a plain one. No key is allocated per tuple.
 class EmbeddingMap {
  public:
-  /// Sentinel returned by LookupColumn for rows whose key is absent.
-  static constexpr std::uint64_t kNotFound =
-      std::numeric_limits<std::uint64_t>::max();
-
   EmbeddingMap() = default;
 
   /// Associates the tuple whose key attribute equals `pk` with wm_data
@@ -62,18 +59,6 @@ class EmbeddingMap {
   /// the bytes — the allocation-free feeder for Lookup(string_view).
   static std::string_view SerializeKey(const Value& pk,
                                        std::vector<std::uint8_t>& scratch);
-
-  /// Batch path for the detect loop: resolves every row of `rel`'s column
-  /// `col` in one pass, writing the found index (or kNotFound) per row.
-  /// Rows whose bit in `mask` (when non-null, a packed bitset of
-  /// ceil(NumRows / 64) words) is 0 are skipped and reported kNotFound —
-  /// the detector passes TuplePlan::fit_words so only the ~N/e fit tuples
-  /// are probed. One scratch buffer is reused across
-  /// rows; dictionary-encoded key columns are probed once per distinct
-  /// dictionary code instead of once per row.
-  std::vector<std::uint64_t> LookupColumn(
-      const Relation& rel, std::size_t col,
-      const std::vector<std::uint64_t>* mask = nullptr) const;
 
   std::size_t size() const { return map_.size(); }
   bool empty() const { return map_.empty(); }

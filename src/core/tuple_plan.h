@@ -11,7 +11,7 @@
 
 namespace catmark {
 
-/// Per-tuple precompute shared by the embed and detect hot paths, built in
+/// Per-tuple precompute of the embed hot path, built in
 /// one thread-parallel pass over the key column (structure-of-arrays so the
 /// later per-row loops stream through flat memory):
 ///
@@ -39,8 +39,8 @@ struct TuplePlan {
 
   /// Messages the build pushed through the k1 PRF: live distinct dictionary
   /// entries on the cached path, non-NULL key rows otherwise. Feeds
-  /// DetectionResult::messages_hashed so map-path detections report the
-  /// same work accounting as the engine.
+  /// EmbedReport::messages_hashed, the same accounting the detect engine
+  /// reports.
   std::size_t messages_hashed = 0;
 
   /// Per-shard fit counts over the ShardBounds(size(), shard_fit.size())

@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "common/check.h"
 #include "core/codec.h"
 #include "ecc/code.h"
 
@@ -280,26 +279,5 @@ Result<bool> StreamSession::Refresh(Relation& rel, std::size_t row_index) {
   }
   return true;
 }
-
-namespace {
-
-StreamSession MakeSessionOrDie(SessionSpec spec) {
-  Result<StreamSession> session = StreamSession::Create(std::move(spec));
-  CATMARK_CHECK(session.ok()) << session.status().ToString();
-  return std::move(session).value();
-}
-
-}  // namespace
-
-IncrementalWatermarker::IncrementalWatermarker(WatermarkKeySet keys,
-                                               WatermarkParams params,
-                                               const EmbedOptions& options,
-                                               const EmbedReport& report,
-                                               BitVector wm)
-    : session_(MakeSessionOrDie(SessionSpec::FromEmbedReport(
-          std::move(keys), params, options, report, std::move(wm)))) {}
-
-IncrementalWatermarker::IncrementalWatermarker(SessionSpec spec)
-    : session_(MakeSessionOrDie(std::move(spec))) {}
 
 }  // namespace catmark

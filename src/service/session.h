@@ -29,8 +29,7 @@ namespace catmark {
 /// (params.prf must be set — a session that re-resolved CATMARK_PRF in some
 /// later process would embed marks invisible to dispute-time detection), the
 /// attribute pair, the categorical domain, the payload length and the mark
-/// itself. This replaces the seed-era 5-argument IncrementalWatermarker
-/// constructor: build one from the embedding that created the relation
+/// itself. Build one from the embedding that created the relation
 /// (FromEmbedReport) or from a published certificate (FromCertificate), then
 /// open a StreamSession over it.
 struct SessionSpec {
@@ -47,8 +46,7 @@ struct SessionSpec {
   std::size_t payload_length = 0;
   BitVector wm;
 
-  /// Builds a spec from the original embedding run — the streaming successor
-  /// of the 5-arg IncrementalWatermarker constructor. An explicit
+  /// Builds a spec from the original embedding run. An explicit
   /// `params.prf` wins; on auto (nullopt) the backend is pinned from the
   /// report, *not* re-resolved from CATMARK_PRF at insert time.
   static SessionSpec FromEmbedReport(WatermarkKeySet keys,
@@ -82,8 +80,7 @@ struct BatchReport {
 
 /// A live streaming embedding session (Section 4.3, "as updates occur to
 /// the data, the resulting tuples can be evaluated on the fly for 'fitness'
-/// and watermarked accordingly") — the batched redesign of the seed-era
-/// one-row-at-a-time IncrementalWatermarker.
+/// and watermarked accordingly"), marking whole batches per call.
 ///
 /// InsertRange is the one marking loop. It runs the same per-tuple rule as
 /// the offline embedder and is bit-compatible with it, but works column-wise
@@ -225,42 +222,6 @@ class StreamSession {
 
   std::size_t total_rows_ = 0;
   std::size_t total_fit_ = 0;
-};
-
-/// Compatibility wrapper over a StreamSession batch of one — the seed-era
-/// incremental API, kept so no call site breaks. New code should use
-/// SessionSpec + StreamSession (or WatermarkService) directly.
-class IncrementalWatermarker {
- public:
-  /// Deprecated 5-argument form — delegates to SessionSpec::FromEmbedReport.
-  IncrementalWatermarker(WatermarkKeySet keys, WatermarkParams params,
-                         const EmbedOptions& options, const EmbedReport& report,
-                         BitVector wm);
-
-  /// Spec form; CHECK-fails on an invalid spec (the Result-returning
-  /// equivalent is StreamSession::Create).
-  explicit IncrementalWatermarker(SessionSpec spec);
-
-  /// Watermarks `row` (if fit) and appends it to `rel`. Returns true when
-  /// the tuple was fit (and therefore carries a mark bit).
-  Result<bool> Insert(Relation& rel, Row row) const {
-    return session_.Insert(rel, std::move(row));
-  }
-
-  /// Re-evaluates an updated tuple in place; see StreamSession::Refresh.
-  Result<bool> Refresh(Relation& rel, std::size_t row_index) const {
-    return session_.Refresh(rel, row_index);
-  }
-
-  const CategoricalDomain& domain() const { return session_.domain(); }
-  std::size_t payload_length() const { return session_.payload_length(); }
-
- private:
-  // The historical API is const; the session's resident caches are an
-  // implementation detail behind it. Like the seed implementation, the
-  // wrapper is safe for concurrent *reads* of its metadata but Insert /
-  // Refresh are single-writer.
-  mutable StreamSession session_;
 };
 
 }  // namespace catmark

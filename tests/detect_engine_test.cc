@@ -47,7 +47,8 @@ struct Marked {
   WatermarkParams params;
 };
 
-Marked EmbedOn(Relation rel, PrfKind prf, std::uint64_t e = 4) {
+Marked EmbedOn(Relation rel, PrfKind prf, std::uint64_t e = 4,
+               bool build_embedding_map = false) {
   Marked m;
   m.rel = std::move(rel);
   m.keys = testutil::TestKeys();
@@ -61,6 +62,7 @@ Marked EmbedOn(Relation rel, PrfKind prf, std::uint64_t e = 4) {
   EmbedOptions options;
   options.key_attr = testutil::kKeyAttr;
   options.target_attr = testutil::kTargetAttr;
+  options.build_embedding_map = build_embedding_map;
   const Embedder embedder(m.keys, m.params);
   m.report = embedder.Embed(m.rel, options, m.wm).value();
   return m;
@@ -159,6 +161,72 @@ void RunParitySweep(bool dict_keys) {
 TEST(DetectEngineTest, ParityPlainKeys) { RunParitySweep(false); }
 
 TEST(DetectEngineTest, ParityDictKeys) { RunParitySweep(true); }
+
+// Figure 2(b) candidates run on the same engine: in a DetectMany block next
+// to k2 candidates, through the engine's single Detect and through
+// DetectOneShot, a candidate carrying an embedding map is bit-identical to
+// Detector::Detect with DetectOptions::embedding_map — on both key layouts,
+// with rows appended after the embed whose keys the map does not hold.
+TEST(DetectEngineTest, EmbeddingMapCandidatesMatchTheDetector) {
+  for (const bool dict_keys : {false, true}) {
+    Marked m = EmbedOn(dict_keys ? DictKeyRelation()
+                                 : testutil::SmallKeyedRelation(),
+                       PrfKind::kKeyedHash, 4, /*build_embedding_map=*/true);
+    ASSERT_GT(m.report.embedding_map.size(), 0u);
+    for (std::int64_t i = 0; i < 200; ++i) {
+      const Value key = dict_keys ? Value("new-" + std::to_string(i))
+                                  : Value(std::int64_t{1000000000} + i);
+      m.rel.AppendRowUnchecked(
+          {key, m.report.domain.value(static_cast<std::size_t>(i) %
+                                      m.report.domain.size())});
+    }
+    std::vector<KeyCandidate> candidates = CandidatesFor(m);
+    const std::size_t owner_map = candidates.size();
+    for (const std::size_t i : {std::size_t{0}, std::size_t{1}}) {
+      KeyCandidate map_candidate = candidates[i];
+      map_candidate.embedding_map = &m.report.embedding_map;
+      candidates.push_back(std::move(map_candidate));
+    }
+
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{8}}) {
+      DetectEngineOptions engine_options;
+      engine_options.key_attr = testutil::kKeyAttr;
+      engine_options.target_attr = testutil::kTargetAttr;
+      engine_options.domain = m.report.domain;
+      engine_options.num_threads = threads;
+      const DetectEngine engine =
+          DetectEngine::Create(m.rel, engine_options).value();
+      const std::vector<Result<DetectionResult>> many =
+          engine.DetectMany(std::span<const KeyCandidate>(candidates));
+      ASSERT_EQ(many.size(), candidates.size());
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const KeyCandidate& c = candidates[i];
+        WatermarkParams params = c.params;
+        params.num_threads = threads;
+        DetectOptions options;
+        options.key_attr = testutil::kKeyAttr;
+        options.target_attr = testutil::kTargetAttr;
+        options.domain = m.report.domain;
+        options.payload_length = c.params.payload_length;
+        options.embedding_map = c.embedding_map;
+        const DetectionResult expected =
+            Detector(c.keys, params).Detect(m.rel, options, c.wm_len).value();
+        ASSERT_TRUE(many[i].ok()) << many[i].status().ToString();
+        ExpectSameDetection(many[i].value(), expected);
+        ExpectSameDetection(engine.Detect(c).value(), expected);
+        ExpectSameDetection(
+            DetectEngine::DetectOneShot(m.rel, engine_options, c).value(),
+            expected);
+        EXPECT_EQ(many[i].value().messages_hashed, engine.num_messages());
+      }
+      // The owner's map on unique keys recovers the mark exactly.
+      if (!dict_keys) {
+        EXPECT_EQ(many[owner_map].value().wm, m.wm);
+      }
+    }
+  }
+}
 
 // ------------------------------------------------------------- edge cases
 

@@ -333,6 +333,34 @@ TEST(DetectorTest, RejectsMismatchedTargetIndex) {
 
 // ------------------------------------------------------------- error paths
 
+// k1 == k2 and e == 0 are values a library caller can pass: Detect returns
+// InvalidArgument for both Figure 2 variants instead of aborting.
+TEST(DetectorTest, InvalidKeysOrEReturnInvalidArgument) {
+  Relation rel = StandardRelation(1000, 18);
+  const WatermarkKeySet keys = WatermarkKeySet::FromSeed(18);
+  const BitVector wm = MakeWatermark(10, 18);
+  EmbedOptions options = KA();
+  options.build_embedding_map = true;
+  const EmbedReport report =
+      Embedder(keys, WatermarkParams{}).Embed(rel, options, wm).value();
+  WatermarkKeySet same_keys = keys;
+  same_keys.k2 = same_keys.k1;
+  WatermarkParams zero_e;
+  zero_e.e = 0;
+  for (const bool use_map : {false, true}) {
+    SCOPED_TRACE(use_map ? "embedding map" : "k2");
+    DetectOptions detect_options = DetectKA(report);
+    if (use_map) detect_options.embedding_map = &report.embedding_map;
+    const Status same = Detector(same_keys, WatermarkParams{})
+                            .Detect(rel, detect_options, wm.size())
+                            .status();
+    EXPECT_TRUE(same.IsInvalidArgument()) << same.ToString();
+    const Status zero =
+        Detector(keys, zero_e).Detect(rel, detect_options, wm.size()).status();
+    EXPECT_TRUE(zero.IsInvalidArgument()) << zero.ToString();
+  }
+}
+
 TEST(DetectorTest, RejectsZeroLengthWatermark) {
   const Marked m = EmbedStandard(12);
   const Detector detector(m.keys, m.params);

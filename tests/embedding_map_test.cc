@@ -4,8 +4,7 @@
 #include <vector>
 
 #include "core/embedding_map.h"
-#include "relation/relation.h"
-#include "relation/schema.h"
+#include "relation/value.h"
 
 namespace catmark {
 namespace {
@@ -138,57 +137,6 @@ TEST(EmbeddingMapTest, DeserializeRejectsMalformedLines) {
   EXPECT_FALSE(EmbeddingMap::Deserialize("deadbeef").ok());      // no comma
   EXPECT_FALSE(EmbeddingMap::Deserialize("zz,1\n").ok());        // bad hex
   EXPECT_FALSE(EmbeddingMap::Deserialize("ab,x\n").ok());        // bad index
-}
-
-TEST(EmbeddingMapTest, LookupColumnResolvesPlainKeyColumn) {
-  const Schema schema =
-      Schema::Create({{"K", ColumnType::kInt64, false},
-                      {"A", ColumnType::kString, true}},
-                     "K")
-          .value();
-  Relation rel(schema);
-  for (std::int64_t k = 0; k < 6; ++k) {
-    rel.AppendRowUnchecked({Value(k), Value("v")});
-  }
-  EmbeddingMap map;
-  map.Insert(Value(std::int64_t{1}), 10);
-  map.Insert(Value(std::int64_t{4}), 40);
-
-  const std::vector<std::uint64_t> found = map.LookupColumn(rel, 0);
-  ASSERT_EQ(found.size(), 6u);
-  EXPECT_EQ(found[1], 10u);
-  EXPECT_EQ(found[4], 40u);
-  EXPECT_EQ(found[0], EmbeddingMap::kNotFound);
-
-  // Masked rows are skipped even when their key is present.
-  const std::vector<std::uint64_t> mask = {std::uint64_t{1} << 4};
-  const std::vector<std::uint64_t> masked = map.LookupColumn(rel, 0, &mask);
-  EXPECT_EQ(masked[1], EmbeddingMap::kNotFound);
-  EXPECT_EQ(masked[4], 40u);
-}
-
-TEST(EmbeddingMapTest, LookupColumnResolvesDictKeyColumn) {
-  // A categorical (dictionary-encoded) key column: each distinct key is
-  // probed once and fanned out by code.
-  const Schema schema =
-      Schema::Create({{"A", ColumnType::kString, true},
-                      {"B", ColumnType::kString, true}},
-                     "")
-          .value();
-  Relation rel(schema);
-  rel.AppendRowUnchecked({Value("x"), Value("p")});
-  rel.AppendRowUnchecked({Value("y"), Value("q")});
-  rel.AppendRowUnchecked({Value("x"), Value("r")});
-  rel.AppendRowUnchecked({Value(), Value("s")});
-  EmbeddingMap map;
-  map.Insert(Value("x"), 2);
-
-  const std::vector<std::uint64_t> found = map.LookupColumn(rel, 0);
-  ASSERT_EQ(found.size(), 4u);
-  EXPECT_EQ(found[0], 2u);
-  EXPECT_EQ(found[1], EmbeddingMap::kNotFound);
-  EXPECT_EQ(found[2], 2u);
-  EXPECT_EQ(found[3], EmbeddingMap::kNotFound);  // NULL key
 }
 
 }  // namespace

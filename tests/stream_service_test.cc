@@ -1,12 +1,13 @@
 // Streaming service equivalence suite: the batched StreamSession /
-// WatermarkService path must be byte-identical to the seed-era
-// one-row-at-a-time incremental path — same relation bytes, same dictionary
-// code assignment, same detection outcome — across batch splits, source
-// ranges, key shapes, PRF backends and service thread counts.
+// WatermarkService path must be byte-identical to inserting one row at a
+// time — same relation bytes, same dictionary code assignment, same
+// detection outcome — across batch splits, source ranges, key shapes, PRF
+// backends and service thread counts.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -135,7 +136,7 @@ void ExpectIdenticalState(const Relation& a, const Relation& b) {
 
 // Independent single-shot reference built straight from the codec
 // primitives — what Section 4.3 says each insert must do. Pins the batched
-// path to the spec, not just to the legacy implementation. `fit` reports
+// path to the spec, not just to another insert path. `fit` reports
 // whether the tuple carries a mark bit.
 Row ReferenceMarkedRow(const Fixture& f, Row row, bool* fit = nullptr) {
   if (fit != nullptr) *fit = false;
@@ -187,15 +188,14 @@ TEST_P(StreamEquivalenceTest, EveryInsertPathMatchesTheRowReference) {
     reference_fit += fit;
   }
 
-  // Path 1: the legacy wrapper, one row at a time.
+  // Path 1: one row at a time.
   Relation one_at_a_time = f.rel;
-  const IncrementalWatermarker inc(f.keys, f.params, f.options, f.report,
-                                   f.wm);
-  std::size_t legacy_fit = 0;
+  StreamSession single = StreamSession::Create(SpecOf(f)).value();
+  std::size_t single_fit = 0;
   for (const Row& row : stream) {
-    if (inc.Insert(one_at_a_time, row).value()) ++legacy_fit;
+    if (single.Insert(one_at_a_time, row).value()) ++single_fit;
   }
-  EXPECT_EQ(legacy_fit, reference_fit);
+  EXPECT_EQ(single_fit, reference_fit);
   ExpectIdenticalState(reference, one_at_a_time);
 
   // Path 2: one giant batch.
@@ -205,7 +205,7 @@ TEST_P(StreamEquivalenceTest, EveryInsertPathMatchesTheRowReference) {
   const BatchReport report =
       big.InsertBatch(one_batch, std::span<Row>(rows)).value();
   EXPECT_EQ(report.rows, stream.size());
-  EXPECT_EQ(report.fit_rows, legacy_fit);
+  EXPECT_EQ(report.fit_rows, single_fit);
   // siphash24 hashes every non-NULL key; a caching backend hashes each
   // distinct key once, however often the stream repeats it.
   if (caches) {
@@ -217,7 +217,7 @@ TEST_P(StreamEquivalenceTest, EveryInsertPathMatchesTheRowReference) {
     EXPECT_EQ(big.cached_keys(), 0u);
   }
   EXPECT_EQ(big.total_rows(), stream.size());
-  EXPECT_EQ(big.total_fit(), legacy_fit);
+  EXPECT_EQ(big.total_fit(), single_fit);
   ExpectIdenticalState(reference, one_batch);
 
   // Path 3: random batch splits.
@@ -235,7 +235,7 @@ TEST_P(StreamEquivalenceTest, EveryInsertPathMatchesTheRowReference) {
                      .fit_rows;
     at += len;
   }
-  EXPECT_EQ(split_fit, legacy_fit);
+  EXPECT_EQ(split_fit, single_fit);
   ExpectIdenticalState(reference, split_rel);
 
   // Path 4: a warm session re-inserting the stream — a caching backend now
@@ -278,7 +278,7 @@ TEST_P(StreamEquivalenceTest, EveryInsertPathMatchesTheRowReference) {
     ranged_fit += r.fit_rows;
     at += count;
   }
-  EXPECT_EQ(ranged_fit, legacy_fit);
+  EXPECT_EQ(ranged_fit, single_fit);
   EXPECT_EQ(WriteCatmString(source), source_image);  // source untouched
   ExpectIdenticalState(fresh_reference, ranged);
 
@@ -355,10 +355,9 @@ TEST(StreamSessionTest, ChunkBoundariesDoNotChangeVerdicts) {
   ASSERT_TRUE(session.InsertBatch(batched, std::span<Row>(stream)).ok());
 
   Relation serial = f.rel;
-  const IncrementalWatermarker inc(f.keys, f.params, f.options, f.report,
-                                   f.wm);
+  StreamSession single = StreamSession::Create(SpecOf(f)).value();
   for (const Row& row : MakeStream(3 * FitScanner::kChunk + 37, 17)) {
-    ASSERT_TRUE(inc.Insert(serial, row).ok());
+    ASSERT_TRUE(single.Insert(serial, row).ok());
   }
   ExpectIdenticalState(serial, batched);
 }
@@ -424,6 +423,63 @@ TEST(StreamSessionTest, RefreshReusesResidentStateAndRepairs) {
   EXPECT_GE(session.cached_keys(), 1u);
   EXPECT_TRUE(session.Refresh(f.rel, fit_row).value());
   EXPECT_FALSE(session.Refresh(f.rel, f.rel.NumRows()).ok());
+}
+
+TEST(StreamSessionTest, RefreshLeavesUnfitRowsAlone) {
+  // Pinned to the keyed hash, which FitnessSelector implements.
+  Fixture f = MakeFixture(PrfKind::kKeyedHash);
+  StreamSession session = StreamSession::Create(SpecOf(f)).value();
+  const FitnessSelector fitness(f.keys.k1, f.params.e);
+  std::size_t unfit_row = f.rel.NumRows();
+  for (std::size_t i = 0; i < f.rel.NumRows(); ++i) {
+    if (!fitness.IsFit(f.rel.Get(i, 0))) {
+      unfit_row = i;
+      break;
+    }
+  }
+  ASSERT_LT(unfit_row, f.rel.NumRows());
+  const Value before = f.rel.Get(unfit_row, 1);
+  EXPECT_FALSE(session.Refresh(f.rel, unfit_row).value());
+  EXPECT_EQ(f.rel.Get(unfit_row, 1), before);
+}
+
+TEST(StreamSessionTest, InsertedRowsAloneCarryTheMark) {
+  // A relation of only inserted rows must detect the mark. The second spec
+  // leaves params.prf on auto after a siphash24 embed: FromEmbedReport pins
+  // the backend, so the inserts still detect under the embed-time one.
+  for (const std::optional<PrfKind> prf :
+       {std::optional<PrfKind>(),
+        std::optional<PrfKind>(PrfKind::kSipHash24)}) {
+    const Fixture f = MakeFixture(prf);
+    WatermarkParams auto_params = f.params;
+    auto_params.prf.reset();
+    StreamSession session =
+        StreamSession::Create(SessionSpec::FromEmbedReport(
+                                  f.keys, auto_params, f.options, f.report,
+                                  f.wm))
+            .value();
+    Relation fresh(f.rel.schema());
+    std::size_t fit = 0;
+    for (std::int64_t k = 5000000; fit < 200; ++k) {
+      if (session.Insert(fresh, {Value(k), Value("V0001")}).value()) ++fit;
+    }
+    EXPECT_EQ(Detect(f, fresh).wm, f.wm);
+  }
+}
+
+TEST(StreamSessionTest, InsertRejectsAWrongArity) {
+  const Fixture f = MakeFixture();
+  StreamSession session = StreamSession::Create(SpecOf(f)).value();
+  Relation rel = f.rel;
+  EXPECT_FALSE(session.Insert(rel, {Value(std::int64_t{1})}).ok());
+  EXPECT_EQ(rel.NumRows(), f.rel.NumRows());
+}
+
+TEST(StreamSessionTest, ReportsTheSpecPayloadLengthAndDomain) {
+  const Fixture f = MakeFixture();
+  const StreamSession session = StreamSession::Create(SpecOf(f)).value();
+  EXPECT_EQ(session.payload_length(), f.report.payload_length);
+  EXPECT_EQ(session.domain().size(), f.report.domain.size());
 }
 
 TEST(SessionSpecTest, FromEmbedReportPinsThePrfBackend) {
