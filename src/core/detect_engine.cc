@@ -224,28 +224,43 @@ DetectEngine DetectEngine::Build(const Relation& rel,
 
   if (engine.dict_keys_) {
     // Dict-code gather: one message per *live* distinct dictionary entry,
-    // serialized once — every row holding that entry shares its fitness
-    // and position hashes, so the pass never revisits the row dimension.
+    // prepared once — every row holding that entry shares its fitness and
+    // position hashes, so the pass never revisits the row dimension. An
+    // INT64 column keeps its values as a typed lane; any other type, or an
+    // INT64 dictionary holding a value of another type (the unchecked
+    // append paths do not type-check), is serialized into the arena.
     const std::vector<Value>& dict = store.Dict(key_col);
     const std::vector<std::int32_t>& codes = store.Codes(key_col);
     const std::vector<std::int64_t>& live = store.DictLiveCounts(key_col);
     const std::size_t dict_threads =
         EffectiveThreadCount(options.num_threads, dict.size());
-    engine.arena_.resize(dict_threads);
-    // Seed each shard's leading bound *before* the fan-out: ParallelFor
-    // never invokes the body for zero items (a dictionary with no live
-    // entry — e.g. an all-NULL key column), and TallyShard reads
-    // bounds.size() - 1 as the message count.
-    engine.bounds_.assign(dict_threads, std::vector<std::size_t>{0});
+    bool typed = rel.schema().column(key_col).type == ColumnType::kInt64;
+    for (std::size_t code = 0; typed && code < dict.size(); ++code) {
+      typed = live[code] == 0 || dict[code].TryInt64() != nullptr;
+    }
+    // Size every shard *before* the fan-out: ParallelFor never invokes the
+    // body for zero items (a dictionary with no live entry — e.g. an
+    // all-NULL key column), and TallyShard reads bounds.size() - 1 as the
+    // message count.
+    if (typed) {
+      engine.int64_keys_.resize(dict_threads);
+    } else {
+      engine.arena_.resize(dict_threads);
+      engine.bounds_.assign(dict_threads, std::vector<std::size_t>{0});
+    }
     std::vector<std::vector<std::uint32_t>> shard_codes(dict_threads);
     ParallelFor(dict.size(), dict_threads,
                 [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                  std::vector<std::uint8_t>& arena = engine.arena_[shard];
-                  std::vector<std::size_t>& bounds = engine.bounds_[shard];
                   for (std::size_t code = begin; code < end; ++code) {
                     if (live[code] == 0) continue;  // no referencing row
-                    dict[code].SerializeForHash(arena);
-                    bounds.push_back(arena.size());
+                    if (typed) {
+                      engine.int64_keys_[shard].push_back(
+                          *dict[code].TryInt64());
+                    } else {
+                      dict[code].SerializeForHash(engine.arena_[shard]);
+                      engine.bounds_[shard].push_back(
+                          engine.arena_[shard].size());
+                    }
                     shard_codes[shard].push_back(
                         static_cast<std::uint32_t>(code));
                   }
@@ -359,26 +374,47 @@ void DetectEngine::TallyShard(std::size_t shard, FitScanner& scan,
                               std::size_t& usable_votes,
                               std::size_t& fit_tuples) const {
   const std::size_t base = msg_base_[shard];
-  const std::uint8_t* arena = arena_[shard].data();
-  const std::vector<std::size_t>& bounds = bounds_[shard];
   std::size_t usable = 0;
   std::size_t fit_rows = 0;
-  scan.ScanPrepared(
-      arena, std::span<const std::size_t>(bounds), fixed_len_,
-      [&](std::size_t i, std::uint64_t /*h1*/, std::uint64_t h2) {
-        const std::size_t m = base + i;
-        fit_rows += dict_keys_ ? rows_[m] : 1;
-        // Message i's bytes are its key's SerializeKeyInto form.
-        const std::optional<std::size_t> idx = slots(h2, [&] {
-          return std::string_view(
-              reinterpret_cast<const char*>(arena + bounds[i]),
-              bounds[i + 1] - bounds[i]);
+  // `key_bytes()` yields message i's SerializeKeyInto form; only a map
+  // candidate calls it, for its fit messages.
+  const auto tally = [&](std::size_t i, std::uint64_t h2,
+                         const auto& key_bytes) {
+    const std::size_t m = base + i;
+    fit_rows += dict_keys_ ? rows_[m] : 1;
+    const std::optional<std::size_t> idx = slots(h2, key_bytes);
+    if (!idx.has_value()) return;
+    const std::int32_t v = vote_[m];
+    usable += dict_keys_ ? usable_[m] : (v != 0);
+    if (v != 0) hits.push_back({*idx, v});
+  };
+  if (!int64_keys_.empty()) {
+    const std::vector<std::int64_t>& keys = int64_keys_[shard];
+    std::uint8_t bytes[9];
+    scan.ScanInt64(
+        keys.data(), /*null_words=*/nullptr, 0, keys.size(),
+        [&](std::size_t i, std::uint64_t /*h1*/, std::uint64_t h2) {
+          tally(i, h2, [&] {
+            Value::SerializeNumberTo(ColumnType::kInt64,
+                                     static_cast<std::uint64_t>(keys[i]),
+                                     bytes);
+            return std::string_view(reinterpret_cast<const char*>(bytes),
+                                    sizeof(bytes));
+          });
         });
-        if (!idx.has_value()) return;
-        const std::int32_t v = vote_[m];
-        usable += dict_keys_ ? usable_[m] : (v != 0);
-        if (v != 0) hits.push_back({*idx, v});
-      });
+  } else {
+    const std::uint8_t* arena = arena_[shard].data();
+    const std::vector<std::size_t>& bounds = bounds_[shard];
+    scan.ScanPrepared(
+        arena, std::span<const std::size_t>(bounds), fixed_len_,
+        [&](std::size_t i, std::uint64_t /*h1*/, std::uint64_t h2) {
+          tally(i, h2, [&] {
+            return std::string_view(
+                reinterpret_cast<const char*>(arena + bounds[i]),
+                bounds[i + 1] - bounds[i]);
+          });
+        });
+  }
   usable_votes += usable;
   fit_tuples += fit_rows;
 }
@@ -409,7 +445,7 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
           : CreateKeyedPrf(prf_kind, candidate.keys.k2,
                            candidate.params.hash_algo);
 
-  const std::size_t num_shards = arena_.size();
+  const std::size_t num_shards = msg_base_.size();
   const std::size_t threads =
       std::max<std::size_t>(1, std::min(num_threads, num_shards));
   if (scratch.hits.size() < threads) scratch.hits.resize(threads);

@@ -75,10 +75,11 @@ struct DetectEngineOptions {
 ///
 /// RelationPlan — everything the fitness/position hashes consume that does
 /// not depend on the key, built once at Create:
-///   - canonical key-value serialization into per-shard arenas: one
-///     prepared *message* per live distinct dictionary entry on a
+///   - one prepared *message* per live distinct dictionary entry on a
 ///     dictionary-encoded key column (the dict-code gather), or one per
-///     non-NULL key row on a plain column;
+///     non-NULL key row on a plain column: the canonical key serialization
+///     in per-shard arenas, except on an INT64 dictionary, whose values
+///     stay a typed lane that hashes through FitScanner::ScanInt64;
 ///   - key-independent per-message vote aggregates from the target column's
 ///     domain-index view: vote[i] = Σ over that message's rows of ±1 (the
 ///     embedded bit t & 1, 0 when NULL/out-of-domain), plus usable/row
@@ -87,17 +88,17 @@ struct DetectEngineOptions {
 ///     the row-at-a-time tally.
 ///
 /// PerKeyPass — the only work repeated per candidate: FitScanner::
-/// ScanPrepared over the prepared messages (batched k1, the vectorized
-/// H mod e == 0 fitness test, batched k2 position hashes for the ~1/e fit
-/// messages) appending one (idx, vote[i]) hit per voting fit message to a
-/// reused per-worker buffer, then the sparse fold and decode of
-/// FinishVoteTally. A candidate with an embedding map skips the k2 batch
-/// and looks each fit message's bytes up in the map instead; the position
-/// source is chosen once per pass, not per message. On a repeat-heavy key
-/// column this is O(distinct keys) per candidate instead of O(N) — the
-/// entire row dimension was folded into the plan — and nothing in it is
-/// O(payload length): a candidate costs its ~fit messages + |wm| whatever
-/// payload length it claims.
+/// ScanPrepared (ScanInt64 on the typed layout) over the prepared messages
+/// (batched k1, the vectorized H mod e == 0 fitness test, batched k2
+/// position hashes for the ~1/e fit messages) appending one (idx, vote[i])
+/// hit per voting fit message to a reused per-worker buffer, then the
+/// sparse fold and decode of FinishVoteTally. A candidate with an embedding
+/// map skips the k2 batch and looks each fit message's bytes up in the map
+/// instead; the position source is chosen once per pass, not per message.
+/// On a repeat-heavy key column this is O(distinct keys) per candidate
+/// instead of O(N) — the entire row dimension was folded into the plan —
+/// and nothing in it is O(payload length): a candidate costs its ~fit
+/// messages + |wm| whatever payload length it claims.
 ///
 /// Every result is bit-identical to a standalone Detector::Detect with the
 /// same inputs, at every thread count and under every PRF backend
@@ -184,18 +185,26 @@ class DetectEngine {
   bool dict_keys_ = false;
   double plan_build_seconds_ = 0.0;
 
-  // RelationPlan storage, per build shard: serialized messages back to
-  // back in arena_[s], with bounds_[s] holding a leading 0 plus one
-  // end-offset per message (so any chunk hashes via a bounds subspan).
+  // RelationPlan storage, per build shard, in one of two layouts:
+  //   - typed: on an INT64 dictionary, int64_keys_[s] holds the shard's
+  //     live dict values, which hash as int64 lanes (no arena, no bounds);
+  //     a map candidate serializes just its fit messages' 9 key bytes;
+  //   - arena: serialized messages back to back in arena_[s], with
+  //     bounds_[s] holding a leading 0 plus one end-offset per message (so
+  //     any chunk hashes via a bounds subspan).
+  // int64_keys_ is non-empty iff the plan uses the typed layout; msg_base_
+  // has one entry per shard in either.
+  std::vector<std::vector<std::int64_t>> int64_keys_;
   std::vector<std::vector<std::uint8_t>> arena_;
   std::vector<std::vector<std::size_t>> bounds_;
   std::vector<std::size_t> msg_base_;  ///< first global message id per shard
 
   // Equal-length arena layout: when every prepared message serializes to
-  // the same byte count (always true for int64/double keys — 9 bytes — and
-  // for equal-width strings), message m sits at offset m * fixed_len_ in
-  // its shard arena and the PerKeyPass hashes via Hash64Fixed with no
-  // per-message bounds lookups. -1 = mixed lengths, use bounds_.
+  // the same byte count (always true for plain int64 and for double keys —
+  // 9 bytes — and for equal-width strings), message m sits at offset
+  // m * fixed_len_ in its shard arena and the PerKeyPass hashes via
+  // Hash64Fixed with no per-message bounds lookups. -1 = mixed lengths or
+  // the typed layout.
   std::ptrdiff_t fixed_len_ = -1;
 
   // Per-message aggregates, global message order (shards concatenated).

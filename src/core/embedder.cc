@@ -21,10 +21,7 @@ std::size_t DerivePayloadLength(std::size_t num_tuples, std::uint64_t e,
 }
 
 Embedder::Embedder(WatermarkKeySet keys, WatermarkParams params)
-    : keys_(std::move(keys)), params_(params) {
-  CATMARK_CHECK(keys_.valid()) << "invalid watermark key set (k1 == k2?)";
-  CATMARK_CHECK_GE(params_.e, 1u);
-}
+    : keys_(std::move(keys)), params_(params) {}
 
 namespace {
 
@@ -423,6 +420,12 @@ Result<EmbedReport> Embedder::Embed(Relation& rel,
                                     QualityAssessor* assessor,
                                     EmbeddingLedger* ledger) const {
   const auto wall_start = std::chrono::steady_clock::now();
+  if (!keys_.valid()) {
+    return Status::InvalidArgument("invalid watermark key set (k1 == k2?)");
+  }
+  if (params_.e == 0) {
+    return Status::InvalidArgument("encoding parameter e must be >= 1");
+  }
   if (wm.empty()) {
     return Status::InvalidArgument("watermark must be non-empty");
   }

@@ -107,9 +107,11 @@ class Embedder {
   /// only for committed tuples (altered or unchanged-hit) — never for
   /// tuples skipped by the ledger, the domain guard or a quality veto.
   ///
-  /// Fails with FailedPrecondition when N / e == 0 (e exceeds the relation
-  /// size): fewer than one tuple is expected to be fit, so "success" would
-  /// embed nothing.
+  /// Fails with InvalidArgument when the key set is invalid (k1 == k2) or
+  /// e == 0 — values a library caller can pass, so they are checked here
+  /// rather than asserted at construction. Fails with FailedPrecondition
+  /// when N / e == 0 (e exceeds the relation size): fewer than one tuple is
+  /// expected to be fit, so "success" would embed nothing.
   ///
   /// `assessor` (optional) enforces data-quality constraints; the caller
   /// must have called assessor->Begin(rel) beforehand (so one assessor can

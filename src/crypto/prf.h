@@ -85,8 +85,8 @@ class KeyedPrf {
   /// offsets) layout batch producers already hold — any subrange of a
   /// prepared message block hashes via a bounds subspan. The base
   /// implementation is the reference every override must stay bit-identical
-  /// to; siphash24 routes it through 4/8-lane SSE2/AVX2 kernels (see
-  /// crypto/siphash_simd.h), several messages per call with no pointer
+  /// to; siphash24 routes it through 4/8/16-lane SSE2/AVX2/AVX-512 kernels
+  /// (see crypto/siphash_simd.h), several messages per call with no pointer
   /// chasing.
   virtual void Hash64Arena(const std::uint8_t* arena,
                            std::span<const std::size_t> bounds,

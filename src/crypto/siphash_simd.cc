@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 
 #include "common/check.h"
 #include "crypto/siphash.h"
@@ -22,6 +23,13 @@ using siphash_internal::LaneKernel;
 
 SimdLevel DetectHardwareLevel() {
 #if defined(__GNUC__) || defined(__clang__)
+  if (siphash_internal::Avx512KernelsCompiled() &&
+      __builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("avx512vl")) {
+    return SimdLevel::kAvx512;
+  }
   if (siphash_internal::Avx2KernelsCompiled() &&
       __builtin_cpu_supports("avx2")) {
     return SimdLevel::kAvx2;
@@ -44,7 +52,7 @@ SimdLevel EnvSimdLevel() {
   if (!parsed.has_value()) {
     std::fprintf(stderr,
                  "catmark: ignoring unknown CATMARK_SIMD value '%s' "
-                 "(expected avx2, sse2 or off)\n",
+                 "(expected avx512, avx2, sse2 or off)\n",
                  text);
     return hw;
   }
@@ -60,20 +68,34 @@ std::atomic<int> g_forced_level{-1};
 // everything vectorizes. Bounds the per-call bucket table at
 // (kMaxBucketedLen + 1) * kMaxLanes u32 slots of stack.
 constexpr std::size_t kMaxBucketedLen = 256;
-constexpr std::size_t kMaxLanes = 8;
+constexpr std::size_t kMaxLanes = 16;
 
-struct Dispatch {
-  LaneKernel kernel = nullptr;  // nullptr = scalar
+struct LaneGroup {
+  LaneKernel kernel = nullptr;  // nullptr = none
   std::size_t lanes = 1;
+};
+
+/// The active level's lane kernel and the next narrower one. A batch runs
+/// whole wide groups, then narrow groups, then scalar: at AVX-512 a tail
+/// of 8..15 messages still hashes 8 lanes wide, not 8..15 scalar calls
+/// (a batch of 8 hashes over twice as fast through the AVX2 kernel).
+struct Dispatch {
+  LaneGroup wide;
+  LaneGroup narrow;
 };
 
 Dispatch CurrentDispatch() {
 #if defined(__x86_64__) || defined(_M_X64)
+  const LaneGroup avx512{siphash_internal::SipHash24x16Avx512, 16};
+  const LaneGroup avx2{siphash_internal::SipHash24x8Avx2, 8};
+  const LaneGroup sse2{siphash_internal::SipHash24x4Sse2, 4};
   switch (ActiveSimdLevel()) {
+    case SimdLevel::kAvx512:
+      return {avx512, avx2};
     case SimdLevel::kAvx2:
-      return {siphash_internal::SipHash24x8Avx2, 8};
+      return {avx2, sse2};
     case SimdLevel::kSse2:
-      return {siphash_internal::SipHash24x4Sse2, 4};
+      return {sse2, {}};
     case SimdLevel::kScalar:
       break;
   }
@@ -82,10 +104,12 @@ Dispatch CurrentDispatch() {
 }
 
 /// The shared mixed-length driver: messages are bucketed by length, each
-/// bucket flushing through the lane kernel whenever it fills, and every
-/// leftover (partial buckets, overlong messages) hashes scalar. ptr_at(i) /
-/// len_at(i) describe message i; results land in out[i] regardless of the
-/// order buckets flush in, so the output is identical to the scalar loop.
+/// bucket flushing through the wide kernel whenever it fills; a partial
+/// bucket flushes what it can through the narrow kernel, and every other
+/// leftover (the rest of a partial bucket, overlong messages) hashes
+/// scalar. ptr_at(i) / len_at(i) describe message i; results land in out[i]
+/// regardless of the order buckets flush in, so the output is identical to
+/// the scalar loop.
 template <typename PtrAt, typename LenAt>
 void BucketedBatch(const Dispatch& d, std::uint64_t k0, std::uint64_t k1,
                    std::size_t count, std::uint64_t* out, PtrAt ptr_at,
@@ -94,6 +118,17 @@ void BucketedBatch(const Dispatch& d, std::uint64_t k0, std::uint64_t k1,
   std::uint8_t fill[kMaxBucketedLen + 1] = {};
   const std::uint8_t* lane_ptrs[kMaxLanes];
   std::uint64_t lane_out[kMaxLanes];
+  // Hashes pending[len][first .. first + g.lanes) through g's kernel.
+  const auto flush = [&](const LaneGroup& g, std::size_t len,
+                         std::size_t first) {
+    for (std::size_t l = 0; l < g.lanes; ++l) {
+      lane_ptrs[l] = ptr_at(pending[len][first + l]);
+    }
+    g.kernel(k0, k1, lane_ptrs, len, lane_out);
+    for (std::size_t l = 0; l < g.lanes; ++l) {
+      out[pending[len][first + l]] = lane_out[l];
+    }
+  };
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t len = len_at(i);
     if (len > kMaxBucketedLen) {
@@ -101,19 +136,19 @@ void BucketedBatch(const Dispatch& d, std::uint64_t k0, std::uint64_t k1,
       continue;
     }
     pending[len][fill[len]++] = static_cast<std::uint32_t>(i);
-    if (fill[len] == d.lanes) {
-      for (std::size_t l = 0; l < d.lanes; ++l) {
-        lane_ptrs[l] = ptr_at(pending[len][l]);
-      }
-      d.kernel(k0, k1, lane_ptrs, len, lane_out);
-      for (std::size_t l = 0; l < d.lanes; ++l) {
-        out[pending[len][l]] = lane_out[l];
-      }
+    if (fill[len] == d.wide.lanes) {
+      flush(d.wide, len, 0);
       fill[len] = 0;
     }
   }
   for (std::size_t len = 0; len <= kMaxBucketedLen; ++len) {
-    for (std::size_t j = 0; j < fill[len]; ++j) {
+    std::size_t j = 0;
+    if (d.narrow.kernel != nullptr) {
+      for (; j + d.narrow.lanes <= fill[len]; j += d.narrow.lanes) {
+        flush(d.narrow, len, j);
+      }
+    }
+    for (; j < fill[len]; ++j) {
       const std::uint32_t i = pending[len][j];
       out[i] = SipHash24(k0, k1, ptr_at(i), len);
     }
@@ -126,12 +161,13 @@ void FixedBatch(const Dispatch& d, std::uint64_t k0, std::uint64_t k1,
   const std::size_t count = out.size();
   const std::uint8_t* lane_ptrs[kMaxLanes];
   std::size_t i = 0;
-  if (d.kernel != nullptr) {
-    for (; i + d.lanes <= count; i += d.lanes) {
-      for (std::size_t l = 0; l < d.lanes; ++l) {
+  for (const LaneGroup& g : {d.wide, d.narrow}) {
+    if (g.kernel == nullptr) continue;
+    for (; i + g.lanes <= count; i += g.lanes) {
+      for (std::size_t l = 0; l < g.lanes; ++l) {
         lane_ptrs[l] = base + (i + l) * stride;
       }
-      d.kernel(k0, k1, lane_ptrs, len, out.data() + i);
+      g.kernel(k0, k1, lane_ptrs, len, out.data() + i);
     }
   }
   for (; i < count; ++i) {
@@ -149,6 +185,8 @@ std::string_view SimdLevelName(SimdLevel level) {
       return "sse2";
     case SimdLevel::kAvx2:
       return "avx2";
+    case SimdLevel::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }
@@ -157,6 +195,7 @@ std::optional<SimdLevel> SimdLevelFromName(std::string_view name) {
   if (name == "off" || name == "scalar") return SimdLevel::kScalar;
   if (name == "sse2") return SimdLevel::kSse2;
   if (name == "avx2") return SimdLevel::kAvx2;
+  if (name == "avx512") return SimdLevel::kAvx512;
   return std::nullopt;
 }
 
@@ -189,7 +228,9 @@ void SipHash24Batch(std::uint64_t k0, std::uint64_t k1,
   CATMARK_CHECK_EQ(bounds.size(), out.size() + 1);
   const std::size_t count = out.size();
   const Dispatch d = CurrentDispatch();
-  if (d.kernel == nullptr || count < d.lanes) {
+  const std::size_t min_lanes =
+      d.narrow.kernel != nullptr ? d.narrow.lanes : d.wide.lanes;
+  if (d.wide.kernel == nullptr || count < min_lanes) {
     for (std::size_t i = 0; i < count; ++i) {
       out[i] = SipHash24(k0, k1, arena + bounds[i], bounds[i + 1] - bounds[i]);
     }
@@ -229,11 +270,20 @@ void SipHash24Int64Keys(std::uint64_t k0, std::uint64_t k1,
   CATMARK_CHECK_EQ(count, out.size());
   std::size_t i = 0;
 #if defined(__x86_64__) || defined(_M_X64)
+  // Each level takes the whole groups of its width; what is left cascades
+  // to the next narrower kernel, so a tail is never wider than 3 scalars.
   const SimdLevel level = ActiveSimdLevel();
-  if (level == SimdLevel::kAvx2) {
-    const std::size_t n8 = count & ~std::size_t{7};
-    siphash_internal::SipHash24Int64BatchAvx2(k0, k1, vals, n8, out.data());
-    i = n8;
+  if (level >= SimdLevel::kAvx512) {
+    const std::size_t n16 = count & ~std::size_t{15};
+    siphash_internal::SipHash24Int64BatchAvx512(k0, k1, vals, n16,
+                                                out.data());
+    i = n16;
+  }
+  if (level >= SimdLevel::kAvx2) {
+    const std::size_t n8 = (count - i) & ~std::size_t{7};
+    siphash_internal::SipHash24Int64BatchAvx2(k0, k1, vals + i, n8,
+                                              out.data() + i);
+    i += n8;
   }
   if (level >= SimdLevel::kSse2) {
     const std::size_t n4 = (count - i) & ~std::size_t{3};
@@ -261,11 +311,15 @@ void DivisibilityMask64(const DivisibilityCheck& check, const std::uint64_t* h,
   std::size_t i = 0;
   std::uint64_t* w = words;
 #if defined(__x86_64__) || defined(_M_X64)
-  // Only AVX2 has a 64-bit vector compare; SSE2 runs the scalar loop.
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
+  // SSE2 has no 64-bit vector compare, so it runs the scalar loop.
+  const SimdLevel level = ActiveSimdLevel();
+  if (level >= SimdLevel::kAvx2) {
+    const auto word_kernel = level >= SimdLevel::kAvx512
+                                 ? siphash_internal::DivisibilityMaskWordAvx512
+                                 : siphash_internal::DivisibilityMaskWordAvx2;
     for (; i + 64 <= count; i += 64) {
-      *w++ = siphash_internal::DivisibilityMaskWordAvx2(
-          check.odd_inv(), check.odd_limit(), check.pow2_mask(), h + i);
+      *w++ = word_kernel(check.odd_inv(), check.odd_limit(),
+                         check.pow2_mask(), h + i);
     }
   }
 #endif

@@ -18,17 +18,19 @@ namespace catmark {
 ///   - kScalar: the reference loop in siphash.cc, one message at a time.
 ///   - kSse2:   4 independent messages per call (two 2-lane state sets).
 ///   - kAvx2:   8 independent messages per call (two 4-lane state sets).
+///   - kAvx512: 16 independent messages per call (two 8-lane state sets;
+///              needs AVX-512 F, BW, DQ and VL).
 ///
 /// Every level is bit-identical to kScalar for every message — the lanes
 /// run the exact SipRound sequence on independent state, so the choice is
 /// purely a throughput knob, never a compatibility one.
-enum class SimdLevel { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class SimdLevel { kScalar = 0, kSse2 = 1, kAvx2 = 2, kAvx512 = 3 };
 
-/// Registered name of a level ("off", "sse2", "avx2").
+/// Registered name of a level ("off", "sse2", "avx2", "avx512").
 std::string_view SimdLevelName(SimdLevel level);
 
-/// Name -> level: "avx2", "sse2", and "off" (alias "scalar"); anything else
-/// is nullopt. Case-sensitive, like CATMARK_PRF.
+/// Name -> level: "avx512", "avx2", "sse2", and "off" (alias "scalar");
+/// anything else is nullopt. Case-sensitive, like CATMARK_PRF.
 std::optional<SimdLevel> SimdLevelFromName(std::string_view name);
 
 /// The widest level this binary can run on this machine: compile-time
@@ -37,12 +39,12 @@ std::optional<SimdLevel> SimdLevelFromName(std::string_view name);
 SimdLevel HardwareSimdLevel();
 
 /// The level batch hashing actually dispatches to: HardwareSimdLevel()
-/// clamped by the CATMARK_SIMD environment variable ("avx2", "sse2", "off";
-/// an unknown value is ignored with a one-line stderr warning — unlike
-/// CATMARK_PRF a typo here cannot change any result, only the speed) and by
-/// ForceSimdLevel. A request above the hardware level clamps down, so
-/// CATMARK_SIMD=avx2 on an SSE2-only box runs SSE2, not illegal
-/// instructions.
+/// clamped by the CATMARK_SIMD environment variable ("avx512", "avx2",
+/// "sse2", "off"; an unknown value is ignored with a one-line stderr
+/// warning — unlike CATMARK_PRF a typo here cannot change any result, only
+/// the speed) and by ForceSimdLevel. A request above the hardware level
+/// clamps down, so CATMARK_SIMD=avx512 on an AVX2-only box runs AVX2, not
+/// illegal instructions.
 SimdLevel ActiveSimdLevel();
 
 /// Process-wide dispatch override, clamped to HardwareSimdLevel():
@@ -77,9 +79,9 @@ void SipHash24Fixed(std::uint64_t k0, std::uint64_t k1,
 /// materializing those bytes. A 9-byte message is exactly two SipHash input
 /// blocks, and both are pure ALU functions of the value
 /// (block0 = 0x01 | byteswap64(v) << 8, tail = 9 << 56 | byteswap64(v) >> 56),
-/// so the AVX2 path assembles them in vector registers from two contiguous
-/// loads of `vals` — no byte stores, no lane gathers, no per-lane tail
-/// switch. Bit-identical to SerializeForHash + the scalar loop at every
+/// so the AVX2 and AVX-512 paths assemble them in vector registers from two
+/// contiguous loads of `vals` — no byte stores, no lane gathers, no per-lane
+/// tail switch. Bit-identical to SerializeForHash + the scalar loop at every
 /// dispatch level.
 void SipHash24Int64Keys(std::uint64_t k0, std::uint64_t k1,
                         const std::int64_t* vals, std::size_t count,
@@ -90,8 +92,9 @@ void SipHash24Int64Keys(std::uint64_t k0, std::uint64_t k1,
 /// zero. `words` must hold ceil(count / 64) entries. The scalar multiply in
 /// DivisibilityCheck cannot auto-vectorize (no 64-bit vector multiply before
 /// AVX-512), so the AVX2 kernel decomposes h * odd_inv into vpmuludq
-/// cross-products and does the unsigned compare sign-biased — this is the
-/// detect hot loop's fitness test, which is why it lives with the SIMD
+/// cross-products and does the unsigned compare sign-biased; the AVX-512
+/// kernel uses vpmullq and compares unsigned into a mask register. This is
+/// the detect hot loop's fitness test, which is why it lives with the SIMD
 /// dispatch rather than in common/. Identical output at every level.
 void DivisibilityMask64(const DivisibilityCheck& check, const std::uint64_t* h,
                         std::size_t count, std::uint64_t* words);

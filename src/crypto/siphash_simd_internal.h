@@ -5,15 +5,17 @@
 #include <cstdint>
 #include <cstring>
 
-// Shared between the SSE2 and AVX2 translation units (the latter is the
-// only file compiled with -mavx2, so everything common lives here, not in
-// siphash_simd.cc). Nothing in this header is part of the public API.
+// Shared between the SSE2, AVX2 and AVX-512 translation units (the last two
+// are the only files compiled with wider codegen, so everything common
+// lives here, not in siphash_simd.cc). Nothing in this header is part of
+// the public API.
 
 namespace catmark::siphash_internal {
 
 /// A multi-lane equal-length kernel: out[l] = SipHash24(k0, k1, ptrs[l],
 /// len) for every lane. The lane count is fixed per kernel (4 for SSE2,
-/// 8 for AVX2) and every lane must point at `len` readable bytes.
+/// 8 for AVX2, 16 for AVX-512) and every lane must point at `len` readable
+/// bytes.
 using LaneKernel = void (*)(std::uint64_t k0, std::uint64_t k1,
                             const std::uint8_t* const* ptrs, std::size_t len,
                             std::uint64_t* out);
@@ -21,6 +23,10 @@ using LaneKernel = void (*)(std::uint64_t k0, std::uint64_t k1,
 /// True when the translation unit holding the AVX2 kernels was compiled
 /// with AVX2 codegen enabled (dispatch still checks the CPU at runtime).
 bool Avx2KernelsCompiled();
+
+/// True when the translation unit holding the AVX-512 kernels was compiled
+/// with AVX-512 F/BW/DQ/VL codegen enabled (dispatch still checks the CPU).
+bool Avx512KernelsCompiled();
 
 #if defined(__x86_64__) || defined(_M_X64)
 
@@ -60,6 +66,28 @@ std::uint64_t DivisibilityMaskWordAvx2(std::uint64_t odd_inv,
                                        std::uint64_t odd_limit,
                                        std::uint64_t pow2_mask,
                                        const std::uint64_t* h);
+
+/// 16 messages per call: two 8-lane AVX-512 state sets advanced in
+/// lockstep. Only callable when Avx512KernelsCompiled() and the CPU supports
+/// AVX-512 F/BW/DQ/VL.
+void SipHash24x16Avx512(std::uint64_t k0, std::uint64_t k1,
+                        const std::uint8_t* const* ptrs, std::size_t len,
+                        std::uint64_t* out);
+
+/// Canonical int64-key messages, 16 per iteration (count must be a
+/// multiple of 16): the block assembly of SipHash24Int64BatchAvx2 at twice
+/// the width. Same callability condition as SipHash24x16Avx512.
+void SipHash24Int64BatchAvx512(std::uint64_t k0, std::uint64_t k1,
+                               const std::int64_t* vals, std::size_t count,
+                               std::uint64_t* out);
+
+/// Exactly 64 hashes -> one divisibility-mask word, as
+/// DivisibilityMaskWordAvx2 but with the 64-bit vector multiply and the
+/// unsigned mask compare AVX-512 has. Same callability condition.
+std::uint64_t DivisibilityMaskWordAvx512(std::uint64_t odd_inv,
+                                         std::uint64_t odd_limit,
+                                         std::uint64_t pow2_mask,
+                                         const std::uint64_t* h);
 
 /// Little-endian unaligned 8-byte load (x86 only, hence the plain memcpy).
 inline std::uint64_t LoadLe64(const std::uint8_t* p) {

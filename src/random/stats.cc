@@ -1,10 +1,29 @@
 #include "random/stats.h"
 
+#include <math.h>  // lgamma_r
+
 #include <cmath>
 
 #include "common/check.h"
 
 namespace catmark {
+
+namespace {
+
+// std::lgamma also stores the sign of Γ(x) in the global `signgam`, a data
+// race once ownership decisions run on several threads (a sweep decides its
+// candidates in parallel). lgamma_r returns the same value and writes the
+// sign to a local instead.
+double LogGamma(double x) {
+#if defined(__GLIBC__)
+  int sign = 0;
+  return lgamma_r(x, &sign);
+#else
+  return std::lgamma(x);
+#endif
+}
+
+}  // namespace
 
 double NormalCdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
 
@@ -48,9 +67,9 @@ double NormalQuantile(double p) {
 
 double LogBinomialCoefficient(std::uint64_t n, std::uint64_t k) {
   CATMARK_CHECK_LE(k, n);
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return LogGamma(static_cast<double>(n) + 1.0) -
+         LogGamma(static_cast<double>(k) + 1.0) -
+         LogGamma(static_cast<double>(n - k) + 1.0);
 }
 
 double BinomialTailAtLeast(std::uint64_t n, std::uint64_t r, double p) {

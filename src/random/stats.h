@@ -13,7 +13,8 @@ double NormalCdf(double x);
 /// approximation refined by one Newton step; |error| < 1e-9.
 double NormalQuantile(double p);
 
-/// log(n choose k) via lgamma; exact enough for tail sums up to n ~ 1e6.
+/// log(n choose k) via lgamma (thread-safe); exact enough for tail sums up
+/// to n ~ 1e6.
 double LogBinomialCoefficient(std::uint64_t n, std::uint64_t k);
 
 /// Exact upper tail P[X >= r] for X ~ Binomial(n, p), summed in log space.

@@ -172,23 +172,37 @@ Result<SweepReport> WatermarkService::SweepOwnership(
       kc.wm_len = candidate.certificate.wm.size();
       keys.push_back(std::move(kc));
     }
-    const std::vector<Result<DetectionResult>> results =
+    std::vector<Result<DetectionResult>> results =
         engine->DetectMany(std::span<const KeyCandidate>(keys));
+    // The commitment check (a SHA-256 per candidate) and the decision are
+    // independent per candidate, so they fan out too; each worker writes
+    // only its own slots, and the report is assembled in candidate order.
+    std::vector<SweepMatch> matches(group.size());
+    ParallelFor(group.size(),
+                EffectiveThreadCount(options_.num_threads, group.size()),
+                [&](std::size_t /*shard*/, std::size_t begin,
+                    std::size_t end) {
+                  for (std::size_t k = begin; k < end; ++k) {
+                    if (!results[k].ok()) continue;
+                    const OwnershipCandidate& candidate =
+                        candidates[group[k]];
+                    SweepMatch& match = matches[k];
+                    match.id = candidate.id;
+                    match.commitment_verified =
+                        candidate.certificate.VerifyKeys(candidate.keys);
+                    match.detection = std::move(results[k]).value();
+                    match.decision = DecideOwnership(
+                        candidate.certificate.wm, match.detection.wm, alpha);
+                  }
+                });
     for (std::size_t k = 0; k < group.size(); ++k) {
-      const OwnershipCandidate& candidate = candidates[group[k]];
       if (!results[k].ok()) {
-        report.failed.emplace_back(candidate.id, results[k].status());
+        report.failed.emplace_back(candidates[group[k]].id,
+                                   results[k].status());
         continue;
       }
-      SweepMatch match;
-      match.id = candidate.id;
-      match.commitment_verified =
-          candidate.certificate.VerifyKeys(candidate.keys);
-      match.detection = results[k].value();
-      match.decision = DecideOwnership(candidate.certificate.wm,
-                                       match.detection.wm, alpha);
-      report.messages_hashed += match.detection.messages_hashed;
-      report.ranked.push_back(std::move(match));
+      report.messages_hashed += matches[k].detection.messages_hashed;
+      report.ranked.push_back(std::move(matches[k]));
     }
   }
 

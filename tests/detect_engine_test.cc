@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -36,6 +38,39 @@ Relation DictKeyRelation(std::size_t num_tuples = 2400,
     row.emplace_back("val-" + std::to_string((h / num_keys) % domain_size));
     rel.AppendRowUnchecked(std::move(row));
   }
+  return rel;
+}
+
+/// (K INT64, A STRING CATEGORICAL) with repeated keys, negative keys and
+/// every 53rd key NULL; K is a dictionary column when `dict_keys`, else a
+/// plain int64 lane. On the dictionary layout the last row's original key
+/// is re-keyed away, leaving a dictionary entry no row references.
+Relation Int64KeyRelation(bool dict_keys, std::size_t num_tuples = 2400,
+                          std::size_t num_keys = 400,
+                          std::size_t domain_size = 24,
+                          std::uint64_t seed = 13) {
+  Schema schema =
+      Schema::Create({{"K", ColumnType::kInt64, dict_keys},
+                      {"A", ColumnType::kString, /*categorical=*/true}})
+          .value();
+  Relation rel(schema);
+  std::uint64_t state = seed;
+  for (std::size_t i = 0; i < num_tuples; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const std::uint64_t h = state >> 17;
+    Row row;
+    if (i % 53 == 0) {
+      row.emplace_back();  // NULL key
+    } else {
+      row.emplace_back(static_cast<std::int64_t>(h % num_keys) * 7919 -
+                       1000000);
+    }
+    row.emplace_back("val-" + std::to_string((h / num_keys) % domain_size));
+    rel.AppendRowUnchecked(std::move(row));
+  }
+  rel.AppendRowUnchecked({Value(std::int64_t{123456789}), Value("val-0")});
+  EXPECT_TRUE(
+      rel.Set(rel.NumRows() - 1, 0, Value(std::int64_t{-1000000})).ok());
   return rel;
 }
 
@@ -228,6 +263,75 @@ TEST(DetectEngineTest, EmbeddingMapCandidatesMatchTheDetector) {
   }
 }
 
+// An INT64 dictionary key column keeps its plan messages as a typed int64
+// lane. With NULL keys and a dead dictionary entry, k2 and embedding-map
+// candidates in one DetectMany block must equal Detector::Detect on the
+// same relation and, apart from messages_hashed, Detector::Detect on the
+// same rows with K as a plain lane (the fused one-shot path, which shares
+// no plan code). messages_hashed counts the live distinct non-NULL keys.
+TEST(DetectEngineTest, Int64DictKeysMatchDetectorAndPlainLane) {
+  Marked m = EmbedOn(Int64KeyRelation(/*dict_keys=*/true),
+                     PrfKind::kSipHash24, 4, /*build_embedding_map=*/true);
+  ASSERT_TRUE(m.rel.store().IsDictColumn(0));
+  const std::vector<std::int64_t>& live = m.rel.store().DictLiveCounts(0);
+  ASSERT_NE(std::find(live.begin(), live.end(), 0), live.end())
+      << "the fixture must hold a dead dictionary entry";
+  Relation plain(Int64KeyRelation(/*dict_keys=*/false, 0).schema());
+  std::set<std::int64_t> distinct_keys;
+  for (std::size_t j = 0; j < m.rel.NumRows(); ++j) {
+    const Row row = m.rel.row(j);
+    if (!row[0].is_null()) distinct_keys.insert(row[0].AsInt64());
+    ASSERT_TRUE(plain.AppendRow(row).ok());
+  }
+
+  std::vector<KeyCandidate> candidates = CandidatesFor(m);
+  for (const std::size_t i : {std::size_t{0}, std::size_t{1}}) {
+    KeyCandidate map_candidate = candidates[i];
+    map_candidate.embedding_map = &m.report.embedding_map;
+    candidates.push_back(std::move(map_candidate));
+  }
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}}) {
+    DetectEngineOptions engine_options;
+    engine_options.key_attr = testutil::kKeyAttr;
+    engine_options.target_attr = testutil::kTargetAttr;
+    engine_options.domain = m.report.domain;
+    engine_options.num_threads = threads;
+    const DetectEngine engine =
+        DetectEngine::Create(m.rel, engine_options).value();
+    ASSERT_TRUE(engine.dict_keys());
+    EXPECT_EQ(engine.num_messages(), distinct_keys.size());
+    const std::vector<Result<DetectionResult>> many =
+        engine.DetectMany(std::span<const KeyCandidate>(candidates));
+    ASSERT_EQ(many.size(), candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      SCOPED_TRACE("candidate " + std::to_string(i) + ", threads " +
+                   std::to_string(threads));
+      const KeyCandidate& c = candidates[i];
+      WatermarkParams params = c.params;
+      params.num_threads = threads;
+      DetectOptions options;
+      options.key_attr = testutil::kKeyAttr;
+      options.target_attr = testutil::kTargetAttr;
+      options.domain = m.report.domain;
+      options.payload_length = c.params.payload_length;
+      options.embedding_map = c.embedding_map;
+      const Detector detector(c.keys, params);
+      const DetectionResult expected =
+          detector.Detect(m.rel, options, c.wm_len).value();
+      const DetectionResult on_lane =
+          detector.Detect(plain, options, c.wm_len).value();
+      ASSERT_TRUE(many[i].ok()) << many[i].status().ToString();
+      ExpectSameDetection(many[i].value(), expected);
+      ExpectSameDetection(many[i].value(), on_lane);
+      EXPECT_EQ(many[i].value().messages_hashed, distinct_keys.size());
+      EXPECT_EQ(expected.messages_hashed, distinct_keys.size());
+      EXPECT_GT(many[i].value().fit_tuples, 0u);
+    }
+  }
+}
+
 // ------------------------------------------------------------- edge cases
 
 TEST(DetectEngineTest, EmptyRelationFailsCleanly) {
@@ -263,12 +367,13 @@ KeyCandidate PlainCandidate(std::size_t payload_length = 16,
   return c;
 }
 
-TEST(DetectEngineTest, AllNullKeysDetectCleanlyOnBothLayouts) {
-  for (const bool dict : {false, true}) {
-    Relation rel(Schema::Create({{"K",
-                                  dict ? ColumnType::kString
-                                       : ColumnType::kInt64,
-                                  dict},
+TEST(DetectEngineTest, AllNullKeysDetectCleanlyOnEveryLayout) {
+  // Plain lane, string arena, typed int64 dictionary.
+  for (const auto& [type, dict] :
+       {std::pair{ColumnType::kInt64, false},
+        std::pair{ColumnType::kString, true},
+        std::pair{ColumnType::kInt64, true}}) {
+    Relation rel(Schema::Create({{"K", type, dict},
                                  {"A", ColumnType::kString, true}})
                      .value());
     for (int i = 0; i < 40; ++i) {

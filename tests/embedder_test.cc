@@ -357,6 +357,33 @@ TEST(EmbedderTest, RejectsEmptyRelation) {
   EXPECT_FALSE(embedder.Embed(rel, KA(), MakeWatermark(10, 18)).ok());
 }
 
+// k1 == k2 and e == 0 are values a library caller can pass: Embed returns
+// InvalidArgument for each and leaves the relation untouched, instead of
+// aborting in the constructor.
+TEST(EmbedderTest, InvalidKeySetReturnsInvalidArgument) {
+  Relation rel = StandardRelation(500);
+  const Relation before = rel;
+  WatermarkKeySet keys = WatermarkKeySet::FromSeed(28);
+  keys.k2 = keys.k1;
+  const Embedder embedder(keys, WatermarkParams{});
+  const Status status =
+      embedder.Embed(rel, KA(), MakeWatermark(10, 28)).status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_TRUE(rel.SameContent(before));
+}
+
+TEST(EmbedderTest, ZeroEReturnsInvalidArgument) {
+  Relation rel = StandardRelation(500);
+  const Relation before = rel;
+  WatermarkParams params;
+  params.e = 0;
+  const Embedder embedder(WatermarkKeySet::FromSeed(29), params);
+  const Status status =
+      embedder.Embed(rel, KA(), MakeWatermark(10, 29)).status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_TRUE(rel.SameContent(before));
+}
+
 // Regression: with e > N, DerivePayloadLength's N/e floors to 0 and used to
 // be silently replaced by |wm| — embed "succeeded" with an expected fit
 // count below one tuple. That is now an explicit precondition failure.

@@ -57,12 +57,9 @@ class ScopedSimdLevel {
 };
 
 std::vector<SimdLevel> RunnableLevels() {
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (HardwareSimdLevel() >= SimdLevel::kSse2) {
-    levels.push_back(SimdLevel::kSse2);
-  }
-  if (HardwareSimdLevel() >= SimdLevel::kAvx2) {
-    levels.push_back(SimdLevel::kAvx2);
+  std::vector<SimdLevel> levels;
+  for (int l = 0; l <= static_cast<int>(HardwareSimdLevel()); ++l) {
+    levels.push_back(static_cast<SimdLevel>(l));
   }
   return levels;
 }

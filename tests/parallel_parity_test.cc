@@ -357,7 +357,7 @@ Relation StringKeyRelation(std::size_t n, std::uint64_t seed) {
 // byte-identical — CSV snapshot, report counters, serialized embedding map,
 // ledger — to the serial scalar reference pass (force_serial_apply +
 // ForceSimdLevel(kScalar) + one thread). CI runs this under
-// CATMARK_SIMD={avx2,sse2,off} and TSan/ASan as well; the in-process
+// CATMARK_SIMD={avx512,avx2,sse2,off} and TSan/ASan as well; the in-process
 // ForceSimdLevel sweep here covers levels the env clamp would hide.
 TEST(EmbedFastPathGridTest, BitIdenticalAcrossSimdLevelsAndThreads) {
   struct Flavor {
@@ -376,8 +376,10 @@ TEST(EmbedFastPathGridTest, BitIdenticalAcrossSimdLevelsAndThreads) {
   }
   flavors.push_back({"null-heavy", std::move(null_heavy)});
 
-  constexpr SimdLevel kLevels[] = {SimdLevel::kAvx2, SimdLevel::kSse2,
-                                   SimdLevel::kScalar};
+  // ForceSimdLevel clamps to the hardware, so on a host without AVX-512
+  // the first entry runs AVX2 twice.
+  constexpr SimdLevel kLevels[] = {SimdLevel::kAvx512, SimdLevel::kAvx2,
+                                   SimdLevel::kSse2, SimdLevel::kScalar};
   constexpr std::size_t kLedgerStride = 5;
   constexpr std::size_t kTargetCol = 1;
   const BitVector wm = MakeWatermark(8, 91);
@@ -634,7 +636,9 @@ void ExpectEmbedMatchesSerial(const Relation& base,
                                  .Embed(rel, options, wm, nullptr,
                                         parallel_ledger)
                                  .value();
-  if (expect_shards != 0) EXPECT_EQ(report.apply_shards, expect_shards);
+  if (expect_shards != 0) {
+    EXPECT_EQ(report.apply_shards, expect_shards);
+  }
   ExpectReportsEqual(serial, report);
   EXPECT_EQ(WriteCsvString(rel), WriteCsvString(serial_rel));
 }

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <optional>
 #include <random>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -38,12 +43,9 @@ class ScopedSimdLevel {
 
 /// Every level this machine can actually run (always includes kScalar).
 std::vector<SimdLevel> RunnableLevels() {
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (HardwareSimdLevel() >= SimdLevel::kSse2) {
-    levels.push_back(SimdLevel::kSse2);
-  }
-  if (HardwareSimdLevel() >= SimdLevel::kAvx2) {
-    levels.push_back(SimdLevel::kAvx2);
+  std::vector<SimdLevel> levels;
+  for (int l = 0; l <= static_cast<int>(HardwareSimdLevel()); ++l) {
+    levels.push_back(static_cast<SimdLevel>(l));
   }
   return levels;
 }
@@ -171,7 +173,7 @@ TEST(SimdSipHashTest, FixedStrideMatchesScalar) {
 
 // The typed int64-key entry point never materializes the 9-byte record, so
 // pin it against serialize + scalar SipHash for every level, every lane
-// position (counts straddling the 8/4/scalar group boundaries), and the
+// position (counts straddling the 16/8/4/scalar group boundaries), and the
 // sign/extreme values where a byte-order bug would hide.
 TEST(SimdSipHashTest, Int64KeysMatchSerializedScalar) {
   std::mt19937_64 rng(99);
@@ -274,6 +276,96 @@ TEST(SimdSipHashTest, UniformArenaMatchesScalar) {
   }
 }
 
+// Every count 0..47 and each length 0..40 through the fixed-stride entry:
+// the 16-lane kernel leaves tails of 1..15 messages that are not a multiple
+// of any narrower width, and the lengths cross every 8-byte block edge.
+TEST(SimdSipHashTest, FixedStrideEveryCountAndTail) {
+  std::mt19937_64 rng(4816);
+  constexpr std::size_t kMaxCount = 47;
+  for (std::size_t len = 0; len <= 40; ++len) {
+    std::vector<std::uint8_t> buf(kMaxCount * len + 1);
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+    std::vector<std::uint64_t> expected(kMaxCount);
+    for (std::size_t i = 0; i < kMaxCount; ++i) {
+      expected[i] = SipHash24(kVecK0, kVecK1, buf.data() + i * len, len);
+    }
+    for (const SimdLevel level : RunnableLevels()) {
+      ScopedSimdLevel forced(level);
+      for (std::size_t count = 0; count <= kMaxCount; ++count) {
+        std::vector<std::uint64_t> out(count, 1);
+        SipHash24Fixed(kVecK0, kVecK1, buf.data(), len, len,
+                       std::span<std::uint64_t>(out));
+        EXPECT_TRUE(std::equal(out.begin(), out.end(), expected.begin()))
+            << "level=" << SimdLevelName(level) << " len=" << len
+            << " count=" << count;
+      }
+    }
+  }
+}
+
+// The int64-key cascade (16-, 8-, 4-wide groups, then scalar) at every
+// count 0..47, starting at every offset 0..3 of the value array so no
+// group boundary lines up with an aligned load.
+TEST(SimdSipHashTest, Int64KeysEveryCountAndTail) {
+  std::mt19937_64 rng(1516);
+  std::vector<std::int64_t> vals(51);
+  for (auto& v : vals) v = static_cast<std::int64_t>(rng());
+  std::vector<std::uint64_t> expected(vals.size());
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    std::vector<std::uint8_t> bytes;
+    Value(vals[i]).SerializeForHash(bytes);
+    expected[i] = SipHash24(kVecK0, kVecK1, bytes.data(), bytes.size());
+  }
+  for (const SimdLevel level : RunnableLevels()) {
+    ScopedSimdLevel forced(level);
+    for (std::size_t first = 0; first < 4; ++first) {
+      for (std::size_t count = 0; count <= 47; ++count) {
+        std::vector<std::uint64_t> out(count, 1);
+        SipHash24Int64Keys(kVecK0, kVecK1, vals.data() + first, count,
+                           std::span<std::uint64_t>(out));
+        EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                               expected.begin() + first))
+            << "level=" << SimdLevelName(level) << " first=" << first
+            << " count=" << count;
+      }
+    }
+  }
+}
+
+// The fitness bitset at every count 0..47 past one and two whole 64-hash
+// words, so the vector word kernel hands a partial word of every length to
+// the scalar tail, for odd, even and power-of-two divisors.
+TEST(SimdSipHashTest, DivisibilityMaskEveryTail) {
+  std::mt19937_64 rng(6448);
+  std::vector<std::uint64_t> h(64 * 2 + 47);
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    h[i] = i % 2 == 0 ? (rng() % 5000) * 24 : rng();
+  }
+  for (const std::uint64_t d : {std::uint64_t{1}, std::uint64_t{3},
+                                std::uint64_t{8}, std::uint64_t{24},
+                                std::uint64_t{40}}) {
+    const DivisibilityCheck check(d);
+    for (const std::size_t words_before : {std::size_t{0}, std::size_t{1},
+                                           std::size_t{2}}) {
+      for (std::size_t tail = 0; tail <= 47; ++tail) {
+        const std::size_t count = 64 * words_before + tail;
+        std::vector<std::uint64_t> expected((count + 63) / 64, 0);
+        for (std::size_t i = 0; i < count; ++i) {
+          if (check(h[i])) expected[i / 64] |= std::uint64_t{1} << (i % 64);
+        }
+        for (const SimdLevel level : RunnableLevels()) {
+          ScopedSimdLevel forced(level);
+          std::vector<std::uint64_t> words((count + 63) / 64,
+                                           ~std::uint64_t{0});
+          DivisibilityMask64(check, h.data(), count, words.data());
+          EXPECT_EQ(words, expected) << "level=" << SimdLevelName(level)
+                                     << " d=" << d << " count=" << count;
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------- bounds edges
 
 // The zero-message batch is the single bound {0} (the seed every arena
@@ -313,19 +405,39 @@ TEST(SimdSipHashTest, EmptyMessagesEveryLevel) {
 
 TEST(SimdDispatchTest, LevelNamesRoundTrip) {
   for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kSse2,
-                                SimdLevel::kAvx2}) {
+                                SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     const auto back = SimdLevelFromName(SimdLevelName(level));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, level);
   }
   EXPECT_EQ(SimdLevelFromName("scalar"), SimdLevel::kScalar);
-  EXPECT_FALSE(SimdLevelFromName("avx512").has_value());
+  EXPECT_FALSE(SimdLevelFromName("avx1024").has_value());
   EXPECT_FALSE(SimdLevelFromName("").has_value());
   EXPECT_FALSE(SimdLevelFromName("AVX2").has_value());  // case-sensitive
 }
 
+// Prints the hardware and active levels (the CI dispatch sweep runs this
+// first in each leg, so the log shows what a leg really ran), and checks
+// that a CATMARK_SIMD request clamps to the hardware: on a host without
+// AVX-512, CATMARK_SIMD=avx512 runs the AVX2 kernels.
+TEST(SimdDispatchTest, EnvironmentRequestClampsToHardware) {
+  const char* env = std::getenv("CATMARK_SIMD");
+  std::printf("hardware SIMD level: %s, active: %s (CATMARK_SIMD=%s)\n",
+              std::string(SimdLevelName(HardwareSimdLevel())).c_str(),
+              std::string(SimdLevelName(ActiveSimdLevel())).c_str(),
+              env != nullptr ? env : "");
+  const std::optional<SimdLevel> requested =
+      env != nullptr ? SimdLevelFromName(env) : std::nullopt;
+  const SimdLevel expected = requested.has_value()
+                                 ? std::min(*requested, HardwareSimdLevel())
+                                 : HardwareSimdLevel();
+  EXPECT_EQ(ActiveSimdLevel(), expected);
+}
+
 TEST(SimdDispatchTest, ForceClampsToHardwareAndRestores) {
   const SimdLevel ambient = ActiveSimdLevel();
+  ForceSimdLevel(SimdLevel::kAvx512);
+  EXPECT_EQ(ActiveSimdLevel(), HardwareSimdLevel());
   ForceSimdLevel(SimdLevel::kAvx2);
   EXPECT_LE(ActiveSimdLevel(), HardwareSimdLevel());
   ForceSimdLevel(SimdLevel::kScalar);
@@ -340,7 +452,7 @@ TEST(SimdDispatchTest, ForceClampsToHardwareAndRestores) {
 // at every dispatch level x thread count, through both the one-shot
 // detector and the multi-candidate engine. This is the bit-identity the
 // siphash24 golden/attack suites rely on when CI runs them under
-// CATMARK_SIMD=off|sse2|avx2.
+// CATMARK_SIMD=off|sse2|avx2|avx512.
 TEST(SimdDetectParityTest, LevelsAndThreadsBitIdentical) {
   Relation rel = testutil::SmallKeyedRelation(1500, 30, 5);
   WatermarkParams params;
