@@ -188,7 +188,6 @@ int Run(const ExperimentConfig& config) {
   Measurement embed;
   Relation marked = original;
   EmbedReport report;
-  std::size_t embed_apply_shards = 1;
   for (std::size_t pass = 0; pass < config.passes; ++pass) {
     {
       Relation rel = original;
@@ -212,7 +211,6 @@ int Run(const ExperimentConfig& config) {
           << "parallel embed diverged from serial";
       CATMARK_CHECK(rel.SameContent(marked))
           << "parallel embed produced different data";
-      embed_apply_shards = r.value().apply_shards;
       if (n / secs > embed.parallel_tps) embed.parallel_tps = n / secs;
     }
   }
@@ -225,11 +223,9 @@ int Run(const ExperimentConfig& config) {
                 config.dump_relation.c_str());
   }
 
-  // Figure 1(b) map-mode embed: exercises the prefix-sum map-index
-  // assignment and per-shard segment splicing (the guard is off here — map
-  // mode plus the draining guard is the documented serial fallback). The
-  // serialized maps are compared so a splice-order bug fails the bench, not
-  // just the unit suite.
+  // Figure 1(b) map-mode embed (guard off). The serialized maps are
+  // compared so a thread-dependent map fails the bench, not just the unit
+  // suite.
   WatermarkParams map_serial_params = serial_params;
   map_serial_params.min_category_keep = 0;
   WatermarkParams map_parallel_params = parallel_params;
@@ -258,7 +254,7 @@ int Run(const ExperimentConfig& config) {
       const double secs = SecondsSince(start);
       CATMARK_CHECK(r.ok()) << r.status().ToString();
       CATMARK_CHECK(r.value().embedding_map.Serialize() == serial_map)
-          << "sharded map embed spliced a different embedding map";
+          << "parallel map embed built a different embedding map";
       if (n / secs > embed_map.parallel_tps) {
         embed_map.parallel_tps = n / secs;
       }
@@ -375,10 +371,9 @@ int Run(const ExperimentConfig& config) {
           ? prf_detect[kNumPrfs - 1].serial_tps / prf_detect[0].serial_tps
           : 0.0;
 
-  // Embed PRF breakdown — the embed-side mirror of the detect rows above.
-  // Until ISSUE 10 the embed rows only ever ran the ambient backend, so the
-  // fused plan/apply pipeline's headline (embed under siphash24) was
-  // invisible in the artifact. Parallel runs are checked bit-identical to
+  // Embed PRF breakdown — the embed-side mirror of the detect rows above:
+  // one row pair per backend, so the plan/apply pipeline's headline (embed
+  // under siphash24) shows in the artifact. Parallel runs are checked bit-identical to
   // serial inline, and the siphash24 embedding is additionally re-run under
   // forced-scalar SIMD dispatch and compared byte-for-byte — the SIMD lanes
   // are a throughput knob, never a result knob, on the embed side too.
@@ -1252,7 +1247,6 @@ int Run(const ExperimentConfig& config) {
         "  \"embed_serial_tps\": %.0f,\n"
         "  \"embed_parallel_tps\": %.0f,\n"
         "  \"embed_speedup\": %.3f,\n"
-        "  \"embed_apply_shards\": %zu,\n"
         "  \"embed_map_serial_tps\": %.0f,\n"
         "  \"embed_map_parallel_tps\": %.0f,\n"
         "  \"embed_map_speedup\": %.3f,\n"
@@ -1317,7 +1311,7 @@ int Run(const ExperimentConfig& config) {
         parallel_params.num_threads, HostCpuModel().c_str(),
         std::thread::hardware_concurrency(), embed.serial_tps,
         embed.parallel_tps,
-        embed.speedup, embed_apply_shards, embed_map.serial_tps,
+        embed.speedup, embed_map.serial_tps,
         embed_map.parallel_tps, embed_map.speedup, detect.serial_tps,
         detect.parallel_tps, detect.speedup, prf_detect[0].serial_tps,
         prf_detect[0].parallel_tps, prf_detect[1].serial_tps,

@@ -38,13 +38,13 @@ std::size_t EffectiveThreadCount(std::size_t requested, std::size_t n);
 /// Shard boundaries ParallelFor uses for (n, num_threads): `num_threads + 1`
 /// offsets where shard s covers [bounds[s], bounds[s + 1]) and the first
 /// n % num_threads shards take one extra item. Deterministic in (n,
-/// num_threads) only — the sharded embed apply pass relies on classify and
-/// apply phases seeing identical shard extents.
+/// num_threads) only, so two passes over the same input see identical
+/// shard extents.
 std::vector<std::size_t> ShardBounds(std::size_t n, std::size_t num_threads);
 
 /// In-place exclusive prefix sum: counts[s] becomes the sum of counts[0..s);
-/// returns the total. This is how per-shard commit counts turn into each
-/// shard's first global map index.
+/// returns the total. This is how per-shard counts turn into each shard's
+/// first output offset.
 std::size_t ExclusivePrefixSum(std::vector<std::size_t>& counts);
 
 /// Sharded parallel-for: splits [0, n) into `num_threads` near-equal

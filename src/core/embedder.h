@@ -32,12 +32,6 @@ struct EmbedOptions {
   /// Build the Figure 1(b) embedding map instead of the k2 hash for bit
   /// positions.
   bool build_embedding_map = false;
-
-  /// Test-only escape hatch: force the reference serial apply pass even
-  /// where the sharded pipeline would engage, so the parity suite can pin
-  /// the fused bitset pipeline byte-identical to the serial semantics (the
-  /// sharded pipeline otherwise runs even at num_threads == 1).
-  bool force_serial_apply = false;
 };
 
 /// Everything the embedding pass did — including the parameters the
@@ -62,16 +56,6 @@ struct EmbedReport {
   std::size_t messages_hashed = 0;
   double wall_seconds = 0.0;
 
-  /// Shards the apply pass ran with. The sharded pipeline also runs at
-  /// num_threads == 1 (fused over the plan's fitness bitset, inline on the
-  /// calling thread); 1 here therefore means one shard, not necessarily the
-  /// reference serial pass — that fallback engages for a QualityAssessor,
-  /// map mode with the category-draining guard active, or a target that
-  /// cannot take raw code writes. Purely diagnostic — every other report
-  /// field, the relation, the map and the ledger are bit-identical either
-  /// way.
-  std::size_t apply_shards = 1;
-
   /// Keyed-PRF backend the embedding actually ran with (WatermarkParams::
   /// prf resolved against CATMARK_PRF) — detector input, recorded in the
   /// certificate so disputes re-verify with the right primitive.
@@ -88,28 +72,22 @@ class Embedder {
 
   /// Embeds `wm` into `rel` in place.
   ///
-  /// Fully pipelined: the plan build batches fitness hashes through the
-  /// SIMD PRF kernels and packs verdicts into a bitset (see TuplePlan), and
-  /// the apply pass set-bit-scans that bitset — on the k2 path classify and
-  /// apply fuse into a single touch per fit tuple; on the map path an exact
-  /// prefix-sum over per-shard commit counts assigns each committing tuple
-  /// the global map index the serial pass would have given it, and
-  /// per-shard embedding-map segments splice in shard order. The sharded
-  /// pipeline runs even at num_threads == 1 (inline on the calling thread).
-  /// The resulting relation, report, map and ledger are bit-identical to
-  /// the reference serial pass at any thread count and SIMD level.
-  /// Inherently stateful interactions fall back to that serial pass: a
-  /// QualityAssessor (its veto/rollback protocol mutates the relation
-  /// mid-decision), map mode combined with the category-draining guard
-  /// (there the bit position of tuple j depends on every earlier verdict,
-  /// which depends on the guard's running counts), and targets that cannot
-  /// take raw dictionary-code writes. An embedding-map entry is recorded
-  /// only for committed tuples (altered or unchanged-hit) — never for
-  /// tuples skipped by the ledger, the domain guard or a quality veto.
+  /// Two stages. The plan build (see TuplePlan) batches the fitness hashes
+  /// through the SIMD PRF kernels on parallel row shards and keeps only the
+  /// ~N/e fit tuples. The apply loop then walks that list in row order,
+  /// exactly as Figure 1 does: bit position (k2 hash or running map index),
+  /// value selection, ledger, category-draining guard, quality assessor and
+  /// the dictionary-code write. The relation, report, map and ledger are
+  /// therefore identical at any thread count and SIMD level. An
+  /// embedding-map entry is recorded only for committed tuples (altered or
+  /// unchanged-hit) — never for tuples skipped by the ledger, the domain
+  /// guard or a quality veto.
   ///
   /// Fails with InvalidArgument when the key set is invalid (k1 == k2) or
   /// e == 0 — values a library caller can pass, so they are checked here
-  /// rather than asserted at construction. Fails with FailedPrecondition
+  /// rather than asserted at construction — and when a caller-supplied
+  /// domain holds a value of another type than the target column; all
+  /// three fail before any cell is written. Fails with FailedPrecondition
   /// when N / e == 0 (e exceeds the relation size): fewer than one tuple is
   /// expected to be fit, so "success" would embed nothing.
   ///

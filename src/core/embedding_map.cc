@@ -13,9 +13,9 @@ std::string_view EmbeddingMap::SerializeKey(
 }
 
 void EmbeddingMap::Insert(const Value& pk, std::size_t idx) {
-  // The embed apply pass calls this once per fit tuple: probe with a view
-  // over the reused scratch buffer and only materialize an owned key string
-  // for first-time inserts.
+  // The embed apply loop calls this once per committed tuple: probe with a
+  // view over the reused scratch buffer and only materialize an owned key
+  // string for first-time inserts.
   const std::string_view key = pk.SerializeKeyInto(insert_scratch_);
   const auto it = map_.find(key);
   if (it != map_.end()) {
@@ -23,21 +23,6 @@ void EmbeddingMap::Insert(const Value& pk, std::size_t idx) {
     return;
   }
   map_.emplace(std::string(key), idx);
-}
-
-void EmbeddingMap::AppendSegment(Segment&& segment) {
-  for (auto& [key, idx] : segment) {
-    // Mirror Insert exactly (find, then overwrite or emplace): the map's
-    // internal state after splicing shard segments in order must match a
-    // serial Insert sequence bucket-for-bucket, or Serialize() would order
-    // entries differently between the serial and sharded apply paths.
-    const auto it = map_.find(std::string_view(key));
-    if (it != map_.end()) {
-      it->second = idx;
-      continue;
-    }
-    map_.emplace(std::move(key), idx);
-  }
 }
 
 std::optional<std::size_t> EmbeddingMap::Lookup(const Value& pk) const {

@@ -35,19 +35,6 @@ class EmbeddingMap {
   /// index `idx`. Re-inserting the same key overwrites.
   void Insert(const Value& pk, std::size_t idx);
 
-  /// One shard's worth of entries from the sharded embed apply pass:
-  /// (serialized key, wm_data index) pairs in commit (row) order. Keys are
-  /// the exact bytes SerializeKey produces — serialization happens inside
-  /// the parallel phase, so the serial splice below touches no Value.
-  using Segment = std::vector<std::pair<std::string, std::size_t>>;
-
-  /// Splices a shard segment: performs exactly the insert (or overwrite)
-  /// sequence Insert would for the same entries in the same order, so
-  /// appending shard segments in shard order leaves the map — including its
-  /// Serialize() output — byte-identical to a serial embed pass. Not
-  /// thread-safe; call from one thread, in shard order.
-  void AppendSegment(Segment&& segment);
-
   /// Index for `pk`, or nullopt when the tuple was not embedded.
   std::optional<std::size_t> Lookup(const Value& pk) const;
 
@@ -76,8 +63,8 @@ class EmbeddingMap {
   std::unordered_map<std::string, std::size_t, TransparentStringHash,
                      std::equal_to<>>
       map_;
-  // Reused serialization buffer for Insert (single-threaded embed apply
-  // pass; never read by const lookups).
+  // Reused serialization buffer for Insert (the embed apply loop; never
+  // read by const lookups).
   std::vector<std::uint8_t> insert_scratch_;
 };
 

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_set>
-#include <vector>
 
 #include "common/check.h"
 
@@ -16,11 +15,6 @@ namespace catmark {
 /// destroying it. Cells are identified by (row, column); a cell counts as
 /// carrying a mark even when the embedding left its value unchanged (the
 /// value is still load-bearing for detection).
-///
-/// Within one embedding pass every (row, col) cell is visited at most once,
-/// so the sharded apply pass reads IsMarked concurrently (const reads of the
-/// hash set are safe while nothing mutates it) and defers all Mark calls to
-/// the serial splice step via MarkRows.
 class EmbeddingLedger {
  public:
   bool IsMarked(std::size_t row, std::size_t col) const {
@@ -29,13 +23,6 @@ class EmbeddingLedger {
 
   void Mark(std::size_t row, std::size_t col) {
     cells_.insert(KeyOf(row, col));
-  }
-
-  /// Bulk variant for the sharded embed apply pass: marks every row in
-  /// `rows` for `col`. Not thread-safe — called once per shard segment,
-  /// serially, after the parallel phase.
-  void MarkRows(const std::vector<std::size_t>& rows, std::size_t col) {
-    for (const std::size_t row : rows) Mark(row, col);
   }
 
   std::size_t size() const { return cells_.size(); }

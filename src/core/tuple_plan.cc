@@ -1,7 +1,5 @@
 #include "core/tuple_plan.h"
 
-#include <algorithm>
-#include <bit>
 #include <limits>
 
 #include "common/check.h"
@@ -14,28 +12,11 @@ namespace catmark {
 
 namespace {
 
-/// Runs fn(shard, begin, end) over [0, n) split on 64-row boundaries, so no
-/// two shards write the same fit_words word.
-template <typename Fn>
-void ParallelForWords(std::size_t n, std::size_t num_threads, Fn&& fn) {
-  const std::size_t words = (n + 63) / 64;
-  ParallelFor(words, EffectiveThreadCount(num_threads, words),
-              [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                fn(shard, begin * 64, std::min(n, end * 64));
-              });
-}
-
-/// Popcount of the fit bits of rows [begin, end).
-std::size_t CountFitRows(const std::vector<std::uint64_t>& words,
-                         std::size_t begin, std::size_t end) {
-  std::size_t count = 0;
-  for (std::size_t j = begin; j < end; j = (j | 63) + 1) {
-    const std::size_t bits = std::min<std::size_t>(64 - (j & 63), end - j);
-    std::uint64_t word = words[j >> 6] >> (j & 63);
-    if (bits < 64) word &= (std::uint64_t{1} << bits) - 1;
-    count += static_cast<std::size_t>(std::popcount(word));
-  }
-  return count;
+// Capacity for the fit list of a `rows`-row shard: the expected rows / e
+// fit tuples plus slack for the binomial spread, so the list rarely grows.
+std::size_t FitListReserve(std::size_t rows, std::uint64_t e) {
+  const std::size_t expected = rows / e;
+  return expected + expected / 8 + 16;
 }
 
 }  // namespace
@@ -45,15 +26,11 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
                          const WatermarkParams& params,
                          const TuplePlanOptions& options) {
   const std::size_t n = rel.NumRows();
-  TuplePlan plan;
-  plan.fit_words.assign((n + 63) / 64, 0);
-  plan.h1.assign(n, 0);
   if (options.with_payload_index) {
     CATMARK_CHECK_GE(options.payload_len, 1u);
     CATMARK_CHECK_LE(options.payload_len,
                      static_cast<std::size_t>(
                          std::numeric_limits<std::uint32_t>::max()));
-    plan.payload_index.assign(n, 0);
   }
 
   // One immutable PRF instance per key, shared by every worker: the key
@@ -64,13 +41,17 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
       options.with_payload_index
           ? CreateKeyedPrf(options.prf, keys.k2, params.hash_algo)
           : nullptr;
-  const auto position = [&](std::uint64_t h2) {
+  // The k2 payload index of a fit key; the map path asks for none.
+  const auto position = [&](std::uint64_t h2) -> std::uint32_t {
+    if (prf_k2 == nullptr) return 0;
     return static_cast<std::uint32_t>(PayloadIndexFromHash(
         h2, options.payload_len, params.bit_index_mode));
   };
 
   const ColumnStore& store = rel.store();
-  std::uint64_t* fit_words = plan.fit_words.data();
+  const std::size_t row_threads = EffectiveThreadCount(options.num_threads, n);
+  TuplePlan plan;
+  plan.shards.resize(row_threads);
   std::vector<std::size_t> shard_hashed;
 
   if (store.IsDictColumn(key_col)) {
@@ -84,8 +65,7 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
     const std::vector<std::int64_t>& live = store.DictLiveCounts(key_col);
     std::vector<std::uint8_t> fit_of(dict.size(), 0);
     std::vector<std::uint64_t> h1_of(dict.size(), 0);
-    std::vector<std::uint32_t> index_of(
-        options.with_payload_index ? dict.size() : 0, 0);
+    std::vector<std::uint32_t> index_of(dict.size(), 0);
     const std::size_t dict_threads =
         EffectiveThreadCount(options.num_threads, dict.size());
     shard_hashed.assign(dict_threads, 0);
@@ -103,50 +83,35 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
                         const std::size_t code = begin + i;
                         fit_of[code] = 1;
                         h1_of[code] = h1;
-                        if (prf_k2 != nullptr) index_of[code] = position(h2);
+                        index_of[code] = position(h2);
                       });
                 });
-    ParallelForWords(n, options.num_threads, [&](std::size_t /*shard*/,
-                                                 std::size_t begin,
-                                                 std::size_t end) {
+    ParallelFor(n, row_threads, [&](std::size_t shard, std::size_t begin,
+                                    std::size_t end) {
+      std::vector<FitTuple>& fit = plan.shards[shard];
+      fit.reserve(FitListReserve(end - begin, params.e));
       for (std::size_t j = begin; j < end; ++j) {
-        const std::int32_t code = codes[j];
-        if (code < 0 || !fit_of[static_cast<std::size_t>(code)]) continue;
-        fit_words[j >> 6] |= std::uint64_t{1} << (j & 63);
-        plan.h1[j] = h1_of[static_cast<std::size_t>(code)];
-        if (prf_k2 != nullptr) {
-          plan.payload_index[j] = index_of[static_cast<std::size_t>(code)];
-        }
+        if (codes[j] < 0) continue;
+        const std::size_t code = static_cast<std::size_t>(codes[j]);
+        if (fit_of[code]) fit.push_back({j, h1_of[code], index_of[code]});
       }
     });
   } else {
-    shard_hashed.assign(
-        EffectiveThreadCount(options.num_threads, (n + 63) / 64), 0);
-    ParallelForWords(n, options.num_threads, [&](std::size_t shard,
-                                                 std::size_t begin,
-                                                 std::size_t end) {
+    shard_hashed.assign(row_threads, 0);
+    ParallelFor(n, row_threads, [&](std::size_t shard, std::size_t begin,
+                                    std::size_t end) {
+      std::vector<FitTuple>& fit = plan.shards[shard];
+      fit.reserve(FitListReserve(end - begin, params.e));
       FitScratch scratch;
       FitScanner scan(*prf_k1, prf_k2.get(), params.e, scratch);
       shard_hashed[shard] = ScanKeyColumn(
           scan, store, key_col, begin, end,
           [&](std::size_t i, std::uint64_t h1, std::uint64_t h2) {
-            const std::size_t j = begin + i;
-            fit_words[j >> 6] |= std::uint64_t{1} << (j & 63);
-            plan.h1[j] = h1;
-            if (prf_k2 != nullptr) plan.payload_index[j] = position(h2);
+            fit.push_back({begin + i, h1, position(h2)});
           });
     });
   }
   for (const std::size_t h : shard_hashed) plan.messages_hashed += h;
-
-  // Fit counts over the embedder's ShardBounds(n, threads) row partition.
-  const std::size_t threads = EffectiveThreadCount(options.num_threads, n);
-  const std::vector<std::size_t> bounds = ShardBounds(n, threads);
-  plan.shard_fit.assign(threads, 0);
-  for (std::size_t s = 0; s < threads; ++s) {
-    plan.shard_fit[s] = CountFitRows(plan.fit_words, bounds[s], bounds[s + 1]);
-    plan.fit_count += plan.shard_fit[s];
-  }
   return plan;
 }
 

@@ -11,45 +11,37 @@
 
 namespace catmark {
 
-/// Per-tuple precompute of the embed hot path, built in
-/// one thread-parallel pass over the key column (structure-of-arrays so the
-/// later per-row loops stream through flat memory):
-///
-///   - fit_words: the Section 3.2.1 fitness verdict H(T_j(K), k1) mod e == 0
-///     as a packed bitset, bit (j % 64) of fit_words[j / 64]; NULL keys are
-///     unfit. Apply passes walk fit rows by set-bit scanning (ForEachFitRow
-///     in core/fit_scan.h): one word test skips 64 unfit rows.
-///   - h1[j]: the fitness hash itself (valid iff row j is fit) — it also
-///     drives value selection, so it is computed once, not once per use.
-///   - payload_index[j]: the k2-derived wm_data position (valid iff row j is
-///     fit; only populated when the k2 position path is in use — the Figure
-///     1(b) embedding-map path assigns indices sequentially at apply time).
+/// One fit tuple of the embed plan: row j passed the Section 3.2.1 fitness
+/// test H(T_j(K), k1) mod e == 0 (NULL keys are never fit).
+///   - h1: the fitness hash itself — it also drives value selection, so it
+///     is computed once, not once per use.
+///   - payload_index: the k2-derived wm_data position, populated only when
+///     the k2 position path is in use (the Figure 1(b) embedding-map path
+///     assigns indices sequentially at apply time).
+struct FitTuple {
+  std::size_t row = 0;
+  std::uint64_t h1 = 0;
+  std::uint32_t payload_index = 0;
+};
+
+/// The embed plan: the ~N/e fit tuples of the relation as a sparse list,
+/// built in one thread-parallel pass over the key column.
 ///
 /// Every hash goes through the FitScanner (core/fit_scan.h) under the
 /// configured KeyedPrf backend (TuplePlanOptions::prf). A dictionary-encoded
 /// key column scans each live distinct dictionary entry once and fans the
 /// verdicts out through the code vector; a plain column scans its rows.
-/// Both row passes shard on 64-row boundaries, so no two workers write the
-/// same fit_words word.
+/// Either way the rows are split into contiguous shards and each shard
+/// appends its fit tuples to its own list, so `shards` holds every fit
+/// tuple in ascending row order when read list by list.
 struct TuplePlan {
-  std::vector<std::uint64_t> fit_words;  // (size() + 63) / 64 words
-  std::vector<std::uint64_t> h1;
-  std::vector<std::uint32_t> payload_index;
-  std::size_t fit_count = 0;
+  std::vector<std::vector<FitTuple>> shards;
 
   /// Messages the build pushed through the k1 PRF: live distinct dictionary
   /// entries on the cached path, non-NULL key rows otherwise. Feeds
   /// EmbedReport::messages_hashed, the same accounting the detect engine
   /// reports.
   std::size_t messages_hashed = 0;
-
-  /// Per-shard fit counts over the ShardBounds(size(), shard_fit.size())
-  /// row partition — the sharded embed apply pass prefix-sums these to
-  /// assign each committing tuple its global map index without a serial
-  /// counting pass (valid whenever no ledger filters fit tuples further).
-  std::vector<std::size_t> shard_fit;
-
-  std::size_t size() const { return h1.size(); }
 };
 
 /// Knobs of the plan build, separated from WatermarkParams because the PRF
@@ -59,8 +51,8 @@ struct TuplePlanOptions {
   /// Payload (|wm_data|) length; only consulted when `with_payload_index`
   /// is set, and must then be >= 1 and fit in 32 bits.
   std::size_t payload_len = 0;
-  /// Populate payload_index[] (the k2 position path). The Figure 1(b)
-  /// embedding-map path leaves it off.
+  /// Populate FitTuple::payload_index (the k2 position path). The Figure
+  /// 1(b) embedding-map path leaves it off.
   bool with_payload_index = false;
   /// Worker threads (0 = auto).
   std::size_t num_threads = 0;

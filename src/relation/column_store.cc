@@ -526,32 +526,6 @@ Status ColumnStore::FinalizeInstall(std::size_t num_rows) {
   return Status::OK();
 }
 
-BulkCodeWriter::BulkCodeWriter(ColumnStore& store, std::size_t col,
-                               std::size_t num_shards)
-    : store_(store), col_(col) {
-  CATMARK_CHECK_GE(num_shards, 1u);
-  ColumnStore::DictColumn& d = store_.dict_column(col_);
-  codes_ = &d.codes;
-  live_delta_.assign(num_shards,
-                     std::vector<std::int64_t>(d.dict.size(), 0));
-}
-
-BulkCodeWriter::~BulkCodeWriter() {
-  CATMARK_CHECK(finished_)
-      << "BulkCodeWriter destroyed with unreconciled live-count deltas";
-}
-
-void BulkCodeWriter::Finish() {
-  if (finished_) return;
-  finished_ = true;
-  ColumnStore::DictColumn& d = store_.dict_column(col_);
-  for (const std::vector<std::int64_t>& delta : live_delta_) {
-    for (std::size_t code = 0; code < delta.size(); ++code) {
-      d.live[code] += delta[code];
-    }
-  }
-}
-
 ColumnReader::ColumnReader(const ColumnStore& store, std::size_t col) {
   if (store.IsDictColumn(col)) {
     codes_ = &store.Codes(col);

@@ -224,7 +224,6 @@ class ColumnStore {
   Status FinalizeInstall(std::size_t num_rows);
 
  private:
-  friend class BulkCodeWriter;
   struct DictColumn {
     std::vector<std::int32_t> codes;   // per-row; kNullCode == NULL
     std::vector<Value> dict;           // code -> value, append-only
@@ -279,56 +278,6 @@ class ColumnStore {
   std::vector<std::uint8_t> scratch_;
   std::vector<std::int32_t> xlate_;
   std::vector<std::int32_t> translated_;
-};
-
-/// Bulk code-write path for sharded writers (the parallel embed apply
-/// pass). SetCode is not safe to call concurrently — every write touches
-/// the column's shared live-count array — so BulkCodeWriter splits the work:
-/// Write(shard, row, code) performs the raw per-row code-slot store plus a
-/// *shard-local* live-count delta, and Finish() reconciles the deltas into
-/// the dictionary's live counts in one serial pass. Concurrent Write calls
-/// are safe as long as (a) each row is written by at most one shard and
-/// (b) no other mutation of the store overlaps the writer's lifetime. The
-/// final store state is identical to issuing the same SetCode calls
-/// serially, in any order.
-class BulkCodeWriter {
- public:
-  /// All codes written must already be interned in `col`'s dictionary —
-  /// Write never grows it (interning mutates shared maps).
-  BulkCodeWriter(ColumnStore& store, std::size_t col, std::size_t num_shards);
-
-  /// Destructor CHECKs that Finish() ran: dropping pending deltas would
-  /// silently corrupt the live counts.
-  ~BulkCodeWriter();
-
-  BulkCodeWriter(const BulkCodeWriter&) = delete;
-  BulkCodeWriter& operator=(const BulkCodeWriter&) = delete;
-
-  /// Overwrites `row`'s code with `code` (must be a valid non-NULL code for
-  /// the column, checked) and records the live-count delta against `shard`.
-  void Write(std::size_t shard, std::size_t row, std::int32_t code) {
-    CATMARK_CHECK_LT(shard, live_delta_.size());
-    CATMARK_CHECK_LT(row, codes_->size());
-    CATMARK_CHECK(code >= 0 &&
-                  static_cast<std::size_t>(code) < live_delta_[shard].size());
-    std::vector<std::int64_t>& delta = live_delta_[shard];
-    const std::int32_t old = (*codes_)[row];
-    if (old >= 0) --delta[static_cast<std::size_t>(old)];
-    ++delta[static_cast<std::size_t>(code)];
-    (*codes_)[row] = code;
-  }
-
-  /// Serially folds every shard's live-count deltas into the dictionary.
-  /// Idempotent; Write must not be called afterwards.
-  void Finish();
-
- private:
-  ColumnStore& store_;
-  std::size_t col_;
-  std::vector<std::int32_t>* codes_;  // the column's per-row code slots
-  // live_delta_[shard][code]: net change in rows holding `code`.
-  std::vector<std::vector<std::int64_t>> live_delta_;
-  bool finished_ = false;
 };
 
 /// Cheap positional cursor over one column for hot loops: resolves the

@@ -24,7 +24,7 @@ namespace catmark {
 /// vector, so the relation must outlive the view, and codes interned *after*
 /// Build resolve to kNoIndex (the remap table does not cover them). Rows
 /// appended or removed after Build change size() accordingly. The embed
-/// apply pass relies on exactly this: it interns the domain's codes first,
+/// apply loop relies on exactly this: it interns the domain's codes first,
 /// builds the view, then reads each row's old index before overwriting it.
 class ValueIndexColumn {
  public:

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -353,6 +354,186 @@ TEST(CertificateTest, ValuesWithCommasSurvive) {
   EXPECT_TRUE(back == cert);
   EXPECT_TRUE(back.domain.Contains(Value("a,b=c")));
   EXPECT_TRUE(back.domain.Contains(Value("x\ny")));
+}
+
+// ------------------------------------------------------ hostile input fuzz
+
+// A parsed certificate must serialize back to itself, and certified
+// detection over it must come back as a Status — OK or not, never an
+// abort — whatever its fields claim.
+void ExpectParsedCertificateIsUsable(const WatermarkCertificate& cert,
+                                     const Relation& suspect,
+                                     const WatermarkKeySet& keys) {
+  const Result<WatermarkCertificate> again =
+      WatermarkCertificate::Deserialize(cert.Serialize());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(again.value() == cert);
+  const Result<CertifiedDetection> detected =
+      DetectWithCertificate(suspect, cert, keys);
+  if (!detected.ok()) {
+    EXPECT_FALSE(detected.status().message().empty());
+  }
+}
+
+Relation SmallSuspect() {
+  KeyedCategoricalConfig gen;
+  gen.num_tuples = 300;
+  gen.domain_size = 80;
+  gen.seed = 111;
+  return GenerateKeyedCategorical(gen);
+}
+
+// Random byte flips, truncations and splices of a real certificate. Every
+// mutation must parse to a Status; one that still parses must be usable.
+// Run under ASan in CI, this is the no-crash guarantee for the text a
+// claimant hands over.
+TEST(CertificateFuzzTest, CorruptedBytesNeverCrash) {
+  const CertTestData s = MakeSetup();
+  const Relation suspect = SmallSuspect();
+  const std::string text = s.cert.Serialize();
+  std::size_t parsed = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Xoshiro256ss rng(seed * 0x9E3779B97F4A7C15ULL + 3);
+    for (int trial = 0; trial < 60; ++trial) {
+      std::string mutated = text;
+      switch (rng.NextBounded(3)) {
+        case 0:  // flip 1-4 random bytes
+          for (std::size_t f = 1 + rng.NextBounded(4); f > 0; --f) {
+            mutated[rng.NextBounded(mutated.size())] =
+                static_cast<char>(rng.Next());
+          }
+          break;
+        case 1:  // truncate
+          mutated.resize(rng.NextBounded(mutated.size() + 1));
+          break;
+        case 2: {  // splice random bytes over a random range
+          const std::size_t at = rng.NextBounded(mutated.size());
+          const std::size_t len = std::min<std::size_t>(
+              rng.NextBounded(64), mutated.size() - at);
+          for (std::size_t i = 0; i < len; ++i) {
+            mutated[at + i] = static_cast<char>(rng.Next());
+          }
+          break;
+        }
+      }
+      const Result<WatermarkCertificate> cert =
+          WatermarkCertificate::Deserialize(mutated);
+      if (!cert.ok()) {
+        EXPECT_FALSE(cert.status().message().empty());
+        continue;
+      }
+      ++parsed;
+      ExpectParsedCertificateIsUsable(cert.value(), suspect, s.keys);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  // Some mutations land in free text (the description) and must still
+  // parse; the sweep is not only a rejection test.
+  EXPECT_GT(parsed, 0u);
+}
+
+// Field-grammar fuzz: certificates assembled line by line from the real
+// field names (plus unknown ones), each given a value that is valid for
+// some field or hostile for all — empty, signed, huge, non-numeric, NaN,
+// bad hex, stray '=' and ',', control bytes — with fields dropped,
+// duplicated and reordered, and blank or whitespace-padded lines; then the
+// forged identity-ECC / huge-payload / all-zero-mark combination.
+TEST(CertificateFuzzTest, FieldGrammarNeverCrashes) {
+  const CertTestData s = MakeSetup();
+  const Relation suspect = SmallSuspect();
+  // The real certificate's own lines, as (field, value) pairs.
+  std::vector<std::pair<std::string, std::string>> real;
+  {
+    const std::string text = s.cert.Serialize();
+    std::size_t pos = text.find('\n') + 1;
+    while (pos < text.size()) {
+      const std::size_t eol = text.find('\n', pos);
+      const std::string line = text.substr(pos, eol - pos);
+      pos = eol + 1;
+      const std::size_t eq = line.find('=');
+      real.emplace_back(line.substr(0, eq), line.substr(eq + 1));
+    }
+  }
+  std::vector<std::string> names;
+  std::vector<std::string> values;
+  for (const auto& [name, value] : real) {
+    names.push_back(name);
+    values.push_back(value);
+  }
+  names.insert(names.end(), {"", "E", "e ", " e", "domain2", "wm\x01"});
+  values.insert(
+      values.end(),
+      {"", "0", "1", "-1", "+1", "18446744073709551615",
+       "18446744073709551616", "4294967295", "4294967296", "1e3", "0x10",
+       "nan", "-inf", "1.5", "0.5,0.5", ",", ",,", "=", "a=b", "s:", "s:zz",
+       "i:", "i:1x", "d:", "s:6", "z:00", "0,1,2e-3", "modulo", "msb",
+       "identity", "block-repetition", "hamming74", "sha1", "siphash24",
+       "keyed-hash", "01", "102", "0000000000000000",
+       std::string(300, '1'), std::string(4096, 'f'), "\t", "\r", "\x7f",
+       "\xff\xfe", std::string("a\0b", 3)});
+
+  std::size_t parsed = 0;
+  Xoshiro256ss rng(0xCE27F1ULL);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string text = rng.NextBool(0.95) ? "catmark-certificate-v1\n"
+                                          : " catmark-certificate-v1 \r\n";
+    // Mostly the real fields in their order, each maybe dropped, replaced,
+    // duplicated, padded or moved; sometimes a pile of random lines.
+    std::vector<std::string> lines;
+    if (rng.NextBool(0.8)) {
+      for (const auto& [name, value] : real) {
+        if (rng.NextBool(0.05)) continue;
+        const std::string& v =
+            rng.NextBool(0.15) ? values[rng.NextBounded(values.size())]
+                               : value;
+        lines.push_back(name + "=" + v);
+        if (rng.NextBool(0.03)) lines.push_back(lines.back());
+      }
+      if (rng.NextBool(0.3) && lines.size() > 1) {
+        std::swap(lines[rng.NextBounded(lines.size())],
+                  lines[rng.NextBounded(lines.size())]);
+      }
+    } else {
+      for (std::size_t k = rng.NextBounded(20); k > 0; --k) {
+        lines.push_back(names[rng.NextBounded(names.size())] + "=" +
+                        values[rng.NextBounded(values.size())]);
+      }
+    }
+    for (const std::string& line : lines) {
+      if (rng.NextBool(0.02)) text += "\n";
+      if (rng.NextBool(0.02)) text += "  ";
+      text += line;
+      if (rng.NextBool(0.98)) text += "\n";
+    }
+    const Result<WatermarkCertificate> cert =
+        WatermarkCertificate::Deserialize(text);
+    if (!cert.ok()) {
+      EXPECT_FALSE(cert.status().message().empty());
+      continue;
+    }
+    ++parsed;
+    ExpectParsedCertificateIsUsable(cert.value(), suspect, s.keys);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(parsed, 0u);
+
+  // The forged combination that erases nearly every vote: identity ECC, the
+  // largest payload and an all-zero mark. It parses, and certified
+  // detection over it returns a verdict without allocating per slot.
+  std::string forged = s.cert.Serialize();
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"ecc", "identity"},
+           {"payload_length", "4294967295"},
+           {"wm", "0000000000000000"}}) {
+    const std::size_t begin = forged.find("\n" + key + "=") + 1;
+    const std::size_t end = forged.find('\n', begin);
+    forged.replace(begin, end - begin, key + "=" + value);
+  }
+  const Result<WatermarkCertificate> cert =
+      WatermarkCertificate::Deserialize(forged);
+  ASSERT_TRUE(cert.ok()) << cert.status().ToString();
+  ExpectParsedCertificateIsUsable(cert.value(), suspect, s.keys);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "exp/harness.h"
 #include "gen/sales_gen.h"
 #include "quality/plugins.h"
+#include "relation/csv.h"
 
 namespace catmark {
 namespace {
@@ -395,6 +396,85 @@ TEST(EmbedderTest, RejectsEExceedingRelationSize) {
   const Status status =
       embedder.Embed(rel, KA(), MakeWatermark(10, 27)).status();
   EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
+}
+
+// Regression: a caller domain holding a value of another type than the
+// target column used to fail only when the apply pass reached a tuple that
+// selected it — after earlier fit tuples had already been rewritten. The
+// domain is now checked before any cell is written.
+TEST(EmbedderTest, WronglyTypedDomainLeavesRelationUntouched) {
+  Relation rel(Schema::Create({{"K", ColumnType::kInt64, false},
+                               {"A", ColumnType::kString, true}},
+                              "K")
+                   .value());
+  const char* const labels[] = {"a", "b", "c", "d"};
+  for (int i = 0; i < 400; ++i) {
+    rel.AppendRowUnchecked(
+        {Value(static_cast<std::int64_t>(i)), Value(labels[i % 4])});
+  }
+  const Relation before = rel;
+  EmbedOptions options = KA();
+  options.domain = CategoricalDomain::FromValues({Value("a"), Value("b"),
+                                                  Value("c"), Value("d"),
+                                                  Value(std::int64_t{7})})
+                       .value();
+  for (const bool map_mode : {false, true}) {
+    options.build_embedding_map = map_mode;
+    WatermarkParams params;
+    params.e = 2;
+    const Embedder embedder(WatermarkKeySet::FromSeed(30), params);
+    const Status status =
+        embedder.Embed(rel, options, MakeWatermark(10, 30)).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_TRUE(rel.SameContent(before)) << "map=" << map_mode;
+    EXPECT_EQ(WriteCsvString(rel), WriteCsvString(before)) << "map=" << map_mode;
+  }
+}
+
+// The work counters `catmark embed` prints: every row is scanned, and the k1
+// PRF sees each non-NULL key row of a plain key column but each live
+// distinct value of a dictionary-encoded one.
+TEST(EmbedderTest, WorkCountersOnPlainAndDictKeys) {
+  Relation rel(Schema::Create({{"K", ColumnType::kInt64, false},
+                               {"C", ColumnType::kString, true},
+                               {"A", ColumnType::kString, true}},
+                              "")
+                   .value());
+  constexpr std::size_t kRows = 3000;
+  std::size_t null_keys = 0;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    Value k;
+    if (i % 11 == 0) {
+      ++null_keys;
+    } else {
+      k = Value(static_cast<std::int64_t>(i * 977));
+    }
+    // 37 distinct categorical keys, NULL on every 13th row.
+    Value c = i % 13 == 0 ? Value() : Value("c" + std::to_string(i % 37));
+    rel.AppendRowUnchecked(
+        {std::move(k), std::move(c), Value("v" + std::to_string(i % 9))});
+  }
+  rel.mutable_store().InternValue(1, Value("dead"));  // hashed by nobody
+  WatermarkParams params;
+  params.e = 5;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    params.num_threads = threads;
+    const Embedder embedder(WatermarkKeySet::FromSeed(31), params);
+    EmbedOptions plain = KA();
+    Relation a = rel;
+    const EmbedReport on_plain =
+        embedder.Embed(a, plain, MakeWatermark(10, 31)).value();
+    EXPECT_EQ(on_plain.rows_scanned, kRows);
+    EXPECT_EQ(on_plain.messages_hashed, kRows - null_keys);
+
+    EmbedOptions dict = KA();
+    dict.key_attr = "C";
+    Relation b = rel;
+    const EmbedReport on_dict =
+        embedder.Embed(b, dict, MakeWatermark(10, 31)).value();
+    EXPECT_EQ(on_dict.rows_scanned, kRows);
+    EXPECT_EQ(on_dict.messages_hashed, 37u);
+  }
 }
 
 TEST(EmbedderTest, NullKeysAreSkipped) {

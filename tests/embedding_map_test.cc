@@ -32,82 +32,6 @@ TEST(EmbeddingMapTest, HeterogeneousLookupMatchesValueLookup) {
           .has_value());
 }
 
-// ----------------------------------------------------- segment splicing
-
-EmbeddingMap::Segment::value_type Entry(const Value& pk, std::size_t idx) {
-  std::vector<std::uint8_t> scratch;
-  return {std::string(EmbeddingMap::SerializeKey(pk, scratch)), idx};
-}
-
-TEST(EmbeddingMapSegmentTest, SplicedSegmentsMatchSerialInserts) {
-  // The sharded apply pass splices per-shard segments in shard order; the
-  // result — including Serialize(), whose entry order reflects the map's
-  // internal layout — must be indistinguishable from the serial Insert
-  // sequence over the same entries.
-  EmbeddingMap serial;
-  for (int i = 0; i < 40; ++i) {
-    serial.Insert(Value(std::int64_t{i * 31}), static_cast<std::size_t>(i));
-  }
-
-  EmbeddingMap spliced;
-  EmbeddingMap::Segment a, b, c;
-  for (int i = 0; i < 13; ++i) {
-    a.push_back(Entry(Value(std::int64_t{i * 31}), i));
-  }
-  for (int i = 13; i < 14; ++i) {  // single-entry shard
-    b.push_back(Entry(Value(std::int64_t{i * 31}), i));
-  }
-  for (int i = 14; i < 40; ++i) {
-    c.push_back(Entry(Value(std::int64_t{i * 31}), i));
-  }
-  spliced.AppendSegment(std::move(a));
-  spliced.AppendSegment(std::move(b));
-  spliced.AppendSegment(std::move(c));
-
-  EXPECT_EQ(spliced.size(), serial.size());
-  EXPECT_EQ(spliced.Serialize(), serial.Serialize());
-}
-
-TEST(EmbeddingMapSegmentTest, EmptySegmentsAreNoOps) {
-  // All-skip shards splice empty segments — before, between and after
-  // non-empty ones.
-  EmbeddingMap map;
-  map.AppendSegment({});
-  EXPECT_TRUE(map.empty());
-  map.AppendSegment({Entry(Value("k"), 4)});
-  map.AppendSegment({});
-  EXPECT_EQ(map.size(), 1u);
-  EXPECT_EQ(map.Lookup(Value("k")).value(), 4u);
-}
-
-TEST(EmbeddingMapSegmentTest, DuplicateKeyAcrossSegmentsOverwritesLikeInsert) {
-  // Insert overwrites on re-insertion; a later segment must do the same so
-  // duplicate primary keys behave identically on both apply paths.
-  EmbeddingMap serial;
-  serial.Insert(Value("dup"), 1);
-  serial.Insert(Value("dup"), 9);
-
-  EmbeddingMap spliced;
-  spliced.AppendSegment({Entry(Value("dup"), 1)});
-  spliced.AppendSegment({Entry(Value("dup"), 9)});
-
-  EXPECT_EQ(spliced.size(), 1u);
-  EXPECT_EQ(spliced.Lookup(Value("dup")).value(), 9u);
-  EXPECT_EQ(spliced.Serialize(), serial.Serialize());
-}
-
-TEST(EmbeddingMapSegmentTest, SegmentsInterleaveWithInserts) {
-  // The serial fallback uses Insert while sharded runs splice segments; a
-  // map touched by both (e.g. two embedding passes with different thread
-  // counts) must stay coherent.
-  EmbeddingMap map;
-  map.Insert(Value(std::int64_t{1}), 0);
-  map.AppendSegment({Entry(Value(std::int64_t{2}), 1)});
-  map.Insert(Value(std::int64_t{3}), 2);
-  EXPECT_EQ(map.size(), 3u);
-  EXPECT_EQ(map.Lookup(Value(std::int64_t{2})).value(), 1u);
-}
-
 TEST(EmbeddingMapTest, SerializeDeserializeRoundTrip) {
   EmbeddingMap map;
   map.Insert(Value(std::int64_t{1}), 0);

@@ -1,13 +1,12 @@
 // Serial-vs-parallel parity: the pipelined embed/detect hot path must
 // produce bit-identical EmbedReport / DetectionResult / relation contents
 // for every thread count. Detection merges per-thread integer tallies;
-// embedding runs a two-phase sharded apply pass (parallel classify,
-// prefix-sum map-index assignment, parallel apply with spliced per-shard
-// map segments) whose every output — relation bytes, report counters,
-// serialized embedding map, ledger — must match the serial reference pass
-// exactly. The randomized suite below proves that over ~50 trials of
-// random schemas, domains, parameters and thread counts; run under TSan
-// with CATMARK_THREADS swept in CI to also prove data-race freedom.
+// embedding builds its fit list on parallel row shards and applies it in
+// row order, so every output — relation bytes, report counters, serialized
+// embedding map, ledger — must match the one-thread run exactly. The
+// randomized suite below checks that over ~50 trials of random schemas,
+// domains, parameters and thread counts; run under TSan with
+// CATMARK_THREADS swept in CI to also check data-race freedom.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +23,7 @@
 #include "crypto/siphash_simd.h"
 #include "exp/harness.h"
 #include "gen/sales_gen.h"
-#include "quality/assessor.h"
+#include "reference_scheme.h"
 #include "relation/csv.h"
 
 namespace catmark {
@@ -350,15 +349,15 @@ Relation StringKeyRelation(std::size_t n, std::uint64_t seed) {
   return rel;
 }
 
-// The fused embed pipeline (typed int64 key gather, arena fallback,
-// DivisibilityMask64 fitness verdicts, bitset classify/apply) swept over
-// SIMD dispatch level x thread count x key-column shape, in both k2-position
-// and embedding-map modes with a pre-marked ledger. Every cell must be
+// The embed pipeline (typed int64 key gather, arena fallback,
+// DivisibilityMask64 fitness verdicts, fit-list apply) swept over SIMD
+// dispatch level x thread count x key-column shape, in both k2-position and
+// embedding-map modes with a pre-marked ledger. Every cell must be
 // byte-identical — CSV snapshot, report counters, serialized embedding map,
-// ledger — to the serial scalar reference pass (force_serial_apply +
-// ForceSimdLevel(kScalar) + one thread). CI runs this under
-// CATMARK_SIMD={avx512,avx2,sse2,off} and TSan/ASan as well; the in-process
-// ForceSimdLevel sweep here covers levels the env clamp would hide.
+// ledger — to the row-by-row Figure 1 oracle (reference::ReferenceEmbed).
+// CI runs this under CATMARK_SIMD={avx512,avx2,sse2,off} and TSan/ASan as
+// well; the in-process ForceSimdLevel sweep here covers levels the env
+// clamp would hide.
 TEST(EmbedFastPathGridTest, BitIdenticalAcrossSimdLevelsAndThreads) {
   struct Flavor {
     const char* name;
@@ -400,20 +399,15 @@ TEST(EmbedFastPathGridTest, BitIdenticalAcrossSimdLevelsAndThreads) {
       params.prf = PrfKind::kSipHash24;
       params.min_category_keep = 0;
 
-      // Reference: the pre-fusion serial apply pass, scalar dispatch.
-      ForceSimdLevel(SimdLevel::kScalar);
-      params.num_threads = 1;
-      EmbedOptions ref_options = KA(map_mode);
-      ref_options.force_serial_apply = true;
+      // Reference: the Figure 1 oracle.
       Relation ref_rel = flavor.rel;
       EmbeddingLedger ref_ledger;
       premark(ref_ledger);
-      const EmbedReport ref = Embedder(keys, params)
-                                  .Embed(ref_rel, ref_options, wm, nullptr,
-                                         &ref_ledger)
-                                  .value();
-      EXPECT_EQ(ref.apply_shards, 1u);
-      const std::string ref_csv = WriteCsvString(ref_rel);
+      const Result<reference::ReferenceEmbedding> ref =
+          reference::ReferenceEmbed(
+              ref_rel, reference::EmbedInputsOf(keys, params, KA(map_mode)),
+              wm, &ref_ledger);
+      ASSERT_TRUE(ref.ok()) << ref.status().ToString();
 
       for (const SimdLevel level : kLevels) {
         for (const std::size_t threads : {1u, 2u, 8u}) {
@@ -426,18 +420,11 @@ TEST(EmbedFastPathGridTest, BitIdenticalAcrossSimdLevelsAndThreads) {
           Relation rel = flavor.rel;
           EmbeddingLedger ledger;
           premark(ledger);
-          const EmbedReport report = Embedder(keys, params)
-                                         .Embed(rel, KA(map_mode), wm,
-                                                nullptr, &ledger)
-                                         .value();
-          ExpectReportsEqual(ref, report);
-          EXPECT_EQ(WriteCsvString(rel), ref_csv);
-          EXPECT_EQ(ledger.size(), ref_ledger.size());
-          for (std::size_t j = 0; j < flavor.rel.NumRows(); ++j) {
-            ASSERT_EQ(ledger.IsMarked(j, kTargetCol),
-                      ref_ledger.IsMarked(j, kTargetCol))
-                << "row " << j;
-          }
+          const Result<EmbedReport> report =
+              Embedder(keys, params)
+                  .Embed(rel, KA(map_mode), wm, nullptr, &ledger);
+          reference::ExpectEmbedMatchesReference(report, rel, &ledger, ref,
+                                                 ref_rel, &ref_ledger, "grid");
         }
       }
       ForceSimdLevel(std::nullopt);
@@ -489,9 +476,9 @@ TrialConfig DrawTrialConfig(std::uint64_t trial_seed) {
   if (c.e > c.num_tuples) c.e = c.num_tuples;  // keep N/e >= 1
   c.wm_bits = draw(4, 24);
   // Explicit payloads must clear the ECC's minimum (|wm|); short ones force
-  // heavy map-index wraparound at shard boundaries.
+  // heavy map-index wraparound.
   c.payload_length = draw(0, 1) == 0 ? 0 : draw(c.wm_bits, c.wm_bits + 56);
-  const long keeps[] = {0, 0, 1, 3};  // bias 0: sharded map path coverage
+  const long keeps[] = {0, 0, 1, 3};
   c.min_category_keep = keeps[draw(0, 3)];
   c.map_mode = draw(0, 1) == 1;
   c.ledger_stride = draw(0, 2) == 0 ? draw(3, 17) : 0;
@@ -516,13 +503,12 @@ Relation MakeTrialRelation(const TrialConfig& c) {
 }
 
 // ~50 seeded trials over random schemas, domain sizes, e/bandwidth
-// parameters and thread counts {1, 2, 3, 8}: the sharded apply pass must
-// reproduce the serial reference byte-for-byte — relation CSV snapshot,
+// parameters and thread counts {1, 2, 3, 8}: every thread count must
+// reproduce the one-thread embedding byte-for-byte — relation CSV snapshot,
 // every report counter, the serialized embedding map and the ledger.
-TEST(RandomizedParityTest, SerialAndShardedEmbedAreBitIdentical) {
+TEST(RandomizedParityTest, EmbedIsBitIdenticalAcrossThreadCounts) {
   constexpr std::uint64_t kSuiteSeed = 0x5104'2004'0301ull;
   constexpr int kTrials = 50;
-  int sharded_trials = 0;
 
   for (int trial = 0; trial < kTrials; ++trial) {
     const TrialConfig c = DrawTrialConfig(kSuiteSeed + trial);
@@ -567,7 +553,6 @@ TEST(RandomizedParityTest, SerialAndShardedEmbedAreBitIdentical) {
                    c.ledger_stride != 0 ? &serial_ledger : nullptr);
     ASSERT_TRUE(serial_result.ok()) << serial_result.status().ToString();
     const EmbedReport& serial = serial_result.value();
-    EXPECT_EQ(serial.apply_shards, 1u);
     const std::string serial_csv = WriteCsvString(serial_rel);
 
     for (const std::size_t threads : {2u, 3u, 8u}) {
@@ -591,189 +576,7 @@ TEST(RandomizedParityTest, SerialAndShardedEmbedAreBitIdentical) {
             << "row " << j << " threads=" << threads;
       }
 
-      // Pin the path: map mode with the draining guard falls back to the
-      // serial apply pass; everything else shards.
-      const bool expect_serial = c.map_mode && c.min_category_keep > 0;
-      EXPECT_EQ(report.apply_shards, expect_serial ? 1u : threads)
-          << "threads=" << threads;
-      if (!expect_serial) ++sharded_trials;
     }
-  }
-  // The draw is biased so the sharded pipeline gets real coverage.
-  EXPECT_GE(sharded_trials, kTrials);
-}
-
-// --------------------------------------- sharded apply edge-case pinning
-
-WatermarkParams MapPathParams(std::size_t threads) {
-  WatermarkParams params;
-  params.e = 1;  // every tuple fit: maximal shard occupancy
-  params.min_category_keep = 0;  // guard off: sharded map path engages
-  params.num_threads = threads;
-  return params;
-}
-
-void ExpectEmbedMatchesSerial(const Relation& base,
-                              const WatermarkParams& parallel_params,
-                              const EmbedOptions& options,
-                              const BitVector& wm,
-                              EmbeddingLedger* serial_ledger = nullptr,
-                              EmbeddingLedger* parallel_ledger = nullptr,
-                              std::size_t expect_shards = 0) {
-  WatermarkParams serial_params = parallel_params;
-  serial_params.num_threads = 1;
-  Relation serial_rel = base;
-  const EmbedReport serial = Embedder(WatermarkKeySet::FromSeed(7),
-                                      serial_params)
-                                 .Embed(serial_rel, options, wm, nullptr,
-                                        serial_ledger)
-                                 .value();
-  EXPECT_EQ(serial.apply_shards, 1u);
-
-  Relation rel = base;
-  const EmbedReport report = Embedder(WatermarkKeySet::FromSeed(7),
-                                      parallel_params)
-                                 .Embed(rel, options, wm, nullptr,
-                                        parallel_ledger)
-                                 .value();
-  if (expect_shards != 0) {
-    EXPECT_EQ(report.apply_shards, expect_shards);
-  }
-  ExpectReportsEqual(serial, report);
-  EXPECT_EQ(WriteCsvString(rel), WriteCsvString(serial_rel));
-}
-
-TEST(ShardedApplyEdgeCaseTest, SingleTupleShards) {
-  // n = 5 with 8 requested workers: EffectiveThreadCount caps at one tuple
-  // per shard; every shard's map segment holds at most one entry.
-  const Relation base = StandardRelation(5, 51);
-  ExpectEmbedMatchesSerial(base, MapPathParams(8), KA(/*map=*/true),
-                           MakeWatermark(4, 51), nullptr, nullptr,
-                           /*expect_shards=*/5);
-}
-
-TEST(ShardedApplyEdgeCaseTest, AllSkipShards) {
-  // Every cell pre-marked in the ledger: all shards classify all tuples as
-  // ledger skips, every segment splices empty, the map stays empty.
-  const Relation base = StandardRelation(400, 52);
-  EmbeddingLedger serial_ledger;
-  EmbeddingLedger parallel_ledger;
-  for (std::size_t j = 0; j < base.NumRows(); ++j) {
-    serial_ledger.Mark(j, 1);
-    parallel_ledger.Mark(j, 1);
-  }
-  WatermarkParams params = MapPathParams(8);
-  WatermarkParams serial_params = params;
-  serial_params.num_threads = 1;
-
-  Relation serial_rel = base;
-  const EmbedReport serial =
-      Embedder(WatermarkKeySet::FromSeed(7), serial_params)
-          .Embed(serial_rel, KA(/*map=*/true), MakeWatermark(4, 52), nullptr,
-                 &serial_ledger)
-          .value();
-  Relation rel = base;
-  const EmbedReport report =
-      Embedder(WatermarkKeySet::FromSeed(7), params)
-          .Embed(rel, KA(/*map=*/true), MakeWatermark(4, 52), nullptr,
-                 &parallel_ledger)
-          .value();
-  EXPECT_EQ(report.apply_shards, 8u);
-  ExpectReportsEqual(serial, report);
-  EXPECT_EQ(report.embedding_map.size(), 0u);
-  EXPECT_EQ(report.skipped_by_ledger, report.fit_tuples);
-  EXPECT_EQ(report.altered_tuples, 0u);
-  EXPECT_EQ(WriteCsvString(rel), WriteCsvString(base));
-}
-
-TEST(ShardedApplyEdgeCaseTest, EmptyShards) {
-  // e = 50 over 200 tuples: only a handful are fit, so several shards carry
-  // zero commits and contribute nothing to the prefix sum.
-  const Relation base = StandardRelation(200, 53);
-  WatermarkParams params = MapPathParams(8);
-  params.e = 50;
-  ExpectEmbedMatchesSerial(base, params, KA(/*map=*/true),
-                           MakeWatermark(4, 53), nullptr, nullptr,
-                           /*expect_shards=*/8);
-}
-
-TEST(ShardedApplyEdgeCaseTest, PayloadIndexWraparoundAtShardBoundaries) {
-  // payload_length = 3 against ~64 commits: the running map index wraps the
-  // payload many times per shard and most shards start mid-cycle — their
-  // prefix-sum base must continue the cycle exactly where the previous
-  // shard left it.
-  const Relation base = StandardRelation(64, 54);
-  WatermarkParams params = MapPathParams(8);
-  params.payload_length = 3;
-  ExpectEmbedMatchesSerial(base, params, KA(/*map=*/true),
-                           MakeWatermark(3, 54), nullptr, nullptr,
-                           /*expect_shards=*/8);
-}
-
-TEST(ShardedApplyEdgeCaseTest, HashPathWithDrainingGuard) {
-  // k2 positions + draining guard: parallel classify, serial guard
-  // resolution over running counts, parallel apply. A small skewed domain
-  // makes the guard actually veto alterations.
-  KeyedCategoricalConfig config;
-  config.num_tuples = 2000;
-  config.domain_size = 6;
-  config.zipf_s = 1.3;
-  config.seed = 55;
-  const Relation base = GenerateKeyedCategorical(config);
-  WatermarkParams params;
-  params.e = 2;
-  params.min_category_keep = 40;
-  params.num_threads = 8;
-  ExpectEmbedMatchesSerial(base, params, KA(/*map=*/false),
-                           MakeWatermark(6, 55), nullptr, nullptr,
-                           /*expect_shards=*/8);
-}
-
-TEST(ShardedApplyEdgeCaseTest, SerialFallbackPinning) {
-  const Relation base = StandardRelation(500, 56);
-  const BitVector wm = MakeWatermark(4, 56);
-  const WatermarkKeySet keys = WatermarkKeySet::FromSeed(7);
-
-  // num_threads == 1: serial semantics preserved by definition.
-  {
-    WatermarkParams params = MapPathParams(1);
-    Relation rel = base;
-    EXPECT_EQ(Embedder(keys, params).Embed(rel, KA(), wm).value().apply_shards,
-              1u);
-  }
-  // Map mode with the draining guard on: bit positions depend on guard
-  // verdicts, so the sharded pipeline must refuse.
-  {
-    WatermarkParams params = MapPathParams(8);
-    params.min_category_keep = 1;
-    Relation rel = base;
-    EXPECT_EQ(Embedder(keys, params)
-                  .Embed(rel, KA(/*map=*/true), wm)
-                  .value()
-                  .apply_shards,
-              1u);
-  }
-  // A quality assessor (even plugin-less, it logs every alteration for
-  // rollback): stateful, serial.
-  {
-    WatermarkParams params = MapPathParams(8);
-    Relation rel = base;
-    QualityAssessor assessor;
-    ASSERT_TRUE(assessor.Begin(rel).ok());
-    EXPECT_EQ(Embedder(keys, params)
-                  .Embed(rel, KA(), wm, &assessor)
-                  .value()
-                  .apply_shards,
-              1u);
-  }
-  // k2 mode with the guard on still shards (guard resolution is the cheap
-  // serial scan between the parallel phases).
-  {
-    WatermarkParams params = MapPathParams(8);
-    params.min_category_keep = 1;
-    Relation rel = base;
-    EXPECT_EQ(Embedder(keys, params).Embed(rel, KA(), wm).value().apply_shards,
-              8u);
   }
 }
 

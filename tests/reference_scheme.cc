@@ -1,11 +1,16 @@
 #include "reference_scheme.h"
 
+#include <gtest/gtest.h>
+
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 
 #include "crypto/prf.h"
+#include "ecc/code.h"
+#include "relation/csv.h"
 
 namespace catmark {
 namespace reference {
@@ -237,6 +242,197 @@ Result<ReferenceDetection> ReferenceDetect(const Relation& rel,
   const Status decoded = DenseDecode(payload, in.wm_len, in.ecc, out);
   if (!decoded.ok()) return decoded;
   return out;
+}
+
+ReferenceEmbedInputs EmbedInputsOf(const WatermarkKeySet& keys,
+                                   const WatermarkParams& params,
+                                   const EmbedOptions& options) {
+  ReferenceEmbedInputs in;
+  in.key_attr = options.key_attr;
+  in.target_attr = options.target_attr;
+  in.domain = options.domain;
+  in.keys = keys;
+  in.e = params.e;
+  EXPECT_TRUE(params.prf.has_value()) << "the oracle needs an explicit PRF";
+  in.prf = params.prf.value_or(PrfKind::kKeyedHash);
+  in.hash_algo = params.hash_algo;
+  in.ecc = params.ecc;
+  in.bit_index_mode = params.bit_index_mode;
+  in.payload_length = params.payload_length;
+  in.min_category_keep = params.min_category_keep;
+  in.build_embedding_map = options.build_embedding_map;
+  return in;
+}
+
+Result<ReferenceEmbedding> ReferenceEmbed(Relation& rel,
+                                          const ReferenceEmbedInputs& in,
+                                          const BitVector& wm,
+                                          EmbeddingLedger* ledger) {
+  if (in.e == 0) return Status::InvalidArgument("e must be >= 1");
+  if (wm.empty()) return Status::InvalidArgument("empty watermark");
+  const int key_col = rel.schema().ColumnIndex(in.key_attr);
+  const int target_col = rel.schema().ColumnIndex(in.target_attr);
+  if (key_col < 0 || target_col < 0) {
+    return Status::NotFound("unknown attribute");
+  }
+  const std::size_t key = static_cast<std::size_t>(key_col);
+  const std::size_t target = static_cast<std::size_t>(target_col);
+  const std::size_t n = rel.NumRows();
+  if (n == 0) return Status::FailedPrecondition("empty relation");
+  if (n / in.e == 0) return Status::FailedPrecondition("N/e == 0");
+
+  ReferenceEmbedding out;
+  out.num_tuples = n;
+  if (in.domain.has_value()) {
+    out.domain = *in.domain;
+  } else {
+    std::set<Value> distinct;
+    for (std::size_t j = 0; j < n; ++j) {
+      const Value v = rel.Get(j, target);
+      if (!v.is_null()) distinct.insert(v);
+    }
+    Result<CategoricalDomain> recovered = CategoricalDomain::FromValues(
+        std::vector<Value>(distinct.begin(), distinct.end()));
+    if (!recovered.ok()) return recovered.status();
+    out.domain = std::move(recovered).value();
+  }
+  const std::size_t domain_size = out.domain.size();
+  if (domain_size < 2) {
+    return Status::FailedPrecondition("domain has fewer than 2 values");
+  }
+  for (std::size_t t = 0; t < domain_size; ++t) {
+    if (!out.domain.value(t).MatchesType(rel.schema().column(target).type)) {
+      return Status::InvalidArgument("domain value of the wrong type");
+    }
+  }
+
+  std::size_t len = in.payload_length;
+  if (len == 0) len = n / in.e > wm.size() ? n / in.e : wm.size();
+  out.payload_length = len;
+  Result<BitVector> wm_data = CreateEcc(in.ecc)->Encode(wm, len);
+  if (!wm_data.ok()) return wm_data.status();
+
+  const std::unique_ptr<KeyedPrf> k1 =
+      CreateKeyedPrf(in.prf, in.keys.k1, in.hash_algo);
+  const std::unique_ptr<KeyedPrf> k2 =
+      CreateKeyedPrf(in.prf, in.keys.k2, in.hash_algo);
+
+  // t such that value == a_t, for the domain's own values only.
+  std::map<Value, std::size_t> index_of;
+  for (std::size_t t = 0; t < domain_size; ++t) {
+    index_of.emplace(out.domain.value(t), t);
+  }
+  const auto domain_index = [&](const Value& v) -> std::optional<std::size_t> {
+    const auto it = index_of.find(v);
+    if (it == index_of.end()) return std::nullopt;
+    return it->second;
+  };
+
+  // Occurrences of each domain value, for the category-drain guard.
+  std::vector<long> count(domain_size, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::optional<std::size_t> t = domain_index(rel.Get(j, target));
+    if (t.has_value()) ++count[*t];
+  }
+
+  // wm_embed, one tuple T_j at a time.
+  std::vector<bool> written(len, false);
+  std::size_t map_index = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const Value k = rel.Get(j, key);
+    if (k.is_null()) continue;  // no key, no fitness
+    // if (H(T_j(K), k1) mod e == 0) the tuple is fit.
+    const std::uint64_t h1 = Prf(*k1, k);
+    if (h1 % in.e != 0) continue;
+    ++out.fit_tuples;
+    if (ledger != nullptr && ledger->IsMarked(j, target)) {
+      ++out.skipped_by_ledger;
+      continue;
+    }
+    // Its wm_data position: H(T_j(K), k2) reduced to [0, L), or the next
+    // embedding-map index.
+    const std::size_t slot = in.build_embedding_map
+                                 ? map_index % len
+                                 : SlotOf(Prf(*k2, k), len, in.bit_index_mode);
+    // t = H(T_j(K), k1) mod |D| with its LSB forced to the bit; one past
+    // the end steps back 2, keeping the LSB.
+    std::size_t t = h1 % domain_size;
+    t = wm_data.value().Get(slot) == 1 ? (t | 1) : (t & ~std::size_t{1});
+    if (t >= domain_size) t -= 2;
+
+    const std::optional<std::size_t> old = domain_index(rel.Get(j, target));
+    if (old == t) {
+      ++out.unchanged_tuples;
+    } else {
+      if (in.min_category_keep > 0 && old.has_value() &&
+          count[*old] <= in.min_category_keep) {
+        ++out.skipped_by_domain_guard;
+        continue;
+      }
+      const Status set = rel.Set(j, target, out.domain.value(t));
+      if (!set.ok()) return set;
+      if (old.has_value()) --count[*old];
+      ++count[t];
+      ++out.altered_tuples;
+    }
+    if (!written[slot]) {
+      written[slot] = true;
+      ++out.positions_written;
+    }
+    if (in.build_embedding_map) {
+      out.embedding_map.Insert(k, slot);
+      ++map_index;
+    }
+    if (ledger != nullptr) ledger->Mark(j, target);
+  }
+  return out;
+}
+
+void ExpectEmbedMatchesReference(const Result<EmbedReport>& got,
+                                 const Relation& got_rel,
+                                 const EmbeddingLedger* got_ledger,
+                                 const Result<ReferenceEmbedding>& want,
+                                 const Relation& want_rel,
+                                 const EmbeddingLedger* want_ledger,
+                                 const std::string& where) {
+  ASSERT_EQ(got.ok(), want.ok())
+      << where << ": pipeline "
+      << (got.ok() ? "OK" : got.status().ToString()) << " vs reference "
+      << (want.ok() ? "OK" : want.status().ToString());
+  EXPECT_EQ(WriteCsvString(got_rel), WriteCsvString(want_rel)) << where;
+  ASSERT_EQ(got_ledger == nullptr, want_ledger == nullptr) << where;
+  if (got_ledger != nullptr) {
+    EXPECT_EQ(got_ledger->size(), want_ledger->size()) << where;
+    for (std::size_t j = 0; j < got_rel.NumRows(); ++j) {
+      for (std::size_t c = 0; c < got_rel.schema().num_columns(); ++c) {
+        ASSERT_EQ(got_ledger->IsMarked(j, c), want_ledger->IsMarked(j, c))
+            << where << " ledger cell (" << j << ", " << c << ")";
+      }
+    }
+  }
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << where;
+    return;
+  }
+  const EmbedReport& g = got.value();
+  const ReferenceEmbedding& w = want.value();
+  EXPECT_EQ(g.num_tuples, w.num_tuples) << where;
+  EXPECT_EQ(g.rows_scanned, w.num_tuples) << where;
+  EXPECT_EQ(g.fit_tuples, w.fit_tuples) << where;
+  EXPECT_EQ(g.altered_tuples, w.altered_tuples) << where;
+  EXPECT_EQ(g.unchanged_tuples, w.unchanged_tuples) << where;
+  EXPECT_EQ(g.skipped_by_quality, 0u) << where;
+  EXPECT_EQ(g.skipped_by_ledger, w.skipped_by_ledger) << where;
+  EXPECT_EQ(g.skipped_by_domain_guard, w.skipped_by_domain_guard) << where;
+  EXPECT_EQ(g.payload_length, w.payload_length) << where;
+  EXPECT_EQ(g.positions_written, w.positions_written) << where;
+  EXPECT_EQ(g.alteration_fraction,
+            static_cast<double>(w.altered_tuples) /
+                static_cast<double>(w.num_tuples))
+      << where;
+  EXPECT_TRUE(g.domain == w.domain) << where;
+  EXPECT_EQ(g.embedding_map.Serialize(), w.embedding_map.Serialize())
+      << where;
 }
 
 }  // namespace reference

@@ -1,7 +1,7 @@
 // The plan build: for every PRF backend and thread count, both key-column
 // paths (plain rows, and live dictionary entries fanned out by code) must
-// be bit-identical to a one-value-at-a-time reference loop, and results
-// must not depend on the worker count.
+// list exactly the fit tuples a one-value-at-a-time reference loop finds,
+// in row order, and the list must not depend on the worker count.
 
 #include <gtest/gtest.h>
 
@@ -48,16 +48,31 @@ Relation MixedKeyRelation(std::size_t n) {
   return rel;
 }
 
-bool IsFit(const TuplePlan& plan, std::size_t j) {
-  return (plan.fit_words[j / 64] >> (j % 64)) & 1;
+// The plan's shard lists, concatenated: every fit tuple in row order.
+std::vector<FitTuple> FitList(const TuplePlan& plan) {
+  std::vector<FitTuple> all;
+  for (const std::vector<FitTuple>& shard : plan.shards) {
+    all.insert(all.end(), shard.begin(), shard.end());
+  }
+  return all;
+}
+
+void ExpectFitListsEqual(const std::vector<FitTuple>& a,
+                         const std::vector<FitTuple>& b,
+                         const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].row, b[i].row) << label << " entry " << i;
+    EXPECT_EQ(a[i].h1, b[i].h1) << label << " entry " << i;
+    EXPECT_EQ(a[i].payload_index, b[i].payload_index)
+        << label << " entry " << i;
+  }
 }
 
 void ExpectPlansEqual(const TuplePlan& a, const TuplePlan& b,
                       const std::string& label) {
-  EXPECT_EQ(a.fit_words, b.fit_words) << label;
-  EXPECT_EQ(a.h1, b.h1) << label;
-  EXPECT_EQ(a.payload_index, b.payload_index) << label;
-  EXPECT_EQ(a.fit_count, b.fit_count) << label;
+  ExpectFitListsEqual(FitList(a), FitList(b), label);
+  EXPECT_EQ(a.messages_hashed, b.messages_hashed) << label;
 }
 
 TuplePlanOptions PlanOptions(PrfKind prf, std::size_t threads) {
@@ -69,8 +84,8 @@ TuplePlanOptions PlanOptions(PrfKind prf, std::size_t threads) {
   return options;
 }
 
-// Thread-count invariance of both paths (shard_fit differs by construction;
-// the per-row fields must not).
+// Thread-count invariance of both paths (the shard lists differ by
+// construction; their concatenation must not).
 TEST(TuplePlanTest, PlanIsThreadCountInvariant) {
   const Relation rel = MixedKeyRelation(3000);
   const WatermarkKeySet keys = testutil::TestKeys();
@@ -111,30 +126,21 @@ TEST(TuplePlanTest, BatchPathMatchesSingleShotReference) {
       const TuplePlan plan = BuildTuplePlan(rel, key_col, keys, params,
                                             PlanOptions(prf_kind, 2));
       HashScratch scratch;
-      std::size_t fit_count = 0;
+      std::vector<FitTuple> want;
       std::size_t hashed = 0;
       for (std::size_t j = 0; j < rel.NumRows(); ++j) {
         const Value& key = rel.Get(j, key_col);
-        if (key.is_null()) {
-          EXPECT_FALSE(IsFit(plan, j)) << label << " row " << j;
-          continue;
-        }
+        if (key.is_null()) continue;
         ++hashed;
         const std::uint64_t h1 = HashValue(*prf_k1, key, scratch);
-        if (h1 % params.e != 0) {
-          EXPECT_FALSE(IsFit(plan, j)) << label << " row " << j;
-          continue;
-        }
-        ++fit_count;
-        ASSERT_TRUE(IsFit(plan, j)) << label << " row " << j;
-        EXPECT_EQ(plan.h1[j], h1) << label << " row " << j;
-        EXPECT_EQ(plan.payload_index[j],
-                  PayloadIndexFromHash(HashValue(*prf_k2, key, scratch), 64,
-                                       params.bit_index_mode))
-            << label << " row " << j;
+        if (h1 % params.e != 0) continue;
+        want.push_back({j, h1,
+                        static_cast<std::uint32_t>(PayloadIndexFromHash(
+                            HashValue(*prf_k2, key, scratch), 64,
+                            params.bit_index_mode))});
       }
-      EXPECT_EQ(plan.fit_count, fit_count) << label;
-      EXPECT_GT(fit_count, 0u) << label;
+      EXPECT_GT(want.size(), 0u) << label;
+      ExpectFitListsEqual(FitList(plan), want, label);
       // The plain path hashes every non-NULL row; the dict path each live
       // distinct entry once (47 categories, the dead entry skipped).
       EXPECT_EQ(plan.messages_hashed, key_col == 0 ? hashed : 47u) << label;
@@ -153,13 +159,17 @@ TEST(TuplePlanTest, BackendsSelectDifferentTuples) {
                                      PlanOptions(PrfKind::kKeyedHash, 1));
   const TuplePlan sip = BuildTuplePlan(rel, 0, keys, params,
                                       PlanOptions(PrfKind::kSipHash24, 1));
-  EXPECT_NE(kh.fit_words, sip.fit_words);
+  std::vector<std::size_t> kh_rows;
+  std::vector<std::size_t> sip_rows;
+  for (const FitTuple& f : FitList(kh)) kh_rows.push_back(f.row);
+  for (const FitTuple& f : FitList(sip)) sip_rows.push_back(f.row);
+  EXPECT_NE(kh_rows, sip_rows);
 }
 
-// shard_fit must count the fit rows of each ShardBounds shard exactly, on
-// both paths (the sharded map-mode embed depends on it), including thread
-// counts whose row shards do not fall on 64-row word boundaries.
-TEST(TuplePlanTest, ShardFitSumsToFitCount) {
+// One list per ShardBounds row shard, each ascending and inside its
+// shard's rows, on both paths — including thread counts whose shards are
+// uneven and shards too small to hold a fit tuple.
+TEST(TuplePlanTest, ShardListsFollowRowShards) {
   const Relation rel = MixedKeyRelation(2000);
   const WatermarkKeySet keys = testutil::TestKeys();
   WatermarkParams params;
@@ -169,20 +179,42 @@ TEST(TuplePlanTest, ShardFitSumsToFitCount) {
       const TuplePlan plan =
           BuildTuplePlan(rel, key_col, keys, params,
                          PlanOptions(PrfKind::kSipHash24, threads));
-      ASSERT_EQ(plan.shard_fit.size(), threads);
+      ASSERT_EQ(plan.shards.size(), threads);
       const std::vector<std::size_t> bounds =
           ShardBounds(rel.NumRows(), threads);
-      std::size_t sum = 0;
       for (std::size_t s = 0; s < threads; ++s) {
-        std::size_t fit = 0;
-        for (std::size_t j = bounds[s]; j < bounds[s + 1]; ++j) {
-          fit += IsFit(plan, j);
+        const std::vector<FitTuple>& list = plan.shards[s];
+        for (std::size_t i = 0; i < list.size(); ++i) {
+          EXPECT_GE(list[i].row, bounds[s]) << "col=" << key_col;
+          EXPECT_LT(list[i].row, bounds[s + 1]) << "col=" << key_col;
+          if (i > 0) {
+            EXPECT_LT(list[i - 1].row, list[i].row);
+          }
         }
-        EXPECT_EQ(plan.shard_fit[s], fit)
-            << "col=" << key_col << " shard " << s;
-        sum += fit;
       }
-      EXPECT_EQ(sum, plan.fit_count);
+    }
+  }
+}
+
+// The map path asks for no k2 positions: the fit set is the same, and every
+// payload_index stays 0.
+TEST(TuplePlanTest, NoPayloadIndexWithoutK2) {
+  const Relation rel = MixedKeyRelation(1500);
+  const WatermarkKeySet keys = testutil::TestKeys();
+  WatermarkParams params;
+  params.e = 3;
+  for (const std::size_t key_col : {std::size_t{0}, std::size_t{1}}) {
+    TuplePlanOptions options = PlanOptions(PrfKind::kSipHash24, 2);
+    const std::vector<FitTuple> with_k2 =
+        FitList(BuildTuplePlan(rel, key_col, keys, params, options));
+    options.with_payload_index = false;
+    const std::vector<FitTuple> without =
+        FitList(BuildTuplePlan(rel, key_col, keys, params, options));
+    ASSERT_EQ(without.size(), with_k2.size()) << "col=" << key_col;
+    for (std::size_t i = 0; i < without.size(); ++i) {
+      EXPECT_EQ(without[i].row, with_k2[i].row);
+      EXPECT_EQ(without[i].h1, with_k2[i].h1);
+      EXPECT_EQ(without[i].payload_index, 0u);
     }
   }
 }
