@@ -701,7 +701,11 @@ int Run(const ExperimentConfig& config) {
   // service actually runs in, and carry the s8 >= s1 CHECK the cold grid
   // cannot: with warm caches a multi-session fan-out must never run slower
   // than a single session on the same stream (0.8 factor absorbs scheduler
-  // noise on small CI hosts).
+  // noise on small CI hosts). Below kStreamRatioCheckRows the timed region
+  // is a few milliseconds per pass and the ratio is timing noise (a
+  // `--n 2000 --passes 1` smoke run aborted on it about half the time), so
+  // smaller runs print the ratio instead of checking it.
+  constexpr std::size_t kStreamRatioCheckRows = 200000;
   constexpr PrfKind kStreamPrfSweep[] = {PrfKind::kKeyedHash,
                                          PrfKind::kSipHash24};
   constexpr std::size_t kNumStreamPrfs = std::size(kStreamPrfSweep);
@@ -748,6 +752,15 @@ int Run(const ExperimentConfig& config) {
         best = std::max(best, run_once());
       }
       (sessions == 1 ? stream_prf_s1_tps : stream_prf_s8_tps)[p] = best;
+    }
+    if (config.num_tuples < kStreamRatioCheckRows) {
+      std::printf("warm stream %s: %zu-session / 1-session throughput %.2f "
+                  "(not checked below %zu rows)\n",
+                  std::string(PrfKindName(kStreamPrfSweep[p])).c_str(),
+                  kStreamSessions,
+                  stream_prf_s8_tps[p] / stream_prf_s1_tps[p],
+                  kStreamRatioCheckRows);
+      continue;
     }
     CATMARK_CHECK(stream_prf_s8_tps[p] >= 0.8 * stream_prf_s1_tps[p])
         << "warm " << kStreamSessions << "-session stream under "

@@ -5,30 +5,53 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <string>
+
+#include "common/bits.h"
 #include "core/codec.h"
 #include "core/detector.h"
 #include "core/embedder.h"
 #include "core/freq_mark.h"
 #include "crypto/keyed_hash.h"
+#include "crypto/prf.h"
 #include "exp/harness.h"
 #include "gen/sales_gen.h"
 
 namespace catmark {
 namespace {
 
+// One single-shot Hash64 over an 8-byte big-endian counter, per backend
+// (and, for keyed-hash, per hash algorithm): args are (PrfKind, algorithm).
 void BM_KeyedHash64(benchmark::State& state) {
-  const KeyedHasher hasher(SecretKey::FromSeed(1),
-                           static_cast<HashAlgorithm>(state.range(0)));
+  const auto kind = static_cast<PrfKind>(state.range(0));
+  const auto algo = static_cast<HashAlgorithm>(state.range(1));
+  const std::unique_ptr<KeyedPrf> prf =
+      CreateKeyedPrf(kind, SecretKey::FromSeed(1), algo);
+  std::string label(PrfKindName(kind));
+  if (kind == PrfKind::kKeyedHash) {
+    label += "/" + std::string(HashAlgorithmName(algo));
+  }
+  state.SetLabel(label);
   std::uint64_t v = 0;
+  std::uint8_t be[8];
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hasher.Hash64(v++));
+    StoreBigEndian64(v++, be);
+    benchmark::DoNotOptimize(prf->Hash64(be, sizeof(be)));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_KeyedHash64)
-    ->Arg(static_cast<int>(HashAlgorithm::kMd5))
-    ->Arg(static_cast<int>(HashAlgorithm::kSha1))
-    ->Arg(static_cast<int>(HashAlgorithm::kSha256));
+    ->Args({static_cast<int>(PrfKind::kKeyedHash),
+            static_cast<int>(HashAlgorithm::kMd5)})
+    ->Args({static_cast<int>(PrfKind::kKeyedHash),
+            static_cast<int>(HashAlgorithm::kSha1)})
+    ->Args({static_cast<int>(PrfKind::kKeyedHash),
+            static_cast<int>(HashAlgorithm::kSha256)})
+    ->Args({static_cast<int>(PrfKind::kHmacSha256),
+            static_cast<int>(HashAlgorithm::kSha256)})
+    ->Args({static_cast<int>(PrfKind::kSipHash24),
+            static_cast<int>(HashAlgorithm::kSha256)});
 
 Relation BenchRelation(std::size_t n) {
   KeyedCategoricalConfig config;
@@ -95,11 +118,16 @@ void BM_FreqEmbed(benchmark::State& state) {
 }
 BENCHMARK(BM_FreqEmbed)->Arg(10000)->Arg(100000);
 
+// The row-at-a-time fitness test H(v, k1) mod e == 0 on the default
+// backend.
 void BM_FitnessTest(benchmark::State& state) {
-  const FitnessSelector fitness(SecretKey::FromSeed(5), 60);
+  const std::unique_ptr<KeyedPrf> k1 =
+      CreateKeyedPrf(PrfKind::kKeyedHash, SecretKey::FromSeed(5));
+  const std::uint64_t e = 60;
+  HashScratch scratch;
   std::int64_t v = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fitness.IsFit(Value(v++)));
+    benchmark::DoNotOptimize(HashValue(*k1, Value(v++), scratch) % e == 0);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

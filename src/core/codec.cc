@@ -1,40 +1,9 @@
 #include "core/codec.h"
 
-#include <vector>
-
 #include "common/bits.h"
 #include "common/check.h"
 
 namespace catmark {
-
-FitnessSelector::FitnessSelector(const SecretKey& k1, std::uint64_t e,
-                                 HashAlgorithm algo)
-    : hasher_(k1, algo), e_(e) {
-  CATMARK_CHECK_GE(e, 1u) << "encoding parameter e must be >= 1";
-}
-
-std::uint64_t FitnessSelector::KeyHash(const Value& key_value) const {
-  return HashValue(hasher_, key_value);
-}
-
-std::uint64_t FitnessSelector::KeyHash(const Value& key_value,
-                                       HashScratch& scratch) const {
-  return HashValue(hasher_, key_value, scratch);
-}
-
-std::uint64_t HashValue(const KeyedHasher& hasher, const Value& v) {
-  HashScratch bytes;
-  bytes.reserve(24);
-  v.SerializeForHash(bytes);
-  return hasher.Hash64(bytes.data(), bytes.size());
-}
-
-std::uint64_t HashValue(const KeyedHasher& hasher, const Value& v,
-                        HashScratch& scratch) {
-  scratch.clear();
-  v.SerializeForHash(scratch);
-  return hasher.Hash64(scratch.data(), scratch.size());
-}
 
 std::uint64_t HashValue(const KeyedPrf& prf, const Value& v,
                         HashScratch& scratch) {

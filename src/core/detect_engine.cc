@@ -75,26 +75,6 @@ Result<std::size_t> ResolveDetectPayloadLength(std::size_t override_len,
   return DerivePayloadLength(num_rows, candidate.params.e, candidate.wm_len);
 }
 
-/// Scans a built plan's shard bounds for the equal-length layout: returns
-/// the common message length when every message in every shard serialized
-/// to the same byte count (and there is at least one message), -1 otherwise.
-std::ptrdiff_t DetectFixedLength(
-    const std::vector<std::vector<std::size_t>>& bounds) {
-  std::ptrdiff_t len = -1;
-  for (const std::vector<std::size_t>& shard : bounds) {
-    for (std::size_t i = 0; i + 1 < shard.size(); ++i) {
-      const std::ptrdiff_t msg_len =
-          static_cast<std::ptrdiff_t>(shard[i + 1] - shard[i]);
-      if (len < 0) {
-        len = msg_len;
-      } else if (msg_len != len) {
-        return -1;
-      }
-    }
-  }
-  return len;
-}
-
 /// Figure 2's position source: a fit message's slot comes from its k2
 /// hash. `key_bytes` is never called.
 struct K2Slots {
@@ -326,20 +306,34 @@ DetectEngine DetectEngine::Build(const Relation& rel,
   } else {
     // Plain key column: one message per non-NULL key row, fused with the
     // vote computation in a single sharded pass (vote 0 = unusable row, so
-    // the tally can add it unconditionally).
+    // the tally can add it unconditionally). An INT64 lane keeps its keys
+    // as a typed lane, as an INT64 dictionary does; any other type is
+    // serialized into the arena.
     const ColumnReader key_reader(store, key_col);
-    engine.arena_.resize(threads);
-    engine.bounds_.assign(threads, std::vector<std::size_t>{0});
+    const bool typed = store.IsLaneColumn(key_col) &&
+                       store.Lane(key_col).type == ColumnType::kInt64;
+    const std::int64_t* lane_keys =
+        typed ? store.Lane(key_col).int64s().data() : nullptr;
+    if (typed) {
+      engine.int64_keys_.resize(threads);
+    } else {
+      engine.arena_.resize(threads);
+      engine.bounds_.assign(threads, std::vector<std::size_t>{0});
+    }
     std::vector<std::vector<std::int32_t>> shard_vote(threads);
     ParallelFor(n, threads,
                 [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                  std::vector<std::uint8_t>& arena = engine.arena_[shard];
-                  std::vector<std::size_t>& bounds = engine.bounds_[shard];
                   std::vector<std::int32_t>& vote = shard_vote[shard];
+                  if (typed) engine.int64_keys_[shard].reserve(end - begin);
                   for (std::size_t j = begin; j < end; ++j) {
                     if (key_reader.IsNull(j)) continue;
-                    key_reader.SerializeForHash(j, arena);
-                    bounds.push_back(arena.size());
+                    if (typed) {
+                      engine.int64_keys_[shard].push_back(lane_keys[j]);
+                    } else {
+                      key_reader.SerializeForHash(j, engine.arena_[shard]);
+                      engine.bounds_[shard].push_back(
+                          engine.arena_[shard].size());
+                    }
                     const std::int32_t t = target_index->index(j);
                     vote.push_back(
                         t < 0 ? 0
@@ -363,7 +357,6 @@ DetectEngine DetectEngine::Build(const Relation& rel,
     }
   }
 
-  engine.fixed_len_ = DetectFixedLength(engine.bounds_);
   return engine;
 }
 
@@ -406,7 +399,7 @@ void DetectEngine::TallyShard(std::size_t shard, FitScanner& scan,
     const std::uint8_t* arena = arena_[shard].data();
     const std::vector<std::size_t>& bounds = bounds_[shard];
     scan.ScanPrepared(
-        arena, std::span<const std::size_t>(bounds), fixed_len_,
+        arena, std::span<const std::size_t>(bounds),
         [&](std::size_t i, std::uint64_t /*h1*/, std::uint64_t h2) {
           tally(i, h2, [&] {
             return std::string_view(

@@ -186,9 +186,10 @@ class DetectEngine {
   double plan_build_seconds_ = 0.0;
 
   // RelationPlan storage, per build shard, in one of two layouts:
-  //   - typed: on an INT64 dictionary, int64_keys_[s] holds the shard's
-  //     live dict values, which hash as int64 lanes (no arena, no bounds);
-  //     a map candidate serializes just its fit messages' 9 key bytes;
+  //   - typed: on an INT64 key column, int64_keys_[s] holds the shard's
+  //     live dict values or non-NULL lane keys, which hash as int64 lanes
+  //     (no arena, no bounds); a map candidate serializes just its fit
+  //     messages' 9 key bytes;
   //   - arena: serialized messages back to back in arena_[s], with
   //     bounds_[s] holding a leading 0 plus one end-offset per message (so
   //     any chunk hashes via a bounds subspan).
@@ -198,14 +199,6 @@ class DetectEngine {
   std::vector<std::vector<std::uint8_t>> arena_;
   std::vector<std::vector<std::size_t>> bounds_;
   std::vector<std::size_t> msg_base_;  ///< first global message id per shard
-
-  // Equal-length arena layout: when every prepared message serializes to
-  // the same byte count (always true for plain int64 and for double keys —
-  // 9 bytes — and for equal-width strings), message m sits at offset
-  // m * fixed_len_ in its shard arena and the PerKeyPass hashes via
-  // Hash64Fixed with no per-message bounds lookups. -1 = mixed lengths or
-  // the typed layout.
-  std::ptrdiff_t fixed_len_ = -1;
 
   // Per-message aggregates, global message order (shards concatenated).
   // On a plain key column each message is a single row: rows == 1 and

@@ -12,30 +12,21 @@ FitScanner::FitScanner(const KeyedPrf& k1, const KeyedPrf* k2,
 
 void FitScanner::HashKeys(const std::int64_t* typed, std::size_t n) {
   FitScratch& s = scratch_;
-  s.h1.resize(n);
-  if (typed != nullptr) {
-    k1_.Hash64Int64Keys(typed, n, std::span<std::uint64_t>(s.h1));
-    SelectFit(n, typed, nullptr, nullptr);
-  } else {
-    k1_.Hash64Arena(s.arena.data(), std::span<const std::size_t>(s.bounds),
-                    std::span<std::uint64_t>(s.h1));
-    SelectFit(n, nullptr, s.arena.data(), s.bounds.data());
+  if (typed == nullptr) {
+    HashPrepared(s.arena.data(), std::span<const std::size_t>(s.bounds));
+    return;
   }
+  s.h1.resize(n);
+  k1_.Hash64Int64Keys(typed, n, std::span<std::uint64_t>(s.h1));
+  SelectFit(n, typed, nullptr, nullptr);
 }
 
 void FitScanner::HashPrepared(const std::uint8_t* arena,
-                              std::span<const std::size_t> bounds,
-                              std::ptrdiff_t fixed_len) {
+                              std::span<const std::size_t> bounds) {
   FitScratch& s = scratch_;
   const std::size_t n = bounds.size() - 1;
   s.h1.resize(n);
-  if (fixed_len >= 0) {
-    const std::size_t len = static_cast<std::size_t>(fixed_len);
-    k1_.Hash64Fixed(arena + bounds[0], len, len,
-                    std::span<std::uint64_t>(s.h1));
-  } else {
-    k1_.Hash64Arena(arena, bounds, std::span<std::uint64_t>(s.h1));
-  }
+  k1_.Hash64Arena(arena, bounds, std::span<std::uint64_t>(s.h1));
   SelectFit(n, nullptr, arena, bounds.data());
 }
 

@@ -174,17 +174,15 @@ class FitScanner {
   }
 
   /// Scans prepared messages: message i is arena bytes [bounds[i],
-  /// bounds[i + 1]), so there are bounds.size() - 1 of them. A
-  /// non-negative `fixed_len` promises every message has that length and
-  /// hashes at a constant stride with no bounds reads.
+  /// bounds[i + 1]), so there are bounds.size() - 1 of them.
   template <typename OnFit>
   std::size_t ScanPrepared(const std::uint8_t* arena,
                            std::span<const std::size_t> bounds,
-                           std::ptrdiff_t fixed_len, OnFit&& on_fit) {
+                           OnFit&& on_fit) {
     const std::size_t count = bounds.size() - 1;
     for (std::size_t base = 0; base < count; base += kChunk) {
       const std::size_t len = std::min(kChunk, count - base);
-      HashPrepared(arena, bounds.subspan(base, len + 1), fixed_len);
+      HashPrepared(arena, bounds.subspan(base, len + 1));
       Report(base, /*dense=*/true, on_fit);
     }
     return count;
@@ -220,8 +218,7 @@ class FitScanner {
   void HashKeys(const std::int64_t* typed, std::size_t n);
   // k1-hashes one chunk of prepared messages, then SelectFit.
   void HashPrepared(const std::uint8_t* arena,
-                    std::span<const std::size_t> bounds,
-                    std::ptrdiff_t fixed_len);
+                    std::span<const std::size_t> bounds);
   // The shared tail: fitness bitset, set-bit walk into scratch.fit, and one
   // batched k2 call over the fit subset — typed lane or gathered bytes.
   void SelectFit(std::size_t n, const std::int64_t* typed,

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/codec.h"
+#include "common/check.h"
 #include "relation/histogram.h"
 
 namespace catmark {
@@ -14,23 +14,29 @@ FrequencyMarker::FrequencyMarker(SecretKey key, FreqMarkParams params)
                 params_.quantization_step < 0.5);
 }
 
-std::size_t FrequencyMarker::GroupOf(const Value& v, std::size_t num_groups,
-                                     std::uint8_t salt) const {
-  const KeyedHasher hasher(key_, params_.hash_algo);
-  std::vector<std::uint8_t> bytes;
-  v.SerializeForHash(bytes);
-  bytes.push_back(salt);
-  return static_cast<std::size_t>(hasher.Hash64(bytes.data(), bytes.size()) %
-                                  num_groups);
+namespace {
+
+// Group of domain value `v`: the keyed hash of v's canonical bytes followed
+// by the salt byte, mod num_groups; the message is built in `scratch`.
+std::size_t GroupIndex(const KeyedPrf& prf, const Value& v,
+                       std::size_t num_groups, std::uint8_t salt,
+                       HashScratch& scratch) {
+  scratch.clear();
+  v.SerializeForHash(scratch);
+  scratch.push_back(salt);
+  return static_cast<std::size_t>(
+      prf.Hash64(scratch.data(), scratch.size()) % num_groups);
 }
 
-Result<std::uint8_t> FrequencyMarker::FindGroupingSalt(
-    const CategoricalDomain& domain, std::size_t num_groups) const {
+Result<std::uint8_t> GroupingSalt(const KeyedPrf& prf,
+                                  const CategoricalDomain& domain,
+                                  std::size_t num_groups) {
+  HashScratch scratch;
   for (int salt = 0; salt < 64; ++salt) {
     std::vector<bool> hit(num_groups, false);
     for (std::size_t t = 0; t < domain.size(); ++t) {
-      hit[GroupOf(domain.value(t), num_groups,
-                  static_cast<std::uint8_t>(salt))] = true;
+      hit[GroupIndex(prf, domain.value(t), num_groups,
+                     static_cast<std::uint8_t>(salt), scratch)] = true;
     }
     bool all = true;
     for (bool h : hit) all = all && h;
@@ -40,8 +46,6 @@ Result<std::uint8_t> FrequencyMarker::FindGroupingSalt(
       "no keyed grouping covers all watermark bits; enlarge the domain or "
       "shorten the mark");
 }
-
-namespace {
 
 /// Distance from `mass` to the nearest edge of its quantization cell.
 /// Cells are centred on integer multiples of q (decode rounds mass/q), so
@@ -54,6 +58,21 @@ double CellMargin(double mass, double q) {
 }
 
 }  // namespace
+
+std::unique_ptr<KeyedPrf> FrequencyMarker::Prf() const {
+  return CreateKeyedPrf(PrfKind::kKeyedHash, key_, params_.hash_algo);
+}
+
+std::size_t FrequencyMarker::GroupOf(const Value& v, std::size_t num_groups,
+                                     std::uint8_t salt) const {
+  HashScratch scratch;
+  return GroupIndex(*Prf(), v, num_groups, salt, scratch);
+}
+
+Result<std::uint8_t> FrequencyMarker::FindGroupingSalt(
+    const CategoricalDomain& domain, std::size_t num_groups) const {
+  return GroupingSalt(*Prf(), domain, num_groups);
+}
 
 Result<FreqEmbedReport> FrequencyMarker::Embed(
     Relation& rel, const std::string& attr, const BitVector& wm,
@@ -91,13 +110,16 @@ Result<FreqEmbedReport> FrequencyMarker::Embed(
 
   // Group assignment and per-group counts. The salt guarantees every group
   // owns at least one category; the detector re-derives it from the domain.
+  const std::unique_ptr<KeyedPrf> prf = Prf();
   CATMARK_ASSIGN_OR_RETURN(const std::uint8_t salt,
-                           FindGroupingSalt(domain, groups));
+                           GroupingSalt(*prf, domain, groups));
   std::vector<std::size_t> group_of(domain.size());
   std::vector<long> group_count(groups, 0);
   std::vector<std::vector<std::size_t>> group_categories(groups);
+  HashScratch scratch;
   for (std::size_t t = 0; t < domain.size(); ++t) {
-    const std::size_t g = GroupOf(domain.value(t), groups, salt);
+    const std::size_t g =
+        GroupIndex(*prf, domain.value(t), groups, salt, scratch);
     group_of[t] = g;
     group_count[g] += static_cast<long>(hist.count(t));
     group_categories[g].push_back(t);
@@ -310,13 +332,15 @@ Result<FreqDetectReport> FrequencyMarker::Detect(
   CATMARK_ASSIGN_OR_RETURN(FrequencyHistogram hist,
                            FrequencyHistogram::Compute(rel, col, domain));
 
+  const std::unique_ptr<KeyedPrf> prf = Prf();
   CATMARK_ASSIGN_OR_RETURN(const std::uint8_t salt,
-                           FindGroupingSalt(domain, wm_len));
+                           GroupingSalt(*prf, domain, wm_len));
   FreqDetectReport report;
   report.group_mass.assign(wm_len, 0.0);
+  HashScratch scratch;
   for (std::size_t t = 0; t < domain.size(); ++t) {
-    report.group_mass[GroupOf(domain.value(t), wm_len, salt)] +=
-        hist.frequency(t);
+    report.group_mass[GroupIndex(*prf, domain.value(t), wm_len, salt,
+                                 scratch)] += hist.frequency(t);
   }
   const double q = params_.quantization_step;
   report.wm = BitVector(wm_len);

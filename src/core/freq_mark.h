@@ -1,6 +1,7 @@
 #ifndef CATMARK_CORE_FREQ_MARK_H_
 #define CATMARK_CORE_FREQ_MARK_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "common/bitvec.h"
 #include "common/result.h"
 #include "crypto/keyed_hash.h"
+#include "crypto/prf.h"
 #include "quality/assessor.h"
 #include "relation/domain.h"
 #include "relation/relation.h"
@@ -90,6 +92,10 @@ class FrequencyMarker {
                                         std::size_t num_groups) const;
 
  private:
+  // The keyed-hash PRF over the key at params_.hash_algo. Embed and Detect
+  // build it once and group every domain value through it.
+  std::unique_ptr<KeyedPrf> Prf() const;
+
   SecretKey key_;
   FreqMarkParams params_;
 };

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/bits.h"
 #include "common/check.h"
+#include "crypto/prf.h"
 
 namespace catmark {
 
@@ -19,13 +21,16 @@ std::vector<std::size_t> NumericSetMarker::ChunkBounds(
   // chunk width using the keyed hash. The jitter is computed as a *relative*
   // offset so boundaries sit at the same quantiles whatever n is — that is
   // what makes detection agree with embedding after subset selection.
-  const KeyedHasher hasher(key_);
+  const std::unique_ptr<KeyedPrf> prf =
+      CreateKeyedPrf(PrfKind::kKeyedHash, key_);
   std::vector<std::size_t> bounds(chunks + 1);
   bounds[0] = 0;
   bounds[chunks] = n;
   const double width = static_cast<double>(n) / static_cast<double>(chunks);
   for (std::size_t i = 1; i < chunks; ++i) {
-    const std::uint64_t h = hasher.Hash64(static_cast<std::uint64_t>(i));
+    std::uint8_t be[8];  // the message is i's 8 big-endian bytes
+    StoreBigEndian64(static_cast<std::uint64_t>(i), be);
+    const std::uint64_t h = prf->Hash64(be, sizeof(be));
     const double jitter_fraction =
         static_cast<double>(h % 1024) / 1024.0 - 0.5;  // [-0.5, 0.5)
     long b = std::lround(static_cast<double>(i) * width +

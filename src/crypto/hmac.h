@@ -12,7 +12,8 @@ namespace catmark {
 /// HMAC (RFC 2104) over any of the library's hash functions. The paper's
 /// H(V,k) = hash(k;V;k) construction predates widespread HMAC adoption;
 /// HMAC-SHA256 is offered as the modern, provably-PRF keyed alternative
-/// (drop-in for KeyedHasher when both embedder and detector agree).
+/// (the "hmac-sha256" PRF backend, crypto/prf.h; embedder and detector must
+/// agree on it).
 class Hmac {
  public:
   Hmac(HashAlgorithm algo, const std::vector<std::uint8_t>& key);

@@ -2,8 +2,6 @@
 
 #include "common/check.h"
 #include "common/hex.h"
-#include "crypto/md5.h"
-#include "crypto/sha1.h"
 #include "crypto/sha256.h"
 
 namespace catmark {
@@ -34,56 +32,5 @@ SecretKey SecretKey::FromSeed(std::uint64_t seed) {
 }
 
 std::string SecretKey::ToHex() const { return HexEncode(bytes_); }
-
-KeyedHasher::KeyedHasher(SecretKey key, HashAlgorithm algo)
-    : key_(std::move(key)), algo_(algo) {
-  CATMARK_CHECK(!key_.empty()) << "KeyedHasher requires a non-empty key";
-}
-
-namespace {
-
-// Runs hash(k ; data ; k) on a stack-allocated hash object of the right type.
-template <typename H>
-Digest RunKeyed(const SecretKey& key, const std::uint8_t* data,
-                std::size_t len) {
-  H h;
-  h.Update(key.bytes().data(), key.bytes().size());
-  h.Update(data, len);
-  h.Update(key.bytes().data(), key.bytes().size());
-  return h.Finish();
-}
-
-}  // namespace
-
-Digest KeyedHasher::HashDigest(const std::uint8_t* data,
-                               std::size_t len) const {
-  switch (algo_) {
-    case HashAlgorithm::kMd5:
-      return RunKeyed<Md5>(key_, data, len);
-    case HashAlgorithm::kSha1:
-      return RunKeyed<Sha1>(key_, data, len);
-    case HashAlgorithm::kSha256:
-      return RunKeyed<Sha256>(key_, data, len);
-  }
-  return Digest{};
-}
-
-std::uint64_t KeyedHasher::Hash64(const std::uint8_t* data,
-                                  std::size_t len) const {
-  return HashDigest(data, len).ToUint64();
-}
-
-std::uint64_t KeyedHasher::Hash64(std::string_view data) const {
-  return Hash64(reinterpret_cast<const std::uint8_t*>(data.data()),
-                data.size());
-}
-
-std::uint64_t KeyedHasher::Hash64(std::uint64_t value) const {
-  std::uint8_t buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<std::uint8_t>(value >> (8 * (7 - i)));
-  }
-  return Hash64(buf, 8);
-}
 
 }  // namespace catmark

@@ -6,8 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "crypto/hash.h"
-
 namespace catmark {
 
 /// Secret watermarking key material. The paper's algorithms use two distinct
@@ -44,33 +42,6 @@ class SecretKey {
 /// pipelines keep one HashScratch per worker thread so that serialization
 /// reuses one grown-once buffer instead of allocating per call.
 using HashScratch = std::vector<std::uint8_t>;
-
-/// Computes the paper's H(V, k) = crypto_hash(k ; V ; k) ("; " denotes
-/// concatenation, Section 2.2), truncated to the first 64 digest bits.
-/// Wrapping the message with the key on both sides defeats length-extension
-/// style manipulation and matches the paper exactly.
-class KeyedHasher {
- public:
-  explicit KeyedHasher(SecretKey key,
-                       HashAlgorithm algo = HashAlgorithm::kSha256);
-
-  /// H over raw message bytes.
-  std::uint64_t Hash64(const std::uint8_t* data, std::size_t len) const;
-  std::uint64_t Hash64(std::string_view data) const;
-
-  /// H over a 64-bit integer (canonical big-endian serialization).
-  std::uint64_t Hash64(std::uint64_t value) const;
-
-  /// Full digest variant (tests / diagnostics).
-  Digest HashDigest(const std::uint8_t* data, std::size_t len) const;
-
-  const SecretKey& key() const { return key_; }
-  HashAlgorithm algorithm() const { return algo_; }
-
- private:
-  SecretKey key_;
-  HashAlgorithm algo_;
-};
 
 }  // namespace catmark
 

@@ -6,6 +6,8 @@
 
 #include "common/check.h"
 #include "crypto/hmac.h"
+#include "crypto/md5.h"
+#include "crypto/sha1.h"
 #include "crypto/sha256.h"
 #include "crypto/siphash.h"
 #include "crypto/siphash_simd.h"
@@ -17,24 +19,47 @@ namespace {
 constexpr PrfKind kRegisteredPrfs[] = {
     PrfKind::kKeyedHash, PrfKind::kHmacSha256, PrfKind::kSipHash24};
 
-/// The paper-literal H(k;V;k) sandwich, delegating to KeyedHasher so this
-/// backend can never drift from the construction every deployed watermark
-/// was embedded with (golden tests pin the equivalence).
+/// The paper's H(V, k) = crypto_hash(k ; V ; k) (Section 2.2; "; " is
+/// concatenation), truncated to the first 64 digest bits. Wrapping the
+/// message with the key on both sides defeats length-extension style
+/// manipulation. Every deployed watermark and certificate without a PRF
+/// field was embedded with it (golden_test pins the values).
 class KeyedHashPrf final : public KeyedPrf {
  public:
   KeyedHashPrf(const SecretKey& key, HashAlgorithm algo)
-      : hasher_(key, algo) {}
+      : key_(key), algo_(algo) {
+    CATMARK_CHECK(!key_.empty()) << "keyed-hash PRF requires a non-empty key";
+  }
 
   std::string_view Name() const override { return PrfKindName(kind()); }
   PrfKind kind() const override { return PrfKind::kKeyedHash; }
 
   std::uint64_t Hash64(const std::uint8_t* data,
                        std::size_t len) const override {
-    return hasher_.Hash64(data, len);
+    switch (algo_) {
+      case HashAlgorithm::kMd5:
+        return RunKeyed<Md5>(data, len);
+      case HashAlgorithm::kSha1:
+        return RunKeyed<Sha1>(data, len);
+      case HashAlgorithm::kSha256:
+        return RunKeyed<Sha256>(data, len);
+    }
+    return 0;
   }
 
  private:
-  KeyedHasher hasher_;
+  // hash(k ; data ; k) on a stack-allocated hash object of the right type.
+  template <typename H>
+  std::uint64_t RunKeyed(const std::uint8_t* data, std::size_t len) const {
+    H h;
+    h.Update(key_.bytes().data(), key_.bytes().size());
+    h.Update(data, len);
+    h.Update(key_.bytes().data(), key_.bytes().size());
+    return h.Finish().ToUint64();
+  }
+
+  SecretKey key_;
+  HashAlgorithm algo_;
 };
 
 /// RFC 2104 HMAC-SHA256; the ipad/opad key schedule lives in the Hmac
@@ -84,20 +109,15 @@ class SipHash24Prf final : public KeyedPrf {
     return SipHash24(k0_, k1_, data, len);
   }
 
-  // The batch forms all route through the multi-lane dispatcher
-  // (crypto/siphash_simd.h): 8 messages per call under AVX2, 4 under SSE2,
-  // the scalar reference loop otherwise — bit-identical at every level, so
-  // the dispatch decision can never change a detection result.
+  // Both batch forms route through the multi-lane dispatcher
+  // (crypto/siphash_simd.h): 16 messages per call under AVX-512, 8 under
+  // AVX2, 4 under SSE2, the scalar reference loop otherwise — bit-identical
+  // at every level, so the dispatch decision can never change a detection
+  // result.
   void Hash64Arena(const std::uint8_t* arena,
                    std::span<const std::size_t> bounds,
                    std::span<std::uint64_t> out) const override {
     SipHash24Batch(k0_, k1_, arena, bounds, out);
-  }
-
-  void Hash64Fixed(const std::uint8_t* base, std::size_t len,
-                   std::size_t stride,
-                   std::span<std::uint64_t> out) const override {
-    SipHash24Fixed(k0_, k1_, base, len, stride, out);
   }
 
   void Hash64Int64Keys(const std::int64_t* vals, std::size_t count,
@@ -158,15 +178,6 @@ void KeyedPrf::Hash64Arena(const std::uint8_t* arena,
   CATMARK_CHECK_EQ(bounds.size(), out.size() + 1);
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = Hash64(arena + bounds[i], bounds[i + 1] - bounds[i]);
-  }
-}
-
-void KeyedPrf::Hash64Fixed(const std::uint8_t* base, std::size_t len,
-                           std::size_t stride,
-                           std::span<std::uint64_t> out) const {
-  CATMARK_CHECK_GE(stride, len);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = Hash64(base + i * stride, len);
   }
 }
 

@@ -20,9 +20,8 @@ namespace catmark {
 /// choice, so it is a first-class parameter:
 ///
 ///   - kKeyedHash ("keyed-hash"): the paper-literal H(k;V;k) sandwich over
-///     the configured crypto hash (SHA-256 by default). Bit-compatible with
-///     the pre-PRF-subsystem KeyedHasher — the compatibility default every
-///     deployed watermark and certificate was embedded with.
+///     the configured crypto hash (SHA-256 by default) — the compatibility
+///     default every deployed watermark and certificate was embedded with.
 ///   - kHmacSha256 ("hmac-sha256"): RFC 2104 HMAC-SHA256, the provably-PRF
 ///     modern construction (RFC 4231 vectors pin it).
 ///   - kSipHash24 ("siphash24"): SipHash-2-4, a short-input PRF roughly an
@@ -92,15 +91,6 @@ class KeyedPrf {
                            std::span<const std::size_t> bounds,
                            std::span<std::uint64_t> out) const;
 
-  /// Fixed-shape batch form: out[i] = Hash64 of the `len` bytes at
-  /// base + i * stride (stride >= len; equal is the packed equal-length
-  /// arena). The shape every fixed-width key column serializes to — no
-  /// per-message bounds lookups at all, so the SIMD lanes stream at a
-  /// constant stride. Bit-identical to the equivalent Hash64Arena call.
-  virtual void Hash64Fixed(const std::uint8_t* base, std::size_t len,
-                           std::size_t stride,
-                           std::span<std::uint64_t> out) const;
-
   /// Typed batch form for the dominant plain-key shape: out[i] = Hash64 of
   /// Value(vals[i])'s canonical serialization (tag 0x01 + big-endian
   /// payload, 9 bytes). The base implementation materializes each record
@@ -114,8 +104,8 @@ class KeyedPrf {
 
 /// Builds a backend instance over `key`. `algo` is only consulted by
 /// kKeyedHash (the sandwich runs over MD5/SHA-1/SHA-256 per
-/// WatermarkParams::hash_algo, like KeyedHasher always has); the other
-/// backends fix their primitive.
+/// WatermarkParams::hash_algo); the other backends fix their primitive.
+/// kKeyedHash CHECK-fails on an empty key.
 std::unique_ptr<KeyedPrf> CreateKeyedPrf(
     PrfKind kind, const SecretKey& key,
     HashAlgorithm algo = HashAlgorithm::kSha256);

@@ -156,7 +156,7 @@ void BucketedBatch(const Dispatch& d, std::uint64_t k0, std::uint64_t k1,
 }
 
 void FixedBatch(const Dispatch& d, std::uint64_t k0, std::uint64_t k1,
-                const std::uint8_t* base, std::size_t len, std::size_t stride,
+                const std::uint8_t* base, std::size_t len,
                 std::span<std::uint64_t> out) {
   const std::size_t count = out.size();
   const std::uint8_t* lane_ptrs[kMaxLanes];
@@ -165,13 +165,13 @@ void FixedBatch(const Dispatch& d, std::uint64_t k0, std::uint64_t k1,
     if (g.kernel == nullptr) continue;
     for (; i + g.lanes <= count; i += g.lanes) {
       for (std::size_t l = 0; l < g.lanes; ++l) {
-        lane_ptrs[l] = base + (i + l) * stride;
+        lane_ptrs[l] = base + (i + l) * len;
       }
       g.kernel(k0, k1, lane_ptrs, len, out.data() + i);
     }
   }
   for (; i < count; ++i) {
-    out[i] = SipHash24(k0, k1, base + i * stride, len);
+    out[i] = SipHash24(k0, k1, base + i * len, len);
   }
 }
 
@@ -248,20 +248,13 @@ void SipHash24Batch(std::uint64_t k0, std::uint64_t k1,
     }
   }
   if (uniform) {
-    FixedBatch(d, k0, k1, arena + bounds[0], len0, len0, out);
+    FixedBatch(d, k0, k1, arena + bounds[0], len0, out);
     return;
   }
   BucketedBatch(
       d, k0, k1, count, out.data(),
       [&](std::size_t i) { return arena + bounds[i]; },
       [&](std::size_t i) { return bounds[i + 1] - bounds[i]; });
-}
-
-void SipHash24Fixed(std::uint64_t k0, std::uint64_t k1,
-                    const std::uint8_t* base, std::size_t len,
-                    std::size_t stride, std::span<std::uint64_t> out) {
-  CATMARK_CHECK_GE(stride, len);
-  FixedBatch(CurrentDispatch(), k0, k1, base, len, stride, out);
 }
 
 void SipHash24Int64Keys(std::uint64_t k0, std::uint64_t k1,

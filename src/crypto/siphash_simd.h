@@ -55,24 +55,17 @@ void ForceSimdLevel(std::optional<SimdLevel> level);
 
 /// Batch SipHash-2-4 over an (arena, bounds) message block: out[i] covers
 /// arena bytes [bounds[i], bounds[i + 1]), so bounds.size() must be
-/// out.size() + 1 (an empty batch is the single bound {0}). Equal-length
-/// runs — including the fixed-width serialized-key layout detection
-/// produces — go through the multi-lane kernels directly; mixed lengths
-/// are bucketed by length and flushed lane-group by lane-group, with a
-/// scalar tail for partial groups and messages longer than the bucket cap.
+/// out.size() + 1 (an empty batch is the single bound {0}). An equal-length
+/// batch — what fixed-width serialized keys (DOUBLE, equal-width strings)
+/// produce — streams through the multi-lane kernels at a constant stride
+/// with no per-message bounds reads; mixed lengths are bucketed by length
+/// and flushed lane-group by lane-group, with a scalar tail for partial
+/// groups and messages longer than the bucket cap.
 /// Bit-identical to the scalar loop at every level.
 void SipHash24Batch(std::uint64_t k0, std::uint64_t k1,
                     const std::uint8_t* arena,
                     std::span<const std::size_t> bounds,
                     std::span<std::uint64_t> out);
-
-/// Fixed-shape batch: out[i] = SipHash24 of the `len` bytes at
-/// base + i * stride (stride >= len; stride == len is the packed
-/// equal-length arena). No per-message bounds lookups — this is the layout
-/// the detect engine's RelationPlan emits for fixed-width keys.
-void SipHash24Fixed(std::uint64_t k0, std::uint64_t k1,
-                    const std::uint8_t* base, std::size_t len,
-                    std::size_t stride, std::span<std::uint64_t> out);
 
 /// Batch over canonical int64-key messages: out[i] = SipHash24 of the
 /// 9-byte serialization tag 0x01 + big-endian vals[i] — without ever

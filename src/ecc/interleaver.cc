@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "crypto/prf.h"
 #include "random/distributions.h"
 #include "random/rng.h"
 
@@ -16,8 +17,9 @@ InterleavedCode::InterleavedCode(std::unique_ptr<ErrorCorrectingCode> inner,
 }
 
 std::vector<std::size_t> InterleavedCode::Permutation(std::size_t n) const {
-  const KeyedHasher hasher(key_);
-  Xoshiro256ss rng(hasher.Hash64(std::string_view("interleave")));
+  const std::unique_ptr<KeyedPrf> prf =
+      CreateKeyedPrf(PrfKind::kKeyedHash, key_);
+  Xoshiro256ss rng(prf->Hash64(std::string_view("interleave")));
   std::vector<std::size_t> perm(n);
   for (std::size_t i = 0; i < n; ++i) perm[i] = i;
   Shuffle(perm, rng);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
 
 #include "common/bits.h"
@@ -12,21 +13,35 @@ namespace {
 
 // ---------------------------------------------------------------- fitness
 
+std::unique_ptr<KeyedPrf> KeyedHash(const SecretKey& key) {
+  return CreateKeyedPrf(PrfKind::kKeyedHash, key);
+}
+
+std::uint64_t KeyHash(const KeyedPrf& k1, const Value& v) {
+  HashScratch scratch;
+  return HashValue(k1, v, scratch);
+}
+
+// The Section 3.2.1 tuple rule, one key at a time: H(v, k1) mod e == 0.
+bool IsFit(const KeyedPrf& k1, std::uint64_t e, const Value& v) {
+  return KeyHash(k1, v) % e == 0;
+}
+
 TEST(FitnessTest, DeterministicPerKey) {
   const SecretKey k1 = SecretKey::FromSeed(1);
-  const FitnessSelector a(k1, 10);
-  const FitnessSelector b(k1, 10);
+  const auto a = KeyedHash(k1);
+  const auto b = KeyedHash(k1);
   const Value v(std::int64_t{12345});
-  EXPECT_EQ(a.KeyHash(v), b.KeyHash(v));
-  EXPECT_EQ(a.IsFit(v), b.IsFit(v));
+  EXPECT_EQ(KeyHash(*a, v), KeyHash(*b, v));
+  EXPECT_EQ(IsFit(*a, 10, v), IsFit(*b, 10, v));
 }
 
 TEST(FitnessTest, DifferentKeysSelectDifferentTuples) {
-  const FitnessSelector a(SecretKey::FromSeed(1), 5);
-  const FitnessSelector b(SecretKey::FromSeed(2), 5);
+  const auto a = KeyedHash(SecretKey::FromSeed(1));
+  const auto b = KeyedHash(SecretKey::FromSeed(2));
   int differing = 0;
   for (std::int64_t i = 0; i < 200; ++i) {
-    if (a.IsFit(Value(i)) != b.IsFit(Value(i))) ++differing;
+    if (IsFit(*a, 5, Value(i)) != IsFit(*b, 5, Value(i))) ++differing;
   }
   EXPECT_GT(differing, 0);
 }
@@ -34,12 +49,12 @@ TEST(FitnessTest, DifferentKeysSelectDifferentTuples) {
 TEST(FitnessTest, SelectsApproximatelyOneInE) {
   // The parameter e "determin[es] the percentage of considered tuples":
   // roughly N/e elements (Section 3.2.1 footnote 1).
+  const auto k1 = KeyedHash(SecretKey::FromSeed(3));
   for (const std::uint64_t e : {10ull, 60ull, 100ull}) {
-    const FitnessSelector fitness(SecretKey::FromSeed(3), e);
     std::size_t hits = 0;
     const std::size_t n = 30000;
     for (std::size_t i = 0; i < n; ++i) {
-      if (fitness.IsFit(Value(static_cast<std::int64_t>(i)))) ++hits;
+      if (IsFit(*k1, e, Value(static_cast<std::int64_t>(i)))) ++hits;
     }
     const double expected = static_cast<double>(n) / static_cast<double>(e);
     EXPECT_NEAR(static_cast<double>(hits), expected, 4 * std::sqrt(expected))
@@ -48,22 +63,21 @@ TEST(FitnessTest, SelectsApproximatelyOneInE) {
 }
 
 TEST(FitnessTest, EOneSelectsEverything) {
-  const FitnessSelector fitness(SecretKey::FromSeed(4), 1);
+  const auto k1 = KeyedHash(SecretKey::FromSeed(4));
   for (std::int64_t i = 0; i < 50; ++i) {
-    EXPECT_TRUE(fitness.IsFit(Value(i)));
+    EXPECT_TRUE(IsFit(*k1, 1, Value(i)));
   }
 }
 
 TEST(FitnessTest, StringKeysWork) {
-  const FitnessSelector fitness(SecretKey::FromSeed(5), 7);
-  EXPECT_EQ(fitness.IsFit(Value("alpha")), fitness.IsFit(Value("alpha")));
+  const auto k1 = KeyedHash(SecretKey::FromSeed(5));
+  EXPECT_EQ(IsFit(*k1, 7, Value("alpha")), IsFit(*k1, 7, Value("alpha")));
 }
 
 TEST(FitnessTest, TypeTaggedHashing) {
   // INT64 7 and STRING "7" must hash differently (canonical serialization).
-  const FitnessSelector fitness(SecretKey::FromSeed(6), 1000000007);
-  EXPECT_NE(fitness.KeyHash(Value(std::int64_t{7})),
-            fitness.KeyHash(Value("7")));
+  const auto k1 = KeyedHash(SecretKey::FromSeed(6));
+  EXPECT_NE(KeyHash(*k1, Value(std::int64_t{7})), KeyHash(*k1, Value("7")));
 }
 
 // ------------------------------------------------------------ bit position
@@ -96,11 +110,14 @@ TEST(PayloadIndexTest, MsbModeUsesTopBits) {
 }
 
 TEST(PayloadIndexTest, ModuloModeRoughlyUniform) {
-  const KeyedHasher h(SecretKey::FromSeed(7));
+  const auto h = KeyedHash(SecretKey::FromSeed(7));
   const std::size_t len = 10;
   std::vector<int> counts(len, 0);
   for (std::uint64_t i = 0; i < 50000; ++i) {
-    ++counts[PayloadIndexFromHash(h.Hash64(i), len, BitIndexMode::kModulo)];
+    std::uint8_t be[8];
+    StoreBigEndian64(i, be);
+    ++counts[PayloadIndexFromHash(h->Hash64(be, sizeof(be)), len,
+                                  BitIndexMode::kModulo)];
   }
   for (int c : counts) EXPECT_NEAR(c, 5000, 400);
 }
@@ -181,10 +198,8 @@ TEST(KeySetTest, HashValueSeparatesKeyRoles) {
   // k1-derived and k2-derived hashes of the same tuple key must be
   // unrelated (the Section 3.2.1 "no correlation" requirement).
   const WatermarkKeySet ks = WatermarkKeySet::FromSeed(11);
-  const KeyedHasher h1(ks.k1);
-  const KeyedHasher h2(ks.k2);
-  EXPECT_NE(HashValue(h1, Value(std::int64_t{42})),
-            HashValue(h2, Value(std::int64_t{42})));
+  EXPECT_NE(KeyHash(*KeyedHash(ks.k1), Value(std::int64_t{42})),
+            KeyHash(*KeyedHash(ks.k2), Value(std::int64_t{42})));
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
+#include "common/bits.h"
 #include "crypto/hash.h"
 #include "crypto/keyed_hash.h"
 #include "crypto/md5.h"
+#include "crypto/prf.h"
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
 
@@ -170,62 +173,67 @@ TEST(SecretKeyTest, FromBytesKeepsBytes) {
   EXPECT_EQ(k.ToHex(), "010203");
 }
 
-// ---------------------------------------------------------------- KeyedHash
+// ------------------------------------------------- keyed-hash PRF backend
 
-TEST(KeyedHasherTest, DeterministicPerKeyAndMessage) {
-  const KeyedHasher h(SecretKey::FromPassphrase("k"));
-  EXPECT_EQ(h.Hash64(std::string_view("msg")),
-            h.Hash64(std::string_view("msg")));
-  EXPECT_NE(h.Hash64(std::string_view("msg")),
-            h.Hash64(std::string_view("msh")));
+std::unique_ptr<KeyedPrf> KeyedHash(
+    const SecretKey& key, HashAlgorithm algo = HashAlgorithm::kSha256) {
+  return CreateKeyedPrf(PrfKind::kKeyedHash, key, algo);
 }
 
-TEST(KeyedHasherTest, DifferentKeysDiffer) {
-  const KeyedHasher h1(SecretKey::FromPassphrase("k1"));
-  const KeyedHasher h2(SecretKey::FromPassphrase("k2"));
-  EXPECT_NE(h1.Hash64(std::string_view("msg")),
-            h2.Hash64(std::string_view("msg")));
+TEST(KeyedHashPrfTest, DeterministicPerKeyAndMessage) {
+  const auto h = KeyedHash(SecretKey::FromPassphrase("k"));
+  EXPECT_EQ(h->Hash64(std::string_view("msg")),
+            h->Hash64(std::string_view("msg")));
+  EXPECT_NE(h->Hash64(std::string_view("msg")),
+            h->Hash64(std::string_view("msh")));
 }
 
-TEST(KeyedHasherTest, MatchesManualKeyWrapConstruction) {
+TEST(KeyedHashPrfTest, DifferentKeysDiffer) {
+  const auto h1 = KeyedHash(SecretKey::FromPassphrase("k1"));
+  const auto h2 = KeyedHash(SecretKey::FromPassphrase("k2"));
+  EXPECT_NE(h1->Hash64(std::string_view("msg")),
+            h2->Hash64(std::string_view("msg")));
+}
+
+TEST(KeyedHashPrfTest, MatchesManualKeyWrapConstruction) {
   // H(V, k) = crypto_hash(k ; V ; k), Section 2.2.
   const SecretKey key = SecretKey::FromBytes({0xAA, 0xBB});
-  const KeyedHasher h(key, HashAlgorithm::kSha256);
+  const auto h = KeyedHash(key, HashAlgorithm::kSha256);
   Sha256 manual;
   const std::string msg = "tuple-key";
   manual.Update(key.bytes().data(), key.bytes().size());
   manual.Update(reinterpret_cast<const std::uint8_t*>(msg.data()),
                 msg.size());
   manual.Update(key.bytes().data(), key.bytes().size());
-  EXPECT_EQ(h.Hash64(msg), manual.Finish().ToUint64());
+  EXPECT_EQ(h->Hash64(msg), manual.Finish().ToUint64());
 }
 
-TEST(KeyedHasherTest, IntegerOverloadUsesBigEndianSerialization) {
-  const SecretKey key = SecretKey::FromSeed(1);
-  const KeyedHasher h(key);
-  const std::uint8_t be[8] = {0, 0, 0, 0, 0, 0, 0x30, 0x39};  // 12345
-  EXPECT_EQ(h.Hash64(std::uint64_t{12345}), h.Hash64(be, 8));
+TEST(KeyedHashPrfTest, EmptyKeyIsRejected) {
+  // An empty key would make H(k ; V ; k) a plain, unkeyed hash.
+  EXPECT_DEATH(KeyedHash(SecretKey()), "non-empty key");
 }
 
-TEST(KeyedHasherTest, AllAlgorithmsWork) {
+TEST(KeyedHashPrfTest, AllAlgorithmsWork) {
   const SecretKey key = SecretKey::FromSeed(2);
   for (const HashAlgorithm algo :
        {HashAlgorithm::kMd5, HashAlgorithm::kSha1, HashAlgorithm::kSha256}) {
-    const KeyedHasher h(key, algo);
-    EXPECT_NE(h.Hash64(std::string_view("x")), 0u)
+    const auto h = KeyedHash(key, algo);
+    EXPECT_NE(h->Hash64(std::string_view("x")), 0u)
         << HashAlgorithmName(algo);
   }
 }
 
-TEST(KeyedHasherTest, Hash64IsUniformishAcrossResidues) {
+TEST(KeyedHashPrfTest, Hash64IsUniformishAcrossResidues) {
   // Sanity check of the fitness channel: residues mod e should be roughly
   // uniform so that ~N/e tuples are selected.
-  const KeyedHasher h(SecretKey::FromSeed(3));
+  const auto h = KeyedHash(SecretKey::FromSeed(3));
   const std::uint64_t e = 10;
   std::size_t hits = 0;
   const std::size_t n = 20000;
   for (std::size_t i = 0; i < n; ++i) {
-    if (h.Hash64(static_cast<std::uint64_t>(i)) % e == 0) ++hits;
+    std::uint8_t be[8];
+    StoreBigEndian64(i, be);
+    if (h->Hash64(be, sizeof(be)) % e == 0) ++hits;
   }
   const double fraction = static_cast<double>(hits) / static_cast<double>(n);
   EXPECT_NEAR(fraction, 0.1, 0.02);

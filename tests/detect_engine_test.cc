@@ -278,11 +278,17 @@ TEST(DetectEngineTest, Int64DictKeysMatchDetectorAndPlainLane) {
       << "the fixture must hold a dead dictionary entry";
   Relation plain(Int64KeyRelation(/*dict_keys=*/false, 0).schema());
   std::set<std::int64_t> distinct_keys;
+  std::size_t keyed_rows = 0;
   for (std::size_t j = 0; j < m.rel.NumRows(); ++j) {
     const Row row = m.rel.row(j);
-    if (!row[0].is_null()) distinct_keys.insert(row[0].AsInt64());
+    if (!row[0].is_null()) {
+      distinct_keys.insert(row[0].AsInt64());
+      ++keyed_rows;
+    }
     ASSERT_TRUE(plain.AppendRow(row).ok());
   }
+  ASSERT_TRUE(plain.store().IsLaneColumn(0));
+  ASSERT_LT(keyed_rows, plain.NumRows()) << "the fixture must hold NULL keys";
 
   std::vector<KeyCandidate> candidates = CandidatesFor(m);
   for (const std::size_t i : {std::size_t{0}, std::size_t{1}}) {
@@ -305,6 +311,15 @@ TEST(DetectEngineTest, Int64DictKeysMatchDetectorAndPlainLane) {
     const std::vector<Result<DetectionResult>> many =
         engine.DetectMany(std::span<const KeyCandidate>(candidates));
     ASSERT_EQ(many.size(), candidates.size());
+    // The plain lane, NULL keys included, through the engine: one typed
+    // int64 message per keyed row.
+    const DetectEngine lane_engine =
+        DetectEngine::Create(plain, engine_options).value();
+    ASSERT_FALSE(lane_engine.dict_keys());
+    EXPECT_EQ(lane_engine.num_messages(), keyed_rows);
+    const std::vector<Result<DetectionResult>> lane_many =
+        lane_engine.DetectMany(std::span<const KeyCandidate>(candidates));
+    ASSERT_EQ(lane_many.size(), candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       SCOPED_TRACE("candidate " + std::to_string(i) + ", threads " +
                    std::to_string(threads));
@@ -325,6 +340,9 @@ TEST(DetectEngineTest, Int64DictKeysMatchDetectorAndPlainLane) {
       ASSERT_TRUE(many[i].ok()) << many[i].status().ToString();
       ExpectSameDetection(many[i].value(), expected);
       ExpectSameDetection(many[i].value(), on_lane);
+      ASSERT_TRUE(lane_many[i].ok()) << lane_many[i].status().ToString();
+      ExpectSameDetection(lane_many[i].value(), on_lane);
+      EXPECT_EQ(lane_many[i].value().messages_hashed, keyed_rows);
       EXPECT_EQ(many[i].value().messages_hashed, distinct_keys.size());
       EXPECT_EQ(expected.messages_hashed, distinct_keys.size());
       EXPECT_GT(many[i].value().fit_tuples, 0u);

@@ -266,6 +266,19 @@ TEST(InterleaverTest, PermutationIsKeyDependent) {
   EXPECT_NE(a.Encode(wm, 64).value(), b.Encode(wm, 64).value());
 }
 
+TEST(InterleaverTest, EncodeBitsArePinned) {
+  // The permutation's seed is the keyed hash of "interleave" under the
+  // code's key (SHA-256 sandwich): these exact bits are what a deployed
+  // interleaved mark was embedded with, so a change to the hash path that
+  // moves a single slot must fail here.
+  InterleavedCode code(std::make_unique<MajorityVotingCode>(),
+                       SecretKey::FromSeed(42));
+  const BitVector wm = BitVector::FromString("1011001110001011").value();
+  EXPECT_EQ(code.Encode(wm, 96).value().ToString(),
+            "101011011111010111111110101111000100011101110100"
+            "000111111000100100010011001101010011110110010010");
+}
+
 TEST(InterleaverTest, RepairsBurstWeaknessOfBlockCode) {
   auto interleaved = std::make_unique<InterleavedCode>(
       std::make_unique<BlockRepetitionCode>(), SecretKey::FromSeed(7));

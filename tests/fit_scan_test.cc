@@ -260,35 +260,27 @@ TEST(FitScanTest, ScanPreparedMatchesSingleShotReference) {
         v.SerializeForHash(arena);
         bounds.push_back(arena.size());
       }
-      // The fixed layout may also be scanned through its bounds.
-      std::vector<std::ptrdiff_t> layouts = {-1};
-      if (shape == Shape::kDenseInt) layouts.push_back(9);
       for (const SimdLevel level : RunnableLevels()) {
         ScopedSimdLevel forced(level);
         FitScratch scratch;
         for (const std::uint64_t e : grid.es) {
           FitScanner scan(*k1, k2.get(), e, scratch);
-          for (const std::ptrdiff_t fixed_len : layouts) {
-            for (const std::size_t count : grid.counts) {
-              std::vector<Fit> got;
-              const std::size_t hashed = scan.ScanPrepared(
-                  arena.data(),
-                  std::span<const std::size_t>(bounds.data(), count + 1),
-                  fixed_len,
-                  [&](std::size_t i, std::uint64_t h1, std::uint64_t h2) {
-                    got.push_back(Fit{i, h1, h2,
-                                      PayloadIndexFromHash(
-                                          h2, kPayloadLen,
-                                          BitIndexMode::kModulo)});
-                  });
-              const auto [want, want_hashed] =
-                  Expected(ref, count, e, /*with_k2=*/true, /*compact=*/true);
-              const std::string label = Label(prf, level, shape, e, count) +
-                                        " fixed_len=" +
-                                        std::to_string(fixed_len);
-              EXPECT_EQ(hashed, want_hashed) << label;
-              EXPECT_TRUE(got == want) << label;
-            }
+          for (const std::size_t count : grid.counts) {
+            std::vector<Fit> got;
+            const std::size_t hashed = scan.ScanPrepared(
+                arena.data(),
+                std::span<const std::size_t>(bounds.data(), count + 1),
+                [&](std::size_t i, std::uint64_t h1, std::uint64_t h2) {
+                  got.push_back(Fit{i, h1, h2,
+                                    PayloadIndexFromHash(
+                                        h2, kPayloadLen,
+                                        BitIndexMode::kModulo)});
+                });
+            const auto [want, want_hashed] =
+                Expected(ref, count, e, /*with_k2=*/true, /*compact=*/true);
+            const std::string label = Label(prf, level, shape, e, count);
+            EXPECT_EQ(hashed, want_hashed) << label;
+            EXPECT_TRUE(got == want) << label;
           }
         }
       }

@@ -117,6 +117,41 @@ TEST(FreqMarkTest, GroupAssignmentIsKeyedAndStable) {
   EXPECT_TRUE(any_difference);
 }
 
+TEST(FreqMarkTest, GroupingIsPinnedAtMd5AndSha256) {
+  // The grouping is the keyed hash of each label's canonical bytes plus a
+  // salt byte; these exact groups (and the salt the domain selects) are
+  // what a deployed frequency-domain mark was embedded with.
+  std::vector<Value> labels;
+  for (int i = 0; i < 12; ++i) {
+    labels.push_back(Value("L" + std::to_string(i)));
+  }
+  const CategoricalDomain domain =
+      CategoricalDomain::FromValues(labels).value();
+  const struct {
+    HashAlgorithm algo;
+    std::uint8_t salt;
+    const char* groups;
+  } kPins[] = {{HashAlgorithm::kMd5, 0, "322021222201/373"},
+               {HashAlgorithm::kSha256, 1, "130211023212/626"}};
+  for (const auto& pin : kPins) {
+    FreqMarkParams params = DefaultParams();
+    params.hash_algo = pin.algo;
+    const FrequencyMarker marker(SecretKey::FromSeed(21), params);
+    EXPECT_EQ(marker.FindGroupingSalt(domain, 4).value(), pin.salt);
+    std::string groups;
+    for (std::size_t t = 0; t < domain.size(); ++t) {
+      groups += static_cast<char>(
+          '0' + marker.GroupOf(domain.value(t), 4, pin.salt));
+    }
+    groups += '/';
+    for (std::uint8_t salt = 0; salt < 3; ++salt) {
+      groups += static_cast<char>(
+          '0' + marker.GroupOf(Value(std::int64_t{7}), 8, salt));
+    }
+    EXPECT_EQ(groups, pin.groups) << HashAlgorithmName(pin.algo);
+  }
+}
+
 TEST(FreqMarkTest, RejectsTooSmallDomain) {
   Relation rel = SkewedRelation(5000, 10);
   const FrequencyMarker marker(SecretKey::FromSeed(10), DefaultParams());

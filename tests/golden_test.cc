@@ -10,6 +10,7 @@
 #include "core/certificate.h"
 #include "core/detector.h"
 #include "core/embedder.h"
+#include "crypto/prf.h"
 #include "crypto/sha256.h"
 #include "exp/harness.h"
 #include "gen/sales_gen.h"
@@ -77,9 +78,10 @@ TEST(GoldenTest, ReportCountsAreStable) {
 TEST(GoldenTest, KeyedHashVectorsAreStable) {
   // The exact H(V,k) values the fitness test depends on.
   const WatermarkKeySet keys = WatermarkKeySet::FromPassphrase("golden");
-  const KeyedHasher h1(keys.k1);
-  EXPECT_EQ(h1.Hash64(std::uint64_t{1}), 0x1a6a2a152f01c4e4ULL);
-  EXPECT_EQ(h1.Hash64(std::string_view("watermark")),
+  const auto h1 = CreateKeyedPrf(PrfKind::kKeyedHash, keys.k1);
+  const std::uint8_t one_be[8] = {0, 0, 0, 0, 0, 0, 0, 1};
+  EXPECT_EQ(h1->Hash64(one_be, 8), 0x1a6a2a152f01c4e4ULL);
+  EXPECT_EQ(h1->Hash64(std::string_view("watermark")),
             0x5c16678f632a5643ULL);
 }
 

@@ -36,6 +36,22 @@ TEST(NumericSetTest, CleanRoundTrip) {
   EXPECT_LE(report.max_item_change, 0.5 + 1e-9);
 }
 
+TEST(NumericSetTest, ChunkMeansArePinned) {
+  // The chunk boundaries are jittered by the keyed hash of each boundary
+  // index (SHA-256 sandwich over its 8 big-endian bytes); pinning the
+  // resulting chunk means catches any change to that hash input.
+  std::vector<double> values(1024);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<double>((i * 37) % 1024);
+  }
+  const NumericSetMarker marker(SecretKey::FromSeed(5), Params(0.25));
+  const BitVector wm = BitVector::FromString("10110010").value();
+  const NumericSetEmbedReport report = marker.Embed(values, wm).value();
+  const std::vector<double> expected = {66.75, 189.0, 312.75, 445.25,
+                                        576.5, 710.0, 832.75, 957.0};
+  EXPECT_EQ(report.chunk_means, expected);
+}
+
 TEST(NumericSetTest, MinimizesAbsoluteChange) {
   // [10]'s design goal: "minimize the absolute data alteration in terms of
   // distance from the original data set". Mean per-item change stays below

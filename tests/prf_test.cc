@@ -1,7 +1,7 @@
 // The keyed-PRF subsystem: reference vectors per backend (published
-// SipHash-2-4 vectors, RFC 4231 HMAC-SHA256 cases), bit-compatibility of
-// the default backend with the legacy KeyedHasher, batch-vs-single-shot
-// identity, and the --prf / CATMARK_PRF name validation.
+// SipHash-2-4 vectors, RFC 4231 HMAC-SHA256 cases), the default backend
+// against a hand-built H(k;V;k) sandwich, batch-vs-single-shot identity,
+// and the --prf / CATMARK_PRF name validation.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,10 @@
 #include <vector>
 
 #include "crypto/keyed_hash.h"
+#include "crypto/md5.h"
 #include "crypto/prf.h"
+#include "crypto/sha1.h"
+#include "crypto/sha256.h"
 #include "crypto/siphash.h"
 #include "relation/value.h"
 
@@ -113,19 +116,34 @@ TEST(PrfRegistryTest, ExplicitParamsChoiceSkipsTheEnvironment) {
 
 // ----------------------------------------------------------------- backends
 
-TEST(KeyedPrfTest, KeyedHashBackendIsBitCompatibleWithKeyedHasher) {
+// H(V, k) = crypto_hash(k ; V ; k) (Section 2.2), built by hand from the
+// raw hash so the backend is checked against the paper, not against itself.
+template <typename H>
+std::uint64_t HandBuiltSandwich(const SecretKey& key, std::string_view msg) {
+  H h;
+  h.Update(key.bytes().data(), key.bytes().size());
+  h.Update(reinterpret_cast<const std::uint8_t*>(msg.data()), msg.size());
+  h.Update(key.bytes().data(), key.bytes().size());
+  return h.Finish().ToUint64();
+}
+
+TEST(KeyedPrfTest, KeyedHashBackendMatchesHandBuiltSandwich) {
   const SecretKey key = SecretKey::FromPassphrase("golden");
-  for (const HashAlgorithm algo :
-       {HashAlgorithm::kMd5, HashAlgorithm::kSha1, HashAlgorithm::kSha256}) {
-    const KeyedHasher legacy(key, algo);
-    const auto prf = CreateKeyedPrf(PrfKind::kKeyedHash, key, algo);
-    for (const std::string_view msg :
-         {std::string_view(""), std::string_view("watermark"),
-          std::string_view("a much longer message that crosses the "
-                           "64-byte compression-block boundary of the "
-                           "underlying hash function")}) {
-      EXPECT_EQ(prf->Hash64(msg), legacy.Hash64(msg));
-    }
+  for (const std::string_view msg :
+       {std::string_view(""), std::string_view("watermark"),
+        std::string_view("a much longer message that crosses the "
+                         "64-byte compression-block boundary of the "
+                         "underlying hash function")}) {
+    EXPECT_EQ(CreateKeyedPrf(PrfKind::kKeyedHash, key, HashAlgorithm::kMd5)
+                  ->Hash64(msg),
+              HandBuiltSandwich<Md5>(key, msg));
+    EXPECT_EQ(CreateKeyedPrf(PrfKind::kKeyedHash, key, HashAlgorithm::kSha1)
+                  ->Hash64(msg),
+              HandBuiltSandwich<Sha1>(key, msg));
+    EXPECT_EQ(
+        CreateKeyedPrf(PrfKind::kKeyedHash, key, HashAlgorithm::kSha256)
+            ->Hash64(msg),
+        HandBuiltSandwich<Sha256>(key, msg));
   }
 }
 
@@ -243,27 +261,37 @@ TEST(KeyedPrfTest, Hash64ArenaBoundsEdgesForEveryBackend) {
   }
 }
 
-TEST(KeyedPrfTest, Hash64FixedEdgesForEveryBackend) {
-  // Fixed-stride counterpart: zero messages, zero-length messages at a
-  // positive stride, and stride > len (padding bytes must be ignored).
+TEST(KeyedPrfTest, Hash64ArenaEqualLengthEdgesForEveryBackend) {
+  // Equal-length batches take siphash24's constant-stride path: 40
+  // zero-length messages, and 37 two-byte messages that start past the
+  // arena's first byte (a bounds subspan of a larger block). Both counts
+  // cover whole lane groups of every width plus a tail.
   for (const PrfKind kind : {PrfKind::kKeyedHash, PrfKind::kHmacSha256,
                              PrfKind::kSipHash24}) {
     const auto prf = CreateKeyedPrf(kind, SecretKey::FromSeed(12));
 
-    prf->Hash64Fixed(nullptr, 0, 0, std::span<std::uint64_t>());
-
-    const std::uint8_t pad[6] = {1, 2, 3, 4, 5, 6};
-    std::uint64_t out3[3];
-    prf->Hash64Fixed(pad, 0, 2, out3);  // three empty messages, stride 2
-    for (std::size_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(out3[i], prf->Hash64(std::string_view()))
+    const std::vector<std::size_t> empties(41, 0);
+    std::vector<std::uint64_t> out_empty(40, ~0ULL);
+    prf->Hash64Arena(nullptr, std::span<const std::size_t>(empties),
+                     out_empty);
+    for (std::size_t i = 0; i < out_empty.size(); ++i) {
+      EXPECT_EQ(out_empty[i], prf->Hash64(std::string_view()))
           << PrfKindName(kind) << " empty message " << i;
     }
 
-    std::uint64_t out2[2];
-    prf->Hash64Fixed(pad, 2, 3, out2);  // {1,2} and {4,5}; 3 and 6 are pad
-    EXPECT_EQ(out2[0], prf->Hash64(pad, 2)) << PrfKindName(kind);
-    EXPECT_EQ(out2[1], prf->Hash64(pad + 3, 2)) << PrfKindName(kind);
+    std::vector<std::uint8_t> arena(1 + 2 * 37);
+    std::vector<std::size_t> bounds;
+    for (std::size_t i = 0; i < arena.size(); ++i) {
+      arena[i] = static_cast<std::uint8_t>(i * 29 + 3);
+      if (i % 2 == 1) bounds.push_back(i);
+    }
+    bounds.push_back(arena.size());
+    std::vector<std::uint64_t> out(37);
+    prf->Hash64Arena(arena.data(), std::span<const std::size_t>(bounds), out);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i], prf->Hash64(arena.data() + 1 + 2 * i, 2))
+          << PrfKindName(kind) << " message " << i;
+    }
   }
 }
 

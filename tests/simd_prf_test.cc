@@ -144,28 +144,43 @@ TEST(SimdSipHashTest, RandomLengthBatchesMatchScalar) {
   }
 }
 
+/// Bounds of `count` back-to-back messages of `len` bytes starting at arena
+/// offset `first`: the equal-length batch SipHash24Batch streams at a
+/// constant stride.
+std::vector<std::size_t> EqualLengthBounds(std::size_t first,
+                                           std::size_t len,
+                                           std::size_t count) {
+  std::vector<std::size_t> bounds(count + 1);
+  for (std::size_t i = 0; i <= count; ++i) bounds[i] = first + i * len;
+  return bounds;
+}
+
 TEST(SimdSipHashTest, FixedStrideMatchesScalar) {
   std::mt19937_64 rng(77);
   for (const std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{4},
                                 std::size_t{8}, std::size_t{9}, std::size_t{16},
                                 std::size_t{33}, std::size_t{128}}) {
-    // stride == len is the packed arena; the padded stride covers layouts
-    // with per-message slack.
-    for (const std::size_t stride : {len, len + 3}) {
+    // The batch may start anywhere in the arena (a bounds subspan of a
+    // larger block), not just at offset 0.
+    for (const std::size_t first : {std::size_t{0}, std::size_t{3}}) {
       const std::size_t count = 101;
-      std::vector<std::uint8_t> buf(count * stride + 16);
+      std::vector<std::uint8_t> buf(first + count * len + 16);
       for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
       std::vector<std::uint64_t> expected(count);
       for (std::size_t i = 0; i < count; ++i) {
-        expected[i] = SipHash24(kVecK0, kVecK1, buf.data() + i * stride, len);
+        expected[i] =
+            SipHash24(kVecK0, kVecK1, buf.data() + first + i * len, len);
       }
+      const std::vector<std::size_t> bounds =
+          EqualLengthBounds(first, len, count);
       for (const SimdLevel level : RunnableLevels()) {
         ScopedSimdLevel forced(level);
         std::vector<std::uint64_t> out(count);
-        SipHash24Fixed(kVecK0, kVecK1, buf.data(), len, stride,
+        SipHash24Batch(kVecK0, kVecK1, buf.data(),
+                       std::span<const std::size_t>(bounds),
                        std::span<std::uint64_t>(out));
         EXPECT_EQ(out, expected) << "level=" << SimdLevelName(level)
-                                 << " len=" << len << " stride=" << stride;
+                                 << " len=" << len << " first=" << first;
       }
     }
   }
@@ -276,7 +291,7 @@ TEST(SimdSipHashTest, UniformArenaMatchesScalar) {
   }
 }
 
-// Every count 0..47 and each length 0..40 through the fixed-stride entry:
+// Every count 0..47 and each length 0..40 through the equal-length batch:
 // the 16-lane kernel leaves tails of 1..15 messages that are not a multiple
 // of any narrower width, and the lengths cross every 8-byte block edge.
 TEST(SimdSipHashTest, FixedStrideEveryCountAndTail) {
@@ -292,8 +307,11 @@ TEST(SimdSipHashTest, FixedStrideEveryCountAndTail) {
     for (const SimdLevel level : RunnableLevels()) {
       ScopedSimdLevel forced(level);
       for (std::size_t count = 0; count <= kMaxCount; ++count) {
+        const std::vector<std::size_t> bounds =
+            EqualLengthBounds(0, len, count);
         std::vector<std::uint64_t> out(count, 1);
-        SipHash24Fixed(kVecK0, kVecK1, buf.data(), len, len,
+        SipHash24Batch(kVecK0, kVecK1, buf.data(),
+                       std::span<const std::size_t>(bounds),
                        std::span<std::uint64_t>(out));
         EXPECT_TRUE(std::equal(out.begin(), out.end(), expected.begin()))
             << "level=" << SimdLevelName(level) << " len=" << len
@@ -378,7 +396,6 @@ TEST(SimdSipHashTest, EmptyBatchEveryLevel) {
     SipHash24Batch(kVecK0, kVecK1, nullptr,
                    std::span<const std::size_t>(bounds),
                    std::span<std::uint64_t>());
-    SipHash24Fixed(kVecK0, kVecK1, nullptr, 0, 0, std::span<std::uint64_t>());
   }
 }
 

@@ -402,14 +402,15 @@ TEST(StreamSessionTest, BatchesAreAtomicOnValidationErrors) {
 }
 
 TEST(StreamSessionTest, RefreshReusesResidentStateAndRepairs) {
-  // Pinned to the keyed hash: FitnessSelector below and the verdict cache
+  // Pinned to the keyed hash: the fitness PRF below and the verdict cache
   // both belong to that backend.
   Fixture f = MakeFixture(PrfKind::kKeyedHash);
   StreamSession session = StreamSession::Create(SpecOf(f)).value();
-  const FitnessSelector fitness(f.keys.k1, f.params.e);
+  const auto k1 = CreateKeyedPrf(PrfKind::kKeyedHash, f.keys.k1);
+  HashScratch scratch;
   std::size_t fit_row = f.rel.NumRows();
   for (std::size_t i = 0; i < f.rel.NumRows(); ++i) {
-    if (fitness.IsFit(f.rel.Get(i, 0))) {
+    if (HashValue(*k1, f.rel.Get(i, 0), scratch) % f.params.e == 0) {
       fit_row = i;
       break;
     }
@@ -426,13 +427,13 @@ TEST(StreamSessionTest, RefreshReusesResidentStateAndRepairs) {
 }
 
 TEST(StreamSessionTest, RefreshLeavesUnfitRowsAlone) {
-  // Pinned to the keyed hash, which FitnessSelector implements.
   Fixture f = MakeFixture(PrfKind::kKeyedHash);
   StreamSession session = StreamSession::Create(SpecOf(f)).value();
-  const FitnessSelector fitness(f.keys.k1, f.params.e);
+  const auto k1 = CreateKeyedPrf(PrfKind::kKeyedHash, f.keys.k1);
+  HashScratch scratch;
   std::size_t unfit_row = f.rel.NumRows();
   for (std::size_t i = 0; i < f.rel.NumRows(); ++i) {
-    if (!fitness.IsFit(f.rel.Get(i, 0))) {
+    if (HashValue(*k1, f.rel.Get(i, 0), scratch) % f.params.e != 0) {
       unfit_row = i;
       break;
     }
