@@ -1,6 +1,7 @@
 #include "core/detect_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <limits>
 #include <optional>
@@ -41,39 +42,6 @@ struct DetectEngine::Scratch {
 };
 
 namespace {
-
-/// Candidate sanity shared by RunPass and DetectOneShot — one source, so
-/// the fused and planned paths cannot drift on what they reject.
-Status ValidateCandidate(const KeyCandidate& candidate) {
-  if (candidate.wm_len == 0) {
-    return Status::InvalidArgument("watermark length must be > 0");
-  }
-  if (!candidate.keys.valid()) {
-    return Status::InvalidArgument("invalid watermark key set (k1 == k2?)");
-  }
-  if (candidate.params.e == 0) {
-    return Status::InvalidArgument("encoding parameter e must be >= 1");
-  }
-  return Status::OK();
-}
-
-/// The payload-length precedence ladder shared by RunPass and
-/// DetectOneShot: engine/options override, then the candidate's claimed
-/// params, then re-derivation from the suspect size.
-Result<std::size_t> ResolveDetectPayloadLength(std::size_t override_len,
-                                               const KeyCandidate& candidate,
-                                               std::size_t num_rows) {
-  if (override_len != 0) return override_len;
-  if (candidate.params.payload_length != 0) {
-    return candidate.params.payload_length;
-  }
-  if (num_rows / candidate.params.e == 0) {
-    return Status::FailedPrecondition(
-        "cannot derive the payload length: e exceeds the suspect relation "
-        "size (N/e == 0); pass the owner-side payload_length instead");
-  }
-  return DerivePayloadLength(num_rows, candidate.params.e, candidate.wm_len);
-}
 
 /// Figure 2's position source: a fit message's slot comes from its k2
 /// hash. `key_bytes` is never called.
@@ -118,39 +86,27 @@ void WithSlots(const KeyCandidate& candidate, std::size_t payload_len,
 
 }  // namespace
 
-/// What the per-relation prologue resolved: the attribute columns and the
-/// domain — a caller's view, the caller's optional, or one recovered from
-/// the suspect data and owned here.
-struct DetectEngine::RelationInputs {
-  std::size_t key_col = 0;
-  std::size_t target_col = 0;
-  const CategoricalDomain* domain = nullptr;
-  std::unique_ptr<CategoricalDomain> recovered_domain;
-};
-
-Result<DetectEngine::RelationInputs> DetectEngine::ResolveInputs(
-    const Relation& rel, const DetectEngineOptions& options) {
-  RelationInputs in;
-  CATMARK_ASSIGN_OR_RETURN(in.key_col,
+Result<DetectEngine> DetectEngine::Create(const Relation& rel,
+                                          const DetectEngineOptions& options) {
+  DetectEngine engine;
+  CATMARK_ASSIGN_OR_RETURN(engine.key_col_,
                            rel.schema().ColumnIndexOrError(options.key_attr));
   CATMARK_ASSIGN_OR_RETURN(
-      in.target_col, rel.schema().ColumnIndexOrError(options.target_attr));
+      engine.target_col_,
+      rel.schema().ColumnIndexOrError(options.target_attr));
   if (rel.empty()) {
     return Status::FailedPrecondition("cannot detect in an empty relation");
   }
-  if (options.domain_view != nullptr) {
-    in.domain = options.domain_view;
-  } else if (options.domain.has_value()) {
-    in.domain = &*options.domain;
-  } else {
+  engine.domain_ = options.domain;
+  if (engine.domain_ == nullptr) {
     CATMARK_ASSIGN_OR_RETURN(
         CategoricalDomain recovered,
-        CategoricalDomain::FromRelationColumn(rel, in.target_col));
-    in.recovered_domain =
+        CategoricalDomain::FromRelationColumn(rel, engine.target_col_));
+    engine.owned_domain_ =
         std::make_unique<CategoricalDomain>(std::move(recovered));
-    in.domain = in.recovered_domain.get();
+    engine.domain_ = engine.owned_domain_.get();
   }
-  if (in.domain->size() < 2) {
+  if (engine.domain_->size() < 2) {
     return Status::FailedPrecondition("domain has fewer than 2 values");
   }
   if (options.target_index != nullptr &&
@@ -158,38 +114,46 @@ Result<DetectEngine::RelationInputs> DetectEngine::ResolveInputs(
     return Status::InvalidArgument(
         "target_index has a different row count than the suspect relation");
   }
-  return in;
-}
 
-Result<DetectEngine> DetectEngine::Create(const Relation& rel,
-                                          const DetectEngineOptions& options) {
-  const SteadyClock::time_point start = SteadyClock::now();
-  CATMARK_ASSIGN_OR_RETURN(RelationInputs inputs, ResolveInputs(rel, options));
-  DetectEngine engine = Build(rel, options, std::move(inputs));
-  engine.plan_build_seconds_ = SecondsSince(start);
-  return engine;
-}
-
-DetectEngine DetectEngine::Build(const Relation& rel,
-                                 const DetectEngineOptions& options,
-                                 RelationInputs&& inputs) {
-  DetectEngine engine;
-  // The engine outlives `options`: keep a view, own a recovered domain, and
-  // copy the caller's optional.
-  engine.owned_domain_ = std::move(inputs.recovered_domain);
-  if (engine.owned_domain_ == nullptr && options.domain_view == nullptr) {
-    engine.owned_domain_ = std::make_unique<CategoricalDomain>(*inputs.domain);
-  }
-  engine.domain_ = engine.owned_domain_ != nullptr ? engine.owned_domain_.get()
-                                                   : options.domain_view;
-  const std::size_t key_col = inputs.key_col;
-  const std::size_t target_col = inputs.target_col;
-
+  const std::size_t key_col = engine.key_col_;
+  const std::size_t target_col = engine.target_col_;
   const std::size_t n = rel.NumRows();
+  engine.rel_ = &rel;
   engine.num_rows_ = n;
   engine.num_threads_ = options.num_threads;
   engine.default_payload_length_ = options.payload_length;
   const std::size_t threads = EffectiveThreadCount(options.num_threads, n);
+  const ColumnStore& store = rel.store();
+  engine.dict_keys_ = store.IsDictColumn(key_col);
+
+  if (!engine.dict_keys_) {
+    // Plain key column: one message per non-NULL key row, so a prepared
+    // plan would copy the column only to stream it back once per
+    // candidate. The plan is the column itself: the pass serializes a
+    // cache-resident chunk, hashes it while hot, and resolves target
+    // indices (and a map candidate's key bytes) for the ~1/e fit rows only.
+    engine.row_bounds_ = ShardBounds(n, threads);
+    engine.target_index_ = options.target_index;
+    if (engine.target_index_ == nullptr && store.IsDictColumn(target_col)) {
+      engine.owned_target_index_ = std::make_unique<ValueIndexColumn>(
+          ValueIndexColumn::Build(rel, target_col, *engine.domain_, threads));
+      engine.target_index_ = engine.owned_target_index_.get();
+    }
+    // One message per non-NULL key row: a lane counts its NULL bitmap (no
+    // bit is set past the last row), any other column reads each cell.
+    if (store.IsLaneColumn(key_col)) {
+      engine.num_messages_ = n;
+      for (const std::uint64_t word : store.Lane(key_col).null_words) {
+        engine.num_messages_ -= static_cast<std::size_t>(std::popcount(word));
+      }
+    } else {
+      const ColumnReader key_reader(store, key_col);
+      for (std::size_t j = 0; j < n; ++j) {
+        if (!key_reader.IsNull(j)) ++engine.num_messages_;
+      }
+    }
+    return engine;
+  }
 
   const ValueIndexColumn* target_index = options.target_index;
   ValueIndexColumn local_index;
@@ -199,164 +163,106 @@ DetectEngine DetectEngine::Build(const Relation& rel,
     target_index = &local_index;
   }
 
-  const ColumnStore& store = rel.store();
-  engine.dict_keys_ = store.IsDictColumn(key_col);
-
-  if (engine.dict_keys_) {
-    // Dict-code gather: one message per *live* distinct dictionary entry,
-    // prepared once — every row holding that entry shares its fitness and
-    // position hashes, so the pass never revisits the row dimension. An
-    // INT64 column keeps its values as a typed lane; any other type, or an
-    // INT64 dictionary holding a value of another type (the unchecked
-    // append paths do not type-check), is serialized into the arena.
-    const std::vector<Value>& dict = store.Dict(key_col);
-    const std::vector<std::int32_t>& codes = store.Codes(key_col);
-    const std::vector<std::int64_t>& live = store.DictLiveCounts(key_col);
-    const std::size_t dict_threads =
-        EffectiveThreadCount(options.num_threads, dict.size());
-    bool typed = rel.schema().column(key_col).type == ColumnType::kInt64;
-    for (std::size_t code = 0; typed && code < dict.size(); ++code) {
-      typed = live[code] == 0 || dict[code].TryInt64() != nullptr;
-    }
-    // Size every shard *before* the fan-out: ParallelFor never invokes the
-    // body for zero items (a dictionary with no live entry — e.g. an
-    // all-NULL key column), and TallyShard reads bounds.size() - 1 as the
-    // message count.
-    if (typed) {
-      engine.int64_keys_.resize(dict_threads);
-    } else {
-      engine.arena_.resize(dict_threads);
-      engine.bounds_.assign(dict_threads, std::vector<std::size_t>{0});
-    }
-    std::vector<std::vector<std::uint32_t>> shard_codes(dict_threads);
-    ParallelFor(dict.size(), dict_threads,
-                [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                  for (std::size_t code = begin; code < end; ++code) {
-                    if (live[code] == 0) continue;  // no referencing row
-                    if (typed) {
-                      engine.int64_keys_[shard].push_back(
-                          *dict[code].TryInt64());
-                    } else {
-                      dict[code].SerializeForHash(engine.arena_[shard]);
-                      engine.bounds_[shard].push_back(
-                          engine.arena_[shard].size());
-                    }
-                    shard_codes[shard].push_back(
-                        static_cast<std::uint32_t>(code));
-                  }
-                });
-
-    engine.msg_base_.resize(dict_threads);
-    std::size_t total = 0;
-    std::vector<std::uint32_t> msg_of_code(dict.size(), kNoMessage);
-    for (std::size_t s = 0; s < dict_threads; ++s) {
-      engine.msg_base_[s] = total;
-      for (const std::uint32_t code : shard_codes[s]) {
-        msg_of_code[code] = static_cast<std::uint32_t>(total++);
-      }
-    }
-    engine.num_messages_ = total;
-    engine.vote_.assign(total, 0);
-    engine.usable_.assign(total, 0);
-    engine.rows_.assign(total, 0);
-
-    // Fold every row into its message's key-independent aggregates. The
-    // per-worker accumulators are |messages| wide, so cap the worker count
-    // when a near-unique key column would make the transient copies large
-    // (the fold is a cheap streaming pass; extra workers buy little there).
-    std::size_t agg_threads = EffectiveThreadCount(options.num_threads, n);
-    const std::size_t per_worker_bytes = total * 12;
-    while (agg_threads > 1 &&
-           (agg_threads - 1) * per_worker_bytes > (std::size_t{64} << 20)) {
-      --agg_threads;
-    }
-    std::vector<std::vector<std::int32_t>> shard_vote(
-        agg_threads, std::vector<std::int32_t>(total, 0));
-    std::vector<std::vector<std::uint32_t>> shard_usable(
-        agg_threads, std::vector<std::uint32_t>(total, 0));
-    std::vector<std::vector<std::uint32_t>> shard_rows(
-        agg_threads, std::vector<std::uint32_t>(total, 0));
-    ParallelFor(n, agg_threads,
-                [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                  std::vector<std::int32_t>& vote = shard_vote[shard];
-                  std::vector<std::uint32_t>& usable = shard_usable[shard];
-                  std::vector<std::uint32_t>& rows = shard_rows[shard];
-                  for (std::size_t j = begin; j < end; ++j) {
-                    const std::int32_t code = codes[j];
-                    if (code < 0) continue;  // NULL key: unfit, no message
-                    const std::uint32_t m =
-                        msg_of_code[static_cast<std::size_t>(code)];
-                    ++rows[m];
-                    const std::int32_t t = target_index->index(j);
-                    if (t < 0) continue;  // NULL / out-of-domain target
-                    ++usable[m];
-                    vote[m] += ExtractBitFromValueIndex(
-                                   static_cast<std::size_t>(t))
-                                   ? 1
-                                   : -1;
-                  }
-                });
-    for (std::size_t s = 0; s < agg_threads; ++s) {
-      for (std::size_t m = 0; m < total; ++m) {
-        engine.vote_[m] += shard_vote[s][m];
-        engine.usable_[m] += shard_usable[s][m];
-        engine.rows_[m] += shard_rows[s][m];
-      }
-    }
+  // Dict-code gather: one message per *live* distinct dictionary entry,
+  // prepared once — every row holding that entry shares its fitness and
+  // position hashes, so the pass never revisits the row dimension. An
+  // INT64 column keeps its values as a typed lane; any other type, or an
+  // INT64 dictionary holding a value of another type (the unchecked
+  // append paths do not type-check), is serialized into the arena.
+  const std::vector<Value>& dict = store.Dict(key_col);
+  const std::vector<std::int32_t>& codes = store.Codes(key_col);
+  const std::vector<std::int64_t>& live = store.DictLiveCounts(key_col);
+  const std::size_t dict_threads =
+      EffectiveThreadCount(options.num_threads, dict.size());
+  bool typed = rel.schema().column(key_col).type == ColumnType::kInt64;
+  for (std::size_t code = 0; typed && code < dict.size(); ++code) {
+    typed = live[code] == 0 || dict[code].TryInt64() != nullptr;
+  }
+  // Size every shard *before* the fan-out: ParallelFor never invokes the
+  // body for zero items (a dictionary with no live entry — e.g. an
+  // all-NULL key column), and TallyShard reads bounds.size() - 1 as the
+  // message count.
+  if (typed) {
+    engine.int64_keys_.resize(dict_threads);
   } else {
-    // Plain key column: one message per non-NULL key row, fused with the
-    // vote computation in a single sharded pass (vote 0 = unusable row, so
-    // the tally can add it unconditionally). An INT64 lane keeps its keys
-    // as a typed lane, as an INT64 dictionary does; any other type is
-    // serialized into the arena.
-    const ColumnReader key_reader(store, key_col);
-    const bool typed = store.IsLaneColumn(key_col) &&
-                       store.Lane(key_col).type == ColumnType::kInt64;
-    const std::int64_t* lane_keys =
-        typed ? store.Lane(key_col).int64s().data() : nullptr;
-    if (typed) {
-      engine.int64_keys_.resize(threads);
-    } else {
-      engine.arena_.resize(threads);
-      engine.bounds_.assign(threads, std::vector<std::size_t>{0});
-    }
-    std::vector<std::vector<std::int32_t>> shard_vote(threads);
-    ParallelFor(n, threads,
-                [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                  std::vector<std::int32_t>& vote = shard_vote[shard];
-                  if (typed) engine.int64_keys_[shard].reserve(end - begin);
-                  for (std::size_t j = begin; j < end; ++j) {
-                    if (key_reader.IsNull(j)) continue;
-                    if (typed) {
-                      engine.int64_keys_[shard].push_back(lane_keys[j]);
-                    } else {
-                      key_reader.SerializeForHash(j, engine.arena_[shard]);
-                      engine.bounds_[shard].push_back(
-                          engine.arena_[shard].size());
-                    }
-                    const std::int32_t t = target_index->index(j);
-                    vote.push_back(
-                        t < 0 ? 0
-                              : (ExtractBitFromValueIndex(
-                                     static_cast<std::size_t>(t))
-                                     ? 1
-                                     : -1));
+    engine.arena_.resize(dict_threads);
+    engine.bounds_.assign(dict_threads, std::vector<std::size_t>{0});
+  }
+  std::vector<std::vector<std::uint32_t>> shard_codes(dict_threads);
+  ParallelFor(dict.size(), dict_threads,
+              [&](std::size_t shard, std::size_t begin, std::size_t end) {
+                for (std::size_t code = begin; code < end; ++code) {
+                  if (live[code] == 0) continue;  // no referencing row
+                  if (typed) {
+                    engine.int64_keys_[shard].push_back(
+                        *dict[code].TryInt64());
+                  } else {
+                    dict[code].SerializeForHash(engine.arena_[shard]);
+                    engine.bounds_[shard].push_back(
+                        engine.arena_[shard].size());
                   }
-                });
-    engine.msg_base_.resize(threads);
-    std::size_t total = 0;
-    for (std::size_t s = 0; s < threads; ++s) {
-      engine.msg_base_[s] = total;
-      total += shard_vote[s].size();
-    }
-    engine.num_messages_ = total;
-    engine.vote_.reserve(total);
-    for (std::size_t s = 0; s < threads; ++s) {
-      engine.vote_.insert(engine.vote_.end(), shard_vote[s].begin(),
-                          shard_vote[s].end());
+                  shard_codes[shard].push_back(
+                      static_cast<std::uint32_t>(code));
+                }
+              });
+
+  engine.msg_base_.resize(dict_threads);
+  std::size_t total = 0;
+  std::vector<std::uint32_t> msg_of_code(dict.size(), kNoMessage);
+  for (std::size_t s = 0; s < dict_threads; ++s) {
+    engine.msg_base_[s] = total;
+    for (const std::uint32_t code : shard_codes[s]) {
+      msg_of_code[code] = static_cast<std::uint32_t>(total++);
     }
   }
+  engine.num_messages_ = total;
+  engine.vote_.assign(total, 0);
+  engine.usable_.assign(total, 0);
+  engine.rows_.assign(total, 0);
 
+  // Fold every row into its message's key-independent aggregates. The
+  // per-worker accumulators are |messages| wide, so cap the worker count
+  // when a near-unique key column would make the transient copies large
+  // (the fold is a cheap streaming pass; extra workers buy little there).
+  std::size_t agg_threads = EffectiveThreadCount(options.num_threads, n);
+  const std::size_t per_worker_bytes = total * 12;
+  while (agg_threads > 1 &&
+         (agg_threads - 1) * per_worker_bytes > (std::size_t{64} << 20)) {
+    --agg_threads;
+  }
+  std::vector<std::vector<std::int32_t>> shard_vote(
+      agg_threads, std::vector<std::int32_t>(total, 0));
+  std::vector<std::vector<std::uint32_t>> shard_usable(
+      agg_threads, std::vector<std::uint32_t>(total, 0));
+  std::vector<std::vector<std::uint32_t>> shard_rows(
+      agg_threads, std::vector<std::uint32_t>(total, 0));
+  ParallelFor(n, agg_threads,
+              [&](std::size_t shard, std::size_t begin, std::size_t end) {
+                std::vector<std::int32_t>& vote = shard_vote[shard];
+                std::vector<std::uint32_t>& usable = shard_usable[shard];
+                std::vector<std::uint32_t>& rows = shard_rows[shard];
+                for (std::size_t j = begin; j < end; ++j) {
+                  const std::int32_t code = codes[j];
+                  if (code < 0) continue;  // NULL key: unfit, no message
+                  const std::uint32_t m =
+                      msg_of_code[static_cast<std::size_t>(code)];
+                  ++rows[m];
+                  const std::int32_t t = target_index->index(j);
+                  if (t < 0) continue;  // NULL / out-of-domain target
+                  ++usable[m];
+                  vote[m] += ExtractBitFromValueIndex(
+                                 static_cast<std::size_t>(t))
+                                 ? 1
+                                 : -1;
+                }
+              });
+  for (std::size_t s = 0; s < agg_threads; ++s) {
+    for (std::size_t m = 0; m < total; ++m) {
+      engine.vote_[m] += shard_vote[s][m];
+      engine.usable_[m] += shard_usable[s][m];
+      engine.rows_[m] += shard_rows[s][m];
+    }
+  }
   return engine;
 }
 
@@ -366,19 +272,55 @@ void DetectEngine::TallyShard(std::size_t shard, FitScanner& scan,
                               std::vector<SlotVote>& hits,
                               std::size_t& usable_votes,
                               std::size_t& fit_tuples) const {
-  const std::size_t base = msg_base_[shard];
   std::size_t usable = 0;
   std::size_t fit_rows = 0;
+  if (!dict_keys_) {
+    // The plan is the key column: scan the shard's rows in place and
+    // resolve the target of each fit row only.
+    const std::size_t begin = row_bounds_[shard];
+    const ColumnStore& store = rel_->store();
+    const ColumnReader key_reader(store, key_col_);
+    std::vector<std::uint8_t> key_bytes;
+    ScanKeyColumn(
+        scan, store, key_col_, begin, row_bounds_[shard + 1],
+        [&](std::size_t i, std::uint64_t /*h1*/, std::uint64_t h2) {
+          const std::size_t j = begin + i;
+          ++fit_rows;
+          const std::optional<std::size_t> idx = slots(
+              h2, [&] { return key_reader.SerializeKeyInto(j, key_bytes); });
+          if (!idx.has_value()) return;
+          std::int32_t t;
+          if (target_index_ != nullptr) {
+            t = target_index_->index(j);
+          } else {
+            const Value& attr_value = rel_->Get(j, target_col_);
+            if (attr_value.is_null()) return;
+            const auto domain_index = domain_->IndexOf(attr_value);
+            t = domain_index.has_value()
+                    ? static_cast<std::int32_t>(*domain_index)
+                    : ValueIndexColumn::kNoIndex;
+          }
+          if (t < 0) return;  // NULL / out-of-domain target
+          ++usable;
+          hits.push_back(
+              {*idx,
+               ExtractBitFromValueIndex(static_cast<std::size_t>(t)) ? 1 : -1});
+        });
+    usable_votes += usable;
+    fit_tuples += fit_rows;
+    return;
+  }
+  const std::size_t base = msg_base_[shard];
   // `key_bytes()` yields message i's SerializeKeyInto form; only a map
   // candidate calls it, for its fit messages.
   const auto tally = [&](std::size_t i, std::uint64_t h2,
                          const auto& key_bytes) {
     const std::size_t m = base + i;
-    fit_rows += dict_keys_ ? rows_[m] : 1;
+    fit_rows += rows_[m];
     const std::optional<std::size_t> idx = slots(h2, key_bytes);
     if (!idx.has_value()) return;
+    usable += usable_[m];
     const std::int32_t v = vote_[m];
-    usable += dict_keys_ ? usable_[m] : (v != 0);
     if (v != 0) hits.push_back({*idx, v});
   };
   if (!int64_keys_.empty()) {
@@ -416,15 +358,32 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
                                               std::size_t num_threads,
                                               Scratch& scratch) const {
   const SteadyClock::time_point start = SteadyClock::now();
-  const Status valid = ValidateCandidate(candidate);
-  if (!valid.ok()) return valid;
+  if (candidate.wm_len == 0) {
+    return Status::InvalidArgument("watermark length must be > 0");
+  }
+  if (!candidate.keys.valid()) {
+    return Status::InvalidArgument("invalid watermark key set (k1 == k2?)");
+  }
+  if (candidate.params.e == 0) {
+    return Status::InvalidArgument("encoding parameter e must be >= 1");
+  }
 
   DetectionResult result;
   result.num_tuples = num_rows_;
-  CATMARK_ASSIGN_OR_RETURN(
-      const std::size_t payload_len,
-      ResolveDetectPayloadLength(default_payload_length_, candidate,
-                                 num_rows_));
+  // Payload length: the engine override, then the candidate's claimed
+  // params, then re-derivation from the suspect size.
+  std::size_t payload_len = default_payload_length_ != 0
+                                ? default_payload_length_
+                                : candidate.params.payload_length;
+  if (payload_len == 0) {
+    if (num_rows_ / candidate.params.e == 0) {
+      return Status::FailedPrecondition(
+          "cannot derive the payload length: e exceeds the suspect relation "
+          "size (N/e == 0); pass the owner-side payload_length instead");
+    }
+    payload_len =
+        DerivePayloadLength(num_rows_, candidate.params.e, candidate.wm_len);
+  }
   result.payload_length = payload_len;
   CATMARK_ASSIGN_OR_RETURN(const PrfKind prf_kind,
                            ResolvePrfKind(candidate.params.prf));
@@ -438,7 +397,8 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
           : CreateKeyedPrf(prf_kind, candidate.keys.k2,
                            candidate.params.hash_algo);
 
-  const std::size_t num_shards = msg_base_.size();
+  const std::size_t num_shards =
+      dict_keys_ ? msg_base_.size() : row_bounds_.size() - 1;
   const std::size_t threads =
       std::max<std::size_t>(1, std::min(num_threads, num_shards));
   if (scratch.hits.size() < threads) scratch.hits.resize(threads);
@@ -454,7 +414,7 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
       }
       return;
     }
-    // Message shards append to per-worker hit buffers, merged below by
+    // Plan shards append to per-worker hit buffers, merged below by
     // commutative integer sums — bit-identical at every thread count.
     std::vector<std::size_t> worker_usable(threads, 0);
     std::vector<std::size_t> worker_fit(threads, 0);
@@ -493,124 +453,6 @@ Result<DetectionResult> DetectEngine::Detect(
                  EffectiveThreadCount(num_threads_, num_messages_), scratch);
 }
 
-Result<DetectionResult> DetectEngine::DetectOneShot(
-    const Relation& rel, const DetectEngineOptions& options,
-    const KeyCandidate& candidate) {
-  const SteadyClock::time_point start = SteadyClock::now();
-  const Status valid = ValidateCandidate(candidate);
-  if (!valid.ok()) return valid;
-  CATMARK_ASSIGN_OR_RETURN(RelationInputs inputs, ResolveInputs(rel, options));
-  const ColumnStore& store = rel.store();
-  const std::size_t key_col = inputs.key_col;
-  const std::size_t target_col = inputs.target_col;
-  const CategoricalDomain& domain = *inputs.domain;
-
-  if (store.IsDictColumn(key_col)) {
-    // Dict-code gather: the plan arena is O(live dict entries) and folding
-    // the rows into it is the whole win — the plan IS the fused pass here.
-    const DetectEngine engine = Build(rel, options, std::move(inputs));
-    CATMARK_ASSIGN_OR_RETURN(DetectionResult result,
-                             engine.Detect(candidate));
-    result.wall_seconds = SecondsSince(start);
-    return result;
-  }
-
-  // Plain key column: one message per non-NULL key row, so the plan would
-  // materialize an O(N) arena + bounds + votes only to stream them back
-  // exactly once. Fuse instead: serialize a cache-resident chunk, hash it
-  // while hot, fitness-test, and tally — target-domain indices (and a map
-  // candidate's key bytes) resolved only for the ~1/e fit rows.
-  const std::size_t n = rel.NumRows();
-  const std::size_t threads = EffectiveThreadCount(options.num_threads, n);
-
-  // Domain-index view of the target column: a caller-provided cache wins;
-  // a dict-encoded target builds its zero-copy O(dict) view; a plain
-  // target resolves lazily per fit row below — never an O(N) index build.
-  const ValueIndexColumn* cached_index = options.target_index;
-  ValueIndexColumn local_index;
-  if (cached_index == nullptr && store.IsDictColumn(target_col)) {
-    local_index = ValueIndexColumn::Build(rel, target_col, domain, threads);
-    cached_index = &local_index;
-  }
-
-  DetectionResult result;
-  result.num_tuples = n;
-  CATMARK_ASSIGN_OR_RETURN(
-      const std::size_t payload_len,
-      ResolveDetectPayloadLength(options.payload_length, candidate, n));
-  result.payload_length = payload_len;
-  CATMARK_ASSIGN_OR_RETURN(const PrfKind prf_kind,
-                           ResolvePrfKind(candidate.params.prf));
-  result.prf = prf_kind;
-  const std::unique_ptr<KeyedPrf> prf_k1 =
-      CreateKeyedPrf(prf_kind, candidate.keys.k1, candidate.params.hash_algo);
-  const std::unique_ptr<KeyedPrf> prf_k2 =
-      candidate.embedding_map != nullptr
-          ? nullptr
-          : CreateKeyedPrf(prf_kind, candidate.keys.k2,
-                           candidate.params.hash_algo);
-  const ColumnReader key_reader(store, key_col);
-
-  std::vector<std::vector<SlotVote>> worker_hits(threads);
-  std::vector<std::size_t> worker_usable(threads, 0);
-  std::vector<std::size_t> worker_fit(threads, 0);
-  std::vector<std::size_t> worker_hashed(threads, 0);
-  WithSlots(candidate, payload_len, [&](const auto& slots) {
-    ParallelFor(n, threads, [&](std::size_t shard, std::size_t begin,
-                                std::size_t end) {
-      std::vector<SlotVote>& hits = worker_hits[shard];
-      std::size_t usable = 0;
-      std::size_t fit = 0;
-      FitScratch scratch;
-      std::vector<std::uint8_t> key_bytes;
-      FitScanner scan(*prf_k1, prf_k2.get(), candidate.params.e, scratch);
-      worker_hashed[shard] = ScanKeyColumn(
-          scan, store, key_col, begin, end,
-          [&](std::size_t i, std::uint64_t /*h1*/, std::uint64_t h2) {
-            const std::size_t j = begin + i;
-            ++fit;
-            const std::optional<std::size_t> idx = slots(
-                h2, [&] { return key_reader.SerializeKeyInto(j, key_bytes); });
-            if (!idx.has_value()) return;
-            std::int32_t t;
-            if (cached_index != nullptr) {
-              t = cached_index->index(j);
-            } else {
-              const Value& attr_value = rel.Get(j, target_col);
-              if (attr_value.is_null()) return;
-              const auto domain_index = domain.IndexOf(attr_value);
-              t = domain_index.has_value()
-                      ? static_cast<std::int32_t>(*domain_index)
-                      : ValueIndexColumn::kNoIndex;
-            }
-            if (t < 0) return;  // NULL / out-of-domain target
-            ++usable;
-            hits.push_back(
-                {*idx,
-                 ExtractBitFromValueIndex(static_cast<std::size_t>(t)) ? 1
-                                                                       : -1});
-          });
-      worker_usable[shard] = usable;
-      worker_fit[shard] = fit;
-    });
-  });
-
-  for (std::size_t w = 0; w < threads; ++w) {
-    result.usable_votes += worker_usable[w];
-    result.fit_tuples += worker_fit[w];
-    result.messages_hashed += worker_hashed[w];
-  }
-
-  std::vector<SlotVote> sort_buffer;
-  const Status finish =
-      FinishVoteTally(MergeSlotRuns(worker_hits, sort_buffer), payload_len,
-                      candidate.wm_len, candidate.params.ecc, result);
-  if (!finish.ok()) return finish;
-  result.rows_scanned = n;
-  result.wall_seconds = SecondsSince(start);
-  return result;
-}
-
 std::vector<Result<DetectionResult>> DetectEngine::DetectMany(
     std::span<const KeyCandidate> candidates) const {
   std::vector<Result<DetectionResult>> results(
@@ -620,7 +462,7 @@ std::vector<Result<DetectionResult>> DetectEngine::DetectMany(
 
   // Split the worker budget keys × shards: candidates fan out first (their
   // passes are fully independent), and leftover workers parallelize each
-  // pass's message shards.
+  // pass's plan shards.
   const std::size_t budget = EffectiveThreadCount(num_threads_, num_rows_);
   const std::size_t outer = std::min(budget, candidates.size());
   const std::size_t inner = std::max<std::size_t>(1, budget / outer);

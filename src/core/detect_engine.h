@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -46,17 +45,15 @@ struct DetectEngineOptions {
   std::string key_attr;
   std::string target_attr;
 
-  /// Domain the embedder used; copied into the engine. When neither this
-  /// nor `domain_view` is set it is recovered from the suspect data.
-  std::optional<CategoricalDomain> domain;
-
-  /// Non-owning alternative to `domain` (takes precedence). The pointee
-  /// must outlive the engine — the only external state an engine keeps.
-  const CategoricalDomain* domain_view = nullptr;
+  /// Domain the embedder used, borrowed: the pointee must outlive the
+  /// engine. When null the domain is recovered from the suspect data and
+  /// owned by the engine.
+  const CategoricalDomain* domain = nullptr;
 
   /// Optional caller-built domain-index view of the target column (one
-  /// entry per suspect row, built against the same domain as above). Only
-  /// read during Create; the engine is self-contained afterwards.
+  /// entry per suspect row, built against the same domain as above),
+  /// borrowed: a plain key column's pass reads it, so the pointee must
+  /// outlive the engine.
   const ValueIndexColumn* target_index = nullptr;
 
   /// Engine-wide payload length override. Per candidate the precedence is
@@ -71,74 +68,67 @@ struct DetectEngineOptions {
 
 /// The key-agnostic detect engine: builds the per-relation half of blind
 /// detection once (the *RelationPlan*) and runs the per-key half (the
-/// *PerKeyPass*) against it for any number of candidate keys.
+/// *PerKeyPass*) against it for any number of candidate keys. It is the
+/// one detect loop: Detector::Detect is Create + Detect with one candidate.
 ///
 /// RelationPlan — everything the fitness/position hashes consume that does
 /// not depend on the key, built once at Create:
-///   - one prepared *message* per live distinct dictionary entry on a
-///     dictionary-encoded key column (the dict-code gather), or one per
-///     non-NULL key row on a plain column: the canonical key serialization
-///     in per-shard arenas, except on an INT64 dictionary, whose values
-///     stay a typed lane that hashes through FitScanner::ScanInt64;
-///   - key-independent per-message vote aggregates from the target column's
-///     domain-index view: vote[i] = Σ over that message's rows of ±1 (the
-///     embedded bit t & 1, 0 when NULL/out-of-domain), plus usable/row
-///     counts. Integer addition commutes, so folding rows into their
-///     message *before* knowing which messages are fit is bit-identical to
-///     the row-at-a-time tally.
+///   - on a plain key column, nothing is copied: the plan is the key column
+///     itself, split into row shards, plus its non-NULL key count (one
+///     message per non-NULL key row). The target's domain index comes from
+///     the caller's target_index or a dictionary target's zero-copy view;
+///     failing both, it is resolved with IndexOf for each fit row only;
+///   - on a dictionary-encoded key column, one prepared *message* per live
+///     distinct dictionary entry (the dict-code gather): the canonical key
+///     serialization in per-shard arenas, except on an INT64 dictionary,
+///     whose values stay a typed lane that hashes through
+///     FitScanner::ScanInt64; plus key-independent per-message vote
+///     aggregates from the target column's domain-index view: vote[i] = Σ
+///     over that message's rows of ±1 (the embedded bit t & 1, 0 when
+///     NULL/out-of-domain), plus usable/row counts. Integer addition
+///     commutes, so folding rows into their message *before* knowing which
+///     messages are fit is bit-identical to the row-at-a-time tally.
 ///
-/// PerKeyPass — the only work repeated per candidate: FitScanner::
-/// ScanPrepared (ScanInt64 on the typed layout) over the prepared messages
-/// (batched k1, the vectorized H mod e == 0 fitness test, batched k2
-/// position hashes for the ~1/e fit messages) appending one (idx, vote[i])
-/// hit per voting fit message to a reused per-worker buffer, then the
-/// sparse fold and decode of FinishVoteTally. A candidate with an embedding
-/// map skips the k2 batch and looks each fit message's bytes up in the map
-/// instead; the position source is chosen once per pass, not per message.
-/// On a repeat-heavy key column this is O(distinct keys) per candidate
-/// instead of O(N) — the entire row dimension was folded into the plan —
-/// and nothing in it is O(payload length): a candidate costs its ~fit
-/// messages + |wm| whatever payload length it claims.
+/// PerKeyPass — the only work repeated per candidate: one FitScanner pass
+/// per plan shard (ScanKeyColumn over a plain column's rows, ScanPrepared
+/// or ScanInt64 over the prepared messages: batched k1, the vectorized
+/// H mod e == 0 fitness test, batched k2 position hashes for the ~1/e fit
+/// messages) appending one (idx, vote) hit per voting fit message to a
+/// reused per-worker buffer, then the sparse fold and decode of
+/// FinishVoteTally. A candidate with an embedding map skips the k2 batch
+/// and looks each fit message's key bytes up in the map instead; the
+/// position source is chosen once per pass, not per message. On a
+/// repeat-heavy dictionary key column this is O(distinct keys) per
+/// candidate instead of O(N) — the entire row dimension was folded into
+/// the plan — and nothing in it is O(payload length): a candidate costs its
+/// ~fit messages + |wm| whatever payload length it claims.
 ///
-/// Every result is bit-identical to a standalone Detector::Detect with the
-/// same inputs, at every thread count and under every PRF backend
-/// (detect_engine_test pins the parity); Detector::Detect itself runs on
-/// this engine for both Figure 2 variants, so the two cannot drift.
+/// The engine borrows its inputs, as ValueIndexColumn does: the relation,
+/// options.domain and options.target_index must outlive it, and the
+/// relation must not change while it lives. A domain recovered from the
+/// data is owned by the engine. Every result is bit-identical at every
+/// thread count and under every PRF backend; reference_detect_test checks
+/// it against the paper-literal Figure 2 oracle.
 class DetectEngine {
  public:
-  /// Builds the RelationPlan. Fails like Detector::Detect's per-relation
-  /// half: unknown attributes, empty relation, domain with < 2 values, or
-  /// a target_index whose row count does not match.
+  /// Builds the RelationPlan. Fails on unknown attributes, an empty
+  /// relation, a domain with < 2 values, or a target_index whose row count
+  /// does not match.
   static Result<DetectEngine> Create(const Relation& rel,
                                      const DetectEngineOptions& options);
-
-  /// The one-shot single-candidate entry point Detector::Detect runs on:
-  /// the plan-then-pass split exists to amortize the plan across *many*
-  /// candidates, so with exactly one there is nothing to amortize — on a
-  /// plain key column this fuses serialize -> hash -> fitness -> tally into
-  /// a single chunked streaming pass that never materializes the
-  /// whole-relation arena (and resolves target-domain indices, and for a
-  /// map candidate the key bytes, only for the ~1/e fit rows). On a
-  /// dict-encoded key column the plan arena is O(live dict) and building it
-  /// IS the fast path, so this delegates to Create + Detect. Bit-identical
-  /// to that pair on every input.
-  static Result<DetectionResult> DetectOneShot(
-      const Relation& rel, const DetectEngineOptions& options,
-      const KeyCandidate& candidate);
 
   DetectEngine(DetectEngine&&) = default;
   DetectEngine& operator=(DetectEngine&&) = default;
 
   /// One candidate through the PerKeyPass. The plan is amortized, not
-  /// rebuilt: messages_hashed counts its prepared messages while
-  /// rows_scanned stays the relation's row count; wall_seconds covers just
-  /// this pass.
+  /// rebuilt: messages_hashed counts its messages while rows_scanned stays
+  /// the relation's row count; wall_seconds covers just this pass.
   Result<DetectionResult> Detect(const KeyCandidate& candidate) const;
 
   /// Runs every candidate through the PerKeyPass, amortizing the plan
   /// across the block and splitting the worker budget keys × shards:
   /// candidates fan out over ParallelFor, and any leftover workers
-  /// parallelize each pass's message shards. results[i] corresponds to
+  /// parallelize each pass's plan shards. results[i] corresponds to
   /// candidates[i]; a bad candidate (zero wm_len, invalid keys, e == 0,
   /// unresolvable PRF or payload length) fails that entry only.
   std::vector<Result<DetectionResult>> DetectMany(
@@ -148,21 +138,11 @@ class DetectEngine {
   std::size_t num_rows() const { return num_rows_; }
   std::size_t num_messages() const { return num_messages_; }
   bool dict_keys() const { return dict_keys_; }
-  double plan_build_seconds() const { return plan_build_seconds_; }
 
  private:
   struct Scratch;
-  struct RelationInputs;
 
   DetectEngine() = default;
-
-  // The per-relation prologue Create and DetectOneShot share.
-  static Result<RelationInputs> ResolveInputs(
-      const Relation& rel, const DetectEngineOptions& options);
-  // Builds the RelationPlan over resolved inputs; cannot fail.
-  static DetectEngine Build(const Relation& rel,
-                            const DetectEngineOptions& options,
-                            RelationInputs&& inputs);
 
   Result<DetectionResult> RunPass(const KeyCandidate& candidate,
                                   std::size_t num_threads,
@@ -173,23 +153,32 @@ class DetectEngine {
                   std::vector<SlotVote>& hits, std::size_t& usable_votes,
                   std::size_t& fit_tuples) const;
 
-  // Resolved domain: an external view or the engine-owned copy (unique_ptr
-  // keeps the address stable across moves).
+  // Resolved domain: the caller's or the engine-owned recovered one
+  // (unique_ptr keeps the address stable across moves).
   std::unique_ptr<CategoricalDomain> owned_domain_;
   const CategoricalDomain* domain_ = nullptr;
 
+  const Relation* rel_ = nullptr;
+  std::size_t key_col_ = 0;
+  std::size_t target_col_ = 0;
   std::size_t num_rows_ = 0;
   std::size_t num_messages_ = 0;
   std::size_t num_threads_ = 0;
   std::size_t default_payload_length_ = 0;
   bool dict_keys_ = false;
-  double plan_build_seconds_ = 0.0;
 
-  // RelationPlan storage, per build shard, in one of two layouts:
-  //   - typed: on an INT64 key column, int64_keys_[s] holds the shard's
-  //     live dict values or non-NULL lane keys, which hash as int64 lanes
-  //     (no arena, no bounds); a map candidate serializes just its fit
-  //     messages' 9 key bytes;
+  // Plain key column: row shard s covers [row_bounds_[s], row_bounds_[s +
+  // 1]). target_index_ is the caller's view or owned_target_index_ (a
+  // dictionary target's zero-copy view); null means IndexOf per fit row.
+  std::vector<std::size_t> row_bounds_;
+  std::unique_ptr<ValueIndexColumn> owned_target_index_;
+  const ValueIndexColumn* target_index_ = nullptr;
+
+  // Dictionary key column: prepared messages per build shard, in one of
+  // two layouts:
+  //   - typed: on an INT64 dictionary, int64_keys_[s] holds the shard's
+  //     live dict values, which hash as int64 lanes (no arena, no bounds);
+  //     a map candidate serializes just its fit messages' 9 key bytes;
   //   - arena: serialized messages back to back in arena_[s], with
   //     bounds_[s] holding a leading 0 plus one end-offset per message (so
   //     any chunk hashes via a bounds subspan).
@@ -201,8 +190,6 @@ class DetectEngine {
   std::vector<std::size_t> msg_base_;  ///< first global message id per shard
 
   // Per-message aggregates, global message order (shards concatenated).
-  // On a plain key column each message is a single row: rows == 1 and
-  // usable == (vote != 0), so only vote_ is materialized.
   std::vector<std::int32_t> vote_;
   std::vector<std::uint32_t> usable_;
   std::vector<std::uint32_t> rows_;

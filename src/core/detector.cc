@@ -1,6 +1,7 @@
 #include "core/detector.h"
 
 #include <algorithm>
+#include <chrono>
 #include <vector>
 
 #include "core/detect_engine.h"
@@ -109,23 +110,28 @@ Detector::Detector(WatermarkKeySet keys, WatermarkParams params)
 Result<DetectionResult> Detector::Detect(const Relation& rel,
                                          const DetectOptions& options,
                                          std::size_t wm_len) const {
-  // Both Figure 2 variants run on the engine's one-shot entry point, with
-  // exactly one candidate and no plan to amortize; the embedding map, when
-  // given, replaces k2 as the candidate's position source. The result is
-  // bit-identical to a sweep's per-candidate pass (detect_engine_test).
+  // Both Figure 2 variants are one engine pass with one candidate; the
+  // embedding map, when given, replaces k2 as the candidate's position
+  // source. wall_seconds covers the plan and the pass.
+  const auto start = std::chrono::steady_clock::now();
   DetectEngineOptions engine_options;
   engine_options.key_attr = options.key_attr;
   engine_options.target_attr = options.target_attr;
-  engine_options.domain_view =
+  engine_options.domain =
       options.domain_view != nullptr
           ? options.domain_view
           : (options.domain.has_value() ? &*options.domain : nullptr);
   engine_options.target_index = options.target_index;
   engine_options.payload_length = options.payload_length;
   engine_options.num_threads = params_.num_threads;
-  const KeyCandidate candidate{keys_, params_, wm_len,
-                               options.embedding_map};
-  return DetectEngine::DetectOneShot(rel, engine_options, candidate);
+  CATMARK_ASSIGN_OR_RETURN(const DetectEngine engine,
+                           DetectEngine::Create(rel, engine_options));
+  const KeyCandidate candidate{keys_, params_, wm_len, options.embedding_map};
+  CATMARK_ASSIGN_OR_RETURN(DetectionResult result, engine.Detect(candidate));
+  result.wall_seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  return result;
 }
 
 }  // namespace catmark

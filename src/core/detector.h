@@ -52,8 +52,10 @@ struct DetectOptions {
   /// detection sweeps that run many keys/attacks over the same suspect
   /// data: build it once with ValueIndexColumn::Build (against the same
   /// domain passed above) and every Detect call skips its per-tuple
-  /// IndexOf lookups. When null, indices are resolved lazily for fit
-  /// tuples only. Must have one entry per suspect row.
+  /// IndexOf lookups. When null, a dictionary target uses its zero-copy
+  /// view; a plain target is resolved per fit tuple on a plain key column
+  /// and indexed once per call on a dictionary key column. Must have one
+  /// entry per suspect row. The pointee must outlive the Detect call.
   const ValueIndexColumn* target_index = nullptr;
 };
 
@@ -80,16 +82,15 @@ struct DetectionResult {
   double wall_seconds = 0.0;
 
   /// Suspect rows this detection speaks for — always the relation's row
-  /// count, on every path (one-shot or engine per-key pass, k2 or map).
+  /// count, on every key layout and position source (k2 or map).
   /// Throughput rates divide by this.
   std::size_t rows_scanned = 0;
 
-  /// Prepared messages actually pushed through the keyed PRF: equal to the
-  /// non-NULL key rows on a plain key column, to the *live distinct*
-  /// dictionary entries on a dict-encoded one (the dict-code gather), and
-  /// to the plan's prepared messages on an engine per-key pass. The
-  /// amortization a sweep ranks and benches by — kept separate from
-  /// rows_scanned so the two are never conflated again.
+  /// Messages actually pushed through the keyed PRF: the non-NULL key
+  /// rows on a plain key column and the *live distinct* dictionary entries
+  /// on a dict-encoded one (the dict-code gather). The amortization a sweep
+  /// ranks and benches by — kept separate from rows_scanned so the two are
+  /// never conflated again.
   std::size_t messages_hashed = 0;
 };
 
@@ -133,16 +134,18 @@ std::vector<SlotVote>& MergeSlotRuns(std::span<std::vector<SlotVote>> parts,
 /// decoded-payload fields of `result`: positions_present (the nonzero
 /// runs), payload_fill (positions_present / payload_len), wm and
 /// bit_confidence, via one ErrorCorrectingCode::Decode over the runs.
-/// O(runs + |wm|) whatever payload length a certificate claims. Shared by
-/// the DetectEngine per-key pass and its one-shot entry point, under either
-/// position source, so the tally consumers cannot drift apart.
+/// O(runs + |wm|) whatever payload length a certificate claims. The
+/// DetectEngine per-key pass runs it under either position source and on
+/// either key layout.
 Status FinishVoteTally(std::span<const SlotVote> runs, std::size_t payload_len,
                        std::size_t wm_len, EccKind ecc,
                        DetectionResult& result);
 
 /// wm_decode (Figure 2): blind watermark detection. A thin front over
-/// DetectEngine::DetectOneShot for both variants; invalid keys (k1 == k2),
-/// e == 0 or a zero mark length come back from Detect as InvalidArgument.
+/// DetectEngine for both variants: Detect is DetectEngine::Create plus one
+/// DetectEngine::Detect, so a single detection and a sweep's per-candidate
+/// pass run the same loop. Invalid keys (k1 == k2), e == 0 or a zero mark
+/// length come back from Detect as InvalidArgument.
 class Detector {
  public:
   Detector(WatermarkKeySet keys, WatermarkParams params);

@@ -61,8 +61,9 @@ struct FitScratch {
 
 /// The Section 3.2.1 tuple rule, implemented once: a key is fit when
 /// H(key, k1) mod e == 0, and then H(key, k2) picks its payload position.
-/// Embed, one-shot detect, the sweep's per-key pass and streaming inserts
-/// all run it through this scanner and keep only their own sink.
+/// Embed, the detect engine's per-key pass (one key or a sweep) and
+/// streaming inserts and refreshes all run it through this scanner and keep
+/// only their own sink.
 ///
 /// Keys are processed in chunks of kChunk: one batched k1 call, the
 /// vectorized DivisibilityMask64 verdicts, a set-bit walk, then one batched

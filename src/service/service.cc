@@ -150,7 +150,7 @@ Result<SweepReport> WatermarkService::SweepOwnership(
     DetectEngineOptions options;
     options.key_attr = rep.key_attr;
     options.target_attr = rep.target_attr;
-    if (!rep.domain.empty()) options.domain_view = &rep.domain;
+    if (!rep.domain.empty()) options.domain = &rep.domain;
     options.num_threads = options_.num_threads;
     Result<DetectEngine> engine = DetectEngine::Create(suspect, options);
     if (!engine.ok()) {

@@ -248,14 +248,15 @@ StreamSession::Verdict StreamSession::VerdictFor(const Value& key_value) {
     }
   }
   Verdict v;
-  const std::uint64_t h1 = prf_k1_->Hash64(key);
-  if (h1 % spec_.params.e == 0) {
-    v.fit = true;
-    v.h1 = h1;
-    v.payload_index = static_cast<std::uint32_t>(
-        PayloadIndexFromHash(prf_k2_->Hash64(key), spec_.payload_length,
-                             spec_.params.bit_index_mode));
-  }
+  FitScanner scan(*prf_k1_, prf_k2_.get(), spec_.params.e, fit_scratch_);
+  scan.Scan(
+      1, [&](std::size_t /*i*/) { return &key_value; },
+      [&](std::size_t /*i*/, std::uint64_t h1, std::uint64_t h2) {
+        v = {h1,
+             static_cast<std::uint32_t>(PayloadIndexFromHash(
+                 h2, spec_.payload_length, spec_.params.bit_index_mode)),
+             true};
+      });
   if (cache_verdicts_ && cache_.size() < kVerdictCacheCapacity) {
     cache_.emplace(std::string(key), v);
   }

@@ -186,8 +186,8 @@ class StreamSession {
   /// the name lookups.
   Status BindColumns(const Relation& rel);
 
-  /// Cache-or-compute for one key (the Refresh path). Single-shot hashing
-  /// on a miss.
+  /// Cache-or-compute for one key (the Refresh path). A miss runs the
+  /// session's FitScanner over the one key.
   Verdict VerdictFor(const Value& key_value);
 
   SessionSpec spec_;

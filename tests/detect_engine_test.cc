@@ -10,6 +10,7 @@
 #include "core/detect_engine.h"
 #include "core/detector.h"
 #include "core/embedder.h"
+#include "reference_scheme.h"
 #include "service/service.h"
 #include "test_util.h"
 
@@ -166,7 +167,7 @@ void RunParitySweep(bool dict_keys) {
       DetectEngineOptions options;
       options.key_attr = testutil::kKeyAttr;
       options.target_attr = testutil::kTargetAttr;
-      options.domain = m.report.domain;
+      options.domain = &m.report.domain;
       options.num_threads = threads;
       const DetectEngine engine =
           DetectEngine::Create(m.rel, options).value();
@@ -199,10 +200,10 @@ TEST(DetectEngineTest, ParityDictKeys) { RunParitySweep(true); }
 
 // Figure 2(b) candidates run on the same engine: in a DetectMany block next
 // to k2 candidates, through the engine's single Detect and through
-// DetectOneShot, a candidate carrying an embedding map is bit-identical to
-// Detector::Detect with DetectOptions::embedding_map — on both key layouts,
+// Detector::Detect with DetectOptions::embedding_map, a candidate carrying
+// an embedding map matches the paper-literal oracle — on both key layouts,
 // with rows appended after the embed whose keys the map does not hold.
-TEST(DetectEngineTest, EmbeddingMapCandidatesMatchTheDetector) {
+TEST(DetectEngineTest, EmbeddingMapCandidatesMatchTheReference) {
   for (const bool dict_keys : {false, true}) {
     Marked m = EmbedOn(dict_keys ? DictKeyRelation()
                                  : testutil::SmallKeyedRelation(),
@@ -222,13 +223,18 @@ TEST(DetectEngineTest, EmbeddingMapCandidatesMatchTheDetector) {
       map_candidate.embedding_map = &m.report.embedding_map;
       candidates.push_back(std::move(map_candidate));
     }
+    std::vector<Result<reference::ReferenceDetection>> want;
+    for (const KeyCandidate& c : candidates) {
+      want.push_back(reference::ReferenceDetect(
+          m.rel, reference::DetectInputsOf(c, m.report.domain)));
+    }
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{8}}) {
       DetectEngineOptions engine_options;
       engine_options.key_attr = testutil::kKeyAttr;
       engine_options.target_attr = testutil::kTargetAttr;
-      engine_options.domain = m.report.domain;
+      engine_options.domain = &m.report.domain;
       engine_options.num_threads = threads;
       const DetectEngine engine =
           DetectEngine::Create(m.rel, engine_options).value();
@@ -236,6 +242,9 @@ TEST(DetectEngineTest, EmbeddingMapCandidatesMatchTheDetector) {
           engine.DetectMany(std::span<const KeyCandidate>(candidates));
       ASSERT_EQ(many.size(), candidates.size());
       for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const std::string where = "dict_keys " + std::to_string(dict_keys) +
+                                  ", threads " + std::to_string(threads) +
+                                  ", candidate " + std::to_string(i);
         const KeyCandidate& c = candidates[i];
         WatermarkParams params = c.params;
         params.num_threads = threads;
@@ -245,14 +254,13 @@ TEST(DetectEngineTest, EmbeddingMapCandidatesMatchTheDetector) {
         options.domain = m.report.domain;
         options.payload_length = c.params.payload_length;
         options.embedding_map = c.embedding_map;
-        const DetectionResult expected =
-            Detector(c.keys, params).Detect(m.rel, options, c.wm_len).value();
-        ASSERT_TRUE(many[i].ok()) << many[i].status().ToString();
-        ExpectSameDetection(many[i].value(), expected);
-        ExpectSameDetection(engine.Detect(c).value(), expected);
-        ExpectSameDetection(
-            DetectEngine::DetectOneShot(m.rel, engine_options, c).value(),
-            expected);
+        reference::ExpectDetectMatchesReference(many[i], want[i],
+                                                where + " DetectMany");
+        reference::ExpectDetectMatchesReference(engine.Detect(c), want[i],
+                                                where + " Detect");
+        reference::ExpectDetectMatchesReference(
+            Detector(c.keys, params).Detect(m.rel, options, c.wm_len),
+            want[i], where + " Detector::Detect");
         EXPECT_EQ(many[i].value().messages_hashed, engine.num_messages());
       }
       // The owner's map on unique keys recovers the mark exactly.
@@ -265,10 +273,11 @@ TEST(DetectEngineTest, EmbeddingMapCandidatesMatchTheDetector) {
 
 // An INT64 dictionary key column keeps its plan messages as a typed int64
 // lane. With NULL keys and a dead dictionary entry, k2 and embedding-map
-// candidates in one DetectMany block must equal Detector::Detect on the
-// same relation and, apart from messages_hashed, Detector::Detect on the
-// same rows with K as a plain lane (the fused one-shot path, which shares
-// no plan code). messages_hashed counts the live distinct non-NULL keys.
+// candidates in one DetectMany block and through Detector::Detect must
+// match the paper-literal oracle — on the dictionary column and on the
+// same rows with K as a plain lane, where the pass reads the key column in
+// place. messages_hashed counts the live distinct non-NULL keys on the
+// dictionary and the non-NULL key rows on the lane.
 TEST(DetectEngineTest, Int64DictKeysMatchDetectorAndPlainLane) {
   Marked m = EmbedOn(Int64KeyRelation(/*dict_keys=*/true),
                      PrfKind::kSipHash24, 4, /*build_embedding_map=*/true);
@@ -302,7 +311,7 @@ TEST(DetectEngineTest, Int64DictKeysMatchDetectorAndPlainLane) {
     DetectEngineOptions engine_options;
     engine_options.key_attr = testutil::kKeyAttr;
     engine_options.target_attr = testutil::kTargetAttr;
-    engine_options.domain = m.report.domain;
+    engine_options.domain = &m.report.domain;
     engine_options.num_threads = threads;
     const DetectEngine engine =
         DetectEngine::Create(m.rel, engine_options).value();
@@ -333,18 +342,24 @@ TEST(DetectEngineTest, Int64DictKeysMatchDetectorAndPlainLane) {
       options.payload_length = c.params.payload_length;
       options.embedding_map = c.embedding_map;
       const Detector detector(c.keys, params);
-      const DetectionResult expected =
-          detector.Detect(m.rel, options, c.wm_len).value();
-      const DetectionResult on_lane =
-          detector.Detect(plain, options, c.wm_len).value();
-      ASSERT_TRUE(many[i].ok()) << many[i].status().ToString();
-      ExpectSameDetection(many[i].value(), expected);
-      ExpectSameDetection(many[i].value(), on_lane);
-      ASSERT_TRUE(lane_many[i].ok()) << lane_many[i].status().ToString();
-      ExpectSameDetection(lane_many[i].value(), on_lane);
+      const Result<DetectionResult> on_dict =
+          detector.Detect(m.rel, options, c.wm_len);
+      const Result<DetectionResult> on_lane =
+          detector.Detect(plain, options, c.wm_len);
+      const Result<reference::ReferenceDetection> want =
+          reference::ReferenceDetect(
+              m.rel, reference::DetectInputsOf(c, m.report.domain));
+      reference::ExpectDetectMatchesReference(many[i], want, "DetectMany");
+      reference::ExpectDetectMatchesReference(on_dict, want, "Detector");
+      reference::ExpectDetectMatchesReference(lane_many[i], want,
+                                              "lane DetectMany");
+      reference::ExpectDetectMatchesReference(on_lane, want, "lane Detector");
+      ASSERT_TRUE(many[i].ok() && on_dict.ok() && lane_many[i].ok() &&
+                  on_lane.ok());
       EXPECT_EQ(lane_many[i].value().messages_hashed, keyed_rows);
+      EXPECT_EQ(on_lane.value().messages_hashed, keyed_rows);
       EXPECT_EQ(many[i].value().messages_hashed, distinct_keys.size());
-      EXPECT_EQ(expected.messages_hashed, distinct_keys.size());
+      EXPECT_EQ(on_dict.value().messages_hashed, distinct_keys.size());
       EXPECT_GT(many[i].value().fit_tuples, 0u);
     }
   }
@@ -426,12 +441,12 @@ TEST(DetectEngineTest, AllNullTargetWithProvidedDomainDetectsCleanly) {
     row.emplace_back();  // NULL target everywhere
     rel.AppendRowUnchecked(std::move(row));
   }
+  const CategoricalDomain domain =
+      CategoricalDomain::FromValues({Value("left"), Value("right")}).value();
   DetectEngineOptions options;
   options.key_attr = "K";
   options.target_attr = "A";
-  options.domain = CategoricalDomain::FromValues(
-                       {Value("left"), Value("right")})
-                       .value();
+  options.domain = &domain;
   const DetectEngine engine = DetectEngine::Create(rel, options).value();
 
   const DetectionResult result = engine.Detect(PlainCandidate()).value();
@@ -446,7 +461,7 @@ TEST(DetectEngineTest, AllNullTargetWithProvidedDomainDetectsCleanly) {
   DetectOptions detect_options;
   detect_options.key_attr = "K";
   detect_options.target_attr = "A";
-  detect_options.domain = *options.domain;
+  detect_options.domain = domain;
   detect_options.payload_length = 16;
   const Detector detector(testutil::TestKeys(), params);
   const DetectionResult front = detector.Detect(rel, detect_options, 8).value();
@@ -466,7 +481,7 @@ TEST(DetectEngineTest, DetectManyIsolatesBadCandidates) {
   DetectEngineOptions options;
   options.key_attr = testutil::kKeyAttr;
   options.target_attr = testutil::kTargetAttr;
-  options.domain = m.report.domain;
+  options.domain = &m.report.domain;
   const DetectEngine engine = DetectEngine::Create(m.rel, options).value();
 
   const std::vector<Result<DetectionResult>> results =
@@ -594,7 +609,7 @@ TEST(DetectEngineTest, HostilePayloadLengthCertificateReturnsAVerdict) {
       DetectEngineOptions engine_options;
       engine_options.key_attr = testutil::kKeyAttr;
       engine_options.target_attr = testutil::kTargetAttr;
-      engine_options.domain = m.report.domain;
+      engine_options.domain = &m.report.domain;
       const DetectEngine engine =
           DetectEngine::Create(m.rel, engine_options).value();
       KeyCandidate candidate{m.keys, params, m.wm.size()};

@@ -150,49 +150,6 @@ std::size_t RandomPayloadLength(RandomSource& r, std::size_t wm_len,
   }
 }
 
-reference::ReferenceInputs OracleInputs(const KeyCandidate& c,
-                                        const CategoricalDomain& domain,
-                                        std::size_t payload_length) {
-  reference::ReferenceInputs in;
-  in.key_attr = "K";
-  in.target_attr = "A";
-  in.domain = domain;
-  in.keys = c.keys;
-  in.e = c.params.e;
-  in.prf = *c.params.prf;
-  in.hash_algo = c.params.hash_algo;
-  in.ecc = c.params.ecc;
-  in.bit_index_mode = c.params.bit_index_mode;
-  in.payload_length = payload_length;
-  in.wm_len = c.wm_len;
-  return in;
-}
-
-void ExpectMatchesReference(
-    const Result<DetectionResult>& got,
-    const Result<reference::ReferenceDetection>& want,
-    const std::string& where) {
-  ASSERT_EQ(got.ok(), want.ok())
-      << where << ": pipeline "
-      << (got.ok() ? "OK" : got.status().ToString()) << " vs reference "
-      << (want.ok() ? "OK" : want.status().ToString());
-  if (!want.ok()) {
-    EXPECT_EQ(got.status().code(), want.status().code()) << where;
-    return;
-  }
-  const DetectionResult& g = got.value();
-  const reference::ReferenceDetection& w = want.value();
-  EXPECT_EQ(g.wm, w.wm) << where;
-  EXPECT_EQ(g.num_tuples, w.num_tuples) << where;
-  EXPECT_EQ(g.fit_tuples, w.fit_tuples) << where;
-  EXPECT_EQ(g.usable_votes, w.usable_votes) << where;
-  EXPECT_EQ(g.payload_length, w.payload_length) << where;
-  EXPECT_EQ(g.positions_present, w.positions_present) << where;
-  EXPECT_EQ(g.payload_fill, w.payload_fill) << where;
-  EXPECT_EQ(g.bit_confidence, w.bit_confidence) << where;
-  EXPECT_EQ(g.rows_scanned, w.num_tuples) << where;
-}
-
 TEST(ReferenceDetectTest, PipelineMatchesFigure2) {
   std::size_t compared = 0;
   std::size_t decoded_true_mark = 0;
@@ -263,7 +220,7 @@ TEST(ReferenceDetectTest, PipelineMatchesFigure2) {
     std::vector<Result<reference::ReferenceDetection>> expected;
     for (const KeyCandidate& c : candidates) {
       expected.push_back(reference::ReferenceDetect(
-          rel, OracleInputs(c, domain, c.params.payload_length)));
+          rel, reference::DetectInputsOf(c, domain)));
     }
     if (report.ok() && expected[0].ok() && expected[0].value().wm == wm) {
       ++decoded_true_mark;
@@ -286,7 +243,7 @@ TEST(ReferenceDetectTest, PipelineMatchesFigure2) {
           params.payload_length = 0;
         }
         const Detector detector(candidates[i].keys, params);
-        ExpectMatchesReference(
+        reference::ExpectDetectMatchesReference(
             detector.Detect(rel, options, candidates[i].wm_len), expected[i],
             where + " Detector::Detect candidate " + std::to_string(i));
         ++compared;
@@ -296,7 +253,7 @@ TEST(ReferenceDetectTest, PipelineMatchesFigure2) {
       DetectEngineOptions engine_options;
       engine_options.key_attr = "K";
       engine_options.target_attr = "A";
-      engine_options.domain = declared;
+      engine_options.domain = declared.has_value() ? &*declared : nullptr;
       engine_options.num_threads = threads;
       const Result<DetectEngine> engine =
           DetectEngine::Create(rel, engine_options);
@@ -305,7 +262,7 @@ TEST(ReferenceDetectTest, PipelineMatchesFigure2) {
           engine.value().DetectMany(std::span<const KeyCandidate>(candidates));
       ASSERT_EQ(many.size(), candidates.size());
       for (std::size_t i = 0; i < candidates.size(); ++i) {
-        ExpectMatchesReference(
+        reference::ExpectDetectMatchesReference(
             many[i], expected[i],
             where + " DetectMany candidate " + std::to_string(i));
         ++compared;
@@ -320,12 +277,12 @@ TEST(ReferenceDetectTest, PipelineMatchesFigure2) {
         options.target_attr = "A";
         options.domain = declared;
         options.embedding_map = map;
-        reference::ReferenceInputs in =
-            OracleInputs(candidates[0], domain, owner.payload_length);
-        in.embedding_map = map;
-        ExpectMatchesReference(
+        KeyCandidate map_candidate = candidates[0];
+        map_candidate.embedding_map = map;
+        reference::ExpectDetectMatchesReference(
             Detector(owner_keys, params).Detect(rel, options, wm_len),
-            reference::ReferenceDetect(rel, in),
+            reference::ReferenceDetect(
+                rel, reference::DetectInputsOf(map_candidate, domain)),
             where + " embedding map");
         ++compared;
       }

@@ -244,6 +244,49 @@ Result<ReferenceDetection> ReferenceDetect(const Relation& rel,
   return out;
 }
 
+ReferenceInputs DetectInputsOf(const KeyCandidate& c,
+                               const CategoricalDomain& domain) {
+  ReferenceInputs in;
+  in.key_attr = "K";
+  in.target_attr = "A";
+  in.domain = domain;
+  in.keys = c.keys;
+  in.e = c.params.e;
+  EXPECT_TRUE(c.params.prf.has_value()) << "the oracle needs an explicit PRF";
+  in.prf = c.params.prf.value_or(PrfKind::kKeyedHash);
+  in.hash_algo = c.params.hash_algo;
+  in.ecc = c.params.ecc;
+  in.bit_index_mode = c.params.bit_index_mode;
+  in.payload_length = c.params.payload_length;
+  in.wm_len = c.wm_len;
+  in.embedding_map = c.embedding_map;
+  return in;
+}
+
+void ExpectDetectMatchesReference(const Result<DetectionResult>& got,
+                                  const Result<ReferenceDetection>& want,
+                                  const std::string& where) {
+  ASSERT_EQ(got.ok(), want.ok())
+      << where << ": pipeline "
+      << (got.ok() ? "OK" : got.status().ToString()) << " vs reference "
+      << (want.ok() ? "OK" : want.status().ToString());
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << where;
+    return;
+  }
+  const DetectionResult& g = got.value();
+  const ReferenceDetection& w = want.value();
+  EXPECT_EQ(g.wm, w.wm) << where;
+  EXPECT_EQ(g.num_tuples, w.num_tuples) << where;
+  EXPECT_EQ(g.fit_tuples, w.fit_tuples) << where;
+  EXPECT_EQ(g.usable_votes, w.usable_votes) << where;
+  EXPECT_EQ(g.payload_length, w.payload_length) << where;
+  EXPECT_EQ(g.positions_present, w.positions_present) << where;
+  EXPECT_EQ(g.payload_fill, w.payload_fill) << where;
+  EXPECT_EQ(g.bit_confidence, w.bit_confidence) << where;
+  EXPECT_EQ(g.rows_scanned, w.num_tuples) << where;
+}
+
 ReferenceEmbedInputs EmbedInputsOf(const WatermarkKeySet& keys,
                                    const WatermarkParams& params,
                                    const EmbedOptions& options) {

@@ -9,6 +9,8 @@
 
 #include "common/bitvec.h"
 #include "common/result.h"
+#include "core/detect_engine.h"
+#include "core/detector.h"
 #include "core/embedder.h"
 #include "core/embedding_map.h"
 #include "core/keys.h"
@@ -61,6 +63,20 @@ struct ReferenceDetection {
 /// Dense in the payload length by design: keep test payloads small.
 Result<ReferenceDetection> ReferenceDetect(const Relation& rel,
                                            const ReferenceInputs& in);
+
+/// The oracle inputs of detection candidate `c` (keys, params, mark length
+/// and embedding map) over key attribute "K" and target attribute "A" with
+/// the detect-time `domain`. The payload length is c.params.payload_length.
+/// c.params.prf must be set: the oracle resolves nothing from the
+/// environment.
+ReferenceInputs DetectInputsOf(const KeyCandidate& c,
+                               const CategoricalDomain& domain);
+
+/// Field-by-field check of a detection against the oracle: status code,
+/// every DetectionResult field Figure 2 determines, and rows_scanned == N.
+void ExpectDetectMatchesReference(const Result<DetectionResult>& got,
+                                  const Result<ReferenceDetection>& want,
+                                  const std::string& where);
 
 /// Everything Figure 1's wm_embed reads, spelled out like ReferenceInputs.
 struct ReferenceEmbedInputs {

@@ -13,6 +13,7 @@
 #include <limits>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "crypto/prf.h"
 #include "crypto/siphash.h"
 #include "crypto/siphash_simd.h"
+#include "reference_scheme.h"
 #include "relation/value.h"
 #include "test_util.h"
 
@@ -466,8 +468,8 @@ TEST(SimdDispatchTest, ForceClampsToHardwareAndRestores) {
 // --------------------------------------------- end-to-end detection parity
 
 // A full embed -> detect cycle must produce the identical DetectionResult
-// at every dispatch level x thread count, through both the one-shot
-// detector and the multi-candidate engine. This is the bit-identity the
+// at every dispatch level x thread count, through Detector::Detect and
+// through an engine built directly. This is the bit-identity the
 // siphash24 golden/attack suites rely on when CI runs them under
 // CATMARK_SIMD=off|sse2|avx2|avx512.
 TEST(SimdDetectParityTest, LevelsAndThreadsBitIdentical) {
@@ -501,20 +503,20 @@ TEST(SimdDetectParityTest, LevelsAndThreadsBitIdentical) {
       options.key_attr = testutil::kKeyAttr;
       options.target_attr = testutil::kTargetAttr;
       options.domain = report.domain;
-      const DetectionResult one_shot =
+      const DetectionResult detected =
           detector.Detect(rel, options, wm.size()).value();
-      EXPECT_EQ(one_shot.wm, wm) << "level=" << SimdLevelName(level);
+      EXPECT_EQ(detected.wm, wm) << "level=" << SimdLevelName(level);
 
       DetectEngineOptions engine_options;
       engine_options.key_attr = testutil::kKeyAttr;
       engine_options.target_attr = testutil::kTargetAttr;
-      engine_options.domain = report.domain;
+      engine_options.domain = &report.domain;
       engine_options.num_threads = threads;
       const DetectEngine engine =
           DetectEngine::Create(rel, engine_options).value();
       const DetectionResult engine_result = engine.Detect(candidate).value();
 
-      for (const DetectionResult* r : {&one_shot, &engine_result}) {
+      for (const DetectionResult* r : {&detected, &engine_result}) {
         if (!baseline.has_value()) {
           baseline = *r;
           continue;
@@ -530,11 +532,11 @@ TEST(SimdDetectParityTest, LevelsAndThreadsBitIdentical) {
   }
 }
 
-// NULL keys break the one-shot fast path's dense-chunk assumption mid-chunk
+// NULL keys break the plain-key pass's dense-chunk assumption mid-chunk
 // (row indices must be backfilled the moment the first NULL appears), so
-// pin a relation with scattered NULL keys to identical results across
-// dispatch levels, thread counts, and against the plan-based engine path,
-// which never had the dense shortcut.
+// pin a relation with scattered NULL keys, at every dispatch level and
+// thread count, to the paper-literal oracle, which hashes one key at a
+// time and has no chunks.
 TEST(SimdDetectParityTest, NullKeysBitIdenticalAcrossLevels) {
   const Relation base = testutil::SmallKeyedRelation(1200, 25, 9);
   Relation rel(base.schema());
@@ -560,33 +562,46 @@ TEST(SimdDetectParityTest, NullKeysBitIdenticalAcrossLevels) {
   candidate.keys = keys;
   candidate.params = params;
   candidate.wm_len = wm.size();
+  const Result<reference::ReferenceDetection> want = reference::ReferenceDetect(
+      rel, reference::DetectInputsOf(candidate, report.domain));
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(want.value().wm, wm);
+  std::size_t keyed_rows = 0;
+  for (std::size_t j = 0; j < rel.NumRows(); ++j) {
+    keyed_rows += rel.Get(j, 0).is_null() ? 0 : 1;
+  }
 
-  std::optional<DetectionResult> baseline;
   for (const SimdLevel level : RunnableLevels()) {
     ScopedSimdLevel forced(level);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{8}}) {
+      const std::string where = "level=" + std::string(SimdLevelName(level)) +
+                                " threads=" + std::to_string(threads);
+      WatermarkParams detect_params = params;
+      detect_params.num_threads = threads;
+      DetectOptions detect_options;
+      detect_options.key_attr = testutil::kKeyAttr;
+      detect_options.target_attr = testutil::kTargetAttr;
+      detect_options.domain = report.domain;
+      const Result<DetectionResult> detected =
+          Detector(keys, detect_params).Detect(rel, detect_options, wm.size());
+      reference::ExpectDetectMatchesReference(detected, want,
+                                              where + " Detector::Detect");
+
       DetectEngineOptions options;
       options.key_attr = testutil::kKeyAttr;
       options.target_attr = testutil::kTargetAttr;
-      options.domain = report.domain;
+      options.domain = &report.domain;
       options.num_threads = threads;
-      const DetectionResult one_shot =
-          DetectEngine::DetectOneShot(rel, options, candidate).value();
       const DetectEngine engine = DetectEngine::Create(rel, options).value();
-      const DetectionResult planned = engine.Detect(candidate).value();
-      for (const DetectionResult* r : {&one_shot, &planned}) {
-        if (!baseline.has_value()) {
-          baseline = *r;
-          continue;
-        }
-        EXPECT_EQ(r->wm, baseline->wm)
-            << "level=" << SimdLevelName(level) << " threads=" << threads;
-        EXPECT_EQ(r->fit_tuples, baseline->fit_tuples);
-        EXPECT_EQ(r->usable_votes, baseline->usable_votes);
-        EXPECT_EQ(r->bit_confidence, baseline->bit_confidence);
-      }
-      EXPECT_EQ(one_shot.wm, wm) << "level=" << SimdLevelName(level);
+      EXPECT_EQ(engine.num_messages(), keyed_rows) << where;
+      const std::vector<Result<DetectionResult>> many =
+          engine.DetectMany(std::span<const KeyCandidate>(&candidate, 1));
+      reference::ExpectDetectMatchesReference(many[0], want,
+                                              where + " DetectMany");
+      ASSERT_TRUE(detected.ok() && many[0].ok());
+      EXPECT_EQ(detected.value().messages_hashed, keyed_rows) << where;
+      EXPECT_EQ(many[0].value().messages_hashed, keyed_rows) << where;
     }
   }
 }

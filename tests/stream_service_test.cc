@@ -401,48 +401,81 @@ TEST(StreamSessionTest, BatchesAreAtomicOnValidationErrors) {
   EXPECT_FALSE(session.InsertBatch(wrong_schema, std::span<Row>(one)).ok());
 }
 
-TEST(StreamSessionTest, RefreshReusesResidentStateAndRepairs) {
-  // Pinned to the keyed hash: the fitness PRF below and the verdict cache
-  // both belong to that backend.
-  Fixture f = MakeFixture(PrfKind::kKeyedHash);
-  StreamSession session = StreamSession::Create(SpecOf(f)).value();
-  const auto k1 = CreateKeyedPrf(PrfKind::kKeyedHash, f.keys.k1);
-  HashScratch scratch;
-  std::size_t fit_row = f.rel.NumRows();
-  for (std::size_t i = 0; i < f.rel.NumRows(); ++i) {
-    if (HashValue(*k1, f.rel.Get(i, 0), scratch) % f.params.e == 0) {
-      fit_row = i;
-      break;
+// Refresh runs its cache miss through the session's FitScanner: on
+// siphash24 an int64 key takes the typed Hash64Int64Keys lane, on the other
+// backends the serialized bytes. The row is found with HashValue, the
+// single-message PRF call, so the two must agree on every backend.
+class StreamRefreshTest : public ::testing::TestWithParam<PrfKind> {
+ protected:
+  // The first `limit` rows of `f` whose key is fit (or unfit, when `fit`
+  // is false) under `f`'s backend.
+  static std::vector<std::size_t> Rows(const Fixture& f, bool fit,
+                                       std::size_t limit) {
+    const auto k1 =
+        CreateKeyedPrf(*f.params.prf, f.keys.k1, f.params.hash_algo);
+    HashScratch scratch;
+    std::vector<std::size_t> rows;
+    for (std::size_t i = 0; i < f.rel.NumRows() && rows.size() < limit;
+         ++i) {
+      if ((HashValue(*k1, f.rel.Get(i, 0), scratch) % f.params.e == 0) ==
+          fit) {
+        rows.push_back(i);
+      }
     }
+    return rows;
   }
-  ASSERT_LT(fit_row, f.rel.NumRows());
-  const Value marked_value = f.rel.Get(fit_row, 1);
-  ASSERT_TRUE(f.rel.Set(fit_row, 1, Value("V0002")).ok());
-  EXPECT_TRUE(session.Refresh(f.rel, fit_row).value());
-  EXPECT_EQ(f.rel.Get(fit_row, 1), marked_value);
-  // The verdict is resident now; a second refresh hits the cache.
-  EXPECT_GE(session.cached_keys(), 1u);
-  EXPECT_TRUE(session.Refresh(f.rel, fit_row).value());
+};
+
+TEST_P(StreamRefreshTest, RefreshReusesResidentStateAndRepairs) {
+  Fixture f = MakeFixture(GetParam());
+  StreamSession session = StreamSession::Create(SpecOf(f)).value();
+  // Several fit rows, so a wrong payload position flips some repaired bit.
+  const std::vector<std::size_t> fit_rows = Rows(f, /*fit=*/true, 16);
+  ASSERT_EQ(fit_rows.size(), 16u);
+  for (const std::size_t row : fit_rows) {
+    const Value marked_value = f.rel.Get(row, 1);
+    const Value damage(marked_value == Value("V0002") ? "V0003" : "V0002");
+    ASSERT_TRUE(f.rel.Set(row, 1, damage).ok());
+    EXPECT_TRUE(session.Refresh(f.rel, row).value());
+    EXPECT_EQ(f.rel.Get(row, 1), marked_value) << "row " << row;
+  }
+  // A caching backend keeps the verdicts resident, and a second refresh
+  // hits the cache; siphash24 keeps no cache and hashes the key again.
+  if (StreamSession::CachesVerdicts(GetParam())) {
+    EXPECT_GE(session.cached_keys(), 1u);
+  } else {
+    EXPECT_EQ(session.cached_keys(), 0u);
+  }
+  const Value marked_value = f.rel.Get(fit_rows[0], 1);
+  EXPECT_TRUE(session.Refresh(f.rel, fit_rows[0]).value());
+  EXPECT_EQ(f.rel.Get(fit_rows[0], 1), marked_value);
   EXPECT_FALSE(session.Refresh(f.rel, f.rel.NumRows()).ok());
 }
 
-TEST(StreamSessionTest, RefreshLeavesUnfitRowsAlone) {
-  Fixture f = MakeFixture(PrfKind::kKeyedHash);
+TEST_P(StreamRefreshTest, RefreshLeavesUnfitRowsAlone) {
+  Fixture f = MakeFixture(GetParam());
   StreamSession session = StreamSession::Create(SpecOf(f)).value();
-  const auto k1 = CreateKeyedPrf(PrfKind::kKeyedHash, f.keys.k1);
-  HashScratch scratch;
-  std::size_t unfit_row = f.rel.NumRows();
-  for (std::size_t i = 0; i < f.rel.NumRows(); ++i) {
-    if (HashValue(*k1, f.rel.Get(i, 0), scratch) % f.params.e != 0) {
-      unfit_row = i;
-      break;
-    }
+  const std::vector<std::size_t> unfit_rows = Rows(f, /*fit=*/false, 16);
+  ASSERT_EQ(unfit_rows.size(), 16u);
+  for (const std::size_t row : unfit_rows) {
+    const Value before = f.rel.Get(row, 1);
+    EXPECT_FALSE(session.Refresh(f.rel, row).value());
+    EXPECT_EQ(f.rel.Get(row, 1), before);
   }
-  ASSERT_LT(unfit_row, f.rel.NumRows());
-  const Value before = f.rel.Get(unfit_row, 1);
-  EXPECT_FALSE(session.Refresh(f.rel, unfit_row).value());
-  EXPECT_EQ(f.rel.Get(unfit_row, 1), before);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, StreamRefreshTest,
+                         ::testing::Values(PrfKind::kKeyedHash,
+                                           PrfKind::kHmacSha256,
+                                           PrfKind::kSipHash24),
+                         [](const auto& info) {
+                           return std::string(
+                               info.param == PrfKind::kKeyedHash
+                                   ? "KeyedHash"
+                               : info.param == PrfKind::kHmacSha256
+                                   ? "HmacSha256"
+                                   : "SipHash24");
+                         });
 
 TEST(StreamSessionTest, InsertedRowsAloneCarryTheMark) {
   // A relation of only inserted rows must detect the mark. The second spec
