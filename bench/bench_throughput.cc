@@ -510,7 +510,6 @@ int Run(const ExperimentConfig& config) {
       engine_options.key_attr = "K";
       engine_options.target_attr = "A";
       engine_options.domain = &*simd_options.domain;
-      engine_options.payload_length = simd_embed.value().payload_length;
       engine_options.num_threads = 1;
       const auto start = Clock::now();
       Result<DetectEngine> engine =
@@ -1017,7 +1016,6 @@ int Run(const ExperimentConfig& config) {
       engine_options.key_attr = "K";
       engine_options.target_attr = "A";
       engine_options.domain = &sweep_report.domain;
-      engine_options.payload_length = sweep_report.payload_length;
       engine_options.num_threads = serial_params.num_threads;
       const auto plan_start = Clock::now();
       Result<DetectEngine> engine =
@@ -1072,7 +1070,7 @@ int Run(const ExperimentConfig& config) {
     naive_options.key_attr = "K";
     naive_options.target_attr = "A";
     naive_options.payload_length = sparse_payload;
-    naive_options.domain_view = &sweep_report.domain;
+    naive_options.domain = sweep_report.domain;
     Result<DetectionResult> r =
         Detector(sparse_candidates[i].keys, sweep_params)
             .Detect(sweep_rel, naive_options, wm.size());

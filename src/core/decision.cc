@@ -1,24 +1,19 @@
 #include "core/decision.h"
 
 #include <cmath>
-#include <cstring>
-#include <map>
-#include <mutex>
-#include <utility>
 
 #include "common/check.h"
 #include "random/stats.h"
 
 namespace catmark {
 
-namespace {
-
-std::size_t ComputeRequiredMatchThreshold(std::size_t wm_len, double alpha) {
+std::size_t RequiredMatchThreshold(std::size_t wm_len, double alpha) {
+  CATMARK_CHECK(alpha > 0.0 && alpha < 1.0);
   // P[Binomial(len, 1/2) >= m] grows monotonically as m decreases, so the
   // acceptable match counts form a suffix {m*, ..., len}. Walk m downwards,
   // accumulating the tail one pmf term at a time (terms are added smallest
-  // first, which also keeps the sum accurate): O(len) log-gamma evaluations
-  // total instead of one full O(len) tail per candidate m.
+  // first, which also keeps the sum accurate); at a sweep's alpha the walk
+  // stops after a few terms.
   const double log_half = std::log(0.5);
   long double tail = 0.0L;
   std::size_t threshold = wm_len + 1;  // unreachable bar: mark too short
@@ -29,35 +24,6 @@ std::size_t ComputeRequiredMatchThreshold(std::size_t wm_len, double alpha) {
     threshold = m;
     if (m == 0) break;
   }
-  return threshold;
-}
-
-}  // namespace
-
-std::size_t RequiredMatchThreshold(std::size_t wm_len, double alpha) {
-  CATMARK_CHECK(alpha > 0.0 && alpha < 1.0);
-  // A 1k-key sweep decides every candidate at the same (wm_len, alpha), and
-  // each decision would otherwise redo the identical binomial-tail walk —
-  // memoize it. Keyed on alpha's bit pattern (exact doubles in, exact
-  // thresholds out; no epsilon comparisons), guarded by a mutex because
-  // DetectMany consumers decide from parallel workers. The walk runs
-  // outside the lock: a racing first call computes twice and inserts the
-  // same value, which is cheaper than holding the lock through log-gamma.
-  std::uint64_t alpha_bits;
-  static_assert(sizeof(alpha_bits) == sizeof(alpha));
-  std::memcpy(&alpha_bits, &alpha, sizeof(alpha_bits));
-  const std::pair<std::size_t, std::uint64_t> key(wm_len, alpha_bits);
-  static std::mutex mutex;
-  static std::map<std::pair<std::size_t, std::uint64_t>, std::size_t>* cache =
-      new std::map<std::pair<std::size_t, std::uint64_t>, std::size_t>();
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    const auto it = cache->find(key);
-    if (it != cache->end()) return it->second;
-  }
-  const std::size_t threshold = ComputeRequiredMatchThreshold(wm_len, alpha);
-  std::lock_guard<std::mutex> lock(mutex);
-  cache->emplace(key, threshold);
   return threshold;
 }
 

@@ -92,7 +92,7 @@ Result<DetectEngine> DetectEngine::Create(const Relation& rel,
   CATMARK_ASSIGN_OR_RETURN(engine.key_col_,
                            rel.schema().ColumnIndexOrError(options.key_attr));
   CATMARK_ASSIGN_OR_RETURN(
-      engine.target_col_,
+      const std::size_t target_col,
       rel.schema().ColumnIndexOrError(options.target_attr));
   if (rel.empty()) {
     return Status::FailedPrecondition("cannot detect in an empty relation");
@@ -101,7 +101,7 @@ Result<DetectEngine> DetectEngine::Create(const Relation& rel,
   if (engine.domain_ == nullptr) {
     CATMARK_ASSIGN_OR_RETURN(
         CategoricalDomain recovered,
-        CategoricalDomain::FromRelationColumn(rel, engine.target_col_));
+        CategoricalDomain::FromRelationColumn(rel, target_col));
     engine.owned_domain_ =
         std::make_unique<CategoricalDomain>(std::move(recovered));
     engine.domain_ = engine.owned_domain_.get();
@@ -109,36 +109,28 @@ Result<DetectEngine> DetectEngine::Create(const Relation& rel,
   if (engine.domain_->size() < 2) {
     return Status::FailedPrecondition("domain has fewer than 2 values");
   }
-  if (options.target_index != nullptr &&
-      options.target_index->size() != rel.NumRows()) {
-    return Status::InvalidArgument(
-        "target_index has a different row count than the suspect relation");
-  }
 
   const std::size_t key_col = engine.key_col_;
-  const std::size_t target_col = engine.target_col_;
   const std::size_t n = rel.NumRows();
   engine.rel_ = &rel;
   engine.num_rows_ = n;
   engine.num_threads_ = options.num_threads;
-  engine.default_payload_length_ = options.payload_length;
   const std::size_t threads = EffectiveThreadCount(options.num_threads, n);
   const ColumnStore& store = rel.store();
   engine.dict_keys_ = store.IsDictColumn(key_col);
+  // The one place a target cell's domain index is resolved: the zero-copy
+  // view of a dictionary target, or one O(N) domain lookup pass on a plain
+  // one, shared by every candidate the plan serves.
+  engine.target_index_ =
+      ValueIndexColumn::Build(rel, target_col, *engine.domain_, threads);
 
   if (!engine.dict_keys_) {
     // Plain key column: one message per non-NULL key row, so a prepared
     // plan would copy the column only to stream it back once per
     // candidate. The plan is the column itself: the pass serializes a
-    // cache-resident chunk, hashes it while hot, and resolves target
-    // indices (and a map candidate's key bytes) for the ~1/e fit rows only.
+    // cache-resident chunk, hashes it while hot, and reads the target
+    // index (and a map candidate's key bytes) of the ~1/e fit rows only.
     engine.row_bounds_ = ShardBounds(n, threads);
-    engine.target_index_ = options.target_index;
-    if (engine.target_index_ == nullptr && store.IsDictColumn(target_col)) {
-      engine.owned_target_index_ = std::make_unique<ValueIndexColumn>(
-          ValueIndexColumn::Build(rel, target_col, *engine.domain_, threads));
-      engine.target_index_ = engine.owned_target_index_.get();
-    }
     // One message per non-NULL key row: a lane counts its NULL bitmap (no
     // bit is set past the last row), any other column reads each cell.
     if (store.IsLaneColumn(key_col)) {
@@ -153,14 +145,6 @@ Result<DetectEngine> DetectEngine::Create(const Relation& rel,
       }
     }
     return engine;
-  }
-
-  const ValueIndexColumn* target_index = options.target_index;
-  ValueIndexColumn local_index;
-  if (target_index == nullptr) {
-    local_index =
-        ValueIndexColumn::Build(rel, target_col, *engine.domain_, threads);
-    target_index = &local_index;
   }
 
   // Dict-code gather: one message per *live* distinct dictionary entry,
@@ -247,7 +231,7 @@ Result<DetectEngine> DetectEngine::Create(const Relation& rel,
                   const std::uint32_t m =
                       msg_of_code[static_cast<std::size_t>(code)];
                   ++rows[m];
-                  const std::int32_t t = target_index->index(j);
+                  const std::int32_t t = engine.target_index_.index(j);
                   if (t < 0) continue;  // NULL / out-of-domain target
                   ++usable[m];
                   vote[m] += ExtractBitFromValueIndex(
@@ -275,8 +259,8 @@ void DetectEngine::TallyShard(std::size_t shard, FitScanner& scan,
   std::size_t usable = 0;
   std::size_t fit_rows = 0;
   if (!dict_keys_) {
-    // The plan is the key column: scan the shard's rows in place and
-    // resolve the target of each fit row only.
+    // The plan is the key column: scan the shard's rows in place and read
+    // the target index of each fit row only.
     const std::size_t begin = row_bounds_[shard];
     const ColumnStore& store = rel_->store();
     const ColumnReader key_reader(store, key_col_);
@@ -289,17 +273,7 @@ void DetectEngine::TallyShard(std::size_t shard, FitScanner& scan,
           const std::optional<std::size_t> idx = slots(
               h2, [&] { return key_reader.SerializeKeyInto(j, key_bytes); });
           if (!idx.has_value()) return;
-          std::int32_t t;
-          if (target_index_ != nullptr) {
-            t = target_index_->index(j);
-          } else {
-            const Value& attr_value = rel_->Get(j, target_col_);
-            if (attr_value.is_null()) return;
-            const auto domain_index = domain_->IndexOf(attr_value);
-            t = domain_index.has_value()
-                    ? static_cast<std::int32_t>(*domain_index)
-                    : ValueIndexColumn::kNoIndex;
-          }
+          const std::int32_t t = target_index_.index(j);
           if (t < 0) return;  // NULL / out-of-domain target
           ++usable;
           hits.push_back(
@@ -370,11 +344,9 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
 
   DetectionResult result;
   result.num_tuples = num_rows_;
-  // Payload length: the engine override, then the candidate's claimed
-  // params, then re-derivation from the suspect size.
-  std::size_t payload_len = default_payload_length_ != 0
-                                ? default_payload_length_
-                                : candidate.params.payload_length;
+  // Payload length: the candidate's claimed params, else re-derivation
+  // from the suspect size.
+  std::size_t payload_len = candidate.params.payload_length;
   if (payload_len == 0) {
     if (num_rows_ / candidate.params.e == 0) {
       return Status::FailedPrecondition(

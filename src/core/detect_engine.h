@@ -38,9 +38,9 @@ struct KeyCandidate {
   const EmbeddingMap* embedding_map = nullptr;
 };
 
-/// Inputs of the key-independent half of detection. Mirrors DetectOptions
-/// minus everything per-key: the embedding map is per-embedding, so it
-/// rides on the KeyCandidate.
+/// Inputs of the key-independent half of detection: the attributes, the
+/// domain and the worker count. Everything per-key — the keys, e, the PRF,
+/// the payload length and the embedding map — rides on the KeyCandidate.
 struct DetectEngineOptions {
   std::string key_attr;
   std::string target_attr;
@@ -49,18 +49,6 @@ struct DetectEngineOptions {
   /// engine. When null the domain is recovered from the suspect data and
   /// owned by the engine.
   const CategoricalDomain* domain = nullptr;
-
-  /// Optional caller-built domain-index view of the target column (one
-  /// entry per suspect row, built against the same domain as above),
-  /// borrowed: a plain key column's pass reads it, so the pointee must
-  /// outlive the engine.
-  const ValueIndexColumn* target_index = nullptr;
-
-  /// Engine-wide payload length override. Per candidate the precedence is
-  /// this, then KeyCandidate::params.payload_length, then re-derivation
-  /// from the suspect size (which fails when N / e == 0) — the same ladder
-  /// as DetectOptions::payload_length over WatermarkParams.
-  std::size_t payload_length = 0;
 
   /// Worker threads (0 = auto). DetectMany splits them keys × shards.
   std::size_t num_threads = 0;
@@ -73,11 +61,13 @@ struct DetectEngineOptions {
 ///
 /// RelationPlan — everything the fitness/position hashes consume that does
 /// not depend on the key, built once at Create:
+///   - on either key layout, one domain-index view of the target column
+///     (ValueIndexColumn) against the resolved domain: the zero-copy view
+///     of a dictionary target, or an index materialized once per plan on a
+///     plain target. No pass resolves a target cell any other way;
 ///   - on a plain key column, nothing is copied: the plan is the key column
 ///     itself, split into row shards, plus its non-NULL key count (one
-///     message per non-NULL key row). The target's domain index comes from
-///     the caller's target_index or a dictionary target's zero-copy view;
-///     failing both, it is resolved with IndexOf for each fit row only;
+///     message per non-NULL key row);
 ///   - on a dictionary-encoded key column, one prepared *message* per live
 ///     distinct dictionary entry (the dict-code gather): the canonical key
 ///     serialization in per-shard arenas, except on an INT64 dictionary,
@@ -103,17 +93,16 @@ struct DetectEngineOptions {
 /// the plan — and nothing in it is O(payload length): a candidate costs its
 /// ~fit messages + |wm| whatever payload length it claims.
 ///
-/// The engine borrows its inputs, as ValueIndexColumn does: the relation,
-/// options.domain and options.target_index must outlive it, and the
-/// relation must not change while it lives. A domain recovered from the
-/// data is owned by the engine. Every result is bit-identical at every
-/// thread count and under every PRF backend; reference_detect_test checks
-/// it against the paper-literal Figure 2 oracle.
+/// The engine borrows its inputs, as ValueIndexColumn does: the relation
+/// and options.domain must outlive it, and the relation must not change
+/// while it lives. A domain recovered from the data is owned by the
+/// engine. Every result is bit-identical at every thread count and under
+/// every PRF backend; reference_detect_test checks it against the
+/// paper-literal Figure 2 oracle.
 class DetectEngine {
  public:
   /// Builds the RelationPlan. Fails on unknown attributes, an empty
-  /// relation, a domain with < 2 values, or a target_index whose row count
-  /// does not match.
+  /// relation or a domain with < 2 values.
   static Result<DetectEngine> Create(const Relation& rel,
                                      const DetectEngineOptions& options);
 
@@ -130,7 +119,9 @@ class DetectEngine {
   /// candidates fan out over ParallelFor, and any leftover workers
   /// parallelize each pass's plan shards. results[i] corresponds to
   /// candidates[i]; a bad candidate (zero wm_len, invalid keys, e == 0,
-  /// unresolvable PRF or payload length) fails that entry only.
+  /// unresolvable PRF or payload length) fails that entry only. A
+  /// candidate's payload length is its params.payload_length, re-derived
+  /// from the suspect size when 0 (which fails when N / e == 0).
   std::vector<Result<DetectionResult>> DetectMany(
       std::span<const KeyCandidate> candidates) const;
 
@@ -160,19 +151,18 @@ class DetectEngine {
 
   const Relation* rel_ = nullptr;
   std::size_t key_col_ = 0;
-  std::size_t target_col_ = 0;
   std::size_t num_rows_ = 0;
   std::size_t num_messages_ = 0;
   std::size_t num_threads_ = 0;
-  std::size_t default_payload_length_ = 0;
   bool dict_keys_ = false;
 
-  // Plain key column: row shard s covers [row_bounds_[s], row_bounds_[s +
-  // 1]). target_index_ is the caller's view or owned_target_index_ (a
-  // dictionary target's zero-copy view); null means IndexOf per fit row.
+  // The target column's domain index per row, against *domain_: zero-copy
+  // on a dictionary target, materialized on a plain one.
+  ValueIndexColumn target_index_;
+
+  // Plain key column: row shard s covers [row_bounds_[s],
+  // row_bounds_[s + 1]).
   std::vector<std::size_t> row_bounds_;
-  std::unique_ptr<ValueIndexColumn> owned_target_index_;
-  const ValueIndexColumn* target_index_ = nullptr;
 
   // Dictionary key column: prepared messages per build shard, in one of
   // two layouts:

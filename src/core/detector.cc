@@ -118,15 +118,14 @@ Result<DetectionResult> Detector::Detect(const Relation& rel,
   engine_options.key_attr = options.key_attr;
   engine_options.target_attr = options.target_attr;
   engine_options.domain =
-      options.domain_view != nullptr
-          ? options.domain_view
-          : (options.domain.has_value() ? &*options.domain : nullptr);
-  engine_options.target_index = options.target_index;
-  engine_options.payload_length = options.payload_length;
+      options.domain.has_value() ? &*options.domain : nullptr;
   engine_options.num_threads = params_.num_threads;
   CATMARK_ASSIGN_OR_RETURN(const DetectEngine engine,
                            DetectEngine::Create(rel, engine_options));
-  const KeyCandidate candidate{keys_, params_, wm_len, options.embedding_map};
+  KeyCandidate candidate{keys_, params_, wm_len, options.embedding_map};
+  if (options.payload_length != 0) {
+    candidate.params.payload_length = options.payload_length;
+  }
   CATMARK_ASSIGN_OR_RETURN(DetectionResult result, engine.Detect(candidate));
   result.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)

@@ -13,13 +13,13 @@
 #include "core/params.h"
 #include "relation/domain.h"
 #include "relation/relation.h"
-#include "relation/value_index_column.h"
 
 namespace catmark {
 
 /// Detection inputs. Detection is *blind*: no original data — only the keys
 /// (inside the Detector), e (inside WatermarkParams), the payload length,
-/// the watermark length and the attribute domain.
+/// the watermark length and the attribute domain. The target column's
+/// domain index follows from the domain and the data; the engine builds it.
 struct DetectOptions {
   std::string key_attr;
   std::string target_attr;
@@ -30,33 +30,19 @@ struct DetectOptions {
   /// from EmbedReport::domain).
   std::optional<CategoricalDomain> domain;
 
-  /// Non-owning alternative to `domain` for sweeps that re-detect against
-  /// one shared domain many times (e.g. the multi-attribute closure):
-  /// takes precedence over `domain` and avoids copying the value vector
-  /// per call. The pointee must outlive the Detect call.
-  const CategoricalDomain* domain_view = nullptr;
-
-  /// |wm_data| used at embed time (EmbedReport::payload_length). When 0 it
-  /// is re-derived from the *suspect* relation's size — fine when no tuples
-  /// were added/removed, wrong after A1/A2; real deployments keep this one
-  /// integer as owner-side metadata. Deriving fails with FailedPrecondition
-  /// when N / e == 0 (the suspect relation is smaller than e).
+  /// |wm_data| used at embed time (EmbedReport::payload_length). When
+  /// nonzero it overrides WatermarkParams::payload_length. When both are 0
+  /// it is re-derived from the *suspect* relation's size — fine when no
+  /// tuples were added/removed, wrong after A1/A2; real deployments keep
+  /// this one integer as owner-side metadata. Deriving fails with
+  /// FailedPrecondition when N / e == 0 (the suspect relation is smaller
+  /// than e).
   std::size_t payload_length = 0;
 
   /// Detect via the Figure 2(b) embedding-map variant instead of k2: the
   /// map becomes the KeyCandidate's position source. The pointee must
   /// outlive the Detect call.
   const EmbeddingMap* embedding_map = nullptr;
-
-  /// Optional reusable domain-index view of the target column, for
-  /// detection sweeps that run many keys/attacks over the same suspect
-  /// data: build it once with ValueIndexColumn::Build (against the same
-  /// domain passed above) and every Detect call skips its per-tuple
-  /// IndexOf lookups. When null, a dictionary target uses its zero-copy
-  /// view; a plain target is resolved per fit tuple on a plain key column
-  /// and indexed once per call on a dictionary key column. Must have one
-  /// entry per suspect row. The pointee must outlive the Detect call.
-  const ValueIndexColumn* target_index = nullptr;
 };
 
 /// Detection outcome plus channel diagnostics.

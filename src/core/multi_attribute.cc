@@ -3,7 +3,6 @@
 #include <map>
 
 #include "relation/domain.h"
-#include "relation/value_index_column.h"
 
 namespace catmark {
 
@@ -90,13 +89,8 @@ Result<std::vector<PairDetection>> MultiAttributeEmbedder::DetectAll(
   const Detector detector(keys_, params_);
 
   // The pair closure reuses each target attribute under several key
-  // attributes; recover its domain and build the domain-index view (zero-
-  // copy on dictionary columns) once and share them across those passes.
-  struct TargetCache {
-    CategoricalDomain domain;
-    ValueIndexColumn index;
-  };
-  std::map<std::string, TargetCache> targets;
+  // attributes; recover its domain once and share it across those passes.
+  std::map<std::string, CategoricalDomain> domains;
 
   std::vector<PairDetection> out;
   for (const AttributePair& pair : pairs) {
@@ -104,25 +98,20 @@ Result<std::vector<PairDetection>> MultiAttributeEmbedder::DetectAll(
         rel.schema().ColumnIndex(pair.target_attr) < 0) {
       continue;  // attribute lost to vertical partitioning
     }
-    auto it = targets.find(pair.target_attr);
-    if (it == targets.end()) {
+    auto it = domains.find(pair.target_attr);
+    if (it == domains.end()) {
       const std::size_t target_col = static_cast<std::size_t>(
           rel.schema().ColumnIndex(pair.target_attr));
       Result<CategoricalDomain> domain =
           CategoricalDomain::FromRelationColumn(rel, target_col);
       if (!domain.ok()) continue;  // e.g. all-NULL column after attack
-      TargetCache cache;
-      cache.domain = std::move(domain).value();
-      cache.index = ValueIndexColumn::Build(rel, target_col, cache.domain,
-                                            params_.num_threads);
-      it = targets.emplace(pair.target_attr, std::move(cache)).first;
+      it = domains.emplace(pair.target_attr, std::move(domain).value()).first;
     }
     DetectOptions options;
     options.key_attr = pair.key_attr;
     options.target_attr = pair.target_attr;
     options.payload_length = payload_length;
-    options.domain_view = &it->second.domain;
-    options.target_index = &it->second.index;
+    options.domain = it->second;
     Result<DetectionResult> detection = detector.Detect(rel, options, wm_len);
     if (!detection.ok()) continue;  // e.g. degenerate domain after attack
     out.push_back({pair, std::move(detection).value()});

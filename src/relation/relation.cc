@@ -7,6 +7,26 @@
 
 namespace catmark {
 
+namespace {
+
+/// The arity and (non-NULL) type check every validating append runs.
+Status ValidateRow(const Schema& schema, const Row& row) {
+  if (row.size() != schema.num_columns()) {
+    return Status::InvalidArgument(
+        "row arity " + std::to_string(row.size()) + " != schema arity " +
+        std::to_string(schema.num_columns()));
+  }
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (!row[i].is_null() && !row[i].MatchesType(schema.column(i).type)) {
+      return Status::InvalidArgument(
+          "value for column '" + schema.column(i).name + "' has wrong type");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Relation::Relation(Schema schema, ColumnStore store)
     : schema_(std::move(schema)), store_(std::move(store)) {
   CATMARK_CHECK_EQ(store_.num_columns(), schema_.num_columns());
@@ -22,35 +42,14 @@ Relation::Relation(Schema schema, ColumnStore store)
 }
 
 Status Relation::AppendRow(Row row) {
-  if (row.size() != schema_.num_columns()) {
-    return Status::InvalidArgument(
-        "row arity " + std::to_string(row.size()) + " != schema arity " +
-        std::to_string(schema_.num_columns()));
-  }
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    if (!row[i].is_null() && !row[i].MatchesType(schema_.column(i).type)) {
-      return Status::InvalidArgument(
-          "value for column '" + schema_.column(i).name + "' has wrong type");
-    }
-  }
+  CATMARK_RETURN_IF_ERROR(ValidateRow(schema_, row));
   store_.AppendRow(std::move(row));
   return Status::OK();
 }
 
 Status Relation::AppendRows(std::span<Row> rows) {
   for (const Row& row : rows) {
-    if (row.size() != schema_.num_columns()) {
-      return Status::InvalidArgument(
-          "row arity " + std::to_string(row.size()) + " != schema arity " +
-          std::to_string(schema_.num_columns()));
-    }
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (!row[i].is_null() && !row[i].MatchesType(schema_.column(i).type)) {
-        return Status::InvalidArgument("value for column '" +
-                                       schema_.column(i).name +
-                                       "' has wrong type");
-      }
-    }
+    CATMARK_RETURN_IF_ERROR(ValidateRow(schema_, row));
   }
   store_.AppendRows(rows);
   return Status::OK();

@@ -53,11 +53,6 @@ class Relation {
   /// atomic: on any arity/type error nothing is appended.
   Status AppendRows(std::span<Row> rows);
 
-  /// Bulk form of AppendRowUnchecked: one arity sweep, then column-major
-  /// appends. The streaming service batches through this after its own
-  /// batch validation.
-  void AppendRowsUnchecked(std::span<Row> rows) { store_.AppendRows(rows); }
-
   void Reserve(std::size_t n) { store_.Reserve(n); }
 
   /// Bulk-appends rows `indices` of `other` (equal schemas required). The

@@ -1,6 +1,8 @@
 #include "relation/value_index_column.h"
 
 #include <limits>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -29,16 +31,33 @@ ValueIndexColumn ValueIndexColumn::Build(const Relation& rel, std::size_t col,
     return out;
   }
 
-  out.index_.assign(rel.NumRows(), kNoIndex);
+  // Materialized fallback: a STRING cell is read in place and found with
+  // one hash probe of the domain's strings; a lane cell is binary-searched.
+  std::unordered_map<std::string_view, std::int32_t> string_index;
+  for (std::size_t t = 0; t < domain.size(); ++t) {
+    const Value& v = domain.values()[t];
+    if (v.is_string()) {
+      string_index.emplace(v.AsString(), static_cast<std::int32_t>(t));
+    }
+  }
+  const auto lookup = [&](const Value& v) -> std::int32_t {
+    if (v.is_null()) return kNoIndex;
+    if (v.is_string()) {
+      const auto it = string_index.find(v.AsString());
+      return it == string_index.end() ? kNoIndex : it->second;
+    }
+    const auto t = domain.IndexOf(v);
+    return t.has_value() ? static_cast<std::int32_t>(*t) : kNoIndex;
+  };
+  const std::vector<Value>* cells = rel.store().IsLaneColumn(col)
+                                        ? nullptr
+                                        : &rel.store().StringValues(col);
+  out.index_.resize(rel.NumRows());
   ParallelFor(rel.NumRows(), EffectiveThreadCount(num_threads, rel.NumRows()),
               [&](std::size_t /*shard*/, std::size_t begin, std::size_t end) {
                 for (std::size_t j = begin; j < end; ++j) {
-                  const Value& v = rel.Get(j, col);
-                  if (v.is_null()) continue;
-                  const auto t = domain.IndexOf(v);
-                  if (t.has_value()) {
-                    out.index_[j] = static_cast<std::int32_t>(*t);
-                  }
+                  out.index_[j] = cells != nullptr ? lookup((*cells)[j])
+                                                   : lookup(rel.Get(j, col));
                 }
               });
   return out;

@@ -209,27 +209,16 @@ Result<BatchReport> StreamSession::InsertRange(Relation& rel,
 
 Result<BatchReport> StreamSession::InsertBatch(Relation& rel,
                                                std::span<Row> rows) {
-  // Validate the whole batch before touching anything: batches are atomic,
-  // so an arity or type error anywhere leaves the relation unchanged.
+  // Batches are atomic: AppendRows validates the whole batch against rel's
+  // schema before staging any row, so an arity or type error anywhere
+  // leaves the relation unchanged.
   const Schema& schema = rel.schema();
-  for (const Row& row : rows) {
-    if (row.size() != schema.num_columns()) {
-      return Status::InvalidArgument("row arity mismatch");
-    }
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (!row[c].is_null() && !row[c].MatchesType(schema.column(c).type)) {
-        return Status::InvalidArgument("value for column '" +
-                                       schema.column(c).name +
-                                       "' has wrong type");
-      }
-    }
-  }
   if (staged_.schema() == schema) {
     staged_.ClearRows();
   } else {
     staged_ = Relation(schema);
   }
-  staged_.AppendRowsUnchecked(rows);
+  CATMARK_RETURN_IF_ERROR(staged_.AppendRows(rows));
   return InsertRange(rel, staged_, 0, rows.size());
 }
 

@@ -332,7 +332,7 @@ TEST(ColumnStoreLaneTest, BitmapAppearsWithTheFirstNull) {
     rows.AppendRowUnchecked(LaneRow(k, k == 70));
   }
   for (const Row& row : batch) rows.AppendRowUnchecked(row);
-  rel.AppendRowsUnchecked(std::span<Row>(batch));
+  ASSERT_TRUE(rel.AppendRows(std::span<Row>(batch)).ok());
   EXPECT_EQ(LaneCells(rel, 0), LaneCells(rows, 0));
   EXPECT_EQ(LaneCells(rel, 2), LaneCells(rows, 2));
   EXPECT_TRUE(rel.Get(78, 0).is_null());

@@ -134,9 +134,9 @@ void ExpectSameDetection(const DetectionResult& got,
   EXPECT_EQ(got.bit_confidence, want.bit_confidence);
 }
 
-// The acceptance bar of this refactor: DetectMany and the engine's single
-// Detect are bit-identical to a standalone Detector::Detect for every
-// candidate, across PRF backends x thread counts, on both key layouts.
+// DetectMany, the engine's single Detect and a standalone Detector::Detect
+// each match the paper-literal Figure 2 oracle for every candidate, across
+// PRF backends x thread counts, on both key layouts.
 void RunParitySweep(bool dict_keys) {
   for (const PrfKind prf : {PrfKind::kKeyedHash, PrfKind::kSipHash24}) {
     Marked m = EmbedOn(dict_keys ? DictKeyRelation()
@@ -144,26 +144,21 @@ void RunParitySweep(bool dict_keys) {
                        prf);
     const std::vector<KeyCandidate> candidates = CandidatesFor(m);
 
+    // Expected: the oracle, once per candidate (it has no thread count).
+    std::vector<Result<reference::ReferenceDetection>> expected;
+    for (const KeyCandidate& c : candidates) {
+      expected.push_back(reference::ReferenceDetect(
+          m.rel, reference::DetectInputsOf(c, m.report.domain)));
+    }
+    ASSERT_TRUE(expected[0].ok()) << expected[0].status().ToString();
+    ASSERT_TRUE(expected[1].ok()) << expected[1].status().ToString();
+    EXPECT_EQ(expected[0].value().wm, m.wm)
+        << "true keys must recover the mark (prf=" << static_cast<int>(prf)
+        << ")";
+    EXPECT_NE(expected[1].value().wm, m.wm) << "wrong keys must not";
+
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{8}}) {
-      // Reference: one standalone Detector per candidate.
-      std::vector<DetectionResult> expected;
-      for (const KeyCandidate& c : candidates) {
-        WatermarkParams params = c.params;
-        params.num_threads = threads;
-        DetectOptions options;
-        options.key_attr = testutil::kKeyAttr;
-        options.target_attr = testutil::kTargetAttr;
-        options.domain = m.report.domain;
-        options.payload_length = c.params.payload_length;
-        const Detector detector(c.keys, params);
-        expected.push_back(detector.Detect(m.rel, options, c.wm_len).value());
-      }
-      EXPECT_EQ(expected[0].wm, m.wm)
-          << "true keys must recover the mark (prf=" << static_cast<int>(prf)
-          << ", threads=" << threads << ")";
-      EXPECT_NE(expected[1].wm, m.wm) << "wrong keys must not";
-
       DetectEngineOptions options;
       options.key_attr = testutil::kKeyAttr;
       options.target_attr = testutil::kTargetAttr;
@@ -182,13 +177,33 @@ void RunParitySweep(bool dict_keys) {
           engine.DetectMany(std::span<const KeyCandidate>(candidates));
       ASSERT_EQ(many.size(), candidates.size());
       for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const KeyCandidate& c = candidates[i];
+        const std::string where =
+            "candidate " + std::to_string(i) + " prf=" +
+            std::to_string(static_cast<int>(prf)) +
+            " threads=" + std::to_string(threads);
         ASSERT_TRUE(many[i].ok()) << many[i].status().ToString();
-        ExpectSameDetection(many[i].value(), expected[i]);
-        EXPECT_EQ(many[i].value().rows_scanned, engine.num_rows());
+        reference::ExpectDetectMatchesReference(many[i], expected[i],
+                                                where + " DetectMany");
+        EXPECT_EQ(many[i].value().prf, prf) << where;
         EXPECT_EQ(many[i].value().messages_hashed, engine.num_messages());
 
-        const DetectionResult single = engine.Detect(candidates[i]).value();
-        ExpectSameDetection(single, expected[i]);
+        reference::ExpectDetectMatchesReference(engine.Detect(c), expected[i],
+                                                where + " Detect");
+
+        // The claimed payload length reaches the Detector only through
+        // DetectOptions, which must override the params' (here 0).
+        WatermarkParams params = c.params;
+        params.num_threads = threads;
+        params.payload_length = 0;
+        DetectOptions detect_options;
+        detect_options.key_attr = testutil::kKeyAttr;
+        detect_options.target_attr = testutil::kTargetAttr;
+        detect_options.domain = m.report.domain;
+        detect_options.payload_length = c.params.payload_length;
+        reference::ExpectDetectMatchesReference(
+            Detector(c.keys, params).Detect(m.rel, detect_options, c.wm_len),
+            expected[i], where + " Detector");
       }
     }
   }

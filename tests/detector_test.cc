@@ -295,42 +295,6 @@ TEST(DetectorTest, AllHashAlgorithmsRoundTrip) {
   }
 }
 
-TEST(DetectorTest, SweepCachedTargetIndexMatchesLazyDetection) {
-  // A detection sweep builds the domain-index view once and reuses it for
-  // every key; the result must be identical to the lazy per-call path.
-  const Marked m = EmbedStandard(15);
-  const ValueIndexColumn view =
-      ValueIndexColumn::Build(m.rel, 1, m.report.domain);
-  for (const std::uint64_t key_seed : {15ull, 99ull, 100ull}) {
-    const Detector detector(WatermarkKeySet::FromSeed(key_seed), m.params);
-    DetectOptions lazy = DetectKA(m.report);
-    const DetectionResult lazy_result =
-        detector.Detect(m.rel, lazy, m.wm.size()).value();
-    DetectOptions cached = DetectKA(m.report);
-    cached.target_index = &view;
-    const DetectionResult cached_result =
-        detector.Detect(m.rel, cached, m.wm.size()).value();
-    EXPECT_EQ(cached_result.wm, lazy_result.wm);
-    EXPECT_EQ(cached_result.usable_votes, lazy_result.usable_votes);
-    EXPECT_EQ(cached_result.positions_present, lazy_result.positions_present);
-  }
-}
-
-TEST(DetectorTest, RejectsMismatchedTargetIndex) {
-  const Marked m = EmbedStandard(17);
-  Relation half(m.rel.schema());
-  for (std::size_t j = 0; j < m.rel.NumRows() / 2; ++j) {
-    half.AppendRowUnchecked(m.rel.row(j));
-  }
-  const ValueIndexColumn stale =
-      ValueIndexColumn::Build(m.rel, 1, m.report.domain);
-  const Detector detector(m.keys, m.params);
-  DetectOptions options = DetectKA(m.report);
-  options.target_index = &stale;
-  const Status status = detector.Detect(half, options, 10).status();
-  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
-}
-
 // ------------------------------------------------------------- error paths
 
 // k1 == k2 and e == 0 are values a library caller can pass: Detect returns
