@@ -1,12 +1,17 @@
 // Micro-benchmarks (google-benchmark): keyed hash, embedding and blind
 // detection throughput as a function of N, plus the frequency-domain
 // channel. These quantify the "massive data" practicality claim (Section
-// 4.3) on commodity hardware.
+// 4.3) on commodity hardware. The SipHash kernel rows run once per SIMD
+// dispatch level this host supports:
+//   bench_micro_throughput --benchmark_filter=SipHash24
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "common/bits.h"
 #include "core/codec.h"
@@ -15,6 +20,7 @@
 #include "core/freq_mark.h"
 #include "crypto/keyed_hash.h"
 #include "crypto/prf.h"
+#include "crypto/siphash_simd.h"
 #include "exp/harness.h"
 #include "gen/sales_gen.h"
 
@@ -133,7 +139,92 @@ void BM_FitnessTest(benchmark::State& state) {
 }
 BENCHMARK(BM_FitnessTest);
 
+// ------------------------------------------------ SipHash kernels per level
+
+constexpr std::uint64_t kSipK0 = 0x0706050403020100ULL;
+constexpr std::uint64_t kSipK1 = 0x0f0e0d0c0b0a0908ULL;
+
+// Reports the per-message time as time_per_hash next to the rate.
+void SetPerHash(benchmark::State& state, std::size_t count) {
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(count));
+  state.counters["time_per_hash"] =
+      benchmark::Counter(static_cast<double>(count),
+                         benchmark::Counter::kIsIterationInvariantRate |
+                             benchmark::Counter::kInvert);
+}
+
+// The typed int64-key batch: 4096 keys is one FitScanner chunk's k1 call,
+// 68 keys about one chunk's k2 call over its fit keys at e = 60.
+void BM_SipHash24Int64Keys(benchmark::State& state, SimdLevel level) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  std::mt19937_64 rng(11);
+  std::vector<std::int64_t> vals(count);
+  for (auto& v : vals) v = static_cast<std::int64_t>(rng());
+  std::vector<std::uint64_t> out(count);
+  ForceSimdLevel(level);
+  for (auto _ : state) {
+    SipHash24Int64Keys(kSipK0, kSipK1, vals.data(), count,
+                       std::span<std::uint64_t>(out));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  ForceSimdLevel(std::nullopt);
+  SetPerHash(state, count);
+}
+
+// The arena batch over 4096 messages: every message 12 bytes (the
+// equal-length stride path) when range(0) is 0, else lengths drawn
+// uniformly from 6..30 bytes (the length-bucketed path).
+void BM_SipHash24Batch(benchmark::State& state, SimdLevel level) {
+  constexpr std::size_t kCount = 4096;
+  const bool mixed = state.range(0) != 0;
+  std::mt19937_64 rng(12);
+  std::vector<std::size_t> bounds = {0};
+  for (std::size_t i = 0; i < kCount; ++i) {
+    bounds.push_back(bounds.back() + (mixed ? 6 + rng() % 25 : 12));
+  }
+  std::vector<std::uint8_t> arena(bounds.back());
+  for (auto& b : arena) b = static_cast<std::uint8_t>(rng());
+  std::vector<std::uint64_t> out(kCount);
+  ForceSimdLevel(level);
+  for (auto _ : state) {
+    SipHash24Batch(kSipK0, kSipK1, arena.data(),
+                   std::span<const std::size_t>(bounds),
+                   std::span<std::uint64_t>(out));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  ForceSimdLevel(std::nullopt);
+  state.SetLabel(mixed ? "mixed 6-30 B" : "equal 12 B");
+  SetPerHash(state, kCount);
+}
+
+// One row per level from scalar up to the hardware's, named by level.
+void RegisterKernelRows() {
+  for (int l = 0; l <= static_cast<int>(HardwareSimdLevel()); ++l) {
+    const auto level = static_cast<SimdLevel>(l);
+    const std::string suffix = "/" + std::string(SimdLevelName(level));
+    benchmark::RegisterBenchmark(
+        ("BM_SipHash24Int64Keys" + suffix).c_str(), BM_SipHash24Int64Keys,
+        level)
+        ->Arg(4096)
+        ->Arg(68);
+    benchmark::RegisterBenchmark(("BM_SipHash24Batch" + suffix).c_str(),
+                                 BM_SipHash24Batch, level)
+        ->Arg(0)
+        ->Arg(1);
+  }
+}
+
 }  // namespace
 }  // namespace catmark
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  catmark::RegisterKernelRows();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

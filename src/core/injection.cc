@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "core/codec.h"
+#include "core/fit_scan.h"
 #include "ecc/code.h"
 #include "random/rng.h"
 
@@ -11,13 +12,17 @@ namespace catmark {
 
 FitTupleInjector::FitTupleInjector(WatermarkKeySet keys,
                                    WatermarkParams params)
-    : keys_(std::move(keys)), params_(params) {
-  CATMARK_CHECK(keys_.valid());
-}
+    : keys_(std::move(keys)), params_(params) {}
 
 Result<InjectionReport> FitTupleInjector::Inject(
     Relation& rel, const EmbedOptions& options, const BitVector& wm,
     const InjectionConfig& config) const {
+  if (!keys_.valid()) {
+    return Status::InvalidArgument("invalid watermark key set (k1 == k2?)");
+  }
+  if (params_.e == 0) {
+    return Status::InvalidArgument("encoding parameter e must be >= 1");
+  }
   if (wm.empty()) return Status::InvalidArgument("empty watermark");
   if (config.padd < 0.0 || config.padd > 1.0) {
     return Status::InvalidArgument("padd must be in [0,1]");
@@ -67,8 +72,8 @@ Result<InjectionReport> FitTupleInjector::Inject(
       CreateKeyedPrf(prf, keys_.k1, params_.hash_algo);
   const std::unique_ptr<KeyedPrf> prf_k2 =
       CreateKeyedPrf(prf, keys_.k2, params_.hash_algo);
-  HashScratch scratch;
-  scratch.reserve(64);
+  FitScratch fit_scratch;
+  FitScanner scan(*prf_k1, prf_k2.get(), params_.e, fit_scratch);
   Xoshiro256ss rng(config.seed);
 
   // Existing key values — injected keys must stay unique.
@@ -91,17 +96,25 @@ Result<InjectionReport> FitTupleInjector::Inject(
     } else {
       key_value = Value("K" + std::to_string(rng.Next()));
     }
-    const std::uint64_t h1 = HashValue(*prf_k1, key_value, scratch);
-    if (h1 % params_.e != 0) continue;
+    bool fit = false;
+    std::uint64_t h1 = 0;
+    std::uint64_t h2 = 0;
+    scan.Scan(
+        1, [&](std::size_t /*i*/) { return &key_value; },
+        [&](std::size_t /*i*/, std::uint64_t fit_h1, std::uint64_t fit_h2) {
+          fit = true;
+          h1 = fit_h1;
+          h2 = fit_h2;
+        });
+    if (!fit) continue;
     if (!used_keys.insert(key_value.ToString()).second) continue;
 
     // Clone a random tuple so every other attribute conforms to the overall
     // distribution, then stamp key + watermarked target value.
     Row row = rel.row(rng.NextBounded(base_n));
     row[key_col] = key_value;
-    const std::size_t idx = PayloadIndexFromHash(
-        HashValue(*prf_k2, key_value, scratch), report.payload_length,
-        params_.bit_index_mode);
+    const std::size_t idx = PayloadIndexFromHash(h2, report.payload_length,
+                                                 params_.bit_index_mode);
     const std::size_t t =
         SelectValueIndex(h1, domain.size(), wm_data.Get(idx));
     row[target_col] = domain.value(t);

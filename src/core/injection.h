@@ -39,7 +39,8 @@ struct InjectionReport {
 /// the key attribute gets fresh random values that pass the fitness test —
 /// "because e effectively reduces the fitness criteria testing space ... one
 /// in every e [candidates] should conform" (Section 4.6). The target
-/// attribute is then set exactly as in the alteration embedder.
+/// attribute is then set exactly as in the alteration embedder. Fitness
+/// runs through the shared FitScanner, one candidate key per call.
 class FitTupleInjector {
  public:
   FitTupleInjector(WatermarkKeySet keys, WatermarkParams params);

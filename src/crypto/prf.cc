@@ -111,9 +111,8 @@ class SipHash24Prf final : public KeyedPrf {
 
   // Both batch forms route through the multi-lane dispatcher
   // (crypto/siphash_simd.h): 16 messages per call under AVX-512, 8 under
-  // AVX2, 4 under SSE2, the scalar reference loop otherwise — bit-identical
-  // at every level, so the dispatch decision can never change a detection
-  // result.
+  // AVX2, the scalar reference loop otherwise — bit-identical at every
+  // level, so the dispatch decision can never change a detection result.
   void Hash64Arena(const std::uint8_t* arena,
                    std::span<const std::size_t> bounds,
                    std::span<std::uint64_t> out) const override {

@@ -84,9 +84,9 @@ class KeyedPrf {
   /// offsets) layout batch producers already hold — any subrange of a
   /// prepared message block hashes via a bounds subspan. The base
   /// implementation is the reference every override must stay bit-identical
-  /// to; siphash24 routes it through 4/8/16-lane SSE2/AVX2/AVX-512 kernels
+  /// to; siphash24 routes it through 16-lane AVX-512 or 8-lane AVX2 kernels
   /// (see crypto/siphash_simd.h), several messages per call with no pointer
-  /// chasing.
+  /// chasing, and through the scalar loop on a host without AVX2.
   virtual void Hash64Arena(const std::uint8_t* arena,
                            std::span<const std::size_t> bounds,
                            std::span<std::uint64_t> out) const;
@@ -94,10 +94,10 @@ class KeyedPrf {
   /// Typed batch form for the dominant plain-key shape: out[i] = Hash64 of
   /// Value(vals[i])'s canonical serialization (tag 0x01 + big-endian
   /// payload, 9 bytes). The base implementation materializes each record
-  /// and calls Hash64; siphash24 overrides it with a kernel that assembles
-  /// both SipHash input blocks of the record in vector registers straight
-  /// from the int64s — no serialization buffer exists at all. Bit-identical
-  /// to SerializeForHash + Hash64 for every backend.
+  /// and calls Hash64; siphash24 overrides it with kernels that assemble
+  /// both SipHash input blocks of the record straight from the int64s, in
+  /// vector or general registers — no serialization buffer exists at all.
+  /// Bit-identical to SerializeForHash + Hash64 for every backend.
   virtual void Hash64Int64Keys(const std::int64_t* vals, std::size_t count,
                                std::span<std::uint64_t> out) const;
 };

@@ -19,6 +19,14 @@ std::uint64_t SipHash24(std::uint64_t k0, std::uint64_t k1,
 std::uint64_t SipHash24(const std::uint8_t key[16], const std::uint8_t* data,
                         std::size_t len);
 
+/// SipHash24 of an int64 key's canonical 9-byte record (tag 0x01 +
+/// big-endian v) without the bytes: the record is exactly two input blocks,
+/// 0x01 | bswap(v) << 8 and 9 << 56 | bswap(v) >> 56 — the assembly the
+/// AVX2 and AVX-512 kernels do in vector registers. The scalar step of
+/// SipHash24Int64Keys.
+std::uint64_t SipHash24Int64(std::uint64_t k0, std::uint64_t k1,
+                             std::int64_t v);
+
 }  // namespace catmark
 
 #endif  // CATMARK_CRYPTO_SIPHASH_H_

@@ -15,21 +15,23 @@ namespace catmark {
 /// that a numeric comparison is a capability comparison: every level can be
 /// clamped down to what the hardware (or the operator) allows.
 ///
-///   - kScalar: the reference loop in siphash.cc, one message at a time.
-///   - kSse2:   4 independent messages per call (two 2-lane state sets).
+///   - kScalar: the reference loop in siphash.cc, one message at a time
+///              (and SipHash24Int64 for int64 keys). Any host, including
+///              x86-64 without AVX2.
 ///   - kAvx2:   8 independent messages per call (two 4-lane state sets).
 ///   - kAvx512: 16 independent messages per call (two 8-lane state sets;
-///              needs AVX-512 F, BW, DQ and VL).
+///              needs AVX-512 F, BW, DQ and VL), with the AVX2 kernel for
+///              a tail of 8..15 messages.
 ///
 /// Every level is bit-identical to kScalar for every message — the lanes
 /// run the exact SipRound sequence on independent state, so the choice is
 /// purely a throughput knob, never a compatibility one.
-enum class SimdLevel { kScalar = 0, kSse2 = 1, kAvx2 = 2, kAvx512 = 3 };
+enum class SimdLevel { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
-/// Registered name of a level ("off", "sse2", "avx2", "avx512").
+/// Registered name of a level ("off", "avx2", "avx512").
 std::string_view SimdLevelName(SimdLevel level);
 
-/// Name -> level: "avx512", "avx2", "sse2", and "off" (alias "scalar");
+/// Name -> level: "avx512", "avx2", and "off" (alias "scalar");
 /// anything else is nullopt. Case-sensitive, like CATMARK_PRF.
 std::optional<SimdLevel> SimdLevelFromName(std::string_view name);
 
@@ -40,7 +42,7 @@ SimdLevel HardwareSimdLevel();
 
 /// The level batch hashing actually dispatches to: HardwareSimdLevel()
 /// clamped by the CATMARK_SIMD environment variable ("avx512", "avx2",
-/// "sse2", "off"; an unknown value is ignored with a one-line stderr
+/// "off"; an unknown value is ignored with a one-line stderr
 /// warning — unlike CATMARK_PRF a typo here cannot change any result, only
 /// the speed) and by ForceSimdLevel. A request above the hardware level
 /// clamps down, so CATMARK_SIMD=avx512 on an AVX2-only box runs AVX2, not
@@ -74,8 +76,9 @@ void SipHash24Batch(std::uint64_t k0, std::uint64_t k1,
 /// (block0 = 0x01 | byteswap64(v) << 8, tail = 9 << 56 | byteswap64(v) >> 56),
 /// so the AVX2 and AVX-512 paths assemble them in vector registers from two
 /// contiguous loads of `vals` — no byte stores, no lane gathers, no per-lane
-/// tail switch. Bit-identical to SerializeForHash + the scalar loop at every
-/// dispatch level.
+/// tail switch — and the scalar step (SipHash24Int64) in general registers.
+/// Batches cascade 16 -> 8 -> scalar. Bit-identical to SerializeForHash +
+/// the scalar loop at every dispatch level.
 void SipHash24Int64Keys(std::uint64_t k0, std::uint64_t k1,
                         const std::int64_t* vals, std::size_t count,
                         std::span<std::uint64_t> out);

@@ -5,17 +5,15 @@
 #include <cstdint>
 #include <cstring>
 
-// Shared between the SSE2, AVX2 and AVX-512 translation units (the last two
-// are the only files compiled with wider codegen, so everything common
-// lives here, not in siphash_simd.cc). Nothing in this header is part of
-// the public API.
+// Shared between the AVX2 and AVX-512 translation units (the only files
+// compiled with wider codegen, so everything common lives here, not in
+// siphash_simd.cc). Nothing in this header is part of the public API.
 
 namespace catmark::siphash_internal {
 
 /// A multi-lane equal-length kernel: out[l] = SipHash24(k0, k1, ptrs[l],
-/// len) for every lane. The lane count is fixed per kernel (4 for SSE2,
-/// 8 for AVX2, 16 for AVX-512) and every lane must point at `len` readable
-/// bytes.
+/// len) for every lane. The lane count is fixed per kernel (8 for AVX2,
+/// 16 for AVX-512) and every lane must point at `len` readable bytes.
 using LaneKernel = void (*)(std::uint64_t k0, std::uint64_t k1,
                             const std::uint8_t* const* ptrs, std::size_t len,
                             std::uint64_t* out);
@@ -29,18 +27,6 @@ bool Avx2KernelsCompiled();
 bool Avx512KernelsCompiled();
 
 #if defined(__x86_64__) || defined(_M_X64)
-
-/// 4 messages per call: two 2-lane SSE2 state sets advanced in lockstep.
-void SipHash24x4Sse2(std::uint64_t k0, std::uint64_t k1,
-                     const std::uint8_t* const* ptrs, std::size_t len,
-                     std::uint64_t* out);
-
-/// Canonical int64-key messages, 4 per iteration (count must be a multiple
-/// of 4): blocks computed scalar (the per-qword byte shuffle needs SSSE3,
-/// above this level), the round sequence vectorized as in SipHash24x4Sse2.
-void SipHash24Int64BatchSse2(std::uint64_t k0, std::uint64_t k1,
-                             const std::int64_t* vals, std::size_t count,
-                             std::uint64_t* out);
 
 /// 8 messages per call: two 4-lane AVX2 state sets advanced in lockstep.
 /// Only callable when Avx2KernelsCompiled() and the CPU supports AVX2.

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "relation/value_index_column.h"
 
 namespace catmark {
 
@@ -14,39 +15,17 @@ Result<FrequencyHistogram> FrequencyHistogram::Compute(
   if (domain.empty()) {
     return Status::InvalidArgument("empty categorical domain");
   }
+  // One per-category count for both column layouts: O(dict) on a
+  // dictionary column, one row pass otherwise (serial, as callers may
+  // already run inside a worker).
+  const std::vector<long> counts =
+      ValueIndexColumn::Build(rel, col, domain, /*num_threads=*/1)
+          .CountPerCategory(domain.size());
   FrequencyHistogram h;
   h.domain_ = domain;
-  h.counts_.assign(domain.size(), 0);
-  if (rel.store().IsDictColumn(col)) {
-    // Aggregate the dictionary's live counts straight into domain bins:
-    // O(dict) IndexOf calls, no row scan.
-    const std::vector<Value>& dict = rel.store().Dict(col);
-    const std::vector<std::int64_t>& live = rel.store().DictLiveCounts(col);
-    for (std::size_t code = 0; code < dict.size(); ++code) {
-      if (live[code] == 0) continue;
-      const auto t = domain.IndexOf(dict[code]);
-      if (t.has_value()) {
-        h.counts_[*t] += static_cast<std::size_t>(live[code]);
-        h.total_ += static_cast<std::size_t>(live[code]);
-      }
-    }
-    h.out_of_domain_ = rel.NumRows() - h.total_;
-    return h;
-  }
-  for (std::size_t i = 0; i < rel.NumRows(); ++i) {
-    const Value& v = rel.Get(i, col);
-    if (v.is_null()) {
-      ++h.out_of_domain_;
-      continue;
-    }
-    const auto t = domain.IndexOf(v);
-    if (!t.has_value()) {
-      ++h.out_of_domain_;
-      continue;
-    }
-    ++h.counts_[*t];
-    ++h.total_;
-  }
+  h.counts_.assign(counts.begin(), counts.end());
+  for (const std::size_t c : h.counts_) h.total_ += c;
+  h.out_of_domain_ = rel.NumRows() - h.total_;
   return h;
 }
 

@@ -189,6 +189,28 @@ TEST(InjectionTest, RejectsBadConfig) {
       injector.Inject(empty, KA(), MakeWatermark(10, 8), config).ok());
 }
 
+// k1 == k2 and e == 0 are values a library caller can pass: Inject returns
+// InvalidArgument for each and leaves the relation untouched, instead of
+// aborting in the constructor or dividing by zero.
+TEST(InjectionTest, InvalidKeysOrEReturnInvalidArgument) {
+  Relation rel = StandardRelation(500);
+  const Relation before = rel;
+  InjectionConfig config;
+  config.padd = 0.1;
+  WatermarkKeySet same_keys = WatermarkKeySet::FromSeed(10);
+  same_keys.k2 = same_keys.k1;
+  const FitTupleInjector bad_keys(same_keys, WatermarkParams{});
+  Status status = bad_keys.Inject(rel, KA(), MakeWatermark(10, 10), config)
+                      .status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  WatermarkParams zero_e;
+  zero_e.e = 0;
+  const FitTupleInjector bad_e(WatermarkKeySet::FromSeed(11), zero_e);
+  status = bad_e.Inject(rel, KA(), MakeWatermark(10, 11), config).status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_TRUE(rel.SameContent(before));
+}
+
 TEST(InjectionTest, StringKeysSupported) {
   Relation rel(Schema::Create({{"K", ColumnType::kString, false},
                                {"A", ColumnType::kString, true}},

@@ -355,7 +355,7 @@ Relation StringKeyRelation(std::size_t n, std::uint64_t seed) {
 // embedding-map modes with a pre-marked ledger. Every cell must be
 // byte-identical — CSV snapshot, report counters, serialized embedding map,
 // ledger — to the row-by-row Figure 1 oracle (reference::ReferenceEmbed).
-// CI runs this under CATMARK_SIMD={avx512,avx2,sse2,off} and TSan/ASan as
+// CI runs this under CATMARK_SIMD={avx512,avx2,off} and TSan/ASan as
 // well; the in-process ForceSimdLevel sweep here covers levels the env
 // clamp would hide.
 TEST(EmbedFastPathGridTest, BitIdenticalAcrossSimdLevelsAndThreads) {
@@ -378,7 +378,7 @@ TEST(EmbedFastPathGridTest, BitIdenticalAcrossSimdLevelsAndThreads) {
   // ForceSimdLevel clamps to the hardware, so on a host without AVX-512
   // the first entry runs AVX2 twice.
   constexpr SimdLevel kLevels[] = {SimdLevel::kAvx512, SimdLevel::kAvx2,
-                                   SimdLevel::kSse2, SimdLevel::kScalar};
+                                   SimdLevel::kScalar};
   constexpr std::size_t kLedgerStride = 5;
   constexpr std::size_t kTargetCol = 1;
   const BitVector wm = MakeWatermark(8, 91);
@@ -413,8 +413,7 @@ TEST(EmbedFastPathGridTest, BitIdenticalAcrossSimdLevelsAndThreads) {
         for (const std::size_t threads : {1u, 2u, 8u}) {
           SCOPED_TRACE("simd=" + std::string(SimdLevelName(level)) +
                        " threads=" + std::to_string(threads));
-          // Clamped to what the hardware supports; on an SSE2-only box the
-          // kAvx2 cells re-run SSE2, which is still a valid parity cell.
+          // Clamped to what the hardware supports.
           ForceSimdLevel(level);
           params.num_threads = threads;
           Relation rel = flavor.rel;

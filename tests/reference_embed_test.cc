@@ -30,7 +30,7 @@ constexpr std::size_t kThreadCounts[] = {1, 2, 8};
 // ForceSimdLevel clamps to the hardware, so a host without AVX-512 runs
 // the first entry as AVX2 twice.
 constexpr SimdLevel kSimdLevels[] = {SimdLevel::kAvx512, SimdLevel::kAvx2,
-                                     SimdLevel::kSse2, SimdLevel::kScalar};
+                                     SimdLevel::kScalar};
 
 struct RandomSource {
   std::mt19937_64 rng;

@@ -190,7 +190,7 @@ TEST(SimdSipHashTest, FixedStrideMatchesScalar) {
 
 // The typed int64-key entry point never materializes the 9-byte record, so
 // pin it against serialize + scalar SipHash for every level, every lane
-// position (counts straddling the 16/8/4/scalar group boundaries), and the
+// position (counts straddling the 16/8/scalar group boundaries), and the
 // sign/extreme values where a byte-order bug would hide.
 TEST(SimdSipHashTest, Int64KeysMatchSerializedScalar) {
   std::mt19937_64 rng(99);
@@ -323,7 +323,7 @@ TEST(SimdSipHashTest, FixedStrideEveryCountAndTail) {
   }
 }
 
-// The int64-key cascade (16-, 8-, 4-wide groups, then scalar) at every
+// The int64-key cascade (16- and 8-wide groups, then scalar) at every
 // count 0..47, starting at every offset 0..3 of the value array so no
 // group boundary lines up with an aligned load.
 TEST(SimdSipHashTest, Int64KeysEveryCountAndTail) {
@@ -423,13 +423,15 @@ TEST(SimdSipHashTest, EmptyMessagesEveryLevel) {
 // ------------------------------------------------------- dispatch controls
 
 TEST(SimdDispatchTest, LevelNamesRoundTrip) {
-  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kSse2,
-                                SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     const auto back = SimdLevelFromName(SimdLevelName(level));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, level);
   }
   EXPECT_EQ(SimdLevelFromName("scalar"), SimdLevel::kScalar);
+  // There is no SSE2 level: "sse2" is an unknown name, not an alias.
+  EXPECT_FALSE(SimdLevelFromName("sse2").has_value());
   EXPECT_FALSE(SimdLevelFromName("avx1024").has_value());
   EXPECT_FALSE(SimdLevelFromName("").has_value());
   EXPECT_FALSE(SimdLevelFromName("AVX2").has_value());  // case-sensitive
@@ -471,7 +473,7 @@ TEST(SimdDispatchTest, ForceClampsToHardwareAndRestores) {
 // at every dispatch level x thread count, through Detector::Detect and
 // through an engine built directly. This is the bit-identity the
 // siphash24 golden/attack suites rely on when CI runs them under
-// CATMARK_SIMD=off|sse2|avx2|avx512.
+// CATMARK_SIMD=off|avx2|avx512.
 TEST(SimdDetectParityTest, LevelsAndThreadsBitIdentical) {
   Relation rel = testutil::SmallKeyedRelation(1500, 30, 5);
   WatermarkParams params;
