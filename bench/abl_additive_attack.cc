@@ -55,11 +55,12 @@ void Run(const ExperimentConfig& config) {
         altered_sum += r.mallory_report.alteration_fraction * 100.0;
       }
 
-      const Detector detector(keys, params);
+      WatermarkParams detect_params = params;
+      detect_params.payload_length = report.payload_length;
+      const Detector detector(keys, detect_params);
       DetectOptions detect_options;
       detect_options.key_attr = "K";
       detect_options.target_attr = "A";
-      detect_options.payload_length = report.payload_length;
       detect_options.domain = report.domain;
       const DetectionResult detection =
           detector.Detect(attacked, detect_options, config.wm_bits).value();

@@ -69,11 +69,12 @@ CaseResult RunCase(bool alter, double padd, double loss,
 
     const Relation kept =
         HorizontalPartitionAttack(marked, 1.0 - loss, 8200 + pass).value();
-    const Detector detector(keys, params);
+    WatermarkParams detect_params = params;
+    detect_params.payload_length = payload_length;
+    const Detector detector(keys, detect_params);
     DetectOptions detect_options;
     detect_options.key_attr = "K";
     detect_options.target_attr = "A";
-    detect_options.payload_length = payload_length;
     detect_options.domain = domain;
     const DetectionResult detection =
         detector.Detect(kept, detect_options, wm.size()).value();

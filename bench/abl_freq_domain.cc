@@ -92,11 +92,12 @@ void RemapRecoveryCase(const ExperimentConfig& config) {
     const RemapAttackResult attack =
         BijectiveRemapAttack(marked, "A", 7000 + pass).value();
 
-    const Detector detector(keys, params);
+    WatermarkParams detect_params = params;
+    detect_params.payload_length = report.payload_length;
+    const Detector detector(keys, detect_params);
     DetectOptions detect_options;
     detect_options.key_attr = "K";
     detect_options.target_attr = "A";
-    detect_options.payload_length = report.payload_length;
     detect_options.domain = report.domain;
 
     const DetectionResult blind =

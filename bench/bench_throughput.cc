@@ -265,15 +265,19 @@ int Run(const ExperimentConfig& config) {
   DetectOptions detect_options;
   detect_options.key_attr = "K";
   detect_options.target_attr = "A";
-  detect_options.payload_length = report.payload_length;
   detect_options.domain = report.domain;
+  // Detection runs with the embed-time payload length pinned.
+  WatermarkParams serial_detect = serial_params;
+  serial_detect.payload_length = report.payload_length;
+  WatermarkParams parallel_detect = parallel_params;
+  parallel_detect.payload_length = report.payload_length;
 
   Measurement detect;
   DetectionResult serial_detection;
   for (std::size_t pass = 0; pass < config.passes; ++pass) {
     {
       const auto start = Clock::now();
-      Result<DetectionResult> r = Detector(keys, serial_params)
+      Result<DetectionResult> r = Detector(keys, serial_detect)
                                       .Detect(marked, detect_options,
                                               wm.size());
       const double secs = SecondsSince(start);
@@ -283,7 +287,7 @@ int Run(const ExperimentConfig& config) {
     }
     {
       const auto start = Clock::now();
-      Result<DetectionResult> r = Detector(keys, parallel_params)
+      Result<DetectionResult> r = Detector(keys, parallel_detect)
                                       .Detect(marked, detect_options,
                                               wm.size());
       const double secs = SecondsSince(start);
@@ -321,8 +325,9 @@ int Run(const ExperimentConfig& config) {
     CATMARK_CHECK(embed_r.ok()) << embed_r.status().ToString();
 
     DetectOptions prf_options = detect_options;
-    prf_options.payload_length = embed_r.value().payload_length;
     prf_options.domain = embed_r.value().domain;
+    prf_serial.payload_length = embed_r.value().payload_length;
+    prf_parallel.payload_length = embed_r.value().payload_length;
 
     DetectionResult serial_r;
     for (std::size_t pass = 0; pass < config.passes; ++pass) {
@@ -462,8 +467,8 @@ int Run(const ExperimentConfig& config) {
       Embedder(keys, simd_params).Embed(simd_marked, embed_options, wm);
   CATMARK_CHECK(simd_embed.ok()) << simd_embed.status().ToString();
   DetectOptions simd_options = detect_options;
-  simd_options.payload_length = simd_embed.value().payload_length;
   simd_options.domain = simd_embed.value().domain;
+  simd_params.payload_length = simd_embed.value().payload_length;
 
   const std::string simd_level_name(SimdLevelName(ActiveSimdLevel()));
   double detect_simd_tps = 0.0;
@@ -504,7 +509,6 @@ int Run(const ExperimentConfig& config) {
       KeyCandidate candidate;
       candidate.keys = keys;
       candidate.params = simd_params;
-      candidate.params.payload_length = simd_embed.value().payload_length;
       candidate.wm_len = wm.size();
       DetectEngineOptions engine_options;
       engine_options.key_attr = "K";
@@ -820,8 +824,8 @@ int Run(const ExperimentConfig& config) {
       Embedder(keys, format_params).Embed(format_marked, embed_options, wm);
   CATMARK_CHECK(format_embed.ok()) << format_embed.status().ToString();
   DetectOptions format_options = detect_options;
-  format_options.payload_length = format_embed.value().payload_length;
   format_options.domain = format_embed.value().domain;
+  format_params.payload_length = format_embed.value().payload_length;
 
   const char* tmpdir_env = std::getenv("TMPDIR");
   const std::string tmpdir =
@@ -868,7 +872,7 @@ int Run(const ExperimentConfig& config) {
   for (std::size_t pass = 0; pass < config.passes; ++pass) {
     {
       const auto start = Clock::now();
-      Result<Relation> r = ReadCsvFile(csv_path, format_schema);
+      Result<Relation> r = ReadCsvFile(csv_path, format_schema, 1);
       const double secs = SecondsSince(start);
       CATMARK_CHECK(r.ok()) << r.status().ToString();
       CATMARK_CHECK(r.value().SameContent(format_marked))
@@ -877,7 +881,7 @@ int Run(const ExperimentConfig& config) {
     }
     {
       const auto start = Clock::now();
-      Result<Relation> r = ReadCsvFileParallel(csv_path, format_schema);
+      Result<Relation> r = ReadCsvFile(csv_path, format_schema);
       const double secs = SecondsSince(start);
       CATMARK_CHECK(r.ok()) << r.status().ToString();
       CATMARK_CHECK(r.value().SameContent(format_marked))
@@ -886,7 +890,7 @@ int Run(const ExperimentConfig& config) {
     }
     {
       const auto start = Clock::now();
-      Result<Relation> r = ReadCsvFileParallel(quoted_csv_path, format_schema);
+      Result<Relation> r = ReadCsvFile(quoted_csv_path, format_schema);
       const double secs = SecondsSince(start);
       CATMARK_CHECK(r.ok()) << r.status().ToString();
       CATMARK_CHECK(r.value().SameContent(format_marked))
@@ -1000,7 +1004,6 @@ int Run(const ExperimentConfig& config) {
         DetectOptions naive_options;
         naive_options.key_attr = "K";
         naive_options.target_attr = "A";
-        naive_options.payload_length = sweep_report.payload_length;
         naive_options.domain = sweep_report.domain;  // per-call copy
         Result<DetectionResult> r =
             Detector(sweep_candidates[i].keys, sweep_params)
@@ -1069,10 +1072,9 @@ int Run(const ExperimentConfig& config) {
     DetectOptions naive_options;
     naive_options.key_attr = "K";
     naive_options.target_attr = "A";
-    naive_options.payload_length = sparse_payload;
     naive_options.domain = sweep_report.domain;
     Result<DetectionResult> r =
-        Detector(sparse_candidates[i].keys, sweep_params)
+        Detector(sparse_candidates[i].keys, sparse_candidates[i].params)
             .Detect(sweep_rel, naive_options, wm.size());
     CATMARK_CHECK(r.ok()) << r.status().ToString();
     sparse_naive[i] = std::move(r).value();

@@ -96,11 +96,12 @@ void BM_Detect(benchmark::State& state) {
   options.target_attr = "A";
   const EmbedReport report =
       Embedder(keys, params).Embed(rel, options, wm).value();
-  const Detector detector(keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = report.payload_length;
+  const Detector detector(keys, detect_params);
   DetectOptions detect_options;
   detect_options.key_attr = "K";
   detect_options.target_attr = "A";
-  detect_options.payload_length = report.payload_length;
   detect_options.domain = report.domain;
   for (auto _ : state) {
     benchmark::DoNotOptimize(detector.Detect(rel, detect_options, wm.size()));

@@ -80,11 +80,12 @@ int main() {
                   static_cast<double>(grocery_before));
 
   // And the mark still detects.
-  const Detector detector(keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = report->payload_length;
+  const Detector detector(keys, detect_params);
   DetectOptions detect_options;
   detect_options.key_attr = "Visit_Nbr";
   detect_options.target_attr = "Item_Nbr";
-  detect_options.payload_length = report->payload_length;
   detect_options.domain = report->domain;
   const DetectionResult detection =
       detector.Detect(sales, detect_options, wm.size()).value();

@@ -53,11 +53,12 @@ int main() {
               fit_inserts);
 
   // Detection on the grown feed — and on a future leak of ONLY the new data.
-  const Detector detector(keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = report.payload_length;
+  const Detector detector(keys, detect_params);
   DetectOptions detect_options;
   detect_options.key_attr = "K";
   detect_options.target_attr = "A";
-  detect_options.payload_length = report.payload_length;
   detect_options.domain = report.domain;
 
   const DetectionResult full =

@@ -54,17 +54,18 @@ int main() {
   // --- Court day ------------------------------------------------------------
   const auto detect = [&](const Relation& data, const WatermarkKeySet& keys,
                           const BitVector& wm, std::size_t payload) {
-    Detector detector(keys, params);
+    WatermarkParams detect_params = params;
+    detect_params.payload_length = payload;
+    Detector detector(keys, detect_params);
     DetectOptions d;
     d.key_attr = "K";
     d.target_attr = "A";
-    d.payload_length = payload;
     return DecideOwnership(wm, detector.Detect(data, d, wm.size())->wm);
   };
 
   // 1. Both parties detect their marks in the disputed copy.
   const OwnershipDecision owner_claim = detect(
-      attack.relation, owner_keys, owner_wm, certificate.payload_length);
+      attack.relation, owner_keys, owner_wm, certificate.params.payload_length);
   const OwnershipDecision mallory_claim =
       detect(attack.relation, attack.mallory_keys, attack.mallory_wm,
              attack.mallory_report.payload_length);
@@ -85,7 +86,7 @@ int main() {
   //    calls his original; Mallory's mark is absent from the owner's true
   //    original (which only the owner can produce).
   const OwnershipDecision owner_in_mallorys_original = detect(
-      published, owner_keys, owner_wm, certificate.payload_length);
+      published, owner_keys, owner_wm, certificate.params.payload_length);
   const OwnershipDecision mallory_in_owners_original =
       detect(original, attack.mallory_keys, attack.mallory_wm,
              attack.mallory_report.payload_length);

@@ -50,11 +50,12 @@ int main() {
 
   // 5. ...and the owner detects blindly: only keys + e + payload length,
   //    no original data.
-  const Detector detector(keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = embed->payload_length;
+  const Detector detector(keys, detect_params);
   DetectOptions detect_options;
   detect_options.key_attr = "K";
   detect_options.target_attr = "A";
-  detect_options.payload_length = embed->payload_length;
   Result<DetectionResult> detection =
       detector.Detect(redistributed, detect_options, wm.size());
   if (!detection.ok()) {

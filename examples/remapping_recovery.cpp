@@ -47,11 +47,12 @@ int main() {
               attack.ground_truth.forward.at(domain.value(0).ToString())
                   .c_str());
 
-  const Detector detector(keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = report.payload_length;
+  const Detector detector(keys, detect_params);
   DetectOptions detect_options;
   detect_options.key_attr = "K";
   detect_options.target_attr = "A";
-  detect_options.payload_length = report.payload_length;
   detect_options.domain = report.domain;
 
   // Without recovery the decoder cannot even place the values.

@@ -73,11 +73,12 @@ int main() {
       suspect.NumRows());
 
   // --- Court day: blind detection ------------------------------------------
-  const Detector detector(keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = embed->payload_length;
+  const Detector detector(keys, detect_params);
   DetectOptions detect_options;
   detect_options.key_attr = "Visit_Nbr";
   detect_options.target_attr = "Item_Nbr";
-  detect_options.payload_length = embed->payload_length;
   detect_options.domain = embed->domain;
   Result<DetectionResult> detection =
       detector.Detect(suspect, detect_options, wm.size());

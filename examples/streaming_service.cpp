@@ -104,8 +104,8 @@ int main() {
   DetectOptions detect;
   detect.key_attr = "K";
   detect.target_attr = "A";
-  detect.payload_length = report->payload_length;
   detect.domain = report->domain;  // pinned, like a certificate records it
+  params.payload_length = report->payload_length;  // likewise
   Result<DetectionResult> detection =
       Detector(keys, params).Detect(*leaked, detect, wm.size());
   if (!detection.ok()) {

@@ -5,6 +5,8 @@
 #                                            avx512, avx2, off
 #   scripts/ci_sweep.sh threads [build_dir]  thread_sweep at CATMARK_THREADS =
 #                                            1, 2, 8
+#   scripts/ci_sweep.sh prf [build_dir]      prf_sweep at CATMARK_PRF =
+#                                            siphash24
 # A SIMD request above the hardware clamps to it (an AVX2-only host runs
 # the avx512 leg as avx2), so each SIMD leg first prints the hardware and
 # active levels. Outputs must be bit-identical at every setting; the
@@ -29,8 +31,12 @@ case "$mode" in
       (cd "$build_dir" && CATMARK_THREADS=$threads ctest -L thread_sweep --output-on-failure)
     done
     ;;
+  prf)
+    echo "== CATMARK_PRF=siphash24 =="
+    (cd "$build_dir" && CATMARK_PRF=siphash24 ctest -L prf_sweep --output-on-failure)
+    ;;
   *)
-    echo "usage: $0 simd|threads [build_dir]" >&2
+    echo "usage: $0 simd|threads|prf [build_dir]" >&2
     exit 2
     ;;
 esac

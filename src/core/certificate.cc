@@ -133,7 +133,7 @@ WatermarkCertificate WatermarkCertificate::Create(
   // have been nullopt/auto): dispute-time detection must re-verify with the
   // same primitive, whatever the environment says by then.
   cert.params.prf = report.prf;
-  cert.payload_length = report.payload_length;
+  cert.params.payload_length = report.payload_length;
   cert.wm = wm;
   cert.domain = report.domain;
   cert.frequencies = std::move(frequencies);
@@ -164,7 +164,7 @@ std::string WatermarkCertificate::Serialize() const {
          "\n";
   out += "min_category_keep=" + std::to_string(params.min_category_keep) +
          "\n";
-  out += "payload_length=" + std::to_string(payload_length) + "\n";
+  out += "payload_length=" + std::to_string(params.payload_length) + "\n";
   out += "wm=" + wm.ToString() + "\n";
   std::string domain_line = "domain=";
   for (std::size_t i = 0; i < domain.size(); ++i) {
@@ -236,13 +236,11 @@ Result<WatermarkCertificate> WatermarkCertificate::Deserialize(
           ParseUintField(key, value, 0, std::numeric_limits<long>::max()));
       cert.params.min_category_keep = static_cast<long>(keep);
     } else if (key == "payload_length") {
-      // The 32-bit bound is the one TuplePlanOptions already assumes.
       // Detection allocates nothing in proportion to this field (its vote
       // tally is sparse), so any value in range costs an ordinary pass.
       CATMARK_ASSIGN_OR_RETURN(
-          cert.payload_length,
-          ParseUintField(key, value, 1,
-                         std::numeric_limits<std::uint32_t>::max()));
+          cert.params.payload_length,
+          ParseUintField(key, value, 1, kMaxPayloadLength));
     } else if (key == "wm") {
       CATMARK_ASSIGN_OR_RETURN(cert.wm, BitVector::FromString(value));
     } else if (key == "domain") {
@@ -271,10 +269,10 @@ Result<WatermarkCertificate> WatermarkCertificate::Deserialize(
                                      std::string(key) + "'");
     }
   }
-  if (cert.wm.empty() || cert.payload_length == 0) {
+  if (cert.wm.empty() || cert.params.payload_length == 0) {
     return Status::InvalidArgument("certificate missing wm/payload_length");
   }
-  if (cert.payload_length < cert.wm.size()) {
+  if (cert.params.payload_length < cert.wm.size()) {
     return Status::InvalidArgument(
         "certificate payload_length is shorter than the watermark");
   }
@@ -292,7 +290,6 @@ Result<CertifiedDetection> DetectWithCertificate(
   DetectOptions options;
   options.key_attr = certificate.key_attr;
   options.target_attr = certificate.target_attr;
-  options.payload_length = certificate.payload_length;
   if (!certificate.domain.empty()) options.domain = certificate.domain;
   CertifiedDetection out;
   CATMARK_ASSIGN_OR_RETURN(
@@ -311,7 +308,7 @@ bool operator==(const WatermarkCertificate& a, const WatermarkCertificate& b) {
              b.params.prf.value_or(PrfKind::kKeyedHash) &&
          a.params.bit_index_mode == b.params.bit_index_mode &&
          a.params.min_category_keep == b.params.min_category_keep &&
-         a.payload_length == b.payload_length && a.wm == b.wm &&
+         a.params.payload_length == b.params.payload_length && a.wm == b.wm &&
          a.domain == b.domain && a.frequencies == b.frequencies &&
          a.key_commitment_hex == b.key_commitment_hex;
 }

@@ -34,8 +34,9 @@ struct WatermarkCertificate {
   std::string description;
   std::string key_attr;
   std::string target_attr;
+  /// The embed-time parameters, params.payload_length pinned to the
+  /// report's resolved |wm_data| (the `payload_length=` line).
   WatermarkParams params;
-  std::size_t payload_length = 0;
   BitVector wm;
   CategoricalDomain domain;
   /// Normalized target-value frequencies, each in [0, 1] (Deserialize

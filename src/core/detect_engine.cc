@@ -345,17 +345,16 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
   DetectionResult result;
   result.num_tuples = num_rows_;
   // Payload length: the candidate's claimed params, else re-derivation
-  // from the suspect size.
-  std::size_t payload_len = candidate.params.payload_length;
-  if (payload_len == 0) {
-    if (num_rows_ / candidate.params.e == 0) {
-      return Status::FailedPrecondition(
-          "cannot derive the payload length: e exceeds the suspect relation "
-          "size (N/e == 0); pass the owner-side payload_length instead");
-    }
-    payload_len =
-        DerivePayloadLength(num_rows_, candidate.params.e, candidate.wm_len);
+  // from the suspect size, which needs N/e >= 1.
+  if (candidate.params.payload_length == 0 &&
+      num_rows_ / candidate.params.e == 0) {
+    return Status::FailedPrecondition(
+        "cannot derive the payload length: e exceeds the suspect relation "
+        "size (N/e == 0); pass the owner-side payload_length instead");
   }
+  CATMARK_ASSIGN_OR_RETURN(
+      const std::size_t payload_len,
+      ResolvePayloadLength(candidate.params, num_rows_, candidate.wm_len));
   result.payload_length = payload_len;
   CATMARK_ASSIGN_OR_RETURN(const PrfKind prf_kind,
                            ResolvePrfKind(candidate.params.prf));

@@ -120,8 +120,9 @@ class DetectEngine {
   /// parallelize each pass's plan shards. results[i] corresponds to
   /// candidates[i]; a bad candidate (zero wm_len, invalid keys, e == 0,
   /// unresolvable PRF or payload length) fails that entry only. A
-  /// candidate's payload length is its params.payload_length, re-derived
-  /// from the suspect size when 0 (which fails when N / e == 0).
+  /// candidate's payload length follows ResolvePayloadLength: its
+  /// params.payload_length, re-derived from the suspect size when 0 (which
+  /// fails when N / e == 0).
   std::vector<Result<DetectionResult>> DetectMany(
       std::span<const KeyCandidate> candidates) const;
 

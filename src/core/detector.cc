@@ -122,10 +122,7 @@ Result<DetectionResult> Detector::Detect(const Relation& rel,
   engine_options.num_threads = params_.num_threads;
   CATMARK_ASSIGN_OR_RETURN(const DetectEngine engine,
                            DetectEngine::Create(rel, engine_options));
-  KeyCandidate candidate{keys_, params_, wm_len, options.embedding_map};
-  if (options.payload_length != 0) {
-    candidate.params.payload_length = options.payload_length;
-  }
+  const KeyCandidate candidate{keys_, params_, wm_len, options.embedding_map};
   CATMARK_ASSIGN_OR_RETURN(DetectionResult result, engine.Detect(candidate));
   result.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)

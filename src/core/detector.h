@@ -17,9 +17,10 @@
 namespace catmark {
 
 /// Detection inputs. Detection is *blind*: no original data — only the keys
-/// (inside the Detector), e (inside WatermarkParams), the payload length,
-/// the watermark length and the attribute domain. The target column's
-/// domain index follows from the domain and the data; the engine builds it.
+/// and the scheme parameters (inside the Detector: e, PRF, ECC and the
+/// payload length, WatermarkParams::payload_length), the watermark length
+/// and the attribute domain. The target column's domain index follows from
+/// the domain and the data; the engine builds it.
 struct DetectOptions {
   std::string key_attr;
   std::string target_attr;
@@ -29,15 +30,6 @@ struct DetectOptions {
   /// categories (after heavy data loss prefer passing the owner-side copy
   /// from EmbedReport::domain).
   std::optional<CategoricalDomain> domain;
-
-  /// |wm_data| used at embed time (EmbedReport::payload_length). When
-  /// nonzero it overrides WatermarkParams::payload_length. When both are 0
-  /// it is re-derived from the *suspect* relation's size — fine when no
-  /// tuples were added/removed, wrong after A1/A2; real deployments keep
-  /// this one integer as owner-side metadata. Deriving fails with
-  /// FailedPrecondition when N / e == 0 (the suspect relation is smaller
-  /// than e).
-  std::size_t payload_length = 0;
 
   /// Detect via the Figure 2(b) embedding-map variant instead of k2: the
   /// map becomes the KeyCandidate's position source. The pointee must
@@ -130,8 +122,15 @@ Status FinishVoteTally(std::span<const SlotVote> runs, std::size_t payload_len,
 /// wm_decode (Figure 2): blind watermark detection. A thin front over
 /// DetectEngine for both variants: Detect is DetectEngine::Create plus one
 /// DetectEngine::Detect, so a single detection and a sweep's per-candidate
-/// pass run the same loop. Invalid keys (k1 == k2), e == 0 or a zero mark
-/// length come back from Detect as InvalidArgument.
+/// pass run the same loop. Invalid keys (k1 == k2), e == 0, a zero mark
+/// length or a payload length above kMaxPayloadLength come back from Detect
+/// as InvalidArgument.
+///
+/// The payload length is params.payload_length: the embed-time value
+/// (EmbedReport::payload_length, a certificate's params). Left at 0 it is
+/// re-derived from the *suspect* relation's size — wrong after A1/A2, so
+/// owners keep this one integer — and fails with FailedPrecondition when
+/// N / e == 0.
 class Detector {
  public:
   Detector(WatermarkKeySet keys, WatermarkParams params);

@@ -20,6 +20,21 @@ std::size_t DerivePayloadLength(std::size_t num_tuples, std::uint64_t e,
   return bandwidth > wm_len ? bandwidth : wm_len;
 }
 
+Result<std::size_t> ResolvePayloadLength(const WatermarkParams& params,
+                                         std::size_t num_tuples,
+                                         std::size_t wm_len) {
+  const std::size_t payload_len =
+      params.payload_length != 0
+          ? params.payload_length
+          : DerivePayloadLength(num_tuples, params.e, wm_len);
+  if (payload_len == 0 || payload_len > kMaxPayloadLength) {
+    return Status::InvalidArgument(
+        "payload length " + std::to_string(payload_len) + " is outside [1, " +
+        std::to_string(kMaxPayloadLength) + "]");
+  }
+  return payload_len;
+}
+
 Embedder::Embedder(WatermarkKeySet keys, WatermarkParams params)
     : keys_(std::move(keys)), params_(params) {}
 
@@ -92,10 +107,13 @@ Result<EmbedReport> Embedder::Embed(Relation& rel,
     }
   }
 
-  const std::size_t payload_len =
-      params_.payload_length != 0
-          ? params_.payload_length
-          : DerivePayloadLength(rel.NumRows(), params_.e, wm.size());
+  // The params the plan runs with: payload length resolved here, before the
+  // ECC sizes wm_data by it, and the PRF backend pinned below.
+  WatermarkParams resolved = params_;
+  CATMARK_ASSIGN_OR_RETURN(resolved.payload_length,
+                           ResolvePayloadLength(params_, rel.NumRows(),
+                                                wm.size()));
+  const std::size_t payload_len = resolved.payload_length;
   report.payload_length = payload_len;
 
   const std::unique_ptr<ErrorCorrectingCode> ecc = CreateEcc(params_.ecc);
@@ -112,14 +130,10 @@ Result<EmbedReport> Embedder::Embed(Relation& rel,
   const std::size_t threads =
       EffectiveThreadCount(params_.num_threads, rel.NumRows());
   const bool map_mode = options.build_embedding_map;
-  TuplePlanOptions plan_options;
-  plan_options.payload_len = payload_len;
-  plan_options.with_payload_index = !map_mode;
-  plan_options.num_threads = threads;
-  CATMARK_ASSIGN_OR_RETURN(plan_options.prf, ResolvePrfKind(params_.prf));
-  report.prf = plan_options.prf;
+  CATMARK_ASSIGN_OR_RETURN(report.prf, ResolvePrfKind(params_.prf));
+  resolved.prf = report.prf;
   const TuplePlan plan =
-      BuildTuplePlan(rel, key_col, keys_, params_, plan_options);
+      BuildTuplePlan(rel, key_col, keys_, resolved, !map_mode);
   report.rows_scanned = rel.NumRows();
   report.messages_hashed = plan.messages_hashed;
 

@@ -85,9 +85,10 @@ class Embedder {
   ///
   /// Fails with InvalidArgument when the key set is invalid (k1 == k2) or
   /// e == 0 — values a library caller can pass, so they are checked here
-  /// rather than asserted at construction — and when a caller-supplied
-  /// domain holds a value of another type than the target column; all
-  /// three fail before any cell is written. Fails with FailedPrecondition
+  /// rather than asserted at construction — when a caller-supplied
+  /// domain holds a value of another type than the target column, and when
+  /// params.payload_length exceeds kMaxPayloadLength (ResolvePayloadLength);
+  /// all four fail before any cell is written. Fails with FailedPrecondition
   /// when N / e == 0 (e exceeds the relation size): fewer than one tuple is
   /// expected to be fit, so "success" would embed nothing.
   ///
@@ -112,6 +113,13 @@ class Embedder {
 /// is 0: the available bandwidth N/e, floored at the watermark length.
 std::size_t DerivePayloadLength(std::size_t num_tuples, std::uint64_t e,
                                 std::size_t wm_len);
+
+/// The one payload-length rule: params.payload_length when set, else
+/// DerivePayloadLength(num_tuples, params.e, wm_len) (params.e >= 1).
+/// InvalidArgument when the result lies outside [1, kMaxPayloadLength].
+Result<std::size_t> ResolvePayloadLength(const WatermarkParams& params,
+                                         std::size_t num_tuples,
+                                         std::size_t wm_len);
 
 }  // namespace catmark
 

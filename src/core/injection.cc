@@ -56,10 +56,8 @@ Result<InjectionReport> FitTupleInjector::Inject(
       std::llround(config.padd * static_cast<double>(base_n)));
 
   InjectionReport report;
-  report.payload_length =
-      params_.payload_length != 0
-          ? params_.payload_length
-          : DerivePayloadLength(base_n, params_.e, wm.size());
+  CATMARK_ASSIGN_OR_RETURN(report.payload_length,
+                           ResolvePayloadLength(params_, base_n, wm.size()));
 
   const std::unique_ptr<ErrorCorrectingCode> ecc = CreateEcc(params_.ecc);
   CATMARK_ASSIGN_OR_RETURN(const BitVector wm_data,

@@ -86,7 +86,9 @@ Result<MultiEmbedReport> MultiAttributeEmbedder::EmbedAll(
 Result<std::vector<PairDetection>> MultiAttributeEmbedder::DetectAll(
     const Relation& rel, const std::vector<AttributePair>& pairs,
     std::size_t wm_len, std::size_t payload_length) const {
-  const Detector detector(keys_, params_);
+  WatermarkParams params = params_;
+  params.payload_length = payload_length;
+  const Detector detector(keys_, params);
 
   // The pair closure reuses each target attribute under several key
   // attributes; recover its domain once and share it across those passes.
@@ -110,7 +112,6 @@ Result<std::vector<PairDetection>> MultiAttributeEmbedder::DetectAll(
     DetectOptions options;
     options.key_attr = pair.key_attr;
     options.target_attr = pair.target_attr;
-    options.payload_length = payload_length;
     options.domain = it->second;
     Result<DetectionResult> detection = detector.Detect(rel, options, wm_len);
     if (!detection.ok()) continue;  // e.g. degenerate domain after attack

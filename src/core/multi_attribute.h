@@ -65,7 +65,8 @@ class MultiAttributeEmbedder {
   /// Detects through every pair whose two attributes survive in `rel`
   /// (pairs with missing attributes are silently skipped — that is the A5
   /// scenario). `payload_length` is the embed-time |wm_data| (same for all
-  /// passes: it depends only on N and e).
+  /// passes: it depends only on N and e); it replaces the constructor
+  /// params' payload_length for these detections, 0 deriving it from `rel`.
   Result<std::vector<PairDetection>> DetectAll(
       const Relation& rel, const std::vector<AttributePair>& pairs,
       std::size_t wm_len, std::size_t payload_length) const;

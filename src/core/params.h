@@ -1,7 +1,9 @@
 #ifndef CATMARK_CORE_PARAMS_H_
 #define CATMARK_CORE_PARAMS_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "crypto/hash.h"
@@ -19,6 +21,11 @@ enum class BitIndexMode {
   /// DESIGN.md "Faithfulness notes").
   kMsbModL,
 };
+
+/// Largest payload length: positions are 32-bit (FitTuple::payload_index),
+/// and a certificate's payload_length field is read in [1, this].
+inline constexpr std::size_t kMaxPayloadLength =
+    std::numeric_limits<std::uint32_t>::max();
 
 /// Tunable parameters of the watermarking scheme (Section 3.2).
 struct WatermarkParams {
@@ -47,10 +54,11 @@ struct WatermarkParams {
 
   BitIndexMode bit_index_mode = BitIndexMode::kModulo;
 
-  /// Payload (|wm_data|) length. 0 = derive as max(|wm|, N/e) at embed time.
-  /// The detector must be given the same value (the embed report carries
-  /// it): after a subset-selection attack the surviving tuple count N' no
-  /// longer determines the original N/e.
+  /// Payload (|wm_data|) length. 0 = derive max(|wm|, N/e)
+  /// (ResolvePayloadLength) from N at embed time, from the suspect's N' at
+  /// detect time — which no longer gives N/e after a subset attack. So the
+  /// embed report carries the resolved value, and a certificate or a
+  /// streaming session carries it pinned here.
   std::size_t payload_length = 0;
 
   /// Worker threads for the embed/detect pipeline's parallel stages (plan

@@ -1,7 +1,5 @@
 #include "core/tuple_plan.h"
 
-#include <limits>
-
 #include "common/check.h"
 #include "common/parallel.h"
 #include "core/codec.h"
@@ -24,32 +22,31 @@ std::size_t FitListReserve(std::size_t rows, std::uint64_t e) {
 TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
                          const WatermarkKeySet& keys,
                          const WatermarkParams& params,
-                         const TuplePlanOptions& options) {
+                         bool with_payload_index) {
   const std::size_t n = rel.NumRows();
-  if (options.with_payload_index) {
-    CATMARK_CHECK_GE(options.payload_len, 1u);
-    CATMARK_CHECK_LE(options.payload_len,
-                     static_cast<std::size_t>(
-                         std::numeric_limits<std::uint32_t>::max()));
+  CATMARK_CHECK(params.prf.has_value());
+  if (with_payload_index) {
+    CATMARK_CHECK_GE(params.payload_length, 1u);
+    CATMARK_CHECK_LE(params.payload_length, kMaxPayloadLength);
   }
 
   // One immutable PRF instance per key, shared by every worker: the key
   // schedule is set up here, once, not per shard or per row.
   const std::unique_ptr<KeyedPrf> prf_k1 =
-      CreateKeyedPrf(options.prf, keys.k1, params.hash_algo);
+      CreateKeyedPrf(*params.prf, keys.k1, params.hash_algo);
   const std::unique_ptr<KeyedPrf> prf_k2 =
-      options.with_payload_index
-          ? CreateKeyedPrf(options.prf, keys.k2, params.hash_algo)
+      with_payload_index
+          ? CreateKeyedPrf(*params.prf, keys.k2, params.hash_algo)
           : nullptr;
   // The k2 payload index of a fit key; the map path asks for none.
   const auto position = [&](std::uint64_t h2) -> std::uint32_t {
     if (prf_k2 == nullptr) return 0;
     return static_cast<std::uint32_t>(PayloadIndexFromHash(
-        h2, options.payload_len, params.bit_index_mode));
+        h2, params.payload_length, params.bit_index_mode));
   };
 
   const ColumnStore& store = rel.store();
-  const std::size_t row_threads = EffectiveThreadCount(options.num_threads, n);
+  const std::size_t row_threads = EffectiveThreadCount(params.num_threads, n);
   TuplePlan plan;
   plan.shards.resize(row_threads);
   std::vector<std::size_t> shard_hashed;
@@ -67,7 +64,7 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
     std::vector<std::uint64_t> h1_of(dict.size(), 0);
     std::vector<std::uint32_t> index_of(dict.size(), 0);
     const std::size_t dict_threads =
-        EffectiveThreadCount(options.num_threads, dict.size());
+        EffectiveThreadCount(params.num_threads, dict.size());
     shard_hashed.assign(dict_threads, 0);
     ParallelFor(dict.size(), dict_threads,
                 [&](std::size_t shard, std::size_t begin, std::size_t end) {

@@ -28,7 +28,7 @@ struct FitTuple {
 /// built in one thread-parallel pass over the key column.
 ///
 /// Every hash goes through the FitScanner (core/fit_scan.h) under the
-/// configured KeyedPrf backend (TuplePlanOptions::prf). A dictionary-encoded
+/// pinned KeyedPrf backend (WatermarkParams::prf). A dictionary-encoded
 /// key column scans each live distinct dictionary entry once and fans the
 /// verdicts out through the code vector; a plain column scans its rows.
 /// Either way the rows are split into contiguous shards and each shard
@@ -44,26 +44,15 @@ struct TuplePlan {
   std::size_t messages_hashed = 0;
 };
 
-/// Knobs of the plan build, separated from WatermarkParams because the PRF
-/// choice arrives *resolved*: BuildTuplePlan cannot fail, so its callers
-/// (which can) resolve WatermarkParams::prf / CATMARK_PRF first.
-struct TuplePlanOptions {
-  /// Payload (|wm_data|) length; only consulted when `with_payload_index`
-  /// is set, and must then be >= 1 and fit in 32 bits.
-  std::size_t payload_len = 0;
-  /// Populate FitTuple::payload_index (the k2 position path). The Figure
-  /// 1(b) embedding-map path leaves it off.
-  bool with_payload_index = false;
-  /// Worker threads (0 = auto).
-  std::size_t num_threads = 0;
-  /// Keyed-PRF backend for every hash in the plan.
-  PrfKind prf = PrfKind::kKeyedHash;
-};
-
+/// Builds the plan. BuildTuplePlan cannot fail, so its caller (which can)
+/// resolves `params` first: params.prf pinned and, with
+/// `with_payload_index` (the k2 position path; the Figure 1(b) map path
+/// leaves FitTuple::payload_index 0), params.payload_length in
+/// [1, kMaxPayloadLength].
 TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
                          const WatermarkKeySet& keys,
                          const WatermarkParams& params,
-                         const TuplePlanOptions& options);
+                         bool with_payload_index);
 
 }  // namespace catmark
 

@@ -177,11 +177,12 @@ TrialOutcome RunAveragedTrial(const ExperimentConfig& config,
     Result<Relation> attacked = attack(marked, pass_seed ^ 0x5eed);
     CATMARK_CHECK(attacked.ok()) << attacked.status().ToString();
 
-    const Detector detector(keys, effective_params);
+    WatermarkParams detect_params = effective_params;
+    detect_params.payload_length = embed_report.value().payload_length;
+    const Detector detector(keys, detect_params);
     DetectOptions detect_options;
     detect_options.key_attr = "K";
     detect_options.target_attr = "A";
-    detect_options.payload_length = embed_report.value().payload_length;
     detect_options.domain = embed_report.value().domain;
     Result<DetectionResult> detection =
         detector.Detect(attacked.value(), detect_options, config.wm_bits);

@@ -761,9 +761,9 @@ Result<Relation> LoadRelation(const std::string& path, const Schema& schema) {
   if (LooksLikeCatm(bytes.view())) {
     return ReadCatmString(bytes.view(), schema);
   }
-  // CSV ingest goes through the chunked parallel parser; its output is
-  // byte-identical to the serial parser at every thread count.
-  return ReadCsvStringParallel(bytes.view(), schema);
+  // CSV ingest parses in parallel chunks; the output is byte-identical at
+  // every thread count.
+  return ReadCsvString(bytes.view(), schema);
 }
 
 Status SaveRelation(const Relation& rel, const std::string& path) {

@@ -570,18 +570,8 @@ Status WriteCsvFile(const Relation& rel, const std::string& path) {
   return Status::OK();
 }
 
-Result<Relation> ReadCsvString(std::string_view text, const Schema& schema) {
-  return ReadCsvStringParallel(text, schema, 1);
-}
-
-Result<Relation> ReadCsvFile(const std::string& path, const Schema& schema) {
-  CATMARK_ASSIGN_OR_RETURN(FileBytes bytes, FileBytes::Open(path));
-  return ReadCsvString(bytes.view(), schema);
-}
-
-Result<Relation> ReadCsvStringParallel(std::string_view text,
-                                       const Schema& schema,
-                                       std::size_t num_threads) {
+Result<Relation> ReadCsvString(std::string_view text, const Schema& schema,
+                               std::size_t num_threads) {
   std::size_t data_begin = 0;
   CATMARK_RETURN_IF_ERROR(ReadHeader(text, schema, data_begin));
   const std::size_t data_size = text.size() - data_begin;
@@ -623,11 +613,10 @@ Result<Relation> ReadCsvStringParallel(std::string_view text,
   return InstallChunks(schema, chunks);
 }
 
-Result<Relation> ReadCsvFileParallel(const std::string& path,
-                                     const Schema& schema,
-                                     std::size_t num_threads) {
+Result<Relation> ReadCsvFile(const std::string& path, const Schema& schema,
+                             std::size_t num_threads) {
   CATMARK_ASSIGN_OR_RETURN(FileBytes bytes, FileBytes::Open(path));
-  return ReadCsvStringParallel(bytes.view(), schema, num_threads);
+  return ReadCsvString(bytes.view(), schema, num_threads);
 }
 
 }  // namespace catmark

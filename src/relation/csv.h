@@ -16,13 +16,8 @@ Status WriteCsvFile(const Relation& rel, const std::string& path);
 
 /// Parses CSV text into a relation with the given schema. The header row
 /// must match the schema's column names exactly (and in order); field
-/// values are parsed per the column type, empty fields as NULL. This is
-/// the one-chunk case of ReadCsvStringParallel: the same parser on the
-/// calling thread.
-Result<Relation> ReadCsvString(std::string_view text, const Schema& schema);
-Result<Relation> ReadCsvFile(const std::string& path, const Schema& schema);
-
-/// Columnar CSV parse.
+/// values are parsed per the column type, empty fields as NULL. The parse
+/// is columnar and chunked:
 ///
 /// Records: a record ends at an unquoted \n, \r\n or lone \r (or the end
 /// of the input). Outside quotes a '"' opens a quoted run anywhere in a
@@ -65,12 +60,12 @@ Result<Relation> ReadCsvFile(const std::string& path, const Schema& schema);
 /// "CSV: unterminated quoted field". Chunks start on record starts, so a
 /// parallel read numbers a record's line from the records of the chunks
 /// before it, and the Status is the same at every thread count.
-Result<Relation> ReadCsvStringParallel(std::string_view text,
-                                       const Schema& schema,
-                                       std::size_t num_threads = 0);
-Result<Relation> ReadCsvFileParallel(const std::string& path,
-                                     const Schema& schema,
-                                     std::size_t num_threads = 0);
+/// `num_threads` = 1 parses the whole input as one chunk on the calling
+/// thread.
+Result<Relation> ReadCsvString(std::string_view text, const Schema& schema,
+                               std::size_t num_threads = 0);
+Result<Relation> ReadCsvFile(const std::string& path, const Schema& schema,
+                             std::size_t num_threads = 0);
 
 }  // namespace catmark
 

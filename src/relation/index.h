@@ -10,9 +10,10 @@
 
 namespace catmark {
 
-/// Hash index over the primary key: O(1) row lookup by key value. Backs
-/// keyed UPDATE workflows (incremental watermark maintenance) and the
-/// uniqueness validation a primary key implies.
+/// Hash index over the primary key: O(1) row lookup by key value, plus the
+/// uniqueness validation a primary key implies. No library path depends on
+/// it; a caller updating tuples by key can use it to find the row index
+/// that StreamSession::Refresh takes.
 ///
 /// The index is a snapshot: structural changes to the relation (appends,
 /// removals, key updates) invalidate it; rebuild after batch changes.

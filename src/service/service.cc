@@ -164,13 +164,8 @@ Result<SweepReport> WatermarkService::SweepOwnership(
     std::vector<KeyCandidate> keys;
     keys.reserve(group.size());
     for (const std::size_t i : group) {
-      const OwnershipCandidate& candidate = candidates[i];
-      KeyCandidate kc;
-      kc.keys = candidate.keys;
-      kc.params = candidate.certificate.params;
-      kc.params.payload_length = candidate.certificate.payload_length;
-      kc.wm_len = candidate.certificate.wm.size();
-      keys.push_back(std::move(kc));
+      const WatermarkCertificate& cert = candidates[i].certificate;
+      keys.push_back({candidates[i].keys, cert.params, cert.wm.size()});
     }
     std::vector<Result<DetectionResult>> results =
         engine->DetectMany(std::span<const KeyCandidate>(keys));

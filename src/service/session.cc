@@ -23,10 +23,10 @@ SessionSpec SessionSpec::FromEmbedReport(WatermarkKeySet keys,
   // under a CATMARK_PRF re-resolved in some later process would be
   // invisible to dispute-time detection (which follows the certificate).
   spec.params.prf = params.prf.value_or(report.prf);
+  spec.params.payload_length = report.payload_length;
   spec.key_attr = options.key_attr;
   spec.target_attr = options.target_attr;
   spec.domain = report.domain;
-  spec.payload_length = report.payload_length;
   spec.wm = std::move(wm);
   return spec;
 }
@@ -44,7 +44,6 @@ Result<SessionSpec> SessionSpec::FromCertificate(
   spec.key_attr = certificate.key_attr;
   spec.target_attr = certificate.target_attr;
   spec.domain = certificate.domain;
-  spec.payload_length = certificate.payload_length;
   spec.wm = certificate.wm;
   return spec;
 }
@@ -69,9 +68,11 @@ Status SessionSpec::Validate() const {
         "FromCertificate so inserts hash under the embed-time backend");
   }
   if (wm.empty()) return Status::InvalidArgument("watermark is empty");
-  if (payload_length < wm.size()) {
+  if (params.payload_length < wm.size() ||
+      params.payload_length > kMaxPayloadLength) {
     return Status::InvalidArgument(
-        "payload_length is shorter than the watermark");
+        "payload_length must lie in [|wm|, " +
+        std::to_string(kMaxPayloadLength) + "]");
   }
   return Status::OK();
 }
@@ -91,7 +92,7 @@ Result<StreamSession> StreamSession::Create(SessionSpec spec) {
   const auto ecc = CreateEcc(session.spec_.params.ecc);
   CATMARK_ASSIGN_OR_RETURN(
       session.wm_data_,
-      ecc->Encode(session.spec_.wm, session.spec_.payload_length));
+      ecc->Encode(session.spec_.wm, session.spec_.params.payload_length));
   return session;
 }
 
@@ -149,7 +150,7 @@ Result<BatchReport> StreamSession::InsertRange(Relation& rel,
   };
   const auto position = [&](std::uint64_t h2) {
     return static_cast<std::uint32_t>(PayloadIndexFromHash(
-        h2, spec_.payload_length, spec_.params.bit_index_mode));
+        h2, spec_.params.payload_length, spec_.params.bit_index_mode));
   };
   FitScanner scan(*prf_k1_, prf_k2_.get(), spec_.params.e, fit_scratch_);
   if (!cache_verdicts_) {
@@ -243,7 +244,8 @@ StreamSession::Verdict StreamSession::VerdictFor(const Value& key_value) {
       [&](std::size_t /*i*/, std::uint64_t h1, std::uint64_t h2) {
         v = {h1,
              static_cast<std::uint32_t>(PayloadIndexFromHash(
-                 h2, spec_.payload_length, spec_.params.bit_index_mode)),
+                 h2, spec_.params.payload_length,
+                 spec_.params.bit_index_mode)),
              true};
       });
   if (cache_verdicts_ && cache_.size() < kVerdictCacheCapacity) {

@@ -25,30 +25,31 @@
 namespace catmark {
 
 /// Everything a streaming watermark session needs, in one value: the secret
-/// keys, the scheme parameters with the keyed-PRF backend *pinned*
-/// (params.prf must be set — a session that re-resolved CATMARK_PRF in some
-/// later process would embed marks invisible to dispute-time detection), the
-/// attribute pair, the categorical domain, the payload length and the mark
-/// itself. Build one from the embedding that created the relation
+/// keys, the scheme parameters with the keyed-PRF backend and the payload
+/// length *pinned* (params.prf must be set — a session that re-resolved
+/// CATMARK_PRF in some later process would embed marks invisible to
+/// dispute-time detection — and params.payload_length must be the original
+/// embedding's |wm_data|), the attribute pair, the categorical domain and
+/// the mark itself. Build one from the embedding that created the relation
 /// (FromEmbedReport) or from a published certificate (FromCertificate), then
 /// open a StreamSession over it.
 struct SessionSpec {
   WatermarkKeySet keys;
-  /// params.prf must hold a value (Validate enforces it) — the factories
-  /// below pin it from the report / certificate.
+  /// params.prf must hold a value and params.payload_length must lie in
+  /// [wm.size(), kMaxPayloadLength] (Validate enforces both) — the
+  /// factories below pin them from the report / certificate.
   WatermarkParams params;
   std::string key_attr;
   std::string target_attr;
   /// The embed-time domain. Inserts select marked values from it, so it must
   /// be the one detection will use.
   CategoricalDomain domain;
-  /// |wm_data| — must match the original embedding (>= wm.size()).
-  std::size_t payload_length = 0;
   BitVector wm;
 
   /// Builds a spec from the original embedding run. An explicit
   /// `params.prf` wins; on auto (nullopt) the backend is pinned from the
-  /// report, *not* re-resolved from CATMARK_PRF at insert time.
+  /// report, *not* re-resolved from CATMARK_PRF at insert time. The payload
+  /// length is always the report's.
   static SessionSpec FromEmbedReport(WatermarkKeySet keys,
                                      WatermarkParams params,
                                      const EmbedOptions& options,
@@ -63,7 +64,7 @@ struct SessionSpec {
 
   /// Structural validation: keys valid, attributes named, domain of size
   /// >= 2, e >= 1, a pinned PRF backend, a non-empty mark that fits the
-  /// payload length.
+  /// payload length, and a payload length of at most kMaxPayloadLength.
   Status Validate() const;
 };
 
@@ -157,7 +158,7 @@ class StreamSession {
 
   const SessionSpec& spec() const { return spec_; }
   const CategoricalDomain& domain() const { return spec_.domain; }
-  std::size_t payload_length() const { return spec_.payload_length; }
+  std::size_t payload_length() const { return spec_.params.payload_length; }
 
   /// Lifetime totals across every batch.
   std::size_t total_rows() const { return total_rows_; }

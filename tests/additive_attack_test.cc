@@ -47,11 +47,12 @@ OwnerData MakeOwner() {
 DetectionResult DetectWith(const Relation& rel, const WatermarkKeySet& keys,
                            const WatermarkParams& params,
                            std::size_t payload_length, std::size_t wm_len) {
-  const Detector detector(keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = payload_length;
+  const Detector detector(keys, detect_params);
   DetectOptions options;
   options.key_attr = "K";
   options.target_attr = "A";
-  options.payload_length = payload_length;
   return detector.Detect(rel, options, wm_len).value();
 }
 

@@ -84,11 +84,12 @@ TEST_P(AttackChainProperty, MarkSurvivesChain) {
     rel = std::move(next).value();
   }
 
-  const Detector detector(keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = report.payload_length;
+  const Detector detector(keys, detect_params);
   DetectOptions detect_options;
   detect_options.key_attr = "K";
   detect_options.target_attr = "A";
-  detect_options.payload_length = report.payload_length;
   detect_options.domain = report.domain;
   const DetectionResult detection =
       detector.Detect(rel, detect_options, wm.size()).value();

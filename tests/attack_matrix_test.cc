@@ -53,7 +53,7 @@ struct MatrixFixture {
         Embedder(f.keys, f.params).Embed(f.marked, options, f.wm).value();
     f.detect_options.key_attr = "K";
     f.detect_options.target_attr = "A";
-    f.detect_options.payload_length = report.payload_length;
+    f.params.payload_length = report.payload_length;
     f.detect_options.domain = report.domain;
     return f;
   }

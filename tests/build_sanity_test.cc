@@ -39,7 +39,7 @@ TEST(BuildSanityTest, EmbedAttackDetectRoundtrip) {
   detect_options.key_attr = testutil::kKeyAttr;
   detect_options.target_attr = testutil::kTargetAttr;
   detect_options.domain = embed->domain;
-  detect_options.payload_length = embed->payload_length;
+  params.payload_length = embed->payload_length;
 
   const Detector detector(keys, params);
   auto detection = detector.Detect(suspect, detect_options, wm.size());
@@ -71,7 +71,7 @@ TEST(BuildSanityTest, DetectWithWrongKeysFindsNothing) {
   detect_options.key_attr = testutil::kKeyAttr;
   detect_options.target_attr = testutil::kTargetAttr;
   detect_options.domain = embed->domain;
-  detect_options.payload_length = embed->payload_length;
+  params.payload_length = embed->payload_length;
 
   const Detector mallory(testutil::TestKeys(/*seed=*/1234), params);
   auto detection = mallory.Detect(rel, detect_options, wm.size());

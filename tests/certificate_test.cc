@@ -65,7 +65,6 @@ TEST(CertificateTest, CarriesEverythingDetectionNeeds) {
   DetectOptions options;
   options.key_attr = cert.key_attr;
   options.target_attr = cert.target_attr;
-  options.payload_length = cert.payload_length;
   options.domain = cert.domain;
   const DetectionResult detection =
       detector.Detect(s.marked, options, cert.wm.size()).value();

@@ -76,11 +76,12 @@ TEST(DetectorConfidenceTest, CleanDetectionIsFullyConfident) {
   const EmbedReport report =
       Embedder(keys, params).Embed(rel, options, wm).value();
 
-  const Detector detector(keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = report.payload_length;
+  const Detector detector(keys, detect_params);
   DetectOptions detect_options;
   detect_options.key_attr = "K";
   detect_options.target_attr = "A";
-  detect_options.payload_length = report.payload_length;
   detect_options.domain = report.domain;
   const DetectionResult clean =
       detector.Detect(rel, detect_options, wm.size()).value();
@@ -119,11 +120,12 @@ TEST(DetectorConfidenceTest, NonMajorityEccYieldsEmptyConfidence) {
   options.target_attr = "A";
   const EmbedReport report =
       Embedder(keys, params).Embed(rel, options, wm).value();
-  const Detector detector(keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = report.payload_length;
+  const Detector detector(keys, detect_params);
   DetectOptions detect_options;
   detect_options.key_attr = "K";
   detect_options.target_attr = "A";
-  detect_options.payload_length = report.payload_length;
   const DetectionResult result =
       detector.Detect(rel, detect_options, wm.size()).value();
   EXPECT_TRUE(result.bit_confidence.empty());

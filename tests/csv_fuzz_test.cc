@@ -191,13 +191,13 @@ TEST_P(CatmFuzzTest, RoundTripPreservesEmbedChannel) {
 TEST_P(CatmFuzzTest, ParallelCsvReadMatchesSerialByteIdentically) {
   const Relation rel = RandomSchemaRelation(GetParam() ^ 0x9A11);
   const std::string csv = WriteCsvString(rel);
-  Result<Relation> serial = ReadCsvString(csv, rel.schema());
+  Result<Relation> serial = ReadCsvString(csv, rel.schema(), 1);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   const std::string want = WriteCatmString(*serial);
   // Tiny inputs with explicit thread counts: every chunk-boundary edge case
   // (chunks smaller than a record, empty tail chunks) gets exercised.
   for (const std::size_t threads : {2u, 8u}) {
-    Result<Relation> got = ReadCsvStringParallel(csv, rel.schema(), threads);
+    Result<Relation> got = ReadCsvString(csv, rel.schema(), threads);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(WriteCatmString(*got), want)
         << "parallel CSV read diverged at " << threads << " threads";
@@ -324,12 +324,12 @@ PlainCsv RandomPlainCsv(std::uint64_t seed) {
 
 TEST_P(CatmFuzzTest, QuoteFreeParallelCsvReadMatchesSerialByteIdentically) {
   const PlainCsv csv = RandomPlainCsv(GetParam() ^ 0x0F4E);
-  Result<Relation> serial = ReadCsvString(csv.text, csv.schema);
+  Result<Relation> serial = ReadCsvString(csv.text, csv.schema, 1);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_EQ(serial->NumRows(), csv.rows);
   const std::string want = WriteCatmString(*serial);
   for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
-    Result<Relation> got = ReadCsvStringParallel(csv.text, csv.schema, threads);
+    Result<Relation> got = ReadCsvString(csv.text, csv.schema, threads);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(WriteCatmString(*got), want)
         << "quote-free parallel CSV read diverged at " << threads
@@ -356,12 +356,12 @@ TEST_P(CatmFuzzTest, QuotedRecordEndsNeverSplitAChunk) {
     rel.AppendRowUnchecked({Value(std::move(text))});
   }
   const std::string csv = WriteCsvString(rel);
-  Result<Relation> serial = ReadCsvString(csv, rel.schema());
+  Result<Relation> serial = ReadCsvString(csv, rel.schema(), 1);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_TRUE(serial->SameContent(rel));
   const std::string want = WriteCatmString(*serial);
   for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
-    Result<Relation> got = ReadCsvStringParallel(csv, rel.schema(), threads);
+    Result<Relation> got = ReadCsvString(csv, rel.schema(), threads);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(WriteCatmString(*got), want)
         << "quoted newlines split a record at " << threads << " threads";

@@ -191,12 +191,12 @@ TEST(CsvTest, FileReadMissingFails) {
 /// read must fail with exactly `code` and `message`.
 void ExpectCsvError(const std::string& text, const Schema& schema,
                     StatusCode code, const std::string& message) {
-  const Result<Relation> serial = ReadCsvString(text, schema);
+  const Result<Relation> serial = ReadCsvString(text, schema, 1);
   ASSERT_FALSE(serial.ok()) << text;
   EXPECT_EQ(serial.status().code(), code) << serial.status().ToString();
   EXPECT_EQ(serial.status().message(), message);
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    const Result<Relation> par = ReadCsvStringParallel(text, schema, threads);
+    const Result<Relation> par = ReadCsvString(text, schema, threads);
     ASSERT_FALSE(par.ok()) << threads << " threads";
     EXPECT_EQ(par.status().code(), code) << threads << " threads";
     EXPECT_EQ(par.status().message(), message) << threads << " threads";
@@ -256,7 +256,7 @@ TEST(CsvStatusTest, LongLineDenseInQuotesFailsFast) {
   text += "\n";
   for (const std::size_t threads : {0u, 1u, 2u}) {
     const Result<Relation> read =
-        ReadCsvStringParallel(text, TestSchema(), threads);
+        ReadCsvString(text, TestSchema(), threads);
     ASSERT_FALSE(read.ok()) << threads << " threads";
     EXPECT_EQ(read.status().code(), StatusCode::kIoError);
     EXPECT_EQ(read.status().message(), "CSV line 2: arity mismatch");
@@ -298,8 +298,7 @@ TEST(CsvCellTest, DoubleFollowsStrtod) {
   EXPECT_EQ(back.Get(2, 2).AsDouble(), std::numeric_limits<double>::infinity());
   EXPECT_EQ(back.Get(3, 2).AsDouble(), 8.0);
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    const Relation par =
-        ReadCsvStringParallel(text, TestSchema(), threads).value();
+    const Relation par = ReadCsvString(text, TestSchema(), threads).value();
     EXPECT_EQ(WriteCatmString(par), WriteCatmString(back)) << threads;
   }
 }
@@ -317,7 +316,7 @@ TEST(CsvCellTest, NegativeZeroKeepsItsOwnDictEntry) {
   EXPECT_FALSE(std::signbit(dict[1].AsDouble()));
   EXPECT_EQ(back.store().Codes(1), (std::vector<std::int32_t>{0, 1, 1, 0}));
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    const Relation par = ReadCsvStringParallel(text, schema, threads).value();
+    const Relation par = ReadCsvString(text, schema, threads).value();
     EXPECT_EQ(WriteCatmString(par), WriteCatmString(back)) << threads;
   }
 }

@@ -191,16 +191,14 @@ void RunParitySweep(bool dict_keys) {
         reference::ExpectDetectMatchesReference(engine.Detect(c), expected[i],
                                                 where + " Detect");
 
-        // The claimed payload length reaches the Detector only through
-        // DetectOptions, which must override the params' (here 0).
+        // The claimed payload length reaches the Detector through its
+        // params, as it reaches the engine through the candidate's.
         WatermarkParams params = c.params;
         params.num_threads = threads;
-        params.payload_length = 0;
         DetectOptions detect_options;
         detect_options.key_attr = testutil::kKeyAttr;
         detect_options.target_attr = testutil::kTargetAttr;
         detect_options.domain = m.report.domain;
-        detect_options.payload_length = c.params.payload_length;
         reference::ExpectDetectMatchesReference(
             Detector(c.keys, params).Detect(m.rel, detect_options, c.wm_len),
             expected[i], where + " Detector");
@@ -267,7 +265,6 @@ TEST(DetectEngineTest, EmbeddingMapCandidatesMatchTheReference) {
         options.key_attr = testutil::kKeyAttr;
         options.target_attr = testutil::kTargetAttr;
         options.domain = m.report.domain;
-        options.payload_length = c.params.payload_length;
         options.embedding_map = c.embedding_map;
         reference::ExpectDetectMatchesReference(many[i], want[i],
                                                 where + " DetectMany");
@@ -354,7 +351,6 @@ TEST(DetectEngineTest, Int64DictKeysMatchDetectorAndPlainLane) {
       options.key_attr = testutil::kKeyAttr;
       options.target_attr = testutil::kTargetAttr;
       options.domain = m.report.domain;
-      options.payload_length = c.params.payload_length;
       options.embedding_map = c.embedding_map;
       const Detector detector(c.keys, params);
       const Result<DetectionResult> on_dict =
@@ -473,11 +469,11 @@ TEST(DetectEngineTest, AllNullTargetWithProvidedDomainDetectsCleanly) {
   WatermarkParams params;
   params.e = 5;
   params.prf = PrfKind::kKeyedHash;
+  params.payload_length = 16;
   DetectOptions detect_options;
   detect_options.key_attr = "K";
   detect_options.target_attr = "A";
   detect_options.domain = domain;
-  detect_options.payload_length = 16;
   const Detector detector(testutil::TestKeys(), params);
   const DetectionResult front = detector.Detect(rel, detect_options, 8).value();
   EXPECT_EQ(front.usable_votes, 0u);
@@ -592,11 +588,11 @@ TEST(DetectEngineTest, HostilePayloadLengthCertificateReturnsAVerdict) {
     embed_options.target_attr = testutil::kTargetAttr;
     WatermarkCertificate honest = WatermarkCertificate::Create(
         m.keys, m.params, embed_options, m.report, m.wm);
-    honest.payload_length = kHostileLength;
+    honest.params.payload_length = kHostileLength;
     // Through the parser: the field is inside its accepted range.
     const WatermarkCertificate cert =
         WatermarkCertificate::Deserialize(honest.Serialize()).value();
-    ASSERT_EQ(cert.payload_length, kHostileLength);
+    ASSERT_EQ(cert.params.payload_length, kHostileLength);
 
     const CertifiedDetection certified =
         DetectWithCertificate(m.rel, cert, m.keys).value();
@@ -611,11 +607,11 @@ TEST(DetectEngineTest, HostilePayloadLengthCertificateReturnsAVerdict) {
           EccKind::kBlockRepetition, EccKind::kHamming74}) {
       WatermarkParams params = m.params;
       params.ecc = ecc;
+      params.payload_length = kHostileLength;
       DetectOptions options;
       options.key_attr = testutil::kKeyAttr;
       options.target_attr = testutil::kTargetAttr;
       options.domain = m.report.domain;
-      options.payload_length = kHostileLength;
       const DetectionResult detected =
           Detector(m.keys, params).Detect(m.rel, options, m.wm.size()).value();
       EXPECT_EQ(detected.payload_length, kHostileLength);
@@ -627,8 +623,7 @@ TEST(DetectEngineTest, HostilePayloadLengthCertificateReturnsAVerdict) {
       engine_options.domain = &m.report.domain;
       const DetectEngine engine =
           DetectEngine::Create(m.rel, engine_options).value();
-      KeyCandidate candidate{m.keys, params, m.wm.size()};
-      candidate.params.payload_length = kHostileLength;
+      const KeyCandidate candidate{m.keys, params, m.wm.size()};
       const std::vector<Result<DetectionResult>> many =
           engine.DetectMany(std::span<const KeyCandidate>(&candidate, 1));
       ASSERT_TRUE(many[0].ok()) << many[0].status().ToString();

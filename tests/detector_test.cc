@@ -34,9 +34,14 @@ DetectOptions DetectKA(const EmbedReport& report) {
   DetectOptions options;
   options.key_attr = "K";
   options.target_attr = "A";
-  options.payload_length = report.payload_length;
   options.domain = report.domain;
   return options;
+}
+
+// `params` with the embed-time payload length pinned, as the owner keeps it.
+WatermarkParams Pinned(WatermarkParams params, const EmbedReport& report) {
+  params.payload_length = report.payload_length;
+  return params;
 }
 
 struct Marked {
@@ -44,6 +49,7 @@ struct Marked {
   BitVector wm;
   EmbedReport report;
   WatermarkKeySet keys;
+  /// The embed params, payload length pinned from the report.
   WatermarkParams params;
 };
 
@@ -56,6 +62,7 @@ Marked EmbedStandard(std::uint64_t seed, std::uint64_t e = 30,
   m.wm = MakeWatermark(10, seed);
   const Embedder embedder(m.keys, m.params);
   m.report = embedder.Embed(m.rel, KA(), m.wm).value();
+  m.params = Pinned(m.params, m.report);
   return m;
 }
 
@@ -78,7 +85,6 @@ TEST(DetectorTest, BlindDetectionWithoutExplicitDomain) {
   DetectOptions options;
   options.key_attr = "K";
   options.target_attr = "A";
-  options.payload_length = m.report.payload_length;
   const DetectionResult result =
       detector.Detect(m.rel, options, m.wm.size()).value();
   EXPECT_EQ(result.wm, m.wm);
@@ -87,7 +93,9 @@ TEST(DetectorTest, BlindDetectionWithoutExplicitDomain) {
 TEST(DetectorTest, BlindDetectionWithDerivedPayloadLength) {
   // When no tuples were added/removed, deriving N/e at detect time matches.
   const Marked m = EmbedStandard(3);
-  const Detector detector(m.keys, m.params);
+  WatermarkParams derive = m.params;
+  derive.payload_length = 0;
+  const Detector detector(m.keys, derive);
   DetectOptions options;
   options.key_attr = "K";
   options.target_attr = "A";
@@ -149,7 +157,7 @@ TEST(DetectorTest, EmbeddingMapVariantRoundTrips) {
   const EmbedReport report = embedder.Embed(rel, options, wm).value();
   ASSERT_GT(report.embedding_map.size(), 0u);
 
-  const Detector detector(keys, params);
+  const Detector detector(keys, Pinned(params, report));
   DetectOptions detect_options = DetectKA(report);
   detect_options.embedding_map = &report.embedding_map;
   const DetectionResult result =
@@ -229,7 +237,7 @@ TEST(DetectorTest, EmbeddingMapCountersOnPlainAndDictKeys) {
     detect_options.embedding_map = &report.embedding_map;
     for (const std::size_t threads : {1u, 2u, 4u}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
-      WatermarkParams detect_params = params;
+      WatermarkParams detect_params = Pinned(params, report);
       detect_params.num_threads = threads;
       const DetectionResult result = Detector(keys, detect_params)
                                          .Detect(rel, detect_options, wm.size())
@@ -258,7 +266,7 @@ TEST(DetectorTest, EmbeddingMapSerializationRoundTrips) {
       EmbeddingMap::Deserialize(report.embedding_map.Serialize()).value();
   EXPECT_EQ(restored.size(), report.embedding_map.size());
 
-  const Detector detector(keys, WatermarkParams{});
+  const Detector detector(keys, Pinned(WatermarkParams{}, report));
   DetectOptions detect_options = DetectKA(report);
   detect_options.embedding_map = &restored;
   EXPECT_EQ(detector.Detect(rel, detect_options, wm.size()).value().wm, wm);
@@ -273,7 +281,10 @@ TEST(DetectorTest, MsbModeRoundTrips) {
   const EmbedReport report =
       Embedder(keys, params).Embed(rel, KA(), wm).value();
   DetectOptions options = DetectKA(report);
-  EXPECT_EQ(Detector(keys, params).Detect(rel, options, wm.size()).value().wm,
+  EXPECT_EQ(Detector(keys, Pinned(params, report))
+                .Detect(rel, options, wm.size())
+                .value()
+                .wm,
             wm);
 }
 
@@ -289,8 +300,11 @@ TEST(DetectorTest, AllHashAlgorithmsRoundTrip) {
     const EmbedReport report =
         Embedder(keys, params).Embed(rel, KA(), wm).value();
     DetectOptions options = DetectKA(report);
-    EXPECT_EQ(
-        Detector(keys, params).Detect(rel, options, wm.size()).value().wm, wm)
+    EXPECT_EQ(Detector(keys, Pinned(params, report))
+                  .Detect(rel, options, wm.size())
+                  .value()
+                  .wm,
+              wm)
         << HashAlgorithmName(algo);
   }
 }
@@ -315,7 +329,7 @@ TEST(DetectorTest, InvalidKeysOrEReturnInvalidArgument) {
     SCOPED_TRACE(use_map ? "embedding map" : "k2");
     DetectOptions detect_options = DetectKA(report);
     if (use_map) detect_options.embedding_map = &report.embedding_map;
-    const Status same = Detector(same_keys, WatermarkParams{})
+    const Status same = Detector(same_keys, Pinned(WatermarkParams{}, report))
                             .Detect(rel, detect_options, wm.size())
                             .status();
     EXPECT_TRUE(same.IsInvalidArgument()) << same.ToString();
@@ -357,15 +371,14 @@ TEST(DetectorTest, DerivedPayloadLengthFailsWhenEExceedsSuspectSize) {
   for (std::size_t j = 0; j < 20; ++j) {
     tiny.AppendRowUnchecked(m.rel.row(j));
   }
-  const Detector detector(m.keys, m.params);
-  DetectOptions derived;
-  derived.key_attr = "K";
-  derived.target_attr = "A";
-  derived.domain = m.report.domain;
-  const Status status = detector.Detect(tiny, derived, 10).status();
+  WatermarkParams derive = m.params;
+  derive.payload_length = 0;
+  const Status status =
+      Detector(m.keys, derive).Detect(tiny, DetectKA(m.report), 10).status();
   EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
 
   // The explicit owner-side payload length is unaffected.
+  const Detector detector(m.keys, m.params);
   EXPECT_TRUE(detector.Detect(tiny, DetectKA(m.report), 10).ok());
 }
 

@@ -254,11 +254,12 @@ TEST(EmbedderTest, EmbeddingMapDetectionVotesOnlyOnWrittenPositions) {
   const EmbedReport report =
       embedder.Embed(rel, options, wm, &assessor).value();
 
-  const Detector detector(keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = report.payload_length;
+  const Detector detector(keys, detect_params);
   DetectOptions detect_options;
   detect_options.key_attr = "K";
   detect_options.target_attr = "A";
-  detect_options.payload_length = report.payload_length;
   detect_options.domain = report.domain;
   detect_options.embedding_map = &report.embedding_map;
   const DetectionResult detection =
@@ -383,6 +384,27 @@ TEST(EmbedderTest, ZeroEReturnsInvalidArgument) {
       embedder.Embed(rel, KA(), MakeWatermark(10, 29)).status();
   EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
   EXPECT_TRUE(rel.SameContent(before));
+}
+
+// Regression: a payload length past kMaxPayloadLength, the range a
+// certificate accepts, used to have the ECC fill a 2^32-bit wm_data and then
+// abort in the plan build's 32-bit position check (the map path sized a
+// byte per position instead). ResolvePayloadLength now refuses it before
+// anything is sized by it, on both position paths.
+TEST(EmbedderTest, PayloadLengthAboveCertificateRangeIsInvalidArgument) {
+  Relation rel = StandardRelation(500);
+  const Relation before = rel;
+  WatermarkParams params;
+  params.payload_length = kMaxPayloadLength + 1;
+  const Embedder embedder(WatermarkKeySet::FromSeed(31), params);
+  EmbedOptions options = KA();
+  for (const bool map_mode : {false, true}) {
+    options.build_embedding_map = map_mode;
+    const Status status =
+        embedder.Embed(rel, options, MakeWatermark(10, 31)).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_TRUE(rel.SameContent(before)) << "map=" << map_mode;
+  }
 }
 
 // Regression: with e > N, DerivePayloadLength's N/e floors to 0 and used to
@@ -557,6 +579,22 @@ TEST(DerivePayloadLengthTest, FloorsAtWatermarkLength) {
   EXPECT_EQ(DerivePayloadLength(6000, 60, 10), 100u);
   EXPECT_EQ(DerivePayloadLength(100, 60, 10), 10u);   // N/e = 1 < |wm|
   EXPECT_EQ(DerivePayloadLength(0, 60, 10), 10u);
+}
+
+// The pinned length wins; 0 derives; both must land in [1,
+// kMaxPayloadLength].
+TEST(ResolvePayloadLengthTest, PinnedWinsAndRangeIsChecked) {
+  WatermarkParams params;
+  params.e = 60;
+  EXPECT_EQ(ResolvePayloadLength(params, 6000, 10).value(), 100u);
+  params.payload_length = 64;
+  EXPECT_EQ(ResolvePayloadLength(params, 6000, 10).value(), 64u);
+  params.payload_length = kMaxPayloadLength;
+  EXPECT_EQ(ResolvePayloadLength(params, 6000, 10).value(),
+            kMaxPayloadLength);
+  params.payload_length = kMaxPayloadLength + 1;
+  EXPECT_TRUE(
+      ResolvePayloadLength(params, 6000, 10).status().IsInvalidArgument());
 }
 
 }  // namespace

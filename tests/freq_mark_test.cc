@@ -213,11 +213,12 @@ TEST(FreqMarkTest, CombinesWithKeyBasedMark) {
   EXPECT_EQ(marker.Detect(rel, "A", freq_wm.size()).value().wm, freq_wm);
 
   // Key-based mark survives with at most mild damage.
-  Detector detector(keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = key_report.payload_length;
+  Detector detector(keys, detect_params);
   DetectOptions detect_options;
   detect_options.key_attr = "K";
   detect_options.target_attr = "A";
-  detect_options.payload_length = key_report.payload_length;
   detect_options.domain = key_report.domain;
   const DetectionResult detection =
       detector.Detect(rel, detect_options, wm.size()).value();

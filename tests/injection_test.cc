@@ -122,11 +122,12 @@ TEST(InjectionTest, InjectionAloneCarriesDetectableMark) {
     EXPECT_EQ(rel.Get(i, 1), original.Get(i, 1));
   }
 
-  const Detector detector(keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = report.payload_length;
+  const Detector detector(keys, detect_params);
   DetectOptions options;
   options.key_attr = "K";
   options.target_attr = "A";
-  options.payload_length = report.payload_length;
   const DetectionResult detection =
       detector.Detect(rel, options, wm.size()).value();
   // 600 injected fit tuples vs ~200 random-voting original fit tuples:
@@ -148,11 +149,12 @@ TEST(InjectionTest, InjectionStrengthensMarkUnderDataLoss) {
     for (std::uint64_t seed = 0; seed < 5; ++seed) {
       const Relation kept =
           HorizontalPartitionAttack(marked, 0.15, 700 + seed).value();
-      const Detector detector(keys, params);
+      WatermarkParams detect_params = params;
+      detect_params.payload_length = payload_len;
+      const Detector detector(keys, detect_params);
       DetectOptions options;
       options.key_attr = "K";
       options.target_attr = "A";
-      options.payload_length = payload_len;
       const DetectionResult detection =
           detector.Detect(kept, options, wm.size()).value();
       match += MatchWatermark(wm, detection.wm).match_fraction;

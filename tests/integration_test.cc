@@ -48,11 +48,12 @@ TEST(IntegrationTest, OwnerPipelineOnItemScan) {
   std::remove(path.c_str());
 
   // 4. Blind detection on the shipped copy.
-  const Detector detector(keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = report.payload_length;
+  const Detector detector(keys, detect_params);
   DetectOptions detect_options;
   detect_options.key_attr = "Visit_Nbr";
   detect_options.target_attr = "Item_Nbr";
-  detect_options.payload_length = report.payload_length;
   detect_options.domain = report.domain;
   const DetectionResult detection =
       detector.Detect(shipped, detect_options, wm.size()).value();
@@ -84,11 +85,12 @@ TEST(IntegrationTest, CombinedAttackGauntlet) {
   attacked = SubsetAlterationAttack(attacked, "A", 0.2, 3).value();
   attacked = HorizontalPartitionAttack(attacked, 0.6, 4).value();
 
-  const Detector detector(keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = report.payload_length;
+  const Detector detector(keys, detect_params);
   DetectOptions detect_options;
   detect_options.key_attr = "K";
   detect_options.target_attr = "A";
-  detect_options.payload_length = report.payload_length;
   detect_options.domain = report.domain;
   const DetectionResult detection =
       detector.Detect(attacked, detect_options, wm.size()).value();
@@ -171,8 +173,8 @@ TEST(IntegrationTest, CourtCaseNumbers) {
   DetectOptions detect_options;
   detect_options.key_attr = "K";
   detect_options.target_attr = "A";
-  detect_options.payload_length = report.payload_length;
   detect_options.domain = report.domain;
+  params.payload_length = report.payload_length;
 
   const DetectionResult owner_detection =
       Detector(owner, params).Detect(data, detect_options, wm.size()).value();
@@ -221,11 +223,12 @@ TEST(IntegrationTest, IncrementalUpdatesStayDetectable) {
                   .ok());
   ASSERT_TRUE(AppendAll(data, batch).ok());
 
-  const Detector detector(keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = report.payload_length;
+  const Detector detector(keys, detect_params);
   DetectOptions detect_options;
   detect_options.key_attr = "K";
   detect_options.target_attr = "A";
-  detect_options.payload_length = report.payload_length;
   const DetectionResult detection =
       detector.Detect(data, detect_options, wm.size()).value();
   EXPECT_EQ(detection.wm, wm);

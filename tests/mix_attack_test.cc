@@ -34,11 +34,12 @@ MarkedSource MakeSource(std::uint64_t seed, const WatermarkParams& params) {
 
 double MatchOn(const Relation& suspect, const MarkedSource& source,
                const WatermarkParams& params) {
-  const Detector detector(source.keys, params);
+  WatermarkParams detect_params = params;
+  detect_params.payload_length = source.report.payload_length;
+  const Detector detector(source.keys, detect_params);
   DetectOptions options;
   options.key_attr = "K";
   options.target_attr = "A";
-  options.payload_length = source.report.payload_length;
   options.domain = source.report.domain;
   const DetectionResult detection =
       detector.Detect(suspect, options, source.wm.size()).value();

@@ -261,8 +261,8 @@ TEST(ParallelParityTest, DetectIsBitIdenticalAcrossThreadCounts) {
   DetectOptions options;
   options.key_attr = "K";
   options.target_attr = "A";
-  options.payload_length = report.payload_length;
   options.domain = report.domain;
+  params.payload_length = report.payload_length;
 
   const std::vector<const Relation*> suspects = {&rel, &attacked};
   for (const Relation* suspect : suspects) {
@@ -290,10 +290,10 @@ TEST(ParallelParityTest, MapDetectionIsBitIdenticalAcrossThreadCounts) {
   DetectOptions options;
   options.key_attr = "K";
   options.target_attr = "A";
-  options.payload_length = report.payload_length;
   options.domain = report.domain;
   options.embedding_map = &report.embedding_map;
 
+  params.payload_length = report.payload_length;
   params.num_threads = 1;
   const DetectionResult serial =
       Detector(keys, params).Detect(rel, options, wm.size()).value();

@@ -65,12 +65,13 @@ class ParamsMatrixTest : public ::testing::TestWithParam<MatrixParam> {
     DetectOptions options;
     options.key_attr = "K";
     options.target_attr = "A";
-    options.payload_length = report_.payload_length;
     options.domain = report_.domain;
     if (std::get<2>(GetParam())) {
       options.embedding_map = &report_.embedding_map;
     }
-    const Detector detector(keys_, params_);
+    WatermarkParams params = params_;
+    params.payload_length = report_.payload_length;
+    const Detector detector(keys_, params);
     Result<DetectionResult> r = detector.Detect(suspect, options, wm_.size());
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return std::move(r).value();

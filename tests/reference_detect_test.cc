@@ -229,8 +229,8 @@ TEST(ReferenceDetectTest, PipelineMatchesFigure2) {
     for (const std::size_t threads : kThreadCounts) {
       const std::string where =
           where_trial + " threads " + std::to_string(threads);
-      // Detector::Detect, one candidate at a time. The payload length
-      // arrives through the options or through the params, at random.
+      // Detector::Detect, one candidate at a time, with the candidate's
+      // params (payload length included).
       for (std::size_t i = 0; i < candidates.size(); ++i) {
         WatermarkParams params = candidates[i].params;
         params.num_threads = threads;
@@ -238,10 +238,6 @@ TEST(ReferenceDetectTest, PipelineMatchesFigure2) {
         options.key_attr = "K";
         options.target_attr = "A";
         options.domain = declared;
-        if (r.Chance(0.5)) {
-          options.payload_length = params.payload_length;
-          params.payload_length = 0;
-        }
         const Detector detector(candidates[i].keys, params);
         reference::ExpectDetectMatchesReference(
             detector.Detect(rel, options, candidates[i].wm_len), expected[i],

@@ -93,8 +93,8 @@ TEST(RemapRecoveryTest, WatermarkSurvivesRemapPlusRecovery) {
   DetectOptions detect_options;
   detect_options.key_attr = "K";
   detect_options.target_attr = "A";
-  detect_options.payload_length = report.payload_length;
   detect_options.domain = report.domain;
+  params.payload_length = report.payload_length;
   const Detector detector(keys, params);
   const DetectionResult blind =
       detector.Detect(attack.relation, detect_options, wm.size()).value();

@@ -68,9 +68,10 @@ class RoundTripProperty : public ::testing::TestWithParam<Config> {
     DetectOptions options;
     options.key_attr = "K";
     options.target_attr = "A";
-    options.payload_length = report_.payload_length;
     options.domain = report_.domain;
-    const Detector detector(keys_, params_);
+    WatermarkParams params = params_;
+    params.payload_length = report_.payload_length;
+    const Detector detector(keys_, params);
     Result<DetectionResult> r = detector.Detect(suspect, options, wm_.size());
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return std::move(r).value();

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "attack/attacks.h"
 #include "core/certificate.h"
 #include "core/codec.h"
 #include "core/detector.h"
@@ -89,11 +90,12 @@ SessionSpec SpecOf(const Fixture& f) {
 }
 
 DetectionResult Detect(const Fixture& f, const Relation& rel) {
-  const Detector detector(f.keys, f.params);
+  WatermarkParams params = f.params;
+  params.payload_length = f.report.payload_length;
+  const Detector detector(f.keys, params);
   DetectOptions options;
   options.key_attr = "K";
   options.target_attr = "A";
-  options.payload_length = f.report.payload_length;
   options.domain = f.report.domain;
   return detector.Detect(rel, options, f.wm.size()).value();
 }
@@ -540,8 +542,12 @@ TEST(SessionSpecTest, ValidateRejectsBrokenSpecs) {
   EXPECT_FALSE(no_wm.Validate().ok());
 
   SessionSpec short_payload = SpecOf(f);
-  short_payload.payload_length = f.wm.size() - 1;
+  short_payload.params.payload_length = f.wm.size() - 1;
   EXPECT_FALSE(short_payload.Validate().ok());
+
+  SessionSpec long_payload = SpecOf(f);
+  long_payload.params.payload_length = kMaxPayloadLength + 1;
+  EXPECT_TRUE(long_payload.Validate().IsInvalidArgument());
 
   SessionSpec tiny_domain = SpecOf(f);
   tiny_domain.domain =
@@ -568,7 +574,7 @@ TEST(SessionSpecTest, FromCertificateVerifiesTheKeyCommitment) {
   ASSERT_FALSE(wrong.ok());
 
   SessionSpec spec = SessionSpec::FromCertificate(cert, f.keys).value();
-  EXPECT_EQ(spec.payload_length, f.report.payload_length);
+  EXPECT_EQ(spec.params.payload_length, f.report.payload_length);
   ASSERT_TRUE(spec.params.prf.has_value());
 
   // Inserts under the certificate spec are byte-identical to inserts under
@@ -589,6 +595,68 @@ TEST(SessionSpecTest, FromCertificateVerifiesTheKeyCommitment) {
   const CertifiedDetection verdict =
       DetectWithCertificate(from_cert, cert, f.keys).value();
   EXPECT_EQ(verdict.detection.wm, f.wm);
+}
+
+// Every certificate consumer runs with the certificate's payload length
+// (params.payload_length), never one derived from the data in front of it:
+// after a subset attack N'/e no longer gives the embed-time |wm_data|, and
+// certified detection, a one-candidate sweep and a session opened from the
+// certificate must all still use the certified value.
+TEST(CertificateConsumersTest, EveryConsumerUsesTheCertifiedPayloadLength) {
+  const Fixture f = MakeFixture();
+  const WatermarkCertificate cert =
+      WatermarkCertificate::Deserialize(
+          WatermarkCertificate::Create(f.keys, f.params, f.options, f.report,
+                                       f.wm)
+              .Serialize())
+          .value();
+  const std::size_t certified = cert.params.payload_length;
+  ASSERT_EQ(certified, f.report.payload_length);
+  const Relation suspect = HorizontalPartitionAttack(f.rel, 0.45, 17).value();
+  const std::size_t derived =
+      DerivePayloadLength(suspect.NumRows(), f.params.e, f.wm.size());
+  ASSERT_NE(derived, certified);
+
+  const CertifiedDetection detection =
+      DetectWithCertificate(suspect, cert, f.keys).value();
+  EXPECT_EQ(detection.detection.payload_length, certified);
+
+  const std::vector<OwnershipCandidate> candidates = {{"owner", cert, f.keys}};
+  const SweepReport sweep =
+      WatermarkService()
+          .SweepOwnership(suspect,
+                          std::span<const OwnershipCandidate>(candidates))
+          .value();
+  ASSERT_EQ(sweep.ranked.size(), 1u);
+  EXPECT_EQ(sweep.ranked[0].detection.payload_length, certified);
+  EXPECT_EQ(sweep.ranked[0].detection.wm, detection.detection.wm);
+
+  // The session encodes wm over the certified length: the streamed rows
+  // match the first-principles reference, which encodes over the report's.
+  StreamSession session =
+      StreamSession::Create(SessionSpec::FromCertificate(cert, f.keys).value())
+          .value();
+  EXPECT_EQ(session.payload_length(), certified);
+  const std::vector<Row> stream = MakeStream(1000, 29);
+  Relation reference = suspect;
+  for (const Row& row : stream) {
+    ASSERT_TRUE(reference.AppendRow(ReferenceMarkedRow(f, row)).ok());
+  }
+  Relation grown = suspect;
+  std::vector<Row> rows = stream;
+  ASSERT_TRUE(session.InsertBatch(grown, std::span<Row>(rows)).ok());
+  ExpectIdenticalState(reference, grown);
+
+  // And the length matters: a spec carrying the derived length marks the
+  // same rows differently.
+  SessionSpec derived_spec = SessionSpec::FromCertificate(cert, f.keys).value();
+  derived_spec.params.payload_length = derived;
+  StreamSession derived_session =
+      StreamSession::Create(std::move(derived_spec)).value();
+  Relation misplaced = suspect;
+  rows = stream;
+  ASSERT_TRUE(derived_session.InsertBatch(misplaced, std::span<Row>(rows)).ok());
+  EXPECT_NE(WriteCsvString(misplaced), WriteCsvString(grown));
 }
 
 TEST(WatermarkServiceTest,

@@ -75,13 +75,14 @@ void ExpectPlansEqual(const TuplePlan& a, const TuplePlan& b,
   EXPECT_EQ(a.messages_hashed, b.messages_hashed) << label;
 }
 
-TuplePlanOptions PlanOptions(PrfKind prf, std::size_t threads) {
-  TuplePlanOptions options;
-  options.payload_len = 64;
-  options.with_payload_index = true;
-  options.num_threads = threads;
-  options.prf = prf;
-  return options;
+// `params` as the embedder hands them to BuildTuplePlan: the PRF pinned and
+// a 64-position payload.
+WatermarkParams Resolved(WatermarkParams params, PrfKind prf,
+                         std::size_t threads) {
+  params.prf = prf;
+  params.payload_length = 64;
+  params.num_threads = threads;
+  return params;
 }
 
 // Thread-count invariance of both paths (the shard lists differ by
@@ -93,11 +94,11 @@ TEST(TuplePlanTest, PlanIsThreadCountInvariant) {
   params.e = 5;
   for (const PrfKind prf : kBackends) {
     for (const std::size_t key_col : {std::size_t{0}, std::size_t{1}}) {
-      const TuplePlan reference =
-          BuildTuplePlan(rel, key_col, keys, params, PlanOptions(prf, 1));
+      const TuplePlan reference = BuildTuplePlan(
+          rel, key_col, keys, Resolved(params, prf, 1), true);
       for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-        const TuplePlan plan = BuildTuplePlan(rel, key_col, keys, params,
-                                              PlanOptions(prf, threads));
+        const TuplePlan plan = BuildTuplePlan(
+            rel, key_col, keys, Resolved(params, prf, threads), true);
         ExpectPlansEqual(plan, reference,
                          std::string(PrfKindName(prf)) + " col=" +
                              std::to_string(key_col) + " threads=" +
@@ -123,8 +124,8 @@ TEST(TuplePlanTest, BatchPathMatchesSingleShotReference) {
     for (const std::size_t key_col : {std::size_t{0}, std::size_t{1}}) {
       const std::string label = std::string(PrfKindName(prf_kind)) +
                                 " col=" + std::to_string(key_col);
-      const TuplePlan plan = BuildTuplePlan(rel, key_col, keys, params,
-                                            PlanOptions(prf_kind, 2));
+      const TuplePlan plan = BuildTuplePlan(
+          rel, key_col, keys, Resolved(params, prf_kind, 2), true);
       HashScratch scratch;
       std::vector<FitTuple> want;
       std::size_t hashed = 0;
@@ -155,10 +156,10 @@ TEST(TuplePlanTest, BackendsSelectDifferentTuples) {
   const WatermarkKeySet keys = testutil::TestKeys();
   WatermarkParams params;
   params.e = 5;
-  const TuplePlan kh = BuildTuplePlan(rel, 0, keys, params,
-                                     PlanOptions(PrfKind::kKeyedHash, 1));
-  const TuplePlan sip = BuildTuplePlan(rel, 0, keys, params,
-                                      PlanOptions(PrfKind::kSipHash24, 1));
+  const TuplePlan kh = BuildTuplePlan(
+      rel, 0, keys, Resolved(params, PrfKind::kKeyedHash, 1), true);
+  const TuplePlan sip = BuildTuplePlan(
+      rel, 0, keys, Resolved(params, PrfKind::kSipHash24, 1), true);
   std::vector<std::size_t> kh_rows;
   std::vector<std::size_t> sip_rows;
   for (const FitTuple& f : FitList(kh)) kh_rows.push_back(f.row);
@@ -176,9 +177,9 @@ TEST(TuplePlanTest, ShardListsFollowRowShards) {
   params.e = 4;
   for (const std::size_t key_col : {std::size_t{0}, std::size_t{1}}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-      const TuplePlan plan =
-          BuildTuplePlan(rel, key_col, keys, params,
-                         PlanOptions(PrfKind::kSipHash24, threads));
+      const TuplePlan plan = BuildTuplePlan(
+          rel, key_col, keys, Resolved(params, PrfKind::kSipHash24, threads),
+          true);
       ASSERT_EQ(plan.shards.size(), threads);
       const std::vector<std::size_t> bounds =
           ShardBounds(rel.NumRows(), threads);
@@ -204,12 +205,12 @@ TEST(TuplePlanTest, NoPayloadIndexWithoutK2) {
   WatermarkParams params;
   params.e = 3;
   for (const std::size_t key_col : {std::size_t{0}, std::size_t{1}}) {
-    TuplePlanOptions options = PlanOptions(PrfKind::kSipHash24, 2);
+    const WatermarkParams resolved =
+        Resolved(params, PrfKind::kSipHash24, 2);
     const std::vector<FitTuple> with_k2 =
-        FitList(BuildTuplePlan(rel, key_col, keys, params, options));
-    options.with_payload_index = false;
+        FitList(BuildTuplePlan(rel, key_col, keys, resolved, true));
     const std::vector<FitTuple> without =
-        FitList(BuildTuplePlan(rel, key_col, keys, params, options));
+        FitList(BuildTuplePlan(rel, key_col, keys, resolved, false));
     ASSERT_EQ(without.size(), with_k2.size()) << "col=" << key_col;
     for (std::size_t i = 0; i < without.size(); ++i) {
       EXPECT_EQ(without[i].row, with_k2[i].row);

@@ -387,16 +387,22 @@ void PrintDetectionCost(const DetectionResult& detection) {
       detection.rows_scanned, detection.messages_hashed, ms, tps / 1e6);
 }
 
+// The one certificate reader: `detect`, `sweep` and `stream` all read
+// their --certificate through it.
+Result<WatermarkCertificate> LoadCertificateFile(const std::string& path) {
+  std::ifstream f(path);
+  if (!f) return Status::NotFound("cannot read " + path);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return WatermarkCertificate::Deserialize(ss.str());
+}
+
 int RunDetectWithCertificate(const Flags& flags) {
   CATMARK_CLI_ASSIGN_OR_FAIL(const double alpha, GetAlpha(flags));
   Result<Relation> rel = LoadInput(flags);
   if (!rel.ok()) return Fail(rel.status().ToString());
-  std::ifstream f(flags.Get("certificate"));
-  if (!f) return Fail("cannot read " + flags.Get("certificate"));
-  std::ostringstream ss;
-  ss << f.rdbuf();
   Result<WatermarkCertificate> cert =
-      WatermarkCertificate::Deserialize(ss.str());
+      LoadCertificateFile(flags.Get("certificate"));
   if (!cert.ok()) return Fail(cert.status().ToString());
   const std::string key = flags.Get("key");
   if (key.empty()) return Fail("--key is required");
@@ -417,12 +423,10 @@ int RunDetect(const Flags& flags) {
   if (flags.Has("certificate")) return RunDetectWithCertificate(flags);
   WatermarkParams params;
   CATMARK_CLI_ASSIGN_OR_FAIL(params.e, flags.GetUint("e", 60, 1));
-  DetectOptions options;
   // The same range a certificate's payload_length field accepts.
   CATMARK_CLI_ASSIGN_OR_FAIL(
-      options.payload_length,
-      flags.GetUint("payload-length", 0, 0,
-                    std::numeric_limits<std::uint32_t>::max()));
+      params.payload_length,
+      flags.GetUint("payload-length", 0, 0, kMaxPayloadLength));
   CATMARK_CLI_ASSIGN_OR_FAIL(const double alpha, GetAlpha(flags));
   Result<Relation> rel = LoadInput(flags);
   if (!rel.ok()) return Fail(rel.status().ToString());
@@ -436,6 +440,7 @@ int RunDetect(const Flags& flags) {
   if (const Status s = ApplyPrfFlag(flags, params); !s.ok()) {
     return Fail(s.ToString());
   }
+  DetectOptions options;
   options.key_attr = flags.Get("key-attr", "K");
   options.target_attr = flags.Get("target-attr", "A");
 
@@ -446,7 +451,7 @@ int RunDetect(const Flags& flags) {
 
   const OwnershipDecision decision =
       DecideOwnership(wm.value(), detection->wm, alpha);
-  if (options.payload_length == 0) {
+  if (params.payload_length == 0) {
     std::fprintf(stderr,
                  "catmark: warning: --payload-length not given; derived %zu "
                  "from the suspect relation — wrong if tuples were "
@@ -466,14 +471,6 @@ int RunDetect(const Flags& flags) {
 }
 
 // ------------------------------------------------------------------- sweep
-
-Result<WatermarkCertificate> LoadCertificateFile(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) return Status::NotFound("cannot read " + path);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return WatermarkCertificate::Deserialize(ss.str());
-}
 
 // First non-empty, non-comment line of a keyfile — the passphrase.
 Result<std::string> LoadPassphraseFile(const std::string& path) {
@@ -681,12 +678,8 @@ int RunStream(const Flags& flags) {
   CATMARK_CLI_ASSIGN_OR_FAIL(const std::uint64_t batch_flag,
                              flags.GetUint("batch", 1024));
   if (!flags.Has("certificate")) return Fail("--certificate is required");
-  std::ifstream cf(flags.Get("certificate"));
-  if (!cf) return Fail("cannot read " + flags.Get("certificate"));
-  std::ostringstream cs;
-  cs << cf.rdbuf();
   Result<WatermarkCertificate> cert =
-      WatermarkCertificate::Deserialize(cs.str());
+      LoadCertificateFile(flags.Get("certificate"));
   if (!cert.ok()) return Fail(cert.status().ToString());
 
   const std::string key = flags.Get("key");
@@ -713,7 +706,7 @@ int RunStream(const Flags& flags) {
     } while (got == text.size());
     if (std::ferror(stdin)) return Status::IoError("cannot read stdin");
     text.resize(got);
-    return ReadCsvStringParallel(text, schema.value());
+    return ReadCsvString(text, schema.value());
   }();
   if (!input.ok()) return Fail(input.status().ToString());
 
@@ -769,7 +762,7 @@ int RunConvert(const Flags& flags) {
   Result<Relation> rel =
       LooksLikeCatm(bytes->view())
           ? ReadCatmString(bytes->view(), schema.value())
-          : ReadCsvStringParallel(bytes->view(), schema.value(), threads);
+          : ReadCsvString(bytes->view(), schema.value(), threads);
   if (!rel.ok()) return Fail(rel.status().ToString());
   if (const Status s = SaveRelation(rel.value(), out); !s.ok()) {
     return Fail(s.ToString());
