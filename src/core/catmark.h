@@ -36,7 +36,6 @@
 #include "quality/query_plugins.h"   // IWYU pragma: export
 #include "relation/catm_io.h"        // IWYU pragma: export
 #include "relation/csv.h"            // IWYU pragma: export
-#include "relation/index.h"          // IWYU pragma: export
 #include "relation/ops.h"            // IWYU pragma: export
 #include "relation/query.h"          // IWYU pragma: export
 #include "relation/relation.h"       // IWYU pragma: export

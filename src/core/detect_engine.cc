@@ -154,7 +154,7 @@ Result<DetectEngine> DetectEngine::Create(const Relation& rel,
   // INT64 dictionary holding a value of another type (the unchecked
   // append paths do not type-check), is serialized into the arena.
   const std::vector<Value>& dict = store.Dict(key_col);
-  const std::vector<std::int32_t>& codes = store.Codes(key_col);
+  const std::span<const std::int32_t> codes = store.Codes(key_col);
   const std::vector<std::int64_t>& live = store.DictLiveCounts(key_col);
   const std::size_t dict_threads =
       EffectiveThreadCount(options.num_threads, dict.size());

@@ -55,6 +55,12 @@ Result<InjectionReport> FitTupleInjector::Inject(
   const std::size_t to_add = static_cast<std::size_t>(
       std::llround(config.padd * static_cast<double>(base_n)));
 
+  // Deriving the payload length needs N/e >= 1, as in Embedder::Embed.
+  if (params_.payload_length == 0 && base_n / params_.e == 0) {
+    return Status::FailedPrecondition(
+        "cannot derive the payload length: e exceeds the base relation size "
+        "(N/e == 0); pass the owner-side payload_length instead");
+  }
   InjectionReport report;
   CATMARK_ASSIGN_OR_RETURN(report.payload_length,
                            ResolvePayloadLength(params_, base_n, wm.size()));

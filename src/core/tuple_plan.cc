@@ -58,7 +58,7 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
     // hashes instead of N. Dead entries (live count 0) have no referencing
     // row and are not hashed.
     const std::vector<Value>& dict = store.Dict(key_col);
-    const std::vector<std::int32_t>& codes = store.Codes(key_col);
+    const std::span<const std::int32_t> codes = store.Codes(key_col);
     const std::vector<std::int64_t>& live = store.DictLiveCounts(key_col);
     std::vector<std::uint8_t> fit_of(dict.size(), 0);
     std::vector<std::uint64_t> h1_of(dict.size(), 0);

@@ -160,7 +160,7 @@ bool ByteReader::Skip(std::size_t n) {
 }
 
 bool ByteReader::ReadLeI32Array(std::size_t n,
-                                std::vector<std::int32_t>& out) {
+                                DefaultInitVector<std::int32_t>& out) {
   if (n > remaining() / sizeof(std::int32_t)) return false;
   out.resize(n);
   if constexpr (std::endian::native == std::endian::little) {

@@ -9,6 +9,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/default_init.h"
 #include "common/status.h"
 #include "relation/value.h"
 
@@ -161,8 +162,9 @@ class ByteReader {
 
   /// Bulk array forms (memcpy on little-endian hosts). The element count is
   /// validated against the remaining bytes *before* any allocation, so a
-  /// corrupt length cannot trigger a huge resize.
-  bool ReadLeI32Array(std::size_t n, std::vector<std::int32_t>& out);
+  /// corrupt length cannot trigger a huge resize. The int32 form fills a
+  /// column's code array, sized without a zero-fill: it writes every slot.
+  bool ReadLeI32Array(std::size_t n, DefaultInitVector<std::int32_t>& out);
   bool ReadLeI64Array(std::size_t n, std::vector<std::int64_t>& out);
   bool ReadLeU64Array(std::size_t n, std::vector<std::uint64_t>& out);
 

@@ -396,7 +396,7 @@ Status PlainTrailingBytes(const std::string& name) {
 /// tag check and a byte-swapped load, no Value.
 Status DecodeLaneSection(ByteReader& r, ColumnType type,
                          std::uint64_t num_rows, const std::string& name,
-                         std::vector<std::uint64_t>& bits,
+                         DefaultInitVector<std::uint64_t>& bits,
                          std::vector<std::uint64_t>& null_words) {
   const std::size_t section_len = r.remaining();
   const std::uint8_t* p = nullptr;
@@ -404,7 +404,9 @@ Status DecodeLaneSection(ByteReader& r, ColumnType type,
   const std::uint8_t* const end = p + section_len;
   // Every value takes at least one byte, so no more than section_len rows
   // can decode: row section_len starts at `end` and fails before its
-  // store. The cap keeps a corrupt row count from over-allocating.
+  // store. The cap keeps a corrupt row count from over-allocating. The
+  // resize does not zero-fill: a decode that succeeds writes every slot,
+  // and one that fails is discarded.
   const auto cap = static_cast<std::size_t>(
       std::min<std::uint64_t>(num_rows, section_len));
   bits.resize(cap);
@@ -471,8 +473,8 @@ struct DecodedColumn {
   Status status;
   std::vector<Value> dict;
   std::vector<std::int64_t> live;
-  std::vector<std::int32_t> codes;
-  std::vector<std::uint64_t> bits;        // INT64/DOUBLE plain sections
+  DefaultInitVector<std::int32_t> codes;
+  DefaultInitVector<std::uint64_t> bits;  // INT64/DOUBLE plain sections
   std::vector<std::uint64_t> null_words;
   std::vector<Value> values;              // STRING plain sections
 };

@@ -369,7 +369,7 @@ const ColumnStore::DictColumn& ColumnStore::dict_column(
   return *d;
 }
 
-const std::vector<std::int32_t>& ColumnStore::Codes(std::size_t col) const {
+std::span<const std::int32_t> ColumnStore::Codes(std::size_t col) const {
   return dict_column(col).codes;
 }
 
@@ -435,7 +435,7 @@ void ColumnStore::SetCode(std::size_t row, std::size_t col,
 Status ColumnStore::InstallDictColumn(std::size_t col,
                                       std::vector<Value> dict,
                                       std::vector<std::int64_t> live,
-                                      std::vector<std::int32_t> codes) {
+                                      DefaultInitVector<std::int32_t> codes) {
   CATMARK_CHECK_EQ(num_rows_, 0u) << "install on a non-fresh store";
   CATMARK_CHECK_LT(col, columns_.size());
   auto* d = std::get_if<DictColumn>(&columns_[col]);
@@ -482,7 +482,7 @@ Status ColumnStore::InstallDictColumn(std::size_t col,
 }
 
 Status ColumnStore::InstallLaneColumn(std::size_t col,
-                                      std::vector<std::uint64_t> bits,
+                                      DefaultInitVector<std::uint64_t> bits,
                                       std::vector<std::uint64_t> null_words) {
   CATMARK_CHECK_EQ(num_rows_, 0u) << "install on a non-fresh store";
   CATMARK_CHECK_LT(col, columns_.size());
@@ -528,7 +528,7 @@ Status ColumnStore::FinalizeInstall(std::size_t num_rows) {
 
 ColumnReader::ColumnReader(const ColumnStore& store, std::size_t col) {
   if (store.IsDictColumn(col)) {
-    codes_ = &store.Codes(col);
+    codes_ = store.Codes(col);
     dict_ = &store.Dict(col);
   } else if (store.IsLaneColumn(col)) {
     lane_ = store.Lane(col);
@@ -539,8 +539,8 @@ ColumnReader::ColumnReader(const ColumnStore& store, std::size_t col) {
 
 void ColumnReader::SerializeForHash(std::size_t row,
                                     std::vector<std::uint8_t>& out) const {
-  if (codes_ != nullptr) {
-    const std::int32_t c = (*codes_)[row];
+  if (dict_ != nullptr) {
+    const std::int32_t c = codes_[row];
     (c < 0 ? NullValue() : (*dict_)[static_cast<std::size_t>(c)])
         .SerializeForHash(out);
   } else if (values_ != nullptr) {

@@ -10,6 +10,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/default_init.h"
 #include "relation/schema.h"
 #include "relation/value.h"
 
@@ -85,6 +86,13 @@ struct ColumnOverride {
 /// Cells are read by value (Get, ColumnReader): a lane cell has no Value
 /// object to refer to.
 ///
+/// The per-row arrays — a lane's words and a dictionary column's codes —
+/// are DefaultInitVectors, so a bulk loader sizes them once without a
+/// zero-fill and its workers first-touch their own rows. The rule: every
+/// slot is written by its owner. The loaders (the CSV reader, the .catm
+/// decoders) write every row of what they install; every resize inside
+/// the store passes an explicit value.
+///
 /// Sion's channel is per-tuple-per-attribute, which makes the embed/detect
 /// hot loops stream exactly one column at a time; the int32 code arrays keep
 /// those passes cache-resident where row-of-Value storage thrashed.
@@ -150,10 +158,10 @@ class ColumnStore {
 
   bool IsDictColumn(std::size_t col) const;
 
-  /// Per-row dictionary codes of a dictionary column. The returned vector's
-  /// identity is stable across Set/Intern (only elements change); it grows /
-  /// shrinks with AppendRow / SwapRemoveRow.
-  const std::vector<std::int32_t>& Codes(std::size_t col) const;
+  /// Per-row dictionary codes of a dictionary column. The span stays valid
+  /// across Set/SetCode/Intern (only elements change); appending or
+  /// removing rows invalidates it.
+  std::span<const std::int32_t> Codes(std::size_t col) const;
 
   /// code -> value dictionary of a dictionary column. Append-only: codes are
   /// never recycled, so an entry may outlive its last occurrence (its live
@@ -190,7 +198,7 @@ class ColumnStore {
   // --- Wholesale column installation (the zero-re-intern load surface) -----
   //
   // The .catm loader and the CSV reader build columns elsewhere (from disk
-  // sections / the CSV reader's column sinks) and adopt them here
+  // sections / the CSV reader's in-place parse) and adopt them here
   // without touching the per-row intern path. Contract: the store must be
   // freshly constructed for the right schema (num_rows() == 0, CHECKed),
   // each column installed at most once, and FinalizeInstall called last —
@@ -208,12 +216,13 @@ class ColumnStore {
   /// intern map from `dict` (O(dictionary), the only non-bulk work).
   Status InstallDictColumn(std::size_t col, std::vector<Value> dict,
                            std::vector<std::int64_t> live,
-                           std::vector<std::int32_t> codes);
+                           DefaultInitVector<std::int32_t> codes);
 
   /// Installs a numeric plain column's lane: `bits` as NumericLane
   /// describes, and `null_words` empty (no NULL) or exactly one word per 64
   /// rows with no bit set past the last row (checked).
-  Status InstallLaneColumn(std::size_t col, std::vector<std::uint64_t> bits,
+  Status InstallLaneColumn(std::size_t col,
+                           DefaultInitVector<std::uint64_t> bits,
                            std::vector<std::uint64_t> null_words);
 
   /// Installs a STRING plain column's per-row values.
@@ -225,9 +234,9 @@ class ColumnStore {
 
  private:
   struct DictColumn {
-    std::vector<std::int32_t> codes;   // per-row; kNullCode == NULL
-    std::vector<Value> dict;           // code -> value, append-only
-    std::vector<std::int64_t> live;    // code -> rows currently holding it
+    DefaultInitVector<std::int32_t> codes;  // per-row; kNullCode == NULL
+    std::vector<Value> dict;                // code -> value, append-only
+    std::vector<std::int64_t> live;         // code -> rows holding it
     // Canonical hash serialization of each dict value -> its code.
     std::unordered_map<std::string, std::int32_t, TransparentStringHash,
                        std::equal_to<>>
@@ -244,7 +253,7 @@ class ColumnStore {
   // set bit past the last row; the members below keep it that way.
   struct LaneColumn {
     ColumnType type = ColumnType::kInt64;
-    std::vector<std::uint64_t> bits;        // per-row; 0 in NULL slots
+    DefaultInitVector<std::uint64_t> bits;  // per-row; 0 in NULL slots
     std::vector<std::uint64_t> null_words;  // empty until the first NULL
 
     bool IsNull(std::size_t row) const {
@@ -290,8 +299,8 @@ class ColumnReader {
 
   /// Row `row`'s value, by value.
   Value operator[](std::size_t row) const {
-    if (codes_ != nullptr) {
-      const std::int32_t c = (*codes_)[row];
+    if (dict_ != nullptr) {
+      const std::int32_t c = codes_[row];
       return c < 0 ? Value() : (*dict_)[static_cast<std::size_t>(c)];
     }
     if (values_ != nullptr) return (*values_)[row];
@@ -299,7 +308,7 @@ class ColumnReader {
   }
 
   bool IsNull(std::size_t row) const {
-    if (codes_ != nullptr) return (*codes_)[row] < 0;
+    if (dict_ != nullptr) return codes_[row] < 0;
     if (values_ != nullptr) return (*values_)[row].is_null();
     return lane_.IsNull(row);
   }
@@ -317,13 +326,13 @@ class ColumnReader {
     return {reinterpret_cast<const char*>(scratch.data()), scratch.size()};
   }
 
-  bool is_dict() const { return codes_ != nullptr; }
-  const std::vector<std::int32_t>& codes() const { return *codes_; }
+  bool is_dict() const { return dict_ != nullptr; }
+  std::span<const std::int32_t> codes() const { return codes_; }
   const std::vector<Value>& dict() const { return *dict_; }
 
  private:
-  const std::vector<std::int32_t>* codes_ = nullptr;
-  const std::vector<Value>* dict_ = nullptr;
+  std::span<const std::int32_t> codes_;     // dictionary column
+  const std::vector<Value>* dict_ = nullptr;  // non-null iff a dict column
   const std::vector<Value>* values_ = nullptr;  // STRING plain column
   NumericLane lane_;                            // numeric plain column
 };

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/default_init.h"
 #include "common/parallel.h"
 #include "relation/catm_io.h"
 #include "relation/column_store.h"
@@ -227,16 +228,19 @@ struct DictBuilder {
 };
 
 /// One column's cells from one chunk of the input, in the column's stored
-/// form: a numeric lane, codes into a chunk-local dictionary keyed by the
-/// 8-byte word (INT64/DOUBLE) or the unescaped bytes (STRING), or STRING
-/// Values.
+/// form. A numeric lane and the codes of a dictionary column go straight
+/// to their final array: `bits` / `codes` point at the chunk's first row
+/// in it, and cell `row` of the chunk lands at bits[row] / codes[row].
+/// Codes index a chunk-local dictionary keyed by the 8-byte word
+/// (INT64/DOUBLE) or the unescaped bytes (STRING) until the merge remaps
+/// them. A plain STRING column gathers Values.
 struct ColumnSink {
   enum class Kind { kLane, kNumberDict, kStringDict, kStrings };
   Kind kind = Kind::kLane;
   ColumnType type = ColumnType::kInt64;
-  std::vector<std::uint64_t> bits;        // kLane; 0 in NULL rows
-  std::vector<std::uint64_t> null_words;  // kLane; grown at each NULL
-  std::vector<std::int32_t> codes;        // the dictionary kinds
+  std::uint64_t* bits = nullptr;          // kLane; 0 in NULL rows
+  std::vector<std::uint64_t> null_words;  // kLane; chunk rows, grown at NULLs
+  std::int32_t* codes = nullptr;          // the dictionary kinds
   DictBuilder<std::uint64_t> numbers;     // kNumberDict
   // kStringDict. A key views the input when its field had no quotes, else
   // its unescaped copy in `owned` (a deque: elements never move).
@@ -244,9 +248,10 @@ struct ColumnSink {
   std::deque<std::string> owned;
   std::vector<Value> values;  // kStrings
 
-  /// Appends one cell, empty text being NULL. False when a numeric cell
-  /// does not parse. `text` must outlive the sink unless `quoted`.
-  bool Add(std::string_view text, bool quoted) {
+  /// Writes cell `row` of the chunk, empty text being NULL. False when a
+  /// numeric cell does not parse. `text` must outlive the sink unless
+  /// `quoted`.
+  bool Add(std::size_t row, std::string_view text, bool quoted) {
     if (kind == Kind::kStrings) {
       if (text.empty()) {
         values.emplace_back();
@@ -257,13 +262,12 @@ struct ColumnSink {
     }
     if (text.empty()) {
       if (kind != Kind::kLane) {
-        codes.push_back(kNullCode);
+        codes[row] = kNullCode;
         return true;
       }
-      const std::size_t row = bits.size();
       if (null_words.size() <= row >> 6) null_words.resize((row >> 6) + 1, 0);
       null_words[row >> 6] |= std::uint64_t{1} << (row & 63);
-      bits.push_back(0);
+      bits[row] = 0;
       return true;
     }
     if (kind == Kind::kStringDict) {
@@ -272,60 +276,56 @@ struct ColumnSink {
         strings.keys[static_cast<std::size_t>(code)] = owned.emplace_back(text);
       }
       ++strings.live[static_cast<std::size_t>(code)];
-      codes.push_back(code);
+      codes[row] = code;
       return true;
     }
     std::uint64_t word = 0;
     if (!ParseNumberBits(text, type, word)) return false;
     if (kind == Kind::kLane) {
-      bits.push_back(word);
+      bits[row] = word;
       return true;
     }
     const std::int32_t code = numbers.FindOrAdd(word).first;
     ++numbers.live[static_cast<std::size_t>(code)];
-    codes.push_back(code);
+    codes[row] = code;
     return true;
   }
 };
+
+/// How column `column` is stored, and so parsed.
+ColumnSink::Kind SinkKind(const Column& column) {
+  if (column.categorical) {
+    return column.type == ColumnType::kString ? ColumnSink::Kind::kStringDict
+                                              : ColumnSink::Kind::kNumberDict;
+  }
+  return column.type == ColumnType::kString ? ColumnSink::Kind::kStrings
+                                            : ColumnSink::Kind::kLane;
+}
 
 /// Everything one chunk of records parses to.
 struct ChunkResult {
   std::vector<ColumnSink> columns;
   std::size_t rows = 0;       // records parsed before any error
   bool unterminated = false;  // the input ended inside a quoted run
+  bool overflow = false;      // the chunk holds more records than counted
   std::string bad_record;     // why record `rows` failed, when one did
 };
 
-/// Parses the records of `chunk` into `out`, stopping at the first error.
+/// Parses the records of `chunk`, at most `counted` of them, into `out`,
+/// whose sinks point at the chunk's rows. Stops at the first error.
 void ParseChunk(std::string_view chunk, const Schema& schema,
-                ChunkResult& out) {
+                std::size_t counted, ChunkResult& out) {
   const std::size_t num_cols = schema.num_columns();
-  // A capacity hint: overcounts when quoted fields hold newlines.
-  const auto capacity = static_cast<std::size_t>(
-      std::count(chunk.begin(), chunk.end(), '\n') + 1);
-  out.columns.resize(num_cols);
-  for (std::size_t c = 0; c < num_cols; ++c) {
-    const Column& column = schema.column(c);
-    ColumnSink& sink = out.columns[c];
-    sink.type = column.type;
-    if (column.categorical) {
-      sink.kind = column.type == ColumnType::kString
-                      ? ColumnSink::Kind::kStringDict
-                      : ColumnSink::Kind::kNumberDict;
-      sink.codes.reserve(capacity);
-    } else if (column.type == ColumnType::kString) {
-      sink.kind = ColumnSink::Kind::kStrings;
-      sink.values.reserve(capacity);
-    } else {
-      sink.kind = ColumnSink::Kind::kLane;
-      sink.bits.reserve(capacity);
-    }
-  }
   std::vector<FieldSpan> fields(num_cols);
   std::string scratch;
   const char* p = chunk.data();
   const char* const end = p + chunk.size();
   while (p != end) {
+    // The destination holds `counted` rows of this chunk and no more.
+    if (out.rows == counted) {
+      out.overflow = true;
+      return;
+    }
     std::size_t count = 0;
     if (!SplitRecord(p, end, fields, count)) {
       out.unterminated = true;
@@ -337,7 +337,7 @@ void ParseChunk(std::string_view chunk, const Schema& schema,
     }
     for (std::size_t c = 0; c < num_cols; ++c) {
       const std::string_view text = FieldValue(fields[c], scratch);
-      if (!out.columns[c].Add(text, fields[c].quoted)) {
+      if (!out.columns[c].Add(out.rows, text, fields[c].quoted)) {
         out.bad_record = NumberParseError(text, schema.column(c).type);
         return;
       }
@@ -365,6 +365,33 @@ const char* NextRecordStart(const char* p, const char* end, bool in_quotes) {
     }
   }
   return nullptr;
+}
+
+/// The records of `chunk`, which starts on a record start: the number
+/// ParseChunk parses from it when none fails. A chunk with no '"' and no
+/// '\r' counts its '\n' bytes; any other walks its records the way the
+/// boundary scan does. A last record with no terminator (the end of the
+/// input, or a run-away quoted field) counts as one.
+std::size_t CountRecords(std::string_view chunk) {
+  if (chunk.empty()) return 0;
+  // One pass, which the compiler vectorizes, counts the '\n' bytes and
+  // looks for any '"' or '\r'.
+  std::size_t newlines = 0;
+  unsigned char quotes_or_crs = 0;
+  for (const char c : chunk) {
+    newlines += c == '\n' ? 1 : 0;
+    quotes_or_crs |= static_cast<unsigned char>((c == '"') | (c == '\r'));
+  }
+  if (quotes_or_crs == 0) return newlines + (chunk.back() != '\n' ? 1 : 0);
+  const char* p = chunk.data();
+  const char* const end = p + chunk.size();
+  std::size_t records = 0;
+  while (p != end) {
+    p = NextRecordStart(p, end, /*in_quotes=*/false);
+    ++records;
+    if (p == nullptr) break;
+  }
+  return records;
 }
 
 /// Chunk start offsets into `text`: `num_chunks + 1` offsets where chunk s
@@ -399,33 +426,53 @@ std::vector<std::size_t> ChunkStarts(std::string_view text,
   return starts;
 }
 
+/// Runs fn(s) for each chunk s in [first, last) on up to `threads` workers,
+/// which take chunks off a shared counter, so a slow worker takes fewer.
+template <typename Fn>
+void ForEachChunk(std::size_t threads, std::size_t first, std::size_t last,
+                  Fn&& fn) {
+  if (first >= last) return;
+  const std::size_t workers = std::min(threads, last - first);
+  std::atomic<std::size_t> next{first};
+  ParallelFor(workers, workers, [&](std::size_t, std::size_t, std::size_t) {
+    for (std::size_t s; (s = next.fetch_add(1)) < last;) fn(s);
+  });
+}
+
 /// Merges column `col`'s chunk dictionaries (`member` of each sink) and
-/// installs the column. The first chunk's dictionary and codes are global
-/// as they stand; each later chunk's keys are interned into them in their
-/// own order, which assigns codes in global first-occurrence order: the
-/// codes a one-chunk read assigns.
+/// installs the column over `codes`, which the chunks wrote in place. The
+/// first chunk's dictionary and codes are global as they stand; each later
+/// chunk's keys are interned into them in their own order, which assigns
+/// codes in global first-occurrence order: the codes a one-chunk read
+/// assigns. The merge is serial and O(distinct keys per chunk); it leaves
+/// a table per chunk through which `threads` workers then rewrite each
+/// later chunk's codes in place.
 template <typename Key, typename ToValue>
 Status InstallDict(ColumnStore& store, std::size_t col,
                    std::vector<ChunkResult>& chunks,
-                   DictBuilder<Key> ColumnSink::*member, std::size_t total,
+                   DictBuilder<Key> ColumnSink::*member,
+                   DefaultInitVector<std::int32_t> codes, std::size_t threads,
                    ToValue to_value) {
   DictBuilder<Key> merged = std::move(chunks[0].columns[col].*member);
-  std::vector<std::int32_t> codes = std::move(chunks[0].columns[col].codes);
-  codes.reserve(total);
-  std::vector<std::int32_t> remap;
+  std::vector<std::vector<std::int32_t>> remaps(chunks.size());
   for (std::size_t s = 1; s < chunks.size(); ++s) {
-    const ColumnSink& sink = chunks[s].columns[col];
-    const DictBuilder<Key>& part = sink.*member;
-    remap.resize(part.keys.size());
+    const DictBuilder<Key>& part = chunks[s].columns[col].*member;
+    remaps[s].resize(part.keys.size());
     for (std::size_t j = 0; j < part.keys.size(); ++j) {
       const std::int32_t code = merged.FindOrAdd(part.keys[j]).first;
       merged.live[static_cast<std::size_t>(code)] += part.live[j];
-      remap[j] = code;
-    }
-    for (const std::int32_t code : sink.codes) {
-      codes.push_back(code < 0 ? code : remap[static_cast<std::size_t>(code)]);
+      remaps[s][j] = code;
     }
   }
+  ForEachChunk(threads, 1, chunks.size(), [&](std::size_t s) {
+    std::int32_t* const slice = chunks[s].columns[col].codes;
+    const std::int32_t* const remap = remaps[s].data();
+    for (std::size_t row = 0; row < chunks[s].rows; ++row) {
+      if (slice[row] >= 0) {
+        slice[row] = remap[static_cast<std::size_t>(slice[row])];
+      }
+    }
+  });
   std::vector<Value> dict;
   dict.reserve(merged.keys.size());
   for (const Key& key : merged.keys) dict.push_back(to_value(key));
@@ -433,74 +480,72 @@ Status InstallDict(ColumnStore& store, std::size_t col,
                                  std::move(codes));
 }
 
-/// Concatenates column `col` of the chunks, which start at rows `offsets`,
-/// and installs it. The first chunk's vectors are taken over and the later
-/// chunks appended to them.
-Status InstallColumn(ColumnStore& store, std::size_t col,
-                     std::vector<ChunkResult>& chunks,
-                     const std::vector<std::size_t>& offsets,
-                     std::size_t total) {
-  const ColumnType type = chunks[0].columns[col].type;
-  switch (chunks[0].columns[col].kind) {
-    case ColumnSink::Kind::kLane: {
-      std::vector<std::uint64_t> bits = std::move(chunks[0].columns[col].bits);
-      bits.reserve(total);
-      for (std::size_t s = 1; s < chunks.size(); ++s) {
-        const std::vector<std::uint64_t>& part = chunks[s].columns[col].bits;
-        bits.insert(bits.end(), part.begin(), part.end());
+/// The NULL bitmap of a lane column whose chunks start at rows `offsets`,
+/// or empty when no chunk saw a NULL. NULLs are rare: their bits re-land
+/// at the shifted row one by one.
+std::vector<std::uint64_t> MergeNullWords(
+    const std::vector<ChunkResult>& chunks, std::size_t col,
+    const std::vector<std::size_t>& offsets, std::size_t total) {
+  std::vector<std::uint64_t> null_words;
+  for (std::size_t s = 0; s < chunks.size(); ++s) {
+    const std::vector<std::uint64_t>& part = chunks[s].columns[col].null_words;
+    if (part.empty()) continue;
+    null_words.resize((total + 63) / 64, 0);
+    for (std::size_t w = 0; w < part.size(); ++w) {
+      for (std::uint64_t word = part[w]; word != 0; word &= word - 1) {
+        const std::size_t row =
+            offsets[s] + w * 64 +
+            static_cast<std::size_t>(std::countr_zero(word));
+        null_words[row >> 6] |= std::uint64_t{1} << (row & 63);
       }
-      // NULLs are rare: their bits re-land at the shifted row one by one.
-      std::vector<std::uint64_t> null_words;
-      for (std::size_t s = 0; s < chunks.size(); ++s) {
-        const std::vector<std::uint64_t>& part =
-            chunks[s].columns[col].null_words;
-        if (part.empty()) continue;
-        null_words.resize((total + 63) / 64, 0);
-        for (std::size_t w = 0; w < part.size(); ++w) {
-          for (std::uint64_t word = part[w]; word != 0; word &= word - 1) {
-            const std::size_t row =
-                offsets[s] + w * 64 +
-                static_cast<std::size_t>(std::countr_zero(word));
-            null_words[row >> 6] |= std::uint64_t{1} << (row & 63);
-          }
-        }
-      }
-      return store.InstallLaneColumn(col, std::move(bits),
-                                     std::move(null_words));
-    }
-    case ColumnSink::Kind::kNumberDict:
-      return InstallDict(
-          store, col, chunks, &ColumnSink::numbers, total,
-          [type](std::uint64_t word) { return LaneValue(type, word); });
-    case ColumnSink::Kind::kStringDict:
-      return InstallDict(
-          store, col, chunks, &ColumnSink::strings, total,
-          [](std::string_view key) { return Value(std::string(key)); });
-    case ColumnSink::Kind::kStrings: {
-      std::vector<Value> values = std::move(chunks[0].columns[col].values);
-      values.reserve(total);
-      for (std::size_t s = 1; s < chunks.size(); ++s) {
-        std::vector<Value>& part = chunks[s].columns[col].values;
-        values.insert(values.end(), std::make_move_iterator(part.begin()),
-                      std::make_move_iterator(part.end()));
-      }
-      return store.InstallStringColumn(col, std::move(values));
     }
   }
-  return Status::Internal("CSV: unknown column sink");
+  return null_words;
 }
 
-/// Installs the parsed chunks, concatenated in order, as a relation.
-Result<Relation> InstallChunks(const Schema& schema,
-                               std::vector<ChunkResult>& chunks) {
-  std::vector<std::size_t> offsets(chunks.size());
-  for (std::size_t s = 0; s < chunks.size(); ++s) {
-    offsets[s] = chunks[s].rows;
-  }
-  const std::size_t total = ExclusivePrefixSum(offsets);
+/// Installs the parsed chunks, which start at rows `offsets` (the last
+/// entry being the total), as a relation over the final `lanes` and
+/// `codes` they wrote. NULL words and STRING values gather in chunk order.
+Result<Relation> InstallChunks(
+    const Schema& schema, std::vector<ChunkResult>& chunks,
+    const std::vector<std::size_t>& offsets,
+    std::vector<DefaultInitVector<std::uint64_t>>& lanes,
+    std::vector<DefaultInitVector<std::int32_t>>& codes, std::size_t threads) {
+  const std::size_t total = offsets.back();
   ColumnStore store(schema);
   for (std::size_t c = 0; c < schema.num_columns(); ++c) {
-    CATMARK_RETURN_IF_ERROR(InstallColumn(store, c, chunks, offsets, total));
+    const ColumnType type = schema.column(c).type;
+    Status status;
+    switch (SinkKind(schema.column(c))) {
+      case ColumnSink::Kind::kLane:
+        status = store.InstallLaneColumn(
+            c, std::move(lanes[c]), MergeNullWords(chunks, c, offsets, total));
+        break;
+      case ColumnSink::Kind::kNumberDict:
+        status = InstallDict(
+            store, c, chunks, &ColumnSink::numbers, std::move(codes[c]),
+            threads,
+            [type](std::uint64_t word) { return LaneValue(type, word); });
+        break;
+      case ColumnSink::Kind::kStringDict:
+        status = InstallDict(
+            store, c, chunks, &ColumnSink::strings, std::move(codes[c]),
+            threads,
+            [](std::string_view key) { return Value(std::string(key)); });
+        break;
+      case ColumnSink::Kind::kStrings: {
+        std::vector<Value> values = std::move(chunks[0].columns[c].values);
+        values.reserve(total);
+        for (std::size_t s = 1; s < chunks.size(); ++s) {
+          std::vector<Value>& part = chunks[s].columns[c].values;
+          values.insert(values.end(), std::make_move_iterator(part.begin()),
+                        std::make_move_iterator(part.end()));
+        }
+        status = store.InstallStringColumn(c, std::move(values));
+        break;
+      }
+    }
+    CATMARK_RETURN_IF_ERROR(status);
   }
   CATMARK_RETURN_IF_ERROR(store.FinalizeInstall(total));
   return Relation(schema, std::move(store));
@@ -529,14 +574,12 @@ std::string WriteCsvString(const Relation& rel) {
   // rows then copy the memoized text by code. Column encodings are resolved
   // once here, not per cell in the row loop.
   std::vector<std::vector<std::string>> rendered(num_cols);
-  std::vector<const std::vector<std::int32_t>*> codes(num_cols, nullptr);
   std::vector<ColumnReader> readers;
   readers.reserve(num_cols);
   for (std::size_t c = 0; c < num_cols; ++c) {
-    readers.emplace_back(rel.store(), c);
-    if (!rel.store().IsDictColumn(c)) continue;
-    codes[c] = &rel.store().Codes(c);
-    const std::vector<Value>& dict = rel.store().Dict(c);
+    const ColumnReader& reader = readers.emplace_back(rel.store(), c);
+    if (!reader.is_dict()) continue;
+    const std::vector<Value>& dict = reader.dict();
     rendered[c].reserve(dict.size());
     for (const Value& v : dict) {
       std::string field;
@@ -548,8 +591,8 @@ std::string WriteCsvString(const Relation& rel) {
   for (std::size_t r = 0; r < rel.NumRows(); ++r) {
     for (std::size_t c = 0; c < num_cols; ++c) {
       if (c > 0) out.push_back(',');
-      if (codes[c] != nullptr) {
-        const std::int32_t code = (*codes[c])[r];
+      if (readers[c].is_dict()) {
+        const std::int32_t code = readers[c].codes()[r];
         if (code >= 0) out.append(rendered[c][static_cast<std::size_t>(code)]);
         // NULL renders as the empty field.
       } else {
@@ -581,36 +624,77 @@ Result<Relation> ReadCsvString(std::string_view text, const Schema& schema,
       num_threads != 0
           ? num_threads
           : EffectiveThreadCount(0, data_size / kMinParallelChunk);
-  // Workers take chunks off a shared counter, so a slow worker takes fewer.
-  // Output does not depend on who parsed what: chunks install in order.
+  // Output does not depend on who parsed what: every chunk writes its own
+  // rows, and the merge runs in chunk order.
   const std::size_t num_chunks =
       threads == 1 ? 1 : threads * kChunksPerThread;
   const std::vector<std::size_t> starts =
       ChunkStarts(text, data_begin, num_chunks);
-  std::vector<ChunkResult> chunks(num_chunks);
-  std::atomic<std::size_t> next_chunk{0};
-  ParallelFor(threads, threads, [&](std::size_t, std::size_t, std::size_t) {
-    for (std::size_t s; (s = next_chunk.fetch_add(1)) < num_chunks;) {
-      ParseChunk(text.substr(starts[s], starts[s + 1] - starts[s]), schema,
-                 chunks[s]);
-    }
+  const auto chunk_text = [&](std::size_t s) {
+    return text.substr(starts[s], starts[s + 1] - starts[s]);
+  };
+
+  // Count: chunk s's rows start at row offsets[s]; the last entry is the
+  // total.
+  std::vector<std::size_t> offsets(num_chunks + 1, 0);
+  ForEachChunk(threads, 0, num_chunks, [&](std::size_t s) {
+    offsets[s] = CountRecords(chunk_text(s));
   });
+  ExclusivePrefixSum(offsets);
+
+  // Every lane and code array is sized once to the total, with no
+  // zero-fill: the parse writes, and so first-touches, each of its rows.
+  const std::size_t num_cols = schema.num_columns();
+  std::vector<DefaultInitVector<std::uint64_t>> lanes(num_cols);
+  std::vector<DefaultInitVector<std::int32_t>> codes(num_cols);
+  for (std::size_t c = 0; c < num_cols; ++c) {
+    const ColumnSink::Kind kind = SinkKind(schema.column(c));
+    if (kind == ColumnSink::Kind::kLane) {
+      lanes[c].resize(offsets.back());
+    } else if (kind != ColumnSink::Kind::kStrings) {
+      codes[c].resize(offsets.back());
+    }
+  }
+
+  // Parse: chunk s writes its record i to row offsets[s] + i.
+  std::vector<ChunkResult> chunks(num_chunks);
+  ForEachChunk(threads, 0, num_chunks, [&](std::size_t s) {
+    ChunkResult& chunk = chunks[s];
+    chunk.columns.resize(num_cols);
+    for (std::size_t c = 0; c < num_cols; ++c) {
+      ColumnSink& sink = chunk.columns[c];
+      sink.kind = SinkKind(schema.column(c));
+      sink.type = schema.column(c).type;
+      if (sink.kind == ColumnSink::Kind::kLane) {
+        sink.bits = lanes[c].data() + offsets[s];
+      } else if (sink.kind != ColumnSink::Kind::kStrings) {
+        sink.codes = codes[c].data() + offsets[s];
+      }
+    }
+    ParseChunk(chunk_text(s), schema, offsets[s + 1] - offsets[s], chunk);
+  });
+
   // The first bad record in input order wins. Chunks start on record
   // starts, so a record's line is 2 plus the records before it, whichever
   // chunk holds it: the Status does not depend on the chunk count.
-  std::size_t rows_before = 0;
-  for (const ChunkResult& chunk : chunks) {
+  for (std::size_t s = 0; s < num_chunks; ++s) {
+    const ChunkResult& chunk = chunks[s];
     if (chunk.unterminated) {
       return Status::InvalidArgument("CSV: unterminated quoted field");
     }
     if (!chunk.bad_record.empty()) {
       return Status::IoError("CSV line " +
-                             std::to_string(rows_before + chunk.rows + 2) +
+                             std::to_string(offsets[s] + chunk.rows + 2) +
                              ": " + chunk.bad_record);
     }
-    rows_before += chunk.rows;
+    if (chunk.overflow || chunk.rows != offsets[s + 1] - offsets[s]) {
+      return Status::Internal("CSV: chunk " + std::to_string(s) +
+                              " parsed a record count other than the " +
+                              std::to_string(offsets[s + 1] - offsets[s]) +
+                              " it counted");
+    }
   }
-  return InstallChunks(schema, chunks);
+  return InstallChunks(schema, chunks, offsets, lanes, codes, threads);
 }
 
 Result<Relation> ReadCsvFile(const std::string& path, const Schema& schema,

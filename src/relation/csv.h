@@ -43,11 +43,26 @@ Status WriteCsvFile(const Relation& rel, const std::string& path);
 /// whole scan reads each byte a bounded number of times, however long a
 /// record is or however many quotes it holds.
 ///
-/// Determinism: the chunks merge in input order. Lanes and STRING values
-/// concatenate; each chunk dictionary interns into the global one in its
-/// own (first-occurrence) order, which reproduces global first-occurrence
-/// code assignment. The result is therefore byte-identical (under
-/// WriteCatmString) at every thread count.
+/// Phases: no row is copied after it is parsed.
+///   1. Count. Each chunk counts its records in parallel: its '\n' bytes
+///      when it holds no '"' and no '\r', else a walk over its records
+///      (a last record with no terminator counts too). A prefix sum gives
+///      each chunk its first row.
+///   2. In-place parse. Every lane and code array is sized once to the
+///      total with no zero-fill (DefaultInitVector), and chunk s writes its
+///      record i to row offsets[s] + i, so the parse workers first-touch
+///      the pages. A chunk keeps its dictionary and NULL words local. A
+///      chunk that parses more or fewer records than it counted fails the
+///      read with an Internal Status.
+///   3. Dictionary merge, serial and O(distinct keys): each later chunk's
+///      keys intern into the first chunk's dictionary in their own
+///      (first-occurrence) order, which reproduces global first-occurrence
+///      code assignment and leaves one remap table per chunk.
+///   4. In-place remap: each later chunk's codes are rewritten through its
+///      table, in parallel. NULL words shift into the lane's bitmap and
+///      plain STRING values concatenate, in chunk order.
+/// The result is therefore byte-identical (under WriteCatmString) at every
+/// thread count.
 ///
 /// Errors: the first bad record wins. A header that does not match is
 /// IoError "CSV: header arity mismatch" / "CSV: header column 'X' !=

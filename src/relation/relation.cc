@@ -135,7 +135,7 @@ bool Relation::SameContent(const Relation& other) const {
         scratch.clear();
         NullValue().SerializeForHash(scratch);
         const std::string null_bytes(scratch.begin(), scratch.end());
-        const std::vector<std::int32_t>& codes = rel.store().Codes(c);
+        const std::span<const std::int32_t> codes = rel.store().Codes(c);
         for (std::size_t r = 0; r < rows; ++r) {
           keys[r] += codes[r] < 0
                          ? null_bytes

@@ -26,7 +26,7 @@ ValueIndexColumn ValueIndexColumn::Build(const Relation& rel, std::size_t col,
       const auto t = domain.IndexOf(dict[code]);
       if (t.has_value()) out.remap_[code] = static_cast<std::int32_t>(*t);
     }
-    out.codes_ = &rel.store().Codes(col);
+    out.codes_ = rel.store().Codes(col);
     out.live_ = &rel.store().DictLiveCounts(col);
     return out;
   }
@@ -66,7 +66,7 @@ ValueIndexColumn ValueIndexColumn::Build(const Relation& rel, std::size_t col,
 std::vector<long> ValueIndexColumn::CountPerCategory(
     std::size_t domain_size) const {
   std::vector<long> counts(domain_size, 0);
-  if (codes_ != nullptr) {
+  if (live_ != nullptr) {
     for (std::size_t code = 0; code < remap_.size(); ++code) {
       const std::int32_t t = remap_[code];
       if (t >= 0 && static_cast<std::size_t>(t) < domain_size) {

@@ -2,6 +2,7 @@
 #define CATMARK_RELATION_VALUE_INDEX_COLUMN_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "relation/domain.h"
@@ -21,9 +22,10 @@ namespace catmark {
 /// plain column it falls back to the materialized per-row cache.
 ///
 /// Aliasing contract (dict path): the view reads the relation's live code
-/// vector, so the relation must outlive the view, and codes interned *after*
-/// Build resolve to kNoIndex (the remap table does not cover them). Rows
-/// appended or removed after Build change size() accordingly. The embed
+/// array, so the relation must outlive the view, and codes interned *after*
+/// Build resolve to kNoIndex (the remap table does not cover them). Cells
+/// rewritten in place (SetCode) show through; appending or removing rows
+/// invalidates the view, as it does ColumnStore::Codes. The embed
 /// apply loop relies on exactly this: it interns the domain's codes first,
 /// builds the view, then reads each row's old index before overwriting it.
 class ValueIndexColumn {
@@ -40,8 +42,8 @@ class ValueIndexColumn {
 
   /// Domain index of row `j`, or kNoIndex.
   std::int32_t index(std::size_t j) const {
-    if (codes_ != nullptr) {
-      const std::int32_t c = (*codes_)[j];
+    if (live_ != nullptr) {
+      const std::int32_t c = codes_[j];
       return (c < 0 || static_cast<std::size_t>(c) >= remap_.size())
                  ? kNoIndex
                  : remap_[static_cast<std::size_t>(c)];
@@ -50,7 +52,7 @@ class ValueIndexColumn {
   }
 
   std::size_t size() const {
-    return codes_ != nullptr ? codes_->size() : index_.size();
+    return live_ != nullptr ? codes_.size() : index_.size();
   }
 
   /// Occurrence count per domain index (kNoIndex cells excluded) — the
@@ -60,8 +62,8 @@ class ValueIndexColumn {
 
  private:
   // Zero-copy path (dictionary columns): aliased store state + remap.
-  const std::vector<std::int32_t>* codes_ = nullptr;
-  const std::vector<std::int64_t>* live_ = nullptr;
+  std::span<const std::int32_t> codes_;
+  const std::vector<std::int64_t>* live_ = nullptr;  // non-null on this path
   std::vector<std::int32_t> remap_;  // dict code -> domain index / kNoIndex
 
   // Materialized fallback (plain columns).

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -183,11 +184,11 @@ TEST(ColumnStoreTest, AppendRowsFromGrowsGeometrically) {
   }
   std::size_t code_growths = 0, value_growths = 0;
   for (std::size_t a = 0; a < kAppends; ++a) {
-    const std::size_t codes_before = dst.store().Codes(1).capacity();
-    // A lane reallocation moves its storage.
+    // A reallocation moves a column's storage.
+    const std::int32_t* codes_before = dst.store().Codes(1).data();
     const std::uint64_t* lane_before = dst.store().Lane(0).bits.data();
     ASSERT_TRUE(dst.AppendRowsFrom(src, indices).ok());
-    code_growths += dst.store().Codes(1).capacity() != codes_before;
+    code_growths += dst.store().Codes(1).data() != codes_before;
     value_growths += dst.store().Lane(0).bits.data() != lane_before;
   }
   EXPECT_EQ(dst.NumRows(), kBatch * kAppends);
@@ -215,7 +216,7 @@ TEST(ColumnStoreTest, AppendRowsFromOverrideInternsInRowOrder) {
   rows.AppendRowUnchecked({Value(std::int64_t{1}), Value("red"), Value(1.0)});
   rows.AppendRowUnchecked({Value(std::int64_t{2}), Value("green"), Value(2.0)});
   rows.AppendRowUnchecked({Value(std::int64_t{3}), Value(), Value(3.0)});
-  EXPECT_EQ(bulk.store().Codes(1), rows.store().Codes(1));
+  EXPECT_TRUE(std::ranges::equal(bulk.store().Codes(1), rows.store().Codes(1)));
   EXPECT_EQ(bulk.store().Dict(1), rows.store().Dict(1));
   EXPECT_EQ(bulk.store().DictLiveCounts(1), rows.store().DictLiveCounts(1));
 

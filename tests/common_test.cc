@@ -2,6 +2,7 @@
 
 #include "common/bits.h"
 #include "common/bitvec.h"
+#include "common/default_init.h"
 #include "common/hex.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -315,6 +316,26 @@ TEST(StrUtilTest, StartsEndsWith) {
 TEST(StrUtilTest, StrFormatFormats) {
   EXPECT_EQ(StrFormat("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(StrFormat("%.2f", 3.14159), "3.14");
+}
+
+// ---------------------------------------------------------- DefaultInit
+
+TEST(DefaultInitVectorTest, BehavesAsAVectorWhereValuesAreGiven) {
+  DefaultInitVector<std::uint64_t> v;
+  v.push_back(7);
+  v.resize(4, 9);  // an explicit value fills as std::vector does
+  EXPECT_EQ(v, (DefaultInitVector<std::uint64_t>{7, 9, 9, 9}));
+  v.resize(2);  // shrinking keeps the prefix
+  EXPECT_EQ(v, (DefaultInitVector<std::uint64_t>{7, 9}));
+  // A value-less grow leaves the new slots to their owner; the old ones
+  // survive the reallocation.
+  v.resize(1000);
+  for (std::size_t i = 2; i < v.size(); ++i) v[i] = i;
+  EXPECT_EQ(v[0], 7u);
+  EXPECT_EQ(v[1], 9u);
+  EXPECT_EQ(v[999], 999u);
+  const DefaultInitVector<std::uint64_t> copy = v;
+  EXPECT_EQ(copy, v);
 }
 
 }  // namespace

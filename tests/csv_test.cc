@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -314,11 +315,180 @@ TEST(CsvCellTest, NegativeZeroKeepsItsOwnDictEntry) {
   ASSERT_EQ(dict.size(), 2u);
   EXPECT_TRUE(std::signbit(dict[0].AsDouble()));
   EXPECT_FALSE(std::signbit(dict[1].AsDouble()));
-  EXPECT_EQ(back.store().Codes(1), (std::vector<std::int32_t>{0, 1, 1, 0}));
+  EXPECT_TRUE(std::ranges::equal(back.store().Codes(1),
+                                 std::vector<std::int32_t>{0, 1, 1, 0}));
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     const Relation par = ReadCsvString(text, schema, threads).value();
     EXPECT_EQ(WriteCatmString(par), WriteCatmString(back)) << threads;
   }
+}
+
+// --- in-place parallel read ------------------------------------------------
+//
+// A parallel read counts each chunk's records, sizes every lane and code
+// array once, and has each chunk write its rows in place. These inputs put
+// a chunk's record count and its newline count apart, and put NULLs and
+// first-seen dictionary keys in late chunks; 16 workers cut a few hundred
+// records into 64 chunks of a few records each.
+
+Schema MixedSchema() {
+  return Schema::Create({{"K", ColumnType::kInt64, false},
+                         {"A", ColumnType::kString, true},
+                         {"N", ColumnType::kInt64, true},
+                         {"X", ColumnType::kDouble, false},
+                         {"S", ColumnType::kString, false}},
+                        "K")
+      .value();
+}
+
+/// `rows` records over MixedSchema(), each ended by `eol`. X is NULL at
+/// every row r with r % 7 == 3, S at every r % 11 == 0. The last tenth of
+/// the rows takes A and N keys no earlier row holds. With `quoted_breaks`
+/// every A field holds a quoted \n and every S field a quoted \r\n.
+std::string MixedCsv(std::size_t rows, const std::string& eol,
+                     bool quoted_breaks) {
+  std::string text = "K,A,N,X,S" + eol;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const bool late = r >= rows - rows / 10;
+    const std::string a = (late ? "late" : "a") + std::to_string(r % 5);
+    const std::size_t n = late ? 1000 + r % 3 : r % 4;
+    text += std::to_string(r) + ",";
+    text += quoted_breaks ? "\"" + a + "\nx\"" : a;
+    text += "," + std::to_string(n) + ",";
+    if (r % 7 != 3) text += std::to_string(r) + ".5";
+    text += ",";
+    if (r % 11 != 0) {
+      const std::string str = "s" + std::to_string(r);
+      text += quoted_breaks ? "\"" + str + "\r\nt\"" : str;
+    }
+    text += eol;
+  }
+  return text;
+}
+
+/// Reads `text` on one thread, then on 2, 3, 8 and 16; every parallel read
+/// must give the one-thread relation and its .catm image. Returns the
+/// one-thread read.
+Relation ExpectSameAtEveryThreadCount(const std::string& text,
+                                      const Schema& schema) {
+  Result<Relation> serial = ReadCsvString(text, schema, 1);
+  EXPECT_TRUE(serial.ok()) << serial.status().ToString();
+  if (!serial.ok()) return Relation(schema);
+  const std::string image = WriteCatmString(*serial);
+  for (const std::size_t threads : {2u, 3u, 8u, 16u}) {
+    const Result<Relation> par = ReadCsvString(text, schema, threads);
+    EXPECT_TRUE(par.ok()) << threads << ": " << par.status().ToString();
+    if (!par.ok()) continue;
+    EXPECT_TRUE(par->SameContent(*serial)) << threads << " threads";
+    EXPECT_EQ(WriteCatmString(*par), image) << threads << " threads";
+  }
+  return std::move(*serial);
+}
+
+/// Checks the cells MixedCsv wrote into `rel`.
+void ExpectMixedCells(const Relation& rel, std::size_t rows,
+                      bool quoted_breaks) {
+  ASSERT_EQ(rel.NumRows(), rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    EXPECT_EQ(rel.Get(r, 0).AsInt64(), static_cast<std::int64_t>(r));
+    EXPECT_EQ(rel.Get(r, 3).is_null(), r % 7 == 3) << r;
+    EXPECT_EQ(rel.Get(r, 4).is_null(), r % 11 == 0) << r;
+  }
+  if (quoted_breaks) {
+    EXPECT_EQ(rel.Get(0, 1).AsString(), "a0\nx");
+    EXPECT_EQ(rel.Get(1, 4).AsString(), "s1\r\nt");
+  }
+}
+
+TEST(CsvInPlaceTest, QuotedNewlinesAndCrLfsAreNotRecordEnds) {
+  for (const std::string eol : {"\n", "\r\n"}) {
+    const std::string text = MixedCsv(400, eol, /*quoted_breaks=*/true);
+    ExpectMixedCells(ExpectSameAtEveryThreadCount(text, MixedSchema()), 400,
+                     true);
+  }
+}
+
+TEST(CsvInPlaceTest, LoneCrEndsRecords) {
+  for (const bool quoted_breaks : {false, true}) {
+    const std::string text = MixedCsv(400, "\r", quoted_breaks);
+    ExpectMixedCells(ExpectSameAtEveryThreadCount(text, MixedSchema()), 400,
+                     quoted_breaks);
+  }
+}
+
+TEST(CsvInPlaceTest, LastRecordWithoutTerminator) {
+  for (const std::string eol : {"\n", "\r", "\r\n"}) {
+    for (const bool quoted_breaks : {false, true}) {
+      std::string text = MixedCsv(300, eol, quoted_breaks);
+      text.resize(text.size() - eol.size());
+      ExpectMixedCells(ExpectSameAtEveryThreadCount(text, MixedSchema()),
+                       300, quoted_breaks);
+    }
+  }
+}
+
+TEST(CsvInPlaceTest, NullsLandAtTheirRowsWhateverTheChunkOffset) {
+  // 16 workers cut 1000 records into 64 chunks of about 15: almost no
+  // chunk starts on a multiple of 64, so each chunk's NULL words shift
+  // into the lane's bitmap.
+  const Relation rel =
+      ExpectSameAtEveryThreadCount(MixedCsv(1000, "\n", false), MixedSchema());
+  ExpectMixedCells(rel, 1000, false);
+  const NumericLane lane = rel.store().Lane(3);
+  ASSERT_FALSE(lane.null_words.empty());
+  for (std::size_t r = 0; r < rel.NumRows(); ++r) {
+    EXPECT_EQ(lane.IsNull(r), r % 7 == 3) << r;
+    if (lane.IsNull(r)) {
+      EXPECT_EQ(lane.bits[r], 0u) << r;
+    }
+  }
+}
+
+TEST(CsvInPlaceTest, KeysFirstSeenInALateChunkTakeTheLastCodes) {
+  const Relation rel =
+      ExpectSameAtEveryThreadCount(MixedCsv(600, "\n", false), MixedSchema());
+  // Codes follow first occurrence: a0..a4 then late0..late4; 0..3 then
+  // 1000..1002.
+  const std::vector<Value>& strings = rel.store().Dict(1);
+  ASSERT_EQ(strings.size(), 10u);
+  EXPECT_EQ(strings[0].AsString(), "a0");
+  EXPECT_EQ(strings[5].AsString().substr(0, 4), "late");
+  const std::vector<Value>& numbers = rel.store().Dict(2);
+  ASSERT_EQ(numbers.size(), 7u);
+  EXPECT_EQ(numbers[3].AsInt64(), 3);
+  EXPECT_GE(numbers[4].AsInt64(), 1000);
+  const std::vector<std::int64_t>& live = rel.store().DictLiveCounts(2);
+  EXPECT_EQ(live[4] + live[5] + live[6], 60);
+}
+
+TEST(CsvInPlaceTest, FewerRecordsThanChunks) {
+  for (const std::size_t rows : {0u, 1u, 3u}) {
+    ExpectMixedCells(
+        ExpectSameAtEveryThreadCount(MixedCsv(rows, "\n", true), MixedSchema()),
+        rows, rows >= 2);
+  }
+}
+
+TEST(CsvInPlaceTest, RunAwayQuoteLeavesLaterChunksEmpty) {
+  // Record 40's S field opens a quote that never closes: every chunk
+  // boundary after it collapses to the end of the input.
+  std::string text = MixedCsv(400, "\n", false);
+  const std::size_t at = text.find(",s40\n");
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at + 1, "\"");
+  ExpectCsvError(text, MixedSchema(), StatusCode::kInvalidArgument,
+                 "CSV: unterminated quoted field");
+  for (const std::size_t threads : {3u, 16u}) {
+    const Result<Relation> read = ReadCsvString(text, MixedSchema(), threads);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.status().message(), "CSV: unterminated quoted field");
+  }
+  // A bad record before the run-away quote still wins.
+  const std::size_t bad = text.find("\n12,");
+  ASSERT_NE(bad, std::string::npos);
+  text.insert(bad + 1, "x");
+  ExpectCsvError(text, MixedSchema(), StatusCode::kIoError,
+                 "CSV line 14: cannot parse INT64 from 'x12'");
 }
 
 }  // namespace

@@ -213,6 +213,30 @@ TEST(InjectionTest, InvalidKeysOrEReturnInvalidArgument) {
   EXPECT_TRUE(rel.SameContent(before));
 }
 
+// A base smaller than e has no bandwidth to derive a payload length from:
+// Inject refuses it, as Embedder::Embed does, and leaves the relation
+// untouched. A pinned payload length still injects.
+TEST(InjectionTest, DerivingPayloadLengthFromTooSmallBaseFails) {
+  Relation rel = StandardRelation(50);
+  const Relation before = rel;
+  InjectionConfig config;
+  config.padd = 0.1;
+  WatermarkParams params;
+  params.e = 60;
+  const FitTupleInjector derive(WatermarkKeySet::FromSeed(12), params);
+  const Status status =
+      derive.Inject(rel, KA(), MakeWatermark(10, 12), config).status();
+  EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
+  EXPECT_TRUE(rel.SameContent(before));
+
+  params.payload_length = 10;
+  const FitTupleInjector pinned(WatermarkKeySet::FromSeed(12), params);
+  const Result<InjectionReport> report =
+      pinned.Inject(rel, KA(), MakeWatermark(10, 12), config);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->payload_length, 10u);
+}
+
 TEST(InjectionTest, StringKeysSupported) {
   Relation rel(Schema::Create({{"K", ColumnType::kString, false},
                                {"A", ColumnType::kString, true}},
