@@ -35,8 +35,7 @@ void Run(const ExperimentConfig& config) {
         // Small-N runs (CI smoke) can derive a bandwidth N/e below the
         // code's minimum; pin the payload to the floor so every family
         // stays runnable at any N.
-        const std::size_t min_payload =
-            CreateEcc(ecc)->MinPayloadLength(config.wm_bits);
+        const std::size_t min_payload = MinPayloadLength(ecc, config.wm_bits);
         const std::size_t derived = DerivePayloadLength(
             config.num_tuples, params.e, config.wm_bits);
         if (derived < min_payload) params.payload_length = min_payload;

@@ -121,18 +121,18 @@ struct LegacyRowInserter {
   WatermarkParams params;
   CategoricalDomain domain;
   std::size_t payload_length = 0;
-  BitVector wm_data;
+  PayloadBits wm_data;
   std::unique_ptr<KeyedPrf> prf_k1;
   std::unique_ptr<KeyedPrf> prf_k2;
 
   LegacyRowInserter(const WatermarkKeySet& keys, const WatermarkParams& p,
                     const EmbedReport& report, const BitVector& wm)
       : params(p), domain(report.domain),
-        payload_length(report.payload_length) {
+        payload_length(report.payload_length),
+        wm_data(PayloadBits::Create(p.ecc, wm, payload_length).value()) {
     params.prf = params.prf.value_or(report.prf);
     prf_k1 = CreateKeyedPrf(*params.prf, keys.k1, params.hash_algo);
     prf_k2 = CreateKeyedPrf(*params.prf, keys.k2, params.hash_algo);
-    wm_data = CreateEcc(params.ecc)->Encode(wm, payload_length).value();
   }
 
   bool Insert(Relation& rel, Row row) const {

@@ -53,17 +53,6 @@ Result<Value> DecodeValue(std::string_view text) {
   return Status::InvalidArgument("unknown value tag");
 }
 
-std::string_view EccName(EccKind kind) { return EccKindName(kind); }
-
-Result<EccKind> EccFromName(std::string_view name) {
-  for (const EccKind kind :
-       {EccKind::kMajorityVoting, EccKind::kIdentity,
-        EccKind::kBlockRepetition, EccKind::kHamming74}) {
-    if (EccKindName(kind) == name) return kind;
-  }
-  return Status::InvalidArgument("unknown ecc '" + std::string(name) + "'");
-}
-
 /// A certificate's unsigned integer field: the whole value must be plain
 /// decimal digits (no sign, no space) and lie in [min, max]. Claimants
 /// write certificates, so a field that fails here is rejected instead of
@@ -152,7 +141,7 @@ std::string WatermarkCertificate::Serialize() const {
   out += "key_attr=" + key_attr + "\n";
   out += "target_attr=" + target_attr + "\n";
   out += "e=" + std::to_string(params.e) + "\n";
-  out += "ecc=" + std::string(EccName(params.ecc)) + "\n";
+  out += "ecc=" + std::string(EccKindName(params.ecc)) + "\n";
   out += "hash=" + std::string(HashAlgorithmName(params.hash_algo)) + "\n";
   out += "prf=" +
          std::string(PrfKindName(params.prf.value_or(PrfKind::kKeyedHash))) +
@@ -221,7 +210,7 @@ Result<WatermarkCertificate> WatermarkCertificate::Deserialize(
           ParseUintField(key, value, 1,
                          std::numeric_limits<std::uint64_t>::max()));
     } else if (key == "ecc") {
-      CATMARK_ASSIGN_OR_RETURN(cert.params.ecc, EccFromName(value));
+      CATMARK_ASSIGN_OR_RETURN(cert.params.ecc, EccKindFromName(value));
     } else if (key == "hash") {
       CATMARK_ASSIGN_OR_RETURN(cert.params.hash_algo, HashFromName(value));
     } else if (key == "prf") {

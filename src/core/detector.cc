@@ -96,9 +96,8 @@ Status FinishVoteTally(std::span<const SlotVote> runs, std::size_t payload_len,
                             ? 0.0
                             : static_cast<double>(result.positions_present) /
                                   static_cast<double>(payload_len);
-  const std::unique_ptr<ErrorCorrectingCode> ecc = CreateEcc(ecc_kind);
   CATMARK_ASSIGN_OR_RETURN(DecodedMark decoded,
-                           ecc->Decode(runs, payload_len, wm_len));
+                           Decode(ecc_kind, runs, payload_len, wm_len));
   result.wm = std::move(decoded.wm);
   result.bit_confidence = std::move(decoded.confidence);
   return Status::OK();

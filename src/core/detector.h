@@ -111,7 +111,7 @@ std::vector<SlotVote>& MergeSlotRuns(std::span<std::vector<SlotVote>> parts,
 /// Turns the folded runs of a `payload_len`-position payload into the
 /// decoded-payload fields of `result`: positions_present (the nonzero
 /// runs), payload_fill (positions_present / payload_len), wm and
-/// bit_confidence, via one ErrorCorrectingCode::Decode over the runs.
+/// bit_confidence, via one ECC Decode over the runs.
 /// O(runs + |wm|) whatever payload length a certificate claims. The
 /// DetectEngine per-key pass runs it under either position source and on
 /// either key layout.

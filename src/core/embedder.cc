@@ -1,6 +1,8 @@
 #include "core/embedder.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,8 +109,8 @@ Result<EmbedReport> Embedder::Embed(Relation& rel,
     }
   }
 
-  // The params the plan runs with: payload length resolved here, before the
-  // ECC sizes wm_data by it, and the PRF backend pinned below.
+  // The params the plan runs with: payload length resolved here, before
+  // wm_data is set up over it, and the PRF backend pinned below.
   WatermarkParams resolved = params_;
   CATMARK_ASSIGN_OR_RETURN(resolved.payload_length,
                            ResolvePayloadLength(params_, rel.NumRows(),
@@ -116,9 +118,8 @@ Result<EmbedReport> Embedder::Embed(Relation& rel,
   const std::size_t payload_len = resolved.payload_length;
   report.payload_length = payload_len;
 
-  const std::unique_ptr<ErrorCorrectingCode> ecc = CreateEcc(params_.ecc);
-  CATMARK_ASSIGN_OR_RETURN(const BitVector wm_data,
-                           ecc->Encode(wm, payload_len));
+  CATMARK_ASSIGN_OR_RETURN(const PayloadBits wm_data,
+                           PayloadBits::Create(params_.ecc, wm, payload_len));
 
   // Parallel precompute: the fit tuples with their fitness hashes and (on
   // the k2 path) payload indices in one pass, plus the domain-index view of
@@ -160,8 +161,11 @@ Result<EmbedReport> Embedder::Embed(Relation& rel,
   // earlier one. An embedding-map entry is recorded only once the tuple's
   // alteration (or unchanged hit) is committed — skipped tuples must not
   // occupy map slots, or the map-based detector would vote on positions
-  // that were never written.
-  std::vector<std::uint8_t> position_seen(payload_len, 0);
+  // that were never written. positions_written counts the distinct
+  // positions among the committed ones, sorted once at the end, so nothing
+  // is sized by the payload length. Positions lie below kMaxPayloadLength,
+  // so they fit 32 bits.
+  std::vector<std::uint32_t> committed;
   std::size_t next_map_index = 0;
   for (const std::vector<FitTuple>& shard : plan.shards) {
     for (const FitTuple& fit : shard) {
@@ -204,10 +208,7 @@ Result<EmbedReport> Embedder::Embed(Relation& rel,
         ++report.altered_tuples;
       }
 
-      if (!position_seen[idx]) {
-        position_seen[idx] = 1;
-        ++report.positions_written;
-      }
+      committed.push_back(static_cast<std::uint32_t>(idx));
       if (map_mode) {
         report.embedding_map.Insert(rel.Get(j, key_col), idx);
         ++next_map_index;
@@ -216,6 +217,9 @@ Result<EmbedReport> Embedder::Embed(Relation& rel,
     }
   }
 
+  std::sort(committed.begin(), committed.end());
+  report.positions_written = static_cast<std::size_t>(
+      std::unique(committed.begin(), committed.end()) - committed.begin());
   report.alteration_fraction =
       static_cast<double>(report.altered_tuples) /
       static_cast<double>(report.num_tuples);

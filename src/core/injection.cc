@@ -65,9 +65,9 @@ Result<InjectionReport> FitTupleInjector::Inject(
   CATMARK_ASSIGN_OR_RETURN(report.payload_length,
                            ResolvePayloadLength(params_, base_n, wm.size()));
 
-  const std::unique_ptr<ErrorCorrectingCode> ecc = CreateEcc(params_.ecc);
-  CATMARK_ASSIGN_OR_RETURN(const BitVector wm_data,
-                           ecc->Encode(wm, report.payload_length));
+  CATMARK_ASSIGN_OR_RETURN(
+      const PayloadBits wm_data,
+      PayloadBits::Create(params_.ecc, wm, report.payload_length));
 
   // The injected tuples must be fit under the same PRF backend the victim
   // detection run will use.

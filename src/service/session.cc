@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/codec.h"
-#include "ecc/code.h"
 
 namespace catmark {
 
@@ -77,7 +76,8 @@ Status SessionSpec::Validate() const {
   return Status::OK();
 }
 
-StreamSession::StreamSession(SessionSpec spec) : spec_(std::move(spec)) {
+StreamSession::StreamSession(SessionSpec spec, PayloadBits wm_data)
+    : spec_(std::move(spec)), wm_data_(std::move(wm_data)) {
   prf_k1_ = CreateKeyedPrf(*spec_.params.prf, spec_.keys.k1,
                            spec_.params.hash_algo);
   prf_k2_ = CreateKeyedPrf(*spec_.params.prf, spec_.keys.k2,
@@ -88,12 +88,11 @@ StreamSession::StreamSession(SessionSpec spec) : spec_(std::move(spec)) {
 
 Result<StreamSession> StreamSession::Create(SessionSpec spec) {
   CATMARK_RETURN_IF_ERROR(spec.Validate());
-  StreamSession session(std::move(spec));
-  const auto ecc = CreateEcc(session.spec_.params.ecc);
   CATMARK_ASSIGN_OR_RETURN(
-      session.wm_data_,
-      ecc->Encode(session.spec_.wm, session.spec_.params.payload_length));
-  return session;
+      PayloadBits wm_data,
+      PayloadBits::Create(spec.params.ecc, spec.wm,
+                          spec.params.payload_length));
+  return StreamSession(std::move(spec), std::move(wm_data));
 }
 
 Status StreamSession::BindColumns(const Relation& rel) {

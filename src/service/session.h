@@ -18,6 +18,7 @@
 #include "core/params.h"
 #include "core/fit_scan.h"
 #include "crypto/prf.h"
+#include "ecc/code.h"
 #include "relation/column_store.h"
 #include "relation/domain.h"
 #include "relation/relation.h"
@@ -180,7 +181,7 @@ class StreamSession {
       std::unordered_map<std::string, Verdict, TransparentStringHash,
                          std::equal_to<>>;
 
-  explicit StreamSession(SessionSpec spec);
+  StreamSession(SessionSpec spec, PayloadBits wm_data);
 
   /// Binds key/target column indices for `rel`, memoized on the relation's
   /// schema identity so consecutive batches against the same relation skip
@@ -192,7 +193,7 @@ class StreamSession {
   Verdict VerdictFor(const Value& key_value);
 
   SessionSpec spec_;
-  BitVector wm_data_;  // ECC-expanded payload
+  PayloadBits wm_data_;  // the ECC-expanded payload, looked up per slot
   // Built once: inserts must not pay the backend's key schedule (for
   // siphash24, a SHA-256 key derivation) per tuple, let alone per batch.
   std::unique_ptr<KeyedPrf> prf_k1_;

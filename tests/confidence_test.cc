@@ -5,57 +5,62 @@
 #include "attack/attacks.h"
 #include "core/detector.h"
 #include "core/embedder.h"
-#include "ecc/majority.h"
+#include "ecc/code.h"
 #include "exp/harness.h"
 #include "gen/sales_gen.h"
+#include "reference_scheme.h"
 
 namespace catmark {
 namespace {
 
 /// Majority-code confidence over detection's view of a payload: one ±1
 /// run per present position; an erased position has no run.
-std::vector<double> Confidence(const MajorityVotingCode& code,
-                               const BitVector& bits, const BitVector& present,
+std::vector<double> Confidence(const BitVector& bits, const BitVector& present,
                                std::size_t wm_len) {
   std::vector<SlotVote> runs;
   for (std::size_t i = 0; i < bits.size(); ++i) {
     if (present.Get(i)) runs.push_back({i, bits.Get(i) ? 1 : -1});
   }
-  return code.Decode(runs, bits.size(), wm_len).value().confidence;
+  return Decode(EccKind::kMajorityVoting, runs, bits.size(), wm_len)
+      .value()
+      .confidence;
+}
+
+/// wm_data for majority voting, written out by the oracle.
+BitVector MajorityPayload(const BitVector& wm, std::size_t len) {
+  return reference::ReferencePayload(EccKind::kMajorityVoting, wm, len)
+      .value();
 }
 
 TEST(MajorityConfidenceTest, UnanimousVotesGiveFullConfidence) {
-  MajorityVotingCode code;
   const BitVector wm = MakeWatermark(5, 1);
-  const BitVector payload = code.Encode(wm, 100).value();
+  const BitVector payload = MajorityPayload(wm, 100);
   const std::vector<double> conf =
-      Confidence(code, payload, BitVector(payload.size(), 1), 5);
+      Confidence(payload, BitVector(payload.size(), 1), 5);
   ASSERT_EQ(conf.size(), 5u);
   for (double c : conf) EXPECT_DOUBLE_EQ(c, 1.0);
 }
 
 TEST(MajorityConfidenceTest, ErasedBitsGetZero) {
-  MajorityVotingCode code;
   const BitVector wm = MakeWatermark(5, 2);
-  const BitVector payload = code.Encode(wm, 100).value();
+  const BitVector payload = MajorityPayload(wm, 100);
   BitVector present(payload.size(), 1);
   // Erase every position of residue class 0 (0, 5, 10, ...).
   for (std::size_t i = 0; i < payload.size(); i += 5) {
     present.Set(i, 0);
   }
-  const std::vector<double> conf = Confidence(code, payload, present, 5);
+  const std::vector<double> conf = Confidence(payload, present, 5);
   EXPECT_DOUBLE_EQ(conf[0], 0.0);
   for (std::size_t j = 1; j < 5; ++j) EXPECT_DOUBLE_EQ(conf[j], 1.0);
 }
 
 TEST(MajorityConfidenceTest, FlipsReduceConfidenceProportionally) {
-  MajorityVotingCode code;
   const BitVector wm = BitVector(4, 1);
-  BitVector payload = code.Encode(wm, 100).value();  // 25 votes per bit
+  BitVector payload = MajorityPayload(wm, 100);  // 25 votes per bit
   // Flip 5 of bit 0's votes: margin 15/25 = 0.6.
   for (std::size_t k = 0; k < 5; ++k) payload.Flip(k * 4);
   const std::vector<double> conf =
-      Confidence(code, payload, BitVector(payload.size(), 1), 4);
+      Confidence(payload, BitVector(payload.size(), 1), 4);
   EXPECT_NEAR(conf[0], 0.6, 1e-12);
   EXPECT_DOUBLE_EQ(conf[1], 1.0);
 }

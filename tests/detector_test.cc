@@ -382,6 +382,29 @@ TEST(DetectorTest, DerivedPayloadLengthFailsWhenEExceedsSuspectSize) {
   EXPECT_TRUE(detector.Detect(tiny, DetectKA(m.report), 10).ok());
 }
 
+// Regression: majority decoding used to accept a payload shorter than the
+// mark, so a claim of `--payload-length 1` folded every vote onto bit 0 and
+// read the other bits as erased zeros — an all-zero claimed mark then
+// matched almost everywhere under any key. Every code now refuses a payload
+// below its minimum, naming the length.
+TEST(DetectorTest, PayloadShorterThanTheMarkIsInvalidArgument) {
+  const Marked m = EmbedStandard(17);
+  for (const EccKind ecc :
+       {EccKind::kMajorityVoting, EccKind::kIdentity,
+        EccKind::kBlockRepetition, EccKind::kHamming74}) {
+    WatermarkParams params = m.params;
+    params.ecc = ecc;
+    params.payload_length = 1;
+    const Status status = Detector(WatermarkKeySet::FromSeed(999), params)
+                              .Detect(m.rel, DetectKA(m.report), m.wm.size())
+                              .status();
+    EXPECT_TRUE(status.IsInvalidArgument())
+        << EccKindName(ecc) << ": " << status.ToString();
+    EXPECT_NE(status.ToString().find("payload length 1 "), std::string::npos)
+        << status.ToString();
+  }
+}
+
 // -------------------------------------------------------------- MatchStats
 
 TEST(MatchStatsTest, PerfectMatch) {

@@ -1,25 +1,34 @@
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/bitvec.h"
+#include "core/params.h"
 #include "ecc/code.h"
-#include "ecc/hamming.h"
-#include "ecc/identity.h"
-#include "ecc/interleaver.h"
-#include "ecc/majority.h"
-#include "ecc/repetition.h"
 #include "random/rng.h"
+#include "reference_scheme.h"
 
 namespace catmark {
 namespace {
 
+constexpr EccKind kAllKinds[] = {EccKind::kMajorityVoting, EccKind::kIdentity,
+                                 EccKind::kBlockRepetition,
+                                 EccKind::kHamming74};
+
 BitVector RandomBits(std::size_t n, std::uint64_t seed) {
   Xoshiro256ss rng(seed);
   return BitVector::FromGenerator(n, [&] { return rng.Next(); });
+}
+
+/// wm_data written out slot by slot through PayloadBits::Get.
+BitVector Written(EccKind kind, const BitVector& wm, std::size_t len) {
+  const PayloadBits bits = PayloadBits::Create(kind, wm, len).value();
+  BitVector out(len);
+  for (std::size_t i = 0; i < len; ++i) out.Set(i, bits.Get(i));
+  return out;
 }
 
 /// Detection's view of a payload: one ±1 run per present position; an
@@ -42,274 +51,278 @@ Payload FullyPresent(const BitVector& bits) {
   return WithErasures(bits, BitVector(bits.size(), 1));
 }
 
-Result<BitVector> Decode(const ErrorCorrectingCode& code, const Payload& p,
-                         std::size_t wm_len) {
-  Result<DecodedMark> decoded = code.Decode(p.runs, p.length, wm_len);
+Result<BitVector> DecodeWm(EccKind kind, const Payload& p,
+                           std::size_t wm_len) {
+  Result<DecodedMark> decoded = Decode(kind, p.runs, p.length, wm_len);
   if (!decoded.ok()) return decoded.status();
   return std::move(decoded).value().wm;
 }
 
 // --------------------------------------------------------- shared contract
 
-/// Parameterized over (EccKind, wm_len, payload_len): every code must
-/// satisfy decode(encode(wm)) == wm on an undamaged payload.
-class EccRoundTripTest
+/// Parameterized over (EccKind, |wm|, L): PayloadBits::Get must match the
+/// oracle's literal wm_data at every slot, and Decode over the undamaged
+/// runs must return the mark. L runs over the code's minimum, one past it,
+/// 2·min + 3 and 1000.
+class PayloadBitsTest
     : public ::testing::TestWithParam<std::tuple<EccKind, int, int>> {};
 
-TEST_P(EccRoundTripTest, CleanRoundTrip) {
-  const auto [kind, wm_len, payload_len] = GetParam();
-  const auto code = CreateEcc(kind);
+TEST_P(PayloadBitsTest, MatchesReferenceAndRoundTrips) {
+  const auto [kind, wm_len, length_choice] = GetParam();
   const BitVector wm = RandomBits(static_cast<std::size_t>(wm_len), 99);
-  if (static_cast<std::size_t>(payload_len) <
-      code->MinPayloadLength(wm.size())) {
-    EXPECT_FALSE(code->Encode(wm, static_cast<std::size_t>(payload_len)).ok());
-    return;
-  }
-  const BitVector payload =
-      code->Encode(wm, static_cast<std::size_t>(payload_len)).value();
-  EXPECT_EQ(payload.size(), static_cast<std::size_t>(payload_len));
-  const BitVector decoded =
-      Decode(*code, FullyPresent(payload), wm.size()).value();
-  EXPECT_EQ(decoded, wm) << EccKindName(kind) << " wm=" << wm_len
-                         << " payload=" << payload_len;
+  const std::size_t min_len = MinPayloadLength(kind, wm.size());
+  const std::size_t lengths[] = {min_len, min_len + 1, 2 * min_len + 3, 1000};
+  const std::size_t len = lengths[length_choice];
+  const std::string where = std::string(EccKindName(kind)) +
+                            " wm=" + std::to_string(wm_len) +
+                            " L=" + std::to_string(len);
+
+  const BitVector want = reference::ReferencePayload(kind, wm, len).value();
+  const BitVector got = Written(kind, wm, len);
+  EXPECT_EQ(got.ToString(), want.ToString()) << where;
+
+  EXPECT_EQ(DecodeWm(kind, FullyPresent(got), wm.size()).value(), wm)
+      << where;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllCodes, EccRoundTripTest,
-    ::testing::Combine(::testing::Values(EccKind::kMajorityVoting,
-                                         EccKind::kIdentity,
-                                         EccKind::kBlockRepetition,
-                                         EccKind::kHamming74),
-                       ::testing::Values(1, 4, 10, 32),
-                       ::testing::Values(10, 64, 100, 1000)));
+    AllCodes, PayloadBitsTest,
+    ::testing::Combine(::testing::ValuesIn(kAllKinds),
+                       ::testing::Values(1, 4, 5, 16, 17),
+                       ::testing::Values(0, 1, 2, 3)));
+
+TEST(EccContractTest, MinPayloadLengths) {
+  for (const EccKind kind : {EccKind::kMajorityVoting, EccKind::kIdentity,
+                             EccKind::kBlockRepetition}) {
+    EXPECT_EQ(MinPayloadLength(kind, 1), 1u);
+    EXPECT_EQ(MinPayloadLength(kind, 10), 10u);
+  }
+  EXPECT_EQ(MinPayloadLength(EccKind::kHamming74, 4), 7u);
+  EXPECT_EQ(MinPayloadLength(EccKind::kHamming74, 5), 14u);
+  EXPECT_EQ(MinPayloadLength(EccKind::kHamming74, 10), 21u);
+}
+
+TEST(EccContractTest, EveryCodeRejectsAnEmptyMarkOrAShortPayload) {
+  for (const EccKind kind : kAllKinds) {
+    const BitVector wm = RandomBits(10, 6);
+    const std::size_t min_len = MinPayloadLength(kind, wm.size());
+    EXPECT_TRUE(PayloadBits::Create(kind, BitVector(), 10)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(PayloadBits::Create(kind, wm, min_len - 1)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(PayloadBits::Create(kind, wm, min_len).ok());
+
+    EXPECT_FALSE(DecodeWm(kind, FullyPresent(BitVector(10)), 0).ok());
+    const Status short_payload =
+        DecodeWm(kind, FullyPresent(BitVector(min_len - 1)), wm.size())
+            .status();
+    EXPECT_TRUE(short_payload.IsInvalidArgument()) << EccKindName(kind);
+  }
+}
+
+TEST(EccContractTest, RejectsSlotBeyondPayload) {
+  // The runs analogue of a bits/present length mismatch: a run naming a
+  // position the payload does not have.
+  for (const EccKind kind : kAllKinds) {
+    Payload bad = FullyPresent(BitVector(20));
+    bad.length = 19;
+    EXPECT_FALSE(DecodeWm(kind, bad, 4).ok()) << EccKindName(kind);
+  }
+}
+
+TEST(EccContractTest, RejectsUnsortedRuns) {
+  for (const EccKind kind : kAllKinds) {
+    Payload bad = FullyPresent(BitVector(20));
+    std::swap(bad.runs[2], bad.runs[3]);
+    EXPECT_FALSE(DecodeWm(kind, bad, 4).ok()) << EccKindName(kind);
+  }
+}
+
+TEST(EccContractTest, LargestPayloadLengthHoldsOnlyTheCodeword) {
+  // PayloadBits is O(|wm|) whatever L claims: the last slot of a 2^32 - 1
+  // slot payload reads its position's codeword bit.
+  const BitVector wm = BitVector::FromString("1011001110").value();
+  const std::size_t last = kMaxPayloadLength - 1;
+  const auto bit = [&](EccKind kind, std::size_t slot) {
+    return PayloadBits::Create(kind, wm, kMaxPayloadLength).value().Get(slot);
+  };
+  EXPECT_EQ(bit(EccKind::kMajorityVoting, last), wm.Get(last % wm.size()));
+  EXPECT_EQ(bit(EccKind::kIdentity, last), 0);
+  EXPECT_EQ(bit(EccKind::kBlockRepetition, last), wm.Get(wm.size() - 1));
+  EXPECT_EQ(bit(EccKind::kBlockRepetition, 0), wm.Get(0));
+  EXPECT_EQ(bit(EccKind::kHamming74, last),
+            Written(EccKind::kHamming74, wm, 21).Get(last % 21));
+}
 
 // ---------------------------------------------------------- majority code
 
-TEST(MajorityTest, EncodeRepeatsCyclically) {
-  MajorityVotingCode code;
+TEST(MajorityTest, PayloadRepeatsCyclically) {
   const BitVector wm = BitVector::FromString("101").value();
-  const BitVector payload = code.Encode(wm, 8).value();
-  EXPECT_EQ(payload.ToString(), "10110110");
+  EXPECT_EQ(Written(EccKind::kMajorityVoting, wm, 8).ToString(), "10110110");
 }
 
 TEST(MajorityTest, ToleratesMinorityFlips) {
-  MajorityVotingCode code;
   const BitVector wm = RandomBits(10, 1);
-  BitVector payload = code.Encode(wm, 1000).value();
+  BitVector payload = Written(EccKind::kMajorityVoting, wm, 1000);
   // Flip 30% of positions: each wm bit has 100 votes, 30 wrong — majority
   // still correct with overwhelming probability.
   Xoshiro256ss rng(2);
   for (std::size_t i = 0; i < payload.size(); ++i) {
     if (rng.NextBool(0.3)) payload.Flip(i);
   }
-  EXPECT_EQ(Decode(code, FullyPresent(payload), 10).value(), wm);
+  EXPECT_EQ(
+      DecodeWm(EccKind::kMajorityVoting, FullyPresent(payload), 10).value(),
+      wm);
 }
 
 TEST(MajorityTest, ToleratesMassiveErasure) {
-  MajorityVotingCode code;
   const BitVector wm = RandomBits(10, 3);
-  const BitVector payload = code.Encode(wm, 1000).value();
+  const BitVector payload = Written(EccKind::kMajorityVoting, wm, 1000);
   BitVector present(payload.size());
   // Only 5% of positions survive — still >= ~5 clean votes per bit.
   Xoshiro256ss rng(4);
   for (std::size_t i = 0; i < payload.size(); ++i) {
     present.Set(i, rng.NextBool(0.05) ? 1 : 0);
   }
-  EXPECT_EQ(Decode(code, WithErasures(payload, present), 10).value(), wm);
+  EXPECT_EQ(DecodeWm(EccKind::kMajorityVoting, WithErasures(payload, present),
+                     10)
+                .value(),
+            wm);
 }
 
 TEST(MajorityTest, FullyErasedDecodesToZeros) {
-  MajorityVotingCode code;
-  const BitVector wm = RandomBits(8, 5);
-  const BitVector payload = code.Encode(wm, 100).value();
   // Every position erased: no runs at all.
-  const Payload erased = WithErasures(payload, BitVector(payload.size()));
-  EXPECT_EQ(Decode(code, erased, 8).value(), BitVector(8));
+  const Payload erased{{}, 100};
+  EXPECT_EQ(DecodeWm(EccKind::kMajorityVoting, erased, 8).value(),
+            BitVector(8));
 }
 
-TEST(MajorityTest, RejectsEmptyWatermark) {
-  MajorityVotingCode code;
-  EXPECT_FALSE(code.Encode(BitVector(), 10).ok());
-  EXPECT_FALSE(Decode(code, FullyPresent(BitVector(10)), 0).ok());
-}
-
-TEST(MajorityTest, RejectsSlotBeyondPayload) {
-  // The runs analogue of a bits/present length mismatch: a run naming a
-  // position the payload does not have.
-  MajorityVotingCode code;
-  Payload bad = FullyPresent(BitVector(10));
-  bad.length = 9;
-  EXPECT_FALSE(Decode(code, bad, 5).ok());
-}
-
-TEST(MajorityTest, RejectsUnsortedRuns) {
-  MajorityVotingCode code;
-  Payload bad = FullyPresent(BitVector(10));
-  std::swap(bad.runs[2], bad.runs[3]);
-  EXPECT_FALSE(Decode(code, bad, 5).ok());
-}
-
-TEST(MajorityTest, InsufficientBandwidthFails) {
-  MajorityVotingCode code;
-  EXPECT_FALSE(code.Encode(RandomBits(20, 6), 10).ok());
+// Regression: majority voting used to skip the payload-length check, so a
+// claimed payload shorter than the mark decoded — every vote landed on the
+// low bits and the rest read as erased zeros.
+TEST(MajorityTest, RejectsPayloadShorterThanTheMark) {
+  const Payload one_slot = FullyPresent(BitVector::FromString("1").value());
+  const Status status =
+      DecodeWm(EccKind::kMajorityVoting, one_slot, 16).status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.ToString().find("payload length 1 "), std::string::npos)
+      << status.ToString();
 }
 
 // ---------------------------------------------------------- identity code
 
 TEST(IdentityTest, CarriesWatermarkOnce) {
-  IdentityCode code;
   const BitVector wm = BitVector::FromString("1101").value();
-  const BitVector payload = code.Encode(wm, 10).value();
-  EXPECT_EQ(payload.ToString(), "1101000000");
+  EXPECT_EQ(Written(EccKind::kIdentity, wm, 10).ToString(), "1101000000");
 }
 
 TEST(IdentityTest, SingleFlipCorruptsOutput) {
-  IdentityCode code;
   const BitVector wm = RandomBits(10, 7);
-  BitVector payload = code.Encode(wm, 100).value();
+  BitVector payload = Written(EccKind::kIdentity, wm, 100);
   payload.Flip(3);
-  const BitVector decoded = Decode(code, FullyPresent(payload), 10).value();
+  const BitVector decoded =
+      DecodeWm(EccKind::kIdentity, FullyPresent(payload), 10).value();
   EXPECT_EQ(decoded.HammingDistance(wm), 1u);  // no redundancy, no repair
 }
 
 TEST(IdentityTest, ErasedPositionsDecodeToZero) {
-  IdentityCode code;
   const BitVector wm = BitVector(4, 1);
-  const BitVector payload = code.Encode(wm, 8).value();
+  const BitVector payload = Written(EccKind::kIdentity, wm, 8);
   BitVector present(8, 1);
   present.Set(2, 0);
   const BitVector decoded =
-      Decode(code, WithErasures(payload, present), 4).value();
+      DecodeWm(EccKind::kIdentity, WithErasures(payload, present), 4).value();
   EXPECT_EQ(decoded.ToString(), "1101");
 }
 
 // -------------------------------------------------------- block repetition
 
 TEST(RepetitionTest, BlocksAreContiguous) {
-  BlockRepetitionCode code;
-  const BitVector wm = BitVector::FromString("10").value();
-  const BitVector payload = code.Encode(wm, 10).value();
-  EXPECT_EQ(payload.ToString(), "1111100000");
+  EXPECT_EQ(Written(EccKind::kBlockRepetition,
+                    BitVector::FromString("10").value(), 10)
+                .ToString(),
+            "1111100000");
+  // Block j covers the slots i with j·L <= i·|wm| < (j+1)·L.
+  EXPECT_EQ(Written(EccKind::kBlockRepetition,
+                    BitVector::FromString("101").value(), 10)
+                .ToString(),
+            "1111000111");
 }
 
 TEST(RepetitionTest, SurvivesUniformFlips) {
-  BlockRepetitionCode code;
   const BitVector wm = RandomBits(10, 8);
-  BitVector payload = code.Encode(wm, 1000).value();
+  BitVector payload = Written(EccKind::kBlockRepetition, wm, 1000);
   Xoshiro256ss rng(9);
   for (std::size_t i = 0; i < payload.size(); ++i) {
     if (rng.NextBool(0.25)) payload.Flip(i);
   }
-  EXPECT_EQ(Decode(code, FullyPresent(payload), 10).value(), wm);
+  EXPECT_EQ(
+      DecodeWm(EccKind::kBlockRepetition, FullyPresent(payload), 10).value(),
+      wm);
 }
 
 TEST(RepetitionTest, VulnerableToBurstDamage) {
-  // Contiguous damage wipes whole blocks — the weakness the keyed
-  // interleaver exists to repair.
-  BlockRepetitionCode code;
+  // Contiguous damage wipes whole blocks, which majority voting's cyclic
+  // spread would have shared out over every bit.
   const BitVector wm = BitVector(10, 1);
-  BitVector payload = code.Encode(wm, 1000).value();
+  BitVector payload = Written(EccKind::kBlockRepetition, wm, 1000);
   for (std::size_t i = 0; i < 100; ++i) payload.Set(i, 0);  // kill block 0
-  const BitVector decoded = Decode(code, FullyPresent(payload), 10).value();
+  const BitVector decoded =
+      DecodeWm(EccKind::kBlockRepetition, FullyPresent(payload), 10).value();
   EXPECT_EQ(decoded.Get(0), 0);
   EXPECT_EQ(decoded.Get(1), 1);
 }
 
 // ----------------------------------------------------------- hamming(7,4)
 
-TEST(HammingTest, MinPayloadLength) {
-  Hamming74Code code;
-  EXPECT_EQ(code.MinPayloadLength(4), 7u);
-  EXPECT_EQ(code.MinPayloadLength(5), 14u);
-  EXPECT_EQ(code.MinPayloadLength(10), 21u);
+TEST(HammingTest, CodewordsArePinned) {
+  // 1011 -> [p1 p2 d1 p3 d2 d3 d4] = 0110011; the last bit 0, zero-padded
+  // to 0000 -> 0000000; the codeword string then repeats. 0001 -> 1101001.
+  const BitVector wm = BitVector::FromString("10110").value();
+  EXPECT_EQ(Written(EccKind::kHamming74, wm, 16).ToString(),
+            "0110011" "0000000" "01");
+  EXPECT_EQ(Written(EccKind::kHamming74, BitVector::FromString("0001").value(),
+                    7)
+                .ToString(),
+            "1101001");
 }
 
 TEST(HammingTest, CorrectsOneFlipPerCodeword) {
-  Hamming74Code code;
   const BitVector wm = RandomBits(8, 10);  // two codewords
-  BitVector payload = code.Encode(wm, 14).value();
-  payload.Flip(2);   // one error in codeword 0
-  payload.Flip(9);   // one error in codeword 1
-  EXPECT_EQ(Decode(code, FullyPresent(payload), 8).value(), wm);
+  BitVector payload = Written(EccKind::kHamming74, wm, 14);
+  payload.Flip(2);  // one error in codeword 0
+  payload.Flip(9);  // one error in codeword 1
+  EXPECT_EQ(DecodeWm(EccKind::kHamming74, FullyPresent(payload), 8).value(),
+            wm);
 }
 
 TEST(HammingTest, RepetitionPlusCorrectionSurvivesNoise) {
-  Hamming74Code code;
   const BitVector wm = RandomBits(10, 11);
-  BitVector payload = code.Encode(wm, 2100).value();  // 100 repetitions
+  BitVector payload = Written(EccKind::kHamming74, wm, 2100);  // 100 reps
   Xoshiro256ss rng(12);
   for (std::size_t i = 0; i < payload.size(); ++i) {
     if (rng.NextBool(0.3)) payload.Flip(i);
   }
-  EXPECT_EQ(Decode(code, FullyPresent(payload), 10).value(), wm);
+  EXPECT_EQ(DecodeWm(EccKind::kHamming74, FullyPresent(payload), 10).value(),
+            wm);
 }
 
-TEST(HammingTest, RejectsTooShortPayload) {
-  Hamming74Code code;
-  EXPECT_FALSE(code.Encode(RandomBits(10, 13), 20).ok());
-}
+// ------------------------------------------------------------------ names
 
-// ------------------------------------------------------------- interleaver
-
-TEST(InterleaverTest, RoundTripsThroughInnerCode) {
-  auto code = std::make_unique<InterleavedCode>(
-      std::make_unique<BlockRepetitionCode>(), SecretKey::FromSeed(42));
-  const BitVector wm = RandomBits(10, 14);
-  const BitVector payload = code->Encode(wm, 500).value();
-  EXPECT_EQ(Decode(*code, FullyPresent(payload), 10).value(), wm);
-}
-
-TEST(InterleaverTest, PermutationIsKeyDependent) {
-  InterleavedCode a(std::make_unique<IdentityCode>(), SecretKey::FromSeed(1));
-  InterleavedCode b(std::make_unique<IdentityCode>(), SecretKey::FromSeed(2));
-  const BitVector wm = RandomBits(16, 15);
-  EXPECT_NE(a.Encode(wm, 64).value(), b.Encode(wm, 64).value());
-}
-
-TEST(InterleaverTest, EncodeBitsArePinned) {
-  // The permutation's seed is the keyed hash of "interleave" under the
-  // code's key (SHA-256 sandwich): these exact bits are what a deployed
-  // interleaved mark was embedded with, so a change to the hash path that
-  // moves a single slot must fail here.
-  InterleavedCode code(std::make_unique<MajorityVotingCode>(),
-                       SecretKey::FromSeed(42));
-  const BitVector wm = BitVector::FromString("1011001110001011").value();
-  EXPECT_EQ(code.Encode(wm, 96).value().ToString(),
-            "101011011111010111111110101111000100011101110100"
-            "000111111000100100010011001101010011110110010010");
-}
-
-TEST(InterleaverTest, RepairsBurstWeaknessOfBlockCode) {
-  auto interleaved = std::make_unique<InterleavedCode>(
-      std::make_unique<BlockRepetitionCode>(), SecretKey::FromSeed(7));
-  const BitVector wm = BitVector(10, 1);
-  BitVector payload = interleaved->Encode(wm, 1000).value();
-  // The same burst that kills a block of the bare code (see RepetitionTest)
-  // now spreads across all blocks.
-  for (std::size_t i = 0; i < 100; ++i) payload.Set(i, 0);
-  EXPECT_EQ(Decode(*interleaved, FullyPresent(payload), 10).value(), wm);
-}
-
-TEST(InterleaverTest, RejectsSlotBeyondPayload) {
-  InterleavedCode code(std::make_unique<IdentityCode>(),
-                       SecretKey::FromSeed(3));
-  Payload bad = FullyPresent(BitVector(10));
-  bad.length = 9;
-  EXPECT_FALSE(Decode(code, bad, 5).ok());
-}
-
-// ---------------------------------------------------------------- factory
-
-TEST(EccFactoryTest, CreatesAllKinds) {
-  EXPECT_EQ(CreateEcc(EccKind::kMajorityVoting)->Name(), "majority-voting");
-  EXPECT_EQ(CreateEcc(EccKind::kIdentity)->Name(), "identity");
-  EXPECT_EQ(CreateEcc(EccKind::kBlockRepetition)->Name(), "block-repetition");
-  EXPECT_EQ(CreateEcc(EccKind::kHamming74)->Name(), "hamming74");
-}
-
-TEST(EccFactoryTest, KindNames) {
+TEST(EccKindTest, NamesRoundTrip) {
   EXPECT_EQ(EccKindName(EccKind::kMajorityVoting), "majority-voting");
+  EXPECT_EQ(EccKindName(EccKind::kIdentity), "identity");
+  EXPECT_EQ(EccKindName(EccKind::kBlockRepetition), "block-repetition");
   EXPECT_EQ(EccKindName(EccKind::kHamming74), "hamming74");
+  for (const EccKind kind : kAllKinds) {
+    EXPECT_EQ(EccKindFromName(EccKindName(kind)).value(), kind);
+  }
+  const Status unknown = EccKindFromName("banana").status();
+  EXPECT_TRUE(unknown.IsInvalidArgument());
+  EXPECT_NE(unknown.ToString().find("unknown ecc 'banana'"),
+            std::string::npos);
 }
 
 }  // namespace

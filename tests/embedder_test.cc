@@ -407,6 +407,40 @@ TEST(EmbedderTest, PayloadLengthAboveCertificateRangeIsInvalidArgument) {
   }
 }
 
+// The largest payload length in range is an ordinary embed: wm_data is
+// looked up per slot and the distinct written positions are counted over
+// the committed tuples, so nothing is sized by the 2^32 - 1 slots. The
+// mark reads back at the same length on both position paths.
+TEST(EmbedderTest, LargestPayloadLengthEmbedsAndDetects) {
+  WatermarkParams params;
+  params.e = 10;
+  params.payload_length = kMaxPayloadLength;
+  const WatermarkKeySet keys = WatermarkKeySet::FromSeed(33);
+  const BitVector wm = MakeWatermark(10, 33);
+  for (const bool map_mode : {false, true}) {
+    Relation rel = StandardRelation(2000);
+    EmbedOptions options = KA();
+    options.build_embedding_map = map_mode;
+    const EmbedReport report =
+        Embedder(keys, params).Embed(rel, options, wm).value();
+    EXPECT_EQ(report.payload_length, kMaxPayloadLength);
+    EXPECT_GT(report.positions_written, 0u);
+    EXPECT_LE(report.positions_written,
+              report.altered_tuples + report.unchanged_tuples);
+
+    DetectOptions detect_options;
+    detect_options.key_attr = "K";
+    detect_options.target_attr = "A";
+    detect_options.domain = report.domain;
+    if (map_mode) detect_options.embedding_map = &report.embedding_map;
+    const DetectionResult detection =
+        Detector(keys, params).Detect(rel, detect_options, wm.size()).value();
+    EXPECT_EQ(detection.wm, wm) << "map=" << map_mode;
+    EXPECT_EQ(detection.positions_present, report.positions_written)
+        << "map=" << map_mode;
+  }
+}
+
 // Regression: with e > N, DerivePayloadLength's N/e floors to 0 and used to
 // be silently replaced by |wm| — embed "succeeded" with an expected fit
 // count below one tuple. That is now an explicit precondition failure.

@@ -9,7 +9,6 @@
 #include <set>
 
 #include "crypto/prf.h"
-#include "ecc/code.h"
 #include "relation/csv.h"
 
 namespace catmark {
@@ -106,6 +105,9 @@ Status DenseDecode(const DensePayload& p, std::size_t wm_len, EccKind ecc,
   out.bit_confidence.clear();
   switch (ecc) {
     case EccKind::kMajorityVoting: {
+      if (len < wm_len) {
+        return Status::InvalidArgument("payload shorter than watermark");
+      }
       std::vector<long> totals;
       const std::vector<long> votes =
           VotesPerPosition(p, wm_len, &Cyclic, &totals);
@@ -165,6 +167,64 @@ Status DenseDecode(const DensePayload& p, std::size_t wm_len, EccKind ecc,
 }
 
 }  // namespace
+
+Result<BitVector> ReferencePayload(EccKind ecc, const BitVector& wm,
+                                   std::size_t len) {
+  const std::size_t m = wm.size();
+  if (m == 0) return Status::InvalidArgument("empty watermark");
+  // Hamming(7,4) carries ceil(|wm| / 4) 7-bit codewords; the other codes
+  // need one slot per mark bit.
+  const std::size_t codewords = (m + 3) / 4;
+  const std::size_t min_len = ecc == EccKind::kHamming74 ? 7 * codewords : m;
+  if (len < min_len) {
+    return Status::InvalidArgument("payload shorter than the code's minimum");
+  }
+  BitVector wm_data(len);
+  switch (ecc) {
+    case EccKind::kMajorityVoting:
+      // wm_data[i] = wm[i mod |wm|].
+      for (std::size_t i = 0; i < len; ++i) wm_data.Set(i, wm.Get(i % m));
+      return wm_data;
+    case EccKind::kIdentity:
+      // The mark once, zero padding after it.
+      for (std::size_t i = 0; i < m; ++i) wm_data.Set(i, wm.Get(i));
+      return wm_data;
+    case EccKind::kBlockRepetition: {
+      // Block j holds wm[j] on the slots i with j·L <= i·|wm| < (j+1)·L.
+      std::size_t j = 0;
+      for (std::size_t i = 0; i < len; ++i) {
+        while ((j + 1) * len <= i * m) ++j;
+        wm_data.Set(i, wm.Get(j));
+      }
+      return wm_data;
+    }
+    case EccKind::kHamming74: {
+      // Codeword c holds data bits wm[4c..4c+3] (0 past the mark) at the
+      // 1-based positions 3, 5, 6 and 7; the parity bit at position p in
+      // {1, 2, 4} is the XOR of the data positions q with q & p != 0. The
+      // codeword string then repeats cyclically.
+      std::vector<int> base(7 * codewords, 0);
+      const int data_pos[4] = {3, 5, 6, 7};
+      for (std::size_t c = 0; c < codewords; ++c) {
+        int cw[8] = {0, 0, 0, 0, 0, 0, 0, 0};  // 1-based
+        for (std::size_t k = 0; k < 4; ++k) {
+          if (4 * c + k < m) cw[data_pos[k]] = wm.Get(4 * c + k);
+        }
+        for (const int p : {1, 2, 4}) {
+          for (const int q : data_pos) {
+            if ((q & p) != 0) cw[p] ^= cw[q];
+          }
+        }
+        for (int pos = 1; pos <= 7; ++pos) base[7 * c + pos - 1] = cw[pos];
+      }
+      for (std::size_t i = 0; i < len; ++i) {
+        wm_data.Set(i, base[i % base.size()]);
+      }
+      return wm_data;
+    }
+  }
+  return Status::InvalidArgument("unknown ECC kind");
+}
 
 Result<ReferenceDetection> ReferenceDetect(const Relation& rel,
                                            const ReferenceInputs& in) {
@@ -352,7 +412,7 @@ Result<ReferenceEmbedding> ReferenceEmbed(Relation& rel,
   std::size_t len = in.payload_length;
   if (len == 0) len = n / in.e > wm.size() ? n / in.e : wm.size();
   out.payload_length = len;
-  Result<BitVector> wm_data = CreateEcc(in.ecc)->Encode(wm, len);
+  Result<BitVector> wm_data = ReferencePayload(in.ecc, wm, len);
   if (!wm_data.ok()) return wm_data.status();
 
   const std::unique_ptr<KeyedPrf> k1 =

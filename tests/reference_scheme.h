@@ -78,6 +78,15 @@ void ExpectDetectMatchesReference(const Result<DetectionResult>& got,
                                   const Result<ReferenceDetection>& want,
                                   const std::string& where);
 
+/// wm_data = ECC.encode(wm, L) (Section 3.2.1) written out bit by bit the
+/// slow way, independently of ecc/code: majority voting repeats the mark
+/// cyclically, identity writes it once and pads with zeros, block
+/// repetition gives mark bit j the j-th of |wm| contiguous blocks, and
+/// Hamming(7,4) repeats the mark's codewords cyclically. InvalidArgument
+/// for an empty mark or an L below the code's minimum. Dense in L.
+Result<BitVector> ReferencePayload(EccKind ecc, const BitVector& wm,
+                                   std::size_t len);
+
 /// Everything Figure 1's wm_embed reads, spelled out like ReferenceInputs.
 struct ReferenceEmbedInputs {
   std::string key_attr;
@@ -129,12 +138,11 @@ struct ReferenceEmbedding {
 /// a_t as is, lets the category-drain guard veto a change that would take
 /// a category below min_category_keep, writes a_t with Relation::Set, and
 /// records committed tuples in the ledger and the map, in row order. It
-/// calls CreateEcc(...)->Encode for wm_data (pinned by ecc_test) and
-/// shares nothing else with the embed pipeline beyond the PRF primitives,
-/// the Value serialization and the relation accessors. Fails, with the
-/// relation untouched, where Embedder::Embed must: e == 0, an empty
-/// relation, N/e == 0, fewer than 2 domain values or a domain value of
-/// another type than the target column.
+/// writes wm_data out with ReferencePayload and shares nothing with the
+/// embed pipeline beyond the PRF primitives, the Value serialization and
+/// the relation accessors. Fails, with the relation untouched, where
+/// Embedder::Embed must: e == 0, an empty relation, N/e == 0, fewer than 2
+/// domain values or a domain value of another type than the target column.
 Result<ReferenceEmbedding> ReferenceEmbed(Relation& rel,
                                           const ReferenceEmbedInputs& in,
                                           const BitVector& wm,

@@ -21,10 +21,10 @@
 #include "core/detector.h"
 #include "core/embedder.h"
 #include "crypto/prf.h"
-#include "ecc/code.h"
 #include "exp/harness.h"
 #include "gen/sales_gen.h"
 #include "relation/catm_io.h"
+#include "reference_scheme.h"
 #include "relation/csv.h"
 #include "service/service.h"
 #include "service/session.h"
@@ -147,9 +147,9 @@ Row ReferenceMarkedRow(const Fixture& f, Row row, bool* fit = nullptr) {
       CreateKeyedPrf(f.report.prf, f.keys.k1, f.params.hash_algo);
   const auto prf_k2 =
       CreateKeyedPrf(f.report.prf, f.keys.k2, f.params.hash_algo);
-  const BitVector wm_data = CreateEcc(f.params.ecc)
-                                ->Encode(f.wm, f.report.payload_length)
-                                .value();
+  const BitVector wm_data =
+      reference::ReferencePayload(f.params.ecc, f.wm, f.report.payload_length)
+          .value();
   HashScratch scratch;
   const std::uint64_t h1 = HashValue(*prf_k1, row[0], scratch);
   if (h1 % f.params.e == 0) {
@@ -657,6 +657,50 @@ TEST(CertificateConsumersTest, EveryConsumerUsesTheCertifiedPayloadLength) {
   rows = stream;
   ASSERT_TRUE(derived_session.InsertBatch(misplaced, std::span<Row>(rows)).ok());
   EXPECT_NE(WriteCsvString(misplaced), WriteCsvString(grown));
+}
+
+// The largest payload length a claimant certificate may state is an
+// ordinary session: wm_data is looked up per slot, never written out, so
+// the session opens and marks 200 rows at once, and every fit row carries
+// wm[idx mod |wm|] at its 2^32 - 1 slot position idx.
+TEST(CertificateConsumersTest, LargestClaimedPayloadLengthStreams) {
+  const Fixture f = MakeFixture();
+  WatermarkCertificate cert = WatermarkCertificate::Create(
+      f.keys, f.params, f.options, f.report, f.wm);
+  cert.params.payload_length = kMaxPayloadLength;
+  StreamSession session =
+      StreamSession::Create(SessionSpec::FromCertificate(cert, f.keys).value())
+          .value();
+  EXPECT_EQ(session.payload_length(), kMaxPayloadLength);
+  const std::vector<Row> stream = MakeStream(200, 37);
+  Relation grown = f.rel;
+  std::vector<Row> rows = stream;
+  ASSERT_TRUE(session.InsertBatch(grown, std::span<Row>(rows)).ok());
+  ASSERT_EQ(grown.NumRows(), f.rel.NumRows() + stream.size());
+
+  const auto prf_k1 =
+      CreateKeyedPrf(f.report.prf, f.keys.k1, f.params.hash_algo);
+  const auto prf_k2 =
+      CreateKeyedPrf(f.report.prf, f.keys.k2, f.params.hash_algo);
+  HashScratch scratch;
+  std::size_t fit = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const Value& key = stream[i][0];
+    const Value got = grown.Get(f.rel.NumRows() + i, 1);
+    const std::uint64_t h1 = HashValue(*prf_k1, key, scratch);
+    if (h1 % f.params.e != 0) {
+      EXPECT_TRUE(got == stream[i][1]) << "unfit row " << i;
+      continue;
+    }
+    ++fit;
+    const std::size_t idx =
+        PayloadIndexFromHash(HashValue(*prf_k2, key, scratch),
+                             kMaxPayloadLength, f.params.bit_index_mode);
+    const std::size_t t = SelectValueIndex(h1, f.report.domain.size(),
+                                           f.wm.Get(idx % f.wm.size()));
+    EXPECT_TRUE(got == f.report.domain.value(t)) << "fit row " << i;
+  }
+  EXPECT_GT(fit, 0u);
 }
 
 TEST(WatermarkServiceTest,
