@@ -1,12 +1,12 @@
 #include "relation/catm_io.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <span>
 #include <sstream>
 #include <string_view>
@@ -15,6 +15,7 @@
 
 #include "common/bits.h"
 #include "common/check.h"
+#include "common/default_init.h"
 #include "common/parallel.h"
 #include "relation/catm_format.h"
 #include "relation/csv.h"
@@ -325,34 +326,70 @@ std::string WriteCatmString(const Relation& rel) {
 
 Status WriteCatmFile(const Relation& rel, const std::string& path) {
   CATMARK_ASSIGN_OR_RETURN(CatmLayout layout, PlanCatm(rel));
-#if CATMARK_HAVE_POSIX_IO
-  const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
-  if (fd < 0) {
-    return Status::IoError("cannot open '" + path +
-                           "' for writing: " + std::strerror(errno));
-  }
   // Default-initialized rather than zeroed: the encode shards are the first
   // to touch each page, in parallel.
-  const std::unique_ptr<std::uint8_t[]> image(new std::uint8_t[layout.size]);
-  EncodeCatm(rel, layout, image.get());
-  const std::uint8_t* p = image.get();
-  std::size_t left = layout.size;
-  int error = 0;
+  DefaultInitVector<std::uint8_t> image;
+  image.resize(layout.size);
+  EncodeCatm(rel, layout, image.data());
+  return ReplaceFile(
+      path, {reinterpret_cast<const char*>(image.data()), image.size()});
+}
+
+namespace {
+
+#if CATMARK_HAVE_POSIX_IO
+/// Writes all of `bytes` to `fd`; 0 or the errno that stopped it.
+int WriteAll(int fd, std::string_view bytes) {
+  const char* p = bytes.data();
+  std::size_t left = bytes.size();
   while (left > 0) {
     const ::ssize_t n = ::write(fd, p, left);
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      error = n < 0 ? errno : EIO;
-      break;
-    }
+    if (n <= 0) return n < 0 ? errno : EIO;
     p += n;
     left -= static_cast<std::size_t>(n);
   }
-  if (::close(fd) != 0 && error == 0) error = errno;
-  if (error != 0) {
+  return 0;
+}
+#endif
+
+}  // namespace
+
+Status ReplaceFile(const std::string& path, std::string_view bytes) {
+#if CATMARK_HAVE_POSIX_IO
+  const auto open_error = [&](int error) {
+    return Status::IoError("cannot open '" + path +
+                           "' for writing: " + std::strerror(error));
+  };
+  const auto write_error = [&](int error) {
     return Status::IoError("error while writing '" + path +
                            "': " + std::strerror(error));
+  };
+  struct stat st {};
+  const bool exists = ::stat(path.c_str(), &st) == 0;
+  if (exists && !S_ISREG(st.st_mode)) {
+    // A device, FIFO or directory is written through (or refused), never
+    // replaced.
+    const int fd = ::open(path.c_str(), O_WRONLY | O_TRUNC | O_CLOEXEC);
+    if (fd < 0) return open_error(errno);
+    int error = WriteAll(fd, bytes);
+    if (::close(fd) != 0 && error == 0) error = errno;
+    return error != 0 ? write_error(error) : Status::OK();
+  }
+  static std::atomic<unsigned> counter{0};
+  const std::string tmp = path + ".tmp-" + std::to_string(::getpid()) + "-" +
+                          std::to_string(counter.fetch_add(1));
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (fd < 0) return open_error(errno);
+  // A replaced file keeps its permission bits.
+  int error = exists && ::fchmod(fd, st.st_mode & 07777) != 0 ? errno : 0;
+  if (error == 0) error = WriteAll(fd, bytes);
+  if (::close(fd) != 0 && error == 0) error = errno;
+  if (error == 0 && ::rename(tmp.c_str(), path.c_str()) != 0) error = errno;
+  if (error != 0) {
+    ::unlink(tmp.c_str());
+    return write_error(error);
   }
   return Status::OK();
 #else
@@ -360,10 +397,8 @@ Status WriteCatmFile(const Relation& rel, const std::string& path) {
   if (f == nullptr) {
     return Status::IoError("cannot open '" + path + "' for writing");
   }
-  std::string image(layout.size, '\0');
-  EncodeCatm(rel, layout, reinterpret_cast<std::uint8_t*>(image.data()));
-  const bool wrote = std::fwrite(image.data(), 1, image.size(), f) ==
-                     image.size();
+  const bool wrote =
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
   if (std::fclose(f) != 0 || !wrote) {
     return Status::IoError("error while writing '" + path + "'");
   }

@@ -57,10 +57,22 @@ inline constexpr std::size_t kCatmRowsPerShard = std::size_t{1} << 14;
 /// worker. Deterministic: equal stores (schema, dictionaries, codes,
 /// values) serialize to byte-identical output at every worker count.
 std::string WriteCatmString(const Relation& rel);
-/// Writes the same bytes as WriteCatmString to `path` with one write(2)
-/// loop and no second copy. IoError when the file cannot be opened or
-/// fully written (missing directory, a directory path, a full disk).
+/// Writes the same bytes as WriteCatmString to `path` through ReplaceFile.
+/// The image is encoded into one DefaultInitVector, so at 2 MB and up it
+/// sits on transparent huge pages (see default_init.h) and is first
+/// touched by the encode shards; nothing copies it before the write.
 Status WriteCatmFile(const Relation& rel, const std::string& path);
+
+/// Replaces the file at `path` with `bytes`: writes a sibling temporary
+/// file (`path` plus a ".tmp-" suffix), then rename(2)s it into place, so
+/// a failed write (a full disk, a file-size limit) leaves the old file
+/// as it was and removes the temporary. The replacement keeps an existing
+/// file's permission bits. A symlink at `path` is replaced by a regular
+/// file, not written through; a path that exists but is not a regular
+/// file (a device, a FIFO) is written in place. IoError when the file
+/// cannot be opened or fully written (missing directory, a directory
+/// path, a full disk).
+Status ReplaceFile(const std::string& path, std::string_view bytes);
 
 /// Parses a .catm image back into a Relation. Validation order: magic and
 /// version, then the meta checksum, then the schema and section table, then
@@ -84,7 +96,8 @@ Result<Relation> ReadCatmFile(const std::string& path,
 Result<Relation> LoadRelation(const std::string& path, const Schema& schema);
 
 /// Format-by-extension save: paths ending in ".catm" write the binary
-/// format, everything else CSV.
+/// format, everything else CSV. Either way the file is replaced whole
+/// (ReplaceFile), so saving over the relation's own source is safe.
 Status SaveRelation(const Relation& rel, const std::string& path);
 
 }  // namespace catmark

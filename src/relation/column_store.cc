@@ -6,10 +6,15 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace catmark {
 
 namespace {
+
+// Fewest rows a worker of the install check takes: below this a thread
+// costs more to spawn than the tally it saves.
+constexpr std::size_t kInstallRowsPerShard = std::size_t{1} << 14;
 
 // Makes room for `n` more elements, geometrically when a batch overflows
 // capacity: reserve(size + n) would set capacity *exactly*, so a steady
@@ -463,15 +468,41 @@ Status ColumnStore::InstallDictColumn(std::size_t col,
   // Codes must land inside the dictionary and explain the live counts
   // exactly — live counts are stored (not derived) so a corrupted-but-
   // checksum-valid mismatch is treated as a malformed file, not repaired.
-  std::vector<std::int64_t> recounted(dict.size(), 0);
-  for (const std::int32_t code : codes) {
-    if (code == kNullCode) continue;
-    if (code < 0 || static_cast<std::size_t>(code) >= dict.size()) {
-      return Status::InvalidArgument("dict column: code out of range");
-    }
-    ++recounted[static_cast<std::size_t>(code)];
+  // Row shards tally in parallel, one dictionary-sized tally each; the
+  // shard count keeps all tallies within the code array's own bytes
+  // (8 * shards * entries <= 4 * rows). Any out-of-range code is reported
+  // before any count mismatch, at every shard count.
+  const std::size_t rows = codes.size();
+  const std::size_t entries = dict.size();
+  const std::size_t shards = EffectiveThreadCount(
+      0, std::max<std::size_t>(
+             1, std::min(rows / kInstallRowsPerShard,
+                         entries == 0 ? rows : rows / (2 * entries))));
+  std::vector<std::int64_t> tallies(shards * entries, 0);
+  std::vector<char> out_of_range(shards, 0);
+  ParallelFor(rows, shards,
+              [&](std::size_t s, std::size_t begin, std::size_t end) {
+                std::int64_t* const tally = tallies.data() + s * entries;
+                for (std::size_t r = begin; r < end; ++r) {
+                  const std::int32_t code = codes[r];
+                  if (code == kNullCode) continue;
+                  if (code < 0 || static_cast<std::size_t>(code) >= entries) {
+                    out_of_range[s] = 1;
+                    return;
+                  }
+                  ++tally[static_cast<std::size_t>(code)];
+                }
+              });
+  if (std::find(out_of_range.begin(), out_of_range.end(), 1) !=
+      out_of_range.end()) {
+    return Status::InvalidArgument("dict column: code out of range");
   }
-  if (recounted != live) {
+  for (std::size_t s = 1; s < shards; ++s) {
+    for (std::size_t i = 0; i < entries; ++i) {
+      tallies[i] += tallies[s * entries + i];
+    }
+  }
+  if (!std::equal(live.begin(), live.end(), tallies.begin())) {
     return Status::InvalidArgument(
         "dict column: live counts disagree with the code vector");
   }

@@ -91,7 +91,10 @@ struct ColumnOverride {
 /// zero-fill and its workers first-touch their own rows. The rule: every
 /// slot is written by its owner. The loaders (the CSV reader, the .catm
 /// decoders) write every row of what they install; every resize inside
-/// the store passes an explicit value.
+/// the store passes an explicit value. An array of 2 MB or more (a
+/// 2M-row column) starts on a 2 MB boundary and is advised onto
+/// transparent huge pages, whole huge pages only; where the kernel does
+/// not grant them it is an ordinary allocation (see default_init.h).
 ///
 /// Sion's channel is per-tuple-per-attribute, which makes the embed/detect
 /// hot loops stream exactly one column at a time; the int32 code arrays keep

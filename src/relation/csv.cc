@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <iterator>
 #include <limits>
 #include <span>
@@ -394,38 +393,6 @@ std::size_t CountRecords(std::string_view chunk) {
   return records;
 }
 
-/// Chunk start offsets into `text`: `num_chunks + 1` offsets where chunk s
-/// covers [starts[s], starts[s + 1]), every boundary on a record start.
-/// Every '"' toggles quoting (an escaped "" is two toggles with no newline
-/// between them), so the quote state at a target offset is the parity of
-/// the quotes before it. On quote-free input one memchr settles that, and
-/// the boundary costs one newline search.
-std::vector<std::size_t> ChunkStarts(std::string_view text,
-                                     std::size_t data_begin,
-                                     std::size_t num_chunks) {
-  std::vector<std::size_t> starts(num_chunks + 1, text.size());
-  starts[0] = data_begin;
-  const char* const base = text.data();
-  const char* const end = base + text.size();
-  const std::size_t data_size = text.size() - data_begin;
-  // [base + data_begin, p) holds whole records, so `p` is outside quotes.
-  const char* p = base + data_begin;
-  for (std::size_t s = 1; s < num_chunks; ++s) {
-    const char* const target =
-        std::max(p, base + data_begin + s * data_size / num_chunks);
-    const char* quote =
-        static_cast<const char*>(std::memchr(p, '"', target - p));
-    const bool in_quotes =
-        quote != nullptr && std::count(quote, target, '"') % 2 == 1;
-    p = NextRecordStart(target, end, in_quotes);
-    // Unassigned boundaries (tiny input, or a run-away quoted field)
-    // collapse to text.size(): those chunks parse as empty.
-    if (p == nullptr) break;
-    starts[s] = static_cast<std::size_t>(p - base);
-  }
-  return starts;
-}
-
 /// Runs fn(s) for each chunk s in [first, last) on up to `threads` workers,
 /// which take chunks off a shared counter, so a slow worker takes fewer.
 template <typename Fn>
@@ -437,6 +404,53 @@ void ForEachChunk(std::size_t threads, std::size_t first, std::size_t last,
   ParallelFor(workers, workers, [&](std::size_t, std::size_t, std::size_t) {
     for (std::size_t s; (s = next.fetch_add(1)) < last;) fn(s);
   });
+}
+
+/// Chunk start offsets into `text`: `num_chunks + 1` offsets where chunk s
+/// covers [starts[s], starts[s + 1]), every boundary on a record start.
+/// Chunk s > 0 starts just past the first record end at or after its
+/// target offset, or after the previous boundary when that lies further on.
+/// Every '"' toggles quoting (an escaped "" is two toggles with no newline
+/// between them), so the quote state at a target offset is the parity of
+/// the quotes before it: `threads` workers count the quotes between
+/// consecutive targets (one memchr settles a quote-free segment), and a
+/// running parity takes it from there. Each boundary then costs one
+/// record-end search.
+std::vector<std::size_t> ChunkStarts(std::string_view text,
+                                     std::size_t data_begin,
+                                     std::size_t num_chunks,
+                                     std::size_t threads) {
+  std::vector<std::size_t> starts(num_chunks + 1, text.size());
+  starts[0] = data_begin;
+  const char* const base = text.data();
+  const char* const end = base + text.size();
+  const std::size_t data_size = text.size() - data_begin;
+  const auto target = [&](std::size_t s) {
+    return base + data_begin + s * data_size / num_chunks;
+  };
+  // odd_quotes[s]: whether [target(s - 1), target(s)) holds an odd number
+  // of quotes.
+  std::vector<char> odd_quotes(num_chunks, 0);
+  ForEachChunk(threads, 1, num_chunks, [&](std::size_t s) {
+    const char* const from = target(s - 1);
+    const char* const to = target(s);
+    const char* const quote =
+        static_cast<const char*>(std::memchr(from, '"', to - from));
+    odd_quotes[s] = quote != nullptr && std::count(quote, to, '"') % 2 == 1;
+  });
+  // [base + data_begin, p) holds whole records, so `p` is outside quotes.
+  const char* p = base + data_begin;
+  bool odd = false;  // quote parity of [base + data_begin, target(s))
+  for (std::size_t s = 1; s < num_chunks; ++s) {
+    odd ^= odd_quotes[s] != 0;
+    p = target(s) >= p ? NextRecordStart(target(s), end, odd)
+                       : NextRecordStart(p, end, false);
+    // Unassigned boundaries (tiny input, or a run-away quoted field)
+    // collapse to text.size(): those chunks parse as empty.
+    if (p == nullptr) break;
+    starts[s] = static_cast<std::size_t>(p - base);
+  }
+  return starts;
 }
 
 /// Merges column `col`'s chunk dictionaries (`member` of each sink) and
@@ -605,12 +619,7 @@ std::string WriteCsvString(const Relation& rel) {
 }
 
 Status WriteCsvFile(const Relation& rel, const std::string& path) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return Status::IoError("cannot open '" + path + "' for writing");
-  const std::string data = WriteCsvString(rel);
-  f.write(data.data(), static_cast<std::streamsize>(data.size()));
-  if (!f) return Status::IoError("write failed for '" + path + "'");
-  return Status::OK();
+  return ReplaceFile(path, WriteCsvString(rel));
 }
 
 Result<Relation> ReadCsvString(std::string_view text, const Schema& schema,
@@ -629,7 +638,7 @@ Result<Relation> ReadCsvString(std::string_view text, const Schema& schema,
   const std::size_t num_chunks =
       threads == 1 ? 1 : threads * kChunksPerThread;
   const std::vector<std::size_t> starts =
-      ChunkStarts(text, data_begin, num_chunks);
+      ChunkStarts(text, data_begin, num_chunks, threads);
   const auto chunk_text = [&](std::size_t s) {
     return text.substr(starts[s], starts[s + 1] - starts[s]);
   };

@@ -12,6 +12,7 @@ namespace catmark {
 /// Serializes `rel` as RFC-4180-style CSV (header row, quoting only when a
 /// field contains comma/quote/newline).
 std::string WriteCsvString(const Relation& rel);
+/// Writes WriteCsvString's bytes to `path` through ReplaceFile (catm_io.h).
 Status WriteCsvFile(const Relation& rel, const std::string& path);
 
 /// Parses CSV text into a relation with the given schema. The header row

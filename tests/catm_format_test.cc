@@ -23,6 +23,14 @@
 #include <string_view>
 #include <vector>
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#include <sys/resource.h>
+
+#include <csignal>
+#endif
+
+#include "common/default_init.h"
 #include "common/parallel.h"
 #include "core/embedder.h"
 #include "crypto/sha256.h"
@@ -704,6 +712,55 @@ TEST(CatmInstallTest, RejectsLiveCountMismatch) {
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
 }
 
+TEST(CatmInstallTest, CorruptFirstOrLastShardIsCaughtAtEveryWorkerCount) {
+  // Enough rows for eight install shards over a 4-entry dictionary, so at
+  // 2 and 8 workers row 0 and the last row sit in different shards.
+  constexpr std::size_t kRows = 8 * (std::size_t{1} << 14) + 5;
+  const std::vector<Value> dict = {Value(std::string("w")),
+                                   Value(std::string("x")),
+                                   Value(std::string("y")),
+                                   Value(std::string("z"))};
+  DefaultInitVector<std::int32_t> codes(kRows, 0);
+  std::vector<std::int64_t> live(dict.size(), 0);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    codes[r] = static_cast<std::int32_t>(r % dict.size());
+    ++live[r % dict.size()];
+  }
+  const auto install = [&](DefaultInitVector<std::int32_t> c,
+                           std::vector<std::int64_t> l) {
+    Relation rel(TinySchema());
+    return rel.mutable_store().InstallDictColumn(1, dict, std::move(l),
+                                                 std::move(c));
+  };
+  const std::string kOutOfRange = "dict column: code out of range";
+  const std::string kMismatch =
+      "dict column: live counts disagree with the code vector";
+  for (const char* threads : {"1", "2", "8"}) {
+    SCOPED_TRACE(std::string("CATMARK_THREADS=") + threads);
+    const ScopedThreads scoped(threads);
+    EXPECT_TRUE(install(codes, live).ok());
+    for (const std::size_t row : {std::size_t{0}, kRows - 1}) {
+      SCOPED_TRACE("row " + std::to_string(row));
+      for (const std::int32_t bad : {4, -2}) {
+        DefaultInitVector<std::int32_t> c = codes;
+        c[row] = bad;
+        EXPECT_EQ(install(c, live).message(), kOutOfRange);
+        // Out of range is reported before a count mismatch elsewhere.
+        std::vector<std::int64_t> l = live;
+        ++l[0];
+        EXPECT_EQ(install(c, l).message(), kOutOfRange);
+      }
+      // Both rows hold code 0: a NULL or another in-range code there
+      // leaves the stored counts wrong.
+      for (const std::int32_t other : {ColumnStore::kNullCode, 3}) {
+        DefaultInitVector<std::int32_t> c = codes;
+        c[row] = other;
+        EXPECT_EQ(install(c, live).message(), kMismatch);
+      }
+    }
+  }
+}
+
 TEST(CatmInstallTest, FinalizeRejectsRowCountMismatch) {
   Relation rel(TinySchema());
   ASSERT_TRUE(rel.mutable_store()
@@ -770,6 +827,44 @@ TEST(CatmIoTest, FileBytesEqualStringBytes) {
   std::remove(path.c_str());
 }
 
+/// A relation whose .catm image is exactly `size` bytes: an INT64 key, an
+/// INT64 lane with a NULL every fifth row, and a STRING column whose last
+/// value pads the image.
+Relation RelationWithImageSize(std::size_t size) {
+  const Schema schema = Schema::Create({{"K", ColumnType::kInt64, false},
+                                        {"N", ColumnType::kInt64, false},
+                                        {"S", ColumnType::kString, false}},
+                                       "K")
+                            .value();
+  Relation rel(schema);
+  const std::size_t rows = size / 32;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const auto k = static_cast<std::int64_t>(i);
+    rel.AppendRowUnchecked({Value(k), i % 5 == 0 ? Value() : Value(3 * k),
+                            Value(std::string())});
+  }
+  const std::size_t unpadded = WriteCatmString(rel).size();
+  EXPECT_LE(unpadded, size);
+  rel.mutable_store().Set(rows - 1, 2,
+                          Value(std::string(size - unpadded, 'p')));
+  return rel;
+}
+
+TEST(CatmIoTest, FileBytesEqualStringBytesAroundTheHugePageSize) {
+  // The file image is a DefaultInitVector, which changes allocator at
+  // kHugePageBytes; the string image never does.
+  const std::string path = ::testing::TempDir() + "catm_huge_page_size.catm";
+  for (const std::size_t size :
+       {kHugePageBytes - 1, kHugePageBytes, kHugePageBytes + 1}) {
+    const Relation rel = RelationWithImageSize(size);
+    const std::string want = WriteCatmString(rel);
+    ASSERT_EQ(want.size(), size);
+    ASSERT_TRUE(WriteCatmFile(rel, path).ok());
+    EXPECT_TRUE(FileBytes::Open(path).value().view() == want) << size;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CatmIoTest, WriteErrorsAreIoError) {
   const Relation rel = TinyRelation();
   const auto is_io_error = [](const Status& s) {
@@ -788,6 +883,105 @@ TEST(CatmIoTest, WriteErrorsAreIoError) {
   }
 #endif
 }
+
+#if defined(__linux__)
+/// A fresh, empty directory under the test temp dir.
+std::string EmptyDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + name + "/";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::size_t EntriesIn(const std::string& dir) {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator(dir)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(CatmSaveDeathTest, FailedSaveLeavesTheOldFileAndNoTemporary) {
+  // The child may write no file past 4 KiB: saving the larger relation over
+  // the smaller one fails with EFBIG (SIGXFSZ ignored), so the old bytes
+  // must survive and the temporary must be gone. Both formats save through
+  // the same path.
+  const Relation small = TinyRelation();
+  const Relation large = ShardedRelation(2000);
+  for (const std::string ext : {".catm", ".csv"}) {
+    const std::string dir = EmptyDir("catm_failed_save");
+    const std::string path = dir + "rel" + ext;
+    ASSERT_TRUE(SaveRelation(small, path).ok());
+    const std::string before(FileBytes::Open(path).value().view());
+    ASSERT_LT(before.size(), 4096u);
+    EXPECT_EXIT(
+        {
+          std::signal(SIGXFSZ, SIG_IGN);
+          rlimit limit{};
+          limit.rlim_cur = limit.rlim_max = 4096;
+          ::setrlimit(RLIMIT_FSIZE, &limit);
+          const Status s = SaveRelation(large, path);
+          const Result<FileBytes> after = FileBytes::Open(path);
+          const bool io_error = s.code() == StatusCode::kIoError;
+          const bool unchanged = after.ok() && after->view() == before;
+          const std::size_t entries = EntriesIn(dir);
+          std::fprintf(stderr, "%s io_error=%d unchanged=%d entries=%zu\n",
+                       s.ToString().c_str(), io_error, unchanged, entries);
+          std::_Exit(io_error && unchanged && entries == 1 ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(CatmIoTest, SaveReplacesTheTargetAndKeepsItsMode) {
+  namespace fs = std::filesystem;
+  const std::string dir = EmptyDir("catm_replace_save");
+  const std::string path = dir + "rel.catm";
+  const Relation tiny = TinyRelation();
+  ASSERT_TRUE(SaveRelation(tiny, path).ok());
+  const fs::perms mode = fs::perms::owner_read | fs::perms::owner_write;
+  fs::permissions(path, mode);
+  const Relation large = ShardedRelation(2000);
+  ASSERT_TRUE(SaveRelation(large, path).ok());
+  EXPECT_TRUE(FileBytes::Open(path).value().view() == WriteCatmString(large));
+  EXPECT_EQ(fs::status(path).permissions() & fs::perms::all, mode);
+  EXPECT_EQ(EntriesIn(dir), 1u);
+
+  // A symlink is replaced by the saved file; its old target is untouched.
+  const std::string link = dir + "link.catm";
+  fs::create_symlink(path, link);
+  ASSERT_TRUE(SaveRelation(tiny, link).ok());
+  EXPECT_FALSE(fs::is_symlink(fs::symlink_status(link)));
+  EXPECT_TRUE(FileBytes::Open(link).value().view() == WriteCatmString(tiny));
+  EXPECT_TRUE(FileBytes::Open(path).value().view() == WriteCatmString(large));
+  EXPECT_EQ(EntriesIn(dir), 2u);
+  fs::remove_all(dir);
+}
+
+TEST(CatmSaveDeathTest, ChildWithoutHugePagesWritesTheSameImage) {
+  // PR_SET_THP_DISABLE acts on the forked child only. Its image, whose
+  // buffer the allocator would otherwise advise onto huge pages, must be
+  // the parent's bytes.
+  const Relation rel = ShardedRelation(8 * kCatmRowsPerShard);
+  const std::string want = WriteCatmString(rel);
+  ASSERT_GT(want.size(), 2 * kHugePageBytes);
+  const std::string path = ::testing::TempDir() + "catm_thp_disabled.catm";
+  EXPECT_EXIT(
+      {
+        const int disabled = ::prctl(PR_SET_THP_DISABLE, 1, 0, 0, 0);
+        const bool wrote = WriteCatmFile(rel, path).ok();
+        const Result<FileBytes> got = FileBytes::Open(path);
+        const bool same = got.ok() && got->view() == want;
+        std::fprintf(stderr, "prctl=%d wrote=%d same=%d\n", disabled, wrote,
+                     same);
+        std::_Exit(disabled == 0 && wrote && same ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  std::remove(path.c_str());
+}
+#endif  // __linux__
 
 TEST(CatmIoTest, ColumnNamesAreBoundedByTheirLengthField) {
   // The format stores a name's length in a u16: the longest name that fits

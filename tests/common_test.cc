@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "common/bits.h"
 #include "common/bitvec.h"
 #include "common/default_init.h"
@@ -336,6 +339,81 @@ TEST(DefaultInitVectorTest, BehavesAsAVectorWhereValuesAreGiven) {
   EXPECT_EQ(v[999], 999u);
   const DefaultInitVector<std::uint64_t> copy = v;
   EXPECT_EQ(copy, v);
+}
+
+bool OnHugePageBoundary(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % kHugePageBytes == 0;
+}
+
+TEST(DefaultInitVectorTest, LargeBuffersStartOnAHugePageBoundary) {
+  for (const std::size_t bytes :
+       {kHugePageBytes, kHugePageBytes + 1, 3 * kHugePageBytes + 4096}) {
+    DefaultInitVector<std::uint8_t> v;
+    v.resize(bytes);
+    EXPECT_TRUE(OnHugePageBoundary(v.data())) << bytes;
+  }
+  // 12-byte elements: the rule is on bytes, not on the element count.
+  struct Triple {
+    std::uint32_t a, b, c;
+  };
+  DefaultInitVector<Triple> triples;
+  triples.resize(kHugePageBytes / sizeof(Triple) + 1);
+  EXPECT_TRUE(OnHugePageBoundary(triples.data()));
+}
+
+/// v[i] == i for every i < n, and v holds n elements.
+void ExpectIota(const DefaultInitVector<std::uint32_t>& v, std::size_t n) {
+  ASSERT_EQ(v.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (v[i] != i) {
+      ADD_FAILURE() << "v[" << i << "] = " << v[i];
+      return;
+    }
+  }
+}
+
+TEST(DefaultInitVectorTest, ContentsSurviveCrossingTheHugePageThreshold) {
+  // The first element count whose buffer takes the huge-page path. Every
+  // reallocation below moves the contents between the two paths, and each
+  // buffer must go back to the allocator that made it (the sanitizer legs
+  // flag a mismatch).
+  constexpr std::size_t kLarge = kHugePageBytes / sizeof(std::uint32_t);
+  DefaultInitVector<std::uint32_t> v;
+  for (std::uint32_t i = 0; i < kLarge + 10; ++i) v.push_back(i);
+  ExpectIota(v, kLarge + 10);
+  EXPECT_TRUE(OnHugePageBoundary(v.data()));
+
+  v.reserve(4 * kLarge);
+  ExpectIota(v, kLarge + 10);
+  v.resize(3 * kLarge, 7);
+  EXPECT_EQ(v[kLarge + 9], kLarge + 9);
+  EXPECT_EQ(v[kLarge + 10], 7u);
+  EXPECT_EQ(v.back(), 7u);
+
+  v.resize(100);
+  v.shrink_to_fit();
+  ExpectIota(v, 100);
+  EXPECT_LT(v.capacity(), kLarge);
+
+  DefaultInitVector<std::uint32_t> large;
+  for (std::uint32_t i = 0; i < 2 * kLarge; ++i) large.push_back(i);
+  DefaultInitVector<std::uint32_t> small = v;
+  ExpectIota(small, 100);
+  small.swap(large);
+  ExpectIota(small, 2 * kLarge);
+  ExpectIota(large, 100);
+  large = small;  // small -> large by copy-assignment
+  ExpectIota(large, 2 * kLarge);
+  small = v;  // large -> small
+  ExpectIota(small, 100);
+  DefaultInitVector<std::uint32_t> moved = std::move(large);
+  ExpectIota(moved, 2 * kLarge);
+  moved = std::move(small);
+  ExpectIota(moved, 100);
+  const DefaultInitVector<std::uint32_t> copy(2 * kLarge, 5);
+  EXPECT_TRUE(OnHugePageBoundary(copy.data()));
+  EXPECT_EQ(copy.front(), 5u);
+  EXPECT_EQ(copy.back(), 5u);
 }
 
 }  // namespace

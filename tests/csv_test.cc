@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "relation/catm_io.h"
 #include "relation/csv.h"
@@ -459,6 +461,48 @@ TEST(CsvInPlaceTest, KeysFirstSeenInALateChunkTakeTheLastCodes) {
   EXPECT_GE(numbers[4].AsInt64(), 1000);
   const std::vector<std::int64_t>& live = rel.store().DictLiveCounts(2);
   EXPECT_EQ(live[4] + live[5] + live[6], 60);
+}
+
+TEST(CsvInPlaceTest, QuotedFieldStraddlingEveryChunkTarget) {
+  // Every A field is a quoted run of lines with "" escapes. The first
+  // record is half as long as the 32 after it, so each of the 31 offsets a
+  // 32-chunk (8-worker) read aims its boundaries at falls inside a quoted
+  // field; the 16-, 8- and 4-chunk targets are among them.
+  const std::string unit = "ab\"\"cd\n";
+  std::string text = "K,A\n";
+  const std::size_t data_begin = text.size();
+  std::vector<std::pair<std::size_t, std::size_t>> fields;  // inside quotes
+  for (std::size_t k = 0; k <= 32; ++k) {
+    text += std::to_string(k) + ",\"";
+    const std::size_t open = text.size();
+    for (std::size_t i = 0; i < (k == 0 ? 32u : 64u); ++i) text += unit;
+    fields.emplace_back(open, text.size());
+    text += "\"\n";
+  }
+  const std::size_t data_size = text.size() - data_begin;
+  for (std::size_t s = 1; s < 32; ++s) {
+    const std::size_t target = data_begin + s * data_size / 32;
+    EXPECT_TRUE(std::any_of(fields.begin(), fields.end(), [&](const auto& f) {
+      return f.first < target && target < f.second;
+    })) << "target " << s << " at " << target;
+  }
+
+  const Schema schema = Schema::Create({{"K", ColumnType::kInt64, false},
+                                        {"A", ColumnType::kString, false}},
+                                       "K")
+                            .value();
+  const Result<Relation> serial = ReadCsvString(text, schema, 1);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_EQ(serial->NumRows(), 33u);
+  std::string last;
+  for (std::size_t i = 0; i < 64; ++i) last += "ab\"cd\n";
+  EXPECT_EQ(serial->Get(32, 1).AsString(), last);
+  const std::string image = WriteCatmString(*serial);
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    const Result<Relation> par = ReadCsvString(text, schema, threads);
+    ASSERT_TRUE(par.ok()) << threads << ": " << par.status().ToString();
+    EXPECT_EQ(WriteCatmString(*par), image) << threads << " threads";
+  }
 }
 
 TEST(CsvInPlaceTest, FewerRecordsThanChunks) {
