@@ -67,9 +67,11 @@ Relation BenchRelation(std::size_t n) {
   return GenerateKeyedCategorical(config);
 }
 
+// Args are (N, map): map = 1 also builds the Figure 1(b) embedding map.
 void BM_Embed(benchmark::State& state) {
   const Relation original = BenchRelation(static_cast<std::size_t>(state.range(0)));
   const WatermarkKeySet keys = WatermarkKeySet::FromSeed(2);
+  const bool map = state.range(1) != 0;
   WatermarkParams params;
   params.e = 60;
   const Embedder embedder(keys, params);
@@ -77,13 +79,18 @@ void BM_Embed(benchmark::State& state) {
   EmbedOptions options;
   options.key_attr = "K";
   options.target_attr = "A";
+  options.build_embedding_map = map;
   for (auto _ : state) {
     Relation rel = original;
     benchmark::DoNotOptimize(embedder.Embed(rel, options, wm));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Embed)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_Embed)
+    ->Args({1000, 0})
+    ->Args({10000, 0})
+    ->Args({100000, 0})
+    ->Args({100000, 1});
 
 void BM_Detect(benchmark::State& state) {
   Relation rel = BenchRelation(static_cast<std::size_t>(state.range(0)));

@@ -1,149 +1,132 @@
 #!/usr/bin/env bash
-# Diffs the numeric rows of two BENCH_throughput.json reports:
-#   scripts/bench_diff.sh <baseline.json> <current.json> [regression-pct]
+# Compares two end-to-end benchmark reports (scripts/bench_report.py):
+#   scripts/bench_diff.sh <baseline.json> <current.json>
 #
-# Compares every numeric key present in either report (the union, in a
-# preferred pipeline order: embed, detect, PRF breakdown, load/e2e/save
-# format rows, streaming grid — unknown keys trail alphabetically), so newly added
-# rows such as load_catm_tps / e2e_format_gain are picked up without
-# touching this script. Emits a GitHub warning annotation when a key
-# regresses by more than `regression-pct` (default 25%), and another when a
-# row present in the baseline is missing from the current report — a
-# silently dropped bench row is a coverage regression, not noise.
+# Every `<workload>.<metric>` row of an end-to-end metric in BENCHMARK.json
+# is compared against that metric's `bound` there (0.25 = 25%), in the
+# direction its `better` names. A row past its bound, or a row of the
+# baseline missing from this run's report, is a finding: a GitHub warning
+# annotation, or with BENCH_DIFF_GATE=1 an ::error and exit 1, unless
+# BENCH_DIFF_WAIVE is set non-empty (CI sets it when the commit message
+# carries a BENCH_WAIVE token), which turns findings back into warnings.
 #
-# By default the diff is informational (shared CI runners are noisy) and
-# never fails. With BENCH_DIFF_GATE=1 it becomes a soft gate: regressions
-# beyond the CLI threshold and dropped rows are emitted as ::error
-# annotations and the script exits 1 — unless BENCH_DIFF_WAIVE is set
-# non-empty (CI sets it when the commit message carries a BENCH_WAIVE
-# token), which downgrades the gate back to warnings. The tighter 10% bars
-# on sweep_/embed_prf_/stream_prf_ rows stay warnings either way: the gate
-# fires only past the CLI-level threshold.
+# A workload whose result says `correct: false` or `failed > 0` fails the
+# step whatever the gate and the waiver say, with or without a baseline.
 #
-# A missing or unparseable baseline (first run, expired or truncated
-# artifact) is skipped silently — the gate only fires on real measurements.
+# A missing or unreadable baseline, or one without this report format
+# (an older kernel-row report), is no comparable baseline: the comparison
+# is skipped. Reports from different hosts are compared with a warning.
 set -euo pipefail
 
-baseline=${1:?usage: bench_diff.sh <baseline.json> <current.json> [pct]}
-current=${2:?usage: bench_diff.sh <baseline.json> <current.json> [pct]}
-threshold=${3:-25}
+baseline=${1:?usage: bench_diff.sh <baseline.json> <current.json>}
+current=${2:?usage: bench_diff.sh <baseline.json> <current.json>}
+spec="$(dirname "$0")/../BENCHMARK.json"
 
-if [ ! -f "$baseline" ]; then
-  echo "bench_diff: no baseline at $baseline — skipping comparison"
-  exit 0
-fi
 if [ ! -f "$current" ]; then
   echo "bench_diff: current report $current missing" >&2
   exit 1
 fi
 
-python3 - "$baseline" "$current" "$threshold" <<'EOF'
+python3 - "$baseline" "$current" "$spec" <<'EOF'
 import json
+import math
 import os
 import sys
 
-baseline_path, current_path, threshold = sys.argv[1], sys.argv[2], float(sys.argv[3])
-# A truncated or corrupt baseline artifact is "no baseline", not a failure:
-# the gate must only ever fire on a real measured regression.
-try:
-    with open(baseline_path) as f:
-        baseline = json.load(f)
-except (OSError, ValueError) as error:
-    print(f"bench_diff: unreadable baseline {baseline_path} ({error}) — "
-          f"skipping comparison")
-    sys.exit(0)
+FORMAT = "perfbench-e2e-v1"
+HOST_KEYS = ("host_cpu_model", "host_nproc", "host_hardware_simd_level")
+
+baseline_path, current_path, spec_path = sys.argv[1:4]
+with open(spec_path) as f:
+    spec = json.load(f)
 with open(current_path) as f:
     current = json.load(f)
+if current.get("format") != FORMAT:
+    print(f"::error title=bench report::{current_path} is not a {FORMAT} "
+          f"report")
+    sys.exit(1)
 
 gate = os.environ.get("BENCH_DIFF_GATE", "") not in ("", "0")
 waived = os.environ.get("BENCH_DIFF_WAIVE", "") != ""
+workloads = [w["name"] for w in spec["workloads"]]
+metrics = {m["name"]: m for m in spec["end_to_end"]}
 
-# Configuration fields — identity, not performance; excluded from the diff.
-CONFIG_KEYS = {"bench", "n", "domain", "passes", "threads", "stream_n",
-               "sweep_keys", "sweep_n", "host_cores"}
+# A wrong or failed job is not a performance trade-off: no waiver covers it.
+broken = 0
+for w in workloads:
+    correct, failed = current.get(f"{w}.correct"), current.get(f"{w}.failed")
+    if correct is not True or failed != 0:
+        broken += 1
+        print(f"::error title=benchmark workload failed::{w}: correct="
+              f"{correct}, failed={failed} of "
+              f"{current.get(f'{w}.attempted')} jobs")
 
-# Throughput only compares on one machine: say so when the reports name
-# different hosts (or one names none), then diff anyway.
-HOST_KEYS = ("host_cpu_model", "host_cores")
+baseline = None
+try:
+    with open(baseline_path) as f:
+        baseline = json.load(f)
+except OSError:
+    print(f"bench_diff: no baseline at {baseline_path} — skipping comparison")
+except ValueError as error:
+    print(f"bench_diff: unreadable baseline {baseline_path} ({error}) — "
+          f"skipping comparison")
+if baseline is not None and (not isinstance(baseline, dict) or
+                             baseline.get("format") != FORMAT):
+    print(f"bench_diff: baseline {baseline_path} is not a {FORMAT} report "
+          f"— no comparable baseline, skipping comparison")
+    baseline = None
+if baseline is None:
+    sys.exit(1 if broken else 0)
+
 hosts = [tuple(report.get(k, "unknown") for k in HOST_KEYS)
          for report in (baseline, current)]
 if hosts[0] != hosts[1]:
     print(f"::warning title=different bench hosts::baseline ran on "
-          f"{hosts[0][0]} ({hosts[0][1]} cores), this run on "
-          f"{hosts[1][0]} ({hosts[1][1]} cores) — deltas mix host and code")
+          f"{hosts[0]}, this run on {hosts[1]} — deltas mix host and code")
 
-def numeric_keys(report):
-    return {k for k, v in report.items()
-            if k not in CONFIG_KEYS and isinstance(v, (int, float))
-            and not isinstance(v, bool)}
+findings = 0
 
-union = numeric_keys(baseline) | numeric_keys(current)
-
-# Preferred ordering groups rows by pipeline stage; anything the prefixes
-# don't cover (future rows) trails alphabetically rather than vanishing.
-PREFIX_ORDER = ["embed_map_", "embed_prf_", "embed_", "detect_prf_",
-                "detect_simd_", "detect_oneshot_", "detect_plan_", "detect_",
-                "index_", "load_", "e2e_", "save_", "csv_", "catm_",
-                "stream_prf_", "stream_", "sweep_"]
-
-def sort_key(key):
-    for rank, prefix in enumerate(PREFIX_ORDER):
-        if key.startswith(prefix):
-            return (rank, key)
-    return (len(PREFIX_ORDER), key)
-
-# Rows guarding a specific amortization story get a tighter 10% bar:
-# sweep_ (detect-engine per-key cost), embed_prf_ (the fused embed
-# pipeline) and stream_prf_ (steady-state streaming inserts). Everything
-# else uses the CLI-level default.
-TIGHT_PREFIXES = ("sweep_", "embed_prf_", "stream_prf_")
-
-def row_threshold(key):
-    return min(threshold, 10.0) if key.startswith(TIGHT_PREFIXES) else threshold
-
-failures = 0
-
-def annotate(title, message, gating):
-    global failures
-    # A gating finding becomes ::error (and a nonzero exit) only when the
-    # gate is armed and not waived; otherwise it stays a warning.
-    if gating and gate and not waived:
-        failures += 1
+def annotate(title, message):
+    global findings
+    if gate and not waived:
+        findings += 1
         print(f"::error title={title}::{message}")
     else:
         print(f"::warning title={title}::{message}")
 
-print(f"{'bench row':<40}{'baseline':>14}{'current':>14}{'delta':>10}")
-for key in sorted(union, key=sort_key):
+def is_row(key):
+    return key.split(".", 1)[0] in workloads
+
+rows = sorted(k for k in set(baseline) | set(current) if is_row(k))
+print(f"{'row':<36}{'baseline':>14}{'current':>14}{'delta':>9}{'bound':>8}")
+for key in rows:
     old, new = baseline.get(key), current.get(key)
+    metric = metrics.get(key.split(".", 1)[1])
     if old is None or new is None:
-        print(f"{key:<40}{'-' if old is None else old:>14}"
-              f"{'-' if new is None else new:>14}{'n/a':>10}")
+        print(f"{key:<36}{'-' if old is None else old:>14}"
+              f"{'-' if new is None else new:>14}")
         if new is None:
             annotate("bench row dropped",
-                     f"{key} present in the baseline report but missing from "
-                     f"this run's — a bench row was removed or the bench is "
-                     f"truncating output", gating=True)
+                     f"{key} is in the baseline report but not in this "
+                     f"run's")
         continue
-    delta = 0.0 if old == 0 else (new - old) / old * 100.0
-    print(f"{key:<40}{old:>14}{new:>14}{delta:>+9.1f}%")
-    # "_ms" rows are durations (lower is better); everything else is a rate
-    # or gain where a drop is the regression.
-    regressed = (delta > row_threshold(key) if key.endswith("_ms")
-                 else delta < -row_threshold(key))
-    if regressed:
-        direction = "rose" if key.endswith("_ms") else "fell"
-        # Gate only past the CLI threshold — tightened 10% bars stay
-        # advisory so shared-runner noise cannot fail the leg.
-        past_gate = (delta > threshold if key.endswith("_ms")
-                     else delta < -threshold)
-        annotate("throughput regression",
-                 f"{key} {direction} {abs(delta):.1f}% vs baseline "
-                 f"({old} -> {new})", gating=past_gate)
+    if metric is None:
+        print(f"{key:<36}{old!s:>14}{new!s:>14}")
+        continue
+    if old == 0:
+        delta = 0.0 if new == 0 else math.copysign(math.inf, new)
+    else:
+        delta = (new - old) / old
+    bound = metric["bound"]
+    print(f"{key:<36}{old:>14.4g}{new:>14.4g}{delta:>+8.1%}{bound:>8.0%}")
+    worse = -delta if metric["better"] == "higher" else delta
+    if worse > bound:
+        annotate("end-to-end regression",
+                 f"{key} is {worse:.1%} worse than the baseline ({old} -> "
+                 f"{new} {metric['unit']}), past its {bound:.0%} bound")
 
-if failures:
-    if gate:
-        print(f"bench_diff: {failures} gating regression(s) — failing the "
-              f"bench leg (waive with BENCH_WAIVE in the commit message)")
-    sys.exit(1)
+if findings:
+    print(f"bench_diff: {findings} finding(s) — failing the step (waive "
+          f"with BENCH_WAIVE in the commit message)")
+sys.exit(1 if findings or broken else 0)
 EOF

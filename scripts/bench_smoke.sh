@@ -20,11 +20,6 @@ for bin in "$bench_dir"/bench_*; do
       # Google Benchmark flags; one tiny repetition per benchmark.
       args=(--benchmark_min_time=0.01)
       ;;
-    bench_throughput)
-      # Also smoke the BENCH_throughput.json emitter.
-      export CATMARK_BENCH_JSON="$build_dir/BENCH_throughput.json"
-      args=(--n 400 --passes 1 --domain 50)
-      ;;
     *)
       args=(--n 400 --passes 1 --domain 50)
       ;;

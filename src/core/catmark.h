@@ -23,7 +23,6 @@
 #include "core/injection.h"          // IWYU pragma: export
 #include "core/keys.h"               // IWYU pragma: export
 #include "core/multi_attribute.h"    // IWYU pragma: export
-#include "core/numeric_set_mark.h"   // IWYU pragma: export
 #include "core/params.h"             // IWYU pragma: export
 #include "core/remap_recovery.h"     // IWYU pragma: export
 #include "crypto/hmac.h"             // IWYU pragma: export

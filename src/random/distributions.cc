@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <cstdint>
 
 #include "common/check.h"
 
@@ -91,18 +91,16 @@ std::vector<std::size_t> SampleWithoutReplacement(std::size_t n, std::size_t k,
                                                   Xoshiro256ss& rng) {
   CATMARK_CHECK_LE(k, n);
   // Floyd's algorithm yields a uniform k-subset; final shuffle uniformizes
-  // the order as well.
-  std::unordered_set<std::size_t> chosen;
+  // the order as well. The chosen set is an n-bit bitmap: every index
+  // chosen before step j is below j, so j itself is never already set.
+  std::vector<std::uint64_t> chosen((n + 63) / 64, 0);
   std::vector<std::size_t> out;
   out.reserve(k);
   for (std::size_t j = n - k; j < n; ++j) {
-    const std::size_t t = rng.NextBounded(j + 1);
-    if (chosen.insert(t).second) {
-      out.push_back(t);
-    } else {
-      chosen.insert(j);
-      out.push_back(j);
-    }
+    std::size_t t = rng.NextBounded(j + 1);
+    if ((chosen[t / 64] >> (t % 64)) & 1) t = j;
+    chosen[t / 64] |= std::uint64_t{1} << (t % 64);
+    out.push_back(t);
   }
   Shuffle(out, rng);
   return out;

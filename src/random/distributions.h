@@ -66,7 +66,8 @@ void Shuffle(std::vector<T>& v, Xoshiro256ss& rng) {
 }
 
 /// Uniform sample of `k` distinct indices out of [0, n) (k <= n), in
-/// selection order. Floyd's algorithm + shuffle; O(k) expected.
+/// selection order. Floyd's algorithm over an n-bit bitmap + shuffle:
+/// O(k) time after an O(n / 64) clear.
 std::vector<std::size_t> SampleWithoutReplacement(std::size_t n, std::size_t k,
                                                   Xoshiro256ss& rng);
 

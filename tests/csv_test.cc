@@ -408,6 +408,25 @@ TEST(CsvInPlaceTest, QuotedNewlinesAndCrLfsAreNotRecordEnds) {
     ExpectMixedCells(ExpectSameAtEveryThreadCount(text, MixedSchema()), 400,
                      true);
   }
+  // Every field quoted (numbers and empty fields too) with CRLF record
+  // ends reads as the bare text does.
+  const std::string bare = MixedCsv(400, "\r\n", /*quoted_breaks=*/false);
+  std::string quoted = "\"";
+  for (std::size_t i = 0; i < bare.size(); ++i) {
+    if (bare[i] == ',') {
+      quoted += "\",\"";
+    } else if (bare[i] == '\r') {
+      quoted += i + 2 < bare.size() ? "\"\r\n\"" : "\"\r\n";
+      ++i;
+    } else {
+      quoted += bare[i];
+    }
+  }
+  const Relation from_bare = ExpectSameAtEveryThreadCount(bare, MixedSchema());
+  const Relation from_quoted =
+      ExpectSameAtEveryThreadCount(quoted, MixedSchema());
+  EXPECT_TRUE(from_quoted.SameContent(from_bare));
+  EXPECT_EQ(WriteCatmString(from_quoted), WriteCatmString(from_bare));
 }
 
 TEST(CsvInPlaceTest, LoneCrEndsRecords) {

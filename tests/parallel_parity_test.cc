@@ -25,6 +25,7 @@
 #include "gen/sales_gen.h"
 #include "reference_scheme.h"
 #include "relation/csv.h"
+#include "relation/domain.h"
 
 namespace catmark {
 namespace {
@@ -223,6 +224,10 @@ TEST(ParallelParityTest, EmbedIsBitIdenticalAcrossThreadCounts) {
         Embedder(WatermarkKeySet::FromSeed(41), params)
             .Embed(serial_rel, KA(map_mode), wm)
             .value();
+    // The domain guard keeps every category alive, so the domain a
+    // detector recovers from the marked data is the one the embed used.
+    EXPECT_TRUE(CategoricalDomain::FromRelationColumn(serial_rel, 1).value() ==
+                serial.domain);
 
     for (const std::size_t threads : {2u, 8u}) {
       Relation rel = StandardRelation(5000, 41);

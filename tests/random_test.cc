@@ -195,6 +195,50 @@ TEST(SampleWithoutReplacementTest, ZeroSample) {
   EXPECT_TRUE(SampleWithoutReplacement(10, 0, rng).empty());
 }
 
+TEST(SampleWithoutReplacementTest, DrawsArePinnedPerSeed) {
+  // Attacks and subsets are reproducible from their seed, so every draw is
+  // pinned: the sample, in order, and the generator's next output (the
+  // same number of draws was taken). n = 64, 65 and 129 straddle the
+  // chosen-set bitmap's words.
+  struct Case {
+    std::size_t n;
+    std::size_t k;
+    std::uint64_t seed;
+    std::vector<std::size_t> sample;
+    std::uint64_t next;
+  };
+  const Case cases[] = {
+      {10, 0, 21, {}, 571145536561302545ull},
+      {7, 7, 22, {5, 3, 2, 4, 6, 0, 1}, 2556659306615222175ull},
+      {9, 8, 23, {4, 1, 8, 3, 2, 6, 0, 5}, 3262490460126471063ull},
+      {1000, 5, 24, {341, 583, 887, 988, 872}, 8947516948707256758ull},
+      {64, 33, 25,
+       {17, 30, 13, 42, 57, 14, 3, 43, 8, 38, 34, 37, 12, 11, 44, 5, 31,
+        15, 27, 1, 9, 7, 62, 53, 23, 45, 29, 28, 16, 60, 40, 51, 36},
+       648311055640393486ull},
+      {65, 40, 26,
+       {52, 18, 16, 35, 0, 11, 30, 45, 42, 32, 9, 48, 46, 38, 63, 21, 14,
+        10, 58, 64, 24, 61, 57, 37, 60, 56, 43, 39, 25, 13, 20, 54, 41, 59,
+        26, 22, 15, 55, 8, 47},
+       3632870870563119878ull},
+      {129, 100, 27,
+       {62,  84,  65, 94, 54, 3,   11,  39, 60, 113, 59,  114, 96,  17, 128,
+        41,  98,  27, 66, 38, 105, 50,  43, 28, 115, 122, 79,  53,  75, 6,
+        126, 104, 22, 107, 36, 57, 12,  70, 31, 110, 14,  92,  26,  121, 9,
+        118, 93,  37, 2,  40, 48,  100, 95, 42, 116, 4,   0,   88,  124, 77,
+        25,  108, 90, 97, 78, 74,  20,  34, 21, 19,  82,  85,  73,  33, 10,
+        23,  87,  55, 125, 24, 35, 44,  18, 49, 1,   69,  91,  99,  8,  81,
+        64,  45,  61, 63, 103, 123, 102, 72, 56, 29},
+       146853585196660352ull},
+  };
+  for (const Case& c : cases) {
+    Xoshiro256ss rng(c.seed);
+    EXPECT_EQ(SampleWithoutReplacement(c.n, c.k, rng), c.sample)
+        << "n=" << c.n << " k=" << c.k;
+    EXPECT_EQ(rng.Next(), c.next) << "n=" << c.n << " k=" << c.k;
+  }
+}
+
 TEST(SampleWithoutReplacementTest, UniformCoverage) {
   // Each index should appear in ~k/n of the samples.
   Xoshiro256ss rng(17);
