@@ -1,9 +1,9 @@
 // Streaming watermark service: one embedded relation fanned out into
-// per-region shards, each grown concurrently through its own StreamSession
-// while every insert keeps carrying the owner's mark. Shows the
-// SessionSpec lifecycle (embed report -> spec -> sessions), batch inserts
-// through WatermarkService::ExecuteBatches, and dispute-time detection on
-// a shard that has more than doubled since embedding.
+// per-region shards, each grown through its own StreamSession while every
+// insert keeps carrying the owner's mark. Shows the SessionSpec lifecycle
+// (embed report -> spec -> sessions), batch inserts through
+// StreamSession::InsertBatch, and dispute-time detection on a shard that
+// has grown by half since embedding.
 
 #include <cstdio>
 #include <random>
@@ -47,42 +47,40 @@ int main() {
   const SessionSpec spec =
       SessionSpec::FromEmbedReport(keys, params, options, *report, wm);
 
-  // Three regional shards, each its own session + relation inside one
-  // multiplexing service. ServiceOptions{0} = auto thread count.
-  WatermarkService service(ServiceOptions{});
-  std::vector<std::size_t> shards;
+  // Three regional shards, each its own copy of the catalogue with its own
+  // session. Every session is built from the same spec, so all three mark
+  // exactly as the embedding did.
+  struct Shard {
+    Relation relation;
+    StreamSession session;
+  };
+  std::vector<Shard> shards;
   for (int region = 0; region < 3; ++region) {
-    Result<std::size_t> id = service.Open(spec, catalogue);
-    if (!id.ok()) {
-      std::fprintf(stderr, "%s\n", id.status().ToString().c_str());
+    Result<StreamSession> session = StreamSession::Create(spec);
+    if (!session.ok()) {
+      std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
       return 1;
     }
-    shards.push_back(*id);
+    shards.push_back({catalogue, std::move(session).value()});
   }
 
-  // A day of feed traffic: batches for every region, submitted together.
-  // Batches for distinct sessions run in parallel; batches for the same
-  // session keep their submission order.
+  // A day of feed traffic: batches for every region, in turn.
   // New rows carry categories from the catalogue's own domain (the spec
   // pins it). An out-of-domain category would still be appended — but it
   // would also enlarge a blindly re-derived domain at dispute time, which
   // is why detection below reuses the embed report's domain instead.
   std::mt19937_64 rng(11);
-  std::vector<WatermarkService::SessionBatch> day;
+  std::size_t inserted = 0, fit = 0;
   for (std::size_t b = 0; b < 60; ++b) {
-    WatermarkService::SessionBatch batch;
-    batch.session_id = shards[b % shards.size()];
+    Shard& shard = shards[b % shards.size()];
+    std::vector<Row> batch;
     for (std::size_t i = 0; i < 1024; ++i) {
-      batch.rows.push_back(
+      batch.push_back(
           {Value(static_cast<std::int64_t>(7000000 + rng() % 200000)),
            spec.domain.value(rng() % spec.domain.size())});
     }
-    day.push_back(std::move(batch));
-  }
-  const std::vector<Result<BatchReport>> results = service.ExecuteBatches(
-      std::span<WatermarkService::SessionBatch>(day));
-  std::size_t inserted = 0, fit = 0;
-  for (const Result<BatchReport>& r : results) {
+    Result<BatchReport> r =
+        shard.session.InsertBatch(shard.relation, std::span<Row>(batch));
     if (!r.ok()) {
       std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
       return 1;
@@ -93,13 +91,9 @@ int main() {
   std::printf("streamed %zu inserts across %zu shards (%zu carried a bit)\n",
               inserted, shards.size(), fit);
 
-  // Dispute time: one shard leaks. Close it out and run detection — the
-  // inserts were marked on the fly, so the grown shard still answers.
-  Result<Relation> leaked = service.Close(shards[1]);
-  if (!leaked.ok()) {
-    std::fprintf(stderr, "%s\n", leaked.status().ToString().c_str());
-    return 1;
-  }
+  // Dispute time: one shard leaks. Run detection on it — the inserts were
+  // marked on the fly, so the grown shard still answers.
+  const Relation& leaked = shards[1].relation;
 
   DetectOptions detect;
   detect.key_attr = "K";
@@ -107,7 +101,7 @@ int main() {
   detect.domain = report->domain;  // pinned, like a certificate records it
   params.payload_length = report->payload_length;  // likewise
   Result<DetectionResult> detection =
-      Detector(keys, params).Detect(*leaked, detect, wm.size());
+      Detector(keys, params).Detect(leaked, detect, wm.size());
   if (!detection.ok()) {
     std::fprintf(stderr, "%s\n", detection.status().ToString().c_str());
     return 1;
@@ -115,7 +109,7 @@ int main() {
   const OwnershipDecision decision =
       DecideOwnership(wm, detection->wm, /*significance=*/1e-3);
   std::printf("leaked shard: %zu tuples (was %zu at embed time)\n",
-              leaked->NumRows(), gen.num_tuples);
+              leaked.NumRows(), gen.num_tuples);
   std::printf("matched %zu/%zu bits, p-value %.3e -> ownership %s\n",
               decision.matched_bits, wm.size(), decision.p_value,
               decision.owned ? "SUPPORTED" : "NOT SUPPORTED");

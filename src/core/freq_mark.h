@@ -49,8 +49,9 @@ struct FreqDetectReport {
 /// attack in which Mallory keeps a *single* categorical attribute and no
 /// key (Section 4.2). The paper proposes applying its numeric-set marking
 /// technique [10] to the occurrence-frequency transform [f_A(a_i)]; we
-/// realize it as a quantization-index scheme (DESIGN.md "Faithfulness
-/// notes"):
+/// realize it as a quantization-index scheme, because the paper does not
+/// restate [10]'s encoding and quantization reads back blindly from the
+/// histogram alone:
 ///
 ///  * categories are secretly grouped by H(label, key) mod |wm|;
 ///  * group j's total *normalized* frequency mass is quantized with step q;

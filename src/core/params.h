@@ -17,8 +17,8 @@ enum class BitIndexMode {
   /// H mod L — always in range, uniform; the library default.
   kModulo,
   /// Paper-literal msb(H, b(L)) followed by a final % L guard (the paper's
-  /// expression can exceed L-1 whenever L is not a power of two; see
-  /// DESIGN.md "Faithfulness notes").
+  /// expression can exceed L-1 whenever L is not a power of two, and the
+  /// guard keeps every such position inside wm_data).
   kMsbModL,
 };
 

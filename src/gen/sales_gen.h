@@ -12,9 +12,10 @@ namespace catmark {
 /// Configuration for the synthetic Wal-Mart-style sales relation. The paper
 /// evaluated on `UnivClassTables.ItemScan` samples of up to 141 000 tuples
 /// with schema (Visit_Nbr INTEGER PRIMARY KEY, Item_Nbr INTEGER NOT NULL);
-/// we reproduce that shape synthetically (see DESIGN.md §4 for why this
-/// substitution preserves the evaluated behaviour) and add auxiliary
-/// attributes for the multi-attribute experiments.
+/// we reproduce that shape synthetically, since the scheme reads only the
+/// sparse unique key and the skewed item frequencies, which the generator
+/// matches, and add auxiliary attributes for the multi-attribute
+/// experiments.
 struct SalesGenConfig {
   std::size_t num_tuples = 6000;
 

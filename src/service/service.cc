@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "common/check.h"
 #include "common/parallel.h"
 #include "core/detect_engine.h"
 
@@ -13,108 +12,6 @@ namespace catmark {
 
 WatermarkService::WatermarkService(ServiceOptions options)
     : options_(options) {}
-
-Result<std::size_t> WatermarkService::Open(SessionSpec spec,
-                                           Relation relation) {
-  CATMARK_ASSIGN_OR_RETURN(StreamSession session,
-                           StreamSession::Create(std::move(spec)));
-  // A relation passed by value usually arrives copied, with column capacity
-  // == size: the very first insert batch would then pay an O(N) relocation
-  // of every column (plus the page faults of the fresh allocations) inside
-  // the timed insert path. Reserve append headroom now, at open time.
-  relation.Reserve(relation.NumRows() + relation.NumRows() / 4 + 1024);
-  const std::size_t id = entries_.size();
-  entries_.push_back(std::make_unique<Entry>(
-      Entry{std::move(session), std::move(relation)}));
-  ++open_count_;
-  return id;
-}
-
-WatermarkService::Entry* WatermarkService::Find(std::size_t id) {
-  if (id >= entries_.size()) return nullptr;
-  return entries_[id].get();
-}
-
-StreamSession& WatermarkService::session(std::size_t id) {
-  Entry* entry = Find(id);
-  CATMARK_CHECK(entry != nullptr) << "session " << id << " is not open";
-  return entry->session;
-}
-
-const Relation& WatermarkService::relation(std::size_t id) const {
-  CATMARK_CHECK(id < entries_.size() && entries_[id] != nullptr)
-      << "session " << id << " is not open";
-  return entries_[id]->relation;
-}
-
-Result<BatchReport> WatermarkService::InsertBatch(std::size_t id,
-                                                  std::span<Row> rows) {
-  Entry* entry = Find(id);
-  if (entry == nullptr) {
-    return Status::InvalidArgument("session " + std::to_string(id) +
-                                   " is not open");
-  }
-  return entry->session.InsertBatch(entry->relation, rows);
-}
-
-Result<bool> WatermarkService::Refresh(std::size_t id, std::size_t row_index) {
-  Entry* entry = Find(id);
-  if (entry == nullptr) {
-    return Status::InvalidArgument("session " + std::to_string(id) +
-                                   " is not open");
-  }
-  return entry->session.Refresh(entry->relation, row_index);
-}
-
-std::vector<Result<BatchReport>> WatermarkService::ExecuteBatches(
-    std::span<SessionBatch> batches) {
-  std::vector<Result<BatchReport>> results;
-  results.reserve(batches.size());
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    results.emplace_back(Status::Internal("not executed"));
-  }
-
-  // Group batch indices by session, first-appearance order. Each group is
-  // one unit of parallel work: a session is single-writer, so its batches
-  // run in submission order on whichever worker owns the group.
-  constexpr std::size_t kUngrouped = static_cast<std::size_t>(-1);
-  std::vector<std::vector<std::size_t>> groups;
-  std::vector<std::size_t> group_of(entries_.size(), kUngrouped);
-  std::vector<std::size_t> bad;  // batches naming a closed / unknown session
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    const std::size_t id = batches[i].session_id;
-    if (id >= entries_.size() || entries_[id] == nullptr) {
-      bad.push_back(i);
-      continue;
-    }
-    if (group_of[id] == kUngrouped) {
-      group_of[id] = groups.size();
-      groups.emplace_back();
-    }
-    groups[group_of[id]].push_back(i);
-  }
-  for (const std::size_t i : bad) {
-    results[i] = Status::InvalidArgument(
-        "session " + std::to_string(batches[i].session_id) + " is not open");
-  }
-
-  // Distinct sessions share no mutable state and every result slot is
-  // written by exactly one worker, so the fan-out is race-free and the
-  // outcome is independent of the thread count.
-  ParallelFor(groups.size(),
-              EffectiveThreadCount(options_.num_threads, groups.size()),
-              [&](std::size_t /*shard*/, std::size_t begin, std::size_t end) {
-                for (std::size_t g = begin; g < end; ++g) {
-                  for (const std::size_t i : groups[g]) {
-                    SessionBatch& b = batches[i];
-                    Entry& entry = *entries_[b.session_id];
-                    results[i] = entry.session.InsertBatch(
-                        entry.relation, std::span<Row>(b.rows));
-                  }
-                }
-              });
-  return results;
-}
 
 Result<SweepReport> WatermarkService::SweepOwnership(
     const Relation& suspect, std::span<const OwnershipCandidate> candidates,
@@ -220,18 +117,6 @@ Result<SweepReport> WatermarkService::SweepOwnership(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return report;
-}
-
-Result<Relation> WatermarkService::Close(std::size_t id) {
-  Entry* entry = Find(id);
-  if (entry == nullptr) {
-    return Status::InvalidArgument("session " + std::to_string(id) +
-                                   " is not open");
-  }
-  Relation relation = std::move(entry->relation);
-  entries_[id].reset();
-  --open_count_;
-  return relation;
 }
 
 }  // namespace catmark

@@ -2,7 +2,6 @@
 #define CATMARK_SERVICE_SERVICE_H_
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -14,7 +13,6 @@
 #include "core/detector.h"
 #include "core/keys.h"
 #include "relation/relation.h"
-#include "service/session.h"
 
 namespace catmark {
 
@@ -55,55 +53,17 @@ struct SweepReport {
 };
 
 struct ServiceOptions {
-  /// Worker threads for ExecuteBatches (0 = auto: CATMARK_THREADS when set,
-  /// otherwise the hardware thread count). Parallelism is across *sessions*;
-  /// one session's batches always run in order on one worker.
+  /// Worker threads for SweepOwnership's detect passes and decisions (0 =
+  /// auto: CATMARK_THREADS when set, otherwise the hardware thread count).
   std::size_t num_threads = 0;
 };
 
-/// A multi-session streaming watermark service: many concurrent
-/// StreamSessions (distinct keys, marks and relations — think one per
-/// customer dataset) behind small integer handles, with a batch executor
-/// that fans independent sessions out over the common/parallel pool.
-///
-/// The service owns each session's relation; Close hands it back. Results
-/// are bit-identical at every thread count: batches for the same session
-/// run in submission order on a single worker, and distinct sessions share
-/// no mutable state.
-///
-/// Open/Close and ExecuteBatches are *not* internally synchronized against
-/// each other — drive the service from one thread (it parallelizes inside
-/// ExecuteBatches), like every other mutation API in this library.
+/// The dispute-time service: a blind multi-key ownership sweep over a
+/// suspect relation. Streaming inserts run through a StreamSession
+/// (service/session.h), one per relation the caller grows.
 class WatermarkService {
  public:
   explicit WatermarkService(ServiceOptions options = {});
-
-  /// Opens a session over `spec`, seeded with `relation` (may be empty —
-  /// a fresh feed). Returns the session id.
-  Result<std::size_t> Open(SessionSpec spec, Relation relation);
-
-  /// Live accessors; the id must name an open session (checked).
-  StreamSession& session(std::size_t id);
-  const Relation& relation(std::size_t id) const;
-
-  /// Inserts one batch into session `id`'s relation.
-  Result<BatchReport> InsertBatch(std::size_t id, std::span<Row> rows);
-
-  /// Re-evaluates one updated tuple of session `id`'s relation.
-  Result<bool> Refresh(std::size_t id, std::size_t row_index);
-
-  /// One unit of work for the batch executor. `rows` is consumed.
-  struct SessionBatch {
-    std::size_t session_id = 0;
-    std::vector<Row> rows;
-  };
-
-  /// Executes a mixed stream of batches, parallelizing across sessions:
-  /// batches are grouped by session id (submission order preserved within a
-  /// session) and distinct sessions run concurrently. results[i] corresponds
-  /// to batches[i]; a bad session id fails that batch only.
-  std::vector<Result<BatchReport>> ExecuteBatches(
-      std::span<SessionBatch> batches);
 
   /// Blind multi-key ownership sweep over a suspect relation: "whose mark
   /// is this data carrying?". Candidates are grouped by (key attribute,
@@ -111,33 +71,14 @@ class WatermarkService {
   /// RelationPlan, then every candidate runs through the amortized
   /// per-key pass (DetectEngine::DetectMany, parallel keys × shards over
   /// the service's thread budget) and is decided against its certificate's
-  /// mark at significance `alpha`. Stateless with respect to sessions —
-  /// the suspect is whatever relation the dispute brought in. Fails only
-  /// when `candidates` is empty; per-candidate problems land in
-  /// SweepReport::failed.
+  /// mark at significance `alpha`. Fails only when `candidates` is empty;
+  /// per-candidate problems land in SweepReport::failed.
   Result<SweepReport> SweepOwnership(const Relation& suspect,
                                      std::span<const OwnershipCandidate> candidates,
                                      double alpha = 1e-3) const;
 
-  /// Closes session `id` and returns its relation.
-  Result<Relation> Close(std::size_t id);
-
-  /// Number of currently open sessions.
-  std::size_t num_sessions() const { return open_count_; }
-
  private:
-  struct Entry {
-    StreamSession session;
-    Relation relation;
-  };
-
-  Entry* Find(std::size_t id);
-
   ServiceOptions options_;
-  // Slot per ever-opened session; Close nulls the slot (ids are not reused,
-  // so a stale handle fails loudly instead of hitting a stranger's session).
-  std::vector<std::unique_ptr<Entry>> entries_;
-  std::size_t open_count_ = 0;
 };
 
 }  // namespace catmark

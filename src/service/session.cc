@@ -1,6 +1,5 @@
 #include "service/session.h"
 
-#include <algorithm>
 #include <array>
 #include <numeric>
 #include <string>
@@ -82,8 +81,6 @@ StreamSession::StreamSession(SessionSpec spec, PayloadBits wm_data)
                            spec_.params.hash_algo);
   prf_k2_ = CreateKeyedPrf(*spec_.params.prf, spec_.keys.k2,
                            spec_.params.hash_algo);
-  cache_verdicts_ = CachesVerdicts(*spec_.params.prf);
-  scratch_.reserve(64);
 }
 
 Result<StreamSession> StreamSession::Create(SessionSpec spec) {
@@ -95,30 +92,23 @@ Result<StreamSession> StreamSession::Create(SessionSpec spec) {
   return StreamSession(std::move(spec), std::move(wm_data));
 }
 
-Status StreamSession::BindColumns(const Relation& rel) {
-  // Memoized on the schema's identity; the bound and name re-checks make a
-  // stale pointer (a new relation allocated where an old one lived)
-  // harmless, even when the new schema has fewer columns.
-  if (bound_schema_ == &rel.schema() &&
-      key_col_ < rel.schema().num_columns() &&
-      target_col_ < rel.schema().num_columns() &&
-      rel.schema().column(key_col_).name == spec_.key_attr &&
-      rel.schema().column(target_col_).name == spec_.target_attr) {
-    return Status::OK();
-  }
-  CATMARK_ASSIGN_OR_RETURN(key_col_,
-                           rel.schema().ColumnIndexOrError(spec_.key_attr));
-  CATMARK_ASSIGN_OR_RETURN(
-      target_col_, rel.schema().ColumnIndexOrError(spec_.target_attr));
-  bound_schema_ = &rel.schema();
-  return Status::OK();
+const Value& StreamSession::MarkedValue(std::uint64_t h1,
+                                        std::uint64_t h2) const {
+  const std::size_t payload_index = PayloadIndexFromHash(
+      h2, spec_.params.payload_length, spec_.params.bit_index_mode);
+  return spec_.domain.value(SelectValueIndex(h1, spec_.domain.size(),
+                                             wm_data_.Get(payload_index)));
 }
 
 Result<BatchReport> StreamSession::InsertRange(Relation& rel,
                                                const Relation& src,
                                                std::size_t begin,
                                                std::size_t count) {
-  CATMARK_RETURN_IF_ERROR(BindColumns(rel));
+  CATMARK_ASSIGN_OR_RETURN(const std::size_t key_col,
+                           rel.schema().ColumnIndexOrError(spec_.key_attr));
+  CATMARK_ASSIGN_OR_RETURN(
+      const std::size_t target_col,
+      rel.schema().ColumnIndexOrError(spec_.target_attr));
   if (!(src.schema() == rel.schema())) {
     return Status::InvalidArgument(
         "source schema does not match the relation's");
@@ -132,76 +122,25 @@ Result<BatchReport> StreamSession::InsertRange(Relation& rel,
 
   BatchReport report;
   report.rows = count;
-  const ColumnReader keys(src.store(), key_col_);
-  const ColumnReader targets(src.store(), target_col_);
+  const ColumnReader targets(src.store(), target_col);
   marked_.assign(count, nullptr);
-  const auto mark = [&](std::size_t offset, std::uint64_t h1,
-                        std::uint32_t payload_index) {
-    ++report.fit_rows;
-    const std::size_t t = SelectValueIndex(h1, spec_.domain.size(),
-                                           wm_data_.Get(payload_index));
-    const Value& marked = spec_.domain.value(t);
-    // Cells already carrying the marked value keep their source value.
-    if (!(targets[begin + offset] == marked)) {
-      marked_[offset] = &marked;
-      ++report.altered_rows;
-    }
-  };
-  const auto position = [&](std::uint64_t h2) {
-    return static_cast<std::uint32_t>(PayloadIndexFromHash(
-        h2, spec_.params.payload_length, spec_.params.bit_index_mode));
-  };
   FitScanner scan(*prf_k1_, prf_k2_.get(), spec_.params.e, fit_scratch_);
-  if (!cache_verdicts_) {
-    report.hashed_keys = ScanKeyColumn(
-        scan, src.store(), key_col_, begin, begin + count,
-        [&](std::size_t i, std::uint64_t h1, std::uint64_t h2) {
-          mark(i, h1, position(h2));
-        });
-  } else {
-    // A caching session hashes only the keys its cache cannot answer. Each
-    // miss gets its (unfit) cache slot at once, so a key repeated later in
-    // the range is hashed once; every hit, repeats included, reads its
-    // slot after the scan has filled it. Map nodes never move, and marking
-    // is order-independent (marked_ is indexed by row).
-    misses_.clear();
-    hits_.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      if (keys.IsNull(begin + i)) continue;  // NULL keys are unfit
-      const std::string_view bytes =
-          keys.SerializeKeyInto(begin + i, scratch_);
-      if (const auto it = cache_.find(bytes); it != cache_.end()) {
-        hits_.emplace_back(i, &it->second);
-        continue;
-      }
-      // Past the cap a miss is hashed per occurrence and not memoized.
-      Verdict* slot =
-          cache_.size() < kVerdictCacheCapacity
-              ? &cache_.emplace(std::string(bytes), Verdict{}).first->second
-              : nullptr;
-      misses_.emplace_back(i, slot);
-    }
-    Value key;
-    report.hashed_keys = scan.Scan(
-        misses_.size(),
-        [&](std::size_t m) {
-          key = keys[begin + misses_[m].first];
-          return &key;
-        },
-        [&](std::size_t m, std::uint64_t h1, std::uint64_t h2) {
-          const Verdict v{h1, position(h2), true};
-          if (misses_[m].second != nullptr) *misses_[m].second = v;
-          mark(misses_[m].first, v.h1, v.payload_index);
-        });
-    for (const auto& [row, v] : hits_) {
-      if (v->fit) mark(row, v->h1, v->payload_index);
-    }
-  }
+  report.hashed_keys = ScanKeyColumn(
+      scan, src.store(), key_col, begin, begin + count,
+      [&](std::size_t i, std::uint64_t h1, std::uint64_t h2) {
+        ++report.fit_rows;
+        const Value& marked = MarkedValue(h1, h2);
+        // Cells already carrying the marked value keep their source value.
+        if (!(targets[begin + i] == marked)) {
+          marked_[i] = &marked;
+          ++report.altered_rows;
+        }
+      });
   range_.resize(count);
   std::iota(range_.begin(), range_.end(), begin);
   CATMARK_RETURN_IF_ERROR(rel.AppendRowsFrom(
       src, range_,
-      ColumnOverride{target_col_, std::span<const Value* const>(marked_)}));
+      ColumnOverride{target_col, std::span<const Value* const>(marked_)}));
   total_rows_ += report.rows;
   total_fit_ += report.fit_rows;
   return report;
@@ -229,44 +168,26 @@ Result<bool> StreamSession::Insert(Relation& rel, Row row) {
   return report.fit_rows > 0;
 }
 
-StreamSession::Verdict StreamSession::VerdictFor(const Value& key_value) {
-  const std::string_view key = key_value.SerializeKeyInto(scratch_);
-  if (cache_verdicts_) {
-    if (const auto it = cache_.find(key); it != cache_.end()) {
-      return it->second;
-    }
-  }
-  Verdict v;
+Result<bool> StreamSession::Refresh(Relation& rel, std::size_t row_index) {
+  CATMARK_ASSIGN_OR_RETURN(const std::size_t key_col,
+                           rel.schema().ColumnIndexOrError(spec_.key_attr));
+  CATMARK_ASSIGN_OR_RETURN(
+      const std::size_t target_col,
+      rel.schema().ColumnIndexOrError(spec_.target_attr));
+  if (row_index >= rel.NumRows()) return Status::OutOfRange("row index");
+  const Value key = rel.Get(row_index, key_col);
+  const Value* marked = nullptr;
   FitScanner scan(*prf_k1_, prf_k2_.get(), spec_.params.e, fit_scratch_);
   scan.Scan(
-      1, [&](std::size_t /*i*/) { return &key_value; },
+      1, [&](std::size_t /*i*/) { return &key; },
       [&](std::size_t /*i*/, std::uint64_t h1, std::uint64_t h2) {
-        v = {h1,
-             static_cast<std::uint32_t>(PayloadIndexFromHash(
-                 h2, spec_.params.payload_length,
-                 spec_.params.bit_index_mode)),
-             true};
+        marked = &MarkedValue(h1, h2);
       });
-  if (cache_verdicts_ && cache_.size() < kVerdictCacheCapacity) {
-    cache_.emplace(std::string(key), v);
-  }
-  return v;
-}
-
-Result<bool> StreamSession::Refresh(Relation& rel, std::size_t row_index) {
-  CATMARK_RETURN_IF_ERROR(BindColumns(rel));
-  if (row_index >= rel.NumRows()) return Status::OutOfRange("row index");
-  const Value& key_value = rel.Get(row_index, key_col_);
-  if (key_value.is_null()) return false;
-  const Verdict v = VerdictFor(key_value);
-  if (!v.fit) return false;
-  const std::size_t t = SelectValueIndex(v.h1, spec_.domain.size(),
-                                         wm_data_.Get(v.payload_index));
-  const Value& marked = spec_.domain.value(t);
+  if (marked == nullptr) return false;  // unfit, NULL keys included
   // Skip the store write when the cell already carries the marked value —
   // the common case when refreshing an already-watermarked relation.
-  if (!(rel.Get(row_index, target_col_) == marked)) {
-    CATMARK_RETURN_IF_ERROR(rel.Set(row_index, target_col_, marked));
+  if (!(rel.Get(row_index, target_col) == *marked)) {
+    CATMARK_RETURN_IF_ERROR(rel.Set(row_index, target_col, *marked));
   }
   return true;
 }

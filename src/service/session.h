@@ -5,9 +5,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/bitvec.h"
@@ -74,9 +71,7 @@ struct BatchReport {
   std::size_t rows = 0;          ///< rows appended
   std::size_t fit_rows = 0;      ///< rows satisfying the fitness test
   std::size_t altered_rows = 0;  ///< fit rows whose target cell changed
-  /// Keys that went through the k1 PRF this batch. A siphash24 session
-  /// hashes every non-NULL key; the slow backends hash each distinct key
-  /// once while their verdict cache has room, and repeats cost no hashing.
+  /// Keys that went through the k1 PRF this batch: every non-NULL key.
   std::size_t hashed_keys = 0;
 };
 
@@ -95,32 +90,18 @@ struct BatchReport {
 ///   - rows append through Relation::AppendRowsFrom with the marked target
 ///     values as a per-row override, so no Row is ever materialized.
 ///
-/// The backend pinned in params.prf decides whether verdicts are memoized.
-/// keyed-hash and hmac-sha256 cost hundreds of ns per hash, so their
-/// sessions keep a resident key->verdict cache (up to kVerdictCacheCapacity
-/// distinct keys) that survives across batches. siphash24 hashes a key in a
-/// few ns — less than the cache probe — so its sessions never build one.
+/// The rule needs no state per key, so the session keeps none: every key is
+/// hashed each time it is inserted or refreshed, on every PRF backend.
 ///
 /// Inserts are atomic: the input is validated against the relation's schema
 /// up front, and on any error nothing is appended. A session is not
-/// internally synchronized — it is single-writer (the WatermarkService runs
-/// *distinct* sessions in parallel, never one session from two threads).
+/// internally synchronized — it is single-writer.
 ///
 /// The session does not own the relation; every insert and Refresh takes it
-/// explicitly, and a session may serve several relations of the same schema
-/// shape (the column bindings re-resolve when the relation changes, the
-/// key->verdict cache is relation-independent).
+/// explicitly and looks its key and target columns up by name, so a session
+/// may serve several relations whose schemas order the columns differently.
 class StreamSession {
  public:
-  /// Distinct keys a caching session keeps resident; keys past the cap are
-  /// hashed per occurrence instead of memoized.
-  static constexpr std::size_t kVerdictCacheCapacity = std::size_t{1} << 20;
-
-  /// True for the backends whose sessions keep a verdict cache.
-  static bool CachesVerdicts(PrfKind prf) {
-    return prf != PrfKind::kSipHash24;
-  }
-
   /// Validates `spec` and builds the session: PRF key schedules and the
   /// ECC-expanded payload.
   static Result<StreamSession> Create(SessionSpec spec);
@@ -152,9 +133,8 @@ class StreamSession {
   /// Re-evaluates an updated tuple in place: when the key attribute of row
   /// `row_index` is fit, re-applies the embedding rule to the target
   /// attribute (an UPDATE that touched either attribute may have destroyed
-  /// the bit). Returns true when the tuple is fit. Reuses the session's
-  /// resident column bindings and, on the caching backends, its verdict
-  /// cache — a refresh of a key seen before performs no keyed hashing.
+  /// the bit). Returns true when the tuple is fit. The key runs through the
+  /// same FitScanner as an insert.
   Result<bool> Refresh(Relation& rel, std::size_t row_index);
 
   const SessionSpec& spec() const { return spec_; }
@@ -164,33 +144,12 @@ class StreamSession {
   /// Lifetime totals across every batch.
   std::size_t total_rows() const { return total_rows_; }
   std::size_t total_fit() const { return total_fit_; }
-  /// Distinct keys resident in the verdict cache (always 0 on siphash24).
-  std::size_t cached_keys() const { return cache_.size(); }
 
  private:
-  /// The per-key outcome of the Section 3.2.1 hashes: fitness, the fitness
-  /// hash itself (drives value selection) and the k2-derived payload
-  /// position. Everything downstream (bit lookup, SelectValueIndex) is cheap
-  /// integer work recomputed per row.
-  struct Verdict {
-    std::uint64_t h1 = 0;
-    std::uint32_t payload_index = 0;
-    bool fit = false;
-  };
-  using VerdictCache =
-      std::unordered_map<std::string, Verdict, TransparentStringHash,
-                         std::equal_to<>>;
-
   StreamSession(SessionSpec spec, PayloadBits wm_data);
 
-  /// Binds key/target column indices for `rel`, memoized on the relation's
-  /// schema identity so consecutive batches against the same relation skip
-  /// the name lookups.
-  Status BindColumns(const Relation& rel);
-
-  /// Cache-or-compute for one key (the Refresh path). A miss runs the
-  /// session's FitScanner over the one key.
-  Verdict VerdictFor(const Value& key_value);
+  /// The domain value a fit key with hashes (h1, h2) must carry.
+  const Value& MarkedValue(std::uint64_t h1, std::uint64_t h2) const;
 
   SessionSpec spec_;
   PayloadBits wm_data_;  // the ECC-expanded payload, looked up per slot
@@ -199,28 +158,13 @@ class StreamSession {
   std::unique_ptr<KeyedPrf> prf_k1_;
   std::unique_ptr<KeyedPrf> prf_k2_;
 
-  // Resident key->verdict cache; only filled when CachesVerdicts(prf).
-  bool cache_verdicts_ = false;
-  VerdictCache cache_;
-
-  // Column bindings for the relation last served, keyed on its schema's
-  // identity.
-  const Schema* bound_schema_ = nullptr;
-  std::size_t key_col_ = 0;
-  std::size_t target_col_ = 0;
-
-  // Per-insert scratch, reused across batches: the fit scanner's buffers;
-  // on caching sessions, the rows whose key missed the cache (with the
-  // cache slot to fill, null past the cap) and the rows whose key hit it;
+  // Per-insert scratch, reused across batches: the fit scanner's buffers,
   // the appended source rows and their target override.
   FitScratch fit_scratch_;
-  std::vector<std::pair<std::size_t, Verdict*>> misses_;
-  std::vector<std::pair<std::size_t, const Verdict*>> hits_;
   std::vector<std::size_t> range_;
   std::vector<const Value*> marked_;
   // InsertBatch's staging relation, rebuilt when the schema changes.
   Relation staged_;
-  std::vector<std::uint8_t> scratch_;
 
   std::size_t total_rows_ = 0;
   std::size_t total_fit_ = 0;

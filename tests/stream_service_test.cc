@@ -1,15 +1,13 @@
-// Streaming service equivalence suite: the batched StreamSession /
-// WatermarkService path must be byte-identical to inserting one row at a
-// time — same relation bytes, same dictionary code assignment, same
-// detection outcome — across batch splits, source ranges, key shapes, PRF
-// backends and service thread counts.
+// Streaming service equivalence suite: the batched StreamSession path must
+// be byte-identical to inserting one row at a time — same relation bytes,
+// same dictionary code assignment, same detection outcome — across batch
+// splits, source ranges, key shapes, column orders and PRF backends.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
 #include <random>
-#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -172,13 +170,7 @@ TEST_P(StreamEquivalenceTest, EveryInsertPathMatchesTheRowReference) {
   const Fixture f = MakeFixture(prf, 91, shape);
   const std::vector<Row> stream = MakeStream(3000, 7, shape);
   std::size_t non_null_keys = 0;
-  std::set<std::string> distinct_keys;
-  for (const Row& row : stream) {
-    if (row[0].is_null()) continue;
-    ++non_null_keys;
-    distinct_keys.insert(row[0].ToString());
-  }
-  const bool caches = StreamSession::CachesVerdicts(prf);
+  for (const Row& row : stream) non_null_keys += !row[0].is_null();
 
   // Reference: every row marked from first principles, appended one at a
   // time through the row path.
@@ -208,16 +200,9 @@ TEST_P(StreamEquivalenceTest, EveryInsertPathMatchesTheRowReference) {
       big.InsertBatch(one_batch, std::span<Row>(rows)).value();
   EXPECT_EQ(report.rows, stream.size());
   EXPECT_EQ(report.fit_rows, single_fit);
-  // siphash24 hashes every non-NULL key; a caching backend hashes each
-  // distinct key once, however often the stream repeats it.
-  if (caches) {
-    EXPECT_EQ(report.hashed_keys, distinct_keys.size());
-    EXPECT_LT(report.hashed_keys, non_null_keys);
-    EXPECT_EQ(big.cached_keys(), distinct_keys.size());
-  } else {
-    EXPECT_EQ(report.hashed_keys, non_null_keys);
-    EXPECT_EQ(big.cached_keys(), 0u);
-  }
+  // Every backend hashes every non-NULL key, however often the stream
+  // repeats it.
+  EXPECT_EQ(report.hashed_keys, non_null_keys);
   EXPECT_EQ(big.total_rows(), stream.size());
   EXPECT_EQ(big.total_fit(), single_fit);
   ExpectIdenticalState(reference, one_batch);
@@ -240,8 +225,8 @@ TEST_P(StreamEquivalenceTest, EveryInsertPathMatchesTheRowReference) {
   EXPECT_EQ(split_fit, single_fit);
   ExpectIdenticalState(reference, split_rel);
 
-  // Path 4: a warm session re-inserting the stream — a caching backend now
-  // answers every key from its cache, and the bytes do not move.
+  // Path 4: a warm session re-inserting the stream hashes every key again,
+  // and the bytes do not move.
   Relation warm_rel = f.rel;
   rows = stream;
   std::size_t warm_hashed = 0;
@@ -253,7 +238,7 @@ TEST_P(StreamEquivalenceTest, EveryInsertPathMatchesTheRowReference) {
             .hashed_keys;
     at += len;
   }
-  EXPECT_EQ(warm_hashed, caches ? 0u : non_null_keys);
+  EXPECT_EQ(warm_hashed, non_null_keys);
   ExpectIdenticalState(reference, warm_rel);
 
   // Path 5: the columnar core over a source relation, at begin offsets
@@ -283,6 +268,31 @@ TEST_P(StreamEquivalenceTest, EveryInsertPathMatchesTheRowReference) {
   EXPECT_EQ(ranged_fit, single_fit);
   EXPECT_EQ(WriteCatmString(source), source_image);  // source untouched
   ExpectIdenticalState(fresh_reference, ranged);
+
+  // Path 6: the same session alternates between two relations whose
+  // schemas list the attributes in different column orders; each looks its
+  // columns up by name and matches the reference.
+  const Column& key_column = f.rel.schema().column(0);
+  const Column& target_column = f.rel.schema().column(1);
+  const Schema swapped =
+      Schema::Create({target_column, key_column}, key_column.name).value();
+  Relation in_order(f.rel.schema());
+  Relation reordered(swapped);
+  Relation in_order_reference(f.rel.schema());
+  Relation reordered_reference(swapped);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const bool swap = i % 3 == 0;
+    Row row = stream[i];
+    if (swap) std::swap(row[0], row[1]);
+    ASSERT_TRUE(big.Insert(swap ? reordered : in_order, row).ok());
+    Row marked = ReferenceMarkedRow(f, stream[i]);
+    if (swap) std::swap(marked[0], marked[1]);
+    ASSERT_TRUE((swap ? reordered_reference : in_order_reference)
+                    .AppendRow(std::move(marked))
+                    .ok());
+  }
+  ExpectIdenticalState(in_order_reference, in_order);
+  ExpectIdenticalState(reordered_reference, reordered);
 
   // The grown relation still detects the offline-embedded mark.
   EXPECT_EQ(Detect(f, one_batch).wm, f.wm);
@@ -403,7 +413,7 @@ TEST(StreamSessionTest, BatchesAreAtomicOnValidationErrors) {
   EXPECT_FALSE(session.InsertBatch(wrong_schema, std::span<Row>(one)).ok());
 }
 
-// Refresh runs its cache miss through the session's FitScanner: on
+// Refresh runs the row's key through the session's FitScanner: on
 // siphash24 an int64 key takes the typed Hash64Int64Keys lane, on the other
 // backends the serialized bytes. The row is found with HashValue, the
 // single-message PRF call, so the two must agree on every backend.
@@ -428,7 +438,7 @@ class StreamRefreshTest : public ::testing::TestWithParam<PrfKind> {
   }
 };
 
-TEST_P(StreamRefreshTest, RefreshReusesResidentStateAndRepairs) {
+TEST_P(StreamRefreshTest, RefreshRepairsFitRows) {
   Fixture f = MakeFixture(GetParam());
   StreamSession session = StreamSession::Create(SpecOf(f)).value();
   // Several fit rows, so a wrong payload position flips some repaired bit.
@@ -441,13 +451,7 @@ TEST_P(StreamRefreshTest, RefreshReusesResidentStateAndRepairs) {
     EXPECT_TRUE(session.Refresh(f.rel, row).value());
     EXPECT_EQ(f.rel.Get(row, 1), marked_value) << "row " << row;
   }
-  // A caching backend keeps the verdicts resident, and a second refresh
-  // hits the cache; siphash24 keeps no cache and hashes the key again.
-  if (StreamSession::CachesVerdicts(GetParam())) {
-    EXPECT_GE(session.cached_keys(), 1u);
-  } else {
-    EXPECT_EQ(session.cached_keys(), 0u);
-  }
+  // A second refresh of a repaired row leaves it as it is.
   const Value marked_value = f.rel.Get(fit_rows[0], 1);
   EXPECT_TRUE(session.Refresh(f.rel, fit_rows[0]).value());
   EXPECT_EQ(f.rel.Get(fit_rows[0], 1), marked_value);
@@ -701,113 +705,6 @@ TEST(CertificateConsumersTest, LargestClaimedPayloadLengthStreams) {
     EXPECT_TRUE(got == f.report.domain.value(t)) << "fit row " << i;
   }
   EXPECT_GT(fit, 0u);
-}
-
-TEST(WatermarkServiceTest,
-     MultiplexedSessionsMatchSequentialAtEveryThreadCount) {
-  // Three tenants with distinct keys/marks; one mixed batch stream. The
-  // parallel executor must produce byte-identical relations at 1, 2 and 8
-  // workers, all equal to running each session sequentially.
-  constexpr std::size_t kSessions = 3;
-  std::vector<Fixture> fixtures;
-  for (std::size_t s = 0; s < kSessions; ++s) {
-    fixtures.push_back(MakeFixture(std::nullopt, 100 + s));
-  }
-
-  // The mixed stream: interleaved per-session batches, deterministic.
-  struct Piece {
-    std::size_t fixture;
-    std::vector<Row> rows;
-  };
-  std::vector<Piece> pieces;
-  std::mt19937_64 rng(5);
-  for (int round = 0; round < 12; ++round) {
-    const std::size_t s = rng() % kSessions;
-    pieces.push_back(Piece{s, MakeStream(50 + rng() % 300, rng())});
-  }
-
-  // Reference: each session sequentially.
-  std::vector<Relation> expected;
-  for (std::size_t s = 0; s < kSessions; ++s) {
-    expected.push_back(fixtures[s].rel);
-  }
-  {
-    std::vector<StreamSession> sessions;
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      sessions.push_back(
-          StreamSession::Create(SpecOf(fixtures[s])).value());
-    }
-    for (const Piece& piece : pieces) {
-      std::vector<Row> rows = piece.rows;
-      ASSERT_TRUE(sessions[piece.fixture]
-                      .InsertBatch(expected[piece.fixture],
-                                   std::span<Row>(rows))
-                      .ok());
-    }
-  }
-
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    WatermarkService service(ServiceOptions{threads});
-    std::vector<std::size_t> ids;
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      ids.push_back(
-          service.Open(SpecOf(fixtures[s]), fixtures[s].rel).value());
-    }
-    EXPECT_EQ(service.num_sessions(), kSessions);
-    std::vector<WatermarkService::SessionBatch> batches;
-    for (const Piece& piece : pieces) {
-      batches.push_back(
-          WatermarkService::SessionBatch{ids[piece.fixture], piece.rows});
-    }
-    const std::vector<Result<BatchReport>> results =
-        service.ExecuteBatches(std::span<WatermarkService::SessionBatch>(
-            batches));
-    ASSERT_EQ(results.size(), pieces.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
-      EXPECT_EQ(results[i]->rows, pieces[i].rows.size());
-    }
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      ExpectIdenticalState(expected[s], service.relation(ids[s]));
-      // Each grown tenant relation still detects its own mark.
-      EXPECT_EQ(Detect(fixtures[s], service.relation(ids[s])).wm,
-                fixtures[s].wm);
-    }
-    // Close hands the relation back and invalidates the handle.
-    Relation closed = service.Close(ids[0]).value();
-    ExpectIdenticalState(expected[0], closed);
-    EXPECT_EQ(service.num_sessions(), kSessions - 1);
-    EXPECT_FALSE(service.Close(ids[0]).ok());
-    std::vector<Row> one = MakeStream(1, 1);
-    EXPECT_FALSE(service.InsertBatch(ids[0], std::span<Row>(one)).ok());
-  }
-}
-
-TEST(WatermarkServiceTest, BadSessionIdsFailTheirBatchOnly) {
-  const Fixture f = MakeFixture();
-  WatermarkService service;
-  const std::size_t id = service.Open(SpecOf(f), f.rel).value();
-  std::vector<WatermarkService::SessionBatch> batches;
-  batches.push_back(WatermarkService::SessionBatch{id, MakeStream(20, 2)});
-  batches.push_back(
-      WatermarkService::SessionBatch{id + 999, MakeStream(20, 2)});
-  batches.push_back(WatermarkService::SessionBatch{id, MakeStream(20, 3)});
-  const auto results = service.ExecuteBatches(
-      std::span<WatermarkService::SessionBatch>(batches));
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_FALSE(results[1].ok());
-  EXPECT_TRUE(results[2].ok());
-  EXPECT_EQ(service.relation(id).NumRows(), f.rel.NumRows() + 40);
-}
-
-TEST(WatermarkServiceTest, OpenRejectsInvalidSpecs) {
-  const Fixture f = MakeFixture();
-  SessionSpec spec = SpecOf(f);
-  spec.params.prf.reset();
-  WatermarkService service;
-  EXPECT_FALSE(service.Open(std::move(spec), f.rel).ok());
-  EXPECT_EQ(service.num_sessions(), 0u);
 }
 
 }  // namespace

@@ -363,9 +363,11 @@ int RunEmbed(const Flags& flags) {
     const WatermarkCertificate cert = WatermarkCertificate::Create(
         keys, params, options, report.value(), wm.value(), {},
         flags.Get("in"));
-    std::ofstream f(flags.Get("certificate-out"));
-    if (!f) return Fail("cannot write " + flags.Get("certificate-out"));
-    f << cert.Serialize();
+    if (const Status s =
+            ReplaceFile(flags.Get("certificate-out"), cert.Serialize());
+        !s.ok()) {
+      return Fail(s.ToString());
+    }
     std::printf("wrote certificate to %s\n",
                 flags.Get("certificate-out").c_str());
   }
@@ -675,8 +677,8 @@ int RunBandwidth(const Flags& flags) {
 }
 
 int RunStream(const Flags& flags) {
-  CATMARK_CLI_ASSIGN_OR_FAIL(const std::uint64_t batch_flag,
-                             flags.GetUint("batch", 1024));
+  CATMARK_CLI_ASSIGN_OR_FAIL(const std::size_t batch,
+                             flags.GetUint("batch", 1024, 1));
   if (!flags.Has("certificate")) return Fail("--certificate is required");
   Result<WatermarkCertificate> cert =
       LoadCertificateFile(flags.Get("certificate"));
@@ -723,7 +725,6 @@ int RunStream(const Flags& flags) {
       StreamSession::Create(std::move(spec).value());
   if (!session.ok()) return Fail(session.status().ToString());
 
-  const std::size_t batch = std::max<std::size_t>(1, batch_flag);
   const std::size_t total = input.value().NumRows();
   std::size_t fit = 0, altered = 0, hashed = 0, batches = 0;
   for (std::size_t at = 0; at < total; ++batches) {
