@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "attack/attacks.h"
+#include "core/channel.h"
 #include "core/detector.h"
 #include "core/embedder.h"
 #include "core/injection.h"

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "attack/attacks.h"
+#include "core/channel.h"
 #include "exp/harness.h"
 
 namespace catmark {

@@ -141,7 +141,10 @@ void BM_FitnessTest(benchmark::State& state) {
   HashScratch scratch;
   std::int64_t v = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(HashValue(*k1, Value(v++), scratch) % e == 0);
+    scratch.clear();
+    Value(v++).SerializeForHash(scratch);
+    benchmark::DoNotOptimize(k1->Hash64(scratch.data(), scratch.size()) % e ==
+                             0);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -13,6 +13,7 @@
 #include "core/analysis.h"           // IWYU pragma: export
 #include "core/bandwidth.h"          // IWYU pragma: export
 #include "core/certificate.h"        // IWYU pragma: export
+#include "core/channel.h"            // IWYU pragma: export
 #include "core/codec.h"              // IWYU pragma: export
 #include "core/decision.h"           // IWYU pragma: export
 #include "core/detect_engine.h"      // IWYU pragma: export

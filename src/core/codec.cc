@@ -5,13 +5,6 @@
 
 namespace catmark {
 
-std::uint64_t HashValue(const KeyedPrf& prf, const Value& v,
-                        HashScratch& scratch) {
-  scratch.clear();
-  v.SerializeForHash(scratch);
-  return prf.Hash64(scratch.data(), scratch.size());
-}
-
 std::size_t PayloadIndexFromHash(std::uint64_t h, std::size_t payload_len,
                                  BitIndexMode mode) {
   CATMARK_CHECK_GE(payload_len, 1u);

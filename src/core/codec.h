@@ -4,20 +4,8 @@
 #include <cstdint>
 
 #include "core/params.h"
-#include "crypto/keyed_hash.h"
-#include "crypto/prf.h"
-#include "relation/value.h"
 
 namespace catmark {
-
-/// H(v, k): the keyed hash of a Value's canonical serialization
-/// (Value::SerializeForHash), serialized into `scratch` (cleared first) so
-/// tight loops reuse one buffer per thread. A tuple is fit for encoding
-/// (Section 3.2.1) iff HashValue(k1, T(K)) mod e == 0. The row-at-a-time
-/// channels (additive-attack injection) use this; the bulk pipelines batch
-/// through the FitScanner (core/fit_scan.h) instead.
-std::uint64_t HashValue(const KeyedPrf& prf, const Value& v,
-                        HashScratch& scratch);
 
 /// Maps a 64-bit hash to a wm_data index in [0, L).
 std::size_t PayloadIndexFromHash(std::uint64_t h, std::size_t payload_len,

@@ -10,9 +10,6 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "core/codec.h"
-#include "core/embedder.h"
-#include "core/fit_scan.h"
-#include "crypto/prf.h"
 #include "relation/column_store.h"
 
 namespace catmark {
@@ -43,19 +40,6 @@ struct DetectEngine::Scratch {
 
 namespace {
 
-/// Figure 2's position source: a fit message's slot comes from its k2
-/// hash. `key_bytes` is never called.
-struct K2Slots {
-  std::size_t payload_len;
-  BitIndexMode mode;
-
-  template <typename KeyBytes>
-  std::optional<std::size_t> operator()(std::uint64_t h2,
-                                        const KeyBytes& /*key_bytes*/) const {
-    return PayloadIndexFromHash(h2, payload_len, mode);
-  }
-};
-
 /// Figure 2(b)'s position source: the index the owner's embedding map
 /// recorded for the message's key bytes (Value::SerializeKeyInto form), mod
 /// the payload length. A key the map does not hold, e.g. a tuple Mallory
@@ -73,14 +57,18 @@ struct MapSlots {
   }
 };
 
-/// Runs `tally` with the candidate's position source, chosen once per pass.
+/// Runs `tally` with the candidate's position source, chosen once per pass:
+/// the map's (Figure 2(b)), else Figure 2's slot of the k2 hash, whose
+/// `key_bytes` is never called.
 template <typename Tally>
-void WithSlots(const KeyCandidate& candidate, std::size_t payload_len,
+void WithSlots(const KeyCandidate& candidate, const Channel& channel,
                Tally&& tally) {
   if (candidate.embedding_map != nullptr) {
-    tally(MapSlots{*candidate.embedding_map, payload_len});
+    tally(MapSlots{*candidate.embedding_map, channel.payload_length()});
   } else {
-    tally(K2Slots{payload_len, candidate.params.bit_index_mode});
+    tally([&channel](std::uint64_t h2, const auto& /*key_bytes*/) {
+      return std::optional<std::size_t>(channel.Slot(h2));
+    });
   }
 }
 
@@ -88,29 +76,16 @@ void WithSlots(const KeyCandidate& candidate, std::size_t payload_len,
 
 Result<DetectEngine> DetectEngine::Create(const Relation& rel,
                                           const DetectEngineOptions& options) {
-  DetectEngine engine;
-  CATMARK_ASSIGN_OR_RETURN(engine.key_col_,
-                           rel.schema().ColumnIndexOrError(options.key_attr));
-  CATMARK_ASSIGN_OR_RETURN(
-      const std::size_t target_col,
-      rel.schema().ColumnIndexOrError(options.target_attr));
   if (rel.empty()) {
     return Status::FailedPrecondition("cannot detect in an empty relation");
   }
-  engine.domain_ = options.domain;
-  if (engine.domain_ == nullptr) {
-    CATMARK_ASSIGN_OR_RETURN(
-        CategoricalDomain recovered,
-        CategoricalDomain::FromRelationColumn(rel, target_col));
-    engine.owned_domain_ =
-        std::make_unique<CategoricalDomain>(std::move(recovered));
-    engine.domain_ = engine.owned_domain_.get();
-  }
-  if (engine.domain_->size() < 2) {
-    return Status::FailedPrecondition("domain has fewer than 2 values");
-  }
+  DetectEngine engine;
+  CATMARK_ASSIGN_OR_RETURN(
+      engine.columns_,
+      ChannelColumns::Resolve(rel, options.key_attr, options.target_attr,
+                              options.domain));
 
-  const std::size_t key_col = engine.key_col_;
+  const std::size_t key_col = engine.columns_.key_col();
   const std::size_t n = rel.NumRows();
   engine.rel_ = &rel;
   engine.num_rows_ = n;
@@ -121,8 +96,8 @@ Result<DetectEngine> DetectEngine::Create(const Relation& rel,
   // The one place a target cell's domain index is resolved: the zero-copy
   // view of a dictionary target, or one O(N) domain lookup pass on a plain
   // one, shared by every candidate the plan serves.
-  engine.target_index_ =
-      ValueIndexColumn::Build(rel, target_col, *engine.domain_, threads);
+  engine.target_index_ = ValueIndexColumn::Build(
+      rel, engine.columns_.target_col(), engine.columns_.domain(), threads);
 
   if (!engine.dict_keys_) {
     // Plain key column: one message per non-NULL key row, so a prepared
@@ -263,10 +238,10 @@ void DetectEngine::TallyShard(std::size_t shard, FitScanner& scan,
     // the target index of each fit row only.
     const std::size_t begin = row_bounds_[shard];
     const ColumnStore& store = rel_->store();
-    const ColumnReader key_reader(store, key_col_);
+    const ColumnReader key_reader(store, columns_.key_col());
     std::vector<std::uint8_t> key_bytes;
     ScanKeyColumn(
-        scan, store, key_col_, begin, row_bounds_[shard + 1],
+        scan, store, columns_.key_col(), begin, row_bounds_[shard + 1],
         [&](std::size_t i, std::uint64_t /*h1*/, std::uint64_t h2) {
           const std::size_t j = begin + i;
           ++fit_rows;
@@ -332,41 +307,14 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
                                               std::size_t num_threads,
                                               Scratch& scratch) const {
   const SteadyClock::time_point start = SteadyClock::now();
-  if (candidate.wm_len == 0) {
-    return Status::InvalidArgument("watermark length must be > 0");
-  }
-  if (!candidate.keys.valid()) {
-    return Status::InvalidArgument("invalid watermark key set (k1 == k2?)");
-  }
-  if (candidate.params.e == 0) {
-    return Status::InvalidArgument("encoding parameter e must be >= 1");
-  }
-
+  CATMARK_ASSIGN_OR_RETURN(
+      const Channel channel,
+      Channel::Create(candidate.keys, candidate.params, num_rows_,
+                      candidate.wm_len, candidate.embedding_map == nullptr));
   DetectionResult result;
   result.num_tuples = num_rows_;
-  // Payload length: the candidate's claimed params, else re-derivation
-  // from the suspect size, which needs N/e >= 1.
-  if (candidate.params.payload_length == 0 &&
-      num_rows_ / candidate.params.e == 0) {
-    return Status::FailedPrecondition(
-        "cannot derive the payload length: e exceeds the suspect relation "
-        "size (N/e == 0); pass the owner-side payload_length instead");
-  }
-  CATMARK_ASSIGN_OR_RETURN(
-      const std::size_t payload_len,
-      ResolvePayloadLength(candidate.params, num_rows_, candidate.wm_len));
-  result.payload_length = payload_len;
-  CATMARK_ASSIGN_OR_RETURN(const PrfKind prf_kind,
-                           ResolvePrfKind(candidate.params.prf));
-  result.prf = prf_kind;
-
-  const std::unique_ptr<KeyedPrf> prf_k1 =
-      CreateKeyedPrf(prf_kind, candidate.keys.k1, candidate.params.hash_algo);
-  const std::unique_ptr<KeyedPrf> prf_k2 =
-      candidate.embedding_map != nullptr
-          ? nullptr
-          : CreateKeyedPrf(prf_kind, candidate.keys.k2,
-                           candidate.params.hash_algo);
+  result.payload_length = channel.payload_length();
+  result.prf = channel.prf();
 
   const std::size_t num_shards =
       dict_keys_ ? msg_base_.size() : row_bounds_.size() - 1;
@@ -377,9 +325,9 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
   for (std::vector<SlotVote>& worker_hits : hits) worker_hits.clear();
   std::size_t usable_votes = 0;
   std::size_t fit_tuples = 0;
-  WithSlots(candidate, payload_len, [&](const auto& slots) {
+  WithSlots(candidate, channel, [&](const auto& slots) {
     if (threads <= 1) {
-      FitScanner scan(*prf_k1, prf_k2.get(), candidate.params.e, scratch.fit);
+      FitScanner scan = channel.Scanner(scratch.fit);
       for (std::size_t s = 0; s < num_shards; ++s) {
         TallyShard(s, scan, slots, hits[0], usable_votes, fit_tuples);
       }
@@ -392,8 +340,7 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
     ParallelFor(num_shards, threads,
                 [&](std::size_t worker, std::size_t begin, std::size_t end) {
                   FitScratch local;
-                  FitScanner scan(*prf_k1, prf_k2.get(), candidate.params.e,
-                                  local);
+                  FitScanner scan = channel.Scanner(local);
                   for (std::size_t s = begin; s < end; ++s) {
                     TallyShard(s, scan, slots, hits[worker],
                                worker_usable[worker], worker_fit[worker]);
@@ -408,7 +355,8 @@ Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
   result.fit_tuples = fit_tuples;
 
   const Status finish =
-      FinishVoteTally(MergeSlotRuns(hits, scratch.sort_buffer), payload_len,
+      FinishVoteTally(MergeSlotRuns(hits, scratch.sort_buffer),
+                      channel.payload_length(),
                       candidate.wm_len, candidate.params.ecc, result);
   if (!finish.ok()) return finish;
   result.rows_scanned = num_rows_;

@@ -8,17 +8,15 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/channel.h"
 #include "core/detector.h"
 #include "core/embedding_map.h"
 #include "core/keys.h"
 #include "core/params.h"
-#include "relation/domain.h"
 #include "relation/relation.h"
 #include "relation/value_index_column.h"
 
 namespace catmark {
-
-class FitScanner;
 
 /// One candidate of a multi-key detection sweep: the keys to test plus the
 /// scheme parameters that candidate claims were used at embed time (e, PRF
@@ -101,8 +99,9 @@ struct DetectEngineOptions {
 /// paper-literal Figure 2 oracle.
 class DetectEngine {
  public:
-  /// Builds the RelationPlan. Fails on unknown attributes, an empty
-  /// relation or a domain with < 2 values.
+  /// Builds the RelationPlan. Fails on the column-half channel checks
+  /// (core/channel.h, checks 6-9) and on an empty relation
+  /// (FailedPrecondition). A plain (non-categorical) target is fine.
   static Result<DetectEngine> Create(const Relation& rel,
                                      const DetectEngineOptions& options);
 
@@ -118,15 +117,12 @@ class DetectEngine {
   /// across the block and splitting the worker budget keys × shards:
   /// candidates fan out over ParallelFor, and any leftover workers
   /// parallelize each pass's plan shards. results[i] corresponds to
-  /// candidates[i]; a bad candidate (zero wm_len, invalid keys, e == 0,
-  /// unresolvable PRF or payload length) fails that entry only. A
-  /// candidate's payload length follows ResolvePayloadLength: its
-  /// params.payload_length, re-derived from the suspect size when 0 (which
-  /// fails when N / e == 0).
+  /// candidates[i]; a candidate failing a scheme-half channel check
+  /// (core/channel.h, checks 1-5, with N the suspect's size) fails that
+  /// entry only.
   std::vector<Result<DetectionResult>> DetectMany(
       std::span<const KeyCandidate> candidates) const;
 
-  const CategoricalDomain& domain() const { return *domain_; }
   std::size_t num_rows() const { return num_rows_; }
   std::size_t num_messages() const { return num_messages_; }
   bool dict_keys() const { return dict_keys_; }
@@ -145,20 +141,17 @@ class DetectEngine {
                   std::vector<SlotVote>& hits, std::size_t& usable_votes,
                   std::size_t& fit_tuples) const;
 
-  // Resolved domain: the caller's or the engine-owned recovered one
-  // (unique_ptr keeps the address stable across moves).
-  std::unique_ptr<CategoricalDomain> owned_domain_;
-  const CategoricalDomain* domain_ = nullptr;
-
+  // Key and target columns and the resolved domain: the caller's, or one
+  // recovered from the data and owned here.
+  ChannelColumns columns_;
   const Relation* rel_ = nullptr;
-  std::size_t key_col_ = 0;
   std::size_t num_rows_ = 0;
   std::size_t num_messages_ = 0;
   std::size_t num_threads_ = 0;
   bool dict_keys_ = false;
 
-  // The target column's domain index per row, against *domain_: zero-copy
-  // on a dictionary target, materialized on a plain one.
+  // The target column's domain index per row, against columns_.domain():
+  // zero-copy on a dictionary target, materialized on a plain one.
   ValueIndexColumn target_index_;
 
   // Plain key column: row shard s covers [row_bounds_[s],

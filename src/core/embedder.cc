@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "core/channel.h"
 #include "core/codec.h"
 #include "core/tuple_plan.h"
 #include "ecc/code.h"
@@ -15,27 +16,6 @@
 #include "relation/value_index_column.h"
 
 namespace catmark {
-
-std::size_t DerivePayloadLength(std::size_t num_tuples, std::uint64_t e,
-                                std::size_t wm_len) {
-  const std::size_t bandwidth = num_tuples / static_cast<std::size_t>(e);
-  return bandwidth > wm_len ? bandwidth : wm_len;
-}
-
-Result<std::size_t> ResolvePayloadLength(const WatermarkParams& params,
-                                         std::size_t num_tuples,
-                                         std::size_t wm_len) {
-  const std::size_t payload_len =
-      params.payload_length != 0
-          ? params.payload_length
-          : DerivePayloadLength(num_tuples, params.e, wm_len);
-  if (payload_len == 0 || payload_len > kMaxPayloadLength) {
-    return Status::InvalidArgument(
-        "payload length " + std::to_string(payload_len) + " is outside [1, " +
-        std::to_string(kMaxPayloadLength) + "]");
-  }
-  return payload_len;
-}
 
 Embedder::Embedder(WatermarkKeySet keys, WatermarkParams params)
     : keys_(std::move(keys)), params_(params) {}
@@ -46,95 +26,51 @@ Result<EmbedReport> Embedder::Embed(Relation& rel,
                                     QualityAssessor* assessor,
                                     EmbeddingLedger* ledger) const {
   const auto wall_start = std::chrono::steady_clock::now();
-  if (!keys_.valid()) {
-    return Status::InvalidArgument("invalid watermark key set (k1 == k2?)");
-  }
-  if (params_.e == 0) {
-    return Status::InvalidArgument("encoding parameter e must be >= 1");
-  }
-  if (wm.empty()) {
-    return Status::InvalidArgument("watermark must be non-empty");
-  }
-  CATMARK_ASSIGN_OR_RETURN(
-      const std::size_t key_col,
-      rel.schema().ColumnIndexOrError(options.key_attr));
-  CATMARK_ASSIGN_OR_RETURN(
-      const std::size_t target_col,
-      rel.schema().ColumnIndexOrError(options.target_attr));
-  if (key_col == target_col) {
-    return Status::InvalidArgument(
-        "key and target attribute must differ (the channel is their "
-        "association)");
-  }
-  if (!rel.schema().column(target_col).categorical) {
-    return Status::FailedPrecondition(
-        "target attribute '" + options.target_attr +
-        "' is not categorical; this scheme embeds into categorical channels");
-  }
-
-  EmbedReport report;
-  report.num_tuples = rel.NumRows();
-  if (rel.empty()) {
-    return Status::FailedPrecondition("cannot watermark an empty relation");
-  }
-  if (rel.NumRows() / params_.e == 0) {
+  // The embed-only checks bracket the channel's: N/e >= 1 even when the
+  // payload length is pinned (a channel with no expected fit tuple would
+  // "succeed" with nothing embedded), and a categorical target. All fail
+  // before any cell is written.
+  if (rel.NumRows() < params_.e) {
     return Status::FailedPrecondition(
         "encoding parameter e exceeds the relation size (N/e == 0): fewer "
         "than one tuple is expected to be fit, so the channel has no "
         "bandwidth");
   }
-
-  if (options.domain.has_value()) {
-    report.domain = *options.domain;
-  } else {
-    CATMARK_ASSIGN_OR_RETURN(
-        report.domain,
-        CategoricalDomain::FromRelationColumn(rel, target_col));
-  }
-  const std::size_t domain_size = report.domain.size();
-  if (domain_size < 2) {
+  CATMARK_ASSIGN_OR_RETURN(
+      const ChannelColumns columns,
+      ChannelColumns::Resolve(
+          rel, options.key_attr, options.target_attr,
+          options.domain.has_value() ? &*options.domain : nullptr));
+  const std::size_t key_col = columns.key_col();
+  const std::size_t target_col = columns.target_col();
+  if (!rel.schema().column(target_col).categorical) {
     return Status::FailedPrecondition(
-        "target attribute domain has fewer than 2 values — zero channel "
-        "capacity (Section 3.3 note)");
+        "target attribute '" + options.target_attr +
+        "' is not categorical; this scheme embeds into categorical channels");
   }
+  const bool map_mode = options.build_embedding_map;
+  CATMARK_ASSIGN_OR_RETURN(
+      const Channel channel,
+      Channel::Create(keys_, params_, rel.NumRows(), wm.size(), !map_mode));
 
-  // A domain value the target column cannot hold makes the domain invalid:
-  // refuse it here, before any cell is written.
-  const ColumnType target_type = rel.schema().column(target_col).type;
-  for (const Value& v : report.domain.values()) {
-    if (!v.MatchesType(target_type)) {
-      return Status::InvalidArgument(
-          "domain value '" + v.ToString() + "' does not match the type of "
-          "target attribute '" + options.target_attr + "'");
-    }
-  }
-
-  // The params the plan runs with: payload length resolved here, before
-  // wm_data is set up over it, and the PRF backend pinned below.
-  WatermarkParams resolved = params_;
-  CATMARK_ASSIGN_OR_RETURN(resolved.payload_length,
-                           ResolvePayloadLength(params_, rel.NumRows(),
-                                                wm.size()));
-  const std::size_t payload_len = resolved.payload_length;
+  EmbedReport report;
+  report.num_tuples = rel.NumRows();
+  report.domain = columns.domain();
+  report.prf = channel.prf();
+  const std::size_t domain_size = report.domain.size();
+  const std::size_t payload_len = channel.payload_length();
   report.payload_length = payload_len;
-
   CATMARK_ASSIGN_OR_RETURN(const PayloadBits wm_data,
                            PayloadBits::Create(params_.ecc, wm, payload_len));
 
   // Parallel precompute: the fit tuples with their fitness hashes and (on
-  // the k2 path) payload indices in one pass, plus the domain-index view of
-  // the target column so IndexOf runs once per dictionary entry instead of
-  // up to twice per fit tuple. The keyed-PRF backend resolves here
-  // (explicit params choice, else CATMARK_PRF, else the legacy keyed hash)
-  // so a typo'd backend name surfaces as InvalidArgument instead of
-  // embedding an undetectable mark.
+  // the k2 path) slots in one pass, plus the domain-index view of the
+  // target column so IndexOf runs once per dictionary entry instead of up
+  // to twice per fit tuple.
   const std::size_t threads =
       EffectiveThreadCount(params_.num_threads, rel.NumRows());
-  const bool map_mode = options.build_embedding_map;
-  CATMARK_ASSIGN_OR_RETURN(report.prf, ResolvePrfKind(params_.prf));
-  resolved.prf = report.prf;
   const TuplePlan plan =
-      BuildTuplePlan(rel, key_col, keys_, resolved, !map_mode);
+      BuildTuplePlan(rel, key_col, channel, params_.num_threads);
   report.rows_scanned = rel.NumRows();
   report.messages_hashed = plan.messages_hashed;
 

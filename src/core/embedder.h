@@ -83,14 +83,12 @@ class Embedder {
   /// unchanged-hit) — never for tuples skipped by the ledger, the domain
   /// guard or a quality veto.
   ///
-  /// Fails with InvalidArgument when the key set is invalid (k1 == k2) or
-  /// e == 0 — values a library caller can pass, so they are checked here
-  /// rather than asserted at construction — when a caller-supplied
-  /// domain holds a value of another type than the target column, and when
-  /// params.payload_length exceeds kMaxPayloadLength (ResolvePayloadLength);
-  /// all four fail before any cell is written. Fails with FailedPrecondition
-  /// when N / e == 0 (e exceeds the relation size): fewer than one tuple is
-  /// expected to be fit, so "success" would embed nothing.
+  /// Fails, before any cell is written, on the channel checks
+  /// (core/channel.h, checks 1-9) and on two embed-only ones, both
+  /// FailedPrecondition: N / e == 0 even with a pinned payload length
+  /// (fewer than one tuple is expected to be fit, so "success" would embed
+  /// nothing; checked first), and a target attribute that is not
+  /// categorical (checked after the column half).
   ///
   /// `assessor` (optional) enforces data-quality constraints; the caller
   /// must have called assessor->Begin(rel) beforehand (so one assessor can
@@ -101,25 +99,10 @@ class Embedder {
                             QualityAssessor* assessor = nullptr,
                             EmbeddingLedger* ledger = nullptr) const;
 
-  const WatermarkParams& params() const { return params_; }
-  const WatermarkKeySet& keys() const { return keys_; }
-
  private:
   WatermarkKeySet keys_;
   WatermarkParams params_;
 };
-
-/// Payload length the scheme derives when WatermarkParams::payload_length
-/// is 0: the available bandwidth N/e, floored at the watermark length.
-std::size_t DerivePayloadLength(std::size_t num_tuples, std::uint64_t e,
-                                std::size_t wm_len);
-
-/// The one payload-length rule: params.payload_length when set, else
-/// DerivePayloadLength(num_tuples, params.e, wm_len) (params.e >= 1).
-/// InvalidArgument when the result lies outside [1, kMaxPayloadLength].
-Result<std::size_t> ResolvePayloadLength(const WatermarkParams& params,
-                                         std::size_t num_tuples,
-                                         std::size_t wm_len);
 
 }  // namespace catmark
 

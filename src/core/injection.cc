@@ -3,8 +3,8 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "core/channel.h"
 #include "core/codec.h"
-#include "core/fit_scan.h"
 #include "ecc/code.h"
 #include "random/rng.h"
 
@@ -17,67 +17,39 @@ FitTupleInjector::FitTupleInjector(WatermarkKeySet keys,
 Result<InjectionReport> FitTupleInjector::Inject(
     Relation& rel, const EmbedOptions& options, const BitVector& wm,
     const InjectionConfig& config) const {
-  if (!keys_.valid()) {
-    return Status::InvalidArgument("invalid watermark key set (k1 == k2?)");
-  }
-  if (params_.e == 0) {
-    return Status::InvalidArgument("encoding parameter e must be >= 1");
-  }
-  if (wm.empty()) return Status::InvalidArgument("empty watermark");
   if (config.padd < 0.0 || config.padd > 1.0) {
     return Status::InvalidArgument("padd must be in [0,1]");
   }
   if (rel.empty()) return Status::FailedPrecondition("empty relation");
+  const std::size_t base_n = rel.NumRows();
+  // The injected tuples must be fit under the channel the victim detection
+  // run will resolve.
+  CATMARK_ASSIGN_OR_RETURN(const Channel channel,
+                           Channel::Create(keys_, params_, base_n, wm.size()));
   CATMARK_ASSIGN_OR_RETURN(
-      const std::size_t key_col,
-      rel.schema().ColumnIndexOrError(options.key_attr));
-  CATMARK_ASSIGN_OR_RETURN(
-      const std::size_t target_col,
-      rel.schema().ColumnIndexOrError(options.target_attr));
+      const ChannelColumns columns,
+      ChannelColumns::Resolve(
+          rel, options.key_attr, options.target_attr,
+          options.domain.has_value() ? &*options.domain : nullptr));
+  const std::size_t key_col = columns.key_col();
+  const std::size_t target_col = columns.target_col();
+  const CategoricalDomain& domain = columns.domain();
   const ColumnType key_type = rel.schema().column(key_col).type;
   if (key_type == ColumnType::kDouble) {
     return Status::FailedPrecondition(
         "injection needs an INT64 or STRING key attribute");
   }
 
-  CategoricalDomain domain;
-  if (options.domain.has_value()) {
-    domain = *options.domain;
-  } else {
-    CATMARK_ASSIGN_OR_RETURN(
-        domain, CategoricalDomain::FromRelationColumn(rel, target_col));
-  }
-  if (domain.size() < 2) {
-    return Status::FailedPrecondition("domain has fewer than 2 values");
-  }
-
-  const std::size_t base_n = rel.NumRows();
-  const std::size_t to_add = static_cast<std::size_t>(
-      std::llround(config.padd * static_cast<double>(base_n)));
-
-  // Deriving the payload length needs N/e >= 1, as in Embedder::Embed.
-  if (params_.payload_length == 0 && base_n / params_.e == 0) {
-    return Status::FailedPrecondition(
-        "cannot derive the payload length: e exceeds the base relation size "
-        "(N/e == 0); pass the owner-side payload_length instead");
-  }
   InjectionReport report;
-  CATMARK_ASSIGN_OR_RETURN(report.payload_length,
-                           ResolvePayloadLength(params_, base_n, wm.size()));
-
+  report.payload_length = channel.payload_length();
   CATMARK_ASSIGN_OR_RETURN(
       const PayloadBits wm_data,
       PayloadBits::Create(params_.ecc, wm, report.payload_length));
+  const std::size_t to_add = static_cast<std::size_t>(
+      std::llround(config.padd * static_cast<double>(base_n)));
 
-  // The injected tuples must be fit under the same PRF backend the victim
-  // detection run will use.
-  CATMARK_ASSIGN_OR_RETURN(const PrfKind prf, ResolvePrfKind(params_.prf));
-  const std::unique_ptr<KeyedPrf> prf_k1 =
-      CreateKeyedPrf(prf, keys_.k1, params_.hash_algo);
-  const std::unique_ptr<KeyedPrf> prf_k2 =
-      CreateKeyedPrf(prf, keys_.k2, params_.hash_algo);
   FitScratch fit_scratch;
-  FitScanner scan(*prf_k1, prf_k2.get(), params_.e, fit_scratch);
+  FitScanner scan = channel.Scanner(fit_scratch);
   Xoshiro256ss rng(config.seed);
 
   // Existing key values — injected keys must stay unique.
@@ -117,10 +89,8 @@ Result<InjectionReport> FitTupleInjector::Inject(
     // distribution, then stamp key + watermarked target value.
     Row row = rel.row(rng.NextBounded(base_n));
     row[key_col] = key_value;
-    const std::size_t idx = PayloadIndexFromHash(h2, report.payload_length,
-                                                 params_.bit_index_mode);
     const std::size_t t =
-        SelectValueIndex(h1, domain.size(), wm_data.Get(idx));
+        SelectValueIndex(h1, domain.size(), wm_data.Get(channel.Slot(h2)));
     row[target_col] = domain.value(t);
     rel.AppendRowUnchecked(std::move(row));
     ++report.tuples_added;

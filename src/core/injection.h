@@ -45,6 +45,10 @@ class FitTupleInjector {
  public:
   FitTupleInjector(WatermarkKeySet keys, WatermarkParams params);
 
+  /// Fails, before any tuple is added, on the channel checks
+  /// (core/channel.h, checks 1-9, with N the base relation's size), on
+  /// padd outside [0, 1] (InvalidArgument), and on an empty relation or a
+  /// DOUBLE key attribute (FailedPrecondition).
   Result<InjectionReport> Inject(Relation& rel, const EmbedOptions& options,
                                  const BitVector& wm,
                                  const InjectionConfig& config) const;

@@ -44,7 +44,7 @@ struct WatermarkParams {
   /// names are InvalidArgument at embed/detect time), otherwise the legacy
   /// keyed hash. Embedder and detector must use the same backend — the
   /// certificate records which one embedding used, and streaming sessions
-  /// (SessionSpec::Validate) refuse to run until the backend is pinned from
+  /// (StreamSession::Create) refuse to run until the backend is pinned from
   /// the embed report or certificate: a later process must never re-resolve
   /// CATMARK_PRF for inserts into an already-marked relation.
   std::optional<PrfKind> prf;

@@ -1,9 +1,6 @@
 #include "core/tuple_plan.h"
 
-#include "common/check.h"
 #include "common/parallel.h"
-#include "core/codec.h"
-#include "core/fit_scan.h"
 #include "relation/column_store.h"
 
 namespace catmark {
@@ -20,33 +17,10 @@ std::size_t FitListReserve(std::size_t rows, std::uint64_t e) {
 }  // namespace
 
 TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
-                         const WatermarkKeySet& keys,
-                         const WatermarkParams& params,
-                         bool with_payload_index) {
+                         const Channel& channel, std::size_t num_threads) {
   const std::size_t n = rel.NumRows();
-  CATMARK_CHECK(params.prf.has_value());
-  if (with_payload_index) {
-    CATMARK_CHECK_GE(params.payload_length, 1u);
-    CATMARK_CHECK_LE(params.payload_length, kMaxPayloadLength);
-  }
-
-  // One immutable PRF instance per key, shared by every worker: the key
-  // schedule is set up here, once, not per shard or per row.
-  const std::unique_ptr<KeyedPrf> prf_k1 =
-      CreateKeyedPrf(*params.prf, keys.k1, params.hash_algo);
-  const std::unique_ptr<KeyedPrf> prf_k2 =
-      with_payload_index
-          ? CreateKeyedPrf(*params.prf, keys.k2, params.hash_algo)
-          : nullptr;
-  // The k2 payload index of a fit key; the map path asks for none.
-  const auto position = [&](std::uint64_t h2) -> std::uint32_t {
-    if (prf_k2 == nullptr) return 0;
-    return static_cast<std::uint32_t>(PayloadIndexFromHash(
-        h2, params.payload_length, params.bit_index_mode));
-  };
-
   const ColumnStore& store = rel.store();
-  const std::size_t row_threads = EffectiveThreadCount(params.num_threads, n);
+  const std::size_t row_threads = EffectiveThreadCount(num_threads, n);
   TuplePlan plan;
   plan.shards.resize(row_threads);
   std::vector<std::size_t> shard_hashed;
@@ -64,12 +38,12 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
     std::vector<std::uint64_t> h1_of(dict.size(), 0);
     std::vector<std::uint32_t> index_of(dict.size(), 0);
     const std::size_t dict_threads =
-        EffectiveThreadCount(params.num_threads, dict.size());
+        EffectiveThreadCount(num_threads, dict.size());
     shard_hashed.assign(dict_threads, 0);
     ParallelFor(dict.size(), dict_threads,
                 [&](std::size_t shard, std::size_t begin, std::size_t end) {
                   FitScratch scratch;
-                  FitScanner scan(*prf_k1, prf_k2.get(), params.e, scratch);
+                  FitScanner scan = channel.Scanner(scratch);
                   shard_hashed[shard] = scan.Scan(
                       end - begin,
                       [&](std::size_t i) -> const Value* {
@@ -80,13 +54,13 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
                         const std::size_t code = begin + i;
                         fit_of[code] = 1;
                         h1_of[code] = h1;
-                        index_of[code] = position(h2);
+                        index_of[code] = channel.Slot(h2);
                       });
                 });
     ParallelFor(n, row_threads, [&](std::size_t shard, std::size_t begin,
                                     std::size_t end) {
       std::vector<FitTuple>& fit = plan.shards[shard];
-      fit.reserve(FitListReserve(end - begin, params.e));
+      fit.reserve(FitListReserve(end - begin, channel.e()));
       for (std::size_t j = begin; j < end; ++j) {
         if (codes[j] < 0) continue;
         const std::size_t code = static_cast<std::size_t>(codes[j]);
@@ -98,13 +72,13 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
     ParallelFor(n, row_threads, [&](std::size_t shard, std::size_t begin,
                                     std::size_t end) {
       std::vector<FitTuple>& fit = plan.shards[shard];
-      fit.reserve(FitListReserve(end - begin, params.e));
+      fit.reserve(FitListReserve(end - begin, channel.e()));
       FitScratch scratch;
-      FitScanner scan(*prf_k1, prf_k2.get(), params.e, scratch);
+      FitScanner scan = channel.Scanner(scratch);
       shard_hashed[shard] = ScanKeyColumn(
           scan, store, key_col, begin, end,
           [&](std::size_t i, std::uint64_t h1, std::uint64_t h2) {
-            fit.push_back({begin + i, h1, position(h2)});
+            fit.push_back({begin + i, h1, channel.Slot(h2)});
           });
     });
   }

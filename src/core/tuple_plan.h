@@ -4,9 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/keys.h"
-#include "core/params.h"
-#include "crypto/prf.h"
+#include "core/channel.h"
 #include "relation/relation.h"
 
 namespace catmark {
@@ -15,9 +13,9 @@ namespace catmark {
 /// test H(T_j(K), k1) mod e == 0 (NULL keys are never fit).
 ///   - h1: the fitness hash itself — it also drives value selection, so it
 ///     is computed once, not once per use.
-///   - payload_index: the k2-derived wm_data position, populated only when
-///     the k2 position path is in use (the Figure 1(b) embedding-map path
-///     assigns indices sequentially at apply time).
+///   - payload_index: Channel::Slot of its k2 hash; 0 on a channel without
+///     k2 (the Figure 1(b) embedding-map path assigns indices sequentially
+///     at apply time).
 struct FitTuple {
   std::size_t row = 0;
   std::uint64_t h1 = 0;
@@ -27,10 +25,10 @@ struct FitTuple {
 /// The embed plan: the ~N/e fit tuples of the relation as a sparse list,
 /// built in one thread-parallel pass over the key column.
 ///
-/// Every hash goes through the FitScanner (core/fit_scan.h) under the
-/// pinned KeyedPrf backend (WatermarkParams::prf). A dictionary-encoded
-/// key column scans each live distinct dictionary entry once and fans the
-/// verdicts out through the code vector; a plain column scans its rows.
+/// Every hash goes through the resolved channel's FitScanner
+/// (core/channel.h). A dictionary-encoded key column scans each live
+/// distinct dictionary entry once and fans the verdicts out through the
+/// code vector; a plain column scans its rows.
 /// Either way the rows are split into contiguous shards and each shard
 /// appends its fit tuples to its own list, so `shards` holds every fit
 /// tuple in ascending row order when read list by list.
@@ -44,15 +42,10 @@ struct TuplePlan {
   std::size_t messages_hashed = 0;
 };
 
-/// Builds the plan. BuildTuplePlan cannot fail, so its caller (which can)
-/// resolves `params` first: params.prf pinned and, with
-/// `with_payload_index` (the k2 position path; the Figure 1(b) map path
-/// leaves FitTuple::payload_index 0), params.payload_length in
-/// [1, kMaxPayloadLength].
+/// Builds the plan over `channel`'s PRFs, e and slots on up to
+/// `num_threads` workers (0 = auto). Cannot fail: the channel is resolved.
 TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
-                         const WatermarkKeySet& keys,
-                         const WatermarkParams& params,
-                         bool with_payload_index);
+                         const Channel& channel, std::size_t num_threads);
 
 }  // namespace catmark
 

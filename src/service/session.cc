@@ -46,69 +46,47 @@ Result<SessionSpec> SessionSpec::FromCertificate(
   return spec;
 }
 
-Status SessionSpec::Validate() const {
-  if (!keys.valid()) {
-    return Status::InvalidArgument(
-        "invalid key set (keys must be non-empty and distinct)");
-  }
-  if (key_attr.empty()) return Status::InvalidArgument("key_attr not set");
-  if (target_attr.empty()) {
-    return Status::InvalidArgument("target_attr not set");
-  }
-  if (domain.size() < 2) {
-    return Status::InvalidArgument(
-        "domain must hold at least 2 values to carry a bit");
-  }
-  if (params.e == 0) return Status::InvalidArgument("e must be >= 1");
-  if (!params.prf.has_value()) {
-    return Status::InvalidArgument(
-        "params.prf not pinned — build the spec via FromEmbedReport / "
-        "FromCertificate so inserts hash under the embed-time backend");
-  }
-  if (wm.empty()) return Status::InvalidArgument("watermark is empty");
-  if (params.payload_length < wm.size() ||
-      params.payload_length > kMaxPayloadLength) {
-    return Status::InvalidArgument(
-        "payload_length must lie in [|wm|, " +
-        std::to_string(kMaxPayloadLength) + "]");
-  }
-  return Status::OK();
-}
-
-StreamSession::StreamSession(SessionSpec spec, PayloadBits wm_data)
-    : spec_(std::move(spec)), wm_data_(std::move(wm_data)) {
-  prf_k1_ = CreateKeyedPrf(*spec_.params.prf, spec_.keys.k1,
-                           spec_.params.hash_algo);
-  prf_k2_ = CreateKeyedPrf(*spec_.params.prf, spec_.keys.k2,
-                           spec_.params.hash_algo);
-}
+StreamSession::StreamSession(SessionSpec spec, Channel channel,
+                             PayloadBits wm_data)
+    : spec_(std::move(spec)),
+      channel_(std::move(channel)),
+      wm_data_(std::move(wm_data)) {}
 
 Result<StreamSession> StreamSession::Create(SessionSpec spec) {
-  CATMARK_RETURN_IF_ERROR(spec.Validate());
+  if (!spec.params.prf.has_value() || spec.params.payload_length == 0) {
+    return Status::InvalidArgument(
+        "the session's PRF backend and payload length must be pinned: "
+        "build the spec via FromEmbedReport / FromCertificate so inserts "
+        "hash under the embed-time backend into the embed-time payload");
+  }
+  CATMARK_ASSIGN_OR_RETURN(
+      Channel channel,
+      Channel::Create(spec.keys, spec.params, /*num_tuples=*/0,
+                      spec.wm.size()));
   CATMARK_ASSIGN_OR_RETURN(
       PayloadBits wm_data,
       PayloadBits::Create(spec.params.ecc, spec.wm,
-                          spec.params.payload_length));
-  return StreamSession(std::move(spec), std::move(wm_data));
+                          channel.payload_length()));
+  return StreamSession(std::move(spec), std::move(channel),
+                       std::move(wm_data));
 }
 
 const Value& StreamSession::MarkedValue(std::uint64_t h1,
                                         std::uint64_t h2) const {
-  const std::size_t payload_index = PayloadIndexFromHash(
-      h2, spec_.params.payload_length, spec_.params.bit_index_mode);
   return spec_.domain.value(SelectValueIndex(h1, spec_.domain.size(),
-                                             wm_data_.Get(payload_index)));
+                                             wm_data_.Get(channel_.Slot(h2))));
 }
 
 Result<BatchReport> StreamSession::InsertRange(Relation& rel,
                                                const Relation& src,
                                                std::size_t begin,
                                                std::size_t count) {
-  CATMARK_ASSIGN_OR_RETURN(const std::size_t key_col,
-                           rel.schema().ColumnIndexOrError(spec_.key_attr));
   CATMARK_ASSIGN_OR_RETURN(
-      const std::size_t target_col,
-      rel.schema().ColumnIndexOrError(spec_.target_attr));
+      const ChannelColumns columns,
+      ChannelColumns::Resolve(rel, spec_.key_attr, spec_.target_attr,
+                              &spec_.domain));
+  const std::size_t key_col = columns.key_col();
+  const std::size_t target_col = columns.target_col();
   if (!(src.schema() == rel.schema())) {
     return Status::InvalidArgument(
         "source schema does not match the relation's");
@@ -124,7 +102,7 @@ Result<BatchReport> StreamSession::InsertRange(Relation& rel,
   report.rows = count;
   const ColumnReader targets(src.store(), target_col);
   marked_.assign(count, nullptr);
-  FitScanner scan(*prf_k1_, prf_k2_.get(), spec_.params.e, fit_scratch_);
+  FitScanner scan = channel_.Scanner(fit_scratch_);
   report.hashed_keys = ScanKeyColumn(
       scan, src.store(), key_col, begin, begin + count,
       [&](std::size_t i, std::uint64_t h1, std::uint64_t h2) {
@@ -169,15 +147,16 @@ Result<bool> StreamSession::Insert(Relation& rel, Row row) {
 }
 
 Result<bool> StreamSession::Refresh(Relation& rel, std::size_t row_index) {
-  CATMARK_ASSIGN_OR_RETURN(const std::size_t key_col,
-                           rel.schema().ColumnIndexOrError(spec_.key_attr));
   CATMARK_ASSIGN_OR_RETURN(
-      const std::size_t target_col,
-      rel.schema().ColumnIndexOrError(spec_.target_attr));
+      const ChannelColumns columns,
+      ChannelColumns::Resolve(rel, spec_.key_attr, spec_.target_attr,
+                              &spec_.domain));
+  const std::size_t key_col = columns.key_col();
+  const std::size_t target_col = columns.target_col();
   if (row_index >= rel.NumRows()) return Status::OutOfRange("row index");
   const Value key = rel.Get(row_index, key_col);
   const Value* marked = nullptr;
-  FitScanner scan(*prf_k1_, prf_k2_.get(), spec_.params.e, fit_scratch_);
+  FitScanner scan = channel_.Scanner(fit_scratch_);
   scan.Scan(
       1, [&](std::size_t /*i*/) { return &key; },
       [&](std::size_t /*i*/, std::uint64_t h1, std::uint64_t h2) {

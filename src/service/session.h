@@ -2,7 +2,6 @@
 #define CATMARK_SERVICE_SESSION_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -10,11 +9,10 @@
 #include "common/bitvec.h"
 #include "common/result.h"
 #include "core/certificate.h"
+#include "core/channel.h"
 #include "core/embedder.h"
 #include "core/keys.h"
 #include "core/params.h"
-#include "core/fit_scan.h"
-#include "crypto/prf.h"
 #include "ecc/code.h"
 #include "relation/column_store.h"
 #include "relation/domain.h"
@@ -23,19 +21,18 @@
 namespace catmark {
 
 /// Everything a streaming watermark session needs, in one value: the secret
-/// keys, the scheme parameters with the keyed-PRF backend and the payload
-/// length *pinned* (params.prf must be set — a session that re-resolved
-/// CATMARK_PRF in some later process would embed marks invisible to
-/// dispute-time detection — and params.payload_length must be the original
-/// embedding's |wm_data|), the attribute pair, the categorical domain and
-/// the mark itself. Build one from the embedding that created the relation
-/// (FromEmbedReport) or from a published certificate (FromCertificate), then
-/// open a StreamSession over it.
+/// keys, the scheme parameters, the attribute pair, the categorical domain
+/// and the mark itself. Build one from the embedding that created the
+/// relation (FromEmbedReport) or from a published certificate
+/// (FromCertificate), then open a StreamSession over it, which checks it
+/// against core/channel.h's list.
 struct SessionSpec {
   WatermarkKeySet keys;
-  /// params.prf must hold a value and params.payload_length must lie in
-  /// [wm.size(), kMaxPayloadLength] (Validate enforces both) — the
-  /// factories below pin them from the report / certificate.
+  /// The keyed-PRF backend and the payload length must be *pinned*: a
+  /// session that re-resolved CATMARK_PRF in some later process, or
+  /// re-derived |wm_data| from a grown relation, would embed marks
+  /// invisible to dispute-time detection. The factories below pin both
+  /// from the report / certificate.
   WatermarkParams params;
   std::string key_attr;
   std::string target_attr;
@@ -59,11 +56,6 @@ struct SessionSpec {
   /// field predate the PRF subsystem and mean the legacy keyed hash.
   static Result<SessionSpec> FromCertificate(
       const WatermarkCertificate& certificate, const WatermarkKeySet& keys);
-
-  /// Structural validation: keys valid, attributes named, domain of size
-  /// >= 2, e >= 1, a pinned PRF backend, a non-empty mark that fits the
-  /// payload length, and a payload length of at most kMaxPayloadLength.
-  Status Validate() const;
 };
 
 /// What one insert batch did.
@@ -102,8 +94,11 @@ struct BatchReport {
 /// may serve several relations whose schemas order the columns differently.
 class StreamSession {
  public:
-  /// Validates `spec` and builds the session: PRF key schedules and the
-  /// ECC-expanded payload.
+  /// Resolves the scheme half of the channel once (core/channel.h, checks
+  /// 1-5), after the session-only check: InvalidArgument unless
+  /// spec.params.prf and spec.params.payload_length are pinned. Every
+  /// insert and Refresh resolves the column half (checks 6-9) against the
+  /// relation it writes before it writes anything.
   static Result<StreamSession> Create(SessionSpec spec);
 
   StreamSession(StreamSession&&) = default;
@@ -146,17 +141,16 @@ class StreamSession {
   std::size_t total_fit() const { return total_fit_; }
 
  private:
-  StreamSession(SessionSpec spec, PayloadBits wm_data);
+  StreamSession(SessionSpec spec, Channel channel, PayloadBits wm_data);
 
   /// The domain value a fit key with hashes (h1, h2) must carry.
   const Value& MarkedValue(std::uint64_t h1, std::uint64_t h2) const;
 
   SessionSpec spec_;
-  PayloadBits wm_data_;  // the ECC-expanded payload, looked up per slot
-  // Built once: inserts must not pay the backend's key schedule (for
+  // Resolved once: inserts must not pay the backend's key schedule (for
   // siphash24, a SHA-256 key derivation) per tuple, let alone per batch.
-  std::unique_ptr<KeyedPrf> prf_k1_;
-  std::unique_ptr<KeyedPrf> prf_k2_;
+  Channel channel_;
+  PayloadBits wm_data_;  // the ECC-expanded payload, looked up per slot
 
   // Per-insert scratch, reused across batches: the fit scanner's buffers,
   // the appended source rows and their target override.

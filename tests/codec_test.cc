@@ -7,9 +7,12 @@
 #include "common/bits.h"
 #include "core/codec.h"
 #include "core/keys.h"
+#include "test_util.h"
 
 namespace catmark {
 namespace {
+
+using testutil::HashValue;
 
 // ---------------------------------------------------------------- fitness
 

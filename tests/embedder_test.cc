@@ -609,27 +609,5 @@ TEST(EmbedderTest, RollbackAllRestoresOriginal) {
   EXPECT_TRUE(rel.SameContent(original));
 }
 
-TEST(DerivePayloadLengthTest, FloorsAtWatermarkLength) {
-  EXPECT_EQ(DerivePayloadLength(6000, 60, 10), 100u);
-  EXPECT_EQ(DerivePayloadLength(100, 60, 10), 10u);   // N/e = 1 < |wm|
-  EXPECT_EQ(DerivePayloadLength(0, 60, 10), 10u);
-}
-
-// The pinned length wins; 0 derives; both must land in [1,
-// kMaxPayloadLength].
-TEST(ResolvePayloadLengthTest, PinnedWinsAndRangeIsChecked) {
-  WatermarkParams params;
-  params.e = 60;
-  EXPECT_EQ(ResolvePayloadLength(params, 6000, 10).value(), 100u);
-  params.payload_length = 64;
-  EXPECT_EQ(ResolvePayloadLength(params, 6000, 10).value(), 64u);
-  params.payload_length = kMaxPayloadLength;
-  EXPECT_EQ(ResolvePayloadLength(params, 6000, 10).value(),
-            kMaxPayloadLength);
-  params.payload_length = kMaxPayloadLength + 1;
-  EXPECT_TRUE(
-      ResolvePayloadLength(params, 6000, 10).status().IsInvalidArgument());
-}
-
 }  // namespace
 }  // namespace catmark

@@ -9,9 +9,12 @@
 #include "core/injection.h"
 #include "exp/harness.h"
 #include "gen/sales_gen.h"
+#include "test_util.h"
 
 namespace catmark {
 namespace {
+
+using testutil::HashValue;
 
 Relation StandardRelation(std::size_t n = 6000, std::uint64_t seed = 71) {
   KeyedCategoricalConfig config;

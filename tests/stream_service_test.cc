@@ -26,9 +26,12 @@
 #include "relation/csv.h"
 #include "service/service.h"
 #include "service/session.h"
+#include "test_util.h"
 
 namespace catmark {
 namespace {
+
+using testutil::HashValue;
 
 // The key column shapes the fit scanner branches on: NULL-free int64 keys
 // (the dense typed lane), int64 keys with NULLs (the typed lane with row
@@ -533,39 +536,29 @@ TEST(SessionSpecTest, FromEmbedReportPinsThePrfBackend) {
   EXPECT_EQ(*spec.params.prf, PrfKind::kSipHash24);
 }
 
-TEST(SessionSpecTest, ValidateRejectsBrokenSpecs) {
+// The session-only checks: an unpinned PRF backend or payload length is
+// refused at Create. The channel checks every path shares are pinned in
+// channel_test's table.
+TEST(SessionSpecTest, CreateRefusesUnpinnedSpecs) {
   const Fixture f = MakeFixture();
-  ASSERT_TRUE(SpecOf(f).Validate().ok());
+  ASSERT_TRUE(StreamSession::Create(SpecOf(f)).ok());
 
   SessionSpec no_prf = SpecOf(f);
   no_prf.params.prf.reset();
-  EXPECT_FALSE(no_prf.Validate().ok());
+  EXPECT_TRUE(
+      StreamSession::Create(std::move(no_prf)).status().IsInvalidArgument());
 
-  SessionSpec no_wm = SpecOf(f);
-  no_wm.wm = BitVector();
-  EXPECT_FALSE(no_wm.Validate().ok());
+  SessionSpec no_payload = SpecOf(f);
+  no_payload.params.payload_length = 0;
+  EXPECT_TRUE(StreamSession::Create(std::move(no_payload))
+                  .status()
+                  .IsInvalidArgument());
 
   SessionSpec short_payload = SpecOf(f);
   short_payload.params.payload_length = f.wm.size() - 1;
-  EXPECT_FALSE(short_payload.Validate().ok());
-
-  SessionSpec long_payload = SpecOf(f);
-  long_payload.params.payload_length = kMaxPayloadLength + 1;
-  EXPECT_TRUE(long_payload.Validate().IsInvalidArgument());
-
-  SessionSpec tiny_domain = SpecOf(f);
-  tiny_domain.domain =
-      CategoricalDomain::FromValues({Value("only")}).value();
-  EXPECT_FALSE(tiny_domain.Validate().ok());
-
-  SessionSpec bad_keys = SpecOf(f);
-  bad_keys.keys.k2 = bad_keys.keys.k1;
-  EXPECT_FALSE(bad_keys.Validate().ok());
-
-  SessionSpec bad_e = SpecOf(f);
-  bad_e.params.e = 0;
-  EXPECT_FALSE(bad_e.Validate().ok());
-  EXPECT_FALSE(StreamSession::Create(std::move(bad_e)).ok());
+  EXPECT_TRUE(StreamSession::Create(std::move(short_payload))
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(SessionSpecTest, FromCertificateVerifiesTheKeyCommitment) {

@@ -24,5 +24,12 @@ BitVector TestWatermark(std::size_t bits, std::uint64_t seed) {
   return BitVector::FromGenerator(bits, [&rng] { return rng.Next(); });
 }
 
+std::uint64_t HashValue(const KeyedPrf& prf, const Value& v,
+                        HashScratch& scratch) {
+  scratch.clear();
+  v.SerializeForHash(scratch);
+  return prf.Hash64(scratch.data(), scratch.size());
+}
+
 }  // namespace testutil
 }  // namespace catmark

@@ -6,6 +6,8 @@
 
 #include "common/bitvec.h"
 #include "core/keys.h"
+#include "crypto/keyed_hash.h"
+#include "crypto/prf.h"
 #include "gen/sales_gen.h"
 #include "relation/relation.h"
 
@@ -26,6 +28,12 @@ WatermarkKeySet TestKeys(std::uint64_t seed = 7);
 
 /// Deterministic pseudo-random watermark of `bits` bits.
 BitVector TestWatermark(std::size_t bits, std::uint64_t seed = 99);
+
+/// H(v, k): the PRF of one Value's canonical serialization
+/// (Value::SerializeForHash), written into `scratch` (cleared first) — the
+/// one-value-at-a-time reference the batched FitScanner paths must match.
+std::uint64_t HashValue(const KeyedPrf& prf, const Value& v,
+                        HashScratch& scratch);
 
 }  // namespace testutil
 }  // namespace catmark

@@ -19,6 +19,8 @@
 namespace catmark {
 namespace {
 
+using testutil::HashValue;
+
 constexpr PrfKind kBackends[] = {PrfKind::kKeyedHash, PrfKind::kHmacSha256,
                                  PrfKind::kSipHash24};
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
@@ -75,14 +77,15 @@ void ExpectPlansEqual(const TuplePlan& a, const TuplePlan& b,
   EXPECT_EQ(a.messages_hashed, b.messages_hashed) << label;
 }
 
-// `params` as the embedder hands them to BuildTuplePlan: the PRF pinned and
-// a 64-position payload.
-WatermarkParams Resolved(WatermarkParams params, PrfKind prf,
-                         std::size_t threads) {
+// The channel the embedder hands BuildTuplePlan: the PRF pinned and a
+// 64-position payload; `hash_k2` false is the embedding-map path.
+Channel Resolved(const WatermarkKeySet& keys, WatermarkParams params,
+                 PrfKind prf, bool hash_k2 = true) {
   params.prf = prf;
   params.payload_length = 64;
-  params.num_threads = threads;
-  return params;
+  return Channel::Create(keys, params, /*num_tuples=*/0, /*wm_len=*/8,
+                         hash_k2)
+      .value();
 }
 
 // Thread-count invariance of both paths (the shard lists differ by
@@ -94,11 +97,11 @@ TEST(TuplePlanTest, PlanIsThreadCountInvariant) {
   params.e = 5;
   for (const PrfKind prf : kBackends) {
     for (const std::size_t key_col : {std::size_t{0}, std::size_t{1}}) {
-      const TuplePlan reference = BuildTuplePlan(
-          rel, key_col, keys, Resolved(params, prf, 1), true);
+      const TuplePlan reference =
+          BuildTuplePlan(rel, key_col, Resolved(keys, params, prf), 1);
       for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
         const TuplePlan plan = BuildTuplePlan(
-            rel, key_col, keys, Resolved(params, prf, threads), true);
+            rel, key_col, Resolved(keys, params, prf), threads);
         ExpectPlansEqual(plan, reference,
                          std::string(PrfKindName(prf)) + " col=" +
                              std::to_string(key_col) + " threads=" +
@@ -124,8 +127,8 @@ TEST(TuplePlanTest, BatchPathMatchesSingleShotReference) {
     for (const std::size_t key_col : {std::size_t{0}, std::size_t{1}}) {
       const std::string label = std::string(PrfKindName(prf_kind)) +
                                 " col=" + std::to_string(key_col);
-      const TuplePlan plan = BuildTuplePlan(
-          rel, key_col, keys, Resolved(params, prf_kind, 2), true);
+      const TuplePlan plan =
+          BuildTuplePlan(rel, key_col, Resolved(keys, params, prf_kind), 2);
       HashScratch scratch;
       std::vector<FitTuple> want;
       std::size_t hashed = 0;
@@ -156,10 +159,10 @@ TEST(TuplePlanTest, BackendsSelectDifferentTuples) {
   const WatermarkKeySet keys = testutil::TestKeys();
   WatermarkParams params;
   params.e = 5;
-  const TuplePlan kh = BuildTuplePlan(
-      rel, 0, keys, Resolved(params, PrfKind::kKeyedHash, 1), true);
-  const TuplePlan sip = BuildTuplePlan(
-      rel, 0, keys, Resolved(params, PrfKind::kSipHash24, 1), true);
+  const TuplePlan kh =
+      BuildTuplePlan(rel, 0, Resolved(keys, params, PrfKind::kKeyedHash), 1);
+  const TuplePlan sip =
+      BuildTuplePlan(rel, 0, Resolved(keys, params, PrfKind::kSipHash24), 1);
   std::vector<std::size_t> kh_rows;
   std::vector<std::size_t> sip_rows;
   for (const FitTuple& f : FitList(kh)) kh_rows.push_back(f.row);
@@ -178,8 +181,7 @@ TEST(TuplePlanTest, ShardListsFollowRowShards) {
   for (const std::size_t key_col : {std::size_t{0}, std::size_t{1}}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
       const TuplePlan plan = BuildTuplePlan(
-          rel, key_col, keys, Resolved(params, PrfKind::kSipHash24, threads),
-          true);
+          rel, key_col, Resolved(keys, params, PrfKind::kSipHash24), threads);
       ASSERT_EQ(plan.shards.size(), threads);
       const std::vector<std::size_t> bounds =
           ShardBounds(rel.NumRows(), threads);
@@ -197,20 +199,18 @@ TEST(TuplePlanTest, ShardListsFollowRowShards) {
   }
 }
 
-// The map path asks for no k2 positions: the fit set is the same, and every
-// payload_index stays 0.
+// A channel without k2 (the map path) gives no k2 positions: the fit set is
+// the same, and every payload_index stays 0.
 TEST(TuplePlanTest, NoPayloadIndexWithoutK2) {
   const Relation rel = MixedKeyRelation(1500);
   const WatermarkKeySet keys = testutil::TestKeys();
   WatermarkParams params;
   params.e = 3;
   for (const std::size_t key_col : {std::size_t{0}, std::size_t{1}}) {
-    const WatermarkParams resolved =
-        Resolved(params, PrfKind::kSipHash24, 2);
-    const std::vector<FitTuple> with_k2 =
-        FitList(BuildTuplePlan(rel, key_col, keys, resolved, true));
-    const std::vector<FitTuple> without =
-        FitList(BuildTuplePlan(rel, key_col, keys, resolved, false));
+    const std::vector<FitTuple> with_k2 = FitList(BuildTuplePlan(
+        rel, key_col, Resolved(keys, params, PrfKind::kSipHash24), 2));
+    const std::vector<FitTuple> without = FitList(BuildTuplePlan(
+        rel, key_col, Resolved(keys, params, PrfKind::kSipHash24, false), 2));
     ASSERT_EQ(without.size(), with_k2.size()) << "col=" << key_col;
     for (std::size_t i = 0; i < without.size(); ++i) {
       EXPECT_EQ(without[i].row, with_k2[i].row);

@@ -725,7 +725,10 @@ int RunStream(const Flags& flags) {
       StreamSession::Create(std::move(spec).value());
   if (!session.ok()) return Fail(session.status().ToString());
 
+  // Size the grown columns once for every batch: doubling them batch by
+  // batch would leave up to half their capacity unused (on huge pages).
   const std::size_t total = input.value().NumRows();
+  rel.Reserve(rel.NumRows() + total);
   std::size_t fit = 0, altered = 0, hashed = 0, batches = 0;
   for (std::size_t at = 0; at < total; ++batches) {
     const std::size_t len = std::min(total - at, batch);
